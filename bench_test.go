@@ -343,11 +343,10 @@ func BenchmarkDelayRanking(b *testing.B) {
 	coll := warmedCollector(b)
 	topo := coll.Snapshot()
 	ranker := &core.DelayRanker{}
-	candidates := []netsim.NodeID{"n2", "n3", "n4", "n5", "n6", "n7", "n8"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranker.Rank(topo, "n1", candidates)
+		core.ComputeRanking(topo, ranker, "n1", 0)
 	}
 }
 
@@ -356,60 +355,45 @@ func BenchmarkBandwidthRanking(b *testing.B) {
 	coll := warmedCollector(b)
 	topo := coll.Snapshot()
 	ranker := &core.BandwidthRanker{}
-	candidates := []netsim.NodeID{"n2", "n3", "n4", "n5", "n6", "n7", "n8"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranker.Rank(topo, "n1", candidates)
+		core.ComputeRanking(topo, ranker, "n1", 0)
 	}
 }
 
 // BenchmarkSchedulerQueryThroughput measures the scheduler's query read
 // path on a warmed Fig 4 deployment with telemetry churning at the 100 ms
-// probe cadence, 100 queries per probe tick. Cached uses the
-// epoch-versioned snapshot + rank cache; Uncached restores the
-// pre-refactor behavior (fresh topology copy and re-ranking per query) for
-// the before/after comparison. Run with -bench SchedulerQueryThroughput;
-// intbench -exp qps prints the same comparison full-size.
+// probe cadence, 100 queries per probe tick. intbench -exp qps prints the
+// same measurement full-size.
 func BenchmarkSchedulerQueryThroughput(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		cached bool
-	}{
-		{"Cached", true},
-		{"Uncached", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			rig, err := experiment.NewQueryRig(mode.cached, experiment.QPSConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			sinceProbe := 0
-			for i := 0; i < b.N; i++ {
-				if sinceProbe == 100 {
-					rig.Tick()
-					sinceProbe = 0
-				}
-				if got := rig.Query(i); len(got) == 0 {
-					b.Fatal("empty ranking")
-				}
-				sinceProbe++
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-		})
+	rig, err := experiment.NewQueryRig(experiment.QPSConfig{})
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sinceProbe := 0
+	for i := 0; i < b.N; i++ {
+		if sinceProbe == 100 {
+			rig.Tick()
+			sinceProbe = 0
+		}
+		if got := rig.Query(i); len(got) == 0 {
+			b.Fatal("empty ranking")
+		}
+		sinceProbe++
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
 // BenchmarkIndexHotPath measures the index-space scheduler read path on a
 // warmed Fig 4 deployment with a frozen snapshot: PathInto with reused
 // scratch, and warm single/batched ranking queries served as zero-copy
 // views of shared cache entries (allocs/op must stay 0 on the walk and the
-// single query; intbench -exp hotpath prints the full string-vs-index
-// comparison with digest checks).
+// single query).
 func BenchmarkIndexHotPath(b *testing.B) {
-	rig, err := experiment.NewQueryRig(true, experiment.QPSConfig{})
+	rig, err := experiment.NewQueryRig(experiment.QPSConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

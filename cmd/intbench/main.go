@@ -15,8 +15,6 @@
 // its fabrics to CI size. The telemetry experiment (by name only) sweeps
 // deterministic vs probabilistic PINT-style telemetry and writes
 // results/BENCH_telemetry.json; -telemetry-smoke shrinks it to CI size. The
-// hotpath experiment (by name only) micro-benchmarks the index-space read
-// path against the string APIs and writes results/BENCH_hotpath.json. The
 // adaptive experiment (by name only) compares static vs controller-driven
 // probe cadence at several telemetry budgets and writes
 // results/BENCH_adaptive.json; -adaptive-smoke shrinks it to CI size.
@@ -46,8 +44,8 @@ var (
 	seeds      = flag.Int("seeds", 1, "replicate fig5/6/7 across this many seeds and report mean±std gains")
 	tasks      = flag.Int("tasks", 200, "tasks per experiment run (paper: 200)")
 	fig3dur    = flag.Duration("fig3dur", 300*time.Second, "measurement duration per Fig 3 utilization level (paper: 300s)")
-	expFlag    = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,qps,all (plus parbench, scale, telemetry, hotpath, and adaptive, by name only)")
-	queries    = flag.Int("queries", 50_000, "ranking queries per mode in the qps experiment")
+	expFlag    = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,qps,all (plus parbench, scale, telemetry, and adaptive, by name only)")
+	queries    = flag.Int("queries", 50_000, "ranking queries in the qps experiment")
 	parallel   = flag.Int("parallel", 0, "worker pool size for independent experiment cells (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
 	scaleSmoke = flag.Bool("scale-smoke", false, "scale experiment: shrink the fabrics to CI size (small Clos + 2-region metro)")
 	telemSmoke = flag.Bool("telemetry-smoke", false, "telemetry experiment: shrink to CI size (fewer tasks, two sampling rates, 2-region metro)")
@@ -92,7 +90,7 @@ func main() {
 	for _, extra := range []struct {
 		name string
 		fn   func() error
-	}{{"parbench", parbench}, {"scale", scale}, {"telemetry", telemetryExp}, {"hotpath", hotpath}, {"adaptive", adaptiveExp}} {
+	}{{"parbench", parbench}, {"scale", scale}, {"telemetry", telemetryExp}, {"adaptive", adaptiveExp}} {
 		if !want[extra.name] {
 			continue
 		}
@@ -356,72 +354,6 @@ func adaptiveExp() error {
 	return nil
 }
 
-// hotpath micro-benchmarks the index-space scheduler read path against the
-// string APIs it replaced — path walks, per-hop metric reads, warm single
-// queries, warm batches — and writes results/BENCH_hotpath.json. Each cell
-// digests both variants and fails on divergence, so the reported speedups
-// are backed by byte-identical answers.
-func hotpath() error {
-	res, err := experiment.Hotpath(experiment.HotpathConfig{})
-	if err != nil {
-		return err
-	}
-	tb := stats.NewTable("cell", "ops/sweep", "string ns/op", "index ns/op", "speedup", "string allocs/op", "index allocs/op")
-	for _, c := range res.Cells {
-		tb.AddRow(c.Name, c.Ops,
-			fmt.Sprintf("%.0f", c.OldNsOp), fmt.Sprintf("%.0f", c.NewNsOp),
-			fmt.Sprintf("%.1fx", c.Speedup()),
-			fmt.Sprintf("%.2f", c.OldAllocsOp), fmt.Sprintf("%.2f", c.NewAllocsOp))
-	}
-	fmt.Println(tb.String())
-	for _, c := range res.Cells {
-		fmt.Printf("hotpath digest %s %s\n", c.Name, c.Digest)
-	}
-	fmt.Println("(every cell's index-path digest matched its string-path digest; timings are wall-clock, allocs are exact Mallocs deltas)")
-
-	type cellJSON struct {
-		Cell        string  `json:"cell"`
-		Ops         int     `json:"ops_per_sweep"`
-		OldNsOp     float64 `json:"string_ns_op"`
-		NewNsOp     float64 `json:"index_ns_op"`
-		Speedup     float64 `json:"speedup"`
-		OldAllocsOp float64 `json:"string_allocs_op"`
-		NewAllocsOp float64 `json:"index_allocs_op"`
-		Digest      string  `json:"digest"`
-	}
-	report := struct {
-		Bench string     `json:"bench"`
-		CPUs  int        `json:"cpus"`
-		Cores int        `json:"cores"`
-		Cells []cellJSON `json:"cells"`
-	}{
-		Bench: "hotpath",
-		CPUs:  runtime.NumCPU(),
-		Cores: runtime.GOMAXPROCS(0),
-	}
-	for _, c := range res.Cells {
-		report.Cells = append(report.Cells, cellJSON{
-			Cell: c.Name, Ops: c.Ops,
-			OldNsOp: c.OldNsOp, NewNsOp: c.NewNsOp, Speedup: c.Speedup(),
-			OldAllocsOp: c.OldAllocsOp, NewAllocsOp: c.NewAllocsOp,
-			Digest: c.Digest,
-		})
-	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("results/BENCH_hotpath.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote results/BENCH_hotpath.json")
-	return nil
-}
-
 // faults replays the same workload under a scripted failure schedule (edge
 // access link down, edge server crash, probe-loss burst) once per ranking
 // metric, classifying every placement against the simulator's ground-truth
@@ -443,28 +375,24 @@ func faults() error {
 	return nil
 }
 
-// qps compares scheduler query throughput with and without the
-// epoch-versioned snapshot + rank cache read path, telemetry churning at
-// the 100 ms probe cadence, queries outnumbering probes 100:1.
+// qps measures scheduler query throughput with telemetry churning at the
+// 100 ms probe cadence, queries outnumbering probes 100:1.
 func qps() error {
 	res, err := experiment.QPS(experiment.QPSConfig{Queries: *queries})
 	if err != nil {
 		return err
 	}
-	tb := stats.NewTable("read path", "queries", "elapsed", "queries/s", "cache hit rate", "query p50", "query p99", "epochs")
-	for _, m := range []experiment.QPSMode{res.Uncached, res.Cached} {
-		hit := "-"
-		if rate, ok := m.HitRate(); ok {
-			hit = fmt.Sprintf("%.1f%%", rate*100)
-		}
-		tb.AddRow(m.Label, res.Queries, m.Elapsed.Round(time.Millisecond),
-			fmt.Sprintf("%.0f", m.QPS), hit,
-			m.QueryLatency.QuantileDuration(0.50).Round(100*time.Nanosecond).String(),
-			m.QueryLatency.QuantileDuration(0.99).Round(100*time.Nanosecond).String(),
-			m.Epoch)
+	hit := "-"
+	if rate, ok := res.HitRate(); ok {
+		hit = fmt.Sprintf("%.1f%%", rate*100)
 	}
+	tb := stats.NewTable("queries", "elapsed", "queries/s", "cache hit rate", "query p50", "query p99", "epochs")
+	tb.AddRow(res.Queries, res.Elapsed.Round(time.Millisecond),
+		fmt.Sprintf("%.0f", res.QPS), hit,
+		res.QueryLatency.QuantileDuration(0.50).Round(100*time.Nanosecond).String(),
+		res.QueryLatency.QuantileDuration(0.99).Round(100*time.Nanosecond).String(),
+		res.Epoch)
 	fmt.Println(tb.String())
-	fmt.Printf("speedup: %.1fx queries/s (target: >=5x when queries outnumber probes 100:1)\n", res.Speedup)
 	fmt.Println("(cache hit rate and latency quantiles read from the obs registry the live daemon also serves at /metrics)")
 	return nil
 }

@@ -5,13 +5,11 @@ import (
 	"time"
 )
 
-// CSR edge-metric arena. The merged snapshot already materializes the
-// neighbor index rows (nbrIdx) the path trees run on; the arena flattens
-// those rows into one CSR array and, at the same merge, resolves every
-// per-direction edge metric (delay, jitter, rate, windowed queue max) out of
-// the per-shard view maps into flat arrays. The scheduler hot path then
-// reads metrics as array loads indexed by CSR position instead of hashing
-// string pairs through delegated shard-view maps.
+// CSR edge-metric arena. The merged snapshot flattens the neighbor index
+// rows (nbrIdx) the path trees run on into one CSR array and holds every
+// per-direction edge metric (delay, jitter, rate, windowed queue max) in one
+// flat slot array, so the scheduler reads metrics as array loads indexed by
+// CSR position.
 //
 // Coordinate system: node index i is Nodes[i] (sorted, so index order is
 // name order). CSR edge id e is the position of neighbor v in u's row:
@@ -23,22 +21,21 @@ import (
 // the forward edge (a, b) may have aged out independently — adjacency is
 // directional. DirSlot tries the forward edge first, then the reverse.
 //
-// The slot arrays are filled through the exact same view-map reads the
-// string-keyed Topology methods perform (LinkDelay / LinkJitter / LinkRate /
-// QueueMax), so for any pair that is a CSR edge in either direction, slot
-// reads and string reads are equal by construction. Pairs outside the CSR
-// adjacency (metric state can outlive adjacency eviction) have no slot;
-// callers needing those semantics use the string methods, which still
-// delegate to the shard views.
+// What a slot holds: the forward slot 2e is the owning shard view's row
+// entry for u->v. The reverse slot 2e+1 is a copy of v->u's own forward
+// slot while that adjacency exists; once it has aged out, the reverse slot
+// carries v->u's measured delay, jitter and rate (link-delay history
+// outlives eviction, see pruneAdjLocked) but no queue value — the egress
+// port went with the adjacency. Pairs adjacent in neither direction have no
+// slot.
 //
-// Hand-crafted test topologies (nil views) build the same arena — every
-// metric resolves to unmeasured/default there, matching what the string
-// methods return — so the index path is the only path.
+// Hand-crafted test topologies build the same arena with every slot
+// unmeasured.
 
-// initArena flattens nbrIdx into CSR form and materializes the directed
-// per-edge metric slots and the hostList -> node-index map. Called at merge
-// time (and by crafted-topology constructors), after Nodes / nodeIndex /
-// nbrIdx / hostFlag / hostList / views are in place.
+// initArena flattens nbrIdx into CSR form and allocates the directed metric
+// slots and the hostList -> node-index map. Called at merge time (and by
+// crafted-topology constructors), after Nodes / nodeIndex / nbrIdx /
+// hostFlag / hostList are in place; merge then fills the slots.
 func (t *Topology) initArena() {
 	n := len(t.Nodes)
 	t.edgeStart = make([]int32, n+1)
@@ -56,22 +53,7 @@ func (t *Topology) initArena() {
 		// append can never bleed into the next row).
 		t.nbrIdx[i] = t.nbrFlat[lo:hi:hi]
 	}
-	t.dirDelay = make([]time.Duration, 2*total)
-	t.dirDelayOK = make([]bool, 2*total)
-	t.dirJitter = make([]time.Duration, 2*total)
-	t.dirRate = make([]int64, 2*total)
-	t.dirQueue = make([]int32, 2*total)
-	t.dirQueueOK = make([]bool, 2*total)
-	for u := 0; u < n; u++ {
-		un := t.Nodes[u]
-		base := int(t.edgeStart[u])
-		for j, v := range t.nbrIdx[u] {
-			e := base + j
-			vn := t.Nodes[v]
-			t.fillDirSlot(2*e, un, vn)
-			t.fillDirSlot(2*e+1, vn, un)
-		}
-	}
+	t.slots = make([]edgeMetrics, 2*total)
 	t.hostIdx = make([]int32, len(t.hostList))
 	for i, h := range t.hostList {
 		if j, ok := t.nodeIndex[h]; ok {
@@ -81,24 +63,6 @@ func (t *Topology) initArena() {
 		}
 	}
 }
-
-// fillDirSlot resolves one direction's metrics through the delegating
-// string-keyed lookups (the single source of truth for values).
-func (t *Topology) fillDirSlot(slot int, from, to string) {
-	if d, ok := t.LinkDelay(from, to); ok {
-		t.dirDelay[slot] = d
-		t.dirDelayOK[slot] = true
-	}
-	t.dirJitter[slot] = t.LinkJitter(from, to)
-	t.dirRate[slot] = t.LinkRate(from, to)
-	if q, ok := t.QueueMax(from, to); ok {
-		t.dirQueue[slot] = int32(q)
-		t.dirQueueOK[slot] = true
-	}
-}
-
-// NumNodes returns the number of nodes in the merged adjacency.
-func (t *Topology) NumNodes() int { return len(t.Nodes) }
 
 // NodeIndex resolves a node ID to its merged index.
 func (t *Topology) NodeIndex(id string) (int32, bool) {
@@ -160,13 +124,12 @@ func (t *Topology) DirSlot(from, to int32) int32 {
 }
 
 // SlotDelay returns the latency estimate of a metric slot (ok=false when
-// the slot is -1 or the direction was never measured). Equal to LinkDelay
-// of the pair the slot was resolved from.
+// the slot is -1 or the direction was never measured).
 func (t *Topology) SlotDelay(s int32) (time.Duration, bool) {
-	if s < 0 || !t.dirDelayOK[s] {
+	if s < 0 || !t.slots[s].delayOK {
 		return 0, false
 	}
-	return t.dirDelay[s], true
+	return t.slots[s].delay, true
 }
 
 // SlotJitter returns the latency standard deviation of a metric slot.
@@ -174,30 +137,29 @@ func (t *Topology) SlotJitter(s int32) time.Duration {
 	if s < 0 {
 		return 0
 	}
-	return t.dirJitter[s]
+	return t.slots[s].jitter
 }
 
 // SlotRate returns the assumed capacity of a metric slot (the default rate
-// for slot -1, matching LinkRate on an unconfigured pair).
+// for slot -1).
 func (t *Topology) SlotRate(s int32) int64 {
 	if s < 0 {
 		return t.defaultRate
 	}
-	return t.dirRate[s]
+	return t.slots[s].rate
 }
 
 // SlotQueueMax returns the windowed maximum queue occupancy of the egress
 // port behind a metric slot (ok=false when the slot is -1 or the port had
 // no in-window report).
 func (t *Topology) SlotQueueMax(s int32) (int, bool) {
-	if s < 0 || !t.dirQueueOK[s] {
+	if s < 0 || !t.slots[s].queueOK {
 		return 0, false
 	}
-	return int(t.dirQueue[s]), true
+	return int(t.slots[s].queue), true
 }
 
-// PathCode classifies the outcome of an index-space path walk. Non-OK codes
-// map one-to-one onto Path's error cases.
+// PathCode classifies the outcome of an index-space path walk.
 type PathCode uint8
 
 const (
@@ -254,12 +216,4 @@ func (t *Topology) PathInto(src, dst int32, scratch []int32) (path []int32, code
 		}
 	}
 	return path, PathOK, -1
-}
-
-// HopCountInto returns the link count of the learned path src->dst together
-// with the walked path (which re-homes scratch, same ownership rule as
-// PathInto). The count is meaningful only for PathOK.
-func (t *Topology) HopCountInto(src, dst int32, scratch []int32) (int, []int32, PathCode) {
-	p, code, _ := t.PathInto(src, dst, scratch)
-	return len(p) - 1, p, code
 }

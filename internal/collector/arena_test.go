@@ -4,19 +4,21 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"intsched/internal/netsim"
 )
 
 // Tests for the index-space read path: a randomized cross-check of PathInto
-// against the string Path API over mutating learned topologies, a per-edge
-// equivalence check of the CSR metric slots against the string metric
-// accessors, and a property test holding portWindow's monotonic deque equal
-// to the windowedQueueMax reference scan.
+// against the by-name Path view over mutating learned topologies, a
+// per-edge check of the arena's metric slots against the collector's live
+// link state, and a property test holding portWindow's monotonic deque
+// equal to the windowedQueueMax reference scan.
 
 // TestPathIntoMatchesPath drives a collector through randomized probe-path
 // learnings, reroutes, and silence-driven evictions — the same mutation mix
 // as the SPT fuzz — and after every mutation compares PathInto (with reused
 // scratch, per the store-back idiom) against Path for every node pair, plus
-// HopCountInto and the out-of-range/unknown argument conventions.
+// the out-of-range/unknown argument conventions.
 func TestPathIntoMatchesPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	clk := &fakeClock{now: time.Second}
@@ -63,11 +65,6 @@ func TestPathIntoMatchesPath(t *testing.T) {
 						t.Fatalf("iter %d: PathInto(%s,%s)[%d]=%s, Path says %s", iter, src, dst, i, topo.NodeName(idx), want[i])
 					}
 				}
-				hops, hp, hcode := topo.HopCountInto(isrc, idst, scratch)
-				scratch = hp
-				if hcode != PathOK || hops != len(want)-1 {
-					t.Fatalf("iter %d: HopCountInto(%s,%s)=(%d,%v), want (%d,PathOK)", iter, src, dst, hops, hcode, len(want)-1)
-				}
 			}
 			// An unresolvable destination (dst = -1) is never reachable; a
 			// src whose adjacency aged out reports unknown-src first, like
@@ -98,16 +95,84 @@ func TestPathIntoMatchesPath(t *testing.T) {
 	}
 }
 
-// TestArenaSlotsMatchStringMetrics: for every directed CSR edge of a learned
-// snapshot, the slot reads must equal the string metric accessors — the
-// rankers' per-hop loads are byte-for-byte the values the string path sees.
-func TestArenaSlotsMatchStringMetrics(t *testing.T) {
+// checkSlotAgainstCollector holds the slot DirSlot resolves for u->v equal
+// to the collector's live link state: the delay EWMA and jitter of the
+// shard's link history, the configured (or default) rate, and the windowed
+// queue maximum of the egress port the live adjacency names — or no queue
+// value at all when u->v has no adjacency of its own (adjacent says which
+// case the caller expects).
+func checkSlotAgainstCollector(t *testing.T, c *Collector, topo *Topology, u, v string, rates map[edgeKey]int64, adjacent bool) {
+	t.Helper()
+	iu, _ := topo.NodeIndex(u)
+	iv, _ := topo.NodeIndex(v)
+	slot := topo.DirSlot(iu, iv)
+	if slot < 0 {
+		t.Fatalf("no slot for %s->%s", u, v)
+	}
+	if adjacent != (slot%2 == 0) {
+		t.Fatalf("%s->%s resolved to slot %d, adjacency present=%v", u, v, slot, adjacent)
+	}
+	wd, wok := c.LinkDelay(u, v)
+	if gd, gok := topo.SlotDelay(slot); gd != wd || gok != wok {
+		t.Fatalf("SlotDelay(%s->%s)=(%v,%v), collector (%v,%v)", u, v, gd, gok, wd, wok)
+	}
+	wj, _ := c.LinkJitter(u, v)
+	if g := topo.SlotJitter(slot); g != wj {
+		t.Fatalf("SlotJitter(%s->%s)=%v, collector %v", u, v, g, wj)
+	}
+	wr, ok := rates[edgeKey{u, v}]
+	if !ok {
+		wr = DefaultLinkRate
+	}
+	if g := topo.SlotRate(slot); g != wr {
+		t.Fatalf("SlotRate(%s->%s)=%d, configured %d", u, v, g, wr)
+	}
+	gq, gqok := topo.SlotQueueMax(slot)
+	if !adjacent {
+		if gqok {
+			t.Fatalf("SlotQueueMax(%s->%s)=%d on a direction with no adjacency (no egress port)", u, v, gq)
+		}
+		return
+	}
+	// Several ports may lead to one neighbor; the view keeps one of them.
+	sh := c.shardFor(u)
+	sh.mu.Lock()
+	var ports []int
+	for port, to := range sh.adj[u] {
+		if to == v {
+			ports = append(ports, port)
+		}
+	}
+	sh.mu.Unlock()
+	if len(ports) == 0 {
+		t.Fatalf("snapshot edge %s->%s missing from the live adjacency", u, v)
+	}
+	for _, port := range ports {
+		if wq, wqok := c.MaxQueue(u, port); wqok == gqok && (!wqok || wq == gq) {
+			return
+		}
+	}
+	t.Fatalf("SlotQueueMax(%s->%s)=(%d,%v) matches none of egress ports %v", u, v, gq, gqok, ports)
+}
+
+// TestArenaSlotsMatchCollectorState: after every mutation of a randomized
+// probe history, every directed hop a tree walk can cross — each CSR edge
+// and, where only the opposite adjacency survives, its reverse — must read
+// from the arena exactly what the collector's live state holds.
+func TestArenaSlotsMatchCollectorState(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	clk := &fakeClock{now: time.Second}
 	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond, Shards: 2})
+	rates := map[edgeKey]int64{}
+	for _, pr := range [][2]string{{"w0", "w1"}, {"h0", "w2"}} {
+		c.SetLinkRate(netsim.NodeID(pr[0]), netsim.NodeID(pr[1]), 50_000_000)
+		rates[edgeKey{pr[0], pr[1]}] = 50_000_000
+		rates[edgeKey{pr[1], pr[0]}] = 50_000_000
+	}
 
 	switches := []string{"w0", "w1", "w2", "w3"}
-	for seq := uint64(1); seq <= 60; seq++ {
+	checked, reverseOnly := 0, 0
+	for seq := uint64(1); seq <= 120; seq++ {
 		perm := rng.Perm(len(switches))
 		n := 1 + rng.Intn(3)
 		devs := make([]devSpec, n)
@@ -120,41 +185,56 @@ func TestArenaSlotsMatchStringMetrics(t *testing.T) {
 		}
 		c.HandleProbe(probeFrom("h0", seq, time.Duration(1+rng.Intn(8))*time.Millisecond, devs...))
 		clk.now += time.Duration(10+rng.Intn(80)) * time.Millisecond
-	}
 
-	topo := c.Snapshot()
-	checked := 0
-	for ui, u := range topo.Nodes {
-		iu := int32(ui)
-		for _, v := range topo.Neighbors(u) {
-			iv, ok := topo.NodeIndex(v)
-			if !ok {
-				t.Fatalf("neighbor %s of %s not indexed", v, u)
+		topo := c.Snapshot()
+		for _, u := range topo.Nodes {
+			for _, v := range topo.Neighbors(u) {
+				checkSlotAgainstCollector(t, c, topo, u, v, rates, true)
+				checked++
+				if !containsSorted(topo.Neighbors(v), u) {
+					checkSlotAgainstCollector(t, c, topo, v, u, rates, false)
+					reverseOnly++
+				}
 			}
-			slot := topo.DirSlot(iu, iv)
-			if slot < 0 {
-				t.Fatalf("no slot for CSR edge %s->%s", u, v)
-			}
-			wd, wok := topo.LinkDelay(u, v)
-			if gd, gok := topo.SlotDelay(slot); gd != wd || gok != wok {
-				t.Fatalf("SlotDelay(%s->%s)=(%v,%v), LinkDelay (%v,%v)", u, v, gd, gok, wd, wok)
-			}
-			if g, w := topo.SlotJitter(slot), topo.LinkJitter(u, v); g != w {
-				t.Fatalf("SlotJitter(%s->%s)=%v, LinkJitter %v", u, v, g, w)
-			}
-			if g, w := topo.SlotRate(slot), topo.LinkRate(u, v); g != w {
-				t.Fatalf("SlotRate(%s->%s)=%d, LinkRate %d", u, v, g, w)
-			}
-			wq, wqok := topo.QueueMax(u, v)
-			if gq, gqok := topo.SlotQueueMax(slot); gq != wq || gqok != wqok {
-				t.Fatalf("SlotQueueMax(%s->%s)=(%d,%v), QueueMax (%d,%v)", u, v, gq, gqok, wq, wqok)
-			}
-			checked++
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no CSR edges learned; fuzz driver broken")
+	if checked == 0 || reverseOnly == 0 {
+		t.Fatalf("fuzz driver broken: %d CSR edges, %d reverse-only hops checked", checked, reverseOnly)
 	}
+}
+
+// TestReverseSlotOutlivesForwardAdjacency pins the reverse-slot rule on a
+// fixed history: w0's port toward w1 is re-learned as leading to w2, so
+// w0->w1 leaves the adjacency while w1->w0 stays. A tree walk toward w1
+// still crosses w0->w1; its slot must carry that direction's measured
+// delay and configured rate, and no queue value — w0's port 1 now feeds
+// another link.
+func TestReverseSlotOutlivesForwardAdjacency(t *testing.T) {
+	clk := &fakeClock{now: time.Second}
+	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond, Shards: 2})
+	c.SetLinkRate("w0", "w1", 50_000_000)
+	rates := map[edgeKey]int64{{"w0", "w1"}: 50_000_000, {"w1", "w0"}: 50_000_000}
+	c.HandleProbe(probeFrom("h0", 1, 4*time.Millisecond,
+		devSpec{id: "w0", in: 0, out: 1, queues: map[int]int{1: 7}, egressTS: clk.now},
+		devSpec{id: "w1", in: 0, out: 1, egressTS: clk.now}))
+	c.HandleProbe(probeFrom("h0", 2, 6*time.Millisecond,
+		devSpec{id: "w0", in: 0, out: 1, queues: map[int]int{1: 9}, egressTS: clk.now},
+		devSpec{id: "w2", in: 0, out: 1, egressTS: clk.now}))
+	topo := c.Snapshot()
+	if containsSorted(topo.Neighbors("w0"), "w1") || !containsSorted(topo.Neighbors("w1"), "w0") {
+		t.Fatalf("setup: neighbors(w0)=%v neighbors(w1)=%v", topo.Neighbors("w0"), topo.Neighbors("w1"))
+	}
+	if p, err := topo.Path("h0", "w1"); err != nil || len(p) != 3 || p[1] != "w0" {
+		t.Fatalf("path h0->w1 = %v, %v; want it to cross w0->w1", p, err)
+	}
+	if q, ok := c.MaxQueue("w0", 1); !ok || q != 9 {
+		t.Fatalf("setup: port w0/1 reports (%d,%v)", q, ok)
+	}
+	checkSlotAgainstCollector(t, c, topo, "w0", "w1", rates, false)
+	if d, ok := topo.LinkDelay("w0", "w1"); !ok || d != 4*time.Millisecond {
+		t.Fatalf("w0->w1 delay (%v,%v), want the 4ms measured before the re-learn", d, ok)
+	}
+	checkSlotAgainstCollector(t, c, topo, "w0", "w2", rates, true)
 }
 
 // TestPortWindowMatchesScan holds portWindow's monotonic-deque answer equal

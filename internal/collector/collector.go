@@ -170,9 +170,6 @@ type Collector struct {
 	// cached snapshot (nil until first Snapshot).
 	snapMu sync.Mutex
 	snap   atomic.Pointer[mergedSnap]
-	// noSnapCache forces Snapshot to rebuild on every call (the
-	// pre-caching behavior), for before/after benchmarking.
-	noSnapCache atomic.Bool
 	// spt is the shared incremental shortest-path-tree store.
 	spt *sptStore
 
@@ -272,14 +269,6 @@ func (c *Collector) EpochVector() []uint64 {
 
 // Shards returns the number of link-state partitions.
 func (c *Collector) Shards() int { return len(c.shards) }
-
-// SetSnapshotCaching toggles snapshot reuse. Caching is on by default;
-// disabling it forces every Snapshot call to rebuild a fresh deep copy (the
-// pre-epoch behavior), which exists for before/after benchmarking and
-// debugging only. With caching off, queue-window aging no longer advances
-// the epoch (two same-epoch snapshots can then differ), so pair it with
-// ServiceConfig.DisableRankCache as the qps experiment does.
-func (c *Collector) SetSnapshotCaching(enabled bool) { c.noSnapCache.Store(!enabled) }
 
 // Stats is a snapshot of the collector's ingestion counters.
 type Stats struct {

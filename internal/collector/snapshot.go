@@ -10,16 +10,38 @@ import (
 // shardView of its owned state, cached per shard and rebuilt only when that
 // shard's epoch moved or the view expired (a queue report aged out of the
 // window, or an adjacency hit its TTL). The global Snapshot() is a
-// merge-on-read: it composes the per-shard views into one Topology, copying
-// only the merged node/host index (the heavy per-edge maps stay inside the
-// views and lookups delegate to the owning view). A snapshot is versioned
-// by the composite epoch vector — one counter per shard — so a mutation in
-// one partition invalidates only that shard's view; the other shards' views
-// are reused as-is.
+// merge-on-read: it composes the per-shard views into one Topology — the
+// merged node/host index, the CSR adjacency, and one metric slot per edge
+// direction, copied straight out of the owning view's rows (arena.go). A
+// snapshot is versioned by the composite epoch vector — one counter per
+// shard — so a mutation in one partition invalidates only that shard's
+// view; the other shards' views are reused as-is.
 
 // neverExpires marks views with no in-window queue reports and no adjacency
 // deadline; they stay valid until the epoch advances.
 const neverExpires = time.Duration(math.MaxInt64)
+
+// edgeMetrics is the resolved measurement state of one directed edge: what
+// a shard view records per adjacency and what one arena slot holds.
+type edgeMetrics struct {
+	// delay / jitter are the latency EWMA and standard deviation; delayOK
+	// is false for a direction never measured.
+	delay, jitter time.Duration
+	// rate is the configured capacity, or the collector default.
+	rate int64
+	// queue is the windowed maximum occupancy of the egress port feeding
+	// the edge; queueOK is false without an in-window report.
+	queue   int32
+	delayOK bool
+	queueOK bool
+}
+
+// viewRow is one owned from-node's adjacency: its sorted neighbor IDs and,
+// index-aligned, the metrics of each from->neighbor edge.
+type viewRow struct {
+	nbrs  []string
+	edges []edgeMetrics
+}
 
 // shardView is one shard's immutable state view.
 type shardView struct {
@@ -31,20 +53,13 @@ type shardView struct {
 	// present lists every node appearing in the shard's owned adjacency
 	// (from- and to-sides), sorted.
 	present []string
-	// neighbors maps owned from-nodes to their sorted neighbor IDs.
-	neighbors map[string][]string
-	// egressPort maps owned (from, to) -> from's egress port toward to.
-	egressPort map[edgeKey]int
-	// linkDelay / linkJitter map owned (from, to) -> latency estimate and
-	// latency standard deviation.
-	linkDelay  map[edgeKey]time.Duration
-	linkJitter map[edgeKey]time.Duration
-	// queueMax / queueSeen map owned (device, port) -> windowed max queue
-	// occupancy and report presence.
-	queueMax  map[portKey]int
-	queueSeen map[portKey]bool
-	// linkRate maps owned (from, to) -> configured capacity in bps.
-	linkRate map[edgeKey]int64
+	// rows maps owned from-nodes to their adjacency rows.
+	rows map[string]viewRow
+	// offAdj holds the delay history and configured rate of owned edges
+	// that are not in the adjacency (aged out, or configured before being
+	// learned). Merge reads it for reverse slots; there is no egress port
+	// behind such an edge, so entries carry no queue value.
+	offAdj map[edgeKey]edgeMetrics
 	// hostList lists owned hosts, sorted.
 	hostList []string
 }
@@ -68,9 +83,6 @@ type mergedSnap struct {
 // concurrent readers can query while probes are being ingested.
 func (c *Collector) Snapshot() *Topology {
 	now := c.clock()
-	if c.noSnapCache.Load() {
-		return c.buildUncached(now)
-	}
 	if s := c.snap.Load(); s != nil && now <= s.expireAt && c.vectorCurrent(s.vector) {
 		return s.topo
 	}
@@ -92,25 +104,9 @@ func (c *Collector) Snapshot() *Topology {
 	if s := c.snap.Load(); s != nil && vectorEqual(s.vector, vector) {
 		return s.topo
 	}
-	topo := c.merge(views, vector, now, c.spt)
+	topo := c.merge(views, vector, now)
 	c.snap.Store(&mergedSnap{topo: topo, vector: vector, expireAt: expireAt})
 	return topo
-}
-
-// buildUncached rebuilds fresh per-shard views and a fresh merged Topology
-// on every call (the pre-caching behavior; see SetSnapshotCaching). Expiry
-// does not advance epochs in this mode, and path trees are memoized per
-// returned Topology rather than in the shared incremental store.
-func (c *Collector) buildUncached(now time.Duration) *Topology {
-	views := make([]*shardView, len(c.shards))
-	vector := make([]uint64, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		views[i] = sh.buildViewLocked(c, now, sh.epoch.Load())
-		sh.mu.Unlock()
-		vector[i] = views[i].epoch
-	}
-	return c.merge(views, vector, now, nil)
 }
 
 // vectorCurrent reports whether vec matches every shard's live epoch.
@@ -159,64 +155,84 @@ func (sh *shard) freshView(c *Collector, now time.Duration) *shardView {
 	return v
 }
 
-// buildViewLocked deep-copies the shard's owned state into a fresh
-// immutable view. Aged-out adjacencies are evicted here, right before the
-// copy, so an eviction becomes visible exactly when a view is (re)built —
-// and because expiry-triggered rebuilds advance the shard epoch (see
-// freshView), a post-eviction view is never published under a pre-eviction
-// epoch.
+// buildViewLocked copies the shard's owned state into a fresh immutable
+// view. Aged-out adjacencies are evicted here, right before the copy, so an
+// eviction becomes visible exactly when a view is (re)built — and because
+// expiry-triggered rebuilds advance the shard epoch (see freshView), a
+// post-eviction view is never published under a pre-eviction epoch.
 func (sh *shard) buildViewLocked(c *Collector, now time.Duration, epoch uint64) *shardView {
 	window := c.window()
-	adjDeadline := sh.pruneAdjLocked(now, c.adjTTL())
-	v := &shardView{
-		epoch:      epoch,
-		neighbors:  make(map[string][]string, len(sh.adj)),
-		egressPort: make(map[edgeKey]int),
-		linkDelay:  make(map[edgeKey]time.Duration, len(sh.linkDelay)),
-		linkJitter: make(map[edgeKey]time.Duration, len(sh.linkDelay)),
-		queueMax:   make(map[portKey]int),
-		queueSeen:  make(map[portKey]bool),
-		linkRate:   make(map[edgeKey]int64, len(sh.linkRate)),
+	expireAt := sh.pruneAdjLocked(now, c.adjTTL())
+	v := &shardView{epoch: epoch, rows: make(map[string]viewRow, len(sh.adj))}
+	// resolve reads an owned edge's delay history and capacity.
+	resolve := func(k edgeKey) (m edgeMetrics, rated bool) {
+		if st := sh.linkDelay[k]; st != nil {
+			m.delay, m.jitter, m.delayOK = st.ewma, st.jitter(), true
+		}
+		if m.rate, rated = sh.linkRate[k]; !rated {
+			m.rate = c.cfg.DefaultLinkRateBps
+		}
+		return m, rated
 	}
 	nodeSet := make(map[string]bool)
+	egress := make(map[string]int) // neighbor -> egress port of one from-node
+	measured, rated := 0, 0        // adjacency edges with delay history / a configured rate
 	for from, ports := range sh.adj {
 		nodeSet[from] = true
-		seen := make(map[string]bool)
+		clear(egress)
 		for port, to := range ports {
 			nodeSet[to] = true
-			v.egressPort[edgeKey{from, to}] = port
-			if !seen[to] {
-				seen[to] = true
-				v.neighbors[from] = append(v.neighbors[from], to)
+			egress[to] = port
+		}
+		row := viewRow{nbrs: make([]string, 0, len(egress)), edges: make([]edgeMetrics, len(egress))}
+		for to := range egress {
+			row.nbrs = append(row.nbrs, to)
+		}
+		sort.Strings(row.nbrs)
+		for j, to := range row.nbrs {
+			m, isRated := resolve(edgeKey{from, to})
+			if m.delayOK {
+				measured++
 			}
+			if isRated {
+				rated++
+			}
+			if best, found, _ := sh.queues[from][egress[to]].windowMax(now, window); found {
+				m.queue, m.queueOK = int32(best), true
+			}
+			row.edges[j] = m
+		}
+		v.rows[from] = row
+	}
+	// Measured link-delay history outlives adjacency eviction (see
+	// pruneAdjLocked) and rates can be configured before an edge is
+	// learned; the counts say whether any such edge exists.
+	if measured < len(sh.linkDelay) || rated < len(sh.linkRate) {
+		v.offAdj = make(map[edgeKey]edgeMetrics)
+		keep := func(k edgeKey) {
+			if !containsSorted(v.rows[k.from].nbrs, k.to) {
+				v.offAdj[k], _ = resolve(k)
+			}
+		}
+		for k := range sh.linkDelay {
+			keep(k)
+		}
+		for k := range sh.linkRate {
+			keep(k)
 		}
 	}
 	for n := range nodeSet {
 		v.present = append(v.present, n)
-		sort.Strings(v.neighbors[n])
 	}
 	sort.Strings(v.present)
 	for h := range sh.isHost {
 		v.hostList = append(v.hostList, h)
 	}
 	sort.Strings(v.hostList)
-	for k, st := range sh.linkDelay {
-		v.linkDelay[k] = st.ewma
-		v.linkJitter[k] = st.jitter()
-	}
-	for k, rate := range sh.linkRate {
-		v.linkRate[k] = rate
-	}
-	expireAt := adjDeadline
-	for dev, ports := range sh.queues {
-		for port, pw := range ports {
-			best, found, exp := pw.windowMax(now, window)
-			if exp < expireAt {
+	for _, ports := range sh.queues {
+		for _, pw := range ports {
+			if _, _, exp := pw.windowMax(now, window); exp < expireAt {
 				expireAt = exp
-			}
-			if found {
-				v.queueMax[portKey{dev, port}] = best
-				v.queueSeen[portKey{dev, port}] = true
 			}
 		}
 	}
@@ -225,12 +241,11 @@ func (sh *shard) buildViewLocked(c *Collector, now time.Duration, epoch uint64) 
 }
 
 // merge composes per-shard views into one immutable Topology: the merged
-// sorted node/host index plus the neighbor index arrays the path trees run
-// on. Per-edge and per-port state is not copied — lookups delegate to the
-// owning shard's view. When store is non-nil the merged structure is
-// registered with the incremental SPT store (diffed against the previous
-// merge to version path trees); nil keeps trees private to the snapshot.
-func (c *Collector) merge(views []*shardView, vector []uint64, now time.Duration, store *sptStore) *Topology {
+// sorted node/host index, the neighbor index arrays the path trees run on,
+// and the metric arena. The merged structure is registered with the
+// incremental SPT store (diffed against the previous merge to version path
+// trees).
+func (c *Collector) merge(views []*shardView, vector []uint64, now time.Duration) *Topology {
 	total, hostTotal := 0, 0
 	for _, v := range views {
 		total += len(v.present)
@@ -250,12 +265,10 @@ func (c *Collector) merge(views []*shardView, vector []uint64, now time.Duration
 	t := &Topology{
 		Nodes:       nodes,
 		hostList:    hosts,
-		views:       views,
-		shardOf:     c.shardOf,
 		defaultRate: c.cfg.DefaultLinkRateBps,
 		TakenAt:     now,
 		vector:      vector,
-		store:       store,
+		store:       c.spt,
 	}
 	for _, e := range vector {
 		t.epoch += e
@@ -266,22 +279,38 @@ func (c *Collector) merge(views []*shardView, vector []uint64, now time.Duration
 	}
 	t.nbrIdx = make([][]int32, len(nodes))
 	t.hostFlag = make([]bool, len(nodes))
+	rows := make([]viewRow, len(nodes)) // unit:[node]
 	for i, n := range nodes {
 		t.hostFlag[i] = containsSorted(hosts, n)
-		ns := views[c.shardOf(n)].neighbors[n]
-		if len(ns) == 0 {
+		row := views[c.shardOf(n)].rows[n]
+		if len(row.nbrs) == 0 {
 			continue
 		}
-		row := make([]int32, len(ns))
-		for j, nb := range ns {
-			row[j] = t.nodeIndex[nb]
+		rows[i] = row
+		idx := make([]int32, len(row.nbrs))
+		for j, nb := range row.nbrs {
+			idx[j] = t.nodeIndex[nb]
 		}
-		t.nbrIdx[i] = row
+		t.nbrIdx[i] = idx
 	}
 	t.initArena()
-	if store != nil {
-		t.seq = store.advance(nodes, t.nbrIdx, t.hostFlag)
+	// Row j of node u is CSR edge edgeStart[u]+j (both are in neighbor-name
+	// order), so forward slots are the view rows verbatim.
+	for u, row := range rows {
+		for j, m := range row.edges {
+			e := t.edgeStart[u] + int32(j)
+			t.slots[2*e] = m
+			v := t.nbrFlat[e]
+			if r := t.csrEdge(v, int32(u)); r >= 0 {
+				t.slots[2*e+1] = rows[v].edges[r-t.edgeStart[v]]
+			} else if m, ok := views[c.shardOf(nodes[v])].offAdj[edgeKey{nodes[v], nodes[u]}]; ok {
+				t.slots[2*e+1] = m
+			} else {
+				t.slots[2*e+1] = edgeMetrics{rate: t.defaultRate}
+			}
+		}
 	}
+	t.seq = c.spt.advance(nodes, t.nbrIdx, t.hostFlag)
 	return t
 }
 

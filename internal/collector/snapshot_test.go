@@ -140,25 +140,6 @@ func TestConfigChangesAdvanceEpoch(t *testing.T) {
 	}
 }
 
-// TestSnapshotCachingDisabled: the benchmarking escape hatch must restore
-// the fresh-copy-per-call behavior while keeping contents equal.
-func TestSnapshotCachingDisabled(t *testing.T) {
-	c, _ := buildDiamond(t)
-	c.SetSnapshotCaching(false)
-	a, b := c.Snapshot(), c.Snapshot()
-	if a == b {
-		t.Fatal("caching disabled but pointers shared")
-	}
-	if da, _ := a.LinkDelay("n1", "s1"); func() time.Duration { d, _ := b.LinkDelay("n1", "s1"); return d }() != da {
-		t.Fatal("uncached snapshots disagree")
-	}
-	c.SetSnapshotCaching(true)
-	x, y := c.Snapshot(), c.Snapshot()
-	if x != y {
-		t.Fatal("caching re-enabled but snapshots not shared")
-	}
-}
-
 // TestConcurrentSnapshotReadersWhileProbing exercises the lock-free read
 // path under the race detector: many goroutines snapshot and walk paths
 // while probes mutate the collector. The clock is atomic because in live

@@ -14,13 +14,14 @@ import (
 // caller until its state actually changes, so snapshots must be safe for
 // concurrent readers.
 //
-// A Topology is a merge-on-read composition of per-shard views: the merged
-// sorted node list, the host index, and the neighbor index arrays (the
-// structure path trees run on) are materialized at merge time; the heavy
-// per-edge and per-port maps stay inside the per-shard views and lookups
-// delegate to the owning view. The only internal mutability is the
-// shortest-path tree state, which is guarded by its own locks (the shared
-// incremental store, or the private scratch memo for superseded snapshots).
+// A Topology is a merge-on-read composition of per-shard views, fully
+// materialized at merge time in index space: the merged sorted node list,
+// the host index, the neighbor index arrays (the structure path trees run
+// on) and the per-direction metric slots (arena.go). The string-keyed
+// accessors below are thin views over that index, kept for tests, examples
+// and debugging. The only internal mutability is the shortest-path tree
+// state, which is guarded by its own locks (the shared incremental store,
+// or the private scratch memo for superseded snapshots).
 type Topology struct {
 	// Nodes lists every known node ID (hosts and switches), sorted; its
 	// index order is the coordinate system of nbrIdx, hostFlag, and the
@@ -42,26 +43,15 @@ type Topology struct {
 
 	// CSR edge-metric arena (see arena.go): nbrFlat is the concatenation
 	// of the nbrIdx rows (which re-alias it), edgeStart[i]..edgeStart[i+1]
-	// spans node i's row, and the dir* arrays hold per-direction metrics at
-	// slots 2e (forward) and 2e+1 (reverse) of CSR edge e.
-	edgeStart  []int32
-	nbrFlat    []int32
-	dirDelay   []time.Duration
-	dirDelayOK []bool
-	dirJitter  []time.Duration
-	dirRate    []int64
-	dirQueue   []int32
-	dirQueueOK []bool
-	// views are the per-shard state views this snapshot composes; shardOf
-	// routes a node ID to its owning view. Both are nil in hand-crafted
-	// test topologies, where delegated lookups simply miss.
-	views   []*shardView
-	shardOf func(string) int
+	// spans node i's row, and slots holds per-direction metrics at 2e
+	// (forward) and 2e+1 (reverse) of CSR edge e.
+	edgeStart []int32
+	nbrFlat   []int32
+	slots     []edgeMetrics
 	// defaultRate is the assumed capacity of unconfigured links.
 	defaultRate int64
-	// TakenAt is the time the snapshot was built. With snapshot caching it
-	// is the time of the last rebuild, not the time of the Snapshot() call
-	// that returned it.
+	// TakenAt is the time the snapshot was built (the last rebuild, not
+	// the Snapshot() call that returned it).
 	TakenAt time.Duration
 	// epoch is the sum of the composite epoch vector — monotone, and
 	// strictly increasing across any state change, so downstream
@@ -72,7 +62,7 @@ type Topology struct {
 
 	// seq and store version the merged structure for incremental
 	// shortest-path-tree maintenance (see spt.go); store is nil for
-	// uncached and hand-crafted topologies.
+	// hand-crafted topologies.
 	seq   uint64
 	store *sptStore
 	// scratch memoizes per-destination trees privately when store is nil
@@ -111,81 +101,53 @@ func (t *Topology) Hosts() []string {
 	return out
 }
 
-// view returns the shard view owning id (nil in crafted test topologies).
-func (t *Topology) view(id string) *shardView {
-	if t.shardOf == nil {
-		return nil
-	}
-	return t.views[t.shardOf(id)]
-}
-
 // Neighbors returns the sorted neighbors of id.
 func (t *Topology) Neighbors(id string) []string {
-	v := t.view(id)
-	if v == nil {
+	i, ok := t.nodeIndex[id]
+	if !ok {
 		return nil
 	}
-	return v.neighbors[id]
+	out := make([]string, len(t.nbrIdx[i]))
+	for j, nb := range t.nbrIdx[i] {
+		out[j] = t.Nodes[nb]
+	}
+	return out
 }
 
-// EgressPort returns from's egress port toward its direct neighbor to.
-func (t *Topology) EgressPort(from, to string) (int, bool) {
-	v := t.view(from)
-	if v == nil {
-		return 0, false
+// slotOf resolves the metric slot of the directed pair from->to by name
+// (-1 when either node is unknown or the pair is adjacent in neither
+// direction).
+func (t *Topology) slotOf(from, to string) int32 {
+	i, ok := t.nodeIndex[from]
+	j, ok2 := t.nodeIndex[to]
+	if !ok || !ok2 {
+		return -1
 	}
-	p, ok := v.egressPort[edgeKey{from, to}]
-	return p, ok
+	return t.DirSlot(i, j)
 }
 
 // LinkDelay returns the latency estimate for the directed link from->to.
 // Links never measured report ok=false.
 func (t *Topology) LinkDelay(from, to string) (time.Duration, bool) {
-	v := t.view(from)
-	if v == nil {
-		return 0, false
-	}
-	d, ok := v.linkDelay[edgeKey{from, to}]
-	return d, ok
+	return t.SlotDelay(t.slotOf(from, to))
 }
 
 // LinkJitter returns the latency standard deviation for the directed link
 // from->to (0 with fewer than two samples).
 func (t *Topology) LinkJitter(from, to string) time.Duration {
-	v := t.view(from)
-	if v == nil {
-		return 0
-	}
-	return v.linkJitter[edgeKey{from, to}]
+	return t.SlotJitter(t.slotOf(from, to))
 }
 
 // LinkRate returns the assumed capacity of the directed link from->to.
 func (t *Topology) LinkRate(from, to string) int64 {
-	if v := t.view(from); v != nil {
-		if r, ok := v.linkRate[edgeKey{from, to}]; ok {
-			return r
-		}
-	}
-	return t.defaultRate
+	return t.SlotRate(t.slotOf(from, to))
 }
 
 // QueueMax returns the windowed maximum queue occupancy of the egress port
 // on from feeding the link from->to. The boolean reports whether the port
 // had an in-window report.
 func (t *Topology) QueueMax(from, to string) (int, bool) {
-	v := t.view(from)
-	if v == nil {
-		return 0, false
-	}
-	port, ok := v.egressPort[edgeKey{from, to}]
-	if !ok {
-		return 0, false
-	}
-	key := portKey{from, port}
-	if !v.queueSeen[key] {
-		return 0, false
-	}
-	return v.queueMax[key], true
+	return t.SlotQueueMax(t.slotOf(from, to))
 }
 
 // Path returns the hop sequence (including endpoints) from src to dst along

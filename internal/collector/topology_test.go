@@ -264,11 +264,16 @@ func TestTopologyAccessors(t *testing.T) {
 	if len(hosts) != 2 || hosts[0] != "n1" || hosts[1] != "sched" {
 		t.Fatalf("hosts %v", hosts)
 	}
-	if p, ok := topo.EgressPort("s1", "s2"); !ok || p != 1 {
-		t.Fatalf("egress port %d,%v", p, ok)
+	// s1 reaches s2 through port 1 and s3 through port 2: each link reads
+	// the queue of its own egress port.
+	if q, ok := topo.QueueMax("s1", "s2"); !ok || q != 2 {
+		t.Fatalf("queue behind s1->s2 = %d,%v", q, ok)
 	}
-	if _, ok := topo.EgressPort("s1", "ghost"); ok {
-		t.Fatal("phantom egress port")
+	if q, ok := topo.QueueMax("s1", "s3"); !ok || q != 8 {
+		t.Fatalf("queue behind s1->s3 = %d,%v", q, ok)
+	}
+	if _, ok := topo.QueueMax("s1", "ghost"); ok {
+		t.Fatal("phantom queue report")
 	}
 	if _, ok := topo.LinkDelay("ghost", "s1"); ok {
 		t.Fatal("phantom link delay")

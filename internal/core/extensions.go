@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"intsched/internal/collector"
@@ -18,15 +19,6 @@ import (
 //     uncongested paths; TransferTimeRanker combines both using the task's
 //     data size: estimated time = propagation delay + queueing + bytes /
 //     bottleneck bandwidth.
-
-// SizeAwareRanker is implemented by rankers whose estimates depend on the
-// task's transfer size. The scheduler service passes the DataBytes hint
-// from the query when present.
-type SizeAwareRanker interface {
-	Ranker
-	// RankSize orders candidates for a transfer of the given size.
-	RankSize(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID, dataBytes int64) []Candidate
-}
 
 // TransferTimeRanker estimates the end-to-end transfer completion time for
 // a task of a known size: the delay estimate (Algorithm 1) plus the
@@ -47,13 +39,9 @@ type TransferTimeRanker struct {
 // Metric implements Ranker.
 func (r *TransferTimeRanker) Metric() Metric { return MetricTransferTime }
 
-// Rank implements Ranker (no size hint: delay-dominated ordering).
-func (r *TransferTimeRanker) Rank(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID) []Candidate {
-	return r.RankSize(topo, from, candidates, 0)
-}
-
-// RankSize implements SizeAwareRanker.
-func (r *TransferTimeRanker) RankSize(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID, dataBytes int64) []Candidate {
+// Rank implements Ranker. One path walk per candidate feeds both the delay
+// and the bottleneck estimate.
+func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate {
 	delay := r.Delay
 	if delay == nil {
 		delay = &DelayRanker{}
@@ -62,35 +50,24 @@ func (r *TransferTimeRanker) RankSize(topo *collector.Topology, from netsim.Node
 	if bw == nil {
 		bw = &BandwidthRanker{}
 	}
+	k, cal := delay.k(), bw.calibration()
 	floor := r.MinBandwidthBps
 	if floor <= 0 {
 		floor = 200_000 // 1% of the paper's 20 Mbps links
 	}
-	out := make([]Candidate, 0, len(candidates))
-	for _, c := range candidates {
-		dc, err1 := delay.Estimate(topo, from, c)
-		bc, err2 := bw.Estimate(topo, from, c)
-		if err1 != nil || err2 != nil {
-			out = append(out, Candidate{Node: c, Reachable: false})
-			continue
-		}
-		avail := bc.BandwidthBps
+	out := rankPaths(topo, fromIdx, cands, s, func(_ netsim.NodeID, p []int32) (time.Duration, float64) {
+		bwBps := bw.bottleneckOverPath(topo, p, cal)
+		avail := bwBps
 		if avail < floor {
 			avail = floor
 		}
-		est := dc.Delay
+		est := delay.delayOverPath(topo, p, k)
 		if dataBytes > 0 {
 			est += time.Duration(float64(dataBytes*8) / avail * float64(time.Second))
 		}
-		out = append(out, Candidate{
-			Node:         c,
-			Delay:        est,
-			BandwidthBps: bc.BandwidthBps,
-			Hops:         dc.Hops,
-			Reachable:    true,
-		})
-	}
-	sortCandidates(out, func(a, b Candidate) bool { return a.Delay < b.Delay })
+		return est, bwBps
+	})
+	sortCandidates(out, byDelay)
 	return out
 }
 
@@ -107,6 +84,8 @@ type HysteresisRanker struct {
 	// previous choice (default 0.2 = 20%).
 	Margin float64
 
+	// mu guards last: the live daemon answers queries concurrently.
+	mu   sync.Mutex
 	last map[netsim.NodeID]netsim.NodeID // device -> previous top pick
 }
 
@@ -125,12 +104,14 @@ func NewHysteresisRanker(inner Ranker, margin float64) *HysteresisRanker {
 // Metric implements Ranker (it reports the wrapped ranker's metric).
 func (r *HysteresisRanker) Metric() Metric { return r.Inner.Metric() }
 
-// Rank implements Ranker.
-func (r *HysteresisRanker) Rank(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID) []Candidate {
-	ranked := r.Inner.Rank(topo, from, candidates)
+// Rank implements Ranker: the wrapped ranking, reordered in place.
+func (r *HysteresisRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate {
+	ranked := r.Inner.Rank(topo, from, fromIdx, cands, dataBytes, s)
 	if len(ranked) == 0 {
 		return ranked
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	defer func() { r.last[from] = ranked[0].Node }()
 	prev, ok := r.last[from]
 	if !ok || prev == ranked[0].Node {

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"intsched/internal/netsim"
 )
 
 func TestTransferTimeRankerPrefersBandwidthForLargeTasks(t *testing.T) {
@@ -16,8 +14,8 @@ func TestTransferTimeRankerPrefersBandwidthForLargeTasks(t *testing.T) {
 	// Tiny task: bandwidth barely matters; both paths have equal latency
 	// except e1's queueing penalty, so e2 wins for any size here. Instead
 	// compare estimates directly.
-	small := r.RankSize(topo, "dev", []netsim.NodeID{"e1", "e2"}, 1_000)
-	large := r.RankSize(topo, "dev", []netsim.NodeID{"e1", "e2"}, 5_000_000)
+	small := rankNamed(r, topo, "dev", 1_000, "e1", "e2")
+	large := rankNamed(r, topo, "dev", 5_000_000, "e1", "e2")
 	if small[0].Node != "e2" || large[0].Node != "e2" {
 		t.Fatalf("congested branch won: small=%v large=%v", small, large)
 	}
@@ -38,8 +36,8 @@ func TestTransferTimeRankerZeroSizeDegeneratesToDelay(t *testing.T) {
 	topo := learnedTopo(t, 10, 0)
 	tt := &TransferTimeRanker{}
 	dl := &DelayRanker{}
-	a := tt.RankSize(topo, "dev", []netsim.NodeID{"e1", "e2"}, 0)
-	b := dl.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	a := rankNamed(tt, topo, "dev", 0, "e1", "e2")
+	b := rankNamed(dl, topo, "dev", 0, "e1", "e2")
 	for i := range a {
 		if a[i].Node != b[i].Node || a[i].Delay != b[i].Delay {
 			t.Fatalf("zero-size transfer-time != delay: %v vs %v", a, b)
@@ -52,7 +50,7 @@ func TestTransferTimeRankerFloorsDeadLinks(t *testing.T) {
 	// keep the estimate finite.
 	topo := learnedTopo(t, 45, 0)
 	r := &TransferTimeRanker{}
-	ranked := r.RankSize(topo, "dev", []netsim.NodeID{"e1"}, 1_000_000)
+	ranked := rankNamed(r, topo, "dev", 1_000_000, "e1")
 	if ranked[0].Delay <= 0 || ranked[0].Delay > time.Hour {
 		t.Fatalf("estimate %v not finite-and-positive", ranked[0].Delay)
 	}
@@ -61,7 +59,7 @@ func TestTransferTimeRankerFloorsDeadLinks(t *testing.T) {
 func TestTransferTimeRankerUnreachable(t *testing.T) {
 	topo := learnedTopo(t, 0, 0)
 	r := &TransferTimeRanker{}
-	ranked := r.RankSize(topo, "dev", []netsim.NodeID{"ghost", "e1"}, 1000)
+	ranked := rankNamed(r, topo, "dev", 1000, "ghost", "e1")
 	if ranked[0].Node != "e1" || ranked[1].Reachable {
 		t.Fatalf("ranked %v", ranked)
 	}
@@ -75,14 +73,14 @@ func TestHysteresisSticksOnMarginalChange(t *testing.T) {
 
 	// Round 1: e1 congested -> e2 chosen.
 	topo := learnedTopo(t, 10, 0)
-	ranked := r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e2" {
 		t.Fatalf("round 1: %v", ranked)
 	}
 	// Round 2: tiny queue blip on e2's branch makes e1 marginally better
 	// (30ms vs 50ms = 40% improvement, within the 50% margin): stick.
 	topo = learnedTopo(t, 0, 1)
-	ranked = r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked = rankNamed(r, topo, "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e2" {
 		t.Fatalf("round 2 switched on marginal change: %v", ranked)
 	}
@@ -92,7 +90,7 @@ func TestHysteresisSticksOnMarginalChange(t *testing.T) {
 	}
 	// Round 3: heavy congestion on e2's branch: must switch.
 	topo = learnedTopo(t, 0, 30)
-	ranked = r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked = rankNamed(r, topo, "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e1" {
 		t.Fatalf("round 3 failed to switch under real congestion: %v", ranked)
 	}
@@ -101,7 +99,7 @@ func TestHysteresisSticksOnMarginalChange(t *testing.T) {
 func TestHysteresisFirstQueryPassesThrough(t *testing.T) {
 	r := NewHysteresisRanker(&DelayRanker{}, 0.2)
 	topo := learnedTopo(t, 10, 0)
-	ranked := r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e2" {
 		t.Fatalf("first query altered: %v", ranked)
 	}
@@ -111,9 +109,9 @@ func TestHysteresisPerDeviceState(t *testing.T) {
 	r := NewHysteresisRanker(&DelayRanker{}, 0.99)
 	topo := learnedTopo(t, 10, 0)
 	// dev picks e2; a different device's history must not affect dev.
-	_ = r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	_ = rankNamed(r, topo, "dev", 0, "e1", "e2")
 	topo2 := learnedTopo(t, 0, 10)
-	rankedOther := r.Rank(topo2, "dev2", []netsim.NodeID{"e1", "e2"})
+	rankedOther := rankNamed(r, topo2, "dev2", 0, "e1", "e2")
 	if rankedOther[0].Node != "e1" {
 		t.Fatalf("fresh device influenced by other device's history: %v", rankedOther)
 	}
@@ -129,11 +127,11 @@ func TestHysteresisMetricPassthrough(t *testing.T) {
 func TestHysteresisBandwidthAxis(t *testing.T) {
 	r := NewHysteresisRanker(&BandwidthRanker{}, 0.5)
 	// Round 1: e1 congested -> e2.
-	_ = r.Rank(learnedTopo(t, 30, 0), "dev", []netsim.NodeID{"e1", "e2"})
+	_ = rankNamed(r, learnedTopo(t, 30, 0), "dev", 0, "e1", "e2")
 	// Round 2: mild congestion on e2's branch (queue 5 -> util .5,
 	// avail 10 Mbps) vs clean e1 (20 Mbps): 50% improvement, at margin:
 	// stick with e2.
-	ranked := r.Rank(learnedTopo(t, 0, 5), "dev", []netsim.NodeID{"e1", "e2"})
+	ranked := rankNamed(r, learnedTopo(t, 0, 5), "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e2" {
 		t.Fatalf("switched at margin: %v", ranked)
 	}

@@ -184,7 +184,7 @@ func TestFlapInvalidatesRankCacheAcrossDownAndUp(t *testing.T) {
 	if reflect.DeepEqual(up, down) {
 		t.Fatal("down-period ranking served after recovery")
 	}
-	recomputed := (&DelayRanker{}).Rank(f.coll.Snapshot(), "dev", []netsim.NodeID{"e1", "e2", "sched"})
+	recomputed := ComputeRanking(f.coll.Snapshot(), &DelayRanker{}, "dev", 0)
 	if !reflect.DeepEqual(up, recomputed) {
 		t.Fatalf("post-recovery RankFor %v, recomputation gives %v", up, recomputed)
 	}

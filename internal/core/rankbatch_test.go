@@ -32,7 +32,7 @@ func TestRankBatchMatchesSingleQueries(t *testing.T) {
 		want[i] = f.svc.RankFor(req)
 	}
 	// Invalidate so the batch starts from a cold cache too, then compare.
-	f.svc.cache.Invalidate()
+	f.svc.engine.cache.Invalidate()
 	got := f.svc.RankBatch(reqs)
 	if len(got) != len(reqs) {
 		t.Fatalf("batch returned %d results for %d requests", len(got), len(reqs))
@@ -58,9 +58,9 @@ type countingRanker struct {
 	calls int
 }
 
-func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, cands []netsim.NodeID) []Candidate {
+func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate {
 	r.calls++
-	return r.DelayRanker.Rank(topo, from, cands)
+	return r.DelayRanker.Rank(topo, from, fromIdx, cands, dataBytes, s)
 }
 
 // TestRankBatchDeduplicatesKeys: identical cache keys in one batch must be
@@ -78,11 +78,14 @@ func TestRankBatchDeduplicatesKeys(t *testing.T) {
 	if cr.calls != 1 {
 		t.Fatalf("%d ranking computations for three identical keys, want one", cr.calls)
 	}
+	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("stats %+v, want one miss and two hits in the first batch", st)
+	}
 	f.svc.RankBatch(reqs)
 	if cr.calls != 1 {
 		t.Fatalf("warm batch recomputed: %d calls", cr.calls)
 	}
-	if st := f.svc.CacheStats(); st.Hits != 3 {
+	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 5 {
 		t.Fatalf("stats %+v, want all hits on the second batch", st)
 	}
 	// The cached full list must not have been corrupted by the shaped

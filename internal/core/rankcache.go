@@ -5,13 +5,12 @@ import (
 	"sync"
 )
 
-// This file implements the shared rank-result cache used across the
-// scheduler read path (the simulated Service and the live CollectorDaemon).
-// Between telemetry updates — the common case at high query rates, since
-// probes arrive every 100 ms — the learned topology is frozen at one
-// collector epoch, so a ranking computed for (from, metric, dataBytes,
-// requirements) is valid for every identical query until the epoch
-// advances. Invalidation is by epoch comparison only; no timers.
+// This file implements the rank-result cache of the query Engine. Between
+// telemetry updates — the common case at high query rates, since probes
+// arrive every 100 ms — the learned topology is frozen at one collector
+// epoch, so a ranking computed for (from, metric, dataBytes, requirements)
+// is valid for every identical query until the epoch advances.
+// Invalidation is by epoch comparison only; no timers.
 //
 // Entries are immutable RankEntry values holding the best-first ranking
 // with its reachable prefix length (and a lazily computed ID-ordered
@@ -69,7 +68,7 @@ type RankKey struct {
 	From int32
 	// Metric is the ranking strategy.
 	Metric Metric
-	// DataBytes is the (possibly bucketed) transfer-size hint.
+	// DataBytes is the transfer-size hint.
 	DataBytes int64
 	// Reqs is the canonical requirements encoding ("" for none).
 	Reqs string

@@ -203,7 +203,7 @@ func TestRankCacheInvalidatedByQueueWindowExpiry(t *testing.T) {
 	// Age the queue report out of the window without any probe arriving.
 	now += 250 * time.Millisecond
 	after := svc.RankFor(req)
-	recomputed := (&DelayRanker{}).Rank(coll.Snapshot(), "dev", []netsim.NodeID{"sched"})
+	recomputed := ComputeRanking(coll.Snapshot(), &DelayRanker{}, "dev", 0)
 	if !reflect.DeepEqual(after, recomputed) {
 		t.Fatalf("post-expiry RankFor %v, recomputation gives %v", after, recomputed)
 	}
@@ -233,31 +233,6 @@ func TestRankCacheStoreDroppedAfterInvalidate(t *testing.T) {
 	c.Store(7, gen, key, []Candidate{{Node: "fresh"}})
 	if entry, ok, _ := c.Lookup(7, key); !ok || entry.Ranked()[0].Node != "fresh" {
 		t.Fatalf("current-generation entry not stored (hit=%v)", ok)
-	}
-}
-
-// TestRankCacheDisabled: DisableRankCache must force recomputation.
-func TestRankCacheDisabled(t *testing.T) {
-	f := newServiceFixture(t)
-	f.svc.cfg.DisableRankCache = true
-	req := &QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true}
-	f.svc.RankFor(req)
-	f.svc.RankFor(req)
-	if st := f.svc.CacheStats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("stats %+v, cache consulted while disabled", st)
-	}
-}
-
-// TestDataBytesBucketing: a configured bucket function coarsens cache keys
-// so near-equal sizes share one entry.
-func TestDataBytesBucketing(t *testing.T) {
-	f := newServiceFixture(t)
-	f.svc.cfg.DataBytesBucket = func(b int64) int64 { return b >> 20 } // 1 MiB buckets
-	f.svc.Register(&TransferTimeRanker{})
-	f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricTransferTime, Sorted: true, DataBytes: 1<<20 + 100})
-	f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricTransferTime, Sorted: true, DataBytes: 1<<20 + 999})
-	if st := f.svc.CacheStats(); st.Hits != 1 {
-		t.Fatalf("stats %+v, want bucketed hit", st)
 	}
 }
 

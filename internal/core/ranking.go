@@ -12,6 +12,7 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"intsched/internal/collector"
@@ -76,13 +77,89 @@ type Candidate struct {
 }
 
 // Ranker orders candidate edge servers for a querying device using a
-// topology snapshot.
+// topology snapshot. Rankings are computed entirely in the snapshot's int32
+// index coordinate system — PathInto into reusable scratch, metric reads as
+// arena slot loads (see collector/arena.go) — and touch strings only when
+// forming Candidate.Node (a reference to the snapshot's interned host name).
 type Ranker interface {
 	// Metric identifies the strategy.
 	Metric() Metric
-	// Rank returns candidates ordered best-first.
-	Rank(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID) []Candidate
+	// Rank returns the candidates ordered best-first. from/fromIdx are the
+	// querying device's ID and merged node index (-1 when it has no
+	// adjacency); cands are positions in the snapshot's sorted host list;
+	// dataBytes is the task's transfer size (0 when unknown). The result
+	// aliases s — callers clone before retaining it.
+	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate
 }
+
+// rankScratch holds the reusable buffers of one in-flight ranking
+// computation. All slices follow the store-back idiom: helpers return the
+// (possibly re-homed) slice and the owner stores it back.
+type rankScratch struct {
+	cands []int32     // unit:host — candidate positions in the sorted host list
+	path  []int32     // unit:node — PathInto walk scratch (merged node indices)
+	out   []Candidate // ranking output buffer (cloned before caching)
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// ComputeRanking computes one fresh best-first ranking against a snapshot
+// with the default candidate set (every host except from). The returned
+// slice is private to the caller.
+func ComputeRanking(topo *collector.Topology, r Ranker, from netsim.NodeID, dataBytes int64) []Candidate {
+	sc := scratchPool.Get().(*rankScratch)
+	sc.cands = hostCandidatesIdx(topo, topo.HostIndex(string(from)), sc.cands)
+	ranked := rankPrivate(topo, r, from, sc.cands, dataBytes, sc)
+	scratchPool.Put(sc)
+	return ranked
+}
+
+// rankPrivate runs r over cands in the scratch sc and returns a clone of
+// the result, which the caller owns.
+func rankPrivate(topo *collector.Topology, r Ranker, from netsim.NodeID, cands []int32, dataBytes int64, sc *rankScratch) []Candidate {
+	fromIdx := int32(-1)
+	if i, ok := topo.NodeIndex(string(from)); ok {
+		fromIdx = i
+	}
+	return CloneCandidates(r.Rank(topo, from, fromIdx, cands, dataBytes, sc))
+}
+
+// hostCandidatesIdx appends every host index except fromHost into buf[:0]
+// — the default candidate rule (every known host except the requester,
+// the scheduler itself included, per the paper's experimental setup;
+// fromHost = -1 excludes nobody).
+func hostCandidatesIdx(topo *collector.Topology, fromHost int, buf []int32) []int32 {
+	out := buf[:0]
+	for j := 0; j < topo.HostCount(); j++ {
+		if j != fromHost {
+			out = append(out, int32(j))
+		}
+	}
+	return out
+}
+
+// rankPaths walks the learned path from the requester to every candidate
+// and returns the unsorted candidate list in s.out. Candidates without a
+// path stay unreachable with zero estimates; est supplies the delay and
+// bandwidth estimates of each reachable one from its walked path.
+func rankPaths(topo *collector.Topology, fromIdx int32, cands []int32, s *rankScratch, est func(node netsim.NodeID, path []int32) (time.Duration, float64)) []Candidate {
+	out := s.out[:0]
+	for _, j := range cands {
+		cand := Candidate{Node: netsim.NodeID(topo.HostName(int(j)))}
+		p, code, _ := topo.PathInto(fromIdx, topo.HostNodeIndex(int(j)), s.path)
+		s.path = p
+		if code == collector.PathOK {
+			cand.Reachable = true
+			cand.Hops = len(p) - 1
+			cand.Delay, cand.BandwidthBps = est(cand.Node, p)
+		}
+		out = append(out, cand)
+	}
+	s.out = out
+	return out
+}
+
+func byDelay(a, b Candidate) bool { return a.Delay < b.Delay }
 
 // DefaultK is the paper's queue-occupancy→latency conversion factor: each
 // queued packet on a hop contributes k of estimated queueing delay. The
@@ -109,55 +186,48 @@ type DelayRanker struct {
 // Metric implements Ranker.
 func (r *DelayRanker) Metric() Metric { return MetricDelay }
 
-// Estimate computes the delay estimate for a single device→server path.
-// It is exported so the compute-aware extension and tests can reuse it.
-func (r *DelayRanker) Estimate(topo *collector.Topology, from, to netsim.NodeID) (Candidate, error) {
-	k := r.K
-	if k <= 0 {
-		k = DefaultK
+// k returns the effective queue→latency conversion factor.
+func (r *DelayRanker) k() time.Duration {
+	if r.K <= 0 {
+		return DefaultK
 	}
-	cand := Candidate{Node: to}
-	path, err := topo.Path(string(from), string(to))
-	if err != nil {
-		return cand, err
-	}
-	cand.Reachable = true
-	cand.Hops = len(path) - 1
+	return r.K
+}
+
+// delayOverPath computes Algorithm 1's estimate over a walked index path:
+// measured link delays (fallback for unmeasured), optional jitter penalty,
+// and k × windowed queue max per switch hop. Hosts have no measured queues;
+// only switch hops contribute, matching Algorithm 1's per-hop Q(h) term.
+func (r *DelayRanker) delayOverPath(topo *collector.Topology, p []int32, k time.Duration) time.Duration {
 	var totalLinkDelay, totalHopDelay time.Duration
-	for i := 0; i+1 < len(path); i++ {
-		a, b := path[i], path[i+1]
-		if d, ok := topo.LinkDelay(a, b); ok {
+	for i := 0; i+1 < len(p); i++ {
+		a, b := p[i], p[i+1]
+		slot := topo.DirSlot(a, b)
+		if d, ok := topo.SlotDelay(slot); ok {
 			totalLinkDelay += d
 		} else {
 			totalLinkDelay += FallbackLinkDelay
 		}
 		if r.JitterWeight > 0 {
-			totalLinkDelay += time.Duration(r.JitterWeight * float64(topo.LinkJitter(a, b)))
+			totalLinkDelay += time.Duration(r.JitterWeight * float64(topo.SlotJitter(slot)))
 		}
 		// Queueing contribution of the egress port feeding this link.
-		// Hosts have no measured queues; only switch hops contribute,
-		// matching Algorithm 1's per-hop Q(h) term.
-		if !topo.IsHost(a) {
-			if q, ok := topo.QueueMax(a, b); ok {
+		if !topo.IsHostIdx(a) {
+			if q, ok := topo.SlotQueueMax(slot); ok {
 				totalHopDelay += time.Duration(q) * k
 			}
 		}
 	}
-	cand.Delay = totalLinkDelay + totalHopDelay
-	return cand, nil
+	return totalLinkDelay + totalHopDelay
 }
 
 // Rank implements Ranker.
-func (r *DelayRanker) Rank(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID) []Candidate {
-	out := make([]Candidate, 0, len(candidates))
-	for _, c := range candidates {
-		cand, err := r.Estimate(topo, from, c)
-		if err != nil {
-			cand = Candidate{Node: c, Reachable: false}
-		}
-		out = append(out, cand)
-	}
-	sortCandidates(out, func(a, b Candidate) bool { return a.Delay < b.Delay })
+func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
+	k := r.k()
+	out := rankPaths(topo, fromIdx, cands, s, func(_ netsim.NodeID, p []int32) (time.Duration, float64) {
+		return r.delayOverPath(topo, p, k), 0
+	})
+	sortCandidates(out, byDelay)
 	return out
 }
 
@@ -173,26 +243,25 @@ type BandwidthRanker struct {
 // Metric implements Ranker.
 func (r *BandwidthRanker) Metric() Metric { return MetricBandwidth }
 
-// Estimate computes the bandwidth estimate for a single device→server path.
-func (r *BandwidthRanker) Estimate(topo *collector.Topology, from, to netsim.NodeID) (Candidate, error) {
-	cal := r.Calibration
-	if cal == nil {
-		cal = DefaultCalibration()
+// calibration returns the effective queue→utilization curve.
+func (r *BandwidthRanker) calibration() *Calibration {
+	if r.Calibration == nil {
+		return DefaultCalibration()
 	}
-	cand := Candidate{Node: to}
-	path, err := topo.Path(string(from), string(to))
-	if err != nil {
-		return cand, err
-	}
-	cand.Reachable = true
-	cand.Hops = len(path) - 1
+	return r.Calibration
+}
+
+// bottleneckOverPath computes the bottleneck available bandwidth over a
+// walked index path.
+func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, p []int32, cal *Calibration) float64 {
 	bottleneck := -1.0
-	for i := 0; i+1 < len(path); i++ {
-		a, b := path[i], path[i+1]
-		rate := float64(topo.LinkRate(a, b))
+	for i := 0; i+1 < len(p); i++ {
+		a, b := p[i], p[i+1]
+		slot := topo.DirSlot(a, b)
+		rate := float64(topo.SlotRate(slot))
 		util := 0.0
-		if !topo.IsHost(a) {
-			if q, ok := topo.QueueMax(a, b); ok {
+		if !topo.IsHostIdx(a) {
+			if q, ok := topo.SlotQueueMax(slot); ok {
 				util = cal.Utilization(q)
 			}
 		}
@@ -204,20 +273,15 @@ func (r *BandwidthRanker) Estimate(topo *collector.Topology, from, to netsim.Nod
 	if bottleneck < 0 {
 		bottleneck = 0
 	}
-	cand.BandwidthBps = bottleneck
-	return cand, nil
+	return bottleneck
 }
 
 // Rank implements Ranker.
-func (r *BandwidthRanker) Rank(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID) []Candidate {
-	out := make([]Candidate, 0, len(candidates))
-	for _, c := range candidates {
-		cand, err := r.Estimate(topo, from, c)
-		if err != nil {
-			cand = Candidate{Node: c, Reachable: false}
-		}
-		out = append(out, cand)
-	}
+func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
+	cal := r.calibration()
+	out := rankPaths(topo, fromIdx, cands, s, func(_ netsim.NodeID, p []int32) (time.Duration, float64) {
+		return 0, r.bottleneckOverPath(topo, p, cal)
+	})
 	sortCandidates(out, func(a, b Candidate) bool { return a.BandwidthBps > b.BandwidthBps })
 	return out
 }
@@ -254,12 +318,15 @@ func NewNearestRanker(nw *netsim.Network, hosts []netsim.NodeID) (*NearestRanker
 func (r *NearestRanker) Metric() Metric { return MetricNearest }
 
 // Rank implements Ranker.
-func (r *NearestRanker) Rank(_ *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID) []Candidate {
-	out := make([]Candidate, 0, len(candidates))
-	for _, c := range candidates {
-		h, ok := r.hops[from][c]
-		out = append(out, Candidate{Node: c, Hops: h, Reachable: ok})
+func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ int32, cands []int32, _ int64, s *rankScratch) []Candidate {
+	hops := r.hops[from]
+	out := s.out[:0]
+	for _, j := range cands {
+		node := netsim.NodeID(topo.HostName(int(j)))
+		h, ok := hops[node]
+		out = append(out, Candidate{Node: node, Hops: h, Reachable: ok})
 	}
+	s.out = out
 	sortCandidates(out, func(a, b Candidate) bool { return a.Hops < b.Hops })
 	return out
 }
@@ -280,12 +347,12 @@ func NewRandomRanker(rng *simtime.Rand) *RandomRanker {
 func (r *RandomRanker) Metric() Metric { return MetricRandom }
 
 // Rank implements Ranker.
-func (r *RandomRanker) Rank(_ *collector.Topology, _ netsim.NodeID, candidates []netsim.NodeID) []Candidate {
-	perm := r.rng.Perm(len(candidates))
-	out := make([]Candidate, 0, len(candidates))
-	for _, i := range perm {
-		out = append(out, Candidate{Node: candidates[i], Reachable: true})
+func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ int32, cands []int32, _ int64, s *rankScratch) []Candidate {
+	out := s.out[:0]
+	for _, i := range r.rng.Perm(len(cands)) {
+		out = append(out, Candidate{Node: netsim.NodeID(topo.HostName(int(cands[i]))), Reachable: true})
 	}
+	s.out = out
 	return out
 }
 

@@ -48,11 +48,35 @@ func learnedTopo(t *testing.T, q12, q13 int) *collector.Topology {
 	return c.Snapshot()
 }
 
+// hostsTopo builds a collector-learned star in which every named node is a
+// host probing through switch s1 to the scheduler.
+func hostsTopo(hosts ...string) *collector.Topology {
+	now := time.Second
+	c := collector.New("sched", func() time.Duration { return now }, collector.Config{})
+	for i, h := range hosts {
+		p := &telemetry.ProbePayload{Origin: h, Seq: 1}
+		p.Stack.Append(telemetry.Record{Device: "s1", IngressPort: i + 1, EgressPort: 0, LinkLatency: time.Millisecond, EgressTS: now})
+		c.HandleProbe(p)
+	}
+	return c.Snapshot()
+}
+
+// rankNamed ranks the named candidates for from with r on topo — the one
+// Rank method driven by name, through the query engine's custom-candidate
+// path (names that are not hosts of topo come back unreachable).
+func rankNamed(r Ranker, topo *collector.Topology, from netsim.NodeID, dataBytes int64, names ...netsim.NodeID) []Candidate {
+	var e Engine
+	e.Register(r)
+	e.candidates = func(netsim.NodeID) []netsim.NodeID { return names }
+	ranked, _ := e.Answer(topo, &QueryRequest{From: from, Metric: r.Metric(), Sorted: true, DataBytes: dataBytes})
+	return ranked
+}
+
 func TestDelayRankerAlgorithm1(t *testing.T) {
 	// e1's branch congested (queue 10 toward s2), e2's clean.
 	topo := learnedTopo(t, 10, 0)
 	r := &DelayRanker{K: 20 * time.Millisecond}
-	ranked := r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
 	if len(ranked) != 2 {
 		t.Fatalf("ranked %v", ranked)
 	}
@@ -72,19 +96,16 @@ func TestDelayRankerAlgorithm1(t *testing.T) {
 func TestDelayRankerDefaultK(t *testing.T) {
 	topo := learnedTopo(t, 1, 0)
 	r := &DelayRanker{} // zero K -> DefaultK (20ms)
-	cand, err := r.Estimate(topo, "dev", "e1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cand.Delay != 30*time.Millisecond+DefaultK {
-		t.Fatalf("delay %v", cand.Delay)
+	cand := rankNamed(r, topo, "dev", 0, "e1")[0]
+	if !cand.Reachable || cand.Delay != 30*time.Millisecond+DefaultK {
+		t.Fatalf("candidate %+v", cand)
 	}
 }
 
 func TestDelayRankerUnreachableSortsLast(t *testing.T) {
 	topo := learnedTopo(t, 0, 0)
 	r := &DelayRanker{}
-	ranked := r.Rank(topo, "dev", []netsim.NodeID{"ghost", "e1"})
+	ranked := rankNamed(r, topo, "dev", 0, "ghost", "e1")
 	if ranked[0].Node != "e1" || ranked[1].Node != "ghost" {
 		t.Fatalf("ranked %v", ranked)
 	}
@@ -96,7 +117,7 @@ func TestDelayRankerUnreachableSortsLast(t *testing.T) {
 func TestDelayRankerDeterministicTies(t *testing.T) {
 	topo := learnedTopo(t, 0, 0)
 	r := &DelayRanker{}
-	ranked := r.Rank(topo, "dev", []netsim.NodeID{"e2", "e1"})
+	ranked := rankNamed(r, topo, "dev", 0, "e2", "e1")
 	// Equal delays: sorted by node ID.
 	if ranked[0].Node != "e1" || ranked[1].Node != "e2" {
 		t.Fatalf("tie-break wrong: %v", ranked)
@@ -131,20 +152,17 @@ func TestDelayRankerJitterPenalty(t *testing.T) {
 	c.HandleProbe(p)
 	topo := c.Snapshot()
 
-	plainE1, err := (&DelayRanker{}).Estimate(topo, "dev", "e1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plainE1 := rankNamed(&DelayRanker{}, topo, "dev", 0, "e1")[0]
 	jr := &DelayRanker{JitterWeight: 2}
-	jitterE1, err := jr.Estimate(topo, "dev", "e1")
-	if err != nil {
-		t.Fatal(err)
+	jitterE1 := rankNamed(jr, topo, "dev", 0, "e1")[0]
+	if !plainE1.Reachable || !jitterE1.Reachable {
+		t.Fatalf("e1 unreachable: %+v %+v", plainE1, jitterE1)
 	}
 	// The jittery branch must pay a penalty of roughly 2 × ~5ms stddev.
 	if jitterE1.Delay <= plainE1.Delay+5*time.Millisecond {
 		t.Fatalf("jitter penalty too small: %v vs %v", jitterE1.Delay, plainE1.Delay)
 	}
-	ranked := jr.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked := rankNamed(jr, topo, "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e2" {
 		t.Fatalf("jitter-aware ranking should prefer the stable path: %v", ranked)
 	}
@@ -154,7 +172,7 @@ func TestBandwidthRankerBottleneck(t *testing.T) {
 	// e1 branch congested: queue 30 -> utilization 0.95 -> avail 1 Mbps.
 	topo := learnedTopo(t, 30, 0)
 	r := &BandwidthRanker{}
-	ranked := r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e2" {
 		t.Fatalf("ranked %v", ranked)
 	}
@@ -189,7 +207,7 @@ func TestNearestRankerUsesStaticHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := r.Rank(nil, "a", []netsim.NodeID{"c", "b"})
+	ranked := rankNamed(r, hostsTopo("a", "b", "c"), "a", 0, "c", "b")
 	if ranked[0].Node != "b" || ranked[0].Hops != 2 {
 		t.Fatalf("nearest wrong: %v", ranked)
 	}
@@ -200,10 +218,11 @@ func TestNearestRankerUsesStaticHops(t *testing.T) {
 
 func TestRandomRankerPermutesDeterministically(t *testing.T) {
 	cands := []netsim.NodeID{"a", "b", "c", "d", "e"}
+	topo := hostsTopo("a", "b", "c", "d", "e")
 	r1 := NewRandomRanker(simtime.NewRand(5))
 	r2 := NewRandomRanker(simtime.NewRand(5))
-	seq1 := r1.Rank(nil, "x", cands)
-	seq2 := r2.Rank(nil, "x", cands)
+	seq1 := rankNamed(r1, topo, "x", 0, cands...)
+	seq2 := rankNamed(r2, topo, "x", 0, cands...)
 	for i := range seq1 {
 		if seq1[i].Node != seq2[i].Node {
 			t.Fatal("same seed produced different permutations")
@@ -223,7 +242,7 @@ func TestRandomRankerPermutesDeterministically(t *testing.T) {
 	// Successive calls differ (eventually).
 	diff := false
 	for i := 0; i < 10 && !diff; i++ {
-		next := r1.Rank(nil, "x", cands)
+		next := rankNamed(r1, topo, "x", 0, cands...)
 		for j := range next {
 			if next[j].Node != seq1[j].Node {
 				diff = true
@@ -242,7 +261,7 @@ func TestComputeAwareRankerAddsBacklog(t *testing.T) {
 		Network: &DelayRanker{K: 20 * time.Millisecond},
 		LoadFn:  func(s netsim.NodeID) time.Duration { return load[s] },
 	}
-	ranked := r.Rank(topo, "dev", []netsim.NodeID{"e1", "e2"})
+	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
 	if ranked[0].Node != "e2" {
 		t.Fatalf("loaded server ranked first: %v", ranked)
 	}

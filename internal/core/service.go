@@ -96,50 +96,30 @@ type ServiceConfig struct {
 	// QueryResponseSize is the on-wire size of a query response packet.
 	// Zero means 256 bytes (a handful of candidate entries).
 	QueryResponseSize int
-	// ComputeAware* tune the compute-aware ranking extension.
-	ComputeAwareBase Ranker // underlying network ranker (delay by default)
-	// DisableRankCache turns off epoch-keyed rank memoization (every query
-	// recomputes from the snapshot); for benchmarking and debugging.
-	DisableRankCache bool
-	// DataBytesBucket optionally coarsens the DataBytes component of rank
-	// cache keys (e.g. rounding to powers of two) so size-aware queries of
-	// similar sizes share entries, trading estimate exactness for hit
-	// rate. Nil keys on the exact size, which preserves exact estimates.
-	DataBytesBucket func(int64) int64
 	// ExcludeUnreachable is the fault-recovery policy: drop candidates
 	// whose learned-path lookup failed from responses whenever at least
 	// one reachable candidate exists, so servers behind evicted links stop
 	// receiving tasks as soon as the collector notices the failure. When
 	// every candidate is unreachable the full list is returned unchanged —
 	// the graceful fallback; stale estimates beat refusing to schedule.
-	// Off by default: without fault injection the historical behavior
-	// (unreachable candidates ranked last) is preserved.
+	// Off by default: unreachable candidates are ranked last.
 	ExcludeUnreachable bool
 }
 
-// Service is the scheduler: it owns the collector's learned topology,
-// answers ranking queries from edge devices over the network, and tracks
-// server capabilities and load reports for the extensions.
+// Service is the simulated scheduler: it owns the collector's learned
+// topology, carries ranking queries from edge devices over the simulated
+// network to its query Engine, and tracks server capabilities and load
+// reports for the extensions.
 //
-// RankFor is safe for concurrent callers: it reads one immutable topology
-// snapshot, and the rank cache and mutable service state carry their own
-// locks. (Ranker registration and configuration are setup-time only.)
+// RankFor is safe for concurrent callers: the engine reads one immutable
+// topology snapshot, and the mutable service state carries its own lock.
+// (Ranker registration and configuration are setup-time only.)
 type Service struct {
 	stack *transport.Stack
 	coll  *collector.Collector
 	cfg   ServiceConfig
 
-	rankers map[Metric]Ranker
-
-	// customCandidates, when set via SetCandidateFn, overrides candidate
-	// selection. The default (nil) is every host in the snapshot except
-	// the device itself (the paper: all nodes, scheduler included, execute
-	// tasks unless they submitted). Custom functions may close over
-	// arbitrary mutable state, so their results bypass the rank cache.
-	customCandidates func(from netsim.NodeID) []netsim.NodeID
-
-	// cache memoizes ranked candidate lists per collector epoch.
-	cache RankCache
+	engine Engine
 
 	// queryLatency times RankOn per metric when Instrument installed a
 	// registry (nil map otherwise — the uninstrumented hot path pays one
@@ -174,24 +154,26 @@ func NewService(stack *transport.Stack, coll *collector.Collector, cfg ServiceCo
 		stack:        stack,
 		coll:         coll,
 		cfg:          cfg,
-		rankers:      make(map[Metric]Ranker),
 		capabilities: make(map[netsim.NodeID]Capabilities),
 		load:         make(map[netsim.NodeID]time.Duration),
 	}
+	s.engine.ExcludeUnreachable = cfg.ExcludeUnreachable
+	s.engine.capable = s.capable
 	s.Demux = stack.ControlHandler
 	stack.ControlHandler = s.handleControl
 	return s
 }
 
 // Register installs a ranker for its metric.
-func (s *Service) Register(r Ranker) { s.rankers[r.Metric()] = r }
+func (s *Service) Register(r Ranker) { s.engine.Register(r) }
 
 // SetCandidateFn overrides candidate selection. Queries answered through a
 // custom candidate function bypass the rank cache (the function may depend
-// on state the collector epoch does not version).
+// on state the collector epoch does not version). IDs that are not hosts of
+// the snapshot are reported unreachable.
 func (s *Service) SetCandidateFn(fn func(from netsim.NodeID) []netsim.NodeID) {
-	s.customCandidates = fn
-	s.cache.Invalidate()
+	s.engine.candidates = fn
+	s.engine.cache.Invalidate()
 }
 
 // SetCapabilities records an edge server's capabilities. Cached rankings
@@ -201,7 +183,14 @@ func (s *Service) SetCapabilities(server netsim.NodeID, caps Capabilities) {
 	s.stateMu.Lock()
 	s.capabilities[server] = caps
 	s.stateMu.Unlock()
-	s.cache.Invalidate()
+	s.engine.cache.Invalidate()
+}
+
+// capable reports whether server meets req (the engine's capability hook).
+func (s *Service) capable(server netsim.NodeID, req *Requirements) bool {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	return s.capabilities[server].Satisfies(req)
 }
 
 // Load returns the last reported backlog for a server.
@@ -212,7 +201,7 @@ func (s *Service) Load(server netsim.NodeID) time.Duration {
 }
 
 // CacheStats reports the rank cache counters.
-func (s *Service) CacheStats() RankCacheStats { return s.cache.Stats() }
+func (s *Service) CacheStats() RankCacheStats { return s.engine.CacheStats() }
 
 // Instrument registers the service's observability series on reg — the rank
 // cache counters as read-through functions and one query-latency histogram
@@ -233,7 +222,7 @@ func (s *Service) Instrument(reg *obs.Registry) {
 	} {
 		read := c.read
 		reg.CounterFunc(obs.Opts{Name: c.name, Help: c.help}, func() float64 {
-			return float64(read(s.cache.Stats()))
+			return float64(read(s.engine.CacheStats()))
 		})
 	}
 	reg.CounterFunc(obs.Opts{
@@ -244,27 +233,14 @@ func (s *Service) Instrument(reg *obs.Registry) {
 		Name: "intsched_collector_path_remaps_total",
 		Help: "Probe streams observed arriving over a changed hop sequence.",
 	}, func() float64 { return float64(s.coll.Stats().PathRemaps) })
-	s.queryLatency = make(map[Metric]*obs.Histogram, len(s.rankers))
-	for m := range s.rankers {
+	s.queryLatency = make(map[Metric]*obs.Histogram, len(s.engine.rankers))
+	for m := range s.engine.rankers {
 		s.queryLatency[m] = reg.Histogram(obs.Opts{
 			Name:   "intsched_query_latency_seconds",
 			Help:   "Answer latency of ranking queries.",
 			Labels: []obs.Label{{Key: "metric", Value: m.String()}},
 		}, nil)
 	}
-}
-
-// candidatesOn lists the default candidates from one topology snapshot:
-// every host the collector has learned about except the requester. The
-// scheduler itself is a valid server (per the paper's experimental setup).
-func candidatesOn(topo *collector.Topology, from netsim.NodeID) []netsim.NodeID {
-	var out []netsim.NodeID
-	for _, h := range topo.Hosts() {
-		if netsim.NodeID(h) != from {
-			out = append(out, netsim.NodeID(h))
-		}
-	}
-	return out
 }
 
 // handleControl demultiplexes scheduler-bound control messages.
@@ -295,143 +271,44 @@ func (s *Service) handleQuery(from netsim.NodeID, req *QueryRequest) {
 }
 
 // RankFor computes the ranked candidate list for a query without the
-// network round trip (used by the service itself, tests, and the live
-// daemon). It acquires one topology snapshot for the whole computation —
-// candidate selection and ranking see the same epoch — and serves repeated
-// queries between telemetry updates from the epoch-keyed rank cache.
+// network round trip. It acquires one topology snapshot for the whole
+// computation — candidate selection and ranking see the same epoch.
 func (s *Service) RankFor(req *QueryRequest) []Candidate {
 	return s.RankOn(s.coll.Snapshot(), req)
 }
 
 // RankOn answers a query against a caller-supplied snapshot (RankFor with
-// the snapshot already acquired). Cacheable queries are served as read-only
-// views of the shared cache entry — a warmed hit performs zero heap
-// allocations; callers that mutate results must CloneCandidates first.
+// the snapshot already acquired); nil when no ranker serves the metric. The
+// result is a read-only view (see Engine.Answer).
 func (s *Service) RankOn(topo *collector.Topology, req *QueryRequest) []Candidate {
-	ranker := s.rankers[req.Metric]
-	if ranker == nil {
-		return nil
-	}
 	if h := s.queryLatency[req.Metric]; h != nil {
 		start := time.Now()
 		defer func() { h.ObserveDuration(time.Since(start)) }()
 	}
-	// The cache stores the full ranked list (pre reorder/truncation); the
-	// per-request Sorted/Count shaping is a reslice of the entry's storage.
-	if entry, ok := s.rankCached(topo, ranker, req); ok {
-		return s.shapeEntry(entry, req)
-	}
-	// Uncacheable path (disabled cache, custom candidates, stateful or
-	// randomized rankers, non-host requesters): the historical string-space
-	// computation on fresh slices — HysteresisRanker relies on receiving
-	// private, mutable rankings here.
-	var cands []netsim.NodeID
-	if s.customCandidates != nil {
-		cands = s.customCandidates(req.From)
-	} else {
-		cands = candidatesOn(topo, req.From)
-	}
-	if req.Requirements != nil {
-		cands = s.filterCapable(cands, req.Requirements)
-	}
-	var ranked []Candidate
-	if sa, ok := ranker.(SizeAwareRanker); ok && req.DataBytes > 0 {
-		ranked = sa.RankSize(topo, req.From, cands, req.DataBytes)
-	} else {
-		ranked = ranker.Rank(topo, req.From, cands)
-	}
-	return s.finishRanked(ranked, req)
+	ranked, _ := s.engine.Answer(topo, req)
+	return ranked
 }
 
-// rankCached serves one cacheable query as a shared cache entry: a hit
-// returns it outright; a miss computes the ranking — in index space with
-// pooled scratch when the ranker supports it — and stores the clone. ok is
-// false when the query cannot go through the cache.
-func (s *Service) rankCached(topo *collector.Topology, ranker Ranker, req *QueryRequest) (*RankEntry, bool) {
-	if s.cfg.DisableRankCache || s.customCandidates != nil || !RankerCacheable(ranker) {
-		return nil, false
+// RankBatch answers a burst of queries — one datagram carrying N task
+// requests, or an experiment driving many devices per tick — against ONE
+// topology snapshot, so every request sees the same epoch and identical
+// cache keys within the burst are computed once. The result is
+// index-aligned with reqs; requests whose metric has no registered ranker
+// get a nil entry.
+func (s *Service) RankBatch(reqs []*QueryRequest) [][]Candidate {
+	if len(reqs) == 0 {
+		return nil
 	}
-	fromHost := topo.HostIndex(string(req.From))
-	if fromHost < 0 {
-		// Not a known host: the index key cannot represent it. Rare (the
-		// default candidate rule targets host requesters); recompute.
-		return nil, false
-	}
-	key := RankKey{From: int32(fromHost), Metric: req.Metric, DataBytes: s.bucketBytes(req.DataBytes), Reqs: ReqKey(req.Requirements)}
-	entry, ok, gen := s.cache.Lookup(topo.Epoch(), key)
-	if ok {
-		return entry, true
-	}
-	ranked := s.computeRanked(topo, ranker, req, fromHost)
-	return s.cache.Store(topo.Epoch(), gen, key, ranked), true
+	return s.RankBatchOn(s.coll.Snapshot(), reqs)
 }
 
-// computeRanked runs one cacheable ranking computation and returns a
-// private slice for the cache to own. Index-capable rankers compute in
-// pooled scratch; others take the string path.
-func (s *Service) computeRanked(topo *collector.Topology, ranker Ranker, req *QueryRequest, fromHost int) []Candidate {
-	sizeAware, _ := ranker.(SizeAwareRanker)
-	sized := sizeAware != nil && req.DataBytes > 0
-	si, siOK := asSizeIndexRanker(ranker)
-	ir, irOK := asIndexRanker(ranker)
-	if (sized && siOK) || (!sized && irOK) {
-		fromIdx := int32(-1)
-		if i, ok := topo.NodeIndex(string(req.From)); ok {
-			fromIdx = i
-		}
-		sc := scratchPool.Get().(*rankScratch)
-		sc.cands = hostCandidatesIdx(topo, fromHost, sc.cands)
-		cands := sc.cands
-		if req.Requirements != nil {
-			cands = s.filterCapableIdx(topo, cands, req.Requirements)
-		}
-		var ranked []Candidate
-		if sized {
-			ranked = si.rankSizeIdx(topo, req.From, fromIdx, cands, req.DataBytes, sc)
-		} else {
-			ranked = ir.rankIdx(topo, req.From, fromIdx, cands, sc)
-		}
-		out := CloneCandidates(ranked)
-		scratchPool.Put(sc)
-		return out
-	}
-	cands := candidatesOn(topo, req.From)
-	if req.Requirements != nil {
-		cands = s.filterCapable(cands, req.Requirements)
-	}
-	if sized {
-		return sizeAware.RankSize(topo, req.From, cands, req.DataBytes)
-	}
-	return ranker.Rank(topo, req.From, cands)
-}
-
-// shapeEntry applies the per-request response shaping to a cache entry as
-// zero-copy views (the entry-backed counterpart of finishRanked).
-func (s *Service) shapeEntry(e *RankEntry, req *QueryRequest) []Candidate {
-	idOrder := !req.Sorted && req.Metric != MetricRandom
-	return e.Shaped(idOrder, s.cfg.ExcludeUnreachable, req.Count)
-}
-
-// filterCapableIdx filters candidate host indices in place against the
-// requirements (the index-space counterpart of filterCapable).
-func (s *Service) filterCapableIdx(topo *collector.Topology, cands []int32, req *Requirements) []int32 {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	out := cands[:0]
-	for _, j := range cands {
-		if s.capabilities[netsim.NodeID(topo.HostName(int(j)))].Satisfies(req) {
-			out = append(out, j)
-		}
+// RankBatchOn is RankBatch with the snapshot already acquired.
+func (s *Service) RankBatchOn(topo *collector.Topology, reqs []*QueryRequest) [][]Candidate {
+	out := make([][]Candidate, len(reqs))
+	for i, req := range reqs {
+		out[i] = s.RankOn(topo, req)
 	}
 	return out
-}
-
-// bucketBytes maps a DataBytes hint to its cache-key bucket.
-func (s *Service) bucketBytes(b int64) int64 {
-	if s.cfg.DataBytesBucket != nil {
-		return s.cfg.DataBytesBucket(b)
-	}
-	return b
 }
 
 // ReachableOnly returns only the reachable candidates — unless none are, in
@@ -452,37 +329,6 @@ func ReachableOnly(cands []Candidate) []Candidate {
 	out := make([]Candidate, 0, reachable)
 	for _, c := range cands {
 		if c.Reachable {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// finishRanked applies the per-request response shaping: the recovery
-// policy's unreachable filter, the paper's option two (estimates in ID order
-// for device-side selection), and the count limit. ranked must be private to
-// the caller.
-func (s *Service) finishRanked(ranked []Candidate, req *QueryRequest) []Candidate {
-	if s.cfg.ExcludeUnreachable {
-		ranked = ReachableOnly(ranked)
-	}
-	if !req.Sorted && req.Metric != MetricRandom {
-		// Option two from the paper: return estimates unsorted (by ID) so
-		// the device can run its own selection.
-		sortCandidates(ranked, func(a, b Candidate) bool { return a.Node < b.Node })
-	}
-	if req.Count > 0 && req.Count < len(ranked) {
-		ranked = ranked[:req.Count]
-	}
-	return ranked
-}
-
-func (s *Service) filterCapable(cands []netsim.NodeID, req *Requirements) []netsim.NodeID {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	var out []netsim.NodeID
-	for _, c := range cands {
-		if s.capabilities[c].Satisfies(req) {
 			out = append(out, c)
 		}
 	}
@@ -512,22 +358,20 @@ type ComputeAwareRanker struct {
 func (r *ComputeAwareRanker) Metric() Metric { return MetricComputeAware }
 
 // Rank implements Ranker.
-func (r *ComputeAwareRanker) Rank(topo *collector.Topology, from netsim.NodeID, candidates []netsim.NodeID) []Candidate {
+func (r *ComputeAwareRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
 	net := r.Network
 	if net == nil {
 		net = &DelayRanker{}
 	}
-	out := make([]Candidate, 0, len(candidates))
-	for _, c := range candidates {
-		cand, err := net.Estimate(topo, from, c)
-		if err != nil {
-			cand = Candidate{Node: c, Reachable: false}
-		} else if r.LoadFn != nil {
-			cand.Delay += r.LoadFn(c)
+	k := net.k()
+	out := rankPaths(topo, fromIdx, cands, s, func(server netsim.NodeID, p []int32) (time.Duration, float64) {
+		d := net.delayOverPath(topo, p, k)
+		if r.LoadFn != nil {
+			d += r.LoadFn(server)
 		}
-		out = append(out, cand)
-	}
-	sortCandidates(out, func(a, b Candidate) bool { return a.Delay < b.Delay })
+		return d, 0
+	})
+	sortCandidates(out, byDelay)
 	return out
 }
 

@@ -20,8 +20,7 @@ import (
 // the scheduler answers QueriesPerProbe ranking queries per probe cadence
 // tick.
 type QPSConfig struct {
-	// Queries is the total number of ranking queries per mode (default
-	// 50_000).
+	// Queries is the total number of ranking queries (default 50_000).
 	Queries int
 	// QueriesPerProbe is the query:probe ratio; one simulated probe
 	// cadence tick runs after this many queries (default 100).
@@ -64,11 +63,8 @@ type QueryRig struct {
 	probeInterval time.Duration
 }
 
-// NewQueryRig builds the deployment. cached selects the epoch-versioned
-// snapshot + rank cache read path; false restores the pre-refactor
-// behavior (fresh topology copy per query, no memoized rankings) for
-// before/after comparison.
-func NewQueryRig(cached bool, cfg QPSConfig) (*QueryRig, error) {
+// NewQueryRig builds the deployment.
+func NewQueryRig(cfg QPSConfig) (*QueryRig, error) {
 	cfg.normalize()
 	engine := simtime.NewEngine()
 	topo, err := BuildFig4(engine, LinkParams{})
@@ -81,16 +77,11 @@ func NewQueryRig(cached bool, cfg QPSConfig) (*QueryRig, error) {
 		QueueWindow: time.Second,
 	})
 	coll.Bind(domain.Stack(topo.Scheduler))
-	svc := core.NewService(domain.Stack(topo.Scheduler), coll, core.ServiceConfig{
-		DisableRankCache: !cached,
-	})
+	svc := core.NewService(domain.Stack(topo.Scheduler), coll, core.ServiceConfig{})
 	svc.Register(&core.DelayRanker{})
 	svc.Register(&core.BandwidthRanker{})
 	reg := obs.NewRegistry()
 	svc.Instrument(reg)
-	if !cached {
-		coll.SetSnapshotCaching(false)
-	}
 	pairs, _, err := probe.PlanCoverage(topo.Net.PathBetween, topo.Hosts, topo.Scheduler)
 	if err != nil {
 		return nil, err
@@ -134,9 +125,9 @@ func (r *QueryRig) Query(i int) []core.Candidate {
 	})
 }
 
-// QPSMode reports one measured configuration of the throughput experiment.
-type QPSMode struct {
-	Label   string
+// QPSResult reports the throughput experiment.
+type QPSResult struct {
+	Queries int
 	Elapsed time.Duration
 	QPS     float64
 	Cache   core.RankCacheStats
@@ -148,69 +139,44 @@ type QPSMode struct {
 
 // HitRate is the cache hit fraction in [0, 1], and whether any lookups
 // happened.
-func (m QPSMode) HitRate() (float64, bool) {
-	total := m.Cache.Hits + m.Cache.Misses
+func (r *QPSResult) HitRate() (float64, bool) {
+	total := r.Cache.Hits + r.Cache.Misses
 	if total == 0 {
 		return 0, false
 	}
-	return float64(m.Cache.Hits) / float64(total), true
+	return float64(r.Cache.Hits) / float64(total), true
 }
 
-// QPSResult is the before/after comparison.
-type QPSResult struct {
-	Queries  int
-	Cached   QPSMode
-	Uncached QPSMode
-	// Speedup is Cached.QPS / Uncached.QPS.
-	Speedup float64
-}
-
-// QPS measures scheduler query throughput with and without the
-// epoch-versioned snapshot + rank cache, with telemetry churning at the
+// QPS measures scheduler query throughput with telemetry churning at the
 // probe cadence throughout. Probe processing is included in the measured
-// time — the comparison is end-to-end scheduler work, not cache lookups in
+// time — the number is end-to-end scheduler work, not cache lookups in
 // isolation.
 func QPS(cfg QPSConfig) (*QPSResult, error) {
 	cfg.normalize()
-	run := func(label string, cached bool) (QPSMode, error) {
-		rig, err := NewQueryRig(cached, cfg)
-		if err != nil {
-			return QPSMode{}, err
-		}
-		start := wallclock.Now()
-		sinceProbe := 0
-		for i := 0; i < cfg.Queries; i++ {
-			if sinceProbe == cfg.QueriesPerProbe {
-				rig.Tick()
-				sinceProbe = 0
-			}
-			if got := rig.Query(i); len(got) == 0 {
-				return QPSMode{}, fmt.Errorf("%s: empty ranking at query %d", label, i)
-			}
-			sinceProbe++
-		}
-		elapsed := wallclock.Since(start)
-		lat, _ := rig.Reg.FindHistogram("intsched_query_latency_seconds")
-		return QPSMode{
-			Label:        label,
-			Elapsed:      elapsed,
-			QPS:          float64(cfg.Queries) / elapsed.Seconds(),
-			Cache:        rig.Svc.CacheStats(),
-			Epoch:        rig.Coll.Epoch(),
-			QueryLatency: lat,
-		}, nil
-	}
-	uncached, err := run("uncached (pre-refactor)", false)
+	rig, err := NewQueryRig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cached, err := run("cached (epoch snapshots + rank cache)", true)
-	if err != nil {
-		return nil, err
+	start := wallclock.Now()
+	sinceProbe := 0
+	for i := 0; i < cfg.Queries; i++ {
+		if sinceProbe == cfg.QueriesPerProbe {
+			rig.Tick()
+			sinceProbe = 0
+		}
+		if got := rig.Query(i); len(got) == 0 {
+			return nil, fmt.Errorf("empty ranking at query %d", i)
+		}
+		sinceProbe++
 	}
-	res := &QPSResult{Queries: cfg.Queries, Cached: cached, Uncached: uncached}
-	if uncached.QPS > 0 {
-		res.Speedup = cached.QPS / uncached.QPS
-	}
-	return res, nil
+	elapsed := wallclock.Since(start)
+	lat, _ := rig.Reg.FindHistogram("intsched_query_latency_seconds")
+	return &QPSResult{
+		Queries:      cfg.Queries,
+		Elapsed:      elapsed,
+		QPS:          float64(cfg.Queries) / elapsed.Seconds(),
+		Cache:        rig.Svc.CacheStats(),
+		Epoch:        rig.Coll.Epoch(),
+		QueryLatency: lat,
+	}, nil
 }

@@ -13,17 +13,17 @@ var IndexSpaceAnalyzer = &Analyzer{
 	Name: "indexspace",
 	Doc: `forbid mixing node-index, host-index, edge-position, and metric-slot values
 
-PR 8 flattened the read path into index space, where four distinct
-coordinate systems share the Go type int32: merged node indices (positions
+The read path runs in index space, where four distinct coordinate systems
+share the Go type int32: merged node indices (positions
 in Topology.Nodes), host indices (positions in the sorted host list, the
 RankKey.From key space), CSR edge positions (into nbrFlat), and directed
-metric slots (2e / 2e+1 into the dir* arenas). The compiler cannot tell
+metric slots (2e / 2e+1 into the slot arena). The compiler cannot tell
 them apart; indexing an arena with a node index reads garbage silently.
 
 This checker tags int32 values with their unit at defining sites — results
 and parameters of the Topology index API (NodeIndex, HostNodeIndex,
 DirSlot, SlotDelay, PathInto, ...), known fields (edgeStart, nbrFlat, the
-dir* arenas, hostIdx, destTree.next, RankKey.From), and declarations
+slot arena, hostIdx, destTree.next, RankKey.From), and declarations
 carrying a trailing "// unit:U", "// unit:U[I]", or "// unit:[I]"
 annotation (element unit U, indexed-by unit I) — and propagates units
 through assignment, conversion, +/- constant offsets, len, append, range,
@@ -43,7 +43,7 @@ const (
 	unitNode      // position in Topology.Nodes (merged node index)
 	unitHost      // position in the sorted host list
 	unitEdge      // CSR edge position (into nbrFlat)
-	unitSlot      // directed metric slot (2e / 2e+1 into the dir* arenas)
+	unitSlot      // directed metric slot (2e / 2e+1 into Topology.slots)
 )
 
 func (u unit) String() string {
@@ -78,23 +78,18 @@ type unitFieldKey struct{ pkg, typ, field string }
 // unitFields is the builtin field table: the index-space storage of the
 // snapshot arena (collector/arena.go documents the coordinate systems).
 var unitFields = map[unitFieldKey]unitSpec{
-	{collectorPkg, "Topology", "Nodes"}:      {index: unitNode},
-	{collectorPkg, "Topology", "nodeIndex"}:  {elem: unitNode},
-	{collectorPkg, "Topology", "nbrIdx"}:     {index: unitNode, elem: unitNode},
-	{collectorPkg, "Topology", "hostFlag"}:   {index: unitNode},
-	{collectorPkg, "Topology", "hostList"}:   {index: unitHost},
-	{collectorPkg, "Topology", "hostIdx"}:    {index: unitHost, elem: unitNode},
-	{collectorPkg, "Topology", "edgeStart"}:  {index: unitNode, elem: unitEdge},
-	{collectorPkg, "Topology", "nbrFlat"}:    {index: unitEdge, elem: unitNode},
-	{collectorPkg, "Topology", "dirDelay"}:   {index: unitSlot},
-	{collectorPkg, "Topology", "dirDelayOK"}: {index: unitSlot},
-	{collectorPkg, "Topology", "dirJitter"}:  {index: unitSlot},
-	{collectorPkg, "Topology", "dirRate"}:    {index: unitSlot},
-	{collectorPkg, "Topology", "dirQueue"}:   {index: unitSlot},
-	{collectorPkg, "Topology", "dirQueueOK"}: {index: unitSlot},
-	{collectorPkg, "destTree", "next"}:       {index: unitNode, elem: unitNode},
-	{collectorPkg, "destTree", "dist"}:       {index: unitNode},
-	{corePkg, "RankKey", "From"}:             {elem: unitHost},
+	{collectorPkg, "Topology", "Nodes"}:     {index: unitNode},
+	{collectorPkg, "Topology", "nodeIndex"}: {elem: unitNode},
+	{collectorPkg, "Topology", "nbrIdx"}:    {index: unitNode, elem: unitNode},
+	{collectorPkg, "Topology", "hostFlag"}:  {index: unitNode},
+	{collectorPkg, "Topology", "hostList"}:  {index: unitHost},
+	{collectorPkg, "Topology", "hostIdx"}:   {index: unitHost, elem: unitNode},
+	{collectorPkg, "Topology", "edgeStart"}: {index: unitNode, elem: unitEdge},
+	{collectorPkg, "Topology", "nbrFlat"}:   {index: unitEdge, elem: unitNode},
+	{collectorPkg, "Topology", "slots"}:     {index: unitSlot},
+	{collectorPkg, "destTree", "next"}:      {index: unitNode, elem: unitNode},
+	{collectorPkg, "destTree", "dist"}:      {index: unitNode},
+	{corePkg, "RankKey", "From"}:            {elem: unitHost},
 }
 
 // unitMethodKey identifies a function or method carrying builtin units
@@ -119,10 +114,6 @@ var unitMethods = map[unitMethodKey]methodUnits{
 	{collectorPkg, "Topology", "PathInto"}: {
 		params:  []unitSpec{{elem: unitNode}, {elem: unitNode}, {elem: unitNode}},
 		results: []unitSpec{{elem: unitNode}, {}, {elem: unitNode}},
-	},
-	{collectorPkg, "Topology", "HopCountInto"}: {
-		params:  []unitSpec{{elem: unitNode}, {elem: unitNode}, {elem: unitNode}},
-		results: []unitSpec{{}, {elem: unitNode}, {}},
 	},
 	{collectorPkg, "Topology", "treeForIdx"}:  {params: []unitSpec{{elem: unitNode}}},
 	{collectorPkg, "Topology", "scratchTree"}: {params: []unitSpec{{}, {elem: unitNode}}},

@@ -31,10 +31,7 @@ type CollectorDaemon struct {
 	haddr string
 
 	coll     *collector.Collector
-	delay    core.Ranker
-	bw       core.Ranker
-	xfer     *core.TransferTimeRanker
-	cache    core.RankCache
+	engine   core.Engine
 	wg       sync.WaitGroup
 	closed   chan struct{}
 	closeOne sync.Once
@@ -61,7 +58,6 @@ type CollectorDaemon struct {
 	queriesRerouted   *obs.Counter
 	rerouteMu         sync.Mutex
 	lastTop           map[rerouteKey]netsim.NodeID
-	exclUnre          bool
 
 	// Adaptive cadence control (nil ctrl when disabled). The control loop
 	// is the only writer of ctrl state; metrics readers share adaptMu.
@@ -171,14 +167,16 @@ func NewCollectorDaemon(id string, cfg DaemonConfig) (*CollectorDaemon, error) {
 		udp:    udp,
 		tcp:    tcp,
 		closed: make(chan struct{}),
-		delay:  core.Ranker(delayRanker),
-		bw:     core.Ranker(bwRanker),
-		xfer:   &core.TransferTimeRanker{Delay: delayRanker, Bandwidth: bwRanker},
 	}
 	if cfg.Hysteresis > 0 {
-		d.delay = core.NewHysteresisRanker(delayRanker, cfg.Hysteresis)
-		d.bw = core.NewHysteresisRanker(bwRanker, cfg.Hysteresis)
+		d.engine.Register(core.NewHysteresisRanker(delayRanker, cfg.Hysteresis))
+		d.engine.Register(core.NewHysteresisRanker(bwRanker, cfg.Hysteresis))
+	} else {
+		d.engine.Register(delayRanker)
+		d.engine.Register(bwRanker)
 	}
+	d.engine.Register(&core.TransferTimeRanker{Delay: delayRanker, Bandwidth: bwRanker})
+	d.engine.ExcludeUnreachable = cfg.ExcludeUnreachable
 	d.coll = collector.New(netsim.NodeID(id), d.clock, collector.Config{
 		QueueWindow:        cfg.QueueWindow,
 		DefaultLinkRateBps: cfg.LinkRateBps,
@@ -189,7 +187,6 @@ func NewCollectorDaemon(id string, cfg DaemonConfig) (*CollectorDaemon, error) {
 	if cfg.IngestQueue > 0 {
 		d.coll.StartIngestWorkers(cfg.IngestQueue)
 	}
-	d.exclUnre = cfg.ExcludeUnreachable
 	d.lastTop = make(map[rerouteKey]netsim.NodeID)
 	if cfg.Adaptive {
 		d.adaptCtrl = adapt.NewController(adapt.Config{BaseInterval: cfg.AdaptiveBase})
@@ -408,7 +405,7 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 	} {
 		read := c.read
 		d.reg.CounterFunc(obs.Opts{Name: c.name, Help: c.help}, func() float64 {
-			return float64(read(d.cache.Stats()))
+			return float64(read(d.engine.CacheStats()))
 		})
 	}
 
@@ -558,7 +555,7 @@ func (d *CollectorDaemon) HTTPAddr() string { return d.haddr }
 func (d *CollectorDaemon) Collector() *collector.Collector { return d.coll }
 
 // CacheStats reports the daemon's rank-cache counters.
-func (d *CollectorDaemon) CacheStats() core.RankCacheStats { return d.cache.Stats() }
+func (d *CollectorDaemon) CacheStats() core.RankCacheStats { return d.engine.CacheStats() }
 
 // Metrics exposes the daemon's metric registry (the same one /metrics
 // serves), for embedding the daemon and for local diagnostics.
@@ -733,54 +730,24 @@ func (d *CollectorDaemon) answerOn(topo *collector.Topology, req *wire.QueryRequ
 		d.queryErrors.Inc()
 		return &wire.QueryResponse{Metric: req.Metric, Error: fmt.Sprintf("unknown metric %q", req.Metric)}
 	}
-	var ranker core.Ranker
-	switch metric {
-	case core.MetricDelay:
-		ranker = d.delay
-	case core.MetricBandwidth:
-		ranker = d.bw
-	case core.MetricTransferTime:
-		ranker = d.xfer
-	default:
-		d.queryErrors.Inc()
-		return &wire.QueryResponse{Metric: req.Metric, Error: fmt.Sprintf("metric %q not served live", req.Metric)}
-	}
 	if h := d.queryLatency[metric]; h != nil {
 		start := time.Now()
 		defer func() { h.ObserveDuration(time.Since(start)) }()
 	}
-	// Hysteresis-wrapped rankers are stateful and bypass the cache, as do
-	// requesters outside the snapshot's host list (the index-space cache
-	// key cannot represent them).
-	var ranked []core.Candidate
-	fromHost := -1
-	if core.RankerCacheable(ranker) {
-		fromHost = topo.HostIndex(req.From)
-	}
-	if fromHost >= 0 {
-		key := core.RankKey{From: int32(fromHost), Metric: metric, DataBytes: req.DataBytes}
-		entry, hit, gen := d.cache.Lookup(topo.Epoch(), key)
-		if !hit {
-			// Index-space computation in pooled scratch; the cache owns
-			// the stored clone and returns the entry even if an
-			// invalidation raced the insert.
-			fresh := core.ComputeRanking(topo, ranker, netsim.NodeID(req.From), req.DataBytes)
-			entry = d.cache.Store(topo.Epoch(), gen, key, fresh)
-		}
-		// Entry views are shared between queries; the recovery filter and
-		// the Count cap are reslices, and the marshalling below only reads,
-		// so no copy is needed.
-		ranked = entry.Shaped(false, d.exclUnre, 0)
-	} else {
-		ranked = core.ComputeRanking(topo, ranker, netsim.NodeID(req.From), req.DataBytes)
-		if d.exclUnre {
-			ranked = core.ReachableOnly(ranked)
-		}
+	// The answer is a view of a cache entry shared between queries; the
+	// marshalling below only reads it, so no copy is needed.
+	ranked, ok := d.engine.Answer(topo, &core.QueryRequest{
+		From:      netsim.NodeID(req.From),
+		Metric:    metric,
+		Count:     req.Count,
+		Sorted:    true,
+		DataBytes: req.DataBytes,
+	})
+	if !ok {
+		d.queryErrors.Inc()
+		return &wire.QueryResponse{Metric: req.Metric, Error: fmt.Sprintf("metric %q not served live", req.Metric)}
 	}
 	d.trackReroute(req.From, metric, ranked)
-	if req.Count > 0 && req.Count < len(ranked) {
-		ranked = ranked[:req.Count]
-	}
 	resp := &wire.QueryResponse{Metric: req.Metric}
 	for _, c := range ranked {
 		resp.Candidates = append(resp.Candidates, wire.CandidateInfo{
