@@ -318,22 +318,44 @@ func BenchmarkScenarioRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorIngest measures probe processing at the scheduler.
+// BenchmarkCollectorIngest measures probe processing at the scheduler under
+// fan-in: 256 streams, each crossing an edge switch shared by 8 streams, an
+// aggregation switch shared by 64 and one core switch shared by all, every
+// record flushing its switch's 8 port registers. The clock advances one
+// 100 ms probing interval per round of streams under a two-interval queue
+// window, so reports expire at the rate they arrive and the core's port
+// windows hold ~512 reports each. One iteration is one probe, after 30
+// rounds of warm-up.
 func BenchmarkCollectorIngest(b *testing.B) {
-	coll := collector.New("sched", func() time.Duration { return time.Second }, collector.Config{})
-	p := &telemetry.ProbePayload{Origin: "n1"}
-	for h := 0; h < 4; h++ {
-		p.Stack.Append(telemetry.Record{
-			Device: string(rune('a' + h)), EgressPort: 1, EgressTS: time.Second,
-			LinkLatency: 10 * time.Millisecond,
-			Queues:      []telemetry.PortQueue{{Port: 1, MaxQueue: 4, Packets: 10}},
-		})
+	const streams, ports, interval = 256, 8, 100 * time.Millisecond
+	now := time.Second
+	coll := collector.New("sched", func() time.Duration { return now }, collector.Config{QueueWindow: 2 * interval})
+	probes := make([]*telemetry.ProbePayload, streams)
+	for s := range probes {
+		p := &telemetry.ProbePayload{Origin: fmt.Sprintf("h%03d", s)}
+		for _, dev := range []string{fmt.Sprintf("edge%02d", s/8), fmt.Sprintf("agg%d", s/64), "core"} {
+			rec := telemetry.Record{Device: dev, IngressPort: s % ports, EgressPort: ports, LinkLatency: time.Millisecond}
+			for port := 0; port < ports; port++ {
+				rec.Queues = append(rec.Queues, telemetry.PortQueue{Port: port, MaxQueue: (s + port) % 7, Packets: 10})
+			}
+			p.Stack.Append(rec)
+		}
+		probes[s] = p
+	}
+	ingest := func(i int) {
+		p := probes[i%streams]
+		now += interval / streams
+		p.Seq++
+		p.Stack.Records[2].EgressTS = now - time.Millisecond
+		coll.HandleProbe(p)
+	}
+	for i := 0; i < 30*streams; i++ {
+		ingest(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Seq = uint64(i + 1)
-		coll.HandleProbe(p)
+		ingest(i)
 	}
 }
 

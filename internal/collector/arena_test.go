@@ -9,10 +9,9 @@ import (
 )
 
 // Tests for the index-space read path: a randomized cross-check of PathInto
-// against the by-name Path view over mutating learned topologies, a
+// against the by-name Path view over mutating learned topologies, and a
 // per-edge check of the arena's metric slots against the collector's live
-// link state, and a property test holding portWindow's monotonic deque
-// equal to the windowedQueueMax reference scan.
+// link state.
 
 // TestPathIntoMatchesPath drives a collector through randomized probe-path
 // learnings, reroutes, and silence-driven evictions — the same mutation mix
@@ -235,54 +234,4 @@ func TestReverseSlotOutlivesForwardAdjacency(t *testing.T) {
 		t.Fatalf("w0->w1 delay (%v,%v), want the 4ms measured before the re-learn", d, ok)
 	}
 	checkSlotAgainstCollector(t, c, topo, "w0", "w2", rates, true)
-}
-
-// TestPortWindowMatchesScan holds portWindow's monotonic-deque answer equal
-// to the windowedQueueMax reference scan over randomized report sequences —
-// including duplicate timestamps, occasional out-of-order arrivals (the
-// sorted-insert rebuild path), and interleaved pruning.
-func TestPortWindowMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	const window = 200 * time.Millisecond
-	for trial := 0; trial < 50; trial++ {
-		w := &portWindow{}
-		now := time.Second
-		alive := true
-		for step := 0; step < 120; step++ {
-			at := now
-			if rng.Intn(10) == 0 && len(w.reports) > 0 {
-				// Out-of-order: land strictly before the newest report.
-				at = w.reports[len(w.reports)-1].at - time.Duration(1+rng.Intn(50))*time.Millisecond
-			}
-			w.push(queueReport{at: at, maxQueue: rng.Intn(60), packets: uint32(step)})
-			if rng.Intn(8) == 0 {
-				alive = w.prune(now, window)
-			}
-			wantBest, wantFound, wantExp := windowedQueueMax(w.reports, now, window)
-			best, found, exp := w.windowMax(now, window)
-			if best != wantBest || found != wantFound || exp != wantExp {
-				t.Fatalf("trial %d step %d: windowMax=(%d,%v,%v), scan=(%d,%v,%v)",
-					trial, step, best, found, exp, wantBest, wantFound, wantExp)
-			}
-			if alive != (len(w.reports) > 0) {
-				t.Fatalf("trial %d step %d: prune liveness %v with %d reports", trial, step, alive, len(w.reports))
-			}
-			if rng.Intn(4) != 0 {
-				now += time.Duration(rng.Intn(90)) * time.Millisecond
-			}
-		}
-		// Fully aged out: the window must report empty and prune must say so.
-		now += 2 * window
-		if best, found, _ := w.windowMax(now, window); found || best != 0 {
-			t.Fatalf("trial %d: aged-out window reported (%d,%v)", trial, best, found)
-		}
-		if w.prune(now, window) {
-			t.Fatalf("trial %d: prune kept a fully aged-out window alive", trial)
-		}
-	}
-	// A nil window (port never reported) answers empty.
-	var nilw *portWindow
-	if best, found, _ := nilw.windowMax(time.Second, window); found || best != 0 {
-		t.Fatalf("nil window reported (%d,%v)", best, found)
-	}
 }

@@ -132,7 +132,6 @@ type portKey struct {
 type queueReport struct {
 	at       time.Duration
 	maxQueue int
-	packets  uint32
 }
 
 // probeKey identifies one probe stream: a host may probe several targets

@@ -149,22 +149,7 @@ func (c *Collector) applyProbeLocked(p *telemetry.ProbePayload, target string, n
 		}
 
 		// Queue registers flushed by this device.
-		if len(rec.Queues) > 0 {
-			ports := dev.queues[rec.Device]
-			if ports == nil {
-				ports = make(map[int]*portWindow)
-				dev.queues[rec.Device] = ports
-			}
-			for _, q := range rec.Queues {
-				w := ports[q.Port]
-				if w == nil {
-					w = &portWindow{}
-					ports[q.Port] = w
-				}
-				w.push(queueReport{at: now, maxQueue: q.MaxQueue, packets: q.Packets})
-			}
-		}
-		dev.pruneQueuesLocked(rec.Device, now, window)
+		dev.pushQueuesLocked(rec.Device, rec.Queues, now, window)
 
 		prev = rec.Device
 		prevEgress = rec.EgressPort

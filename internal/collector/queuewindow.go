@@ -5,6 +5,55 @@ import (
 	"time"
 )
 
+// reportFIFO is a queue of reports, ascending by time, in one backing array:
+// buf[head:] is live and buf[:head] is the dead prefix left by expiry.
+// Expiry only advances head; the live part is copied (recut) when the array
+// is full or has grown past twice the live part, so a report is copied a
+// bounded number of times in its life however many reports share the array.
+type reportFIFO struct {
+	buf  []queueReport
+	head int
+}
+
+// fifoSlack is the constant term of the capacity rule: the one slot that
+// lets a recut of a queue of zero or one reports make room for the push
+// that forced it.
+const fifoSlack = 1
+
+func (q *reportFIFO) live() []queueReport { return q.buf[q.head:] }
+
+// recut moves the live reports to the front of a new backing array with room
+// for half as many again. At least a quarter of the previous recut's live
+// count has been pushed or expired since, which is what amortises the copy.
+func (q *reportFIFO) recut() {
+	live := q.live()
+	q.buf, q.head = append(make([]queueReport, 0, len(live)+len(live)/2+fifoSlack), live...), 0
+}
+
+func (q *reportFIFO) pushBack(r queueReport) {
+	if len(q.buf) == cap(q.buf) {
+		q.recut()
+	}
+	q.buf = append(q.buf, r)
+}
+
+// expire drops the reports older than cutoff and restores the capacity
+// bound: cap(buf) <= 2*len(live())+fifoSlack.
+func (q *reportFIFO) expire(cutoff time.Duration) {
+	for q.head < len(q.buf) && q.buf[q.head].at < cutoff {
+		q.head++
+	}
+	if cap(q.buf) > 2*len(q.live())+fifoSlack {
+		q.recut()
+	}
+}
+
+// from returns the live reports at or after cutoff.
+func (q *reportFIFO) from(cutoff time.Duration) []queueReport {
+	live := q.live()
+	return live[sort.Search(len(live), func(k int) bool { return live[k].at >= cutoff }):]
+}
+
 // portWindow holds one (device, port)'s queue reports together with a
 // monotonic deque over them, so the windowed maximum is read off the deque
 // front instead of rescanning every in-window report on each view rebuild.
@@ -17,84 +66,72 @@ import (
 //     report dominated by a later, larger-or-equal one can never be the
 //     window maximum again and is dropped at push time.
 //
-// Each report is pushed and popped at most once across its lifetime, so
-// view rebuilds cost O(reports) amortized plus one binary search for the
-// in-window boundary — versus the previous O(in-window reports) rescan per
-// rebuild. windowedQueueMax (shard.go) remains the reference definition of
-// the cutoff/boundary rule; TestPortWindowMatchesScan holds the two equal.
+// Reads (windowMax, inWindow) locate the window boundary by binary search and
+// mutate nothing; reports leave only through prune, which ingest runs on the
+// port it pushed to and view builds run on every port. windowedQueueMax
+// (shard.go) remains the reference definition of the cutoff/boundary rule;
+// TestPortWindowMatchesScan holds the two equal.
 type portWindow struct {
-	reports []queueReport
-	deque   []queueReport
+	reports reportFIFO
+	deque   reportFIFO
 }
 
 // push appends a new report and maintains the deque invariant.
 func (w *portWindow) push(r queueReport) {
-	if n := len(w.reports); n > 0 && r.at < w.reports[n-1].at {
+	if live := w.reports.live(); len(live) > 0 && r.at < live[len(live)-1].at {
 		// Out-of-order report (defensive: clocks are monotone in both sim
 		// and live ingest). Insert at the sorted position and rebuild.
-		i := sort.Search(n, func(k int) bool { return w.reports[k].at > r.at })
-		w.reports = append(w.reports, queueReport{})
-		copy(w.reports[i+1:], w.reports[i:])
-		w.reports[i] = r
-		w.rebuildDeque()
+		i := sort.Search(len(live), func(k int) bool { return live[k].at > r.at })
+		w.reports.pushBack(queueReport{})
+		live = w.reports.live()
+		copy(live[i+1:], live[i:])
+		live[i] = r
+		w.deque = reportFIFO{buf: w.deque.buf[:0]}
+		for _, r := range live {
+			w.pushDeque(r)
+		}
 		return
 	}
-	w.reports = append(w.reports, r)
-	for len(w.deque) > 0 && w.deque[len(w.deque)-1].maxQueue <= r.maxQueue {
-		w.deque = w.deque[:len(w.deque)-1]
+	w.reports.pushBack(r)
+	w.pushDeque(r)
+}
+
+// pushDeque appends r to the deque after popping the reports it dominates.
+func (w *portWindow) pushDeque(r queueReport) {
+	d := &w.deque
+	for len(d.buf) > d.head && d.buf[len(d.buf)-1].maxQueue <= r.maxQueue {
+		d.buf = d.buf[:len(d.buf)-1]
 	}
-	w.deque = append(w.deque, r)
+	d.pushBack(r)
+}
+
+// inWindow returns the reports in the window that opened at cutoff.
+func (w *portWindow) inWindow(cutoff time.Duration) []queueReport {
+	return w.reports.from(cutoff)
 }
 
 // windowMax returns the same triple as windowedQueueMax over the window
 // ending at now: the in-window maximum occupancy, whether any in-window
 // report exists, and when the earliest in-window report ages out
-// (neverExpires if none). Stale deque entries are popped as a side effect.
+// (neverExpires if none).
 func (w *portWindow) windowMax(now, window time.Duration) (best int, found bool, expireAt time.Duration) {
 	if w == nil {
 		return 0, false, neverExpires
 	}
-	cutoff := now - window
-	for len(w.deque) > 0 && w.deque[0].at < cutoff {
-		w.deque = w.deque[1:]
-	}
-	i := sort.Search(len(w.reports), func(k int) bool { return w.reports[k].at >= cutoff })
-	if i == len(w.reports) {
+	in := w.inWindow(now - window)
+	if len(in) == 0 {
 		return 0, false, neverExpires
 	}
 	// The newest report is always in the deque and is in-window here, so
-	// the deque is non-empty. The scan floors at zero; mirror it.
-	if q := w.deque[0].maxQueue; q > 0 {
+	// the deque has an in-window front. The scan floors at zero; mirror it.
+	if q := w.deque.from(now - window)[0].maxQueue; q > 0 {
 		best = q
 	}
-	return best, true, w.reports[i].at + window
+	return best, true, in[0].at + window
 }
 
-// prune drops reports that aged out of the window ending at now. It
-// reports whether any in-window reports remain (an empty window can be
-// dropped from the port map entirely).
-func (w *portWindow) prune(now, window time.Duration) bool {
-	cutoff := now - window
-	i := 0
-	for i < len(w.reports) && w.reports[i].at < cutoff {
-		i++
-	}
-	if i > 0 {
-		w.reports = append(w.reports[:0:0], w.reports[i:]...)
-		for len(w.deque) > 0 && w.deque[0].at < cutoff {
-			w.deque = w.deque[1:]
-		}
-	}
-	return len(w.reports) > 0
-}
-
-// rebuildDeque reconstructs the monotonic deque from the reports slice.
-func (w *portWindow) rebuildDeque() {
-	w.deque = w.deque[:0]
-	for _, r := range w.reports {
-		for len(w.deque) > 0 && w.deque[len(w.deque)-1].maxQueue <= r.maxQueue {
-			w.deque = w.deque[:len(w.deque)-1]
-		}
-		w.deque = append(w.deque, r)
-	}
+// prune drops reports that aged out of the window ending at now.
+func (w *portWindow) prune(now, window time.Duration) {
+	w.reports.expire(now - window)
+	w.deque.expire(now - window)
 }

@@ -264,23 +264,8 @@ func (c *Collector) applyFragsLocked(st *reasmState, p *telemetry.ProbePayload, 
 				dev.updateDelayLocked(edgeKey{f.rec.Device, prev}, f.rec.LinkLatency, now, alpha)
 			}
 		}
-		if fresh && len(f.rec.Queues) > 0 {
-			ports := dev.queues[f.rec.Device]
-			if ports == nil {
-				ports = make(map[int]*portWindow)
-				dev.queues[f.rec.Device] = ports
-			}
-			for _, q := range f.rec.Queues {
-				w := ports[q.Port]
-				if w == nil {
-					w = &portWindow{}
-					ports[q.Port] = w
-				}
-				w.push(queueReport{at: now, maxQueue: q.MaxQueue, packets: q.Packets})
-			}
-		}
 		if fresh {
-			dev.pruneQueuesLocked(f.rec.Device, now, window)
+			dev.pushQueuesLocked(f.rec.Device, f.rec.Queues, now, window)
 		}
 	}
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"intsched/internal/telemetry"
 )
 
 // shard is one partition of the collector's link-state database. Ownership
@@ -47,11 +49,10 @@ type shard struct {
 	// edges (keyed by the edge's from node).
 	linkDelay map[edgeKey]*linkState
 	linkRate  map[edgeKey]int64
-	// queues holds per-device, per-port queue windows for owned devices;
-	// keying by device first keeps per-record pruning proportional to one
-	// device's ports, not the whole fabric's. Each port's window carries a
-	// monotonic deque so view rebuilds read the windowed max off the deque
-	// front (see queuewindow.go).
+	// queues holds per-device, per-port queue windows for owned devices.
+	// Each port's window carries a monotonic deque so view rebuilds read the
+	// windowed max off the deque front (see queuewindow.go). View builds drop
+	// the windows, and then the devices, whose last report aged out.
 	queues map[string]map[int]*portWindow
 	// lastReport maps owned devices to their last INT record time.
 	lastReport map[string]time.Duration
@@ -137,13 +138,26 @@ func (sh *shard) updateDelayLocked(k edgeKey, sample time.Duration, now time.Dur
 	st.m2 += delta * (float64(sample) - st.mean)
 }
 
-// pruneQueuesLocked drops queue reports of one device that aged out of the
-// queue window; ports whose windows emptied are removed entirely.
-func (sh *shard) pruneQueuesLocked(device string, now, window time.Duration) {
-	for port, w := range sh.queues[device] {
-		if !w.prune(now, window) {
-			delete(sh.queues[device], port)
+// pushQueuesLocked records the queue registers one device flushed at now.
+// Pushing onto a port prunes that port and no other: ports the record does
+// not report are pruned when a view is built (buildViewLocked).
+func (sh *shard) pushQueuesLocked(device string, queues []telemetry.PortQueue, now, window time.Duration) {
+	if len(queues) == 0 {
+		return
+	}
+	ports := sh.queues[device]
+	if ports == nil {
+		ports = make(map[int]*portWindow)
+		sh.queues[device] = ports
+	}
+	for _, q := range queues {
+		w := ports[q.Port]
+		if w == nil {
+			w = &portWindow{}
+			ports[q.Port] = w
 		}
+		w.push(queueReport{at: now, maxQueue: q.MaxQueue})
+		w.prune(now, window)
 	}
 }
 

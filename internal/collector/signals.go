@@ -166,13 +166,9 @@ func queueVarianceLocked(sh *shard, device string, now, window time.Duration) fl
 	n := 0
 	var mean, m2 float64
 	for _, p := range keys {
-		w := ports[p]
-		for i := range w.reports {
-			if w.reports[i].at < cutoff {
-				continue
-			}
+		for _, r := range ports[p].inWindow(cutoff) {
 			n++
-			x := float64(w.reports[i].maxQueue)
+			x := float64(r.maxQueue)
 			delta := x - mean
 			mean += delta / float64(n)
 			m2 += delta * (x - mean)

@@ -1,6 +1,8 @@
 package collector
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -85,6 +87,59 @@ func TestStreamSignalsQueueVariance(t *testing.T) {
 	clk.now += time.Hour
 	if v := c.StreamSignals()[0].QueueVar; v != 0 {
 		t.Fatalf("stale variance %v, want 0", v)
+	}
+}
+
+// TestStreamSignalsQueueVarianceAcrossRecuts: the variance is taken over
+// exactly the in-window reports while the windows behind it slide, drop
+// their dead prefixes and move to new arrays. The reference is a two-pass
+// variance over an independently kept list of every value reported.
+func TestStreamSignalsQueueVarianceAcrossRecuts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	clk := &fakeClock{now: time.Second}
+	c := newTestCollector(clk) // 200 ms queue window
+	type sample struct {
+		at time.Duration
+		q  int
+	}
+	var all []sample
+	var base *queueReport
+	moves := 0
+	for seq := uint64(1); seq <= 1500; seq++ {
+		clk.now += time.Duration(1+rng.Intn(8)) * time.Millisecond
+		queues := map[int]int{1: rng.Intn(40), 2: rng.Intn(5)}
+		for _, q := range queues {
+			all = append(all, sample{clk.now, q})
+		}
+		c.HandleProbe(probeFrom("n1", seq, time.Millisecond,
+			devSpec{id: "s1", out: 1, queues: queues, egressTS: clk.now}))
+		if b := &c.shardFor("s1").queues["s1"][1].reports.buf[0]; b != base {
+			base, moves = b, moves+1
+		}
+		if rng.Intn(3) == 0 {
+			clk.now += time.Duration(rng.Intn(60)) * time.Millisecond // read some way past the last prune
+		}
+
+		var in []float64
+		var sum float64
+		for _, s := range all {
+			if s.at >= clk.now-200*time.Millisecond {
+				in, sum = append(in, float64(s.q)), sum+float64(s.q)
+			}
+		}
+		want, n := 0.0, float64(len(in))
+		if len(in) >= 2 {
+			for _, x := range in {
+				want += (x - sum/n) * (x - sum/n)
+			}
+			want /= n - 1
+		}
+		if got := c.StreamSignals()[0].QueueVar; math.Abs(got-want) > 1e-9*(1+want) {
+			t.Fatalf("seq %d: QueueVar %v, two-pass reference %v over %v reports", seq, got, want, n)
+		}
+	}
+	if moves < 10 {
+		t.Fatalf("port window moved arrays %d times, want the run to cross many recuts", moves)
 	}
 }
 

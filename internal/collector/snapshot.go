@@ -163,6 +163,25 @@ func (sh *shard) freshView(c *Collector, now time.Duration) *shardView {
 func (sh *shard) buildViewLocked(c *Collector, now time.Duration, epoch uint64) *shardView {
 	window := c.window()
 	expireAt := sh.pruneAdjLocked(now, c.adjTTL())
+	// Queue windows: the view goes stale when the oldest in-window report
+	// ages out. Windows that emptied are dropped here, and with them devices
+	// that fell silent — ingest prunes only the ports it pushes to.
+	for device, ports := range sh.queues {
+		for port, pw := range ports {
+			_, found, exp := pw.windowMax(now, window)
+			if !found {
+				delete(ports, port)
+				continue
+			}
+			pw.prune(now, window)
+			if exp < expireAt {
+				expireAt = exp
+			}
+		}
+		if len(ports) == 0 {
+			delete(sh.queues, device)
+		}
+	}
 	v := &shardView{epoch: epoch, rows: make(map[string]viewRow, len(sh.adj))}
 	// resolve reads an owned edge's delay history and capacity.
 	resolve := func(k edgeKey) (m edgeMetrics, rated bool) {
@@ -229,13 +248,6 @@ func (sh *shard) buildViewLocked(c *Collector, now time.Duration, epoch uint64) 
 		v.hostList = append(v.hostList, h)
 	}
 	sort.Strings(v.hostList)
-	for _, ports := range sh.queues {
-		for _, pw := range ports {
-			if _, _, exp := pw.windowMax(now, window); exp < expireAt {
-				expireAt = exp
-			}
-		}
-	}
 	v.expireAt = expireAt
 	return v
 }

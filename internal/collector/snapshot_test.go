@@ -117,6 +117,72 @@ func TestSnapshotRebuildsOnQueueWindowExpiry(t *testing.T) {
 	}
 }
 
+// TestSilentDeviceReleasesQueueReports: ingest prunes only the ports a probe
+// reports on, so a device that stops reporting is never pruned by ingest
+// again. The view build that follows its last report's expiry must release
+// its windows and its device entry, with the same expiry and epoch behaviour
+// as TestSnapshotRebuildsOnQueueWindowExpiry.
+func TestSilentDeviceReleasesQueueReports(t *testing.T) {
+	clk := &fakeClock{now: time.Second}
+	c := newTestCollector(clk) // 200 ms queue window
+	c.HandleProbe(probeFrom("n1", 1, time.Millisecond,
+		devSpec{id: "s1", out: 1, queues: map[int]int{0: 5, 1: 30, 2: 7}, egressTS: clk.now}))
+	held := func(device string) int {
+		sh := c.shardFor(device)
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		ports, ok := sh.queues[device]
+		if ok && len(ports) == 0 {
+			t.Fatalf("%s keeps an empty port map", device)
+		}
+		return len(ports)
+	}
+	cached := c.Snapshot()
+	if n := held("s1"); n != 3 {
+		t.Fatalf("s1 holds %d port windows, want 3", n)
+	}
+	// s1 falls silent; s2 reports inside what will be the next window.
+	clk.now += 150 * time.Millisecond
+	c.HandleProbe(probeFrom("n2", 1, time.Millisecond,
+		devSpec{id: "s2", out: 1, queues: map[int]int{1: 9}, egressTS: clk.now}))
+	if c.Snapshot() == cached {
+		t.Fatal("snapshot not rebuilt after a probe")
+	}
+	if n := held("s1"); n != 3 {
+		t.Fatalf("s1 holds %d port windows while its reports are in window, want 3", n)
+	}
+	// Past s1's window with no further probe from it.
+	clk.now += 100 * time.Millisecond
+	before := c.Epoch()
+	fresh := c.Snapshot()
+	if fresh.Epoch() <= before || c.Epoch() != fresh.Epoch() {
+		t.Fatalf("expiry rebuild: epoch %d -> snapshot %d, collector %d", before, fresh.Epoch(), c.Epoch())
+	}
+	if n := held("s1"); n != 0 {
+		t.Fatalf("silent s1 still holds %d port windows", n)
+	}
+	for port := 0; port < 3; port++ {
+		if q, ok := c.MaxQueue("s1", port); ok {
+			t.Fatalf("silent s1 port %d answers %d", port, q)
+		}
+	}
+	if _, ok := fresh.QueueMax("s1", "sched"); ok {
+		t.Fatal("expired queue report visible in fresh snapshot")
+	}
+	if q, ok := fresh.QueueMax("s2", "sched"); !ok || q != 9 || held("s2") != 1 {
+		t.Fatalf("reporting s2: queue (%d,%v), %d windows", q, ok, held("s2"))
+	}
+	// The next expiry is s2's, 200 ms after its report.
+	clk.now += 50 * time.Millisecond
+	if c.Snapshot() != fresh {
+		t.Fatal("snapshot rebuilt while s2's report still in window")
+	}
+	clk.now += 51 * time.Millisecond
+	if c.Snapshot() == fresh || held("s2") != 0 {
+		t.Fatalf("s2's expiry: %d windows held", held("s2"))
+	}
+}
+
 // TestConfigChangesAdvanceEpoch: SetLinkRate and SetQueueWindow change what
 // snapshots contain, so they must version like probes.
 func TestConfigChangesAdvanceEpoch(t *testing.T) {

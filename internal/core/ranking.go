@@ -11,7 +11,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -360,20 +361,18 @@ func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ int32, 
 // candidates always sort last, and ties break by node ID so rankings are
 // deterministic.
 func sortCandidates(cs []Candidate, better func(a, b Candidate) bool) {
-	sort.SliceStable(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
-		if a.Reachable != b.Reachable {
-			return a.Reachable
+	slices.SortStableFunc(cs, func(a, b Candidate) int {
+		switch {
+		case a.Reachable != b.Reachable:
+			if a.Reachable {
+				return -1
+			}
+			return 1
+		case a.Reachable && better(a, b):
+			return -1
+		case a.Reachable && better(b, a):
+			return 1
 		}
-		if !a.Reachable {
-			return a.Node < b.Node
-		}
-		if better(a, b) {
-			return true
-		}
-		if better(b, a) {
-			return false
-		}
-		return a.Node < b.Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 }
