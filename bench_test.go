@@ -457,11 +457,16 @@ func BenchmarkIndexHotPath(b *testing.B) {
 		}
 		reqs[i] = &core.QueryRequest{From: rig.Devices[i%len(rig.Devices)], Metric: metric, Sorted: true}
 	}
-	rig.Svc.RankBatchOn(snap, reqs)
+	rankAll := func() {
+		for _, req := range reqs {
+			rig.Svc.RankOn(snap, req)
+		}
+	}
+	rankAll()
 	b.Run("RankBatchWarm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rig.Svc.RankBatchOn(snap, reqs)
+			rankAll()
 		}
 	})
 }

@@ -9,11 +9,10 @@
 // Experiments: table1, fig3, fig5, fig6, fig7, fig8, fig9, ablation, faults,
 // qps.
 // The parbench experiment (not part of "all") measures the worker-pool
-// speedup and writes results/BENCH_parallel.json. The scale experiment
-// (also by name only) drives the sharded collector on generated Clos and
-// metro fabrics and writes results/BENCH_scale.json; -scale-smoke shrinks
-// its fabrics to CI size. The telemetry experiment (by name only) sweeps
-// deterministic vs probabilistic PINT-style telemetry and writes
+// speedup and writes results/BENCH_parallel.json. Collector and daemon cost
+// on generated Clos and metro fabrics is measured by the benchmark in bench/
+// (see BENCHMARK.json), not here. The telemetry experiment (by name only)
+// sweeps deterministic vs probabilistic PINT-style telemetry and writes
 // results/BENCH_telemetry.json; -telemetry-smoke shrinks it to CI size. The
 // adaptive experiment (by name only) compares static vs controller-driven
 // probe cadence at several telemetry budgets and writes
@@ -44,10 +43,9 @@ var (
 	seeds      = flag.Int("seeds", 1, "replicate fig5/6/7 across this many seeds and report mean±std gains")
 	tasks      = flag.Int("tasks", 200, "tasks per experiment run (paper: 200)")
 	fig3dur    = flag.Duration("fig3dur", 300*time.Second, "measurement duration per Fig 3 utilization level (paper: 300s)")
-	expFlag    = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,qps,all (plus parbench, scale, telemetry, and adaptive, by name only)")
+	expFlag    = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,qps,all (plus parbench, telemetry, and adaptive, by name only)")
 	queries    = flag.Int("queries", 50_000, "ranking queries in the qps experiment")
 	parallel   = flag.Int("parallel", 0, "worker pool size for independent experiment cells (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
-	scaleSmoke = flag.Bool("scale-smoke", false, "scale experiment: shrink the fabrics to CI size (small Clos + 2-region metro)")
 	telemSmoke = flag.Bool("telemetry-smoke", false, "telemetry experiment: shrink to CI size (fewer tasks, two sampling rates, 2-region metro)")
 	adaptSmoke = flag.Bool("adaptive-smoke", false, "adaptive experiment: shrink to CI size (fewer tasks, one budget)")
 )
@@ -85,12 +83,13 @@ func main() {
 	run("ablation", ablation)
 	run("faults", faults)
 	run("qps", qps)
-	// parbench re-runs the comparison grid at several pool sizes, and scale
-	// builds metro-size fabrics, so both only run when asked for by name.
+	// parbench re-runs the comparison grid at several pool sizes, and the
+	// telemetry and adaptive sweeps replay the faults workload many times, so
+	// they only run when asked for by name.
 	for _, extra := range []struct {
 		name string
 		fn   func() error
-	}{{"parbench", parbench}, {"scale", scale}, {"telemetry", telemetryExp}, {"adaptive", adaptiveExp}} {
+	}{{"parbench", parbench}, {"telemetry", telemetryExp}, {"adaptive", adaptiveExp}} {
 		if !want[extra.name] {
 			continue
 		}
@@ -102,82 +101,6 @@ func main() {
 		}
 		fmt.Printf("(%s took %v)\n\n", extra.name, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// scale drives the sharded collector on generated fabrics — a >=200-switch
-// Clos and a >=1000-edge-server metro by default — sweeping the shard count
-// per topology, and writes results/BENCH_scale.json. The per-cell digest
-// (FNV-1a over every ranked answer) is the determinism contract: Scale
-// itself fails if any shard count diverges from the single-shard baseline,
-// and the printed digest lines are diffed across -parallel widths in CI.
-func scale() error {
-	res, err := pool.Scale(experiment.ScaleConfig{Seed: *seed, Smoke: *scaleSmoke})
-	if err != nil {
-		return err
-	}
-	tb := stats.NewTable("topology", "shards", "switches", "hosts", "queries/s", "snapshot p50", "snapshot p99", "ingest drops", "probes")
-	for _, c := range res.Cells {
-		tb.AddRow(c.Topo, c.Shards, c.Switches, c.Hosts, fmt.Sprintf("%.0f", c.QPS),
-			c.SnapshotP50.Round(time.Microsecond), c.SnapshotP99.Round(time.Microsecond),
-			c.IngestDrops, c.ProbesReceived)
-	}
-	fmt.Println(tb.String())
-	for _, c := range res.Cells {
-		fmt.Printf("scale digest %s shards=%d %s\n", c.Topo, c.Shards, c.Digest)
-	}
-	fmt.Println("(every shard count reproduced the single-shard digest; batched ranking via RankBatch, one snapshot per probe round)")
-
-	type cellJSON struct {
-		Topo           string  `json:"topo"`
-		Shards         int     `json:"shards"`
-		Partitions     int     `json:"partitions"`
-		Switches       int     `json:"switches"`
-		Hosts          int     `json:"hosts"`
-		Queries        int     `json:"queries"`
-		QPS            float64 `json:"qps"`
-		SnapshotP50Us  int64   `json:"snapshot_p50_us"`
-		SnapshotP99Us  int64   `json:"snapshot_p99_us"`
-		IngestDrops    uint64  `json:"ingest_drops"`
-		ProbesReceived uint64  `json:"probes_received"`
-		Digest         string  `json:"digest"`
-		Seconds        float64 `json:"seconds"`
-	}
-	report := struct {
-		Bench string     `json:"bench"`
-		Smoke bool       `json:"smoke"`
-		Seed  int64      `json:"seed"`
-		CPUs  int        `json:"cpus"`
-		Cores int        `json:"cores"`
-		Cells []cellJSON `json:"cells"`
-	}{
-		Bench: "scale",
-		Smoke: *scaleSmoke,
-		Seed:  *seed,
-		CPUs:  runtime.NumCPU(),
-		Cores: runtime.GOMAXPROCS(0),
-	}
-	for _, c := range res.Cells {
-		report.Cells = append(report.Cells, cellJSON{
-			Topo: c.Topo, Shards: c.Shards, Partitions: c.Partitions,
-			Switches: c.Switches, Hosts: c.Hosts, Queries: c.Queries, QPS: c.QPS,
-			SnapshotP50Us: c.SnapshotP50.Microseconds(), SnapshotP99Us: c.SnapshotP99.Microseconds(),
-			IngestDrops: c.IngestDrops, ProbesReceived: c.ProbesReceived,
-			Digest: c.Digest, Seconds: c.Elapsed.Seconds(),
-		})
-	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("results/BENCH_scale.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote results/BENCH_scale.json")
-	return nil
 }
 
 // telemetryExp sweeps deterministic vs probabilistic (PINT-style) telemetry:

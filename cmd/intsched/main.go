@@ -36,8 +36,7 @@ func main() {
 		adjTTL   = flag.Duration("adjacency-ttl", 0, "probe silence before a learned link ages out of the topology (default: 5 queue windows; negative disables aging)")
 		exclUnre = flag.Bool("exclude-unreachable", false, "recovery policy: drop candidates whose learned path aged out from answers")
 		report   = flag.Duration("report", 10*time.Second, "coverage report interval (0 disables)")
-		shards   = flag.Int("shards", 1, "collector link-state shards; probes through disjoint partitions ingest concurrently")
-		ingestQ  = flag.Int("ingest-queue", 0, "per-shard async ingest queue depth (0 keeps ingest synchronous on the UDP receive loop)")
+		ingestQ  = flag.Int("ingest-queue", 0, "async ingest queue depth (0 keeps ingest synchronous on the UDP receive loop)")
 		adaptive = flag.Bool("adaptive", false, "run the adaptive cadence control loop: per-stream probe-interval directives sent back along probe return paths (agents must opt in with intprobe -adaptive)")
 		probeBgt = flag.Float64("probe-budget", 0, "adaptive probe budget as a fraction (0,1] of the full static rate (0 disables the cap)")
 		adaptBas = flag.Duration("adaptive-base", 100*time.Millisecond, "fleet static probe interval anchoring the adaptive cadence clamps")
@@ -54,7 +53,6 @@ func main() {
 		DegradedAfter:      *degraded,
 		AdjacencyTTL:       *adjTTL,
 		ExcludeUnreachable: *exclUnre,
-		Shards:             *shards,
 		IngestQueue:        *ingestQ,
 		Adaptive:           *adaptive,
 		AdaptiveBase:       *adaptBas,
@@ -99,9 +97,6 @@ func main() {
 				ds.DatagramErrors, ds.UnexpectedKinds, ds.PayloadErrors,
 				st.IngestDrops, st.ProbesOutOfOrder, st.RecordsParsed,
 				daemon.Collector().Epoch(), hitRate*100, cov.Fresh, cov.Stale)
-			if *shards > 1 {
-				fmt.Printf("intsched:   shard epochs %v\n", daemon.Collector().EpochVector())
-			}
 			for _, r := range health.Reasons {
 				fmt.Printf("intsched:   degraded: %s\n", r)
 			}

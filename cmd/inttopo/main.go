@@ -6,9 +6,8 @@
 //	inttopo -kind clos -seed 7 > clos.json
 //	inttopo -kind metro -regions 4 -servers-per-tor 8 > metro.json
 //
-// The clos and metro kinds generate the scale-experiment fabrics: seeded
-// per-link delay jitter (same seed, same JSON) and partition maps for the
-// sharded collector.
+// The clos and metro kinds generate the fabrics the repository benchmark
+// (bench/) runs on, with seeded per-link delay jitter (same seed, same JSON).
 package main
 
 import (

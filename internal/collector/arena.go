@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// CSR edge-metric arena. The merged snapshot flattens the neighbor index
+// CSR edge-metric arena. A snapshot flattens the neighbor index
 // rows (nbrIdx) the path trees run on into one CSR array and holds every
 // per-direction edge metric (delay, jitter, rate, windowed queue max) in one
 // flat slot array, so the scheduler reads metrics as array loads indexed by
@@ -21,21 +21,21 @@ import (
 // the forward edge (a, b) may have aged out independently — adjacency is
 // directional. DirSlot tries the forward edge first, then the reverse.
 //
-// What a slot holds: the forward slot 2e is the owning shard view's row
-// entry for u->v. The reverse slot 2e+1 is a copy of v->u's own forward
-// slot while that adjacency exists; once it has aged out, the reverse slot
-// carries v->u's measured delay, jitter and rate (link-delay history
-// outlives eviction, see pruneAdjLocked) but no queue value — the egress
-// port went with the adjacency. Pairs adjacent in neither direction have no
-// slot.
+// What a slot holds: the forward slot 2e is u->v's delay history, rate and
+// the windowed queue maximum of u's egress port toward v. The reverse slot
+// 2e+1 is a copy of v->u's own forward slot while that adjacency exists;
+// once it has aged out, the reverse slot carries v->u's measured delay,
+// jitter and rate (link-delay history outlives eviction, see pruneAdjLocked)
+// but no queue value — the egress port went with the adjacency. Pairs
+// adjacent in neither direction have no slot.
 //
 // Hand-crafted test topologies build the same arena with every slot
 // unmeasured.
 
 // initArena flattens nbrIdx into CSR form and allocates the directed metric
-// slots and the hostList -> node-index map. Called at merge time (and by
+// slots and the hostList -> node-index map. Called by buildLocked (and by
 // crafted-topology constructors), after Nodes / nodeIndex / nbrIdx /
-// hostFlag / hostList are in place; merge then fills the slots.
+// hostFlag / hostList are in place; buildLocked then fills the slots.
 func (t *Topology) initArena() {
 	n := len(t.Nodes)
 	t.edgeStart = make([]int32, n+1)
@@ -64,7 +64,7 @@ func (t *Topology) initArena() {
 	}
 }
 
-// NodeIndex resolves a node ID to its merged index.
+// NodeIndex resolves a node ID to its node index.
 func (t *Topology) NodeIndex(id string) (int32, bool) {
 	i, ok := t.nodeIndex[id]
 	return i, ok
@@ -83,7 +83,7 @@ func (t *Topology) HostCount() int { return len(t.hostList) }
 // HostName returns the ID of the j-th host in sorted host order.
 func (t *Topology) HostName(j int) string { return t.hostList[j] }
 
-// HostNodeIndex returns the merged node index of the j-th host, or -1 for a
+// HostNodeIndex returns the node index of the j-th host, or -1 for a
 // host with no current adjacency.
 func (t *Topology) HostNodeIndex(j int) int32 { return t.hostIdx[j] }
 

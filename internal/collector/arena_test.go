@@ -21,7 +21,7 @@ import (
 func TestPathIntoMatchesPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	clk := &fakeClock{now: time.Second}
-	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond, Shards: 3})
+	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond})
 
 	origins := []string{"h0", "h1", "h2"}
 	switches := []string{"w0", "w1", "w2", "w3", "w4"}
@@ -96,7 +96,7 @@ func TestPathIntoMatchesPath(t *testing.T) {
 
 // checkSlotAgainstCollector holds the slot DirSlot resolves for u->v equal
 // to the collector's live link state: the delay EWMA and jitter of the
-// shard's link history, the configured (or default) rate, and the windowed
+// link's history, the configured (or default) rate, and the windowed
 // queue maximum of the egress port the live adjacency names — or no queue
 // value at all when u->v has no adjacency of its own (adjacent says which
 // case the caller expects).
@@ -133,16 +133,15 @@ func checkSlotAgainstCollector(t *testing.T, c *Collector, topo *Topology, u, v 
 		}
 		return
 	}
-	// Several ports may lead to one neighbor; the view keeps one of them.
-	sh := c.shardFor(u)
-	sh.mu.Lock()
+	// Several ports may lead to one neighbor; the snapshot keeps one of them.
+	c.mu.Lock()
 	var ports []int
-	for port, to := range sh.adj[u] {
+	for port, to := range c.adj[u] {
 		if to == v {
 			ports = append(ports, port)
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	if len(ports) == 0 {
 		t.Fatalf("snapshot edge %s->%s missing from the live adjacency", u, v)
 	}
@@ -161,7 +160,7 @@ func checkSlotAgainstCollector(t *testing.T, c *Collector, topo *Topology, u, v 
 func TestArenaSlotsMatchCollectorState(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	clk := &fakeClock{now: time.Second}
-	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond, Shards: 2})
+	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond})
 	rates := map[edgeKey]int64{}
 	for _, pr := range [][2]string{{"w0", "w1"}, {"h0", "w2"}} {
 		c.SetLinkRate(netsim.NodeID(pr[0]), netsim.NodeID(pr[1]), 50_000_000)
@@ -210,7 +209,7 @@ func TestArenaSlotsMatchCollectorState(t *testing.T) {
 // another link.
 func TestReverseSlotOutlivesForwardAdjacency(t *testing.T) {
 	clk := &fakeClock{now: time.Second}
-	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond, Shards: 2})
+	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond})
 	c.SetLinkRate("w0", "w1", 50_000_000)
 	rates := map[edgeKey]int64{{"w0", "w1"}: 50_000_000, {"w1", "w0"}: 50_000_000}
 	c.HandleProbe(probeFrom("h0", 1, 4*time.Millisecond,

@@ -8,25 +8,22 @@
 // topology: everything the scheduler knows, it learned from probes — exactly
 // the information a real INT deployment would have.
 //
-// The link-state database is sharded: Config.Shards partitions the node ID
-// space (by an operator-supplied partition map or an FNV-1a hash) into
-// independent shards, each with its own mutex, queue-window state,
-// adjacency-aging state, and epoch counter, so probes crossing disjoint
-// partitions ingest without contending (shard.go, ingest.go, aging.go).
-// Snapshot() is a merge-on-read over cached per-shard views versioned by a
-// composite epoch vector (snapshot.go), and per-destination path trees are
-// maintained incrementally across snapshots (spt.go). With the default
-// single shard the observable behavior — epochs included — is identical to
-// the historical single-mutex collector.
+// The collector is one state owner: every map of link and stream state
+// sits behind one mutex and is versioned by one epoch counter (state.go,
+// ingest.go, aging.go). Snapshot() publishes an immutable Topology built in
+// one pass from that state and serves it lock-free until the epoch moves or
+// something ages out (snapshot.go); per-destination path trees are
+// maintained incrementally across snapshots (spt.go).
 //
 // This file is the package's public API surface: configuration,
 // construction, ingest counters, configuration setters, point lookups, and
 // health/coverage reporting. Ingest lives in ingest.go, aging in aging.go,
-// view building and merging in snapshot.go, and the snapshot read API on
-// Topology in topology.go.
+// snapshot building in snapshot.go, and the snapshot read API on Topology in
+// topology.go.
 package collector
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,17 +61,6 @@ type Config struct {
 	// learn-only behavior, needed when telemetry arrives on data packets
 	// with no periodic refresh).
 	AdjacencyTTL time.Duration
-	// Shards is the number of link-state partitions (clamped to
-	// [1, MaxShards]). Zero or one keeps the historical single-shard
-	// behavior; larger values let probes through disjoint partitions
-	// ingest concurrently and confine epoch invalidation to the touched
-	// partitions.
-	Shards int
-	// Partition maps a node ID to a shard index; results are reduced
-	// modulo Shards, so a topology's partition map (e.g. pod or region
-	// number) composes with any shard count. Nil means an FNV-1a hash of
-	// the node ID.
-	Partition func(node string) int
 }
 
 // Defaults for Config.
@@ -89,10 +75,8 @@ const (
 	// probes cannot tear a live link out of the map, short enough that a
 	// dead link disappears within about a second of real failure.
 	DefaultAdjacencyWindows = 5
-	// MaxShards bounds Config.Shards.
-	MaxShards = 64
-	// DefaultIngestQueue is the per-shard queue length used by
-	// StartIngestWorkers when none is given.
+	// DefaultIngestQueue is the queue length used by StartIngestWorkers
+	// when none is given.
 	DefaultIngestQueue = 256
 )
 
@@ -113,21 +97,10 @@ func (c Config) withDefaults() Config {
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = DefaultStaleAfter
 	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if c.Shards > MaxShards {
-		c.Shards = MaxShards
-	}
 	return c
 }
 
 type edgeKey struct{ from, to string }
-
-type portKey struct {
-	device string
-	port   int
-}
 
 type queueReport struct {
 	at       time.Duration
@@ -147,9 +120,9 @@ type probeMeta struct {
 	// accepted probe; a change means the route under the stream moved.
 	path []string
 	// remaps and resets are this stream's cumulative path-remap and
-	// reassembly-reset counts — the per-stream decomposition of the global
-	// pathRemaps/reasmResets counters, exposed through StreamSignals so the
-	// adaptive controller can react to churn deltas per stream.
+	// reassembly-reset counts — the per-stream decomposition of
+	// Stats.PathRemaps/ReassemblyResets, exposed through StreamSignals so
+	// the adaptive controller can react to churn deltas per stream.
 	remaps, resets uint64
 }
 
@@ -158,34 +131,63 @@ type Collector struct {
 	self  string
 	clock func() time.Duration
 	cfg   Config
-	// queueWindowNs is the mutable queue window (SetQueueWindow), read by
-	// shard operations without a global lock.
-	queueWindowNs atomic.Int64
 
-	shards    []*shard
-	partition func(string) int
+	// mu guards every field of the link and stream state below. The live
+	// daemon ingests on one goroutine and answers queries, metrics scrapes
+	// and the control loop on others; all of them meet here. Functions named
+	// *Locked expect the caller to hold it. The eviction and reassembly
+	// hooks run with mu held and must not call back into the collector.
+	mu sync.Mutex
+	// adj maps device -> egress port -> neighbor.
+	adj map[string]map[int]string
+	// adjSeen maps each directed edge to its last confirmation time.
+	adjSeen map[edgeKey]time.Duration
+	// evicted tombstones edges removed by aging.
+	evicted map[edgeKey]time.Duration
+	// isHost marks nodes known to be hosts.
+	isHost map[string]bool
+	// linkDelay and linkRate hold per-edge measurement state, keyed by the
+	// directed edge.
+	linkDelay map[edgeKey]*linkState
+	linkRate  map[edgeKey]int64
+	// queues holds per-device, per-port queue windows. Each port's window
+	// carries a monotonic deque so snapshot builds read the windowed max off
+	// the deque front (see queuewindow.go). Snapshot builds drop the
+	// windows, and then the devices, whose last report aged out.
+	queues map[string]map[int]*portWindow
+	// lastReport maps devices to their last INT record time.
+	lastReport map[string]time.Duration
+	// window is the queue-report window (SetQueueWindow).
+	window time.Duration
+	// streams holds per-stream sequence, freshness and route metadata;
+	// reasm the reassembly buffers of probabilistic streams (lazily
+	// created, see reassembly.go).
+	streams map[probeKey]probeMeta
+	reasm   map[probeKey]*reasmState
+	// stats holds the ingest counters (IngestDrops is kept apart: the
+	// enqueue path must not wait for mu).
+	stats Stats
+	// onEviction and onReassembly observe adjacency evictions and completed
+	// reassembly cycles.
+	onEviction   func(from, to string, silence time.Duration)
+	onReassembly func(origin, target string, hops int, latency time.Duration)
+	// pathScratch is HandleProbe's reusable hop-sequence buffer.
+	pathScratch []string
 
-	// snapMu serializes merged-snapshot rebuilds; snap is the published
-	// cached snapshot (nil until first Snapshot).
-	snapMu sync.Mutex
-	snap   atomic.Pointer[mergedSnap]
+	// epoch versions the state above. It advances, under mu, on every
+	// accepted probe, on SetLinkRate and SetQueueWindow, and when a snapshot
+	// rebuild finds that a queue report or adjacency aged out; it is read
+	// without the lock.
+	epoch atomic.Uint64
+	// snap is the published snapshot (nil until the first Snapshot).
+	snap atomic.Pointer[Topology]
 	// spt is the shared incremental shortest-path-tree store.
 	spt *sptStore
 
-	// Ingest counters (atomic; see Stats).
-	probesReceived     atomic.Uint64
-	probesOutOfOrder   atomic.Uint64
-	recordsParsed      atomic.Uint64
-	pathRemaps         atomic.Uint64
-	ingestDrops        atomic.Uint64
-	telemetryBytes     atomic.Uint64
-	recordsReassembled atomic.Uint64
-	reasmCompletions   atomic.Uint64
-	reasmResets        atomic.Uint64
-
 	// Asynchronous ingest (live mode only; see StartIngestWorkers).
-	ingest   atomic.Pointer[[]chan *telemetry.ProbePayload]
-	ingestWG sync.WaitGroup
+	ingest      atomic.Pointer[chan *telemetry.ProbePayload]
+	ingestWG    sync.WaitGroup
+	ingestDrops atomic.Uint64
 }
 
 // New creates a collector for the scheduler host self. clock supplies the
@@ -193,81 +195,34 @@ type Collector struct {
 func New(self netsim.NodeID, clock func() time.Duration, cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{
-		self:      string(self),
-		clock:     clock,
-		cfg:       cfg,
-		partition: cfg.Partition,
-		spt:       newSPTStore(),
+		self:       string(self),
+		clock:      clock,
+		cfg:        cfg,
+		adj:        make(map[string]map[int]string),
+		adjSeen:    make(map[edgeKey]time.Duration),
+		evicted:    make(map[edgeKey]time.Duration),
+		isHost:     make(map[string]bool),
+		linkDelay:  make(map[edgeKey]*linkState),
+		linkRate:   make(map[edgeKey]int64),
+		queues:     make(map[string]map[int]*portWindow),
+		lastReport: make(map[string]time.Duration),
+		window:     cfg.QueueWindow,
+		streams:    make(map[probeKey]probeMeta),
+		spt:        newSPTStore(),
 	}
-	c.queueWindowNs.Store(int64(cfg.QueueWindow))
-	c.shards = make([]*shard, cfg.Shards)
-	for i := range c.shards {
-		c.shards[i] = newShard()
-	}
-	c.shardFor(c.self).isHost[c.self] = true
+	c.isHost[c.self] = true
 	return c
 }
 
 // Self returns the collector's own host ID.
 func (c *Collector) Self() netsim.NodeID { return netsim.NodeID(c.self) }
 
-// shardOf maps a node ID to its owning shard index.
-func (c *Collector) shardOf(node string) int {
-	n := len(c.shards)
-	if c.partition != nil {
-		i := c.partition(node) % n
-		if i < 0 {
-			i += n
-		}
-		return i
-	}
-	if n == 1 {
-		return 0
-	}
-	return int(fnv32a(node) % uint32(n))
-}
-
-func (c *Collector) shardFor(node string) *shard { return c.shards[c.shardOf(node)] }
-
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// window returns the current queue window.
-func (c *Collector) window() time.Duration { return time.Duration(c.queueWindowNs.Load()) }
-
-// Epoch returns the collector's current state version: the sum of the
-// per-shard epoch vector. It advances on every accepted probe and
-// configuration change, and when a snapshot rebuild detects that a queue
-// report or adjacency aged out (state changed without a probe); equal
-// epochs guarantee that Snapshot returns the identical topology. See
-// EpochVector for the per-shard decomposition.
-func (c *Collector) Epoch() uint64 {
-	var sum uint64
-	for _, sh := range c.shards {
-		sum += sh.epoch.Load()
-	}
-	return sum
-}
-
-// EpochVector returns the current composite epoch vector, one entry per
-// shard. A mutation confined to one partition moves only that entry, which
-// is what lets sharded deployments attribute invalidations (and tests prove
-// isolation).
-func (c *Collector) EpochVector() []uint64 {
-	out := make([]uint64, len(c.shards))
-	for i, sh := range c.shards {
-		out[i] = sh.epoch.Load()
-	}
-	return out
-}
-
-// Shards returns the number of link-state partitions.
-func (c *Collector) Shards() int { return len(c.shards) }
+// Epoch returns the collector's current state version. It advances by one
+// on every accepted probe and configuration change, and when a snapshot
+// rebuild detects that a queue report or adjacency aged out (state changed
+// without a probe); equal epochs guarantee that Snapshot returns the
+// identical topology.
+func (c *Collector) Epoch() uint64 { return c.epoch.Load() }
 
 // Stats is a snapshot of the collector's ingestion counters.
 type Stats struct {
@@ -282,7 +237,7 @@ type Stats struct {
 	// PathRemaps counts probe streams that arrived with a changed hop
 	// sequence (the route under the stream moved).
 	PathRemaps uint64
-	// IngestDrops counts probes dropped at the asynchronous ingest queues
+	// IngestDrops counts probes dropped at the asynchronous ingest queue
 	// (always zero on the synchronous path).
 	IngestDrops uint64
 	// TelemetryBytes is the total on-wire size of every ingested probe
@@ -303,27 +258,15 @@ type Stats struct {
 
 // Stats returns the ingestion counters.
 func (c *Collector) Stats() Stats {
-	st := Stats{
-		ProbesReceived:        c.probesReceived.Load(),
-		ProbesOutOfOrder:      c.probesOutOfOrder.Load(),
-		RecordsParsed:         c.recordsParsed.Load(),
-		PathRemaps:            c.pathRemaps.Load(),
-		IngestDrops:           c.ingestDrops.Load(),
-		TelemetryBytes:        c.telemetryBytes.Load(),
-		RecordsReassembled:    c.recordsReassembled.Load(),
-		ReassemblyCompletions: c.reasmCompletions.Load(),
-		ReassemblyResets:      c.reasmResets.Load(),
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		st.AdjacencyEvictions += sh.adjEvictions
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	st := c.stats
+	c.mu.Unlock()
+	st.IngestDrops = c.ingestDrops.Load()
 	return st
 }
 
 // IngestDrops returns the number of probes dropped at the asynchronous
-// ingest queues.
+// ingest queue.
 func (c *Collector) IngestDrops() uint64 { return c.ingestDrops.Load() }
 
 // ProbeStream reports the freshness of one probe stream — the (origin,
@@ -342,19 +285,17 @@ type ProbeStream struct {
 // (origin, target).
 func (c *Collector) ProbeStreams() []ProbeStream {
 	now := c.clock()
-	var out []ProbeStream
-	for _, sh := range c.shards {
-		sh.streamMu.Lock()
-		for key, meta := range sh.streams {
-			out = append(out, ProbeStream{
-				Origin: key.origin,
-				Target: key.target,
-				Seq:    meta.seq,
-				Age:    now - meta.at,
-			})
-		}
-		sh.streamMu.Unlock()
+	c.mu.Lock()
+	out := make([]ProbeStream, 0, len(c.streams))
+	for key, meta := range c.streams {
+		out = append(out, ProbeStream{
+			Origin: key.origin,
+			Target: key.target,
+			Seq:    meta.seq,
+			Age:    now - meta.at,
+		})
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Origin != out[j].Origin {
 			return out[i].Origin < out[j].Origin
@@ -365,71 +306,56 @@ func (c *Collector) ProbeStreams() []ProbeStream {
 }
 
 // QueueWindow returns the configured queue-report freshness window.
-func (c *Collector) QueueWindow() time.Duration { return c.window() }
+func (c *Collector) QueueWindow() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.window
+}
 
 // SetQueueWindow adjusts the queue-report window, typically to track a
-// changed probing interval (Fig 9 sweeps). Windowed maxima of every shard
-// depend on it, so every shard's epoch advances.
+// changed probing interval (Fig 9 sweeps). Every windowed maximum depends
+// on it, so the epoch advances.
 func (c *Collector) SetQueueWindow(w time.Duration) {
 	if w <= 0 {
 		return
 	}
-	c.queueWindowNs.Store(int64(w))
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.epoch.Add(1)
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.window = w
+	c.epoch.Add(1)
+	c.mu.Unlock()
 }
 
 // SetLinkRate records the capacity of the directed link from->to. Both
-// directions are set (links are full duplex and symmetric in this system);
-// only the owning shards' epochs advance.
+// directions are set (links are full duplex and symmetric in this system).
 func (c *Collector) SetLinkRate(from, to netsim.NodeID, rateBps int64) {
-	i, j := c.shardOf(string(from)), c.shardOf(string(to))
-	if i > j {
-		i, j = j, i
-	}
-	c.shards[i].mu.Lock()
-	if j != i {
-		c.shards[j].mu.Lock()
-	}
-	c.shardFor(string(from)).linkRate[edgeKey{string(from), string(to)}] = rateBps
-	c.shardFor(string(to)).linkRate[edgeKey{string(to), string(from)}] = rateBps
-	c.shards[i].epoch.Add(1)
-	if j != i {
-		c.shards[j].epoch.Add(1)
-		c.shards[j].mu.Unlock()
-	}
-	c.shards[i].mu.Unlock()
+	c.mu.Lock()
+	c.linkRate[edgeKey{string(from), string(to)}] = rateBps
+	c.linkRate[edgeKey{string(to), string(from)}] = rateBps
+	c.epoch.Add(1)
+	c.mu.Unlock()
 }
 
 // SetEvictionHook installs a callback observing each adjacency eviction
 // (from, to, and the edge's probe silence at eviction — the detection
-// latency). Called with the owning shard's lock held: the hook must not
-// call back into the collector. Within one shard, evictions of one prune
-// pass arrive sorted by (from, to); across shards they arrive in shard
-// order.
+// latency). Called with the collector's lock held: the hook must not call
+// back into the collector. Evictions of one prune pass arrive sorted by
+// (from, to).
 func (c *Collector) SetEvictionHook(fn func(from, to string, silence time.Duration)) {
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.onEviction = fn
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.onEviction = fn
+	c.mu.Unlock()
 }
 
 // SetReassemblyHook installs a callback observing each completed reassembly
 // cycle of a probabilistic probe stream: the origin and target, the path's
 // hop count, and how long the cycle took from its first fragment — the
 // telemetry staleness cost of sampling, which the live daemon exports as a
-// histogram. Called with the origin shard's stream lock held: the hook must
-// not call back into the collector.
+// histogram. Called with the collector's lock held: the hook must not call
+// back into the collector.
 func (c *Collector) SetReassemblyHook(fn func(origin, target string, hops int, latency time.Duration)) {
-	for _, sh := range c.shards {
-		sh.streamMu.Lock()
-		sh.onReassembly = fn
-		sh.streamMu.Unlock()
-	}
+	c.mu.Lock()
+	c.onReassembly = fn
+	c.mu.Unlock()
 }
 
 // Bind installs the collector as the probe handler of the scheduler host's
@@ -458,20 +384,18 @@ func (c *Collector) Bind(stack *transport.Stack) {
 // within the queue window, and whether any report exists in the window.
 func (c *Collector) MaxQueue(device string, port int) (int, bool) {
 	now := c.clock()
-	sh := c.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	best, found, _ := sh.queues[device][port].windowMax(now, c.window())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	best, found, _ := c.queues[device][port].windowMax(now, c.window)
 	return best, found
 }
 
 // LinkDelay returns the EWMA latency estimate for the directed link
 // from->to, and whether any measurement exists.
 func (c *Collector) LinkDelay(from, to string) (time.Duration, bool) {
-	sh := c.shardFor(from)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.linkDelay[edgeKey{from, to}]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.linkDelay[edgeKey{from, to}]
 	if st == nil {
 		return 0, false
 	}
@@ -481,10 +405,9 @@ func (c *Collector) LinkDelay(from, to string) (time.Duration, bool) {
 // LinkJitter returns the standard deviation of latency samples for the
 // directed link from->to, and whether at least two samples exist.
 func (c *Collector) LinkJitter(from, to string) (time.Duration, bool) {
-	sh := c.shardFor(from)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st := sh.linkDelay[edgeKey{from, to}]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.linkDelay[edgeKey{from, to}]
 	if st == nil || st.samples < 2 {
 		return 0, false
 	}
@@ -503,14 +426,12 @@ type EvictedEdge struct {
 // clears when a probe relearns the edge.
 func (c *Collector) EvictedEdges() []EvictedEdge {
 	now := c.clock()
-	var out []EvictedEdge
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for key, at := range sh.evicted {
-			out = append(out, EvictedEdge{From: key.from, To: key.to, Since: now - at})
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	out := make([]EvictedEdge, 0, len(c.evicted))
+	for key, at := range c.evicted {
+		out = append(out, EvictedEdge{From: key.from, To: key.to, Since: now - at})
 	}
+	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].From != out[j].From {
 			return out[i].From < out[j].From
@@ -535,27 +456,17 @@ type CoverageReport struct {
 func (c *Collector) Coverage() CoverageReport {
 	now := c.clock()
 	rep := CoverageReport{LastSeen: make(map[string]time.Duration)}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for dev, at := range sh.lastReport {
-			rep.LastSeen[dev] = at
-			if now-at <= c.cfg.StaleAfter {
-				rep.Fresh = append(rep.Fresh, dev)
-			} else {
-				rep.Stale = append(rep.Stale, dev)
-			}
+	c.mu.Lock()
+	for dev, at := range c.lastReport {
+		rep.LastSeen[dev] = at
+		if now-at <= c.cfg.StaleAfter {
+			rep.Fresh = append(rep.Fresh, dev)
+		} else {
+			rep.Stale = append(rep.Stale, dev)
 		}
-		sh.mu.Unlock()
 	}
-	sortStrings(rep.Fresh)
-	sortStrings(rep.Stale)
+	c.mu.Unlock()
+	slices.Sort(rep.Fresh)
+	slices.Sort(rep.Stale)
 	return rep
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -56,9 +56,9 @@ func (q *reportFIFO) from(cutoff time.Duration) []queueReport {
 
 // portWindow holds one (device, port)'s queue reports together with a
 // monotonic deque over them, so the windowed maximum is read off the deque
-// front instead of rescanning every in-window report on each view rebuild.
+// front instead of rescanning every in-window report on each snapshot rebuild.
 //
-// Invariants (maintained under the owning shard's mu):
+// Invariants (maintained under the collector's lock):
 //   - reports is ascending by report time (probe clocks are monotone; a
 //     defensively handled out-of-order push re-sorts and rebuilds);
 //   - deque is a subsequence of reports, ascending by time and strictly
@@ -68,8 +68,8 @@ func (q *reportFIFO) from(cutoff time.Duration) []queueReport {
 //
 // Reads (windowMax, inWindow) locate the window boundary by binary search and
 // mutate nothing; reports leave only through prune, which ingest runs on the
-// port it pushed to and view builds run on every port. windowedQueueMax
-// (shard.go) remains the reference definition of the cutoff/boundary rule;
+// port it pushed to and snapshot builds run on every port. windowedQueueMax
+// (state.go) remains the reference definition of the cutoff/boundary rule;
 // TestPortWindowMatchesScan holds the two equal.
 type portWindow struct {
 	reports reportFIFO

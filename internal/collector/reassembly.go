@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"sort"
 	"time"
 
 	"intsched/internal/telemetry"
@@ -15,14 +14,11 @@ import (
 // p=1.0 (every hop sampled on every probe) the resulting link state is
 // byte-identical to deterministic mode.
 //
-// Placement and locking: a stream's reassembly buffer lives in the shard
-// owning the probe's origin — the same shard whose streamMu already
-// serializes the stream — so fragment merging needs no extra locks, and
-// sharded reassembly inherits the determinism argument of sharded ingest.
-// Sequence gating is the stream-level gate in HandleProbe: a probe whose
-// sequence number is not strictly newer than the last accepted one is
-// dropped before reassembly, so a stale or retransmitted fragment can never
-// overwrite newer buffered state.
+// A stream's reassembly buffer is stream state like its sequence number and
+// is guarded by the same lock. Sequence gating is the stream-level gate in
+// HandleProbe: a probe whose sequence number is not strictly newer than the
+// last accepted one is dropped before reassembly, so a stale or
+// retransmitted fragment can never overwrite newer buffered state.
 
 // reasmFrag is one buffered hop fragment.
 type reasmFrag struct {
@@ -85,19 +81,18 @@ func (st *reasmState) impliedEdges(dst []edgeKey, origin, target string) []edgeK
 	return dst
 }
 
-// reassembleProbe ingests one accepted probabilistic probe and reports
+// reassembleLocked ingests one accepted probabilistic probe and reports
 // whether it reset a contradicted reassembly buffer (the stream's route
 // moved), so the caller can bump the stream's per-stream churn counters.
-// Callers hold the origin shard's streamMu (and no shard mu).
-func (c *Collector) reassembleProbe(os *shard, key probeKey, p *telemetry.ProbePayload, target string, now time.Duration) bool {
+func (c *Collector) reassembleLocked(key probeKey, p *telemetry.ProbePayload, target string, now time.Duration) bool {
 	hops := p.HopCount
-	if os.reasm == nil {
-		os.reasm = make(map[probeKey]*reasmState)
+	if c.reasm == nil {
+		c.reasm = make(map[probeKey]*reasmState)
 	}
-	st := os.reasm[key]
+	st := c.reasm[key]
 	if st == nil {
 		st = &reasmState{}
-		os.reasm[key] = st
+		c.reasm[key] = st
 	}
 
 	// A buffered fragment that contradicts this probe — different path
@@ -120,8 +115,8 @@ func (c *Collector) reassembleProbe(os *shard, key probeKey, p *telemetry.ProbeP
 	}
 	var oldEdges []edgeKey
 	if reset {
-		c.reasmResets.Add(1)
-		c.pathRemaps.Add(1)
+		c.stats.ReassemblyResets++
+		c.stats.PathRemaps++
 		oldEdges = st.impliedEdges(nil, key.origin, target)
 	}
 	if reset || len(st.frags) != hops {
@@ -151,35 +146,9 @@ func (c *Collector) reassembleProbe(os *shard, key probeKey, p *telemetry.ProbeP
 		freshAny = true
 	}
 
-	// Lock the owners of every node this probe's state update touches: the
-	// endpoints, every buffered device, and — on a reset — the abandoned
-	// edges' from-nodes.
-	set := os.lockScratch[:0]
-	set = append(set, c.shardOf(key.origin), c.shardOf(target))
-	for i := range st.frags {
-		if st.frags[i].valid {
-			set = append(set, c.shardOf(st.frags[i].rec.Device))
-		}
-	}
-	for _, e := range oldEdges {
-		set = append(set, c.shardOf(e.from))
-	}
-	sort.Ints(set)
-	set = dedupInts(set)
-	os.lockScratch = set
-
-	for _, i := range set {
-		c.shards[i].mu.Lock()
-	}
-	for _, i := range set {
-		c.shards[i].epoch.Add(1)
-	}
 	c.applyFragsLocked(st, p, key.origin, target, now)
 	if len(oldEdges) > 0 {
 		c.backdateAbandonedLocked(oldEdges, st, key.origin, target, now)
-	}
-	for i := len(set) - 1; i >= 0; i-- {
-		c.shards[set[i]].mu.Unlock()
 	}
 
 	// Cycle accounting: once every hop has reported at least once the path
@@ -196,9 +165,9 @@ func (c *Collector) reassembleProbe(os *shard, key probeKey, p *telemetry.ProbeP
 		}
 	}
 	if hops > 0 && st.cycleSeen == hops {
-		c.reasmCompletions.Add(1)
-		if os.onReassembly != nil {
-			os.onReassembly(key.origin, target, hops, now-st.cycleAt)
+		c.stats.ReassemblyCompletions++
+		if c.onReassembly != nil {
+			c.onReassembly(key.origin, target, hops, now-st.cycleAt)
 		}
 		for i := range st.frags {
 			st.frags[i].cycleMark = false
@@ -208,7 +177,7 @@ func (c *Collector) reassembleProbe(os *shard, key probeKey, p *telemetry.ProbeP
 	return reset
 }
 
-// applyFragsLocked applies the merged buffer to the owning shards. Fragments
+// applyFragsLocked applies the merged buffer to the link state. Fragments
 // fresh from this probe get the full deterministic treatment — record
 // counters, last-report time, queue reports, and link-delay samples — while
 // stale-but-valid fragments get adjacency keep-alive only: the probe's
@@ -217,14 +186,10 @@ func (c *Collector) reassembleProbe(os *shard, key probeKey, p *telemetry.ProbeP
 // but their measurements belong to older probes and are already folded in.
 // At p=1.0 every fragment is fresh on every probe and the keep-alive
 // refreshes are idempotent duplicates of the fresh-path learning, which is
-// what keeps p=1.0 output byte-identical to deterministic mode. Callers hold
-// the mu of every shard owning the origin, the target, or a valid fragment's
-// device.
+// what keeps p=1.0 output byte-identical to deterministic mode.
 func (c *Collector) applyFragsLocked(st *reasmState, p *telemetry.ProbePayload, origin, target string, now time.Duration) {
-	alpha := c.cfg.DelayAlpha
-	window := c.window()
-	c.shardFor(origin).isHost[origin] = true
-	c.shardFor(target).isHost[target] = true
+	c.isHost[origin] = true
+	c.isHost[target] = true
 
 	hops := len(st.frags)
 	for i := 0; i < hops; i++ {
@@ -233,7 +198,6 @@ func (c *Collector) applyFragsLocked(st *reasmState, p *telemetry.ProbePayload, 
 			continue
 		}
 		fresh := f.seq == p.Seq
-		dev := c.shardFor(f.rec.Device)
 
 		// The upstream neighbor: the origin host for the first hop, the
 		// previous buffered fragment otherwise. A gap (previous hop never
@@ -249,23 +213,22 @@ func (c *Collector) applyFragsLocked(st *reasmState, p *telemetry.ProbePayload, 
 		}
 
 		if fresh {
-			c.recordsParsed.Add(1)
-			c.recordsReassembled.Add(1)
-			dev.lastReport[f.rec.Device] = now
+			c.stats.RecordsParsed++
+			c.stats.RecordsReassembled++
+			c.lastReport[f.rec.Device] = now
 		}
 		if prevKnown {
-			c.shardFor(prev).learnEdgeLocked(prev, prevEgress, f.rec.Device, now)
-			dev.learnEdgeLocked(f.rec.Device, f.rec.IngressPort, prev, now)
+			c.learnEdgeLocked(prev, prevEgress, f.rec.Device, now)
+			c.learnEdgeLocked(f.rec.Device, f.rec.IngressPort, prev, now)
 			// Every hop is egress-stamped whether or not it was sampled,
 			// so a fresh fragment's link latency is a current measurement
 			// even when the upstream record is from an older probe.
-			if fresh && f.rec.LinkLatency > 0 {
-				c.shardFor(prev).updateDelayLocked(edgeKey{prev, f.rec.Device}, f.rec.LinkLatency, now, alpha)
-				dev.updateDelayLocked(edgeKey{f.rec.Device, prev}, f.rec.LinkLatency, now, alpha)
+			if fresh {
+				c.sampleLinkLocked(prev, f.rec.Device, f.rec.LinkLatency, now)
 			}
 		}
 		if fresh {
-			dev.pushQueuesLocked(f.rec.Device, f.rec.Queues, now, window)
+			c.pushQueuesLocked(f.rec.Device, f.rec.Queues, now)
 		}
 	}
 
@@ -273,32 +236,28 @@ func (c *Collector) applyFragsLocked(st *reasmState, p *telemetry.ProbePayload, 
 	if hops == 0 {
 		// The probe declared a switchless path: origin adjacent to target,
 		// as in the deterministic empty-stack case.
-		c.shardFor(origin).learnEdgeLocked(origin, 0, target, now)
-		c.shardFor(target).learnEdgeLocked(target, 0, origin, now)
+		c.learnEdgeLocked(origin, 0, target, now)
+		c.learnEdgeLocked(target, 0, origin, now)
 		return
 	}
 	if lf := &st.frags[hops-1]; lf.valid {
-		c.shardFor(lf.rec.Device).learnEdgeLocked(lf.rec.Device, lf.rec.EgressPort, target, now)
-		c.shardFor(target).learnEdgeLocked(target, 0, lf.rec.Device, now)
+		c.learnEdgeLocked(lf.rec.Device, lf.rec.EgressPort, target, now)
+		c.learnEdgeLocked(target, 0, lf.rec.Device, now)
 		if lf.seq == p.Seq {
 			lat := p.LastHopLatency
 			if target == c.self {
 				lat = now - lf.rec.EgressTS
 			}
-			if lat > 0 {
-				c.shardFor(lf.rec.Device).updateDelayLocked(edgeKey{lf.rec.Device, target}, lat, now, alpha)
-				c.shardFor(target).updateDelayLocked(edgeKey{target, lf.rec.Device}, lat, now, alpha)
-			}
+			c.sampleLinkLocked(lf.rec.Device, target, lat, now)
 		}
 	}
 }
 
 // backdateAbandonedLocked puts the pre-reset buffer's edges on accelerated
 // aging, except those the rebuilt buffer still vouches for — the
-// reassembly-side analog of the deterministic path-remap rule. Callers hold
-// the mu of every shard owning an abandoned edge's from-node.
+// reassembly-side analog of the deterministic path-remap rule.
 func (c *Collector) backdateAbandonedLocked(oldEdges []edgeKey, st *reasmState, origin, target string, now time.Duration) {
-	ttl := c.adjTTL()
+	ttl := c.adjTTLLocked()
 	if ttl <= 0 {
 		return
 	}
@@ -307,7 +266,7 @@ func (c *Collector) backdateAbandonedLocked(oldEdges []edgeKey, st *reasmState, 
 	for _, e := range keptEdges {
 		kept[e] = true
 	}
-	deadline := now - ttl + 2*c.window()
+	deadline := now - ttl + 2*c.window
 	for _, e := range oldEdges {
 		if !kept[e] {
 			c.backdateEdgeLocked(e, deadline)

@@ -133,10 +133,9 @@ func TestReassemblyDuplicateFragment(t *testing.T) {
 		t.Fatalf("reassembled=%d, want 2 (duplicate must not merge)", st.RecordsReassembled)
 	}
 	// The buffered fragment must still be the newer probe's.
-	sh := c.shardFor("n1")
-	sh.streamMu.Lock()
-	frag := sh.reasm[probeKey{origin: "n1"}].frags[0]
-	sh.streamMu.Unlock()
+	c.mu.Lock()
+	frag := c.reasm[probeKey{origin: "n1"}].frags[0]
+	c.mu.Unlock()
 	if frag.seq != 6 || frag.rec.EgressPort != 7 {
 		t.Fatalf("stale fragment overwrote newer state: seq=%d out=%d", frag.seq, frag.rec.EgressPort)
 	}
@@ -341,11 +340,13 @@ func TestReassemblyModeFlip(t *testing.T) {
 
 	c.HandleProbe(pintProbe("n1", 1, 2,
 		fragSpec{hop: 0, id: "s1", out: 1, egressTS: clk.now}))
-	sh := c.shardFor("n1")
-	sh.streamMu.Lock()
-	_, buffered := sh.reasm[probeKey{origin: "n1"}]
-	sh.streamMu.Unlock()
-	if !buffered {
+	buffered := func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		_, ok := c.reasm[probeKey{origin: "n1"}]
+		return ok
+	}
+	if !buffered() {
 		t.Fatal("no reassembly buffer after probabilistic probe")
 	}
 
@@ -354,10 +355,25 @@ func TestReassemblyModeFlip(t *testing.T) {
 		devSpec{id: "s1", in: 0, out: 1, egressTS: clk.now},
 		devSpec{id: "s2", in: 2, out: 3, egressTS: clk.now})
 	c.HandleProbe(d)
-	sh.streamMu.Lock()
-	_, buffered = sh.reasm[probeKey{origin: "n1"}]
-	sh.streamMu.Unlock()
-	if buffered {
+	if buffered() {
 		t.Fatal("reassembly buffer survived a deterministic probe")
+	}
+	// The flip is not a route change: the probabilistic probes left no hop
+	// sequence to have moved from, and a counted remap would make the
+	// adaptive controller halve the stream's cadence for churn that never
+	// happened.
+	if got := c.Stats().PathRemaps; got != 0 {
+		t.Fatalf("mode flip counted as %d path remaps", got)
+	}
+	if sig := c.StreamSignals(); len(sig) != 1 || sig[0].Remaps != 0 {
+		t.Fatalf("mode flip counted in stream signals: %+v", sig)
+	}
+	// The deterministic probe's route is the baseline from here on.
+	clk.now += 100 * time.Millisecond
+	c.HandleProbe(probeFrom("n1", 3, 5*time.Millisecond,
+		devSpec{id: "s1", in: 0, out: 2, egressTS: clk.now},
+		devSpec{id: "s3", in: 2, out: 3, egressTS: clk.now}))
+	if got := c.Stats().PathRemaps; got != 1 {
+		t.Fatalf("route change after the flip counted %d remaps, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -38,122 +39,61 @@ type StreamSignal struct {
 	EvictedOnPath int
 }
 
-// sigRow pairs a signal under construction with its stream's full hop
-// sequence (including endpoints) for the edge-tombstone pass.
-type sigRow struct {
-	sig  StreamSignal
-	path []string
-}
-
 // StreamSignals returns the churn digest of every known probe stream,
-// sorted by (origin, target). Locking follows the iterator discipline: the
-// stream pass holds one streamMu at a time, the link-state pass afterwards
-// holds one mu at a time — never both, never two of either.
+// sorted by (origin, target).
 func (c *Collector) StreamSignals() []StreamSignal {
 	now := c.clock()
-	window := c.window()
-
-	// Pass 1: stream metadata, one streamMu at a time.
-	var rows []sigRow
-	for _, sh := range c.shards {
-		sh.streamMu.Lock()
-		for key, meta := range sh.streams {
-			row := sigRow{sig: StreamSignal{
-				Origin: key.origin,
-				Target: key.target,
-				Seq:    meta.seq,
-				Age:    now - meta.at,
-				Remaps: meta.remaps,
-				Resets: meta.resets,
-			}}
-			if len(meta.path) > 0 {
-				row.path = append([]string(nil), meta.path...)
-				if len(meta.path) > 2 {
-					row.sig.Devices = row.path[1 : len(row.path)-1]
-				}
-			}
-			rows = append(rows, row)
-		}
-		sh.streamMu.Unlock()
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].sig.Origin != rows[j].sig.Origin {
-			return rows[i].sig.Origin < rows[j].sig.Origin
-		}
-		return rows[i].sig.Target < rows[j].sig.Target
-	})
-
-	// Collect the unique devices and directed path edges the rows
-	// reference, grouped by owning shard.
+	c.mu.Lock()
+	out := make([]StreamSignal, 0, len(c.streams))
+	// devVar memoizes per-device variances: streams share devices.
 	devVar := make(map[string]float64)
-	edgeGone := make(map[edgeKey]bool)
-	for i := range rows {
-		for _, d := range rows[i].sig.Devices {
-			devVar[d] = 0
+	for key, meta := range c.streams {
+		sig := StreamSignal{
+			Origin: key.origin,
+			Target: key.target,
+			Seq:    meta.seq,
+			Age:    now - meta.at,
+			Remaps: meta.remaps,
+			Resets: meta.resets,
 		}
-		p := rows[i].path
-		for h := 0; h+1 < len(p); h++ {
-			edgeGone[edgeKey{p[h], p[h+1]}] = false
-			edgeGone[edgeKey{p[h+1], p[h]}] = false
+		if p := meta.path; len(p) > 2 {
+			sig.Devices = slices.Clone(p[1 : len(p)-1])
 		}
-	}
-	devByShard := make([][]string, len(c.shards))
-	for d := range devVar {
-		i := c.shardOf(d)
-		devByShard[i] = append(devByShard[i], d)
-	}
-	edgeByShard := make([][]edgeKey, len(c.shards))
-	for e := range edgeGone {
-		i := c.shardOf(e.from)
-		edgeByShard[i] = append(edgeByShard[i], e)
-	}
-
-	// Pass 2: link state, one mu at a time in shard order. Each device's
-	// variance folds its ports in sorted order, so the float accumulation
-	// order — and therefore the value — is identical run to run.
-	for i, sh := range c.shards {
-		devs, edges := devByShard[i], edgeByShard[i]
-		if len(devs) == 0 && len(edges) == 0 {
-			continue
-		}
-		sort.Strings(devs)
-		sh.mu.Lock()
-		for _, d := range devs {
-			devVar[d] = queueVarianceLocked(sh, d, now, window)
-		}
-		for _, e := range edges {
-			_, gone := sh.evicted[e]
-			edgeGone[e] = gone
-		}
-		sh.mu.Unlock()
-	}
-
-	// Aggregate per stream.
-	out := make([]StreamSignal, len(rows))
-	for i := range rows {
-		sig := rows[i].sig
 		for _, d := range sig.Devices {
-			if v := devVar[d]; v > sig.QueueVar {
+			v, ok := devVar[d]
+			if !ok {
+				v = c.queueVarianceLocked(d, now)
+				devVar[d] = v
+			}
+			if v > sig.QueueVar {
 				sig.QueueVar = v
 			}
 		}
-		p := rows[i].path
-		for h := 0; h+1 < len(p); h++ {
-			if edgeGone[edgeKey{p[h], p[h+1]}] || edgeGone[edgeKey{p[h+1], p[h]}] {
+		for h := 0; h+1 < len(meta.path); h++ {
+			_, fwd := c.evicted[edgeKey{meta.path[h], meta.path[h+1]}]
+			_, rev := c.evicted[edgeKey{meta.path[h+1], meta.path[h]}]
+			if fwd || rev {
 				sig.EvictedOnPath++
 			}
 		}
-		out[i] = sig
+		out = append(out, sig)
 	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Origin != out[j].Origin {
+			return out[i].Origin < out[j].Origin
+		}
+		return out[i].Target < out[j].Target
+	})
 	return out
 }
 
 // queueVarianceLocked computes the sample variance of one device's
 // in-window max-queue reports across all its ports, folding ports in
-// sorted order (Welford over a deterministic sequence). Callers hold the
-// owning shard's mu.
-func queueVarianceLocked(sh *shard, device string, now, window time.Duration) float64 {
-	ports := sh.queues[device]
+// sorted order, so the float accumulation order — and therefore the value —
+// is identical run to run (Welford over a deterministic sequence).
+func (c *Collector) queueVarianceLocked(device string, now time.Duration) float64 {
+	ports := c.queues[device]
 	if len(ports) == 0 {
 		return 0
 	}
@@ -162,7 +102,7 @@ func queueVarianceLocked(sh *shard, device string, now, window time.Duration) fl
 		keys = append(keys, p)
 	}
 	sort.Ints(keys)
-	cutoff := now - window
+	cutoff := now - c.window
 	n := 0
 	var mean, m2 float64
 	for _, p := range keys {

@@ -128,10 +128,9 @@ func TestSilentDeviceReleasesQueueReports(t *testing.T) {
 	c.HandleProbe(probeFrom("n1", 1, time.Millisecond,
 		devSpec{id: "s1", out: 1, queues: map[int]int{0: 5, 1: 30, 2: 7}, egressTS: clk.now}))
 	held := func(device string) int {
-		sh := c.shardFor(device)
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		ports, ok := sh.queues[device]
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		ports, ok := c.queues[device]
 		if ok && len(ports) == 0 {
 			t.Fatalf("%s keeps an empty port map", device)
 		}

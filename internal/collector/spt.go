@@ -5,16 +5,16 @@ import "sync"
 // Incremental shortest-path-tree maintenance. The historical collector
 // memoized one BFS tree per destination inside each snapshot, so every
 // epoch advance — even a single flapped link — threw away every
-// destination's tree. The sptStore versions the merged topology structure
-// with a sequence number and a bounded delta log of edge additions/removals
-// between consecutive merges; a cached destination tree whose sequence lags
+// destination's tree. The sptStore versions the topology structure with a
+// sequence number and a bounded delta log of edge additions/removals
+// between consecutive snapshot builds; a cached destination tree whose sequence lags
 // the current structure is caught up in place when no logged delta can
-// affect it (the common case: a link flap in one partition leaves the vast
+// affect it (the common case: a link flap in one corner leaves the vast
 // majority of destination trees provably intact) and rebuilt from scratch
 // only when a delta actually touches it.
 //
-// Trees are index-based: node i is Nodes[i] of the merged snapshot, and
-// because the merged node list is sorted, index order equals lexicographic
+// Trees are index-based: node i is Nodes[i] of the snapshot, and
+// because the node list is sorted, index order equals lexicographic
 // order, preserving the deterministic BFS tie-break rule shared with
 // netsim.ComputeRoutes. The delta classifier's soundness rests on that BFS:
 //
@@ -40,14 +40,14 @@ type sptEdge struct{ u, v int32 }
 
 type sptDelta struct {
 	seq uint64
-	// nodesChanged marks a merge where the node list or host flags
+	// nodesChanged marks a build where the node list or host flags
 	// changed; added/removed are empty then (indices are not comparable).
 	nodesChanged   bool
 	added, removed []sptEdge
 }
 
 // destTree is the BFS shortest-path tree toward one destination, indexed by
-// merged node index: next[i] is the next hop of node i toward the
+// node index: next[i] is the next hop of node i toward the
 // destination (-1 when unreachable), dist[i] the hop count (-1 when
 // unreachable).
 type destTree struct {
@@ -56,12 +56,12 @@ type destTree struct {
 	dist []int32
 }
 
-// sptStore versions merged topology structure and caches per-destination
+// sptStore versions topology structure and caches per-destination
 // trees across snapshots.
 type sptStore struct {
 	mu  sync.RWMutex
 	seq uint64
-	// prev* hold the structure of the latest merge, for diffing.
+	// prev* hold the structure of the latest snapshot, for diffing.
 	prevNodes []string
 	prevNbr   [][]int32
 	prevHost  []bool
@@ -74,7 +74,7 @@ func newSPTStore() *sptStore {
 	return &sptStore{trees: make(map[string]*destTree)}
 }
 
-// advance registers the structure of a fresh merge and returns its sequence
+// advance registers the structure of a fresh snapshot and returns its sequence
 // number. Identical structure keeps the current sequence (trees stay valid
 // as-is); a changed neighbor structure appends a delta; a changed node list
 // or host-flag set clears all cached trees.
@@ -152,8 +152,8 @@ func (t *Topology) treeFor(dst string) *destTree {
 	return t.treeForIdx(idst)
 }
 
-// treeForIdx is treeFor in index space: idst is the destination's merged
-// node index (out-of-range yields nil, mirroring an unknown destination).
+// treeForIdx is treeFor in index space: idst is the destination's node
+// index (out-of-range yields nil, mirroring an unknown destination).
 func (t *Topology) treeForIdx(idst int32) *destTree {
 	if idst < 0 || int(idst) >= len(t.Nodes) {
 		return nil
@@ -262,10 +262,10 @@ func (t *Topology) scratchTree(dst string, idst int32) *destTree {
 }
 
 // buildDestTree runs the deterministic frontier BFS from the destination
-// over the merged index arrays: sorted-neighbor expansion (index order is
+// over the snapshot's index arrays: sorted-neighbor expansion (index order is
 // name order), first-discoverer-wins, level barrier between frontiers, and
 // hosts discovered but never expanded — the same rule as
-// netsim.ComputeRoutes and the pre-sharding collector.
+// netsim.ComputeRoutes.
 func buildDestTree(t *Topology, idst int32) *destTree {
 	n := len(t.Nodes)
 	tree := &destTree{next: make([]int32, n), dist: make([]int32, n)}

@@ -73,7 +73,7 @@ func refPath(topo *Topology, next map[string]string, src, dst string) []string {
 func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	clk := &fakeClock{now: time.Second}
-	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond, Shards: 4})
+	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond})
 
 	origins := []string{"h0", "h1", "h2", "h3"}
 	targets := []string{"", "h4"} // "" probes the collector itself

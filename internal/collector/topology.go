@@ -14,10 +14,9 @@ import (
 // caller until its state actually changes, so snapshots must be safe for
 // concurrent readers.
 //
-// A Topology is a merge-on-read composition of per-shard views, fully
-// materialized at merge time in index space: the merged sorted node list,
-// the host index, the neighbor index arrays (the structure path trees run
-// on) and the per-direction metric slots (arena.go). The string-keyed
+// A Topology is fully materialized at build time in index space: the sorted
+// node list, the host index, the neighbor index arrays (the structure path
+// trees run on) and the per-direction metric slots (arena.go). The string-keyed
 // accessors below are thin views over that index, kept for tests, examples
 // and debugging. The only internal mutability is the shortest-path tree
 // state, which is guarded by its own locks (the shared incremental store,
@@ -53,14 +52,15 @@ type Topology struct {
 	// TakenAt is the time the snapshot was built (the last rebuild, not
 	// the Snapshot() call that returned it).
 	TakenAt time.Duration
-	// epoch is the sum of the composite epoch vector — monotone, and
-	// strictly increasing across any state change, so downstream
-	// epoch-keyed caches keep the PR 1 invalidation contract. vector holds
-	// the per-shard epochs this snapshot was built at.
-	epoch  uint64
-	vector []uint64
+	// epoch is the collector epoch the snapshot was built at — strictly
+	// increasing across any state change, which is what downstream
+	// epoch-keyed caches invalidate on. expireAt is the earliest time the
+	// snapshot goes stale without a new probe (queue-report or
+	// adjacency-TTL expiry; neverExpires if none).
+	epoch    uint64
+	expireAt time.Duration
 
-	// seq and store version the merged structure for incremental
+	// seq and store version the adjacency structure for incremental
 	// shortest-path-tree maintenance (see spt.go); store is nil for
 	// hand-crafted topologies.
 	seq   uint64
@@ -71,20 +71,13 @@ type Topology struct {
 	scratch   map[string]*destTree
 }
 
-// Epoch returns the collector epoch this snapshot was built at (the sum of
-// the per-shard epoch vector). Two snapshots with equal epochs are the same
-// object; ranking results computed from a snapshot stay valid exactly while
-// the collector's epoch equals the snapshot's.
+// Epoch returns the collector epoch this snapshot was built at. Two
+// snapshots with equal epochs are the same object; ranking results computed
+// from a snapshot stay valid exactly while the collector's epoch equals the
+// snapshot's.
 func (t *Topology) Epoch() uint64 { return t.epoch }
 
-// EpochVector returns a copy of the composite per-shard epoch vector this
-// snapshot was built at. A mutation in one partition moves only that
-// shard's entry.
-func (t *Topology) EpochVector() []uint64 {
-	return append([]uint64(nil), t.vector...)
-}
-
-// IsHost reports whether id is a known host. Nodes in the merged adjacency
+// IsHost reports whether id is a known host. Nodes in the adjacency
 // answer from the flat host-flag array; hosts with no current adjacency
 // (absent from Nodes) fall back to the sorted host list.
 func (t *Topology) IsHost(id string) bool {
@@ -197,8 +190,7 @@ func (t *Topology) HopCount(src, dst string) (int, error) {
 	return len(p) - 1, nil
 }
 
-// sortedKeys returns the sorted keys of a string-keyed bool map (test and
-// crafted-topology helper).
+// sortedKeys returns the sorted keys of a string-keyed bool map.
 func sortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -206,4 +198,10 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// containsSorted reports whether sorted xs contains x.
+func containsSorted(xs []string, x string) bool {
+	i := sort.SearchStrings(xs, x)
+	return i < len(xs) && xs[i] == x
 }

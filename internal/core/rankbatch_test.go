@@ -8,9 +8,21 @@ import (
 	"intsched/internal/netsim"
 )
 
-// TestRankBatchMatchesSingleQueries: batched answers must be exactly what N
-// independent RankFor calls would return, across metrics, shaping variants,
-// requirements, and unknown metrics.
+// rankEach answers a burst of queries one by one against ONE topology
+// snapshot, so every request sees the same epoch; the result is
+// index-aligned with reqs.
+func rankEach(s *Service, reqs []*QueryRequest) [][]Candidate {
+	topo := s.coll.Snapshot()
+	out := make([][]Candidate, len(reqs))
+	for i, req := range reqs {
+		out[i] = s.RankOn(topo, req)
+	}
+	return out
+}
+
+// TestRankBatchMatchesSingleQueries: a burst answered on one snapshot must
+// be exactly what N independent RankFor calls would return, across metrics,
+// shaping variants, requirements, and unknown metrics.
 func TestRankBatchMatchesSingleQueries(t *testing.T) {
 	f := newServiceFixture(t)
 	f.svc.Register(&TransferTimeRanker{})
@@ -33,7 +45,7 @@ func TestRankBatchMatchesSingleQueries(t *testing.T) {
 	}
 	// Invalidate so the batch starts from a cold cache too, then compare.
 	f.svc.engine.cache.Invalidate()
-	got := f.svc.RankBatch(reqs)
+	got := rankEach(f.svc, reqs)
 	if len(got) != len(reqs) {
 		t.Fatalf("batch returned %d results for %d requests", len(got), len(reqs))
 	}
@@ -43,7 +55,7 @@ func TestRankBatchMatchesSingleQueries(t *testing.T) {
 		}
 	}
 	// And a warm-cache batch (every key now cached) must agree as well.
-	got = f.svc.RankBatch(reqs)
+	got = rankEach(f.svc, reqs)
 	for i := range reqs {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("warm request %d: batch %v, single %v", i, got[i], want[i])
@@ -74,14 +86,14 @@ func TestRankBatchDeduplicatesKeys(t *testing.T) {
 		{From: "dev", Metric: MetricDelay, Sorted: false},
 		{From: "dev", Metric: MetricDelay, Count: 1, Sorted: true},
 	}
-	f.svc.RankBatch(reqs)
+	rankEach(f.svc, reqs)
 	if cr.calls != 1 {
 		t.Fatalf("%d ranking computations for three identical keys, want one", cr.calls)
 	}
 	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("stats %+v, want one miss and two hits in the first batch", st)
 	}
-	f.svc.RankBatch(reqs)
+	rankEach(f.svc, reqs)
 	if cr.calls != 1 {
 		t.Fatalf("warm batch recomputed: %d calls", cr.calls)
 	}
@@ -101,7 +113,7 @@ func TestRankBatchDeduplicatesKeys(t *testing.T) {
 func TestRankBatchUncacheablePaths(t *testing.T) {
 	f := newServiceFixture(t)
 	f.svc.Register(&ComputeAwareRanker{Network: &DelayRanker{}, LoadFn: f.svc.Load})
-	got := f.svc.RankBatch([]*QueryRequest{
+	got := rankEach(f.svc, []*QueryRequest{
 		{From: "dev", Metric: MetricComputeAware, Sorted: true},
 		{From: "dev", Metric: MetricDelay, Sorted: true},
 	})
@@ -118,7 +130,7 @@ func TestRankBatchUncacheablePaths(t *testing.T) {
 		calls++
 		return []netsim.NodeID{"e1"}
 	})
-	f.svc.RankBatch([]*QueryRequest{
+	rankEach(f.svc, []*QueryRequest{
 		{From: "dev", Metric: MetricDelay, Sorted: true},
 		{From: "dev", Metric: MetricDelay, Sorted: true},
 	})
@@ -146,11 +158,11 @@ func batchFixtureReqs(n int) []*QueryRequest {
 // TestWarmRankAllocations pins the steady-state allocation contract of the
 // index-space read path: a warm single query is allocation-free (a cache
 // hit is served as zero-copy views of the shared entry), and a warm
-// N-request batch allocates only its two result slices, independent of N.
+// N-request burst allocates only its result slice, independent of N.
 func TestWarmRankAllocations(t *testing.T) {
 	f := newServiceFixture(t)
 	reqs := batchFixtureReqs(16)
-	f.svc.RankBatch(reqs) // warm every key
+	rankEach(f.svc, reqs) // warm every key
 	single := testing.AllocsPerRun(200, func() {
 		for _, req := range reqs {
 			f.svc.RankFor(req)
@@ -160,10 +172,10 @@ func TestWarmRankAllocations(t *testing.T) {
 		t.Fatalf("warm single queries allocated %.1f per run, want 0 (zero-copy entry views)", single)
 	}
 	batch := testing.AllocsPerRun(200, func() {
-		f.svc.RankBatch(reqs)
+		rankEach(f.svc, reqs)
 	})
-	if batch > 2 {
-		t.Fatalf("warm batch allocated %.1f per run, want at most its two result slices", batch)
+	if batch > 1 {
+		t.Fatalf("warm batch allocated %.1f per run, want at most its result slice", batch)
 	}
 }
 
@@ -181,10 +193,10 @@ func BenchmarkRankForWarm(b *testing.B) {
 func BenchmarkRankBatchWarm(b *testing.B) {
 	f := newServiceFixture(&testing.T{})
 	reqs := batchFixtureReqs(16)
-	f.svc.RankBatch(reqs)
+	rankEach(f.svc, reqs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.svc.RankBatch(reqs)
+		rankEach(f.svc, reqs)
 	}
 }

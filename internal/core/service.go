@@ -289,28 +289,6 @@ func (s *Service) RankOn(topo *collector.Topology, req *QueryRequest) []Candidat
 	return ranked
 }
 
-// RankBatch answers a burst of queries — one datagram carrying N task
-// requests, or an experiment driving many devices per tick — against ONE
-// topology snapshot, so every request sees the same epoch and identical
-// cache keys within the burst are computed once. The result is
-// index-aligned with reqs; requests whose metric has no registered ranker
-// get a nil entry.
-func (s *Service) RankBatch(reqs []*QueryRequest) [][]Candidate {
-	if len(reqs) == 0 {
-		return nil
-	}
-	return s.RankBatchOn(s.coll.Snapshot(), reqs)
-}
-
-// RankBatchOn is RankBatch with the snapshot already acquired.
-func (s *Service) RankBatchOn(topo *collector.Topology, reqs []*QueryRequest) [][]Candidate {
-	out := make([][]Candidate, len(reqs))
-	for i, req := range reqs {
-		out[i] = s.RankOn(topo, req)
-	}
-	return out
-}
-
 // ReachableOnly returns only the reachable candidates — unless none are, in
 // which case the input is returned unchanged (the graceful fallback when
 // every learned path is stale). The input is never mutated; when filtering

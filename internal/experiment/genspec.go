@@ -6,14 +6,12 @@ import (
 	"intsched/internal/simtime"
 )
 
-// Parametric fabric generators for the scale experiments: a three-stage
-// Clos (pods of ToR and aggregation switches under a core layer) and a
-// two-level metro-edge fabric (regions of pods of ToRs, ringed gateways).
+// Parametric fabric generators: a three-stage Clos (pods of ToR and
+// aggregation switches under a core layer) and a two-level metro-edge
+// fabric (regions of pods of ToRs, ringed gateways).
 // Both are seeded: per-link propagation delays carry deterministic jitter
 // drawn from simtime.NewRand, so equal seeds reproduce byte-identical specs
-// and different seeds produce genuinely different fabrics. Both fill
-// TopoSpec.Partitions (by pod, respectively by region) for the sharded
-// collector.
+// and different seeds produce genuinely different fabrics.
 
 // ClosConfig parameterizes ClosSpec. Zero values take the defaults noted on
 // each field.
@@ -81,26 +79,21 @@ func jitteredDelays(seed int64, stream string, n int, baseUs int64, jitterPct in
 // ClosSpec generates a three-stage Clos fabric: every pod's aggregation
 // switches connect to every core switch, every ToR to every aggregation
 // switch in its pod, and HostsPerTor edge servers hang off each ToR. The
-// lexicographically first host is the scheduler. Partitions: pod p -> p+1,
-// the core layer -> 0.
+// lexicographically first host is the scheduler.
 func ClosSpec(cfg ClosConfig) (*TopoSpec, error) {
 	cfg = cfg.withDefaults()
 	spec := &TopoSpec{
-		Name:       fmt.Sprintf("clos-p%dc%da%dt%dh%d-seed%d", cfg.Pods, cfg.Cores, cfg.AggsPerPod, cfg.TorsPerPod, cfg.HostsPerTor, cfg.Seed),
-		Hosts:      make(map[string]string),
-		Partitions: make(map[string]int),
+		Name:  fmt.Sprintf("clos-p%dc%da%dt%dh%d-seed%d", cfg.Pods, cfg.Cores, cfg.AggsPerPod, cfg.TorsPerPod, cfg.HostsPerTor, cfg.Seed),
+		Hosts: make(map[string]string),
 	}
 	for c := 0; c < cfg.Cores; c++ {
 		core := fmt.Sprintf("core%02d", c)
 		spec.Switches = append(spec.Switches, core)
-		spec.Partitions[core] = 0
 	}
 	for p := 0; p < cfg.Pods; p++ {
-		part := p + 1
 		for a := 0; a < cfg.AggsPerPod; a++ {
 			agg := fmt.Sprintf("p%02da%02d", p, a)
 			spec.Switches = append(spec.Switches, agg)
-			spec.Partitions[agg] = part
 			for c := 0; c < cfg.Cores; c++ {
 				spec.Links = append(spec.Links, [2]string{agg, fmt.Sprintf("core%02d", c)})
 			}
@@ -108,14 +101,12 @@ func ClosSpec(cfg ClosConfig) (*TopoSpec, error) {
 		for t := 0; t < cfg.TorsPerPod; t++ {
 			tor := fmt.Sprintf("p%02dt%02d", p, t)
 			spec.Switches = append(spec.Switches, tor)
-			spec.Partitions[tor] = part
 			for a := 0; a < cfg.AggsPerPod; a++ {
 				spec.Links = append(spec.Links, [2]string{tor, fmt.Sprintf("p%02da%02d", p, a)})
 			}
 			for h := 0; h < cfg.HostsPerTor; h++ {
 				host := fmt.Sprintf("h%02d%02d%02d", p, t, h)
 				spec.Hosts[host] = tor
-				spec.Partitions[host] = part
 				if spec.Scheduler == "" {
 					spec.Scheduler = host
 				}
@@ -174,19 +165,17 @@ func (c MetroConfig) withDefaults() MetroConfig {
 // switches in a ring (inter-region links are 10x slower), pod switches
 // under each gateway, ToRs under each pod, and ServersPerTor edge servers
 // per ToR. A dedicated "sched" host on region 0's gateway runs the
-// scheduler. Partitions are by region.
+// scheduler.
 func MetroSpec(cfg MetroConfig) (*TopoSpec, error) {
 	cfg = cfg.withDefaults()
 	spec := &TopoSpec{
-		Name:       fmt.Sprintf("metro-r%dp%dt%ds%d-seed%d", cfg.Regions, cfg.PodsPerRegion, cfg.TorsPerPod, cfg.ServersPerTor, cfg.Seed),
-		Scheduler:  "sched",
-		Hosts:      make(map[string]string),
-		Partitions: make(map[string]int),
+		Name:      fmt.Sprintf("metro-r%dp%dt%ds%d-seed%d", cfg.Regions, cfg.PodsPerRegion, cfg.TorsPerPod, cfg.ServersPerTor, cfg.Seed),
+		Scheduler: "sched",
+		Hosts:     make(map[string]string),
 	}
 	for r := 0; r < cfg.Regions; r++ {
 		gw := fmt.Sprintf("r%02dgw", r)
 		spec.Switches = append(spec.Switches, gw)
-		spec.Partitions[gw] = r
 		if cfg.Regions > 1 && (r+1 < cfg.Regions || cfg.Regions > 2) {
 			// Ring edge to the next region (skip the closing edge when it
 			// would duplicate the only edge of a two-region "ring").
@@ -195,23 +184,19 @@ func MetroSpec(cfg MetroConfig) (*TopoSpec, error) {
 		for p := 0; p < cfg.PodsPerRegion; p++ {
 			pod := fmt.Sprintf("r%02dp%02d", r, p)
 			spec.Switches = append(spec.Switches, pod)
-			spec.Partitions[pod] = r
 			spec.Links = append(spec.Links, [2]string{pod, gw})
 			for t := 0; t < cfg.TorsPerPod; t++ {
 				tor := fmt.Sprintf("r%02dp%02dt%02d", r, p, t)
 				spec.Switches = append(spec.Switches, tor)
-				spec.Partitions[tor] = r
 				spec.Links = append(spec.Links, [2]string{tor, pod})
 				for e := 0; e < cfg.ServersPerTor; e++ {
 					server := fmt.Sprintf("e%02d%02d%02d%02d", r, p, t, e)
 					spec.Hosts[server] = tor
-					spec.Partitions[server] = r
 				}
 			}
 		}
 	}
 	spec.Hosts["sched"] = "r00gw"
-	spec.Partitions["sched"] = 0
 	spec.LinkDelayUs = jitteredDelays(cfg.Seed, "metro-link-delay", len(spec.Links), cfg.BaseDelayUs, cfg.JitterPct)
 	// Inter-region ring links run at 10x the base delay (metro distances).
 	for i, l := range spec.Links {

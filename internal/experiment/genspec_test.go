@@ -69,8 +69,8 @@ func TestMetroSpecDeterministic(t *testing.T) {
 	}
 }
 
-// TestClosSpecDefaultScale: the default Clos config meets the scale
-// experiment's floor (>=200 switches) and builds a routable network.
+// TestClosSpecDefaultScale: the default Clos config is the fabric the
+// benchmark's wire workloads run on (>=200 switches).
 func TestClosSpecDefaultScale(t *testing.T) {
 	spec, err := ClosSpec(ClosConfig{Seed: 1})
 	if err != nil {
@@ -81,17 +81,6 @@ func TestClosSpecDefaultScale(t *testing.T) {
 	}
 	if len(spec.Hosts) < 200 {
 		t.Fatalf("default Clos has %d hosts, want >= 200", len(spec.Hosts))
-	}
-	// Partition sanity: pods beyond partition 0, scheduler covered.
-	fn, count := spec.PartitionFn()
-	if fn == nil || count < 2 {
-		t.Fatalf("partition count %d", count)
-	}
-	if fn("core00") != 0 {
-		t.Fatal("core layer must be partition 0")
-	}
-	if got := fn("p03t01"); got != 4 {
-		t.Fatalf("pod 3 ToR in partition %d, want 4", got)
 	}
 }
 

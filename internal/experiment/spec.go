@@ -36,11 +36,6 @@ type TopoSpec struct {
 	// each fabric link gets a distinct (but reproducible) propagation
 	// delay. Empty applies DelayUs everywhere.
 	LinkDelayUs []int64 `json:"link_delay_us,omitempty"`
-	// Partitions optionally maps node -> collector shard partition index,
-	// consumed via PartitionFn as the sharded collector's Config.Partition.
-	// Generators fill it by pod/region so shard locality matches physical
-	// locality. Nodes absent from the map land in partition 0.
-	Partitions map[string]int `json:"partitions,omitempty"`
 	// QueueCap is the egress queue depth in packets (default 64).
 	QueueCap int `json:"queue_cap,omitempty"`
 }
@@ -97,31 +92,7 @@ func (s *TopoSpec) Validate() error {
 	if len(s.LinkDelayUs) != 0 && len(s.LinkDelayUs) != len(s.Links) {
 		return fmt.Errorf("experiment: topo %q: %d per-link delays for %d links", s.Name, len(s.LinkDelayUs), len(s.Links))
 	}
-	for node, p := range s.Partitions {
-		if p < 0 {
-			return fmt.Errorf("experiment: topo %q: negative partition %d for %q", s.Name, p, node)
-		}
-	}
 	return nil
-}
-
-// PartitionFn returns the collector partition function the spec defines and
-// the partition count (highest index + 1). Both are zero when the spec
-// defines no partitions (the collector then uses its default hash
-// partitioning).
-func (s *TopoSpec) PartitionFn() (func(string) int, int) {
-	if len(s.Partitions) == 0 {
-		return nil, 0
-	}
-	count := 0
-	parts := make(map[string]int, len(s.Partitions))
-	for node, p := range s.Partitions {
-		parts[node] = p
-		if p+1 > count {
-			count = p + 1
-		}
-	}
-	return func(node string) int { return parts[node] }, count
 }
 
 // params derives LinkParams from the spec's overrides.

@@ -80,7 +80,6 @@ func Analyzers() []*Analyzer {
 		RankCacheTokenAnalyzer,
 		ObsNamingAnalyzer,
 		ScratchAliasAnalyzer,
-		ShardLockAnalyzer,
 		SnapshotImmutableAnalyzer,
 		IndexSpaceAnalyzer,
 	}

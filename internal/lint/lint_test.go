@@ -64,14 +64,6 @@ func TestScratchAlias(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/scratch", "fixture/scratch", lint.ScratchAliasAnalyzer)
 }
 
-// TestShardLock includes the PR 6 regression shape: pairwise shard locking
-// with nothing ordering the pair, alongside every blessed acquisition idiom
-// in collector (ascending sorted sweep, canonical scan, sequential,
-// swap-ordered pairwise, single+defer, *Locked callees).
-func TestShardLock(t *testing.T) {
-	linttest.Run(t, "internal/lint/testdata/src/shardlock", "fixture/shardlock", lint.ShardLockAnalyzer)
-}
-
 // TestSnapshotImmutable covers stores through published Topology snapshots
 // and cached RankEntry candidate views, against the read/reslice/clone
 // idioms the service actually uses.

@@ -32,7 +32,7 @@ func moduleRoot(t *testing.T) string {
 }
 
 // TestJSONGolden locks down the machine-readable output shape: the
-// shardlock fixture's findings, rendered exactly as intlint -json renders
+// snapshotimmutable fixture's findings, rendered exactly as intlint -json renders
 // them (module-root-relative paths, related positions, stable order).
 // Regenerate with: go test ./internal/lint/ -run TestJSONGolden -update
 func TestJSONGolden(t *testing.T) {
@@ -41,11 +41,11 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	lp, err := l.LoadDir(filepath.Join(root, "internal/lint/testdata/src/shardlock"), "fixture/shardlock")
+	lp, err := l.LoadDir(filepath.Join(root, "internal/lint/testdata/src/snapimm"), "fixture/snapimm")
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}
-	findings, err := lint.RunAnalyzers(l.Fset, lp.Files, lp.Pkg, lp.Info, []*lint.Analyzer{lint.ShardLockAnalyzer})
+	findings, err := lint.RunAnalyzers(l.Fset, lp.Files, lp.Pkg, lp.Info, []*lint.Analyzer{lint.SnapshotImmutableAnalyzer})
 	if err != nil {
 		t.Fatalf("run analyzers: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestJSONGolden(t *testing.T) {
 	}
 	got = append(got, '\n')
 
-	golden := filepath.Join(root, "internal/lint/testdata/shardlock.json.golden")
+	golden := filepath.Join(root, "internal/lint/testdata/snapimm.json.golden")
 	if *update {
 		if err := os.WriteFile(golden, got, 0o666); err != nil {
 			t.Fatal(err)
@@ -85,10 +85,10 @@ func cloneDiags(diags []lint.JSONDiagnostic) []lint.JSONDiagnostic {
 // a recorded finding re-fires as a stale entry until the baseline shrinks.
 func TestBaselineRoundTrip(t *testing.T) {
 	diags := []lint.JSONDiagnostic{
-		{Analyzer: "shardlock", File: "internal/collector/ingest.go", Line: 40, Col: 3,
-			Message: "second shard.mu acquired while one is held, without an ordering proof"},
-		{Analyzer: "shardlock", File: "internal/collector/ingest.go", Line: 88, Col: 3,
-			Message: "second shard.mu acquired while one is held, without an ordering proof"},
+		{Analyzer: "snapshotimmutable", File: "internal/core/engine.go", Line: 40, Col: 3,
+			Message: "store through published snapshot topo"},
+		{Analyzer: "snapshotimmutable", File: "internal/core/engine.go", Line: 88, Col: 3,
+			Message: "store through published snapshot topo"},
 		{Analyzer: "indexspace", File: "internal/core/rankidx.go", Line: 120, Col: 9,
 			Message: "indexing metric-slot-indexed storage with a node-index value"},
 	}
@@ -116,8 +116,8 @@ func TestBaselineRoundTrip(t *testing.T) {
 	// A new finding is fresh — the baseline only covers what it recorded.
 	// Same file+analyzer, different message: the key includes the message.
 	withNew := append(cloneDiags(diags), lint.JSONDiagnostic{
-		Analyzer: "shardlock", File: "internal/collector/ingest.go", Line: 91, Col: 3,
-		Message: "shard.streamMu acquired while holding shard.mu"})
+		Analyzer: "snapshotimmutable", File: "internal/core/engine.go", Line: 91, Col: 3,
+		Message: "in-place sort of cached ranking entry"})
 	fresh, stale = bl.Apply(withNew)
 	if fresh != 1 || len(stale) != 0 {
 		t.Fatalf("new finding: fresh=%d stale=%d, want 1/0", fresh, len(stale))

@@ -15,7 +15,7 @@ import (
 // feeds latency histograms, never sim results) — is exempt by omission,
 // not by suppression comments. The collector joined the sim side once it
 // became fully clock-injected (its clock is a func() time.Duration bound
-// by the caller): sharded snapshot merges must stay byte-identical per
+// by the caller): its snapshots must stay byte-identical per
 // seed, so it carries the same obligations as the simulator proper.
 //
 // The map is mutable so the analysistest fixtures can register themselves;

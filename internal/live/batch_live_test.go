@@ -8,12 +8,11 @@ import (
 	"intsched/internal/wire"
 )
 
-// TestOverlayBatchQuery: a sharded daemon with asynchronous ingest answers a
+// TestOverlayBatchQuery: a daemon with asynchronous ingest answers a
 // batched TCP query; every batch element must match the corresponding single
 // query, and per-element failures must not fail the batch.
 func TestOverlayBatchQuery(t *testing.T) {
 	spec := chainSpec()
-	spec.Shards = 4
 	spec.IngestQueue = 64
 	o, err := StartOverlay(spec)
 	if err != nil {
@@ -53,23 +52,12 @@ func TestOverlayBatchQuery(t *testing.T) {
 	if len(resp.Batch[0].Candidates) != 3 || len(resp.Batch[1].Candidates) != 2 {
 		t.Fatalf("batch shaping: %d and %d candidates", len(resp.Batch[0].Candidates), len(resp.Batch[1].Candidates))
 	}
-	// The sharded collector must have spread state across partitions:
-	// more than one shard epoch moved.
-	moved := 0
-	for _, e := range o.Daemon.Collector().EpochVector() {
-		if e > 0 {
-			moved++
-		}
-	}
-	if moved < 2 {
-		t.Fatalf("epoch vector %v: expected probes to touch multiple shards", o.Daemon.Collector().EpochVector())
-	}
 }
 
 // TestDaemonNestedBatchRejected: batch elements may not nest further
 // batches; the element fails, the batch survives.
 func TestDaemonNestedBatchRejected(t *testing.T) {
-	d, err := NewCollectorDaemon("sched", DaemonConfig{Shards: 2})
+	d, err := NewCollectorDaemon("sched", DaemonConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,17 +108,9 @@ type DaemonConfig struct {
 	// whose learned path aged out are dropped from answers, unless no
 	// candidate is reachable (graceful fallback to the full estimate list).
 	ExcludeUnreachable bool
-	// Shards partitions the collector's link state (collector clamps to
-	// [1, collector.MaxShards]); probes through disjoint partitions ingest
-	// concurrently and epoch invalidation stays confined to the touched
-	// partitions. Zero or one keeps the single-shard collector.
-	Shards int
-	// Partition optionally maps node IDs to shard partitions (e.g. a
-	// topology's pod/region map); nil hashes node IDs.
-	Partition func(node string) int
 	// IngestQueue, when positive, switches probe ingest to one bounded
-	// queue plus one worker goroutine per shard with this queue depth;
-	// overload then drops probes (counted in the collector's IngestDrops)
+	// queue of this depth drained by one worker goroutine; overload then
+	// drops probes (counted in the collector's IngestDrops)
 	// instead of stalling the UDP receive loop. Zero keeps ingest
 	// synchronous on the receive goroutine.
 	IngestQueue int
@@ -181,8 +173,6 @@ func NewCollectorDaemon(id string, cfg DaemonConfig) (*CollectorDaemon, error) {
 		QueueWindow:        cfg.QueueWindow,
 		DefaultLinkRateBps: cfg.LinkRateBps,
 		AdjacencyTTL:       cfg.AdjacencyTTL,
-		Shards:             cfg.Shards,
-		Partition:          cfg.Partition,
 	})
 	if cfg.IngestQueue > 0 {
 		d.coll.StartIngestWorkers(cfg.IngestQueue)
@@ -325,17 +315,9 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 		Name: "intsched_collector_epoch",
 		Help: "Collector state version; advances on every accepted probe and config change.",
 	}, func() float64 { return float64(d.coll.Epoch()) })
-	for i := range d.coll.EpochVector() {
-		shard := i
-		d.reg.GaugeFunc(obs.Opts{
-			Name:   "intsched_collector_shard_epoch",
-			Help:   "Per-shard state version; a probe bumps only the shards owning nodes on its path.",
-			Labels: []obs.Label{{Key: "shard", Value: fmt.Sprint(shard)}},
-		}, func() float64 { return float64(d.coll.EpochVector()[shard]) })
-	}
 	d.reg.CounterFunc(obs.Opts{
 		Name: "intsched_collector_ingest_drops_total",
-		Help: "Probes dropped at the asynchronous ingest queues under overload.",
+		Help: "Probes dropped at the asynchronous ingest queue under overload.",
 	}, func() float64 { return float64(d.coll.Stats().IngestDrops) })
 	d.reg.GaugeFunc(obs.Opts{
 		Name: "intsched_collector_snapshot_age_seconds",
@@ -375,7 +357,7 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 
 	// Probabilistic (PINT) telemetry: bytes-on-wire, fragment merges, and
 	// the latency of full reassembly cycles. The reassembly hook runs with
-	// the origin shard's stream lock held, so it must only touch the
+	// the collector's lock held, so it must only touch the
 	// histogram's own atomics — never call back into the collector.
 	d.reg.CounterFunc(obs.Opts{
 		Name: "intsched_probe_bytes_total",
@@ -645,7 +627,7 @@ func (d *CollectorDaemon) probeLoop() {
 
 // ingest converts the probe's absolute (UnixNano) timestamps into the
 // daemon's relative timebase and hands it to the collector. EnqueueProbe
-// clones the payload (or ingests synchronously when no workers run), so the
+// clones the payload (or ingests synchronously when no worker runs), so the
 // decode loop's reused payload buffers are free the moment this returns.
 func (d *CollectorDaemon) ingest(p *telemetry.ProbePayload) {
 	baseNs := d.base.UnixNano()
@@ -706,7 +688,7 @@ func (d *CollectorDaemon) Answer(req *wire.QueryRequest) *wire.QueryResponse {
 }
 
 // AnswerBatch answers a burst of queries against one topology snapshot (one
-// merge of the shard views, one epoch for every cache interaction). An
+// build, one epoch for every cache interaction). An
 // element's failure — unknown metric, nested batch — sets that element's
 // Error; the rest of the batch is still answered.
 func (d *CollectorDaemon) AnswerBatch(reqs []wire.QueryRequest) *wire.QueryResponse {

@@ -34,9 +34,8 @@ type OverlaySpec struct {
 	// and health thresholds (daemon defaults when zero).
 	QueueWindow   time.Duration
 	DegradedAfter time.Duration
-	// Shards and IngestQueue configure the daemon's sharded collector and
-	// asynchronous probe ingest (see DaemonConfig).
-	Shards      int
+	// IngestQueue configures the daemon's asynchronous probe ingest (see
+	// DaemonConfig).
 	IngestQueue int
 	// Adaptive starts the daemon's cadence control loop (anchored at
 	// ProbeInterval) and opts every agent into its directives; ProbeBudget
@@ -84,7 +83,6 @@ func StartOverlay(spec OverlaySpec) (*Overlay, error) {
 		HTTPAddr:      spec.HTTPAddr,
 		QueueWindow:   spec.QueueWindow,
 		DegradedAfter: spec.DegradedAfter,
-		Shards:        spec.Shards,
 		IngestQueue:   spec.IngestQueue,
 		Adaptive:      spec.Adaptive,
 		AdaptiveBase:  spec.ProbeInterval,

@@ -90,7 +90,7 @@ func FuzzUnmarshalProbeInto(f *testing.F) {
 		var fresh ProbePayload
 		freshErr := UnmarshalProbeInto(&fresh, data)
 
-		// The ingest path reuses one scratch payload per origin shard:
+		// The ingest path reuses one scratch payload across probes:
 		// whatever the previous probe left behind must not change the
 		// outcome or the result.
 		var dirty ProbePayload
