@@ -384,47 +384,19 @@ func BenchmarkBandwidthRanking(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerQueryThroughput measures the scheduler's query read
-// path on a warmed Fig 4 deployment with telemetry churning at the 100 ms
-// probe cadence, 100 queries per probe tick. intbench -exp qps prints the
-// same measurement full-size.
-func BenchmarkSchedulerQueryThroughput(b *testing.B) {
-	rig, err := experiment.NewQueryRig(experiment.QPSConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sinceProbe := 0
-	for i := 0; i < b.N; i++ {
-		if sinceProbe == 100 {
-			rig.Tick()
-			sinceProbe = 0
-		}
-		if got := rig.Query(i); len(got) == 0 {
-			b.Fatal("empty ranking")
-		}
-		sinceProbe++
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
 // BenchmarkIndexHotPath measures the index-space scheduler read path on a
 // warmed Fig 4 deployment with a frozen snapshot: PathInto with reused
 // scratch, and warm single/batched ranking queries served as zero-copy
 // views of shared cache entries (allocs/op must stay 0 on the walk and the
 // single query).
 func BenchmarkIndexHotPath(b *testing.B) {
-	rig, err := experiment.NewQueryRig(experiment.QPSConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := rig.Coll.Snapshot()
-	src, ok := snap.NodeIndex(string(rig.Devices[0]))
+	snap := warmedCollector(b).Snapshot()
+	hosts := snap.Hosts()
+	src, ok := snap.NodeIndex(hosts[0])
 	if !ok {
-		b.Fatal("device not in learned topology")
+		b.Fatal("host not in learned topology")
 	}
-	dst, ok := snap.NodeIndex(snap.Hosts()[len(snap.Hosts())-1])
+	dst, ok := snap.NodeIndex(hosts[len(hosts)-1])
 	if !ok {
 		b.Fatal("host not in learned topology")
 	}
@@ -439,12 +411,15 @@ func BenchmarkIndexHotPath(b *testing.B) {
 			}
 		}
 	})
-	req := &core.QueryRequest{From: rig.Devices[0], Metric: core.MetricDelay, Sorted: true}
-	rig.Svc.RankOn(snap, req) // warm the cache entry
+	var engine core.Engine
+	engine.Register(&core.DelayRanker{})
+	engine.Register(&core.BandwidthRanker{})
+	req := &core.QueryRequest{From: netsim.NodeID(hosts[0]), Metric: core.MetricDelay, Sorted: true}
+	engine.Answer(snap, req) // warm the cache entry
 	b.Run("RankForWarm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := rig.Svc.RankOn(snap, req); len(got) == 0 {
+			if got, _ := engine.Answer(snap, req); len(got) == 0 {
 				b.Fatal("empty ranking")
 			}
 		}
@@ -455,11 +430,11 @@ func BenchmarkIndexHotPath(b *testing.B) {
 		if i%2 == 1 {
 			metric = core.MetricBandwidth
 		}
-		reqs[i] = &core.QueryRequest{From: rig.Devices[i%len(rig.Devices)], Metric: metric, Sorted: true}
+		reqs[i] = &core.QueryRequest{From: netsim.NodeID(hosts[i%len(hosts)]), Metric: metric, Sorted: true}
 	}
 	rankAll := func() {
 		for _, req := range reqs {
-			rig.Svc.RankOn(snap, req)
+			engine.Answer(snap, req)
 		}
 	}
 	rankAll()

@@ -6,26 +6,21 @@
 //	intbench -tasks 60 -fig3dur 30s   # scaled-down quick pass
 //	intbench -parallel 1      # force serial execution (output is byte-identical)
 //
-// Experiments: table1, fig3, fig5, fig6, fig7, fig8, fig9, ablation, faults,
-// qps.
-// The parbench experiment (not part of "all") measures the worker-pool
-// speedup and writes results/BENCH_parallel.json. Collector and daemon cost
-// on generated Clos and metro fabrics is measured by the benchmark in bench/
-// (see BENCHMARK.json), not here. The telemetry experiment (by name only)
-// sweeps deterministic vs probabilistic PINT-style telemetry and writes
-// results/BENCH_telemetry.json; -telemetry-smoke shrinks it to CI size. The
-// adaptive experiment (by name only) compares static vs controller-driven
-// probe cadence at several telemetry budgets and writes
-// results/BENCH_adaptive.json; -adaptive-smoke shrinks it to CI size.
+// Experiments: table1, fig3, fig5, fig6, fig7, fig8, fig9, ablation, faults.
+// Two more run by name only, because they replay the faults workload many
+// times: telemetry sweeps deterministic vs probabilistic PINT-style
+// telemetry and writes results/BENCH_telemetry.json; adaptive compares
+// static vs controller-driven probe cadence at several telemetry budgets
+// and writes results/BENCH_adaptive.json. -smoke shrinks both to CI size.
+// Collector, ranking and daemon cost on generated Clos and metro fabrics is
+// measured by the benchmark in bench/ (see BENCHMARK.json), not here.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -39,19 +34,37 @@ import (
 )
 
 var (
-	seed       = flag.Int64("seed", 42, "random seed")
-	seeds      = flag.Int("seeds", 1, "replicate fig5/6/7 across this many seeds and report mean±std gains")
-	tasks      = flag.Int("tasks", 200, "tasks per experiment run (paper: 200)")
-	fig3dur    = flag.Duration("fig3dur", 300*time.Second, "measurement duration per Fig 3 utilization level (paper: 300s)")
-	expFlag    = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,qps,all (plus parbench, telemetry, and adaptive, by name only)")
-	queries    = flag.Int("queries", 50_000, "ranking queries in the qps experiment")
-	parallel   = flag.Int("parallel", 0, "worker pool size for independent experiment cells (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
-	telemSmoke = flag.Bool("telemetry-smoke", false, "telemetry experiment: shrink to CI size (fewer tasks, two sampling rates, 2-region metro)")
-	adaptSmoke = flag.Bool("adaptive-smoke", false, "adaptive experiment: shrink to CI size (fewer tasks, one budget)")
+	seed     = flag.Int64("seed", 42, "random seed")
+	seeds    = flag.Int("seeds", 1, "replicate fig5/6/7 across this many seeds and report mean±std gains")
+	tasks    = flag.Int("tasks", 200, "tasks per experiment run (paper: 200)")
+	fig3dur  = flag.Duration("fig3dur", 300*time.Second, "measurement duration per Fig 3 utilization level (paper: 300s)")
+	expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,all (plus telemetry and adaptive, by name only)")
+	parallel = flag.Int("parallel", 0, "worker pool size for independent experiment cells (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
+	smoke    = flag.Bool("smoke", false, "telemetry and adaptive experiments: shrink to CI size (60 tasks unless -tasks is given, a shorter axis, 2-region metro)")
 )
 
 // pool runs independent scenario cells; initialized in main from -parallel.
 var pool *experiment.Pool
+
+// experiments lists what -exp selects, in run order; inAll marks the ones
+// "all" includes.
+var experiments = []struct {
+	name  string
+	fn    func() error
+	inAll bool
+}{
+	{"table1", table1, true},
+	{"fig3", fig3, true},
+	{"fig5", fig5, true},
+	{"fig6", fig6, true},
+	{"fig7", fig7, true},
+	{"fig8", fig8, true},
+	{"fig9", fig9, true},
+	{"ablation", ablation, true},
+	{"faults", faults, true},
+	{"telemetry", telemetryExp, false},
+	{"adaptive", adaptiveExp, false},
+}
 
 func main() {
 	flag.Parse()
@@ -60,47 +73,46 @@ func main() {
 	for _, e := range strings.Split(*expFlag, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
-	all := want["all"]
-	run := func(name string, fn func() error) {
-		if !all && !want[name] {
-			return
-		}
-		start := time.Now()
-		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "intbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(%s took %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	run("table1", table1)
-	run("fig3", fig3)
-	run("fig5", fig5)
-	run("fig6", fig6)
-	run("fig7", fig7)
-	run("fig8", fig8)
-	run("fig9", fig9)
-	run("ablation", ablation)
-	run("faults", faults)
-	run("qps", qps)
-	// parbench re-runs the comparison grid at several pool sizes, and the
-	// telemetry and adaptive sweeps replay the faults workload many times, so
-	// they only run when asked for by name.
-	for _, extra := range []struct {
-		name string
-		fn   func() error
-	}{{"parbench", parbench}, {"telemetry", telemetryExp}, {"adaptive", adaptiveExp}} {
-		if !want[extra.name] {
+	for _, e := range experiments {
+		if !want[e.name] && !(e.inAll && want["all"]) {
 			continue
 		}
 		start := time.Now()
-		fmt.Printf("==== %s ====\n", extra.name)
-		if err := extra.fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "intbench: %s: %v\n", extra.name, err)
+		fmt.Printf("==== %s ====\n", e.name)
+		if err := e.fn(); err != nil {
+			fmt.Fprintf(os.Stderr, "intbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("(%s took %v)\n\n", extra.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s took %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// sweepTasks is the task count handed to the telemetry and adaptive sweeps:
+// under -smoke they size themselves (0) unless -tasks was given explicitly.
+func sweepTasks() int {
+	explicit := false
+	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "tasks" })
+	if *smoke && !explicit {
+		return 0
+	}
+	return *tasks
+}
+
+// writeArtifact records v as indented JSON under results/.
+func writeArtifact(name string, v any) error {
+	path := "results/" + name
+	if err := os.MkdirAll("results", 0o755); err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println("wrote", path)
+	return nil
 }
 
 // telemetryExp sweeps deterministic vs probabilistic (PINT-style) telemetry:
@@ -112,8 +124,8 @@ func main() {
 func telemetryExp() error {
 	res, err := pool.Telemetry(experiment.TelemetryConfig{
 		Seed:      *seed,
-		TaskCount: *tasks,
-		Smoke:     *telemSmoke,
+		TaskCount: sweepTasks(),
+		Smoke:     *smoke,
 	})
 	if err != nil {
 		return err
@@ -126,70 +138,7 @@ func telemetryExp() error {
 		fmt.Printf("telemetry digest %s %s\n", c.Mode, c.Digest)
 	}
 	fmt.Println("(p=1.00 reproduced the deterministic digest; lower rates trade probe bytes for reassembly freshness)")
-
-	type qualityJSON struct {
-		Mode                  string  `json:"mode"`
-		Rate                  float64 `json:"rate"`
-		Decisions             int     `json:"decisions"`
-		Mis                   int     `json:"mis"`
-		MisPct                float64 `json:"mis_pct"`
-		MeanCompletionMs      float64 `json:"mean_completion_ms"`
-		Incomplete            int     `json:"incomplete"`
-		TelemetryBytes        uint64  `json:"telemetry_bytes"`
-		RecordsReassembled    uint64  `json:"records_reassembled"`
-		ReassemblyCompletions uint64  `json:"reassembly_completions"`
-		Digest                string  `json:"digest"`
-	}
-	type overheadJSON struct {
-		Mode           string  `json:"mode"`
-		Rate           float64 `json:"rate"`
-		Topo           string  `json:"topo"`
-		Probes         uint64  `json:"probes"`
-		TelemetryBytes uint64  `json:"telemetry_bytes"`
-		BytesPerProbe  float64 `json:"bytes_per_probe"`
-		Reduction      float64 `json:"reduction"`
-	}
-	report := struct {
-		Bench    string         `json:"bench"`
-		Smoke    bool           `json:"smoke"`
-		Seed     int64          `json:"seed"`
-		Tasks    int            `json:"tasks"`
-		Quality  []qualityJSON  `json:"quality"`
-		Overhead []overheadJSON `json:"overhead"`
-	}{
-		Bench: "telemetry",
-		Smoke: *telemSmoke,
-		Seed:  *seed,
-		Tasks: res.Cfg.TaskCount,
-	}
-	for _, c := range res.Quality {
-		report.Quality = append(report.Quality, qualityJSON{
-			Mode: c.Mode, Rate: c.Rate, Decisions: c.Decisions, Mis: c.Mis, MisPct: c.MisPct,
-			MeanCompletionMs: float64(c.MeanCompletion.Microseconds()) / 1000,
-			Incomplete:       c.Incomplete, TelemetryBytes: c.TelemetryBytes,
-			RecordsReassembled: c.RecordsReassembled, ReassemblyCompletions: c.ReassemblyCompletions,
-			Digest: c.Digest,
-		})
-	}
-	for _, c := range res.Overhead {
-		report.Overhead = append(report.Overhead, overheadJSON{
-			Mode: c.Mode, Rate: c.Rate, Topo: c.Topo, Probes: c.Probes,
-			TelemetryBytes: c.TelemetryBytes, BytesPerProbe: c.BytesPerProbe, Reduction: c.Reduction,
-		})
-	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("results/BENCH_telemetry.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote results/BENCH_telemetry.json")
-	return nil
+	return writeArtifact("BENCH_telemetry.json", res)
 }
 
 // adaptiveExp sweeps static vs controller-driven probe cadence over the
@@ -202,8 +151,8 @@ func telemetryExp() error {
 func adaptiveExp() error {
 	res, err := pool.Adaptive(experiment.AdaptiveConfig{
 		Seed:      *seed,
-		TaskCount: *tasks,
-		Smoke:     *adaptSmoke,
+		TaskCount: sweepTasks(),
+		Smoke:     *smoke,
 	})
 	if err != nil {
 		return err
@@ -214,67 +163,7 @@ func adaptiveExp() error {
 		fmt.Printf("adaptive digest %s %s\n", c.Name, c.Digest)
 	}
 	fmt.Println("(adaptive cells undercut static-full bytes at equal-or-better mis rate and detection latency)")
-
-	type cellJSON struct {
-		Name             string  `json:"name"`
-		Budget           float64 `json:"budget"`
-		Adaptive         bool    `json:"adaptive"`
-		ProbeIntervalMs  float64 `json:"probe_interval_ms"`
-		Decisions        int     `json:"decisions"`
-		Mis              int     `json:"mis"`
-		MisPct           float64 `json:"mis_pct"`
-		MeanCompletionMs float64 `json:"mean_completion_ms"`
-		Incomplete       int     `json:"incomplete"`
-		ProbesSent       uint64  `json:"probes_sent"`
-		TelemetryBytes   uint64  `json:"telemetry_bytes"`
-		Evictions        int     `json:"evictions"`
-		MaxDetectMs      float64 `json:"max_detect_ms"`
-		Directives       uint64  `json:"directives"`
-		Tightens         uint64  `json:"tightens"`
-		SilenceTightens  uint64  `json:"silence_tightens"`
-		Backoffs         uint64  `json:"backoffs"`
-		BudgetClamps     uint64  `json:"budget_clamps"`
-		Digest           string  `json:"digest"`
-	}
-	report := struct {
-		Bench string     `json:"bench"`
-		Smoke bool       `json:"smoke"`
-		Seed  int64      `json:"seed"`
-		Tasks int        `json:"tasks"`
-		Cells []cellJSON `json:"cells"`
-	}{
-		Bench: "adaptive",
-		Smoke: *adaptSmoke,
-		Seed:  *seed,
-		Tasks: res.Cfg.TaskCount,
-	}
-	for _, c := range res.Cells {
-		report.Cells = append(report.Cells, cellJSON{
-			Name: c.Name, Budget: c.Budget, Adaptive: c.Adaptive,
-			ProbeIntervalMs: float64(c.ProbeInterval.Microseconds()) / 1000,
-			Decisions:       c.Decisions, Mis: c.Mis, MisPct: c.MisPct,
-			MeanCompletionMs: float64(c.MeanCompletion.Microseconds()) / 1000,
-			Incomplete:       c.Incomplete, ProbesSent: c.ProbesSent,
-			TelemetryBytes: c.TelemetryBytes, Evictions: c.Evictions,
-			MaxDetectMs: float64(c.MaxDetect.Microseconds()) / 1000,
-			Directives:  c.Directives, Tightens: c.Tightens,
-			SilenceTightens: c.SilenceTightens, Backoffs: c.Backoffs,
-			BudgetClamps: c.BudgetClamps, Digest: c.Digest,
-		})
-	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("results/BENCH_adaptive.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote results/BENCH_adaptive.json")
-	return nil
+	return writeArtifact("BENCH_adaptive.json", res)
 }
 
 // faults replays the same workload under a scripted failure schedule (edge
@@ -289,34 +178,12 @@ func faults() error {
 		return err
 	}
 	fmt.Printf("failure schedule (offsets from end of warmup, probe interval %v, detection budget %d intervals):\n",
-		res.Cfg.ProbeInterval, experiment.DetectBudgetIntervals)
+		experiment.FaultProbeInterval, experiment.DetectBudgetIntervals)
 	for _, ev := range res.Events {
 		fmt.Printf("  %s\n", ev)
 	}
 	fmt.Println(res.Table())
 	fmt.Println("(mis = placements unusable at decision time; detect = within the detection budget of a fault start; steady = later in the fault window — zero means recovered)")
-	return nil
-}
-
-// qps measures scheduler query throughput with telemetry churning at the
-// 100 ms probe cadence, queries outnumbering probes 100:1.
-func qps() error {
-	res, err := experiment.QPS(experiment.QPSConfig{Queries: *queries})
-	if err != nil {
-		return err
-	}
-	hit := "-"
-	if rate, ok := res.HitRate(); ok {
-		hit = fmt.Sprintf("%.1f%%", rate*100)
-	}
-	tb := stats.NewTable("queries", "elapsed", "queries/s", "cache hit rate", "query p50", "query p99", "epochs")
-	tb.AddRow(res.Queries, res.Elapsed.Round(time.Millisecond),
-		fmt.Sprintf("%.0f", res.QPS), hit,
-		res.QueryLatency.QuantileDuration(0.50).Round(100*time.Nanosecond).String(),
-		res.QueryLatency.QuantileDuration(0.99).Round(100*time.Nanosecond).String(),
-		res.Epoch)
-	fmt.Println(tb.String())
-	fmt.Println("(cache hit rate and latency quantiles read from the obs registry the live daemon also serves at /metrics)")
 	return nil
 }
 
@@ -658,108 +525,5 @@ func ablation() error {
 		tb4.AddRow(m.String(), r.MeanCompletion())
 	}
 	fmt.Println(tb4.String())
-	return nil
-}
-
-// parbench measures the worker-pool speedup on the multi-seed comparison
-// grid (4 seeds × 3 metrics = 12 cells) and writes the points to
-// results/BENCH_parallel.json so later PRs have a perf trajectory to
-// regress against. It also cross-checks that every pool size produces
-// byte-identical comparison exports.
-func parbench() error {
-	metrics := []core.Metric{core.MetricDelay, core.MetricNearest, core.MetricRandom}
-	seedList := []int64{*seed, *seed + 1, *seed + 2, *seed + 3}
-	sc := experiment.Scenario{
-		Workload:   workload.Serverless,
-		TaskCount:  *tasks,
-		Background: experiment.BackgroundRandom,
-	}
-	workers := []int{1, 2, 4, 8}
-
-	type point struct {
-		Workers int     `json:"workers"`
-		Seconds float64 `json:"seconds"`
-		Speedup float64 `json:"speedup"`
-	}
-	report := struct {
-		Bench           string  `json:"bench"`
-		Tasks           int     `json:"tasks"`
-		Seeds           int     `json:"seeds"`
-		Metrics         int     `json:"metrics"`
-		CPUs            int     `json:"cpus"`
-		Cores           int     `json:"cores"`
-		OutputIdentical bool    `json:"output_identical"`
-		Points          []point `json:"points"`
-	}{
-		Bench:           "compare_seeds",
-		Tasks:           *tasks,
-		Seeds:           len(seedList),
-		Metrics:         len(metrics),
-		CPUs:            runtime.NumCPU(),
-		Cores:           runtime.GOMAXPROCS(0),
-		OutputIdentical: true,
-	}
-	// Speedup numbers from a 1-core runtime describe the scheduler, not the
-	// pool; the cpus/cores fields above make the artifact self-describing,
-	// and the warning keeps a 1-CPU container from looking like a perf
-	// regression.
-	if report.Cores == 1 {
-		fmt.Println("warning: GOMAXPROCS=1 — pool cells run serially; speedup points measure overhead, not parallelism")
-	}
-
-	var serialExport []byte
-	var serialSecs float64
-	tb := stats.NewTable("workers", "wall clock", "speedup", "output")
-	for _, w := range workers {
-		start := time.Now()
-		cmps, err := experiment.NewPool(w).CompareSeeds(sc, metrics, seedList)
-		if err != nil {
-			return err
-		}
-		secs := time.Since(start).Seconds()
-		var buf bytes.Buffer
-		for _, cmp := range cmps {
-			if err := experiment.WriteComparisonJSON(&buf, cmp, core.MetricNearest); err != nil {
-				return err
-			}
-		}
-		identical := true
-		if w == 1 {
-			serialExport = append([]byte(nil), buf.Bytes()...)
-			serialSecs = secs
-		} else {
-			identical = bytes.Equal(buf.Bytes(), serialExport)
-			if !identical {
-				report.OutputIdentical = false
-			}
-		}
-		speedup := serialSecs / secs
-		report.Points = append(report.Points, point{Workers: w, Seconds: secs, Speedup: speedup})
-		outcome := "byte-identical to serial"
-		if !identical {
-			outcome = "DIFFERS FROM SERIAL"
-		}
-		if w == 1 {
-			outcome = "serial reference"
-		}
-		tb.AddRow(w, fmt.Sprintf("%.2fs", secs), fmt.Sprintf("%.2fx", speedup), outcome)
-	}
-	fmt.Println(tb.String())
-	if !report.OutputIdentical {
-		return fmt.Errorf("parallel output differs from serial")
-	}
-
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("results/BENCH_parallel.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote results/BENCH_parallel.json")
 	return nil
 }

@@ -74,9 +74,9 @@ func (e *Engine) Answer(topo *collector.Topology, req *QueryRequest) (ranked []C
 	// The cache stores the full ranked list; the per-request shaping is a
 	// reslice of the entry's storage.
 	key := RankKey{From: int32(fromHost), Metric: req.Metric, DataBytes: req.DataBytes, Reqs: ReqKey(req.Requirements)}
-	entry, hit, gen := e.cache.Lookup(topo.Epoch(), key)
-	if !hit {
-		entry = e.cache.Store(topo.Epoch(), gen, key, e.compute(topo, ranker, req, fromHost))
+	entry, miss := e.cache.Lookup(topo.Epoch(), key)
+	if entry == nil {
+		entry = miss.Store(e.compute(topo, ranker, req, fromHost))
 	}
 	return entry.Shaped(idOrder, e.ExcludeUnreachable, req.Count), true
 }

@@ -171,7 +171,7 @@ type RankCache struct {
 	epoch uint64
 	// gen counts Invalidate() calls. A ranking computed before an
 	// Invalidate may have used superseded inputs (e.g. the old capability
-	// set), so Store drops entries whose generation token — captured at
+	// set), so RankMiss.Store drops entries whose generation — captured at
 	// Lookup time, before the computation — is no longer current.
 	gen     uint64
 	entries map[RankKey]*RankEntry
@@ -191,39 +191,48 @@ func (c *RankCache) syncEpochLocked(epoch uint64) {
 	c.entries = make(map[RankKey]*RankEntry)
 }
 
-// Lookup returns the cached entry for key at the given epoch, plus a
-// generation token to pass back to Store on a miss. The entry's contents
-// are shared — shape with Shaped, or CloneCandidates before mutating.
-func (c *RankCache) Lookup(epoch uint64, key RankKey) (*RankEntry, bool, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.syncEpochLocked(epoch)
-	entry, ok := c.entries[key]
-	if ok {
-		c.stats.Hits++
-	} else {
-		c.stats.Misses++
-	}
-	return entry, ok, c.gen
+// RankMiss is the handle Lookup returns on a miss: the only way to insert
+// into the cache. It carries the epoch and key of the lookup and the
+// cache's generation at that moment — captured before the ranking is
+// computed — so a caller can neither store under a different key nor
+// fabricate a generation that outlives an Invalidate.
+type RankMiss struct {
+	cache      *RankCache
+	epoch, gen uint64
+	key        RankKey
 }
 
-// Store records a computed ranking for key at the given epoch, taking
-// ownership of ranked (hand it a private slice; it becomes shared entry
-// storage). gen is the token Lookup returned before the ranking was
-// computed; if an Invalidate ran in between, the entry is not inserted —
-// its inputs may be stale. The built entry is returned either way, so the
-// caller can serve views of the computation it just performed.
-func (c *RankCache) Store(epoch, gen uint64, key RankKey, ranked []Candidate) *RankEntry {
-	entry := newRankEntry(ranked)
+// Lookup returns the cached entry for key at the given epoch, or nil and
+// the miss handle to Store the computed ranking through. The entry's
+// contents are shared — shape with Shaped, or CloneCandidates before
+// mutating.
+func (c *RankCache) Lookup(epoch uint64, key RankKey) (*RankEntry, RankMiss) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gen != c.gen {
+	c.syncEpochLocked(epoch)
+	if entry, ok := c.entries[key]; ok {
+		c.stats.Hits++
+		return entry, RankMiss{}
+	}
+	c.stats.Misses++
+	return nil, RankMiss{cache: c, epoch: epoch, gen: c.gen, key: key}
+}
+
+// Store records the ranking computed for the missed lookup, taking
+// ownership of ranked (hand it a private slice; it becomes shared entry
+// storage). If an Invalidate ran since the Lookup the entry is not inserted
+// — its inputs may be stale. The built entry is returned either way, so
+// the caller can serve views of the computation it just performed.
+func (m RankMiss) Store(ranked []Candidate) *RankEntry {
+	entry := newRankEntry(ranked)
+	c := m.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m.gen != c.gen {
 		return entry
 	}
-	c.syncEpochLocked(epoch)
-	if c.epoch == epoch {
-		c.entries[key] = entry
-	}
+	c.syncEpochLocked(m.epoch)
+	c.entries[m.key] = entry
 	return entry
 }
 

@@ -213,26 +213,36 @@ func TestRankCacheInvalidatedByQueueWindowExpiry(t *testing.T) {
 }
 
 // TestRankCacheStoreDroppedAfterInvalidate: an Invalidate between a missed
-// Lookup and the corresponding Store — the lost-invalidation race, e.g.
+// Lookup and the Store through its handle — the lost-invalidation race, e.g.
 // SetCapabilities landing while a ranking is being computed — must drop the
-// entry, since it may have been computed from the superseded inputs.
+// entry, since it may have been computed from the superseded inputs. So must
+// an epoch advance: a ranking of the old topology is never served at the new.
 func TestRankCacheStoreDroppedAfterInvalidate(t *testing.T) {
 	var c RankCache
 	key := RankKey{From: 3, Metric: MetricDelay}
-	_, ok, gen := c.Lookup(7, key)
-	if ok {
+	entry, miss := c.Lookup(7, key)
+	if entry != nil {
 		t.Fatal("unexpected hit in empty cache")
 	}
 	c.Invalidate()
-	c.Store(7, gen, key, []Candidate{{Node: "stale"}})
-	if entry, ok, _ := c.Lookup(7, key); ok {
+	miss.Store([]Candidate{{Node: "stale"}})
+	if entry, _ := c.Lookup(7, key); entry != nil {
 		t.Fatalf("stale entry resurrected after Invalidate: %v", entry.Ranked())
 	}
-	// A Store with the current generation token is accepted.
-	_, _, gen = c.Lookup(7, key)
-	c.Store(7, gen, key, []Candidate{{Node: "fresh"}})
-	if entry, ok, _ := c.Lookup(7, key); !ok || entry.Ranked()[0].Node != "fresh" {
-		t.Fatalf("current-generation entry not stored (hit=%v)", ok)
+	// A handle taken at the current generation inserts.
+	_, miss = c.Lookup(7, key)
+	miss.Store([]Candidate{{Node: "fresh"}})
+	if entry, _ := c.Lookup(7, key); entry == nil || entry.Ranked()[0].Node != "fresh" {
+		t.Fatalf("current-generation entry not stored (entry=%v)", entry)
+	}
+	// A handle taken at epoch 7 and stored after the cache reached epoch 8
+	// is invisible to epoch-8 lookups.
+	other := RankKey{From: 4, Metric: MetricDelay}
+	_, old := c.Lookup(7, other)
+	c.Lookup(8, other)
+	old.Store([]Candidate{{Node: "epoch7"}})
+	if entry, _ := c.Lookup(8, other); entry != nil {
+		t.Fatalf("epoch-7 ranking served at epoch 8: %v", entry.Ranked())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"intsched/internal/collector"
 	"intsched/internal/netsim"
-	"intsched/internal/obs"
 	"intsched/internal/telemetry"
 	"intsched/internal/transport"
 )
@@ -121,11 +120,6 @@ type Service struct {
 
 	engine Engine
 
-	// queryLatency times RankOn per metric when Instrument installed a
-	// registry (nil map otherwise — the uninstrumented hot path pays one
-	// nil-map lookup).
-	queryLatency map[Metric]*obs.Histogram
-
 	// stateMu guards capabilities and load, which change on control
 	// messages while queries may be reading them concurrently.
 	stateMu      sync.RWMutex
@@ -203,46 +197,6 @@ func (s *Service) Load(server netsim.NodeID) time.Duration {
 // CacheStats reports the rank cache counters.
 func (s *Service) CacheStats() RankCacheStats { return s.engine.CacheStats() }
 
-// Instrument registers the service's observability series on reg — the rank
-// cache counters as read-through functions and one query-latency histogram
-// per registered metric (the same series names the live daemon exposes, so
-// the simulated and live schedulers are observed identically). Call it at
-// setup time, after Register; it is not safe to race with queries.
-func (s *Service) Instrument(reg *obs.Registry) {
-	for _, c := range []struct {
-		name, help string
-		read       func(RankCacheStats) uint64
-	}{
-		{"intsched_rank_cache_hits_total", "Ranking queries served from the epoch-keyed rank cache.",
-			func(st RankCacheStats) uint64 { return st.Hits }},
-		{"intsched_rank_cache_misses_total", "Ranking queries that recomputed from the snapshot.",
-			func(st RankCacheStats) uint64 { return st.Misses }},
-		{"intsched_rank_cache_invalidations_total", "Rank cache flushes on epoch advance.",
-			func(st RankCacheStats) uint64 { return st.Invalidations }},
-	} {
-		read := c.read
-		reg.CounterFunc(obs.Opts{Name: c.name, Help: c.help}, func() float64 {
-			return float64(read(s.engine.CacheStats()))
-		})
-	}
-	reg.CounterFunc(obs.Opts{
-		Name: "intsched_collector_adjacency_evictions_total",
-		Help: "Learned edges aged out of the topology after probe silence.",
-	}, func() float64 { return float64(s.coll.Stats().AdjacencyEvictions) })
-	reg.CounterFunc(obs.Opts{
-		Name: "intsched_collector_path_remaps_total",
-		Help: "Probe streams observed arriving over a changed hop sequence.",
-	}, func() float64 { return float64(s.coll.Stats().PathRemaps) })
-	s.queryLatency = make(map[Metric]*obs.Histogram, len(s.engine.rankers))
-	for m := range s.engine.rankers {
-		s.queryLatency[m] = reg.Histogram(obs.Opts{
-			Name:   "intsched_query_latency_seconds",
-			Help:   "Answer latency of ranking queries.",
-			Labels: []obs.Label{{Key: "metric", Value: m.String()}},
-		}, nil)
-	}
-}
-
 // handleControl demultiplexes scheduler-bound control messages.
 func (s *Service) handleControl(from netsim.NodeID, payload any) {
 	switch msg := payload.(type) {
@@ -281,10 +235,6 @@ func (s *Service) RankFor(req *QueryRequest) []Candidate {
 // the snapshot already acquired); nil when no ranker serves the metric. The
 // result is a read-only view (see Engine.Answer).
 func (s *Service) RankOn(topo *collector.Topology, req *QueryRequest) []Candidate {
-	if h := s.queryLatency[req.Metric]; h != nil {
-		start := time.Now()
-		defer func() { h.ObserveDuration(time.Since(start)) }()
-	}
 	ranked, _ := s.engine.Answer(topo, req)
 	return ranked
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"intsched/internal/core"
 	"intsched/internal/stats"
-	"intsched/internal/workload"
 )
 
 // The adaptive experiment measures what the control loop buys: total probe
@@ -37,15 +35,9 @@ import (
 type AdaptiveConfig struct {
 	// Seed drives workload generation and probe-loss draws.
 	Seed int64
-	// TaskCount is the number of tasks per cell (default 200).
+	// TaskCount is the number of tasks per cell (default 200, 60 under
+	// Smoke).
 	TaskCount int
-	// ProbeInterval is the base probing period (default 100 ms).
-	ProbeInterval time.Duration
-	// MeanInterarrival is the mean job inter-arrival time (default 600 ms,
-	// matching the faults experiment every cell replays).
-	MeanInterarrival time.Duration
-	// Metric is the ranking strategy under test (zero value: delay).
-	Metric core.Metric
 	// Budgets are the telemetry budget fractions to sweep (default 0.5,
 	// 0.25). Each adds a static-<f> and an adaptive-<f> cell.
 	Budgets []float64
@@ -53,64 +45,41 @@ type AdaptiveConfig struct {
 	Smoke bool
 }
 
-func (c *AdaptiveConfig) normalize() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.TaskCount <= 0 {
-		c.TaskCount = 200
-		if c.Smoke {
-			c.TaskCount = 60
-		}
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Millisecond
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 600 * time.Millisecond
-	}
-	if len(c.Budgets) == 0 {
-		c.Budgets = []float64{0.5, 0.25}
-		if c.Smoke {
-			c.Budgets = []float64{0.5}
-		}
-	}
-}
-
 // AdaptiveCell is one measured configuration.
 type AdaptiveCell struct {
 	// Name labels the cell: "static-full", "static-<f>", "adaptive-<f>".
-	Name string
+	Name string `json:"name"`
 	// Budget is the telemetry budget fraction (1.0 for static-full).
-	Budget float64
+	Budget float64 `json:"budget"`
 	// Adaptive marks controller-driven cells.
-	Adaptive bool
+	Adaptive bool `json:"adaptive"`
 	// ProbeInterval is the cell's configured (base) probing period.
-	ProbeInterval time.Duration
-	// Decisions / Mis / MisPct measure scheduling quality.
-	Decisions, Mis int
-	MisPct         float64
-	MeanCompletion time.Duration
-	Incomplete     int
+	ProbeInterval Millis `json:"probe_interval_ms"`
+	CellSummary
 	// ProbesSent / TelemetryBytes are the telemetry spend.
-	ProbesSent     uint64
-	TelemetryBytes uint64
+	ProbesSent     uint64 `json:"probes_sent"`
+	TelemetryBytes uint64 `json:"telemetry_bytes"`
 	// Evictions counts adjacency evictions; MaxDetect is the worst-case
 	// probe silence at eviction (the fault-detection latency bound).
-	Evictions int
-	MaxDetect time.Duration
+	Evictions int    `json:"evictions"`
+	MaxDetect Millis `json:"max_detect_ms"`
 	// Controller activity (zero for static cells).
-	Directives, Tightens, SilenceTightens, Backoffs, BudgetClamps uint64
+	Directives      uint64 `json:"directives"`
+	Tightens        uint64 `json:"tightens"`
+	SilenceTightens uint64 `json:"silence_tightens"`
+	Backoffs        uint64 `json:"backoffs"`
+	BudgetClamps    uint64 `json:"budget_clamps"`
 	// Digest hashes the placement decisions, task metrics, probe spend,
 	// and controller counters — byte-identical across pool parallelism.
-	Digest string
+	Digest string `json:"digest"`
 }
 
-// AdaptiveResult is the full experiment.
+// AdaptiveResult is the full experiment; it marshals to the recorded
+// artifact.
 type AdaptiveResult struct {
-	Cfg AdaptiveConfig
+	SweepHeader
 	// Cells: static-full first, then static-<f>, adaptive-<f> per budget.
-	Cells []AdaptiveCell
+	Cells []AdaptiveCell `json:"cells"`
 }
 
 // adaptiveDigest extends the decision digest with the run's probe spend
@@ -118,7 +87,7 @@ type AdaptiveResult struct {
 // the control loop itself — not just its scheduling consequences — replays
 // deterministically.
 func adaptiveDigest(run *RunResult) string {
-	return fmt.Sprintf("%s-%x", telemetryDigest(run),
+	return fmt.Sprintf("%s-%x", decisionDigest(run),
 		run.ProbesSent^run.DirectivesApplied<<1^run.CadenceTightens<<2^
 			run.SilenceTightens<<3^run.CadenceBackoffs<<4^run.BudgetClamps<<5^
 			uint64(len(run.EvictionSilences))<<6)
@@ -127,88 +96,56 @@ func adaptiveDigest(run *RunResult) string {
 // Adaptive sweeps static and adaptive cadence control over the fault-
 // recovery workload and enforces the control loop's claims.
 func (p *Pool) Adaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	cfg.normalize()
-
-	type axis struct {
-		name     string
-		interval time.Duration
-		adaptive bool
-		budget   float64
+	if len(cfg.Budgets) == 0 {
+		cfg.Budgets = []float64{0.5, 0.25}
+		if cfg.Smoke {
+			cfg.Budgets = []float64{0.5}
+		}
 	}
-	cells := []axis{{name: "static-full", interval: cfg.ProbeInterval, budget: 1.0}}
+	res := &AdaptiveResult{SweepHeader: newSweepHeader("adaptive", cfg.Seed, cfg.TaskCount, cfg.Smoke)}
+
+	base := Millis(FaultProbeInterval)
+	res.Cells = []AdaptiveCell{{Name: "static-full", Budget: 1.0, ProbeInterval: base}}
 	for _, f := range cfg.Budgets {
 		if f <= 0 || f > 1 {
 			return nil, fmt.Errorf("adaptive: budget fraction %v outside (0, 1]", f)
 		}
-		cells = append(cells,
-			axis{name: fmt.Sprintf("static-%.2f", f), interval: time.Duration(float64(cfg.ProbeInterval) / f), budget: f},
-			axis{name: fmt.Sprintf("adaptive-%.2f", f), interval: cfg.ProbeInterval, adaptive: true, budget: f},
+		res.Cells = append(res.Cells,
+			AdaptiveCell{Name: fmt.Sprintf("static-%.2f", f), Budget: f, ProbeInterval: Millis(float64(base) / f)},
+			AdaptiveCell{Name: fmt.Sprintf("adaptive-%.2f", f), Budget: f, Adaptive: true, ProbeInterval: base},
 		)
 	}
-
-	events := FaultsConfig{
-		TaskCount:        cfg.TaskCount,
-		MeanInterarrival: cfg.MeanInterarrival,
-	}.normalize().Schedule()
-	scenarios := make([]Scenario, len(cells))
-	for i, ax := range cells {
-		scenarios[i] = Scenario{
-			Seed:               cfg.Seed,
-			Workload:           workload.Serverless,
-			Metric:             cfg.Metric,
-			TaskCount:          cfg.TaskCount,
-			MeanInterarrival:   cfg.MeanInterarrival,
-			ProbeInterval:      ax.interval,
-			Faults:             events,
-			ExcludeUnreachable: true,
-			RecordDecisions:    true,
-			Adaptive:           ax.adaptive,
+	runs, err := p.replay(res.scenario(), len(res.Cells), func(i int, sc *Scenario) {
+		c := &res.Cells[i]
+		sc.ProbeInterval = time.Duration(c.ProbeInterval)
+		sc.Adaptive = c.Adaptive
+		if c.Adaptive {
+			sc.ProbeBudget = c.Budget
 		}
-		if ax.adaptive {
-			scenarios[i].ProbeBudget = ax.budget
-		}
-		if err := scenarios[i].Validate(); err != nil {
-			return nil, err
-		}
-	}
-	runs, err := p.RunScenarios(scenarios)
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := &AdaptiveResult{Cfg: cfg, Cells: make([]AdaptiveCell, len(runs))}
 	for i, run := range runs {
-		cell := AdaptiveCell{
-			Name:            cells[i].name,
-			Budget:          cells[i].budget,
-			Adaptive:        cells[i].adaptive,
-			ProbeInterval:   cells[i].interval,
-			Decisions:       len(run.Decisions),
-			Mis:             run.MisScheduled(),
-			MeanCompletion:  run.MeanCompletion(),
-			Incomplete:      run.Incomplete,
-			ProbesSent:      run.ProbesSent,
-			TelemetryBytes:  run.TelemetryBytes,
-			Evictions:       len(run.EvictionSilences),
-			MaxDetect:       run.MaxEvictionSilence(),
-			Directives:      run.DirectivesApplied,
-			Tightens:        run.CadenceTightens,
-			SilenceTightens: run.SilenceTightens,
-			Backoffs:        run.CadenceBackoffs,
-			BudgetClamps:    run.BudgetClamps,
-			Digest:          adaptiveDigest(run),
-		}
-		if cell.Decisions > 0 {
-			cell.MisPct = 100 * float64(cell.Mis) / float64(cell.Decisions)
-		}
-		out.Cells[i] = cell
+		c := &res.Cells[i]
+		c.CellSummary = summarize(run)
+		c.ProbesSent = run.ProbesSent
+		c.TelemetryBytes = run.TelemetryBytes
+		c.Evictions = len(run.EvictionSilences)
+		c.MaxDetect = Millis(run.MaxEvictionSilence())
+		c.Directives = run.DirectivesApplied
+		c.Tightens = run.CadenceTightens
+		c.SilenceTightens = run.SilenceTightens
+		c.Backoffs = run.CadenceBackoffs
+		c.BudgetClamps = run.BudgetClamps
+		c.Digest = adaptiveDigest(run)
 	}
 
 	// Enforce the control loop's claims cell by cell. Index layout:
 	// 0 = static-full, then (static, adaptive) pairs per budget.
-	full := &out.Cells[0]
+	full := &res.Cells[0]
 	for bi := range cfg.Budgets {
-		st, ad := &out.Cells[1+2*bi], &out.Cells[2+2*bi]
+		st, ad := &res.Cells[1+2*bi], &res.Cells[2+2*bi]
 		if ad.TelemetryBytes >= full.TelemetryBytes {
 			return nil, fmt.Errorf("adaptive: %s spent %d probe bytes, not below static-full's %d (back-off never paid for itself)",
 				ad.Name, ad.TelemetryBytes, full.TelemetryBytes)
@@ -219,7 +156,7 @@ func (p *Pool) Adaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 		}
 		if st.Evictions > 0 && ad.Evictions > 0 && ad.MaxDetect > st.MaxDetect {
 			return nil, fmt.Errorf("adaptive: %s worst-case detection %v exceeds %v for %s at the same budget (the controller masked a failure)",
-				ad.Name, ad.MaxDetect, st.MaxDetect, st.Name)
+				ad.Name, time.Duration(ad.MaxDetect), time.Duration(st.MaxDetect), st.Name)
 		}
 		// Tight budgets may reach max cadence purely through budget clamps
 		// (the allocator grows every interval on the first evaluation before
@@ -230,12 +167,7 @@ func (p *Pool) Adaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 			return nil, fmt.Errorf("adaptive: %s applied no directives — the controller never engaged", ad.Name)
 		}
 	}
-	return out, nil
-}
-
-// Adaptive runs the sweep serially; see (*Pool).Adaptive.
-func Adaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
-	return (*Pool)(nil).Adaptive(cfg)
+	return res, nil
 }
 
 // Table renders the sweep.
@@ -243,9 +175,9 @@ func (r *AdaptiveResult) Table() string {
 	tb := stats.NewTable("adaptive", "budget", "interval", "probes", "probe bytes", "mis", "mis %",
 		"evictions", "max detect", "directives", "backoffs", "clamps", "digest")
 	for _, c := range r.Cells {
-		tb.AddRow(c.Name, fmt.Sprintf("%.2f", c.Budget), c.ProbeInterval,
+		tb.AddRow(c.Name, fmt.Sprintf("%.2f", c.Budget), time.Duration(c.ProbeInterval),
 			c.ProbesSent, c.TelemetryBytes, c.Mis, fmt.Sprintf("%.2f", c.MisPct),
-			c.Evictions, c.MaxDetect.Round(time.Millisecond),
+			c.Evictions, time.Duration(c.MaxDetect).Round(time.Millisecond),
 			c.Directives, c.Backoffs, c.BudgetClamps, c.Digest)
 	}
 	return tb.String()

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"reflect"
 	"testing"
-	"time"
 
 	"intsched/internal/core"
 	"intsched/internal/workload"
@@ -23,7 +21,7 @@ func adaptiveTestConfig() AdaptiveConfig {
 // controller engaged) enforced inside Adaptive; the test checks the cell
 // shape on top.
 func TestAdaptiveSmoke(t *testing.T) {
-	res, err := Adaptive(adaptiveTestConfig())
+	res, err := serial.Adaptive(adaptiveTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,23 +53,6 @@ func TestAdaptiveSmoke(t *testing.T) {
 	}
 }
 
-// TestAdaptiveParallelMatchesSerial: pooled and serial sweeps must be
-// byte-identical — the CI digest diff at -parallel 1 vs 4 relies on it.
-func TestAdaptiveParallelMatchesSerial(t *testing.T) {
-	cfg := adaptiveTestConfig()
-	serial, err := Adaptive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := NewPool(4).Adaptive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Cells, parallel.Cells) {
-		t.Fatalf("cells depend on -parallel:\nserial   %+v\nparallel %+v", serial.Cells, parallel.Cells)
-	}
-}
-
 // TestBackedOffStreamStillDetectsFailure: the safety property behind the
 // whole control loop. Streams the controller has slowed to the maximum
 // cadence sit on an edge that then fails; adjacency aging plus the eviction
@@ -79,21 +60,8 @@ func TestAdaptiveParallelMatchesSerial(t *testing.T) {
 // probe gap over the static detection bound — the controller tightens on
 // silence rather than masking it.
 func TestBackedOffStreamStillDetectsFailure(t *testing.T) {
-	const interval = 100 * time.Millisecond
-	base := Scenario{
-		Seed:               3,
-		Workload:           workload.Serverless,
-		Metric:             core.MetricDelay,
-		TaskCount:          60,
-		MeanInterarrival:   600 * time.Millisecond,
-		ProbeInterval:      interval,
-		ExcludeUnreachable: true,
-		RecordDecisions:    true,
-		Faults: FaultsConfig{
-			TaskCount:        60,
-			MeanInterarrival: 600 * time.Millisecond,
-		}.normalize().Schedule(),
-	}
+	const interval = FaultProbeInterval
+	base := faultReplay(3, 60, faultInterarrival)
 	static, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +124,7 @@ func TestAdaptiveDisabledIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if telemetryDigest(plain) != telemetryDigest(again) {
+	if decisionDigest(plain) != decisionDigest(again) {
 		t.Fatal("disabled runs not reproducible")
 	}
 }
@@ -164,11 +132,11 @@ func TestAdaptiveDisabledIsInert(t *testing.T) {
 func TestAdaptiveRejectsBadBudget(t *testing.T) {
 	cfg := adaptiveTestConfig()
 	cfg.Budgets = []float64{1.5}
-	if _, err := Adaptive(cfg); err == nil {
+	if _, err := serial.Adaptive(cfg); err == nil {
 		t.Fatal("budget fraction above 1 accepted")
 	}
 	cfg.Budgets = []float64{0}
-	if _, err := Adaptive(cfg); err == nil {
+	if _, err := serial.Adaptive(cfg); err == nil {
 		t.Fatal("zero budget fraction accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"intsched/internal/core"
 	"intsched/internal/fault"
 	"intsched/internal/stats"
-	"intsched/internal/workload"
 )
 
 // The faults experiment measures scheduler recovery on the Fig 4 deployment:
@@ -28,11 +27,7 @@ type FaultsConfig struct {
 	Seed int64
 	// TaskCount is the number of tasks per metric cell (default 200).
 	TaskCount int
-	// ProbeInterval is the INT probing period (default 100 ms).
-	ProbeInterval time.Duration
-	// MeanInterarrival is the mean job inter-arrival time (default 600 ms —
-	// denser than the paper's 5 s so each fault window holds enough
-	// decisions to estimate mis-scheduling rates).
+	// MeanInterarrival is the mean job inter-arrival time (default 600 ms).
 	MeanInterarrival time.Duration
 	// Metrics are the strategies to compare (default delay, bandwidth,
 	// nearest, random).
@@ -43,41 +38,13 @@ func (c FaultsConfig) normalize() FaultsConfig {
 	if c.TaskCount <= 0 {
 		c.TaskCount = 200
 	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Millisecond
-	}
 	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 600 * time.Millisecond
+		c.MeanInterarrival = faultInterarrival
 	}
 	if len(c.Metrics) == 0 {
 		c.Metrics = []core.Metric{core.MetricDelay, core.MetricBandwidth, core.MetricNearest, core.MetricRandom}
 	}
 	return c
-}
-
-// span is the expected workload duration the failure schedule is placed in.
-func (c FaultsConfig) span() time.Duration {
-	return time.Duration(c.TaskCount) * c.MeanInterarrival
-}
-
-// Schedule is the scripted failure sequence, with event times relative to
-// the end of the collector warmup (Scenario.Faults semantics). Names refer
-// to the Fig 4 topology:
-//
-//   - n3's access link (n3-s04) goes down at 15% of the workload span for
-//     25% of it — n3 stays unreachable for the whole window since an access
-//     link has no alternate path.
-//   - edge server n2 crashes at 55% for 20% — probes from n2 stop and
-//     traffic toward it is dropped until it restarts.
-//   - a 30% probe-loss burst runs at 80% for 10% — telemetry degradation
-//     without any connectivity change.
-func (c FaultsConfig) Schedule() []fault.Event {
-	s := c.span()
-	return []fault.Event{
-		{Kind: fault.LinkDown, At: s * 15 / 100, Duration: s * 25 / 100, A: "n3", B: "s04"},
-		{Kind: fault.NodeHalt, At: s * 55 / 100, Duration: s * 20 / 100, Node: "n2"},
-		{Kind: fault.ProbeLoss, At: s * 80 / 100, Duration: s * 10 / 100, Rate: 0.3},
-	}
 }
 
 // FaultsResult is the outcome of the fault-recovery experiment: one full run
@@ -92,41 +59,20 @@ type FaultsResult struct {
 	Runs []*RunResult
 }
 
-// Faults runs the experiment serially; use Pool.Faults to spread the metric
-// cells across workers with identical output.
-func Faults(cfg FaultsConfig) (*FaultsResult, error) {
-	return (*Pool)(nil).Faults(cfg)
-}
-
 // Faults runs one cell per metric through the pool.
 func (p *Pool) Faults(cfg FaultsConfig) (*FaultsResult, error) {
 	cfg = cfg.normalize()
-	evs := cfg.Schedule()
-	cells := make([]Scenario, len(cfg.Metrics))
-	for i, m := range cfg.Metrics {
-		cells[i] = Scenario{
-			Seed:               cfg.Seed,
-			Workload:           workload.Serverless,
-			Metric:             m,
-			TaskCount:          cfg.TaskCount,
-			MeanInterarrival:   cfg.MeanInterarrival,
-			ProbeInterval:      cfg.ProbeInterval,
-			Faults:             evs,
-			ExcludeUnreachable: true,
-			RecordDecisions:    true,
-		}
-		if err := cells[i].Validate(); err != nil {
-			return nil, err
-		}
-	}
-	runs, err := p.RunScenarios(cells)
+	base := faultReplay(cfg.Seed, cfg.TaskCount, cfg.MeanInterarrival)
+	runs, err := p.replay(base, len(cfg.Metrics), func(i int, sc *Scenario) {
+		sc.Metric = cfg.Metrics[i]
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &FaultsResult{
 		Cfg:    cfg,
-		Events: evs,
-		Warm:   cells[0].withDefaults().warmup(),
+		Events: base.Faults,
+		Warm:   base.warmup(),
 		Runs:   runs,
 	}, nil
 }
@@ -140,9 +86,7 @@ const DetectBudgetIntervals = 15
 // FaultsRow is the per-metric summary of the experiment.
 type FaultsRow struct {
 	Metric core.Metric
-	// Decisions / Mis count all placement decisions and the mis-scheduled
-	// ones (placements unusable at decision time).
-	Decisions, Mis int
+	CellSummary
 	// PreMis counts mis-scheduled decisions before the first fault.
 	PreMis int
 	// DetectMis counts mis-scheduled decisions inside a connectivity-fault
@@ -156,9 +100,6 @@ type FaultsRow struct {
 	// the last mis-scheduled in-window decision's offset from the fault
 	// start, in probe intervals (-1 when the metric never mis-scheduled).
 	RecoveryIntervals float64
-	// MeanCompletion / Incomplete summarize task outcomes under faults.
-	MeanCompletion time.Duration
-	Incomplete     int
 	// Evictions / Remaps / Reroutes are the re-mapping and reconvergence
 	// counters from the run.
 	Evictions, Remaps uint64
@@ -179,15 +120,13 @@ func (f *FaultsResult) Rows() []FaultsRow {
 		}
 		wins = append(wins, window{f.Warm + ev.At, f.Warm + ev.At + ev.Duration})
 	}
-	budget := DetectBudgetIntervals * f.Cfg.ProbeInterval
+	budget := DetectBudgetIntervals * FaultProbeInterval
 	out := make([]FaultsRow, len(f.Runs))
 	for i, run := range f.Runs {
 		row := FaultsRow{
 			Metric:            f.Cfg.Metrics[i],
-			Decisions:         len(run.Decisions),
+			CellSummary:       summarize(run),
 			RecoveryIntervals: -1,
-			MeanCompletion:    run.MeanCompletion(),
-			Incomplete:        run.Incomplete,
 			Evictions:         run.AdjacencyEvictions,
 			Remaps:            run.PathRemaps,
 			Reroutes:          run.FaultStats.Reroutes,
@@ -197,7 +136,6 @@ func (f *FaultsResult) Rows() []FaultsRow {
 			if d.Usable {
 				continue
 			}
-			row.Mis++
 			if d.At < firstFault {
 				row.PreMis++
 			}
@@ -210,7 +148,7 @@ func (f *FaultsResult) Rows() []FaultsRow {
 				} else {
 					row.SteadyMis++
 				}
-				if off := float64(d.At-w.start) / float64(f.Cfg.ProbeInterval); off > row.RecoveryIntervals {
+				if off := float64(d.At-w.start) / float64(FaultProbeInterval); off > row.RecoveryIntervals {
 					row.RecoveryIntervals = off
 				}
 			}
@@ -230,7 +168,7 @@ func (f *FaultsResult) Table() string {
 			last = fmt.Sprintf("%.0f", r.RecoveryIntervals)
 		}
 		tb.AddRow(r.Metric.String(), r.Decisions, r.Mis, r.PreMis, r.DetectMis, r.SteadyMis,
-			last, r.Recovered(), r.MeanCompletion.Round(time.Millisecond), r.Incomplete,
+			last, r.Recovered(), time.Duration(r.MeanCompletion).Round(time.Millisecond), r.Incomplete,
 			r.Evictions, r.Remaps, r.Reroutes)
 	}
 	return tb.String()

@@ -6,15 +6,6 @@ import (
 	"intsched/internal/core"
 )
 
-// CompareSeeds replays the comparison across several seeds, giving the
-// statistical backing single-seed runs lack (the paper reports single-run
-// averages over 200 tasks; multiple seeds expose run-to-run variance).
-// It executes serially; use Pool.CompareSeeds to spread the seeds × metrics
-// grid across workers with identical output.
-func CompareSeeds(sc Scenario, metrics []core.Metric, seeds []int64) ([]*Comparison, error) {
-	return (*Pool)(nil).CompareSeeds(sc, metrics, seeds)
-}
-
 // GainStats aggregates the overall gain of metric vs. baseline across
 // seed-replicated comparisons, returning the mean and population standard
 // deviation.

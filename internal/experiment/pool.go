@@ -16,8 +16,8 @@ import (
 // byte-identical reports.
 //
 // A nil *Pool is valid and runs every cell serially on the calling
-// goroutine, so the package-level Compare/CompareSeeds/Fig3/Fig9 helpers
-// are simply delegations to (*Pool)(nil).
+// goroutine, so the package-level Compare/Fig3/Fig9 helpers are simply
+// delegations to (*Pool)(nil).
 type Pool struct {
 	workers int
 }
@@ -101,39 +101,20 @@ func (p *Pool) RunScenarios(scs []Scenario) ([]*RunResult, error) {
 }
 
 // Compare runs the scenario once per metric (each metric one cell),
-// replaying the same inputs.
+// replaying the same inputs: the one-seed case of CompareSeeds.
 func (p *Pool) Compare(sc Scenario, metrics []core.Metric) (*Comparison, error) {
-	cells := make([]Scenario, len(metrics))
-	for i, m := range metrics {
-		run := sc
-		run.Metric = m
-		if err := run.Validate(); err != nil {
-			return nil, err
-		}
-		cells[i] = run
-	}
-	results := make([]*RunResult, len(metrics))
-	err := p.run(len(metrics), func(i int) error {
-		res, err := Run(cells[i])
-		if err != nil {
-			return metricErr(metrics[i], err)
-		}
-		results[i] = res
-		return nil
-	})
+	cmps, err := p.CompareSeeds(sc, metrics, []int64{sc.Seed})
 	if err != nil {
 		return nil, err
 	}
-	c := &Comparison{Scenario: sc, Runs: make(map[core.Metric]*RunResult, len(metrics))}
-	for i, m := range metrics {
-		c.Runs[m] = results[i]
-	}
-	return c, nil
+	return cmps[0], nil
 }
 
-// CompareSeeds replays the comparison across several seeds, flattening the
-// seeds × metrics grid into independent cells so a large pool keeps every
-// worker busy even with few seeds.
+// CompareSeeds replays the comparison across several seeds, giving the
+// statistical backing single-seed runs lack (the paper reports single-run
+// averages over 200 tasks; multiple seeds expose run-to-run variance). The
+// seeds × metrics grid is flattened into independent cells so a large pool
+// keeps every worker busy even with few seeds.
 func (p *Pool) CompareSeeds(sc Scenario, metrics []core.Metric, seeds []int64) ([]*Comparison, error) {
 	nm := len(metrics)
 	cells := make([]Scenario, 0, len(seeds)*nm)

@@ -26,7 +26,7 @@ var poolTestMetrics = []core.Metric{core.MetricDelay, core.MetricNearest, core.M
 // serial path, across every (seed, metric) cell.
 func TestPoolCompareSeedsDeterminism(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
-	serial, err := CompareSeeds(poolTestScenario, poolTestMetrics, seeds)
+	serial, err := (*Pool)(nil).CompareSeeds(poolTestScenario, poolTestMetrics, seeds)
 	if err != nil {
 		t.Fatalf("serial CompareSeeds: %v", err)
 	}

@@ -3,14 +3,11 @@ package experiment
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 	"time"
 
 	"intsched/internal/core"
-	"intsched/internal/stats"
-	"intsched/internal/workload"
 )
 
 // WriteResultsCSV exports a run's per-task results as CSV (one row per
@@ -48,24 +45,6 @@ func WriteResultsCSV(w io.Writer, r *RunResult) error {
 			strconv.Itoa(res.Retransmits),
 		}
 		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteECDFCSV exports an ECDF as two-column CSV (value, fraction).
-func WriteECDFCSV(w io.Writer, points []stats.ECDFPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"value", "fraction"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if err := cw.Write([]string{
-			strconv.FormatFloat(p.Value, 'f', 6, 64),
-			strconv.FormatFloat(p.Fraction, 'f', 6, 64),
-		}); err != nil {
 			return err
 		}
 	}
@@ -121,13 +100,6 @@ func Summarize(r *RunResult) Summary {
 	return s
 }
 
-// WriteSummaryJSON exports the run digest as indented JSON.
-func WriteSummaryJSON(w io.Writer, r *RunResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(Summarize(r))
-}
-
 // ComparisonSummary digests a multi-metric comparison, including the
 // paper's headline gain numbers.
 type ComparisonSummary struct {
@@ -164,28 +136,3 @@ func WriteComparisonJSON(w io.Writer, c *Comparison, baseline core.Metric) error
 	enc.SetIndent("", "  ")
 	return enc.Encode(SummarizeComparison(c, baseline))
 }
-
-// WriteFig3CSV exports the calibration sweep.
-func WriteFig3CSV(w io.Writer, pts []Fig3Point) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"utilization", "mean_max_queue", "peak_queue", "mean_rtt_ms", "drops"}); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		if err := cw.Write([]string{
-			fmt.Sprintf("%.2f", p.Utilization),
-			fmt.Sprintf("%.3f", p.MeanMaxQueue),
-			strconv.Itoa(p.PeakQueue),
-			fmt.Sprintf("%.3f", float64(p.MeanRTT)/float64(time.Millisecond)),
-			strconv.FormatUint(p.Drops, 10),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ClassOrder returns Table I classes in presentation order; exported for
-// report writers.
-func ClassOrder() []workload.Class { return workload.Classes() }

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"intsched/internal/core"
-	"intsched/internal/stats"
 )
 
 func TestWriteResultsCSV(t *testing.T) {
@@ -35,31 +33,6 @@ func TestWriteResultsCSV(t *testing.T) {
 	}
 }
 
-func TestWriteSummaryJSON(t *testing.T) {
-	cmp := smallComparison(t)
-	var buf bytes.Buffer
-	if err := WriteSummaryJSON(&buf, cmp.Runs[core.MetricDelay]); err != nil {
-		t.Fatal(err)
-	}
-	var s Summary
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Metric != "delay" || s.Workload != "serverless" {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.MeanCompletion <= 0 {
-		t.Fatal("mean completion not positive")
-	}
-	total := 0
-	for _, c := range s.Classes {
-		total += c.Count
-	}
-	if total != len(cmp.Runs[core.MetricDelay].Results) {
-		t.Fatalf("class counts %d", total)
-	}
-}
-
 func TestWriteComparisonJSON(t *testing.T) {
 	cmp := smallComparison(t)
 	var buf bytes.Buffer
@@ -82,29 +55,5 @@ func TestWriteComparisonJSON(t *testing.T) {
 	}
 	if _, ok := out.Gains["nearest"]; ok {
 		t.Fatal("baseline has gains vs itself")
-	}
-}
-
-func TestWriteECDFCSV(t *testing.T) {
-	var buf bytes.Buffer
-	pts := stats.ECDF([]float64{0.1, 0.2, 0.2, 0.5})
-	if err := WriteECDFCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(pts)+1 {
-		t.Fatalf("lines %d", len(lines))
-	}
-}
-
-func TestWriteFig3CSV(t *testing.T) {
-	var buf bytes.Buffer
-	pts := []Fig3Point{{Utilization: 0.5, MeanMaxQueue: 3.2, PeakQueue: 9, MeanRTT: 41e6, Drops: 2}}
-	if err := WriteFig3CSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "0.50") || !strings.Contains(out, "3.200") {
-		t.Fatalf("csv %q", out)
 	}
 }

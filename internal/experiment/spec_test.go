@@ -152,7 +152,7 @@ func TestScenarioOnCustomTopology(t *testing.T) {
 }
 
 func TestCompareSeedsAndGainStats(t *testing.T) {
-	cmps, err := CompareSeeds(Scenario{
+	cmps, err := serial.CompareSeeds(Scenario{
 		Workload:   workload.Serverless,
 		TaskCount:  8,
 		Background: BackgroundRandom,

@@ -2,11 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"intsched/internal/collector"
-	"intsched/internal/core"
 	"intsched/internal/dataplane"
 	"intsched/internal/netsim"
 	"intsched/internal/pint"
@@ -15,7 +13,6 @@ import (
 	"intsched/internal/stats"
 	"intsched/internal/telemetry"
 	"intsched/internal/transport"
-	"intsched/internal/workload"
 )
 
 // The telemetry experiment quantifies the PINT trade: probabilistic per-hop
@@ -38,26 +35,12 @@ type TelemetryConfig struct {
 	// Seed drives workload generation, probe-loss draws, and the per-switch
 	// sampling streams.
 	Seed int64
-	// TaskCount is the number of tasks per quality cell (default 200).
+	// TaskCount is the number of tasks per quality cell (default 200, 60
+	// under Smoke).
 	TaskCount int
-	// ProbeInterval is the INT probing period (default 100 ms).
-	ProbeInterval time.Duration
-	// MeanInterarrival is the mean job inter-arrival time (default 600 ms,
-	// matching the faults experiment the quality cells replay).
-	MeanInterarrival time.Duration
-	// Metric is the ranking strategy under test (the zero value is the
-	// delay metric).
-	Metric core.Metric
 	// Rates are the probabilistic sampling rates to sweep (default 1.0,
 	// 0.5, 0.25, 0.1). A deterministic baseline cell always runs first.
 	Rates []float64
-	// QueueDeltaThreshold is the value-approximation threshold applied to
-	// probabilistic cells below full rate: a switch re-reports a port's
-	// queue maximum only when it moved by more than this many packets
-	// (default 1; negative disables). The p=1.0 cells always run with
-	// approximation off — sampling at certainty is the deterministic
-	// identity, and suppression would change queue reports.
-	QueueDeltaThreshold int
 	// Rounds is the number of measured probe rounds per overhead cell
 	// (default 20).
 	Rounds int
@@ -67,31 +50,11 @@ type TelemetryConfig struct {
 }
 
 func (c *TelemetryConfig) normalize() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.TaskCount <= 0 {
-		c.TaskCount = 200
-		if c.Smoke {
-			c.TaskCount = 60
-		}
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 100 * time.Millisecond
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 600 * time.Millisecond
-	}
 	if len(c.Rates) == 0 {
 		c.Rates = []float64{1.0, 0.5, 0.25, 0.1}
 		if c.Smoke {
 			c.Rates = []float64{1.0, 0.25}
 		}
-	}
-	if c.QueueDeltaThreshold == 0 {
-		c.QueueDeltaThreshold = 1
-	} else if c.QueueDeltaThreshold < 0 {
-		c.QueueDeltaThreshold = 0
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 20
@@ -101,103 +64,121 @@ func (c *TelemetryConfig) normalize() {
 	}
 }
 
-// metroSpec returns the overhead rig's fabric.
-func (c *TelemetryConfig) metroSpec() (*TopoSpec, error) {
-	if c.Smoke {
-		return MetroSpec(MetroConfig{Regions: 2, PodsPerRegion: 2, TorsPerPod: 2, ServersPerTor: 2, Seed: c.Seed})
-	}
-	return MetroSpec(MetroConfig{Seed: c.Seed})
+const (
+	// telemetryQueueDelta is the value-approximation threshold of
+	// probabilistic cells below full rate: a switch re-reports a port's
+	// queue maximum only when it moved by more than this many packets. The
+	// p=1.0 cells run with approximation off — sampling at certainty is the
+	// deterministic identity, and suppression would change queue reports.
+	telemetryQueueDelta = 1
+	// overheadRateBps is the overhead rig's link rate. At the paper's
+	// 20 Mb/s a 1024-host fleet offers its scheduler's access link six times
+	// what it carries, and the cell would average over the survivors.
+	overheadRateBps = 1_000_000_000
+	// overheadDelivery is the share of sent probes an overhead cell must
+	// ingest to count as a measurement of the fleet.
+	overheadDelivery = 0.99
+)
+
+// telemetryAxis is one mode/rate point, shared by the quality and overhead
+// sweeps.
+type telemetryAxis struct {
+	mode telemetry.Mode
+	rate float64
 }
 
-// telemetryModeLabel names one mode/rate cell.
-func telemetryModeLabel(mode telemetry.Mode, rate float64) string {
-	if mode == telemetry.ModeDeterministic {
+func (a telemetryAxis) label() string {
+	if a.mode == telemetry.ModeDeterministic {
 		return "deterministic"
 	}
-	return fmt.Sprintf("p=%.2f", rate)
+	return fmt.Sprintf("p=%.2f", a.rate)
+}
+
+func (a telemetryAxis) queueDelta() int {
+	if a.mode == telemetry.ModeProbabilistic && a.rate < 1.0 {
+		return telemetryQueueDelta
+	}
+	return 0
 }
 
 // TelemetryCell is one quality measurement: the faults workload under one
 // telemetry configuration.
 type TelemetryCell struct {
 	// Mode labels the cell ("deterministic" or "p=<rate>").
-	Mode string
+	Mode string `json:"mode"`
 	// Rate is the sampling rate (1.0 for the deterministic baseline).
-	Rate float64
-	// Decisions / Mis count placement decisions and mis-schedules; MisPct
-	// is their ratio in percent.
-	Decisions, Mis int
-	MisPct         float64
-	MeanCompletion time.Duration
-	Incomplete     int
+	Rate float64 `json:"rate"`
+	CellSummary
 	// TelemetryBytes is the encoded probe payload volume the collector
 	// ingested over the run.
-	TelemetryBytes uint64
+	TelemetryBytes uint64 `json:"telemetry_bytes"`
 	// RecordsReassembled / ReassemblyCompletions count fragment merges and
 	// closed reassembly cycles (zero for the deterministic baseline).
-	RecordsReassembled    uint64
-	ReassemblyCompletions uint64
-	// Digest hashes every placement decision and the figure-level task
-	// metrics (bytes excluded: identical scheduling at lower cost is the
-	// point, not a violation).
-	Digest string
+	RecordsReassembled    uint64 `json:"records_reassembled"`
+	ReassemblyCompletions uint64 `json:"reassembly_completions"`
+	// Digest is the run's decisionDigest.
+	Digest string `json:"digest"`
 }
 
 // TelemetryOverheadCell is one bytes-on-wire measurement on the metro rig.
 type TelemetryOverheadCell struct {
-	Topo string
-	Mode string
-	Rate float64
+	Mode string  `json:"mode"`
+	Rate float64 `json:"rate"`
+	Topo string  `json:"topo"`
 	// Probes / TelemetryBytes are the collector's ingest totals.
-	Probes         uint64
-	TelemetryBytes uint64
+	Probes         uint64 `json:"probes"`
+	TelemetryBytes uint64 `json:"telemetry_bytes"`
 	// BytesPerProbe is the mean encoded payload size.
-	BytesPerProbe float64
+	BytesPerProbe float64 `json:"bytes_per_probe"`
 	// Reduction is deterministic bytes-per-probe divided by this cell's
 	// (1.0 for the baseline itself).
-	Reduction             float64
-	ReassemblyCompletions uint64
+	Reduction             float64 `json:"reduction"`
+	ReassemblyCompletions uint64  `json:"-"`
 }
 
-// TelemetryResult is the full experiment.
+// TelemetryResult is the full experiment; it marshals to the recorded
+// artifact.
 type TelemetryResult struct {
-	Cfg TelemetryConfig
-	// Quality cells: deterministic first, then one per Cfg.Rates entry.
-	Quality []TelemetryCell
+	SweepHeader
+	// Quality cells: deterministic first, then one per sampling rate.
+	Quality []TelemetryCell `json:"quality"`
 	// Overhead cells on the metro fabric, same order.
-	Overhead []TelemetryOverheadCell
+	Overhead []TelemetryOverheadCell `json:"overhead"`
 }
 
-// telemetryDigest hashes a run's decisions and figure-level metrics.
-func telemetryDigest(run *RunResult) string {
-	h := fnv.New64a()
-	for i := range run.Decisions {
-		d := &run.Decisions[i]
-		fmt.Fprintf(h, "%d %d %s %s %t\n", d.At.Nanoseconds(), d.TaskID, d.Device, d.Server, d.Usable)
+// overheadSpec returns the overhead rig's fabric.
+func overheadSpec(seed int64, smoke bool) (*TopoSpec, error) {
+	cfg := MetroConfig{Seed: seed}
+	if smoke {
+		cfg = MetroConfig{Regions: 2, PodsPerRegion: 2, TorsPerPod: 2, ServersPerTor: 2, Seed: seed}
 	}
-	fmt.Fprintf(h, "mc=%d mt=%d inc=%d\n",
-		run.MeanCompletion().Nanoseconds(), run.MeanTransfer().Nanoseconds(), run.Incomplete)
-	return fmt.Sprintf("%016x", h.Sum64())
+	spec, err := MetroSpec(cfg)
+	if err != nil {
+		return nil, err
+	}
+	spec.RateBps = overheadRateBps
+	return spec, nil
 }
 
-// runTelemetryOverheadCell runs the probe-only rig under one configuration.
-func runTelemetryOverheadCell(spec *TopoSpec, mode telemetry.Mode, rate float64, cfg TelemetryConfig) (TelemetryOverheadCell, error) {
+// runTelemetryOverheadCell runs the probe-only rig under one configuration:
+// one prober per non-scheduler host, phases staggered across the probing
+// interval so a round arrives spread out instead of as one burst, probing
+// for the given number of rounds and then draining what is in flight. It
+// fails unless the collector ingested nearly every probe sent.
+func runTelemetryOverheadCell(spec *TopoSpec, ax telemetryAxis, seed int64, rounds int) (TelemetryOverheadCell, error) {
 	engine := simtime.NewEngine()
 	topo, err := spec.Build(engine)
 	if err != nil {
 		return TelemetryOverheadCell{}, err
 	}
-	intCfg := dataplane.INTConfig{}
-	if mode == telemetry.ModeProbabilistic {
-		intCfg.Sampler = pint.NewSampler(simtime.NewRand(cfg.Seed).Stream("pint"))
-		if rate < 1.0 {
-			intCfg.QueueDeltaThreshold = cfg.QueueDeltaThreshold
-		}
+	intCfg := dataplane.INTConfig{QueueDeltaThreshold: ax.queueDelta()}
+	if ax.mode == telemetry.ModeProbabilistic {
+		intCfg.Sampler = pint.NewSampler(simtime.NewRand(seed).Stream("pint"))
 	}
 	dataplane.AttachINT(topo.Net, intCfg)
 	domain := transport.NewDomain(topo.Net).InstallAll()
 	coll := collector.New(topo.Scheduler, engine.Now, collector.Config{
-		QueueWindow: 2 * cfg.ProbeInterval,
+		QueueWindow: 2 * FaultProbeInterval,
 	})
 	coll.Bind(domain.Stack(topo.Scheduler))
 	devices := make([]netsim.NodeID, 0, len(topo.Hosts))
@@ -207,18 +188,34 @@ func runTelemetryOverheadCell(spec *TopoSpec, mode telemetry.Mode, rate float64,
 			devices = append(devices, h)
 		}
 	}
-	fleet := probe.NewFleet(topo.Net, devices, topo.Scheduler, cfg.ProbeInterval)
-	if mode == telemetry.ModeProbabilistic {
-		fleet.SetTelemetry(mode, telemetry.RateToWire(rate))
+	probers := make([]*probe.Prober, 0, len(devices))
+	for i, h := range devices {
+		engine.At(time.Duration(i)*FaultProbeInterval/time.Duration(len(devices)), func() {
+			pr := probe.NewProber(topo.Net, h, topo.Scheduler, FaultProbeInterval)
+			if ax.mode == telemetry.ModeProbabilistic {
+				pr.SetTelemetry(ax.mode, telemetry.RateToWire(ax.rate))
+			}
+			probers = append(probers, pr)
+		})
 	}
-	engine.Run(engine.Now() + time.Duration(cfg.Rounds)*cfg.ProbeInterval)
-	fleet.Stop()
+	end := time.Duration(rounds) * FaultProbeInterval
+	engine.Run(end)
+	var sent uint64
+	for _, pr := range probers {
+		pr.Stop()
+		sent += pr.Sent
+	}
+	engine.Run(end + FaultProbeInterval)
 
 	st := coll.Stats()
+	if float64(st.ProbesReceived) < overheadDelivery*float64(sent) {
+		return TelemetryOverheadCell{}, fmt.Errorf("%s: collector ingested %d of %d probes sent, below %.0f%% (bytes/probe would average the survivors)",
+			spec.Name, st.ProbesReceived, sent, 100*overheadDelivery)
+	}
 	cell := TelemetryOverheadCell{
+		Mode:                  ax.label(),
+		Rate:                  ax.rate,
 		Topo:                  spec.Name,
-		Mode:                  telemetryModeLabel(mode, rate),
-		Rate:                  rate,
 		Probes:                st.ProbesReceived,
 		TelemetryBytes:        st.TelemetryBytes,
 		ReassemblyCompletions: st.ReassemblyCompletions,
@@ -234,108 +231,69 @@ func runTelemetryOverheadCell(spec *TopoSpec, mode telemetry.Mode, rate float64,
 // must reproduce the deterministic baseline's decision digest exactly.
 func (p *Pool) Telemetry(cfg TelemetryConfig) (*TelemetryResult, error) {
 	cfg.normalize()
+	res := &TelemetryResult{SweepHeader: newSweepHeader("telemetry", cfg.Seed, cfg.TaskCount, cfg.Smoke)}
 
-	// One mode/rate axis shared by both sweeps: deterministic, then each
-	// probabilistic rate.
-	type axis struct {
-		mode telemetry.Mode
-		rate float64
-	}
-	cells := []axis{{telemetry.ModeDeterministic, 1.0}}
+	axis := []telemetryAxis{{telemetry.ModeDeterministic, 1.0}}
 	for _, r := range cfg.Rates {
-		cells = append(cells, axis{telemetry.ModeProbabilistic, r})
+		axis = append(axis, telemetryAxis{telemetry.ModeProbabilistic, r})
 	}
 
 	// Quality cells replay the faults workload, so degraded telemetry has
 	// failures to mis-schedule around.
-	events := FaultsConfig{
-		TaskCount:        cfg.TaskCount,
-		MeanInterarrival: cfg.MeanInterarrival,
-	}.normalize().Schedule()
-	scenarios := make([]Scenario, len(cells))
-	for i, ax := range cells {
-		scenarios[i] = Scenario{
-			Seed:               cfg.Seed,
-			Workload:           workload.Serverless,
-			Metric:             cfg.Metric,
-			TaskCount:          cfg.TaskCount,
-			MeanInterarrival:   cfg.MeanInterarrival,
-			ProbeInterval:      cfg.ProbeInterval,
-			Faults:             events,
-			ExcludeUnreachable: true,
-			RecordDecisions:    true,
-			TelemetryMode:      ax.mode,
-			SampleRate:         ax.rate,
-		}
-		if ax.mode == telemetry.ModeProbabilistic && ax.rate < 1.0 {
-			scenarios[i].QueueDeltaThreshold = cfg.QueueDeltaThreshold
-		}
-		if err := scenarios[i].Validate(); err != nil {
-			return nil, err
-		}
-	}
-	runs, err := p.RunScenarios(scenarios)
+	runs, err := p.replay(res.scenario(), len(axis), func(i int, sc *Scenario) {
+		sc.TelemetryMode = axis[i].mode
+		sc.SampleRate = axis[i].rate
+		sc.QueueDeltaThreshold = axis[i].queueDelta()
+	})
 	if err != nil {
 		return nil, err
 	}
-	quality := make([]TelemetryCell, len(runs))
+	res.Quality = make([]TelemetryCell, len(runs))
 	for i, run := range runs {
-		cell := TelemetryCell{
-			Mode:                  telemetryModeLabel(cells[i].mode, cells[i].rate),
-			Rate:                  cells[i].rate,
-			Decisions:             len(run.Decisions),
-			Mis:                   run.MisScheduled(),
-			MeanCompletion:        run.MeanCompletion(),
-			Incomplete:            run.Incomplete,
+		res.Quality[i] = TelemetryCell{
+			Mode:                  axis[i].label(),
+			Rate:                  axis[i].rate,
+			CellSummary:           summarize(run),
 			TelemetryBytes:        run.TelemetryBytes,
 			RecordsReassembled:    run.RecordsReassembled,
 			ReassemblyCompletions: run.ReassemblyCompletions,
-			Digest:                telemetryDigest(run),
+			Digest:                decisionDigest(run),
 		}
-		if cell.Decisions > 0 {
-			cell.MisPct = 100 * float64(cell.Mis) / float64(cell.Decisions)
-		}
-		quality[i] = cell
 	}
 
 	// Identity contract: p=1.0 samples every hop of every probe with value
 	// approximation off, so its run must be indistinguishable from the
 	// deterministic baseline.
-	for _, cell := range quality {
-		if cell.Mode == "p=1.00" && cell.Digest != quality[0].Digest {
+	for _, cell := range res.Quality {
+		if cell.Mode == "p=1.00" && cell.Digest != res.Quality[0].Digest {
 			return nil, fmt.Errorf("telemetry: p=1.0 digest %s != deterministic %s (sampling at certainty changed scheduling)",
-				cell.Digest, quality[0].Digest)
+				cell.Digest, res.Quality[0].Digest)
 		}
 	}
 
 	// Overhead cells on the metro fabric.
-	spec, err := cfg.metroSpec()
+	spec, err := overheadSpec(res.Seed, cfg.Smoke)
 	if err != nil {
 		return nil, err
 	}
-	overhead := make([]TelemetryOverheadCell, len(cells))
-	err = p.run(len(cells), func(i int) error {
-		cell, err := runTelemetryOverheadCell(spec, cells[i].mode, cells[i].rate, cfg)
+	res.Overhead = make([]TelemetryOverheadCell, len(axis))
+	err = p.run(len(axis), func(i int) error {
+		cell, err := runTelemetryOverheadCell(spec, axis[i], res.Seed, cfg.Rounds)
 		if err != nil {
-			return fmt.Errorf("telemetry %s: %w", telemetryModeLabel(cells[i].mode, cells[i].rate), err)
+			return fmt.Errorf("telemetry %s: %w", axis[i].label(), err)
 		}
-		overhead[i] = cell
+		res.Overhead[i] = cell
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range overhead {
-		if overhead[i].BytesPerProbe > 0 {
-			overhead[i].Reduction = overhead[0].BytesPerProbe / overhead[i].BytesPerProbe
+	for i := range res.Overhead {
+		if res.Overhead[i].BytesPerProbe > 0 {
+			res.Overhead[i].Reduction = res.Overhead[0].BytesPerProbe / res.Overhead[i].BytesPerProbe
 		}
 	}
-	return &TelemetryResult{Cfg: cfg, Quality: quality, Overhead: overhead}, nil
-}
-
-// Telemetry runs the sweep serially; see (*Pool).Telemetry.
-func Telemetry(cfg TelemetryConfig) (*TelemetryResult, error) {
-	return (*Pool)(nil).Telemetry(cfg)
+	return res, nil
 }
 
 // QualityTable renders the scheduling-quality sweep. DeltaMis columns are
@@ -347,7 +305,7 @@ func (r *TelemetryResult) QualityTable() string {
 	for _, c := range r.Quality {
 		tb.AddRow(c.Mode, c.Decisions, c.Mis, fmt.Sprintf("%.2f", c.MisPct),
 			fmt.Sprintf("%+.2f", c.MisPct-base),
-			c.MeanCompletion.Round(time.Millisecond), c.Incomplete,
+			time.Duration(c.MeanCompletion).Round(time.Millisecond), c.Incomplete,
 			c.TelemetryBytes, c.RecordsReassembled, c.ReassemblyCompletions, c.Digest)
 	}
 	return tb.String()

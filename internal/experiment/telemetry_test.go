@@ -1,8 +1,10 @@
 package experiment
 
 import (
-	"reflect"
+	"strings"
 	"testing"
+
+	"intsched/internal/telemetry"
 )
 
 func telemetryTestConfig() TelemetryConfig {
@@ -19,7 +21,7 @@ func telemetryTestConfig() TelemetryConfig {
 // passes (enforced inside Telemetry), probabilistic cells actually
 // reassemble fragments, and lower sampling rates shrink probes.
 func TestTelemetrySmoke(t *testing.T) {
-	res, err := Telemetry(telemetryTestConfig())
+	res, err := serial.Telemetry(telemetryTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,22 +69,25 @@ func TestTelemetrySmoke(t *testing.T) {
 	}
 }
 
-// TestTelemetryParallelMatchesSerial: the pooled sweep must reproduce the
-// serial sweep exactly — cells may not depend on -parallel.
-func TestTelemetryParallelMatchesSerial(t *testing.T) {
-	cfg := telemetryTestConfig()
-	serial, err := Telemetry(cfg)
+// TestOverheadRigDeliveryCheck: on the paper's 20 Mb/s links a metro fleet
+// offers its scheduler's access link more than it carries, most probes are
+// dropped, and the cell must fail rather than average bytes/probe over the
+// survivors (what the full-size rig did before it ran at 1 Gb/s).
+func TestOverheadRigDeliveryCheck(t *testing.T) {
+	spec, err := MetroSpec(MetroConfig{Regions: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewPool(4).Telemetry(cfg)
+	ax := telemetryAxis{telemetry.ModeDeterministic, 1.0}
+	if _, err := runTelemetryOverheadCell(spec, ax, 3, 4); err == nil || !strings.Contains(err.Error(), "probes sent") {
+		t.Fatalf("20 Mb/s fabric: err = %v, want the delivery check to fire", err)
+	}
+	spec.RateBps = overheadRateBps
+	cell, err := runTelemetryOverheadCell(spec, ax, 3, 4)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("1 Gb/s fabric: %v", err)
 	}
-	if !reflect.DeepEqual(serial.Quality, parallel.Quality) {
-		t.Fatalf("quality cells depend on -parallel:\nserial   %+v\nparallel %+v", serial.Quality, parallel.Quality)
-	}
-	if !reflect.DeepEqual(serial.Overhead, parallel.Overhead) {
-		t.Fatalf("overhead cells depend on -parallel:\nserial   %+v\nparallel %+v", serial.Overhead, parallel.Overhead)
+	if cell.Probes == 0 {
+		t.Fatal("1 Gb/s fabric ingested nothing")
 	}
 }

@@ -1,9 +1,8 @@
 // Package lint implements intlint, the repo-specific static-analysis suite
 // that mechanically enforces the contracts the scheduler's correctness and
 // reproducibility depend on: seed-determinism of the simulation packages,
-// the transient-packet relinquish rule, the RankCache generation-token
-// protocol, the obs metric naming scheme shared between sim and daemon, and
-// the probe-codec scratch-aliasing rules.
+// the transient-packet relinquish rule, the obs metric naming scheme shared
+// between sim and daemon, and the probe-codec scratch-aliasing rules.
 //
 // The package is a small, dependency-free re-implementation of the parts of
 // golang.org/x/tools/go/analysis that the suite needs (the container that
@@ -77,7 +76,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminismAnalyzer,
 		TransientPacketAnalyzer,
-		RankCacheTokenAnalyzer,
 		ObsNamingAnalyzer,
 		ScratchAliasAnalyzer,
 		SnapshotImmutableAnalyzer,

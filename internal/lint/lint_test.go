@@ -50,12 +50,6 @@ func TestTransientPacket(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/transient", "fixture/transient", lint.TransientPacketAnalyzer)
 }
 
-// TestRankCacheToken includes the PR 1 regression: discarding Lookup's
-// generation token and fabricating one at the Store site.
-func TestRankCacheToken(t *testing.T) {
-	linttest.Run(t, "internal/lint/testdata/src/rankcache", "fixture/rankcache", lint.RankCacheTokenAnalyzer)
-}
-
 func TestObsNaming(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/obsname", "fixture/obsname", lint.ObsNamingAnalyzer)
 }
@@ -79,8 +73,7 @@ func TestIndexSpace(t *testing.T) {
 }
 
 // TestModuleIsClean runs the full suite over the repository itself: the
-// production tree must stay free of violations (intentional wall-clock use
-// goes through internal/wallclock, and so on).
+// production tree must stay free of violations.
 func TestModuleIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")

@@ -16,9 +16,8 @@ const obsPkg = "intsched/internal/obs"
 // (intsched_probe_streams) or versions (intsched_collector_epoch).
 var obsUnitSuffixes = []string{"_seconds", "_bytes", "_ratio", "_packets"}
 
-// ObsNamingAnalyzer enforces the metric series-name scheme shared between
-// the sim-side core.Service instrumentation and the live daemon, so series
-// exported by /metrics and reported by intbench -exp qps stay joinable.
+// ObsNamingAnalyzer enforces the metric series-name scheme of the series
+// the live daemon exports at /metrics.
 var ObsNamingAnalyzer = &Analyzer{
 	Name: "obsnaming",
 	Doc: `require obs metric names to follow the shared snake_case, unit-suffixed scheme

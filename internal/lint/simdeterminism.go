@@ -11,9 +11,8 @@ import (
 // comparable across schedulers when every run is bit-reproducible. Wall
 // clocks, the global math/rand stream, and map-iteration-ordered output are
 // forbidden here. Everything else — the live daemons under internal/live,
-// the cmd mains, obs, and the shared core read path (whose wall-clock use
-// feeds latency histograms, never sim results) — is exempt by omission,
-// not by suppression comments. The collector joined the sim side once it
+// the cmd mains, obs, and the shared core read path — is exempt by
+// omission, not by suppression comments. The collector joined the sim side once it
 // became fully clock-injected (its clock is a func() time.Duration bound
 // by the caller): its snapshots must stay byte-identical per
 // seed, so it carries the same obligations as the simulator proper.
@@ -79,8 +78,7 @@ SimSidePackages this analyzer reports:
 
   - calls to time.Now, time.Sleep, time.Since, time.Until, time.After,
     time.AfterFunc, time.Tick, time.NewTimer, time.NewTicker (virtual time
-    comes from simtime.Engine; wall-clock perf timing goes through the
-    sanctioned internal/wallclock package);
+    comes from simtime.Engine);
   - calls to package-level math/rand functions other than New/NewSource/
     NewZipf (draws must come from an explicitly seeded *rand.Rand, i.e.
     simtime.Rand);
@@ -146,7 +144,7 @@ func checkDeterminismCall(pass *Pass, call *ast.CallExpr, inMapRange bool) {
 		switch fn.Pkg().Path() {
 		case "time":
 			if pkgLevel && forbiddenTimeFuncs[fn.Name()] {
-				pass.Reportf(call.Pos(), "call to time.%s in sim-side package %s: simulation code must use simtime.Engine virtual time (wall-clock perf timing belongs in internal/wallclock)", fn.Name(), pass.Pkg.Path())
+				pass.Reportf(call.Pos(), "call to time.%s in sim-side package %s: simulation code must use simtime.Engine virtual time", fn.Name(), pass.Pkg.Path())
 			}
 		case "math/rand", "math/rand/v2":
 			if pkgLevel && !allowedRandFuncs[fn.Name()] {

@@ -21,9 +21,9 @@ var SnapshotImmutableAnalyzer = &Analyzer{
 	Doc: `forbid stores through published snapshots and cached rank views
 
 Collector.Snapshot returns a shared *Topology served concurrently to every
-caller until the epoch moves; RankCache.Lookup/Store hand out *RankEntry
-values whose Ranked()/Shaped() results are zero-copy reslice views of the
-cached backing array. All of it is immutable by contract: a store through
+caller until the epoch moves; RankCache.Lookup and RankMiss.Store hand out
+*RankEntry values whose Ranked()/Shaped() results are zero-copy reslice
+views of the cached backing array. All of it is immutable by contract: a store through
 any of these values corrupts answers served to concurrent readers (and,
 via Shaped's prefix reslicing, answers served to future callers). This
 analyzer taint-tracks everything aliasing a snapshot, entry, or view
@@ -62,14 +62,14 @@ type snapState struct {
 
 // seedCallResult reports whether a call yields a shared snapshot/view and
 // names it. Only the first result of RankCache.Lookup is shared (the second
-// is the generation token).
+// is the miss handle, a plain value).
 func seedCallResult(pass *Pass, call *ast.CallExpr) (string, bool) {
 	fn := pass.funcObj(call)
 	switch {
 	case isMethodOf(fn, "intsched/internal/collector", "Collector", "Snapshot"):
 		return "topology snapshot", true
 	case isMethodOf(fn, "intsched/internal/core", "RankCache", "Lookup"),
-		isMethodOf(fn, "intsched/internal/core", "RankCache", "Store"):
+		isMethodOf(fn, "intsched/internal/core", "RankMiss", "Store"):
 		return "cached rank entry", true
 	case isMethodOf(fn, "intsched/internal/core", "RankEntry", "Ranked"),
 		isMethodOf(fn, "intsched/internal/core", "RankEntry", "Shaped"):
@@ -229,12 +229,12 @@ func (st *snapState) handleAssign(n *ast.AssignStmt) {
 		}
 	}
 	// Alias propagation: ident := tainted-expr (also through tuple
-	// assignment from a seed call: topo := c.Snapshot(); e, gen := cache.Lookup(k)).
+	// assignment from a seed call: topo := c.Snapshot(); e, miss := cache.Lookup(k)).
 	if len(n.Rhs) == 1 {
 		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 			if what, ok := seedCallResult(st.pass, call); ok {
 				// Only the first result is the shared value, and only a bare
-				// identifier becomes an alias: entries[i] = cache.Store(...)
+				// identifier becomes an alias: entries[i] = miss.Store(...)
 				// replaces an element of a local pointer slice, it does not
 				// turn that slice into shared storage.
 				if id, ok := ast.Unparen(n.Lhs[0]).(*ast.Ident); ok && id.Name != "_" {

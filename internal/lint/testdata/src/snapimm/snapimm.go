@@ -30,8 +30,8 @@ func BadViewElementStore(e *core.RankEntry) {
 }
 
 // BadViewElementReplace overwrites a whole cached element.
-func BadViewElementReplace(cache *core.RankCache, epoch, gen uint64, key core.RankKey, ranked []core.Candidate) {
-	entry := cache.Store(epoch, gen, key, ranked)
+func BadViewElementReplace(miss core.RankMiss, ranked []core.Candidate) {
+	entry := miss.Store(ranked)
 	view := entry.Ranked()
 	view[0] = core.Candidate{} // want `store through cached candidate view`
 }
@@ -65,8 +65,8 @@ func BadSort(e *core.RankEntry) {
 
 // BadLookupEntry taints through the cache's lookup path.
 func BadLookupEntry(cache *core.RankCache, epoch uint64, key core.RankKey) {
-	entry, ok, _ := cache.Lookup(epoch, key)
-	if !ok {
+	entry, _ := cache.Lookup(epoch, key)
+	if entry == nil {
 		return
 	}
 	view := entry.Ranked()
@@ -113,14 +113,14 @@ func GoodHostsCopy(topo *collector.Topology) []string {
 	return hosts
 }
 
-// GoodGenToken: only Lookup's first result is shared; the generation token
-// is a plain value.
-func GoodGenToken(cache *core.RankCache, epoch uint64, key core.RankKey) uint64 {
-	entry, ok, gen := cache.Lookup(epoch, key)
+// GoodMissHandle: only Lookup's first result is shared; the miss handle is
+// a plain value.
+func GoodMissHandle(cache *core.RankCache, epoch uint64, key core.RankKey) core.RankMiss {
+	entry, miss := cache.Lookup(epoch, key)
 	_ = entry
-	_ = ok
-	gen++
-	return gen
+	handles := []core.RankMiss{{}}
+	handles[0] = miss
+	return handles[0]
 }
 
 // GoodRebind: a name that held a view may be rebound to fresh storage and
@@ -137,7 +137,7 @@ func GoodRebind(e *core.RankEntry) []core.Candidate {
 func GoodEntrySlicePointer(cache *core.RankCache, epoch uint64, keys []core.RankKey) []*core.RankEntry {
 	entries := make([]*core.RankEntry, len(keys))
 	for i, k := range keys {
-		if e, ok, _ := cache.Lookup(epoch, k); ok {
+		if e, _ := cache.Lookup(epoch, k); e != nil {
 			entries[i] = e
 		}
 	}
