@@ -13,6 +13,7 @@ import (
 	"intsched/internal/core"
 	"intsched/internal/experiment"
 	"intsched/internal/netsim"
+	"intsched/internal/probe"
 	"intsched/internal/simtime"
 	"intsched/internal/telemetry"
 	"intsched/internal/transport"
@@ -358,6 +359,65 @@ func BenchmarkCollectorIngest(b *testing.B) {
 		ingest(i)
 	}
 }
+
+// BenchmarkSnapshotPublish measures what a query pays when it meets a new
+// epoch: one probe of the default Clos fabric's feed (208 switches, 256
+// hosts, ~5 records a probe) is ingested outside the timer, then Snapshot()
+// publishes. The probe changed a few links' delays and a few dozen queue
+// maxima; the cost must be the copy of the slot array, not a rebuild of the
+// fabric's index (the 8-host Fig 4 network is too small to tell the two
+// apart).
+func BenchmarkSnapshotPublish(b *testing.B) {
+	spec, err := experiment.ClosSpec(experiment.ClosConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fabric, err := spec.Build(simtime.NewEngine())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const rounds = 3
+	trace, err := experiment.TraceProbes(fabric, rounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var now time.Duration
+	coll := collector.New(fabric.Scheduler, func() time.Duration { return now }, collector.Config{QueueWindow: 2 * probe.DefaultInterval})
+	var p telemetry.ProbePayload
+	// The trace repeats with its clock and sequence numbers carried forward.
+	ingest := func(i int) {
+		lap, at := i/len(trace), trace[i%len(trace)]
+		if err := telemetry.UnmarshalProbeInto(&p, at.Wire); err != nil {
+			b.Fatal(err)
+		}
+		shift := time.Duration(lap*rounds) * probe.DefaultInterval
+		now = at.At + shift
+		p.Seq += uint64(lap * rounds)
+		for r := range p.Stack.Records {
+			p.Stack.Records[r].EgressTS += shift
+		}
+		coll.HandleProbe(&p)
+	}
+	for i := 0; i < len(trace); i++ {
+		ingest(i)
+	}
+	coll.Snapshot()
+	rebuilds := coll.Stats().StructureRebuilds
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ingest(len(trace) + i)
+		b.StartTimer()
+		benchSnapshot = coll.Snapshot()
+	}
+	b.StopTimer()
+	if got := coll.Stats().StructureRebuilds; got != rebuilds {
+		b.Fatalf("%d structure rebuilds on a steady feed", got-rebuilds)
+	}
+}
+
+var benchSnapshot *collector.Topology
 
 // BenchmarkDelayRanking measures Algorithm 1 over a learned Fig-4-sized
 // topology.

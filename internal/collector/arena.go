@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// CSR edge-metric arena. A snapshot flattens the neighbor index
-// rows (nbrIdx) the path trees run on into one CSR array and holds every
-// per-direction edge metric (delay, jitter, rate, windowed queue max) in one
-// flat slot array, so the scheduler reads metrics as array loads indexed by
-// CSR position.
+// CSR edge-metric arena. A structure flattens the neighbor index rows
+// (nbrIdx) the path trees run on into one CSR array, and a snapshot holds
+// every per-direction edge metric (delay, jitter, rate, windowed queue max)
+// in one flat slot array, so the scheduler reads metrics as array loads
+// indexed by CSR position.
 //
 // Coordinate system: node index i is Nodes[i] (sorted, so index order is
 // name order). CSR edge id e is the position of neighbor v in u's row:
@@ -29,39 +29,87 @@ import (
 // but no queue value — the egress port went with the adjacency. Pairs
 // adjacent in neither direction have no slot.
 //
+// The collector keeps one live slot array current under its lock as it
+// ingests (state.go) and a snapshot is a copy of it; slotPair is how the
+// collector's per-edge and per-port state finds its slots without a lookup.
+//
 // Hand-crafted test topologies build the same arena with every slot
 // unmeasured.
 
-// initArena flattens nbrIdx into CSR form and allocates the directed metric
-// slots and the hostList -> node-index map. Called by buildLocked (and by
-// crafted-topology constructors), after Nodes / nodeIndex / nbrIdx /
-// hostFlag / hostList are in place; buildLocked then fills the slots.
-func (t *Topology) initArena() {
-	n := len(t.Nodes)
-	t.edgeStart = make([]int32, n+1)
-	total := 0
-	for i, row := range t.nbrIdx {
-		t.edgeStart[i] = int32(total)
-		total += len(row)
+// newStructure indexes the sorted node and host lists and allocates the
+// per-node rows; the caller fills hostFlag and nbrIdx, then calls flatten.
+func newStructure(nodes, hostList []string) *structure {
+	s := &structure{
+		Nodes:     nodes,
+		nodeIndex: make(map[string]int32, len(nodes)),
+		nbrIdx:    make([][]int32, len(nodes)),
+		hostFlag:  make([]bool, len(nodes)),
+		hostList:  hostList,
+		hostIdx:   make([]int32, len(hostList)),
 	}
-	t.edgeStart[n] = int32(total)
-	t.nbrFlat = make([]int32, total)
-	for i, row := range t.nbrIdx {
-		lo, hi := t.edgeStart[i], t.edgeStart[i+1]
-		copy(t.nbrFlat[lo:hi], row)
-		// Re-home the row onto the flat array (full-capacity slice so an
-		// append can never bleed into the next row).
-		t.nbrIdx[i] = t.nbrFlat[lo:hi:hi]
+	for i, name := range nodes {
+		s.nodeIndex[name] = int32(i)
 	}
-	t.slots = make([]edgeMetrics, 2*total)
-	t.hostIdx = make([]int32, len(t.hostList))
-	for i, h := range t.hostList {
-		if j, ok := t.nodeIndex[h]; ok {
-			t.hostIdx[i] = j
+	for i, h := range hostList {
+		if j, ok := s.nodeIndex[h]; ok {
+			s.hostIdx[i] = j
 		} else {
-			t.hostIdx[i] = -1 // host with no current adjacency
+			s.hostIdx[i] = -1 // host with no current adjacency
 		}
 	}
+	return s
+}
+
+// flatten lays the nbrIdx rows end to end in CSR form.
+func (s *structure) flatten() {
+	n := len(s.Nodes)
+	s.edgeStart = make([]int32, n+1)
+	total := 0
+	for i, row := range s.nbrIdx {
+		s.edgeStart[i] = int32(total)
+		total += len(row)
+	}
+	s.edgeStart[n] = int32(total)
+	s.nbrFlat = make([]int32, total)
+	for i, row := range s.nbrIdx {
+		lo, hi := s.edgeStart[i], s.edgeStart[i+1]
+		copy(s.nbrFlat[lo:hi], row)
+		// Re-home the row onto the flat array (full-capacity slice so an
+		// append can never bleed into the next row).
+		s.nbrIdx[i] = s.nbrFlat[lo:hi:hi]
+	}
+}
+
+// csrEdge returns the CSR edge id of directed adjacency (u, v), or -1.
+func (s *structure) csrEdge(u, v int32) int32 {
+	lo, hi := s.edgeStart[u], s.edgeStart[u+1]
+	row := s.nbrFlat[lo:hi]
+	i := sort.Search(len(row), func(k int) bool { return row[k] >= v })
+	if i < len(row) && row[i] == v {
+		return lo + int32(i)
+	}
+	return -1
+}
+
+// slotPair locates the measurements of one direction u->v in a slot array:
+// fwd is the forward slot of CSR edge (u, v) and rev the reverse slot of CSR
+// edge (v, u), which mirrors it; each is -1 while that adjacency is absent.
+type slotPair struct {
+	fwd, rev int32 // unit:slot
+}
+
+var noSlots = slotPair{fwd: -1, rev: -1}
+
+// edgeSlots returns where direction u->v is held.
+func (s *structure) edgeSlots(u, v int32) slotPair {
+	at := noSlots
+	if e := s.csrEdge(u, v); e >= 0 {
+		at.fwd = 2 * e
+	}
+	if r := s.csrEdge(v, u); r >= 0 {
+		at.rev = 2*r + 1
+	}
+	return at
 }
 
 // NodeIndex resolves a node ID to its node index.
@@ -93,17 +141,6 @@ func (t *Topology) HostIndex(id string) int {
 	j := sort.SearchStrings(t.hostList, id)
 	if j < len(t.hostList) && t.hostList[j] == id {
 		return j
-	}
-	return -1
-}
-
-// csrEdge returns the CSR edge id of directed adjacency (u, v), or -1.
-func (t *Topology) csrEdge(u, v int32) int32 {
-	lo, hi := t.edgeStart[u], t.edgeStart[u+1]
-	row := t.nbrFlat[lo:hi]
-	i := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-	if i < len(row) && row[i] == v {
-		return lo + int32(i)
 	}
 	return -1
 }

@@ -10,10 +10,12 @@
 //
 // The collector is one state owner: every map of link and stream state
 // sits behind one mutex and is versioned by one epoch counter (state.go,
-// ingest.go, aging.go). Snapshot() publishes an immutable Topology built in
-// one pass from that state and serves it lock-free until the epoch moves or
-// something ages out (snapshot.go); per-destination path trees are
-// maintained incrementally across snapshots (spt.go).
+// ingest.go, aging.go). Ingest keeps a flat array of per-edge metrics current
+// beside the maps; Snapshot() publishes an immutable Topology — a copy of
+// that array over a structure shared between snapshots — and serves it
+// lock-free until the epoch moves or something ages out (snapshot.go);
+// per-destination path trees are maintained incrementally across snapshots
+// (spt.go).
 //
 // This file is the package's public API surface: configuration,
 // construction, ingest counters, configuration setters, point lookups, and
@@ -151,10 +153,24 @@ type Collector struct {
 	linkDelay map[edgeKey]*linkState
 	linkRate  map[edgeKey]int64
 	// queues holds per-device, per-port queue windows. Each port's window
-	// carries a monotonic deque so snapshot builds read the windowed max off
-	// the deque front (see queuewindow.go). Snapshot builds drop the
-	// windows, and then the devices, whose last report aged out.
-	queues map[string]map[int]*portWindow
+	// carries a monotonic deque whose front is the windowed max (see
+	// queuewindow.go). Aging drops the windows, and then the devices, whose
+	// last report left the window.
+	queues map[string]*deviceQueues
+	// flushes queues one event per record that reported queues, in ingest
+	// order, until its reports have left the window (ageLocked).
+	flushes flushQueue
+	// adjDeadline is a lower bound on the last instant every learned edge
+	// still stands: exact when pruneAdjLocked last scanned, lowered by
+	// backdateEdgeLocked, and only ever too early afterwards (confirmations
+	// move deadlines later).
+	adjDeadline time.Duration
+	// cur is the structure of the adjacency and host set, and live the metric
+	// slots laid out by it, kept current by the mutations in state.go. cur
+	// is nil when the adjacency, the host set or the queue window changed
+	// since it was built; the next snapshot rebuilds both (rebuildLocked).
+	cur  *structure
+	live []edgeMetrics // unit:[slot]
 	// lastReport maps devices to their last INT record time.
 	lastReport map[string]time.Duration
 	// window is the queue-report window (SetQueueWindow).
@@ -175,9 +191,9 @@ type Collector struct {
 	pathScratch []string
 
 	// epoch versions the state above. It advances, under mu, on every
-	// accepted probe, on SetLinkRate and SetQueueWindow, and when a snapshot
-	// rebuild finds that a queue report or adjacency aged out; it is read
-	// without the lock.
+	// accepted probe, on SetLinkRate and SetQueueWindow, and when Snapshot
+	// finds that a queue report or adjacency aged out; it is read without
+	// the lock.
 	epoch atomic.Uint64
 	// snap is the published snapshot (nil until the first Snapshot).
 	snap atomic.Pointer[Topology]
@@ -204,7 +220,7 @@ func New(self netsim.NodeID, clock func() time.Duration, cfg Config) *Collector 
 		isHost:     make(map[string]bool),
 		linkDelay:  make(map[edgeKey]*linkState),
 		linkRate:   make(map[edgeKey]int64),
-		queues:     make(map[string]map[int]*portWindow),
+		queues:     make(map[string]*deviceQueues),
 		lastReport: make(map[string]time.Duration),
 		window:     cfg.QueueWindow,
 		streams:    make(map[probeKey]probeMeta),
@@ -254,6 +270,11 @@ type Stats struct {
 	// contradicted them (path length or device changed — the stream's
 	// route moved).
 	ReassemblyResets uint64
+	// SnapshotPublishes counts snapshots published; StructureRebuilds counts
+	// those that had to rebuild the shared structure first (the adjacency,
+	// the host set or the queue window changed) instead of reusing it.
+	SnapshotPublishes uint64
+	StructureRebuilds uint64
 }
 
 // Stats returns the ingestion counters.
@@ -313,14 +334,16 @@ func (c *Collector) QueueWindow() time.Duration {
 }
 
 // SetQueueWindow adjusts the queue-report window, typically to track a
-// changed probing interval (Fig 9 sweeps). Every windowed maximum depends
-// on it, so the epoch advances.
+// changed probing interval (Fig 9 sweeps). Every windowed maximum and a
+// derived adjacency TTL depend on it, so the epoch advances and the live
+// slots are refilled.
 func (c *Collector) SetQueueWindow(w time.Duration) {
 	if w <= 0 {
 		return
 	}
 	c.mu.Lock()
 	c.window = w
+	c.cur = nil
 	c.epoch.Add(1)
 	c.mu.Unlock()
 }
@@ -329,8 +352,10 @@ func (c *Collector) SetQueueWindow(w time.Duration) {
 // directions are set (links are full duplex and symmetric in this system).
 func (c *Collector) SetLinkRate(from, to netsim.NodeID, rateBps int64) {
 	c.mu.Lock()
-	c.linkRate[edgeKey{string(from), string(to)}] = rateBps
-	c.linkRate[edgeKey{string(to), string(from)}] = rateBps
+	for _, k := range [2]edgeKey{{string(from), string(to)}, {string(to), string(from)}} {
+		c.linkRate[k] = rateBps
+		c.storeRateLocked(k, rateBps)
+	}
 	c.epoch.Add(1)
 	c.mu.Unlock()
 }
@@ -386,7 +411,7 @@ func (c *Collector) MaxQueue(device string, port int) (int, bool) {
 	now := c.clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	best, found, _ := c.queues[device][port].windowMax(now, c.window)
+	best, found, _ := c.queues[device].window(port).windowMax(now, c.window)
 	return best, found
 }
 

@@ -83,7 +83,7 @@ func (c *Collector) HandleProbe(p *telemetry.ProbePayload) {
 
 // applyProbeLocked applies one accepted probe's records to the link state.
 func (c *Collector) applyProbeLocked(p *telemetry.ProbePayload, target string, now time.Duration) {
-	c.isHost[p.Origin] = true
+	c.learnHostLocked(p.Origin)
 
 	recs := p.Stack.Records
 	prev := p.Origin
@@ -113,7 +113,7 @@ func (c *Collector) applyProbeLocked(p *telemetry.ProbePayload, target string, n
 	// probes may terminate at another edge host that relays the payload;
 	// the collector itself measures the latency only when it is the
 	// target (otherwise the relay measured it).
-	c.isHost[target] = true
+	c.learnHostLocked(target)
 	if len(recs) > 0 {
 		last := &recs[len(recs)-1]
 		c.learnEdgeLocked(prev, prevEgress, target, now)

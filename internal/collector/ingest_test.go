@@ -58,6 +58,11 @@ func TestIngestCostIndependentOfFanIn(t *testing.T) {
 	if q, ok := f.c.MaxQueue("core", 0); !ok || q != 6 {
 		t.Fatalf("core port 0 reports (%d,%v), want the streams' maximum 6", q, ok)
 	}
+	// Nobody has taken a snapshot: ingest alone must keep the flush events
+	// to those of about one window (two intervals; a probe is one event).
+	if n := f.c.flushes.n; n > 4*streams {
+		t.Fatalf("%d flush events held after 30 unread rounds of %d", n, streams)
+	}
 
 	allocs := testing.AllocsPerRun(10, f.round) / streams
 	if allocs > 4 {

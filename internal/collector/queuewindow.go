@@ -68,10 +68,16 @@ func (q *reportFIFO) from(cutoff time.Duration) []queueReport {
 //
 // Reads (windowMax, inWindow) locate the window boundary by binary search and
 // mutate nothing; reports leave only through prune, which ingest runs on the
-// port it pushed to and snapshot builds run on every port. windowedQueueMax
+// port it pushed to and aging runs on the ports of every device with a flush
+// that left the window (ageQueuesLocked). windowedQueueMax
 // (state.go) remains the reference definition of the cutoff/boundary rule;
 // TestPortWindowMatchesScan holds the two equal.
 type portWindow struct {
+	// slotPair is where this port's maximum is held in the live slots: the
+	// slots of the edge it is the egress port of (noSlots for any other
+	// port); stored is the heldMax last written there.
+	slotPair
+	stored  int32
 	reports reportFIFO
 	deque   reportFIFO
 }
@@ -128,6 +134,16 @@ func (w *portWindow) windowMax(now, window time.Duration) (best int, found bool,
 		best = q
 	}
 	return best, true, in[0].at + window
+}
+
+// heldMax returns the maximum occupancy of the reports held (floored at zero,
+// as the scan is), or -1 if none is: the windowed maximum right after a
+// prune, when every report held is in the window.
+func (w *portWindow) heldMax() int32 {
+	if len(w.reports.live()) == 0 {
+		return -1
+	}
+	return int32(max(w.deque.live()[0].maxQueue, 0))
 }
 
 // prune drops reports that aged out of the window ending at now.

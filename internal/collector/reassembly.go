@@ -188,8 +188,8 @@ func (c *Collector) reassembleLocked(key probeKey, p *telemetry.ProbePayload, ta
 // refreshes are idempotent duplicates of the fresh-path learning, which is
 // what keeps p=1.0 output byte-identical to deterministic mode.
 func (c *Collector) applyFragsLocked(st *reasmState, p *telemetry.ProbePayload, origin, target string, now time.Duration) {
-	c.isHost[origin] = true
-	c.isHost[target] = true
+	c.learnHostLocked(origin)
+	c.learnHostLocked(target)
 
 	hops := len(st.frags)
 	for i := 0; i < hops; i++ {

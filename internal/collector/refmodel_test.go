@@ -352,7 +352,7 @@ type refOpKind int
 const (
 	opStep        refOpKind = iota // advance the clock by d
 	opStepToQueue                  // advance to the next queue-report expiry, plus d
-	opStepToAdj                    // advance to the next adjacency deadline, plus d (d >= 1)
+	opStepToAdj                    // advance to the next adjacency deadline, plus d
 	opProbe
 	opWindow // SetQueueWindow(d)
 	opRate   // SetLinkRate(a, b, rate)
@@ -469,15 +469,6 @@ func runRef(cfg Config, ops []refOp) error {
 		case opRate:
 			m.setRate(op.a, op.b, op.rate)
 			c.SetLinkRate(netsim.NodeID(op.a), netsim.NodeID(op.b), op.rate)
-		}
-		// Known one-instant disagreement, left as found: an edge is evicted
-		// by a rebuild once seen+TTL <= now, but the published snapshot that
-		// still holds it stays valid while now <= expireAt, and expireAt is
-		// that same seen+TTL. At exactly that instant a cached read and a
-		// rebuild differ. The model has no cache, so the harness does not
-		// stop the clock there.
-		for at, ok := m.nextAdjDeadline(); ok && at == target && target != clk.now; at, ok = m.nextAdjDeadline() {
-			target++
 		}
 		clk.now = target
 
@@ -720,7 +711,7 @@ func genOps(rng *rand.Rand, window time.Duration, n int) []refOp {
 		case r < 86:
 			ops = append(ops, refOp{kind: opStepToQueue, d: time.Duration(rng.Intn(2))})
 		case r < 90:
-			ops = append(ops, refOp{kind: opStepToAdj, d: time.Duration(1 + rng.Intn(2))})
+			ops = append(ops, refOp{kind: opStepToAdj, d: time.Duration(rng.Intn(2))})
 		case r < 93:
 			ops = append(ops, refOp{kind: opWindow, d: window / 2 << rng.Intn(3)})
 		case r < 97:

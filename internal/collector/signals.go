@@ -93,10 +93,11 @@ func (c *Collector) StreamSignals() []StreamSignal {
 // sorted order, so the float accumulation order — and therefore the value —
 // is identical run to run (Welford over a deterministic sequence).
 func (c *Collector) queueVarianceLocked(device string, now time.Duration) float64 {
-	ports := c.queues[device]
-	if len(ports) == 0 {
+	d := c.queues[device]
+	if d == nil {
 		return 0
 	}
+	ports := d.ports
 	keys := make([]int, 0, len(ports))
 	for p := range ports {
 		keys = append(keys, p)

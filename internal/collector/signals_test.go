@@ -113,7 +113,7 @@ func TestStreamSignalsQueueVarianceAcrossRecuts(t *testing.T) {
 		}
 		c.HandleProbe(probeFrom("n1", seq, time.Millisecond,
 			devSpec{id: "s1", out: 1, queues: queues, egressTS: clk.now}))
-		if b := &c.queues["s1"][1].reports.buf[0]; b != base {
+		if b := &c.queues["s1"].ports[1].reports.buf[0]; b != base {
 			base, moves = b, moves+1
 		}
 		if rng.Intn(3) == 0 {

@@ -6,11 +6,13 @@ import (
 	"time"
 )
 
-// Snapshot publication. A snapshot is an immutable Topology built in one
-// pass from the collector's state maps — the sorted node/host index, the CSR
-// adjacency, and one metric slot per edge direction (arena.go) — and
-// published through an atomic pointer. It is served without the lock until
-// the epoch moves or something in it ages out.
+// Snapshot publication. A snapshot is an immutable Topology: the current
+// structure — the sorted node/host index and the CSR adjacency, shared with
+// every other snapshot of the same adjacency — and a copy of the live metric
+// slots (arena.go), published through an atomic pointer. It is served without
+// the lock until the epoch moves or something in it ages out. Publishing
+// costs what changed plus one copy of the slots; only a change to the
+// adjacency or the host set pays for a rebuild of the structure.
 
 // neverExpires marks snapshots with no in-window queue reports and no
 // adjacency deadline; they stay valid until the epoch advances.
@@ -34,13 +36,13 @@ type edgeMetrics struct {
 // Snapshot returns the current learned topology and link state. The
 // returned Topology is immutable and shared: repeated calls return the
 // identical pointer until a state-mutating probe/report advances the epoch.
-// An in-window queue report or adjacency aging out also triggers a rebuild —
-// the windowed maxima or adjacency changed without a new probe — and
-// advances the epoch itself, so a rebuilt snapshot is never published under
-// the epoch of a superseded one and epoch-keyed caches downstream
-// (core.RankCache) invalidate instead of serving rankings computed from the
-// stale state. The fast path is lock-free, so any number of concurrent
-// readers can query while probes are being ingested.
+// An in-window queue report or adjacency aging out also triggers a new
+// snapshot — the windowed maxima or adjacency changed without a new probe —
+// and advances the epoch itself, so what aged out is never republished under
+// the epoch of the snapshot that still held it and epoch-keyed caches
+// downstream (core.RankCache) invalidate instead of serving rankings computed
+// from the stale state. The fast path is lock-free, so any number of
+// concurrent readers can query while probes are being ingested.
 func (c *Collector) Snapshot() *Topology {
 	now := c.clock()
 	if t := c.snap.Load(); t != nil && t.epoch == c.epoch.Load() && now <= t.expireAt {
@@ -49,56 +51,42 @@ func (c *Collector) Snapshot() *Topology {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	epoch := c.epoch.Load()
-	if t := c.snap.Load(); t != nil && t.epoch == epoch {
-		if now <= t.expireAt {
-			return t // another reader rebuilt it while we waited
+	t := c.snap.Load()
+	current := t != nil && t.epoch == epoch
+	if current && now <= t.expireAt {
+		return t // another reader published it while we waited
+	}
+	aged := c.ageLocked(now)
+	if current {
+		if !aged {
+			// expireAt was the adjacency bound and every edge has been
+			// confirmed since it was taken: t is still the state.
+			return t
 		}
 		epoch = c.epoch.Add(1)
 	}
-	t := c.buildLocked(now, epoch)
+	if c.cur == nil {
+		c.rebuildLocked(now)
+	}
+	t = &Topology{
+		structure:   c.cur,
+		slots:       slices.Clone(c.live),
+		defaultRate: c.cfg.DefaultLinkRateBps,
+		TakenAt:     now,
+		epoch:       epoch,
+		expireAt:    c.expireAtLocked(),
+		store:       c.spt,
+	}
+	c.stats.SnapshotPublishes++
 	c.snap.Store(t)
 	return t
 }
 
-// resolveLocked reads one directed edge's delay history and capacity.
-func (c *Collector) resolveLocked(k edgeKey) edgeMetrics {
-	m := edgeMetrics{rate: c.cfg.DefaultLinkRateBps}
-	if st := c.linkDelay[k]; st != nil {
-		m.delay, m.jitter, m.delayOK = st.ewma, st.jitter(), true
-	}
-	if rate, ok := c.linkRate[k]; ok {
-		m.rate = rate
-	}
-	return m
-}
-
-// buildLocked ages the state to now and builds the Topology of it. Aged-out
-// adjacencies are evicted here, right before the build, so an eviction
-// becomes visible exactly when a snapshot is (re)built — and because
-// expiry-triggered rebuilds advance the epoch (see Snapshot), a
-// post-eviction snapshot is never published under a pre-eviction epoch.
-func (c *Collector) buildLocked(now time.Duration, epoch uint64) *Topology {
-	expireAt := c.pruneAdjLocked(now, c.adjTTLLocked())
-	// Queue windows: the snapshot goes stale when the oldest in-window
-	// report ages out. Windows that emptied are dropped here, and with them
-	// devices that fell silent — ingest prunes only the ports it pushes to.
-	for device, ports := range c.queues {
-		for port, pw := range ports {
-			_, found, exp := pw.windowMax(now, c.window)
-			if !found {
-				delete(ports, port)
-				continue
-			}
-			pw.prune(now, c.window)
-			if exp < expireAt {
-				expireAt = exp
-			}
-		}
-		if len(ports) == 0 {
-			delete(c.queues, device)
-		}
-	}
-
+// rebuildLocked builds the structure of the adjacency and host set as they
+// stand — already aged, so an eviction becomes visible exactly when a
+// snapshot is published — and refills the live slots from the state maps.
+func (c *Collector) rebuildLocked(now time.Duration) {
+	c.stats.StructureRebuilds++
 	present := make(map[string]bool, len(c.adj))
 	for from, ports := range c.adj {
 		present[from] = true
@@ -106,37 +94,21 @@ func (c *Collector) buildLocked(now time.Duration, epoch uint64) *Topology {
 			present[to] = true
 		}
 	}
-	t := &Topology{
-		Nodes:       sortedKeys(present),
-		hostList:    sortedKeys(c.isHost),
-		defaultRate: c.cfg.DefaultLinkRateBps,
-		TakenAt:     now,
-		epoch:       epoch,
-		expireAt:    expireAt,
-		store:       c.spt,
-	}
-	n := len(t.Nodes)
-	t.nodeIndex = make(map[string]int32, n)
-	for i, name := range t.Nodes {
-		t.nodeIndex[name] = int32(i)
-	}
+	s := newStructure(sortedKeys(present), sortedKeys(c.isHost))
 
 	// Rows: each node's neighbors in index (= name) order, with the egress
-	// port behind each. egress is in CSR edge order once the rows are laid
-	// end to end, which is what initArena does.
+	// port behind each — the lowest-numbered of parallel ports. egress is in
+	// CSR edge order once flatten lays the rows end to end.
 	type hop struct {
 		to   int32
 		port int
 	}
-	t.nbrIdx = make([][]int32, n)
-	t.hostFlag = make([]bool, n)
-	var egress []int // unit:[edge]
 	var row []hop
-	for i, name := range t.Nodes {
-		t.hostFlag[i] = c.isHost[name]
+	for i, name := range s.Nodes {
+		s.hostFlag[i] = c.isHost[name]
 		row = row[:0]
 		for port, to := range c.adj[name] {
-			row = append(row, hop{t.nodeIndex[to], port})
+			row = append(row, hop{s.nodeIndex[to], port})
 		}
 		if len(row) == 0 {
 			continue
@@ -151,38 +123,70 @@ func (c *Collector) buildLocked(now time.Duration, epoch uint64) *Topology {
 		for j, h := range row {
 			if j == 0 || h.to != row[j-1].to {
 				idx = append(idx, h.to)
-				egress = append(egress, h.port)
+				s.egress = append(s.egress, h.port)
 			}
 		}
-		t.nbrIdx[i] = idx
+		s.nbrIdx[i] = idx
 	}
-	t.initArena()
+	s.flatten()
+	s.seq = c.spt.advance(s.Nodes, s.nbrIdx, s.hostFlag)
 
-	// Forward slots: the edge's own delay history and rate, and the queue
-	// of the egress port behind it.
-	for u := range t.Nodes {
-		for e := t.edgeStart[u]; e < t.edgeStart[u+1]; e++ {
-			m := c.resolveLocked(edgeKey{t.Nodes[u], t.Nodes[t.nbrFlat[e]]})
-			if best, found, _ := c.queues[t.Nodes[u]][egress[e]].windowMax(now, c.window); found {
-				m.queue, m.queueOK = int32(best), true
-			}
-			t.slots[2*e] = m
+	c.cur = s
+	c.live = make([]edgeMetrics, 2*len(s.nbrFlat))
+	c.refillLocked(c.live, now)
+}
+
+// refillLocked fills slots, laid out by c.cur, from the state maps, and
+// stamps every linkState and portWindow with where it is held from now on.
+func (c *Collector) refillLocked(slots []edgeMetrics, now time.Duration) {
+	for _, st := range c.linkDelay {
+		st.slotPair = noSlots
+	}
+	for _, d := range c.queues {
+		for _, w := range d.ports {
+			w.slotPair = noSlots
 		}
 	}
-	// Reverse slots: the opposite adjacency's forward slot while it exists;
-	// otherwise that direction's delay history and configured rate, which
-	// outlive eviction (see pruneAdjLocked) and can precede learning — but
-	// no queue: there is no egress port behind an edge not in the adjacency.
-	for u := range t.Nodes {
-		for e := t.edgeStart[u]; e < t.edgeStart[u+1]; e++ {
-			v := t.nbrFlat[e]
-			if r := t.csrEdge(v, int32(u)); r >= 0 {
-				t.slots[2*e+1] = t.slots[2*r]
-			} else {
-				t.slots[2*e+1] = c.resolveLocked(edgeKey{t.Nodes[v], t.Nodes[u]})
+	// resolve reads one direction's delay history and capacity, and stamps
+	// the history with at.
+	resolve := func(k edgeKey, at slotPair) edgeMetrics {
+		m := edgeMetrics{rate: c.cfg.DefaultLinkRateBps}
+		if st := c.linkDelay[k]; st != nil {
+			st.slotPair = at
+			m.delay, m.jitter, m.delayOK = st.ewma, st.jitter(), true
+		}
+		if rate, ok := c.linkRate[k]; ok {
+			m.rate = rate
+		}
+		return m
+	}
+	s := c.cur
+	for u, name := range s.Nodes {
+		for e := s.edgeStart[u]; e < s.edgeStart[u+1]; e++ {
+			v := s.nbrFlat[e]
+			at := s.edgeSlots(int32(u), v)
+			// Forward slot: the edge's own delay history and rate, and the
+			// queue of the egress port behind it; mirrored in the opposite
+			// edge's reverse slot while that adjacency exists.
+			m := resolve(edgeKey{name, s.Nodes[v]}, at)
+			if w := c.queues[name].window(s.egress[e]); w != nil {
+				w.slotPair, w.stored = at, -1
+				if best, found, _ := w.windowMax(now, c.window); found {
+					w.stored = int32(best)
+					m.queue, m.queueOK = w.stored, true
+				}
 			}
+			slots[at.fwd] = m
+			if at.rev >= 0 {
+				slots[at.rev] = m
+				continue
+			}
+			// No opposite adjacency: this edge's reverse slot holds that
+			// direction's delay history and configured rate, which outlive
+			// eviction (see pruneAdjLocked) and can precede learning — but no
+			// queue: there is no egress port behind an edge not in the
+			// adjacency.
+			slots[2*e+1] = resolve(edgeKey{s.Nodes[v], name}, slotPair{fwd: -1, rev: 2*e + 1})
 		}
 	}
-	t.seq = c.spt.advance(t.Nodes, t.nbrIdx, t.hostFlag)
-	return t
 }

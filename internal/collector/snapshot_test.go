@@ -119,9 +119,9 @@ func TestSnapshotRebuildsOnQueueWindowExpiry(t *testing.T) {
 
 // TestSilentDeviceReleasesQueueReports: ingest prunes only the ports a probe
 // reports on, so a device that stops reporting is never pruned by ingest
-// again. The view build that follows its last report's expiry must release
-// its windows and its device entry, with the same expiry and epoch behaviour
-// as TestSnapshotRebuildsOnQueueWindowExpiry.
+// again. The snapshot that follows its last report's expiry must release
+// its windows, its device entry and its flush events, with the same expiry
+// and epoch behaviour as TestSnapshotRebuildsOnQueueWindowExpiry.
 func TestSilentDeviceReleasesQueueReports(t *testing.T) {
 	clk := &fakeClock{now: time.Second}
 	c := newTestCollector(clk) // 200 ms queue window
@@ -130,11 +130,21 @@ func TestSilentDeviceReleasesQueueReports(t *testing.T) {
 	held := func(device string) int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		ports, ok := c.queues[device]
-		if ok && len(ports) == 0 {
+		d, ok := c.queues[device]
+		if !ok {
+			return 0
+		}
+		if len(d.ports) == 0 {
 			t.Fatalf("%s keeps an empty port map", device)
 		}
-		return len(ports)
+		return len(d.ports)
+	}
+	// flushes counts the flush events still queued: one per record whose
+	// reports are in the window, gone with them.
+	flushes := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.flushes.n
 	}
 	cached := c.Snapshot()
 	if n := held("s1"); n != 3 {
@@ -160,6 +170,9 @@ func TestSilentDeviceReleasesQueueReports(t *testing.T) {
 	if n := held("s1"); n != 0 {
 		t.Fatalf("silent s1 still holds %d port windows", n)
 	}
+	if n := flushes(); n != 1 {
+		t.Fatalf("%d flush events queued after s1's expiry, want s2's one", n)
+	}
 	for port := 0; port < 3; port++ {
 		if q, ok := c.MaxQueue("s1", port); ok {
 			t.Fatalf("silent s1 port %d answers %d", port, q)
@@ -177,8 +190,8 @@ func TestSilentDeviceReleasesQueueReports(t *testing.T) {
 		t.Fatal("snapshot rebuilt while s2's report still in window")
 	}
 	clk.now += 51 * time.Millisecond
-	if c.Snapshot() == fresh || held("s2") != 0 {
-		t.Fatalf("s2's expiry: %d windows held", held("s2"))
+	if c.Snapshot() == fresh || held("s2") != 0 || flushes() != 0 {
+		t.Fatalf("s2's expiry: %d windows held, %d flush events queued", held("s2"), flushes())
 	}
 }
 

@@ -7,7 +7,8 @@ import "sync"
 // epoch advance — even a single flapped link — threw away every
 // destination's tree. The sptStore versions the topology structure with a
 // sequence number and a bounded delta log of edge additions/removals
-// between consecutive snapshot builds; a cached destination tree whose sequence lags
+// between consecutive structure rebuilds (snapshots that share a structure
+// share its sequence); a cached destination tree whose sequence lags
 // the current structure is caught up in place when no logged delta can
 // affect it (the common case: a link flap in one corner leaves the vast
 // majority of destination trees provably intact) and rebuilt from scratch
@@ -61,7 +62,7 @@ type destTree struct {
 type sptStore struct {
 	mu  sync.RWMutex
 	seq uint64
-	// prev* hold the structure of the latest snapshot, for diffing.
+	// prev* hold the latest structure, for diffing.
 	prevNodes []string
 	prevNbr   [][]int32
 	prevHost  []bool
@@ -74,10 +75,10 @@ func newSPTStore() *sptStore {
 	return &sptStore{trees: make(map[string]*destTree)}
 }
 
-// advance registers the structure of a fresh snapshot and returns its sequence
-// number. Identical structure keeps the current sequence (trees stay valid
-// as-is); a changed neighbor structure appends a delta; a changed node list
-// or host-flag set clears all cached trees.
+// advance registers a rebuilt structure and returns its sequence number.
+// Identical structure keeps the current sequence (trees stay valid as-is); a
+// changed neighbor structure appends a delta; a changed node list or
+// host-flag set clears all cached trees.
 func (s *sptStore) advance(nodes []string, nbr [][]int32, hostFlag []bool) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -7,21 +7,13 @@ import (
 	"time"
 )
 
-// Topology is an immutable snapshot of the collector's learned network view,
-// used by the ranking algorithms. All lookups are against the snapshot, so a
-// ranking pass sees one consistent picture. Snapshots are epoch-versioned
-// and shared: the collector returns the same *Topology pointer to every
-// caller until its state actually changes, so snapshots must be safe for
-// concurrent readers.
-//
-// A Topology is fully materialized at build time in index space: the sorted
-// node list, the host index, the neighbor index arrays (the structure path
-// trees run on) and the per-direction metric slots (arena.go). The string-keyed
-// accessors below are thin views over that index, kept for tests, examples
-// and debugging. The only internal mutability is the shortest-path tree
-// state, which is guarded by its own locks (the shared incremental store,
-// or the private scratch memo for superseded snapshots).
-type Topology struct {
+// structure is the part of a snapshot that changes only when the adjacency or
+// the host set does: the sorted node and host lists and every index array
+// built over them. It is immutable once built, and successive snapshots share
+// one structure (and its backing arrays) until a probe changes a port's
+// neighbour, a host appears, an edge ages out or the queue window is reset
+// (rebuildLocked).
+type structure struct {
 	// Nodes lists every known node ID (hosts and switches), sorted; its
 	// index order is the coordinate system of nbrIdx, hostFlag, and the
 	// path trees (index order == lexicographic order).
@@ -37,33 +29,58 @@ type Topology struct {
 	// include hosts with no current adjacency (absent from Nodes).
 	hostList []string
 	// hostIdx maps hostList positions to node indices (-1 for hosts with
-	// no current adjacency). Built by initArena.
+	// no current adjacency).
 	hostIdx []int32
 
-	// CSR edge-metric arena (see arena.go): nbrFlat is the concatenation
-	// of the nbrIdx rows (which re-alias it), edgeStart[i]..edgeStart[i+1]
-	// spans node i's row, and slots holds per-direction metrics at 2e
-	// (forward) and 2e+1 (reverse) of CSR edge e.
+	// CSR form of the adjacency (see arena.go): nbrFlat is the
+	// concatenation of the nbrIdx rows (which re-alias it),
+	// edgeStart[i]..edgeStart[i+1] spans node i's row, and egress is the
+	// egress port behind each CSR edge (nil for hand-crafted topologies).
 	edgeStart []int32
 	nbrFlat   []int32
-	slots     []edgeMetrics
+	egress    []int // unit:[edge]
+
+	// seq versions the adjacency structure for incremental
+	// shortest-path-tree maintenance (see spt.go).
+	seq uint64
+}
+
+// Topology is an immutable snapshot of the collector's learned network view,
+// used by the ranking algorithms. All lookups are against the snapshot, so a
+// ranking pass sees one consistent picture. Snapshots are epoch-versioned
+// and shared: the collector returns the same *Topology pointer to every
+// caller until its state actually changes, so snapshots must be safe for
+// concurrent readers.
+//
+// A Topology is a shared structure — the sorted node list, the host index and
+// the neighbor index arrays the path trees run on — plus its own copy of the
+// per-direction metric slots (arena.go) as they stood at its epoch. The
+// string-keyed accessors below are thin views over that index, kept for
+// tests, examples and debugging. The only internal mutability is the
+// shortest-path tree state, which is guarded by its own locks (the shared
+// incremental store, or the private scratch memo for superseded snapshots).
+type Topology struct {
+	*structure
+
+	// slots holds per-direction metrics at 2e (forward) and 2e+1 (reverse)
+	// of CSR edge e (see arena.go).
+	slots []edgeMetrics
 	// defaultRate is the assumed capacity of unconfigured links.
 	defaultRate int64
-	// TakenAt is the time the snapshot was built (the last rebuild, not
-	// the Snapshot() call that returned it).
+	// TakenAt is the time the snapshot was published (not the Snapshot()
+	// call that returned it).
 	TakenAt time.Duration
-	// epoch is the collector epoch the snapshot was built at — strictly
+	// epoch is the collector epoch the snapshot was published at — strictly
 	// increasing across any state change, which is what downstream
-	// epoch-keyed caches invalidate on. expireAt is the earliest time the
-	// snapshot goes stale without a new probe (queue-report or
-	// adjacency-TTL expiry; neverExpires if none).
+	// epoch-keyed caches invalidate on. expireAt is the last instant the
+	// snapshot is current without a new probe: the earliest queue-report
+	// expiry, or a lower bound on the earliest adjacency deadline if that
+	// comes first (neverExpires if neither exists).
 	epoch    uint64
 	expireAt time.Duration
 
-	// seq and store version the adjacency structure for incremental
-	// shortest-path-tree maintenance (see spt.go); store is nil for
-	// hand-crafted topologies.
-	seq   uint64
+	// store is the collector's shortest-path-tree store (nil for
+	// hand-crafted topologies).
 	store *sptStore
 	// scratch memoizes per-destination trees privately when store is nil
 	// or has advanced past seq.
@@ -71,7 +88,7 @@ type Topology struct {
 	scratch   map[string]*destTree
 }
 
-// Epoch returns the collector epoch this snapshot was built at. Two
+// Epoch returns the collector epoch this snapshot was published at. Two
 // snapshots with equal epochs are the same object; ranking results computed
 // from a snapshot stay valid exactly while the collector's epoch equals the
 // snapshot's.

@@ -87,22 +87,15 @@ func TestHostsDoNotForwardInLearnedTopology(t *testing.T) {
 // well-formed BFS can never produce but a corrupted or hand-fed tree could.
 // nodes must be sorted (index order is name order in real snapshots).
 func craftedTopology(nodes []string, hosts map[string]bool, neighbors map[string][]string, dst string, tree map[string]string) *Topology {
-	t := &Topology{
-		Nodes:    nodes,
-		hostList: sortedKeys(hosts),
-	}
-	t.nodeIndex = make(map[string]int32, len(nodes))
+	s := newStructure(nodes, sortedKeys(hosts))
 	for i, n := range nodes {
-		t.nodeIndex[n] = int32(i)
-	}
-	t.nbrIdx = make([][]int32, len(nodes))
-	t.hostFlag = make([]bool, len(nodes))
-	for i, n := range nodes {
-		t.hostFlag[i] = hosts[n]
+		s.hostFlag[i] = hosts[n]
 		for _, nb := range neighbors[n] {
-			t.nbrIdx[i] = append(t.nbrIdx[i], t.nodeIndex[nb])
+			s.nbrIdx[i] = append(s.nbrIdx[i], s.nodeIndex[nb])
 		}
 	}
+	s.flatten()
+	t := &Topology{structure: s, slots: make([]edgeMetrics, 2*len(s.nbrFlat))}
 	crafted := &destTree{next: make([]int32, len(nodes)), dist: make([]int32, len(nodes))}
 	for i := range crafted.next {
 		crafted.next[i] = -1
@@ -112,7 +105,6 @@ func craftedTopology(nodes []string, hosts map[string]bool, neighbors map[string
 		crafted.next[t.nodeIndex[n]] = t.nodeIndex[parent]
 	}
 	t.scratch = map[string]*destTree{dst: crafted}
-	t.initArena()
 	return t
 }
 

@@ -5,7 +5,9 @@ import (
 
 	"intsched/internal/collector"
 	"intsched/internal/dataplane"
+	"intsched/internal/netsim"
 	"intsched/internal/probe"
+	"intsched/internal/telemetry"
 	"intsched/internal/transport"
 )
 
@@ -34,4 +36,48 @@ func WarmCollector(topo *Topology, dur time.Duration) (*collector.Collector, err
 	topo.Net.Engine().Run(topo.Net.Engine().Now() + dur)
 	fleet.Stop()
 	return coll, nil
+}
+
+// TracedProbe is one probe as the scheduler host received it: its arrival
+// time and its wire encoding.
+type TracedProbe struct {
+	At   time.Duration
+	Wire []byte
+}
+
+// TraceProbes attaches INT and transport stacks and one prober per
+// non-scheduler host, phases staggered across the probing interval, and
+// returns what reaches the scheduler during the given number of probing
+// intervals once every stream has settled — the feed a collector of this
+// fabric sees at the paper's cadence, for benchmarks and tests that replay it.
+func TraceProbes(topo *Topology, rounds int) ([]TracedProbe, error) {
+	dataplane.AttachINT(topo.Net, dataplane.INTConfig{})
+	domain := transport.NewDomain(topo.Net).InstallAll()
+	engine := topo.Net.Engine()
+	start := 2 * probe.DefaultInterval
+	var trace []TracedProbe
+	var encodeErr error
+	domain.Stack(topo.Scheduler).ProbeHandler = func(pkt *netsim.Packet) {
+		if pkt.Probe == nil || engine.Now() < start || encodeErr != nil {
+			return
+		}
+		wire, err := telemetry.MarshalProbe(pkt.Probe)
+		if err != nil {
+			encodeErr = err
+			return
+		}
+		trace = append(trace, TracedProbe{At: engine.Now(), Wire: wire})
+	}
+	i := 0
+	for _, h := range topo.Hosts {
+		if h == topo.Scheduler {
+			continue
+		}
+		engine.At(time.Duration(i)*probe.DefaultInterval/time.Duration(len(topo.Hosts)-1), func() {
+			probe.NewProber(topo.Net, h, topo.Scheduler, probe.DefaultInterval)
+		})
+		i++
+	}
+	engine.Run(start + time.Duration(rounds)*probe.DefaultInterval)
+	return trace, encodeErr
 }

@@ -76,20 +76,38 @@ const (
 type unitFieldKey struct{ pkg, typ, field string }
 
 // unitFields is the builtin field table: the index-space storage of the
-// snapshot arena (collector/arena.go documents the coordinate systems).
+// snapshot arena (collector/arena.go documents the coordinate systems). A
+// field is keyed by the struct that declares it: Topology reaches the shared
+// structure's fields by embedding.
 var unitFields = map[unitFieldKey]unitSpec{
-	{collectorPkg, "Topology", "Nodes"}:     {index: unitNode},
-	{collectorPkg, "Topology", "nodeIndex"}: {elem: unitNode},
-	{collectorPkg, "Topology", "nbrIdx"}:    {index: unitNode, elem: unitNode},
-	{collectorPkg, "Topology", "hostFlag"}:  {index: unitNode},
-	{collectorPkg, "Topology", "hostList"}:  {index: unitHost},
-	{collectorPkg, "Topology", "hostIdx"}:   {index: unitHost, elem: unitNode},
-	{collectorPkg, "Topology", "edgeStart"}: {index: unitNode, elem: unitEdge},
-	{collectorPkg, "Topology", "nbrFlat"}:   {index: unitEdge, elem: unitNode},
-	{collectorPkg, "Topology", "slots"}:     {index: unitSlot},
-	{collectorPkg, "destTree", "next"}:      {index: unitNode, elem: unitNode},
-	{collectorPkg, "destTree", "dist"}:      {index: unitNode},
-	{corePkg, "RankKey", "From"}:            {elem: unitHost},
+	{collectorPkg, "structure", "Nodes"}:     {index: unitNode},
+	{collectorPkg, "structure", "nodeIndex"}: {elem: unitNode},
+	{collectorPkg, "structure", "nbrIdx"}:    {index: unitNode, elem: unitNode},
+	{collectorPkg, "structure", "hostFlag"}:  {index: unitNode},
+	{collectorPkg, "structure", "hostList"}:  {index: unitHost},
+	{collectorPkg, "structure", "hostIdx"}:   {index: unitHost, elem: unitNode},
+	{collectorPkg, "structure", "edgeStart"}: {index: unitNode, elem: unitEdge},
+	{collectorPkg, "structure", "nbrFlat"}:   {index: unitEdge, elem: unitNode},
+	{collectorPkg, "Topology", "slots"}:      {index: unitSlot},
+	{collectorPkg, "destTree", "next"}:       {index: unitNode, elem: unitNode},
+	{collectorPkg, "destTree", "dist"}:       {index: unitNode},
+	{corePkg, "RankKey", "From"}:             {elem: unitHost},
+}
+
+// fieldOwner returns the named struct type that declares the selected
+// field: the selection's receiver, or the embedded type the field is
+// promoted from.
+func fieldOwner(s *types.Selection) *types.Named {
+	t := s.Recv()
+	path := s.Index()
+	for _, i := range path[:len(path)-1] {
+		st, ok := namedOf(t).Underlying().(*types.Struct)
+		if !ok {
+			return nil
+		}
+		t = st.Field(i).Type()
+	}
+	return namedOf(t)
 }
 
 // unitMethodKey identifies a function or method carrying builtin units
@@ -106,7 +124,8 @@ var unitMethods = map[unitMethodKey]methodUnits{
 	{collectorPkg, "Topology", "HostName"}:      {params: []unitSpec{{elem: unitHost}}},
 	{collectorPkg, "Topology", "HostIndex"}:     {results: []unitSpec{{elem: unitHost}}},
 	{collectorPkg, "Topology", "DirSlot"}:       {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}, results: []unitSpec{{elem: unitSlot}}},
-	{collectorPkg, "Topology", "csrEdge"}:       {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}, results: []unitSpec{{elem: unitEdge}}},
+	{collectorPkg, "structure", "csrEdge"}:      {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}, results: []unitSpec{{elem: unitEdge}}},
+	{collectorPkg, "structure", "edgeSlots"}:    {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}},
 	{collectorPkg, "Topology", "SlotDelay"}:     {params: []unitSpec{{elem: unitSlot}}},
 	{collectorPkg, "Topology", "SlotJitter"}:    {params: []unitSpec{{elem: unitSlot}}},
 	{collectorPkg, "Topology", "SlotRate"}:      {params: []unitSpec{{elem: unitSlot}}},
@@ -254,7 +273,7 @@ func (c *unitChecker) specOf(e ast.Expr) unitSpec {
 		return c.env[obj]
 	case *ast.SelectorExpr:
 		if s := info.Selections[e]; s != nil {
-			if named := namedOf(s.Recv()); named != nil && named.Obj().Pkg() != nil {
+			if named := fieldOwner(s); named != nil && named.Obj().Pkg() != nil {
 				key := unitFieldKey{named.Obj().Pkg().Path(), named.Obj().Name(), s.Obj().Name()}
 				if fs, ok := unitFields[key]; ok {
 					return fs

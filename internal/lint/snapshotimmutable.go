@@ -8,8 +8,9 @@ import (
 )
 
 // snapshotExemptPackages build the shared structures and may mutate them:
-// collector materializes Topology snapshots (merge, initArena, incremental
-// SPT repair), so stores through a Topology are its job.
+// collector materializes Topology snapshots (the structure, its copy of the
+// live slots, incremental SPT repair), so stores through a Topology are its
+// job — before snap.Store; its own tests hold it to never writing one after.
 var snapshotExemptPackages = map[string]bool{
 	"intsched/internal/collector": true,
 }

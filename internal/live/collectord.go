@@ -321,8 +321,16 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 	}, func() float64 { return float64(d.coll.Stats().IngestDrops) })
 	d.reg.GaugeFunc(obs.Opts{
 		Name: "intsched_collector_snapshot_age_seconds",
-		Help: "Age of the current topology snapshot (time since last rebuild).",
+		Help: "Age of the current topology snapshot (time since it was published).",
 	}, func() float64 { return (d.clock() - d.coll.Snapshot().TakenAt).Seconds() })
+	d.reg.CounterFunc(obs.Opts{
+		Name: "intsched_collector_snapshot_publishes_total",
+		Help: "Topology snapshots published: one per epoch that a query or scrape read.",
+	}, func() float64 { return float64(d.coll.Stats().SnapshotPublishes) })
+	d.reg.CounterFunc(obs.Opts{
+		Name: "intsched_collector_structure_rebuilds_total",
+		Help: "Snapshot publishes that rebuilt the topology structure (adjacency, host set or queue window changed) instead of sharing the previous one.",
+	}, func() float64 { return float64(d.coll.Stats().StructureRebuilds) })
 	d.reg.GaugeFunc(obs.Opts{
 		Name: "intsched_probe_streams",
 		Help: "Known probe streams (origin/target sequence spaces).",
@@ -729,8 +737,8 @@ func (d *CollectorDaemon) answerOn(topo *collector.Topology, req *wire.QueryRequ
 		d.queryErrors.Inc()
 		return &wire.QueryResponse{Metric: req.Metric, Error: fmt.Sprintf("metric %q not served live", req.Metric)}
 	}
-	d.trackReroute(req.From, metric, ranked)
-	resp := &wire.QueryResponse{Metric: req.Metric}
+	d.trackReroute(topo, req.From, metric, ranked)
+	resp := &wire.QueryResponse{Metric: req.Metric, Candidates: make([]wire.CandidateInfo, 0, len(ranked))}
 	for _, c := range ranked {
 		resp.Candidates = append(resp.Candidates, wire.CandidateInfo{
 			Node:         string(c.Node),
@@ -746,7 +754,7 @@ func (d *CollectorDaemon) answerOn(topo *collector.Topology, req *wire.QueryRequ
 // trackReroute counts answers whose best candidate changed from the device's
 // previous answer for the same metric: after a failure is detected, the
 // first corrected answer per affected device surfaces here as a reroute.
-func (d *CollectorDaemon) trackReroute(from string, metric core.Metric, ranked []core.Candidate) {
+func (d *CollectorDaemon) trackReroute(topo *collector.Topology, from string, metric core.Metric, ranked []core.Candidate) {
 	if len(ranked) == 0 {
 		return
 	}
@@ -754,7 +762,12 @@ func (d *CollectorDaemon) trackReroute(from string, metric core.Metric, ranked [
 	key := rerouteKey{from: from, metric: metric}
 	d.rerouteMu.Lock()
 	prev, seen := d.lastTop[key]
-	d.lastTop[key] = top
+	// Requester names come off the wire and unknown ones are answered too:
+	// only hosts of the snapshot get an entry, so the map is bounded by
+	// hosts × metrics.
+	if seen || topo.HostIndex(from) >= 0 {
+		d.lastTop[key] = top
+	}
 	d.rerouteMu.Unlock()
 	if seen && prev != top {
 		d.queriesRerouted.Inc()
