@@ -389,141 +389,32 @@ func fig9() error {
 	return nil
 }
 
-// ablation exercises design choices beyond the paper's figures. Every cell
-// is independent, so the whole battery is submitted to the pool as one
-// flattened batch and the tables are assembled from the ordered results.
+// ablation is the trial every extension beyond the paper's evaluated system
+// stands: paired per seed over a fixed seed list against what it would
+// replace, one row each with its 95 % interval (DESIGN §8), plus the static
+// byte cost of the two collection modes.
 func ablation() error {
-	kValues := []time.Duration{time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond}
-	skews := []time.Duration{0, time.Millisecond, 5 * time.Millisecond}
-	computeMetrics := []core.Metric{core.MetricDelay, core.MetricComputeAware}
-
-	var cells []experiment.Scenario
-	// Baseline for the serverless sweeps (k, collection mode, skew).
-	cells = append(cells, experiment.Scenario{
-		Seed: *seed, Workload: workload.Serverless, Metric: core.MetricNearest,
-		TaskCount: *tasks, Background: experiment.BackgroundRandom,
-	})
-	for _, k := range kValues {
-		cells = append(cells, experiment.Scenario{
-			Seed: *seed, Workload: workload.Serverless, Metric: core.MetricDelay,
-			TaskCount: *tasks, Background: experiment.BackgroundRandom, K: k,
-		})
-	}
-	// Baseline for the probe-coverage sweep.
-	cells = append(cells, experiment.Scenario{
-		Seed: *seed, Workload: workload.Distributed, Metric: core.MetricNearest,
-		TaskCount: *tasks, Background: experiment.BackgroundRandom,
-	})
-	for _, schedOnly := range []bool{false, true} {
-		cells = append(cells, experiment.Scenario{
-			Seed: *seed, Workload: workload.Distributed, Metric: core.MetricBandwidth,
-			TaskCount: *tasks, Background: experiment.BackgroundRandom,
-			SchedulerOnlyProbes: schedOnly,
-		})
-	}
-	for _, perPkt := range []bool{false, true} {
-		cells = append(cells, experiment.Scenario{
-			Seed: *seed, Workload: workload.Serverless, Metric: core.MetricDelay,
-			TaskCount: *tasks, Background: experiment.BackgroundRandom,
-			PerPacketINT: perPkt,
-		})
-	}
-	for _, skew := range skews {
-		cells = append(cells, experiment.Scenario{
-			Seed: *seed, Workload: workload.Serverless, Metric: core.MetricDelay,
-			TaskCount: *tasks, Background: experiment.BackgroundRandom, ClockSkew: skew,
-		})
-	}
-	for _, m := range computeMetrics {
-		cells = append(cells, experiment.Scenario{
-			Seed: *seed, Workload: workload.Distributed, Metric: m,
-			TaskCount: *tasks, Background: experiment.BackgroundRandom,
-			Slots: 2, ComputeAware: true,
-		})
-	}
-
-	results, err := pool.RunScenarios(cells)
+	seeds := experiment.AblationSeeds
+	res, err := pool.Ablation(seeds, *tasks, *fig3dur)
 	if err != nil {
 		return err
 	}
-	next := 0
-	take := func() *experiment.RunResult { r := results[next]; next++; return r }
-
-	// k sweep: how sensitive is the delay ranking to the conversion factor?
-	fmt.Println("k sweep (serverless, delay ranking, gain vs nearest):")
-	tb := stats.NewTable("k", "mean completion", "gain vs nearest")
-	base := take()
-	for _, k := range kValues {
-		r := take()
-		tb.AddRow(k, r.MeanCompletion(),
-			fmt.Sprintf("%.1f%%", stats.GainDuration(base.MeanCompletion(), r.MeanCompletion())*100))
-	}
-	fmt.Println(tb.String())
-
-	// Probe coverage: the paper assumes probes visit every device and
-	// leaves route selection as future work. Compare the implemented
-	// greedy coverage planner against the paper's literal
-	// server→scheduler probing.
-	fmt.Println("probe route coverage (distributed, bandwidth ranking, gain vs nearest):")
-	tb5 := stats.NewTable("probing scope", "mean transfer", "gain vs nearest")
-	bwBase := take()
-	for _, schedOnly := range []bool{false, true} {
-		label := "coverage-planned"
-		if schedOnly {
-			label = "scheduler-only (paper literal)"
-		}
-		r := take()
-		tb5.AddRow(label, r.MeanTransfer(),
-			fmt.Sprintf("%.1f%%", stats.GainDuration(bwBase.MeanTransfer(), r.MeanTransfer())*100))
-	}
-	fmt.Println(tb5.String())
+	fmt.Printf("extension trial: Fig 4 network, %d tasks, background random, %d seeds (%d-%d), paired per seed;\n",
+		*tasks, len(seeds), seeds[0], seeds[len(seeds)-1])
+	fmt.Println("gain = (against - on trial) / against, in the metric the paper reports for the workload:")
+	fmt.Println(res.Table())
 
 	// Register staging vs per-packet INT: byte overhead comparison.
 	fmt.Println("INT overhead: register staging (this paper) vs per-packet embedding:")
-	tb2 := stats.NewTable("hops", "probe bytes (staged)", "per-packet overhead (2 fields)")
+	tb := stats.NewTable("hops", "probe bytes (staged)", "per-packet overhead (2 fields)")
 	for _, hops := range []int{1, 3, 5, 8} {
 		staged, err := experiment.OverheadTelemetryBytes(hops)
 		if err != nil {
 			return err
 		}
 		perPkt := dataplane.PerPacketINTOverhead(hops, 2, 4, 1000)
-		tb2.AddRow(hops, staged, fmt.Sprintf("%.1f%% of every packet", perPkt*100))
+		tb.AddRow(hops, staged, fmt.Sprintf("%.1f%% of every packet", perPkt*100))
 	}
-	fmt.Println(tb2.String())
-
-	// End-to-end collection-mode ablation: the full system under register
-	// staging vs classic per-packet embedding.
-	fmt.Println("collection mode (serverless, delay ranking):")
-	tb6 := stats.NewTable("mode", "mean completion", "gain vs nearest", "telemetry bytes on production packets")
-	for _, perPkt := range []bool{false, true} {
-		label := "register staging (paper)"
-		if perPkt {
-			label = "per-packet embedding"
-		}
-		r := take()
-		tb6.AddRow(label, r.MeanCompletion(),
-			fmt.Sprintf("%.1f%%", stats.GainDuration(base.MeanCompletion(), r.MeanCompletion())*100),
-			fmt.Sprintf("%d", r.INTOverheadBytes))
-	}
-	fmt.Println(tb6.String())
-
-	// Clock skew robustness: skewed NTP on half the switches.
-	fmt.Println("clock skew robustness (delay ranking gain vs nearest):")
-	tb3 := stats.NewTable("skew", "mean completion", "gain vs nearest")
-	for _, skew := range skews {
-		r := take()
-		tb3.AddRow(skew, r.MeanCompletion(),
-			fmt.Sprintf("%.1f%%", stats.GainDuration(base.MeanCompletion(), r.MeanCompletion())*100))
-	}
-	fmt.Println(tb3.String())
-
-	// Compute-aware extension vs plain delay under constrained servers.
-	fmt.Println("compute-aware extension (2 slots per server):")
-	tb4 := stats.NewTable("metric", "mean completion")
-	for _, m := range computeMetrics {
-		r := take()
-		tb4.AddRow(m.String(), r.MeanCompletion())
-	}
-	fmt.Println(tb4.String())
+	fmt.Println(tb.String())
 	return nil
 }

@@ -27,7 +27,7 @@ func main() {
 	var (
 		seed       = flag.Int64("seed", 42, "random seed (drives workload, traffic, random ranking)")
 		kind       = flag.String("workload", "serverless", "workload type: serverless | distributed")
-		metric     = flag.String("metric", "delay", "ranking metric: delay | bandwidth | nearest | random | compute-aware")
+		metric     = flag.String("metric", "delay", "ranking metric: delay | bandwidth | nearest | random | transfer-time")
 		tasks      = flag.Int("tasks", 200, "number of tasks")
 		interval   = flag.Duration("probe-interval", 100*time.Millisecond, "INT probing interval")
 		background = flag.String("background", "random", "background traffic: none | random | traffic1 | traffic2")
@@ -37,7 +37,6 @@ func main() {
 		topoFile   = flag.String("topo", "", "JSON topology spec file (default: the paper's Fig 4)")
 		faultsFile = flag.String("faults", "", "JSON fault schedule file: scripted link/node failures injected during the run (event times relative to the end of warmup)")
 		exclUnre   = flag.Bool("exclude-unreachable", false, "scheduler recovery policy: drop candidates whose learned path is gone (on automatically with -faults)")
-		hysteresis = flag.Float64("hysteresis", 0, "anti-jitter switching margin (0 disables)")
 		csvOut     = flag.String("csv", "", "write per-task results as CSV to this file")
 		verbose    = flag.Bool("v", false, "print per-task results")
 		seedCount  = flag.Int("seeds", 1, "replicate the run across this many consecutive seeds and report per-seed means")
@@ -60,7 +59,6 @@ func main() {
 		ProbeInterval:       *interval,
 		K:                   *k,
 		Slots:               *slots,
-		Hysteresis:          *hysteresis,
 		TelemetryMode:       mode,
 		SampleRate:          *sampleRate,
 		QueueDeltaThreshold: *queueDelta,
@@ -102,10 +100,11 @@ func main() {
 	}
 	m, ok := core.ParseMetric(*metric)
 	if !ok {
-		fatalf("unknown metric %q", *metric)
+		fmt.Fprintf(os.Stderr, "intsim: unknown metric %q\n", *metric)
+		flag.Usage()
+		os.Exit(2)
 	}
 	sc.Metric = m
-	sc.ComputeAware = m == core.MetricComputeAware
 	switch *background {
 	case "none":
 		sc.Background = experiment.BackgroundNone
@@ -129,9 +128,6 @@ func main() {
 		if !found {
 			fatalf("unknown class %q", *class)
 		}
-	}
-	if err := sc.Validate(); err != nil {
-		fatalf("%v", err)
 	}
 
 	if *seedCount > 1 {

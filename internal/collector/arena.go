@@ -7,7 +7,7 @@ import (
 
 // CSR edge-metric arena. A structure flattens the neighbor index rows
 // (nbrIdx) the path trees run on into one CSR array, and a snapshot holds
-// every per-direction edge metric (delay, jitter, rate, windowed queue max)
+// every per-direction edge metric (delay, rate, windowed queue max)
 // in one flat slot array, so the scheduler reads metrics as array loads
 // indexed by CSR position.
 //
@@ -24,9 +24,9 @@ import (
 // What a slot holds: the forward slot 2e is u->v's delay history, rate and
 // the windowed queue maximum of u's egress port toward v. The reverse slot
 // 2e+1 is a copy of v->u's own forward slot while that adjacency exists;
-// once it has aged out, the reverse slot carries v->u's measured delay,
-// jitter and rate (link-delay history outlives eviction, see pruneAdjLocked)
-// but no queue value — the egress port went with the adjacency. Pairs
+// once it has aged out, the reverse slot carries v->u's measured delay
+// and rate (link-delay history outlives eviction, see pruneAdjLocked) but
+// no queue value — the egress port went with the adjacency. Pairs
 // adjacent in neither direction have no slot.
 //
 // The collector keeps one live slot array current under its lock as it
@@ -167,14 +167,6 @@ func (t *Topology) SlotDelay(s int32) (time.Duration, bool) {
 		return 0, false
 	}
 	return t.slots[s].delay, true
-}
-
-// SlotJitter returns the latency standard deviation of a metric slot.
-func (t *Topology) SlotJitter(s int32) time.Duration {
-	if s < 0 {
-		return 0
-	}
-	return t.slots[s].jitter
 }
 
 // SlotRate returns the assumed capacity of a metric slot (the default rate

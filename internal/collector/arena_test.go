@@ -95,8 +95,8 @@ func TestPathIntoMatchesPath(t *testing.T) {
 }
 
 // checkSlotAgainstCollector holds the slot DirSlot resolves for u->v equal
-// to the collector's live link state: the delay EWMA and jitter of the
-// link's history, the configured (or default) rate, and the windowed
+// to the collector's live link state: the delay EWMA of the link's
+// history, the configured (or default) rate, and the windowed
 // queue maximum of the egress port the live adjacency names — or no queue
 // value at all when u->v has no adjacency of its own (adjacent says which
 // case the caller expects).
@@ -114,10 +114,6 @@ func checkSlotAgainstCollector(t *testing.T, c *Collector, topo *Topology, u, v 
 	wd, wok := c.LinkDelay(u, v)
 	if gd, gok := topo.SlotDelay(slot); gd != wd || gok != wok {
 		t.Fatalf("SlotDelay(%s->%s)=(%v,%v), collector (%v,%v)", u, v, gd, gok, wd, wok)
-	}
-	wj, _ := c.LinkJitter(u, v)
-	if g := topo.SlotJitter(slot); g != wj {
-		t.Fatalf("SlotJitter(%s->%s)=%v, collector %v", u, v, g, wj)
 	}
 	wr, ok := rates[edgeKey{u, v}]
 	if !ok {

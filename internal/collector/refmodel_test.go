@@ -274,11 +274,11 @@ func (m *refModel) read(now time.Duration) refView {
 
 // refMetrics is what a snapshot must report for one ordered node pair.
 type refMetrics struct {
-	delay, jitter time.Duration
-	delayOK       bool
-	rate          int64
-	queue         int
-	queueOK       bool
+	delay   time.Duration
+	delayOK bool
+	rate    int64
+	queue   int
+	queueOK bool
 }
 
 // metrics resolves the pair a->b the way a snapshot must (the reverse-slot
@@ -293,21 +293,11 @@ func (m *refModel) metrics(v refView, a, b string, now time.Duration) refMetrics
 		return out
 	}
 	if s := m.samples[edgeKey{a, b}]; len(s) > 0 {
-		ewma, sum := s[0], 0.0
-		for i, x := range s {
-			if i > 0 {
-				ewma = time.Duration(m.alpha*float64(x) + (1-m.alpha)*float64(ewma))
-			}
-			sum += float64(x)
+		ewma := s[0]
+		for _, x := range s[1:] {
+			ewma = time.Duration(m.alpha*float64(x) + (1-m.alpha)*float64(ewma))
 		}
 		out.delay, out.delayOK = ewma, true
-		if len(s) > 1 {
-			mean, sq := sum/float64(len(s)), 0.0
-			for _, x := range s {
-				sq += (float64(x) - mean) * (float64(x) - mean)
-			}
-			out.jitter = time.Duration(math.Sqrt(sq / float64(len(s)-1)))
-		}
 	}
 	if r, ok := m.rates[edgeKey{a, b}]; ok {
 		out.rate = r
@@ -320,6 +310,25 @@ func (m *refModel) metrics(v refView, a, b string, now time.Duration) refMetrics
 		}
 	}
 	return out
+}
+
+// jitter is the sample standard deviation of every latency sample a->b ever
+// took, in two passes; like the history itself it outlives the adjacency.
+// ok is false with fewer than two samples.
+func (m *refModel) jitter(a, b string) (time.Duration, bool) {
+	s := m.samples[edgeKey{a, b}]
+	if len(s) < 2 {
+		return 0, false
+	}
+	sum := 0.0
+	for _, x := range s {
+		sum += float64(x)
+	}
+	mean, sq := sum/float64(len(s)), 0.0
+	for _, x := range s {
+		sq += (float64(x) - mean) * (float64(x) - mean)
+	}
+	return time.Duration(math.Sqrt(sq / float64(len(s)-1))), true
 }
 
 // nextQueueExpiry is the instant the oldest live report leaves the window.
@@ -501,8 +510,9 @@ func runRef(cfg Config, ops []refOp) error {
 				}
 				// The collector accumulates jitter by Welford's recurrence,
 				// the model in two passes: equal up to float rounding.
-				if j := topo.LinkJitter(a, b); j-want.jitter > 2 || want.jitter-j > 2 {
-					return fail("jitter(%s,%s) %v, model %v", a, b, j, want.jitter)
+				wantJ, wantOK := m.jitter(a, b)
+				if j, ok := c.LinkJitter(a, b); ok != wantOK || j-wantJ > 2 || wantJ-j > 2 {
+					return fail("jitter(%s,%s) %v,%v, model %v,%v", a, b, j, ok, wantJ, wantOK)
 				}
 				if r := topo.LinkRate(a, b); r != want.rate {
 					return fail("rate(%s,%s) %d, model %d", a, b, r, want.rate)

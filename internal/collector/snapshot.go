@@ -21,9 +21,9 @@ const neverExpires = time.Duration(math.MaxInt64)
 // edgeMetrics is the resolved measurement state of one directed edge: what
 // one arena slot holds.
 type edgeMetrics struct {
-	// delay / jitter are the latency EWMA and standard deviation; delayOK
-	// is false for a direction never measured.
-	delay, jitter time.Duration
+	// delay is the latency EWMA; delayOK is false for a direction never
+	// measured.
+	delay time.Duration
 	// rate is the configured capacity, or the collector default.
 	rate int64
 	// queue is the windowed maximum occupancy of the egress port feeding
@@ -153,7 +153,7 @@ func (c *Collector) refillLocked(slots []edgeMetrics, now time.Duration) {
 		m := edgeMetrics{rate: c.cfg.DefaultLinkRateBps}
 		if st := c.linkDelay[k]; st != nil {
 			st.slotPair = at
-			m.delay, m.jitter, m.delayOK = st.ewma, st.jitter(), true
+			m.delay, m.delayOK = st.ewma, true
 		}
 		if rate, ok := c.linkRate[k]; ok {
 			m.rate = rate

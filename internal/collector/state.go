@@ -103,11 +103,10 @@ func (c *Collector) updateDelayLocked(k edgeKey, sample, now time.Duration) {
 	st.mean += delta / float64(st.samples)
 	st.m2 += delta * (float64(sample) - st.mean)
 	if c.cur != nil {
-		jitter := st.jitter()
 		for _, s := range [2]int32{st.fwd, st.rev} {
 			if s >= 0 {
 				m := &c.live[s]
-				m.delay, m.jitter, m.delayOK = st.ewma, jitter, true
+				m.delay, m.delayOK = st.ewma, true
 			}
 		}
 	}

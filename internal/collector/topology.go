@@ -142,12 +142,6 @@ func (t *Topology) LinkDelay(from, to string) (time.Duration, bool) {
 	return t.SlotDelay(t.slotOf(from, to))
 }
 
-// LinkJitter returns the latency standard deviation for the directed link
-// from->to (0 with fewer than two samples).
-func (t *Topology) LinkJitter(from, to string) time.Duration {
-	return t.SlotJitter(t.slotOf(from, to))
-}
-
 // LinkRate returns the assumed capacity of the directed link from->to.
 func (t *Topology) LinkRate(from, to string) int64 {
 	return t.SlotRate(t.slotOf(from, to))

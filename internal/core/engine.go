@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"intsched/internal/collector"
-	"intsched/internal/netsim"
-)
+import "intsched/internal/collector"
 
 // Engine is the scheduler's query engine, the part of answering a ranking
 // query that does not depend on how the query arrived: the rankers by
@@ -27,16 +22,6 @@ type Engine struct {
 
 	rankers map[Metric]Ranker
 	cache   RankCache
-
-	// candidates, when set, overrides candidate selection. The default
-	// (nil) is every host in the snapshot except the device itself (the
-	// paper: all nodes, scheduler included, execute tasks unless they
-	// submitted). Custom functions may close over arbitrary mutable state,
-	// so their results bypass the rank cache.
-	candidates func(from netsim.NodeID) []netsim.NodeID
-	// capable reports whether a server meets a query's Requirements; the
-	// owner invalidates the cache when its answers change.
-	capable func(server netsim.NodeID, req *Requirements) bool
 }
 
 // Register installs a ranker for its metric.
@@ -50,12 +35,14 @@ func (e *Engine) Register(r Ranker) {
 // CacheStats reports the rank cache counters.
 func (e *Engine) CacheStats() RankCacheStats { return e.cache.Stats() }
 
-// Answer ranks the candidates for one query on one snapshot and shapes the
-// result per the request (ID order, recovery filter, count). ok is false
-// when no ranker is registered for the query's metric. Repeated queries
-// between telemetry updates are served from the rank cache; the result is a
-// read-only view of shared storage — a warmed hit performs zero heap
-// allocations — so callers that mutate it must CloneCandidates first.
+// Answer ranks the candidates for one query — every host of the snapshot
+// except the requester (the paper: all nodes, scheduler included, execute
+// tasks unless they submitted) — and shapes the result per the request (ID
+// order, recovery filter, count). ok is false when no ranker is registered
+// for the query's metric. Repeated queries between telemetry updates are
+// served from the rank cache; the result is a read-only view of shared
+// storage — a warmed hit performs zero heap allocations — so callers that
+// mutate it must CloneCandidates first.
 func (e *Engine) Answer(topo *collector.Topology, req *QueryRequest) (ranked []Candidate, ok bool) {
 	ranker := e.rankers[req.Metric]
 	if ranker == nil {
@@ -65,67 +52,18 @@ func (e *Engine) Answer(topo *collector.Topology, req *QueryRequest) (ranked []C
 	// run its own selection.
 	idOrder := !req.Sorted && req.Metric != MetricRandom
 	fromHost := topo.HostIndex(string(req.From))
-	if e.candidates != nil || fromHost < 0 || !RankerCacheable(ranker) {
-		// Inputs the collector epoch does not version (or a requester the
-		// index-space key cannot name): compute every time.
-		entry := newRankEntry(e.compute(topo, ranker, req, fromHost))
+	if req.Metric == MetricRandom || fromHost < 0 {
+		// An RNG draw the collector epoch does not version, or a requester
+		// the index-space key cannot name: compute every time.
+		entry := newRankEntry(ComputeRanking(topo, ranker, req.From, req.DataBytes))
 		return entry.Shaped(idOrder, e.ExcludeUnreachable, req.Count), true
 	}
 	// The cache stores the full ranked list; the per-request shaping is a
 	// reslice of the entry's storage.
-	key := RankKey{From: int32(fromHost), Metric: req.Metric, DataBytes: req.DataBytes, Reqs: ReqKey(req.Requirements)}
+	key := RankKey{From: int32(fromHost), Metric: req.Metric, DataBytes: req.DataBytes}
 	entry, miss := e.cache.Lookup(topo.Epoch(), key)
 	if entry == nil {
-		entry = miss.Store(e.compute(topo, ranker, req, fromHost))
+		entry = miss.Store(ComputeRanking(topo, ranker, req.From, req.DataBytes))
 	}
 	return entry.Shaped(idOrder, e.ExcludeUnreachable, req.Count), true
-}
-
-// compute runs one ranking computation in pooled scratch and returns a
-// private slice. fromHost is the requester's host index (-1 for none).
-func (e *Engine) compute(topo *collector.Topology, ranker Ranker, req *QueryRequest, fromHost int) []Candidate {
-	meets := func(server netsim.NodeID) bool {
-		return req.Requirements == nil || e.capable(server, req.Requirements)
-	}
-	sc := scratchPool.Get().(*rankScratch)
-	cands := sc.cands[:0]
-	// unknown collects custom candidates that are not hosts of this
-	// snapshot: they have no host index to rank by.
-	var unknown []netsim.NodeID
-	if e.candidates == nil {
-		all := hostCandidatesIdx(topo, fromHost, sc.cands)
-		cands = all[:0] // filtered in place
-		for _, j := range all {
-			if meets(netsim.NodeID(topo.HostName(int(j)))) {
-				cands = append(cands, j)
-			}
-		}
-	} else {
-		for _, id := range e.candidates(req.From) {
-			if !meets(id) {
-				continue
-			}
-			if j := topo.HostIndex(string(id)); j >= 0 {
-				cands = append(cands, int32(j))
-			} else {
-				unknown = append(unknown, id)
-			}
-		}
-	}
-	sc.cands = cands
-	ranked := rankPrivate(topo, ranker, req.From, cands, req.DataBytes, sc)
-	scratchPool.Put(sc)
-	if len(unknown) > 0 {
-		// Unreachable, in ID order among the unreachable tail.
-		for _, id := range unknown {
-			ranked = append(ranked, Candidate{Node: id})
-		}
-		first := 0
-		for ranked[first].Reachable {
-			first++
-		}
-		tail := ranked[first:]
-		sort.Slice(tail, func(i, j int) bool { return tail[i].Node < tail[j].Node })
-	}
-	return ranked
 }

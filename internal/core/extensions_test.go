@@ -67,72 +67,3 @@ func TestTransferTimeRankerUnreachable(t *testing.T) {
 		t.Fatal("metric")
 	}
 }
-
-func TestHysteresisSticksOnMarginalChange(t *testing.T) {
-	r := NewHysteresisRanker(&DelayRanker{K: 20 * time.Millisecond}, 0.5)
-
-	// Round 1: e1 congested -> e2 chosen.
-	topo := learnedTopo(t, 10, 0)
-	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
-	if ranked[0].Node != "e2" {
-		t.Fatalf("round 1: %v", ranked)
-	}
-	// Round 2: tiny queue blip on e2's branch makes e1 marginally better
-	// (30ms vs 50ms = 40% improvement, within the 50% margin): stick.
-	topo = learnedTopo(t, 0, 1)
-	ranked = rankNamed(r, topo, "dev", 0, "e1", "e2")
-	if ranked[0].Node != "e2" {
-		t.Fatalf("round 2 switched on marginal change: %v", ranked)
-	}
-	// Both candidates still present.
-	if len(ranked) != 2 || ranked[1].Node != "e1" {
-		t.Fatalf("round 2 list corrupted: %v", ranked)
-	}
-	// Round 3: heavy congestion on e2's branch: must switch.
-	topo = learnedTopo(t, 0, 30)
-	ranked = rankNamed(r, topo, "dev", 0, "e1", "e2")
-	if ranked[0].Node != "e1" {
-		t.Fatalf("round 3 failed to switch under real congestion: %v", ranked)
-	}
-}
-
-func TestHysteresisFirstQueryPassesThrough(t *testing.T) {
-	r := NewHysteresisRanker(&DelayRanker{}, 0.2)
-	topo := learnedTopo(t, 10, 0)
-	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
-	if ranked[0].Node != "e2" {
-		t.Fatalf("first query altered: %v", ranked)
-	}
-}
-
-func TestHysteresisPerDeviceState(t *testing.T) {
-	r := NewHysteresisRanker(&DelayRanker{}, 0.99)
-	topo := learnedTopo(t, 10, 0)
-	// dev picks e2; a different device's history must not affect dev.
-	_ = rankNamed(r, topo, "dev", 0, "e1", "e2")
-	topo2 := learnedTopo(t, 0, 10)
-	rankedOther := rankNamed(r, topo2, "dev2", 0, "e1", "e2")
-	if rankedOther[0].Node != "e1" {
-		t.Fatalf("fresh device influenced by other device's history: %v", rankedOther)
-	}
-}
-
-func TestHysteresisMetricPassthrough(t *testing.T) {
-	r := NewHysteresisRanker(&BandwidthRanker{}, 0.2)
-	if r.Metric() != MetricBandwidth {
-		t.Fatal("wrapped metric not reported")
-	}
-}
-
-func TestHysteresisBandwidthAxis(t *testing.T) {
-	r := NewHysteresisRanker(&BandwidthRanker{}, 0.5)
-	// Round 1: e1 congested -> e2.
-	_ = rankNamed(r, learnedTopo(t, 30, 0), "dev", 0, "e1", "e2")
-	// Round 2: mild congestion on e2's branch (queue 5 -> util .5,
-	// avail 10 Mbps) vs clean e1 (20 Mbps): 50% improvement, at margin:
-	// stick with e2.
-	ranked := rankNamed(r, learnedTopo(t, 0, 5), "dev", 0, "e1", "e2")
-	if ranked[0].Node != "e2" {
-		t.Fatalf("switched at margin: %v", ranked)
-	}
-}

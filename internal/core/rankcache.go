@@ -1,16 +1,15 @@
 package core
 
-import (
-	"strings"
-	"sync"
-)
+import "sync"
 
 // This file implements the rank-result cache of the query Engine. Between
 // telemetry updates — the common case at high query rates, since probes
 // arrive every 100 ms — the learned topology is frozen at one collector
-// epoch, so a ranking computed for (from, metric, dataBytes, requirements)
-// is valid for every identical query until the epoch advances.
-// Invalidation is by epoch comparison only; no timers.
+// epoch, so a ranking computed for (from, metric, dataBytes) is valid for
+// every identical query until the epoch advances. Invalidation is by epoch
+// comparison only; no timers. Every ranker but RandomRanker, which draws
+// from an RNG stream, is a pure function of the snapshot and the query, so
+// the engine caches every metric but random.
 //
 // Entries are immutable RankEntry values holding the best-first ranking
 // with its reachable prefix length (and a lazily computed ID-ordered
@@ -18,48 +17,8 @@ import (
 // count truncation — is a zero-allocation reslice of shared storage instead
 // of a clone-and-sort per query.
 
-// CacheableRanker is implemented by rankers that declare whether their
-// output is a pure function of the topology snapshot and the query. Rankers
-// that do not implement it, or return false, are never cached: RandomRanker
-// draws from an RNG stream, HysteresisRanker keeps per-device state, and
-// ComputeAwareRanker reads load reports that change without a collector
-// epoch advance.
-type CacheableRanker interface {
-	// RankCacheable reports whether equal (snapshot, query) inputs always
-	// produce equal output with no side effects.
-	RankCacheable() bool
-}
-
-// RankerCacheable reports whether r's results may be served from the rank
-// cache.
-func RankerCacheable(r Ranker) bool {
-	c, ok := r.(CacheableRanker)
-	return ok && c.RankCacheable()
-}
-
-// RankCacheable implements CacheableRanker: Algorithm 1 is a pure function
-// of the snapshot.
-func (r *DelayRanker) RankCacheable() bool { return true }
-
-// RankCacheable implements CacheableRanker: the bottleneck estimate is a
-// pure function of the snapshot.
-func (r *BandwidthRanker) RankCacheable() bool { return true }
-
-// RankCacheable implements CacheableRanker: hop counts are static.
-func (r *NearestRanker) RankCacheable() bool { return true }
-
-// RankCacheable implements CacheableRanker: the estimate depends only on
-// the snapshot and the query's data size.
-func (r *TransferTimeRanker) RankCacheable() bool { return true }
-
-// RankCacheable implements CacheableRanker: hysteresis is stateful (the
-// previous top pick per device shapes the next answer), so its results
-// must be recomputed every query.
-func (r *HysteresisRanker) RankCacheable() bool { return false }
-
-// RankKey identifies one cacheable ranking computation within an epoch.
-// The key is fully index-space: no strings are hashed on the hot path
-// except the canonical requirements encoding (empty for typical queries).
+// RankKey identifies one cacheable ranking computation within an epoch:
+// three scalars, no strings hashed on the hot path.
 type RankKey struct {
 	// From is the querying device's position in the snapshot's sorted host
 	// list. Host indices are stable within an epoch (and the cache is
@@ -70,16 +29,6 @@ type RankKey struct {
 	Metric Metric
 	// DataBytes is the transfer-size hint.
 	DataBytes int64
-	// Reqs is the canonical requirements encoding ("" for none).
-	Reqs string
-}
-
-// ReqKey canonicalizes a Requirements value for use in a RankKey.
-func ReqKey(r *Requirements) string {
-	if r == nil {
-		return ""
-	}
-	return "hw=" + strings.Join(r.Hardware, ",") + "|sw=" + strings.Join(r.Software, ",")
 }
 
 // RankEntry is one cached ranking: the full best-first candidate list plus
@@ -87,11 +36,10 @@ func ReqKey(r *Requirements) string {
 // after Store — Shaped returns views of shared storage, and callers must
 // not modify what they are handed (clone first to mutate).
 type RankEntry struct {
-	// ranked is the best-first list. Every built-in cacheable ranker ends
-	// with sortCandidates, which groups reachable candidates before
-	// unreachable ones; reach is the length of that reachable prefix, or
-	// -1 when a custom ranker broke the grouping invariant (Shaped then
-	// falls back to allocating filters).
+	// ranked is the best-first list. Every ranker ends with sortCandidates,
+	// which groups reachable candidates before unreachable ones, or marks
+	// every candidate reachable; reach is the length of that reachable
+	// prefix.
 	ranked []Candidate
 	reach  int
 	// byID materializes the ID-ordered variant (the paper's option two) on
@@ -104,12 +52,6 @@ func newRankEntry(ranked []Candidate) *RankEntry {
 	e := &RankEntry{ranked: ranked}
 	for e.reach < len(ranked) && ranked[e.reach].Reachable {
 		e.reach++
-	}
-	for _, c := range ranked[e.reach:] {
-		if c.Reachable {
-			e.reach = -1 // ungrouped: disable prefix-based shaping
-			break
-		}
 	}
 	return e
 }
@@ -137,16 +79,11 @@ func (e *RankEntry) Shaped(idOrder, exclUnre bool, count int) []Candidate {
 	if idOrder {
 		list = e.sortedByID()
 	}
-	if exclUnre {
-		if e.reach < 0 {
-			// Ungrouped custom ranking: filter the slow, allocating way.
-			list = ReachableOnly(CloneCandidates(list))
-		} else if e.reach > 0 && e.reach < len(list) {
-			// Both orderings group the reachable prefix first, so the
-			// filter is a prefix view; reach == 0 or == len is the
-			// unchanged case (graceful fallback / nothing to drop).
-			list = list[:e.reach]
-		}
+	if exclUnre && e.reach > 0 {
+		// Both orderings group the reachable prefix first, so the filter
+		// is a prefix view; reach == 0 keeps the full list (the graceful
+		// fallback).
+		list = list[:e.reach]
 	}
 	if count > 0 && count < len(list) {
 		list = list[:count]
@@ -166,14 +103,9 @@ type RankCacheStats struct {
 // discarded wholesale the first time a newer epoch is observed, so the
 // cache never serves results computed from a superseded topology.
 type RankCache struct {
-	mu    sync.Mutex
-	valid bool
-	epoch uint64
-	// gen counts Invalidate() calls. A ranking computed before an
-	// Invalidate may have used superseded inputs (e.g. the old capability
-	// set), so RankMiss.Store drops entries whose generation — captured at
-	// Lookup time, before the computation — is no longer current.
-	gen     uint64
+	mu      sync.Mutex
+	valid   bool
+	epoch   uint64
 	entries map[RankKey]*RankEntry
 	stats   RankCacheStats
 }
@@ -192,14 +124,12 @@ func (c *RankCache) syncEpochLocked(epoch uint64) {
 }
 
 // RankMiss is the handle Lookup returns on a miss: the only way to insert
-// into the cache. It carries the epoch and key of the lookup and the
-// cache's generation at that moment — captured before the ranking is
-// computed — so a caller can neither store under a different key nor
-// fabricate a generation that outlives an Invalidate.
+// into the cache. It carries the epoch and key of the lookup, so a caller
+// cannot store under a different key or epoch.
 type RankMiss struct {
-	cache      *RankCache
-	epoch, gen uint64
-	key        RankKey
+	cache *RankCache
+	epoch uint64
+	key   RankKey
 }
 
 // Lookup returns the cached entry for key at the given epoch, or nil and
@@ -215,36 +145,21 @@ func (c *RankCache) Lookup(epoch uint64, key RankKey) (*RankEntry, RankMiss) {
 		return entry, RankMiss{}
 	}
 	c.stats.Misses++
-	return nil, RankMiss{cache: c, epoch: epoch, gen: c.gen, key: key}
+	return nil, RankMiss{cache: c, epoch: epoch, key: key}
 }
 
 // Store records the ranking computed for the missed lookup, taking
 // ownership of ranked (hand it a private slice; it becomes shared entry
-// storage). If an Invalidate ran since the Lookup the entry is not inserted
-// — its inputs may be stale. The built entry is returned either way, so
-// the caller can serve views of the computation it just performed.
+// storage), and returns the built entry so the caller can serve views of
+// the computation it just performed.
 func (m RankMiss) Store(ranked []Candidate) *RankEntry {
 	entry := newRankEntry(ranked)
 	c := m.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m.gen != c.gen {
-		return entry
-	}
 	c.syncEpochLocked(m.epoch)
 	c.entries[m.key] = entry
 	return entry
-}
-
-// Invalidate drops all entries regardless of epoch (used when inputs
-// outside the collector change, e.g. server capabilities) and advances the
-// generation so in-flight computations cannot resurrect stale entries.
-func (c *RankCache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	c.valid = false
-	c.entries = nil
 }
 
 // Stats returns a snapshot of the cache counters.

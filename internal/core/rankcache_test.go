@@ -13,28 +13,6 @@ import (
 	"intsched/internal/transport"
 )
 
-// TestRankerCacheability pins down which rankers may be memoized: pure
-// functions of the snapshot yes; RNG-driven, stateful, or load-dependent
-// rankers no.
-func TestRankerCacheability(t *testing.T) {
-	pure := []Ranker{&DelayRanker{}, &BandwidthRanker{}, &TransferTimeRanker{}, &NearestRanker{}}
-	for _, r := range pure {
-		if !RankerCacheable(r) {
-			t.Errorf("%T must be cacheable", r)
-		}
-	}
-	impure := []Ranker{
-		NewHysteresisRanker(&DelayRanker{}, 0.2),
-		NewRandomRanker(simtime.NewRand(1)),
-		&ComputeAwareRanker{},
-	}
-	for _, r := range impure {
-		if RankerCacheable(r) {
-			t.Errorf("%T must not be cacheable", r)
-		}
-	}
-}
-
 // TestRankCacheHitWithinEpoch: repeated identical queries between probe
 // arrivals must be served from the cache with identical results.
 func TestRankCacheHitWithinEpoch(t *testing.T) {
@@ -124,40 +102,6 @@ func TestRankCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// TestRankCacheBypassedForCustomCandidates: a custom candidate function may
-// close over mutable state the epoch does not version.
-func TestRankCacheBypassedForCustomCandidates(t *testing.T) {
-	f := newServiceFixture(t)
-	calls := 0
-	f.svc.SetCandidateFn(func(from netsim.NodeID) []netsim.NodeID {
-		calls++
-		return []netsim.NodeID{"e1"}
-	})
-	f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true})
-	f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true})
-	if calls != 2 {
-		t.Fatalf("custom candidate fn called %d times, want every query", calls)
-	}
-	if st := f.svc.CacheStats(); st.Hits+st.Misses != 0 {
-		t.Fatalf("stats %+v, cache consulted despite custom candidates", st)
-	}
-}
-
-// TestRankCacheInvalidatedByCapabilities: capability changes re-filter the
-// candidate set, so cached rankings must be dropped.
-func TestRankCacheInvalidatedByCapabilities(t *testing.T) {
-	f := newServiceFixture(t)
-	req := &QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true,
-		Requirements: &Requirements{Hardware: []string{"gpu"}}}
-	if got := f.svc.RankFor(req); len(got) != 0 {
-		t.Fatalf("no server has a gpu yet: %v", got)
-	}
-	f.svc.SetCapabilities("e1", Capabilities{Hardware: []string{"gpu"}})
-	if got := f.svc.RankFor(req); len(got) != 1 || got[0].Node != "e1" {
-		t.Fatalf("stale capability filter served from cache: %v", got)
-	}
-}
-
 // TestRankCacheInvalidatedByQueueWindowExpiry: windowed queue maxima change
 // when a report ages out of the queue window even though no probe arrived;
 // the expiry-driven snapshot rebuild advances the epoch, so RankFor must
@@ -212,40 +156,6 @@ func TestRankCacheInvalidatedByQueueWindowExpiry(t *testing.T) {
 	}
 }
 
-// TestRankCacheStoreDroppedAfterInvalidate: an Invalidate between a missed
-// Lookup and the Store through its handle — the lost-invalidation race, e.g.
-// SetCapabilities landing while a ranking is being computed — must drop the
-// entry, since it may have been computed from the superseded inputs. So must
-// an epoch advance: a ranking of the old topology is never served at the new.
-func TestRankCacheStoreDroppedAfterInvalidate(t *testing.T) {
-	var c RankCache
-	key := RankKey{From: 3, Metric: MetricDelay}
-	entry, miss := c.Lookup(7, key)
-	if entry != nil {
-		t.Fatal("unexpected hit in empty cache")
-	}
-	c.Invalidate()
-	miss.Store([]Candidate{{Node: "stale"}})
-	if entry, _ := c.Lookup(7, key); entry != nil {
-		t.Fatalf("stale entry resurrected after Invalidate: %v", entry.Ranked())
-	}
-	// A handle taken at the current generation inserts.
-	_, miss = c.Lookup(7, key)
-	miss.Store([]Candidate{{Node: "fresh"}})
-	if entry, _ := c.Lookup(7, key); entry == nil || entry.Ranked()[0].Node != "fresh" {
-		t.Fatalf("current-generation entry not stored (entry=%v)", entry)
-	}
-	// A handle taken at epoch 7 and stored after the cache reached epoch 8
-	// is invisible to epoch-8 lookups.
-	other := RankKey{From: 4, Metric: MetricDelay}
-	_, old := c.Lookup(7, other)
-	c.Lookup(8, other)
-	old.Store([]Candidate{{Node: "epoch7"}})
-	if entry, _ := c.Lookup(8, other); entry != nil {
-		t.Fatalf("epoch-7 ranking served at epoch 8: %v", entry.Ranked())
-	}
-}
-
 // TestConcurrentQueriesWhileProbesMutate drives parallel RankFor calls
 // against live probe ingestion — the epoch-versioned read path must be
 // race-free (validated by go test -race).
@@ -285,4 +195,252 @@ func TestConcurrentQueriesWhileProbesMutate(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// rankEach answers a burst of queries one by one against ONE topology
+// snapshot, so every request sees the same epoch; the result is
+// index-aligned with reqs.
+func rankEach(s *Service, reqs []*QueryRequest) [][]Candidate {
+	topo := s.coll.Snapshot()
+	out := make([][]Candidate, len(reqs))
+	for i, req := range reqs {
+		out[i] = s.RankOn(topo, req)
+	}
+	return out
+}
+
+// TestRankBatchMatchesSingleQueries: a burst answered on one snapshot must
+// be exactly what N independent RankFor calls would return, across metrics,
+// shaping variants, and unknown metrics.
+func TestRankBatchMatchesSingleQueries(t *testing.T) {
+	// Two fixtures replay the same simulation, so both start from a cold
+	// cache over equal topologies.
+	f, ref := newServiceFixture(t), newServiceFixture(t)
+	f.svc.Register(&TransferTimeRanker{})
+	ref.svc.Register(&TransferTimeRanker{})
+	reqs := []*QueryRequest{
+		{From: "dev", Metric: MetricDelay, Sorted: true},
+		{From: "e1", Metric: MetricDelay, Sorted: true},
+		{From: "dev", Metric: MetricBandwidth, Sorted: true},
+		{From: "dev", Metric: MetricDelay, Sorted: false},          // same key as [0], different shaping
+		{From: "dev", Metric: MetricDelay, Sorted: true, Count: 1}, // same key as [0], truncated
+		{From: "dev", Metric: MetricTransferTime, Sorted: true, DataBytes: 1 << 20},
+		{From: "dev", Metric: MetricNearest, Sorted: true}, // no ranker registered: nil
+	}
+	// Reference: answered one by one (the engine is idle, so the epoch is
+	// frozen).
+	want := make([][]Candidate, len(reqs))
+	for i, req := range reqs {
+		want[i] = ref.svc.RankFor(req)
+	}
+	got := rankEach(f.svc, reqs)
+	if len(got) != len(reqs) {
+		t.Fatalf("batch returned %d results for %d requests", len(got), len(reqs))
+	}
+	for i := range reqs {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("request %d: batch %v, single %v", i, got[i], want[i])
+		}
+	}
+	// And a warm-cache batch (every key now cached) must agree as well.
+	got = rankEach(f.svc, reqs)
+	for i := range reqs {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("warm request %d: batch %v, single %v", i, got[i], want[i])
+		}
+	}
+}
+
+// countingRanker wraps DelayRanker and counts ranking computations.
+type countingRanker struct {
+	DelayRanker
+	calls int
+}
+
+func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate {
+	r.calls++
+	return r.DelayRanker.Rank(topo, from, fromIdx, cands, dataBytes, s)
+}
+
+// TestRankBatchDeduplicatesKeys: identical cache keys in one batch must be
+// computed once, and later identical batches served entirely as hits.
+func TestRankBatchDeduplicatesKeys(t *testing.T) {
+	f := newServiceFixture(t)
+	cr := &countingRanker{}
+	f.svc.Register(cr)
+	reqs := []*QueryRequest{
+		{From: "dev", Metric: MetricDelay, Sorted: true},
+		{From: "dev", Metric: MetricDelay, Sorted: false},
+		{From: "dev", Metric: MetricDelay, Count: 1, Sorted: true},
+	}
+	rankEach(f.svc, reqs)
+	if cr.calls != 1 {
+		t.Fatalf("%d ranking computations for three identical keys, want one", cr.calls)
+	}
+	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 2 {
+		t.Fatalf("stats %+v, want one miss and two hits in the first batch", st)
+	}
+	rankEach(f.svc, reqs)
+	if cr.calls != 1 {
+		t.Fatalf("warm batch recomputed: %d calls", cr.calls)
+	}
+	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 5 {
+		t.Fatalf("stats %+v, want all hits on the second batch", st)
+	}
+	// The cached full list must not have been corrupted by the shaped
+	// (unsorted, truncated) batch members.
+	single := f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true})
+	if len(single) != 2 || single[0].Delay > single[1].Delay {
+		t.Fatalf("cached ordering corrupted: %v", single)
+	}
+}
+
+// engineFixture is newServiceFixture with all five rankers registered.
+func engineFixture(t *testing.T) *serviceFixture {
+	t.Helper()
+	f := newServiceFixture(t)
+	f.svc.Register(&TransferTimeRanker{})
+	nearest, err := NewNearestRanker(f.nw, []netsim.NodeID{"dev", "e1", "sched"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.svc.Register(nearest)
+	f.svc.Register(NewRandomRanker(simtime.NewRand(1)))
+	return f
+}
+
+// TestRankerCacheability pins down which rankers are memoized: pure
+// functions of the snapshot and the query yes, the RNG-driven one no.
+func TestRankerCacheability(t *testing.T) {
+	f := engineFixture(t)
+	for i, m := range []Metric{MetricDelay, MetricBandwidth, MetricNearest, MetricTransferTime} {
+		req := &QueryRequest{From: "dev", Metric: m, Sorted: true}
+		if first, again := f.svc.RankFor(req), f.svc.RankFor(req); len(first) != 2 || !reflect.DeepEqual(first, again) {
+			t.Fatalf("%v answers %v, %v", m, first, again)
+		}
+		if st := f.svc.CacheStats(); st.Misses != uint64(i+1) || st.Hits != uint64(i+1) {
+			t.Fatalf("stats %+v after %v: want one miss and one hit per pure ranker", st, m)
+		}
+	}
+	before := f.svc.CacheStats()
+	for i := 0; i < 2; i++ {
+		if got := f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricRandom, Sorted: true}); len(got) != 2 {
+			t.Fatalf("random answer %v", got)
+		}
+	}
+	if st := f.svc.CacheStats(); st != before {
+		t.Fatalf("stats %+v -> %+v: the random ranker consulted the cache", before, st)
+	}
+}
+
+// TestRankBatchUncacheablePaths: what the epoch does not version — the
+// random ranker's RNG draw — and what the index-space key cannot name — a
+// requester that is not a host of the snapshot — is computed per request
+// beside cacheable members of the same burst, and never touches the cache.
+func TestRankBatchUncacheablePaths(t *testing.T) {
+	f := engineFixture(t)
+	got := rankEach(f.svc, []*QueryRequest{
+		{From: "dev", Metric: MetricRandom, Sorted: true},
+		{From: "dev", Metric: MetricDelay, Sorted: true},
+		{From: "stranger", Metric: MetricDelay, Sorted: true},
+		{From: "stranger", Metric: MetricDelay, Sorted: true},
+	})
+	if len(got[0]) != 2 || len(got[1]) != 2 {
+		t.Fatalf("batch with mixed cacheability: %v", got)
+	}
+	// A requester the snapshot does not know excludes nobody and reaches
+	// nobody.
+	if len(got[2]) != 3 || got[2][0].Reachable || !reflect.DeepEqual(got[2], got[3]) {
+		t.Fatalf("non-host requester answers %v, %v", got[2], got[3])
+	}
+	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("stats %+v: only the delay query from a host may touch the cache", st)
+	}
+}
+
+// TestRankCacheStoreAcrossEpochs: a ranking goes in only through the handle
+// of the lookup that missed, under that lookup's epoch and key, so a ranking
+// of the old topology is never served at the new.
+func TestRankCacheStoreAcrossEpochs(t *testing.T) {
+	var c RankCache
+	key := RankKey{From: 3, Metric: MetricDelay}
+	entry, miss := c.Lookup(7, key)
+	if entry != nil {
+		t.Fatal("unexpected hit in empty cache")
+	}
+	miss.Store([]Candidate{{Node: "fresh"}})
+	if entry, _ := c.Lookup(7, key); entry == nil || entry.Ranked()[0].Node != "fresh" {
+		t.Fatalf("stored entry not served (entry=%v)", entry)
+	}
+	// A handle taken at epoch 7 and stored after the cache reached epoch 8
+	// is invisible to epoch-8 lookups.
+	other := RankKey{From: 4, Metric: MetricDelay}
+	_, old := c.Lookup(7, other)
+	c.Lookup(8, other)
+	old.Store([]Candidate{{Node: "epoch7"}})
+	if entry, _ := c.Lookup(8, other); entry != nil {
+		t.Fatalf("epoch-7 ranking served at epoch 8: %v", entry.Ranked())
+	}
+}
+
+// batchFixtureReqs builds a warm-cacheable batch: distinct (from, metric)
+// keys, repeated to length n.
+func batchFixtureReqs(n int) []*QueryRequest {
+	froms := []netsim.NodeID{"dev", "e1", "sched"}
+	metrics := []Metric{MetricDelay, MetricBandwidth}
+	reqs := make([]*QueryRequest, n)
+	for i := range reqs {
+		reqs[i] = &QueryRequest{
+			From:   froms[i%len(froms)],
+			Metric: metrics[(i/len(froms))%len(metrics)],
+			Sorted: true,
+		}
+	}
+	return reqs
+}
+
+// TestWarmRankAllocations pins the steady-state allocation contract of the
+// index-space read path: a warm single query is allocation-free (a cache
+// hit is served as zero-copy views of the shared entry), and a warm
+// N-request burst allocates only its result slice, independent of N.
+func TestWarmRankAllocations(t *testing.T) {
+	f := newServiceFixture(t)
+	reqs := batchFixtureReqs(16)
+	rankEach(f.svc, reqs) // warm every key
+	single := testing.AllocsPerRun(200, func() {
+		for _, req := range reqs {
+			f.svc.RankFor(req)
+		}
+	})
+	if single != 0 {
+		t.Fatalf("warm single queries allocated %.1f per run, want 0 (zero-copy entry views)", single)
+	}
+	batch := testing.AllocsPerRun(200, func() {
+		rankEach(f.svc, reqs)
+	})
+	if batch > 1 {
+		t.Fatalf("warm batch allocated %.1f per run, want at most its result slice", batch)
+	}
+}
+
+func BenchmarkRankForWarm(b *testing.B) {
+	f := newServiceFixture(&testing.T{})
+	req := &QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true}
+	f.svc.RankFor(req)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.svc.RankFor(req)
+	}
+}
+
+func BenchmarkRankBatchWarm(b *testing.B) {
+	f := newServiceFixture(&testing.T{})
+	reqs := batchFixtureReqs(16)
+	rankEach(f.svc, reqs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rankEach(f.svc, reqs)
+	}
 }

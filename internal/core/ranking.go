@@ -5,9 +5,9 @@
 // available bandwidth — and serves ranking queries over the network.
 //
 // The two baselines the paper compares against (Nearest and Random) are
-// implemented here too, plus the paper's future-work extensions:
-// compute-aware ranking, heterogeneous capability filtering, and automatic
-// calibration of the queue→latency conversion factor k.
+// implemented here too, plus the extensions that kept their place in a
+// paired multi-seed trial (DESIGN §8): size-aware transfer-time ranking and
+// automatic calibration of the queue→latency conversion factor k.
 package core
 
 import (
@@ -33,15 +33,12 @@ const (
 	MetricNearest
 	// MetricRandom is the random load-balancing baseline.
 	MetricRandom
-	// MetricComputeAware is the future-work extension combining network
-	// delay with reported server backlog.
-	MetricComputeAware
 	// MetricTransferTime is the size-aware extension estimating total
 	// transfer completion time (delay + data / bottleneck bandwidth).
 	MetricTransferTime
 )
 
-var metricNames = [...]string{"delay", "bandwidth", "nearest", "random", "compute-aware", "transfer-time"}
+var metricNames = [...]string{"delay", "bandwidth", "nearest", "random", "transfer-time"}
 
 func (m Metric) String() string {
 	if int(m) < len(metricNames) {
@@ -85,11 +82,12 @@ type Candidate struct {
 type Ranker interface {
 	// Metric identifies the strategy.
 	Metric() Metric
-	// Rank returns the candidates ordered best-first. from/fromIdx are the
-	// querying device's ID and merged node index (-1 when it has no
-	// adjacency); cands are positions in the snapshot's sorted host list;
-	// dataBytes is the task's transfer size (0 when unknown). The result
-	// aliases s — callers clone before retaining it.
+	// Rank returns the candidates ordered best-first, reachable ones before
+	// unreachable ones (RankEntry serves the recovery filter as a prefix).
+	// from/fromIdx are the querying device's ID and merged node index (-1
+	// when it has no adjacency); cands are positions in the snapshot's
+	// sorted host list; dataBytes is the task's transfer size (0 when
+	// unknown). The result aliases s — callers clone before retaining it.
 	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate
 }
 
@@ -143,7 +141,7 @@ func hostCandidatesIdx(topo *collector.Topology, fromHost int, buf []int32) []in
 // and returns the unsorted candidate list in s.out. Candidates without a
 // path stay unreachable with zero estimates; est supplies the delay and
 // bandwidth estimates of each reachable one from its walked path.
-func rankPaths(topo *collector.Topology, fromIdx int32, cands []int32, s *rankScratch, est func(node netsim.NodeID, path []int32) (time.Duration, float64)) []Candidate {
+func rankPaths(topo *collector.Topology, fromIdx int32, cands []int32, s *rankScratch, est func(path []int32) (time.Duration, float64)) []Candidate {
 	out := s.out[:0]
 	for _, j := range cands {
 		cand := Candidate{Node: netsim.NodeID(topo.HostName(int(j)))}
@@ -152,7 +150,7 @@ func rankPaths(topo *collector.Topology, fromIdx int32, cands []int32, s *rankSc
 		if code == collector.PathOK {
 			cand.Reachable = true
 			cand.Hops = len(p) - 1
-			cand.Delay, cand.BandwidthBps = est(cand.Node, p)
+			cand.Delay, cand.BandwidthBps = est(p)
 		}
 		out = append(out, cand)
 	}
@@ -177,11 +175,6 @@ const FallbackLinkDelay = 10 * time.Millisecond
 type DelayRanker struct {
 	// K is the queue→latency conversion factor (DefaultK when zero).
 	K time.Duration
-	// JitterWeight, when positive, adds weight × (link latency standard
-	// deviation) per link — a conservative estimate that penalizes
-	// unstable paths (the paper measures jitter but does not use it;
-	// zero keeps the paper's Algorithm 1 exactly).
-	JitterWeight float64
 }
 
 // Metric implements Ranker.
@@ -196,9 +189,9 @@ func (r *DelayRanker) k() time.Duration {
 }
 
 // delayOverPath computes Algorithm 1's estimate over a walked index path:
-// measured link delays (fallback for unmeasured), optional jitter penalty,
-// and k × windowed queue max per switch hop. Hosts have no measured queues;
-// only switch hops contribute, matching Algorithm 1's per-hop Q(h) term.
+// measured link delays (fallback for unmeasured) and k × windowed queue max
+// per switch hop. Hosts have no measured queues; only switch hops
+// contribute, matching Algorithm 1's per-hop Q(h) term.
 func (r *DelayRanker) delayOverPath(topo *collector.Topology, p []int32, k time.Duration) time.Duration {
 	var totalLinkDelay, totalHopDelay time.Duration
 	for i := 0; i+1 < len(p); i++ {
@@ -208,9 +201,6 @@ func (r *DelayRanker) delayOverPath(topo *collector.Topology, p []int32, k time.
 			totalLinkDelay += d
 		} else {
 			totalLinkDelay += FallbackLinkDelay
-		}
-		if r.JitterWeight > 0 {
-			totalLinkDelay += time.Duration(r.JitterWeight * float64(topo.SlotJitter(slot)))
 		}
 		// Queueing contribution of the egress port feeding this link.
 		if !topo.IsHostIdx(a) {
@@ -225,7 +215,7 @@ func (r *DelayRanker) delayOverPath(topo *collector.Topology, p []int32, k time.
 // Rank implements Ranker.
 func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
 	k := r.k()
-	out := rankPaths(topo, fromIdx, cands, s, func(_ netsim.NodeID, p []int32) (time.Duration, float64) {
+	out := rankPaths(topo, fromIdx, cands, s, func(p []int32) (time.Duration, float64) {
 		return r.delayOverPath(topo, p, k), 0
 	})
 	sortCandidates(out, byDelay)
@@ -280,7 +270,7 @@ func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, p []int32
 // Rank implements Ranker.
 func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
 	cal := r.calibration()
-	out := rankPaths(topo, fromIdx, cands, s, func(_ netsim.NodeID, p []int32) (time.Duration, float64) {
+	out := rankPaths(topo, fromIdx, cands, s, func(p []int32) (time.Duration, float64) {
 		return 0, r.bottleneckOverPath(topo, p, cal)
 	})
 	sortCandidates(out, func(a, b Candidate) bool { return a.BandwidthBps > b.BandwidthBps })

@@ -12,7 +12,8 @@ import (
 
 // learnedTopo builds a collector-learned star: device "dev" on s1; servers
 // e1 via s1-s2 (queue q12 on that direction), e2 via s1-s3 (queue q13).
-// All link latencies 10ms.
+// All link latencies 10ms. A fourth host, "ghost", probed once via s9 long
+// enough ago that its edges have aged out: still a host, with no path.
 func learnedTopo(t *testing.T, q12, q13 int) *collector.Topology {
 	t.Helper()
 	now := time.Second
@@ -29,6 +30,8 @@ func learnedTopo(t *testing.T, q12, q13 int) *collector.Topology {
 		c.HandleProbe(p)
 	}
 	lat := 10 * time.Millisecond
+	probe("ghost", telemetry.Record{Device: "s9", IngressPort: 0, EgressPort: 1, LinkLatency: lat, EgressTS: now})
+	now += time.Minute // past the adjacency TTL (5 queue windows)
 	// Queue reports for s1: port0=dev, port1=s2, port2=s3, port3=sched.
 	s1q := []telemetry.PortQueue{{Port: 1, MaxQueue: q12, Packets: 1}, {Port: 2, MaxQueue: q13, Packets: 1}}
 	// e1 probes: e1 -> s2 -> s1 -> sched.
@@ -61,15 +64,18 @@ func hostsTopo(hosts ...string) *collector.Topology {
 	return c.Snapshot()
 }
 
-// rankNamed ranks the named candidates for from with r on topo — the one
-// Rank method driven by name, through the query engine's custom-candidate
-// path (names that are not hosts of topo come back unreachable).
+// rankNamed ranks the named hosts of topo for from with r — the one Rank
+// method driven by name.
 func rankNamed(r Ranker, topo *collector.Topology, from netsim.NodeID, dataBytes int64, names ...netsim.NodeID) []Candidate {
-	var e Engine
-	e.Register(r)
-	e.candidates = func(netsim.NodeID) []netsim.NodeID { return names }
-	ranked, _ := e.Answer(topo, &QueryRequest{From: from, Metric: r.Metric(), Sorted: true, DataBytes: dataBytes})
-	return ranked
+	var sc rankScratch
+	for _, name := range names {
+		j := topo.HostIndex(string(name))
+		if j < 0 {
+			panic("rankNamed: " + name + " is not a host of the snapshot")
+		}
+		sc.cands = append(sc.cands, int32(j))
+	}
+	return rankPrivate(topo, r, from, sc.cands, dataBytes, &sc)
 }
 
 func TestDelayRankerAlgorithm1(t *testing.T) {
@@ -121,50 +127,6 @@ func TestDelayRankerDeterministicTies(t *testing.T) {
 	// Equal delays: sorted by node ID.
 	if ranked[0].Node != "e1" || ranked[1].Node != "e2" {
 		t.Fatalf("tie-break wrong: %v", ranked)
-	}
-}
-
-func TestDelayRankerJitterPenalty(t *testing.T) {
-	// Both branches clean; jitter on e1's branch should tip the ranking
-	// toward e2 when JitterWeight is set, and leave a tie (ID order)
-	// without it.
-	now := time.Second
-	clock := func() time.Duration { return now }
-	c := collector.New("sched", clock, collector.Config{QueueWindow: time.Second, DefaultLinkRateBps: 20_000_000})
-	push := func(origin string, seq uint64, lat time.Duration, dev string, in int) {
-		p := &telemetry.ProbePayload{Origin: origin, Seq: seq}
-		p.Stack.Append(telemetry.Record{Device: dev, IngressPort: 0, EgressPort: 1, LinkLatency: lat, EgressTS: now})
-		p.Stack.Append(telemetry.Record{Device: "s1", IngressPort: in, EgressPort: 3, LinkLatency: 10 * time.Millisecond, EgressTS: now})
-		c.HandleProbe(p)
-	}
-	for i := 0; i < 8; i++ {
-		// e1's first link jitters between 5 and 15 ms (mean 10); e2's is
-		// a steady 10 ms.
-		lat := 5 * time.Millisecond
-		if i%2 == 1 {
-			lat = 15 * time.Millisecond
-		}
-		push("e1", uint64(i+1), lat, "s2", 1)
-		push("e2", uint64(i+1), 10*time.Millisecond, "s3", 2)
-	}
-	p := &telemetry.ProbePayload{Origin: "dev", Seq: 1}
-	p.Stack.Append(telemetry.Record{Device: "s1", IngressPort: 0, EgressPort: 3, LinkLatency: 10 * time.Millisecond, EgressTS: now})
-	c.HandleProbe(p)
-	topo := c.Snapshot()
-
-	plainE1 := rankNamed(&DelayRanker{}, topo, "dev", 0, "e1")[0]
-	jr := &DelayRanker{JitterWeight: 2}
-	jitterE1 := rankNamed(jr, topo, "dev", 0, "e1")[0]
-	if !plainE1.Reachable || !jitterE1.Reachable {
-		t.Fatalf("e1 unreachable: %+v %+v", plainE1, jitterE1)
-	}
-	// The jittery branch must pay a penalty of roughly 2 × ~5ms stddev.
-	if jitterE1.Delay <= plainE1.Delay+5*time.Millisecond {
-		t.Fatalf("jitter penalty too small: %v vs %v", jitterE1.Delay, plainE1.Delay)
-	}
-	ranked := rankNamed(jr, topo, "dev", 0, "e1", "e2")
-	if ranked[0].Node != "e2" {
-		t.Fatalf("jitter-aware ranking should prefer the stable path: %v", ranked)
 	}
 }
 
@@ -254,33 +216,89 @@ func TestRandomRankerPermutesDeterministically(t *testing.T) {
 	}
 }
 
-func TestComputeAwareRankerAddsBacklog(t *testing.T) {
-	topo := learnedTopo(t, 0, 0)
-	load := map[netsim.NodeID]time.Duration{"e1": 5 * time.Second, "e2": 0}
-	r := &ComputeAwareRanker{
-		Network: &DelayRanker{K: 20 * time.Millisecond},
-		LoadFn:  func(s netsim.NodeID) time.Duration { return load[s] },
+// TestEveryRankerReachableFirst: every registered ranker's output groups
+// reachable candidates before unreachable ones on a snapshot with evicted
+// hosts — what lets RankEntry serve the recovery policy's filter, in either
+// order, as a prefix of the stored list.
+func TestEveryRankerReachableFirst(t *testing.T) {
+	f := newFlapFixture(t, ServiceConfig{})
+	f.svc.Register(&BandwidthRanker{})
+	f.svc.Register(&TransferTimeRanker{})
+	nearest, err := NewNearestRanker(f.nw, []netsim.NodeID{"dev", "e1", "e2", "sched"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ranked := rankNamed(r, topo, "dev", 0, "e1", "e2")
-	if ranked[0].Node != "e2" {
-		t.Fatalf("loaded server ranked first: %v", ranked)
+	f.svc.Register(nearest)
+	f.svc.Register(NewRandomRanker(simtime.NewRand(3)))
+	// e2 falls silent past its TTL while the others keep probing.
+	f.probeLive()
+	f.probeE2()
+	for i := 0; i < 6; i++ {
+		f.advance(200 * time.Millisecond)
+		f.probeLive()
 	}
-	if ranked[1].Delay < 5*time.Second {
-		t.Fatalf("backlog not added: %v", ranked[1].Delay)
+	topo := f.coll.Snapshot()
+	if len(f.svc.engine.rankers) != len(metricNames) {
+		t.Fatalf("%d rankers registered for %d metrics", len(f.svc.engine.rankers), len(metricNames))
+	}
+	for m, r := range f.svc.engine.rankers {
+		ranked := ComputeRanking(topo, r, "dev", 1<<20)
+		if len(ranked) != 3 {
+			t.Fatalf("%v: candidates %v, want e1, e2, sched", m, ranked)
+		}
+		// The learned-path rankers must see the eviction; nearest and
+		// random never consult the learned topology.
+		learned := m != MetricNearest && m != MetricRandom
+		if c := findCand(t, ranked, "e2"); c.Reachable == learned {
+			t.Fatalf("%v: evicted e2 reachable=%v in %v", m, c.Reachable, ranked)
+		}
+		entry := newRankEntry(ranked)
+		for _, list := range [][]Candidate{entry.Ranked(), entry.sortedByID()} {
+			for i, c := range list {
+				if c.Reachable != (i < entry.reach) {
+					t.Fatalf("%v: %v is not reachable-first with a reachable prefix of %d", m, list, entry.reach)
+				}
+			}
+		}
+		want := 3
+		if learned {
+			want = 2
+		}
+		if got := entry.Shaped(false, true, 0); len(got) != want {
+			t.Fatalf("%v: recovery filter kept %v", m, got)
+		}
 	}
 }
 
+// TestMetricStringsAndParse: the metric names are the CLI and wire
+// vocabulary; names of retired metrics must not parse.
 func TestMetricStringsAndParse(t *testing.T) {
-	for _, m := range []Metric{MetricDelay, MetricBandwidth, MetricNearest, MetricRandom, MetricComputeAware} {
-		parsed, ok := ParseMetric(m.String())
-		if !ok || parsed != m {
-			t.Errorf("round trip failed for %v", m)
+	for _, tc := range []struct {
+		m    Metric
+		name string
+	}{
+		{MetricDelay, "delay"},
+		{MetricBandwidth, "bandwidth"},
+		{MetricNearest, "nearest"},
+		{MetricRandom, "random"},
+		{MetricTransferTime, "transfer-time"},
+	} {
+		if got := tc.m.String(); got != tc.name {
+			t.Errorf("%d.String() = %q, want %q", tc.m, got, tc.name)
+		}
+		if got, ok := ParseMetric(tc.name); !ok || got != tc.m {
+			t.Errorf("ParseMetric(%q) = %v, %v", tc.name, got, ok)
 		}
 	}
-	if _, ok := ParseMetric("bogus"); ok {
-		t.Error("bogus metric parsed")
+	if len(metricNames) != 5 {
+		t.Errorf("%d metric names, table covers 5", len(metricNames))
 	}
-	if Metric(200).String() != "unknown" {
-		t.Error("unknown metric string")
+	for _, name := range []string{"compute-aware", "hysteresis", "bogus", ""} {
+		if m, ok := ParseMetric(name); ok {
+			t.Errorf("ParseMetric(%q) = %v, want not ok", name, m)
+		}
+	}
+	if got := Metric(200).String(); got != "unknown" {
+		t.Errorf("Metric(200).String() = %q", got)
 	}
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"intsched/internal/collector"
 	"intsched/internal/netsim"
@@ -31,9 +29,6 @@ type QueryRequest struct {
 	// DataBytes optionally hints the task's transfer size so size-aware
 	// rankers (transfer-time extension) can estimate total completion.
 	DataBytes int64
-	// Requirements optionally restricts candidates to capable servers
-	// (heterogeneous-server extension).
-	Requirements *Requirements
 }
 
 // QueryResponse is the scheduler's reply (Figure 1, step 4/6).
@@ -41,53 +36,6 @@ type QueryResponse struct {
 	QueryID    uint64
 	Metric     Metric
 	Candidates []Candidate
-}
-
-// Requirements expresses task constraints for the heterogeneous-server
-// extension (paper future work): required hardware (e.g. "gpu") and
-// software (e.g. "keras") features.
-type Requirements struct {
-	Hardware []string
-	Software []string
-}
-
-// Capabilities describes what one edge server offers.
-type Capabilities struct {
-	Hardware []string
-	Software []string
-}
-
-// Satisfies reports whether the capabilities meet the requirements.
-func (c Capabilities) Satisfies(r *Requirements) bool {
-	if r == nil {
-		return true
-	}
-	has := func(set []string, want string) bool {
-		for _, s := range set {
-			if s == want {
-				return true
-			}
-		}
-		return false
-	}
-	for _, hw := range r.Hardware {
-		if !has(c.Hardware, hw) {
-			return false
-		}
-	}
-	for _, sw := range r.Software {
-		if !has(c.Software, sw) {
-			return false
-		}
-	}
-	return true
-}
-
-// LoadReport is the control message servers send for the compute-aware
-// extension: the backlog of execution time queued on the server.
-type LoadReport struct {
-	Server  netsim.NodeID
-	Backlog time.Duration
 }
 
 // ServiceConfig configures the scheduler service.
@@ -107,24 +55,17 @@ type ServiceConfig struct {
 
 // Service is the simulated scheduler: it owns the collector's learned
 // topology, carries ranking queries from edge devices over the simulated
-// network to its query Engine, and tracks server capabilities and load
-// reports for the extensions.
+// network to its query Engine.
 //
 // RankFor is safe for concurrent callers: the engine reads one immutable
-// topology snapshot, and the mutable service state carries its own lock.
-// (Ranker registration and configuration are setup-time only.)
+// topology snapshot. (Ranker registration and configuration are setup-time
+// only.)
 type Service struct {
 	stack *transport.Stack
 	coll  *collector.Collector
 	cfg   ServiceConfig
 
 	engine Engine
-
-	// stateMu guards capabilities and load, which change on control
-	// messages while queries may be reading them concurrently.
-	stateMu      sync.RWMutex
-	capabilities map[netsim.NodeID]Capabilities
-	load         map[netsim.NodeID]time.Duration
 
 	// Demux receives control messages the service does not handle
 	// (e.g. task lifecycle messages when the scheduler host also acts as
@@ -145,14 +86,11 @@ func NewService(stack *transport.Stack, coll *collector.Collector, cfg ServiceCo
 		cfg.QueryResponseSize = 256
 	}
 	s := &Service{
-		stack:        stack,
-		coll:         coll,
-		cfg:          cfg,
-		capabilities: make(map[netsim.NodeID]Capabilities),
-		load:         make(map[netsim.NodeID]time.Duration),
+		stack: stack,
+		coll:  coll,
+		cfg:   cfg,
 	}
 	s.engine.ExcludeUnreachable = cfg.ExcludeUnreachable
-	s.engine.capable = s.capable
 	s.Demux = stack.ControlHandler
 	stack.ControlHandler = s.handleControl
 	return s
@@ -160,39 +98,6 @@ func NewService(stack *transport.Stack, coll *collector.Collector, cfg ServiceCo
 
 // Register installs a ranker for its metric.
 func (s *Service) Register(r Ranker) { s.engine.Register(r) }
-
-// SetCandidateFn overrides candidate selection. Queries answered through a
-// custom candidate function bypass the rank cache (the function may depend
-// on state the collector epoch does not version). IDs that are not hosts of
-// the snapshot are reported unreachable.
-func (s *Service) SetCandidateFn(fn func(from netsim.NodeID) []netsim.NodeID) {
-	s.engine.candidates = fn
-	s.engine.cache.Invalidate()
-}
-
-// SetCapabilities records an edge server's capabilities. Cached rankings
-// may have been filtered against the old capability set, so the rank cache
-// is invalidated.
-func (s *Service) SetCapabilities(server netsim.NodeID, caps Capabilities) {
-	s.stateMu.Lock()
-	s.capabilities[server] = caps
-	s.stateMu.Unlock()
-	s.engine.cache.Invalidate()
-}
-
-// capable reports whether server meets req (the engine's capability hook).
-func (s *Service) capable(server netsim.NodeID, req *Requirements) bool {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	return s.capabilities[server].Satisfies(req)
-}
-
-// Load returns the last reported backlog for a server.
-func (s *Service) Load(server netsim.NodeID) time.Duration {
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	return s.load[server]
-}
 
 // CacheStats reports the rank cache counters.
 func (s *Service) CacheStats() RankCacheStats { return s.engine.CacheStats() }
@@ -202,10 +107,6 @@ func (s *Service) handleControl(from netsim.NodeID, payload any) {
 	switch msg := payload.(type) {
 	case *QueryRequest:
 		s.handleQuery(from, msg)
-	case *LoadReport:
-		s.stateMu.Lock()
-		s.load[msg.Server] = msg.Backlog
-		s.stateMu.Unlock()
 	case *telemetry.ProbePayload:
 		// Relayed INT report from a probe-sink host (coverage-planned
 		// probes that terminated away from the scheduler).
@@ -239,30 +140,6 @@ func (s *Service) RankOn(topo *collector.Topology, req *QueryRequest) []Candidat
 	return ranked
 }
 
-// ReachableOnly returns only the reachable candidates — unless none are, in
-// which case the input is returned unchanged (the graceful fallback when
-// every learned path is stale). The input is never mutated; when filtering
-// occurs a fresh slice is returned, so cached candidate lists can be passed
-// directly.
-func ReachableOnly(cands []Candidate) []Candidate {
-	reachable := 0
-	for _, c := range cands {
-		if c.Reachable {
-			reachable++
-		}
-	}
-	if reachable == 0 || reachable == len(cands) {
-		return cands
-	}
-	out := make([]Candidate, 0, reachable)
-	for _, c := range cands {
-		if c.Reachable {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // responseSize estimates the wire size of a response carrying n candidates.
 func (s *Service) responseSize(n int) int {
 	size := s.cfg.QueryResponseSize
@@ -270,37 +147,6 @@ func (s *Service) responseSize(n int) int {
 		size += extra
 	}
 	return size
-}
-
-// ComputeAwareRanker implements the paper's first future-work item: it
-// combines the network delay estimate with each server's reported compute
-// backlog, ranking by (network delay + pending execution time).
-type ComputeAwareRanker struct {
-	// Network is the underlying delay estimator.
-	Network *DelayRanker
-	// LoadFn returns the current backlog estimate for a server.
-	LoadFn func(server netsim.NodeID) time.Duration
-}
-
-// Metric implements Ranker.
-func (r *ComputeAwareRanker) Metric() Metric { return MetricComputeAware }
-
-// Rank implements Ranker.
-func (r *ComputeAwareRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
-	net := r.Network
-	if net == nil {
-		net = &DelayRanker{}
-	}
-	k := net.k()
-	out := rankPaths(topo, fromIdx, cands, s, func(server netsim.NodeID, p []int32) (time.Duration, float64) {
-		d := net.delayOverPath(topo, p, k)
-		if r.LoadFn != nil {
-			d += r.LoadFn(server)
-		}
-		return d, 0
-	})
-	sortCandidates(out, byDelay)
-	return out
 }
 
 // Client is the device-side query helper: it sends a QueryRequest to the
@@ -348,31 +194,29 @@ func (c *Client) handleControl(from netsim.NodeID, payload any) {
 }
 
 // Query sends a ranking request and invokes cb with the response.
-func (c *Client) Query(metric Metric, count int, reqs *Requirements, cb func(*QueryResponse)) {
-	c.QuerySized(metric, count, 0, reqs, cb)
+func (c *Client) Query(metric Metric, count int, cb func(*QueryResponse)) {
+	c.QuerySized(metric, count, 0, cb)
 }
 
 // QuerySized sends a ranking request carrying the task's data size so
 // size-aware rankers can estimate total transfer completion time.
-func (c *Client) QuerySized(metric Metric, count int, dataBytes int64, reqs *Requirements, cb func(*QueryResponse)) {
+func (c *Client) QuerySized(metric Metric, count int, dataBytes int64, cb func(*QueryResponse)) {
 	c.send(&QueryRequest{
-		Metric:       metric,
-		Count:        count,
-		Sorted:       true,
-		DataBytes:    dataBytes,
-		Requirements: reqs,
+		Metric:    metric,
+		Count:     count,
+		Sorted:    true,
+		DataBytes: dataBytes,
 	}, cb)
 }
 
 // QueryUnsorted requests the paper's second option: the full candidate
 // list with bandwidth/latency estimates in ID order, for devices that
 // implement their own selection policy.
-func (c *Client) QueryUnsorted(metric Metric, dataBytes int64, reqs *Requirements, cb func(*QueryResponse)) {
+func (c *Client) QueryUnsorted(metric Metric, dataBytes int64, cb func(*QueryResponse)) {
 	c.send(&QueryRequest{
-		Metric:       metric,
-		Sorted:       false,
-		DataBytes:    dataBytes,
-		Requirements: reqs,
+		Metric:    metric,
+		Sorted:    false,
+		DataBytes: dataBytes,
 	}, cb)
 }
 
@@ -383,11 +227,6 @@ func (c *Client) send(req *QueryRequest, cb func(*QueryResponse)) {
 	req.QueryID = c.nextID
 	c.pending[req.QueryID] = cb
 	c.stack.SendControl(c.scheduler, c.QueryRequestSize, req)
-}
-
-// ReportLoad sends a compute backlog report to the scheduler.
-func (c *Client) ReportLoad(backlog time.Duration) {
-	c.stack.SendControl(c.scheduler, 64, &LoadReport{Server: c.stack.Host(), Backlog: backlog})
 }
 
 // String renders a candidate for logs.

@@ -54,7 +54,7 @@ func TestQueryRoundTripOverNetwork(t *testing.T) {
 	f := newServiceFixture(t)
 	client := NewClient(f.domain.Stack("dev"), "sched")
 	var resp *QueryResponse
-	client.Query(MetricDelay, 0, nil, func(r *QueryResponse) { resp = r })
+	client.Query(MetricDelay, 0, func(r *QueryResponse) { resp = r })
 	f.engine.Run(f.engine.Now() + time.Second)
 	if resp == nil {
 		t.Fatal("no response")
@@ -110,45 +110,6 @@ func TestQueryOptionTwoUnsorted(t *testing.T) {
 	}
 }
 
-func TestCapabilityFiltering(t *testing.T) {
-	f := newServiceFixture(t)
-	f.svc.SetCapabilities("e1", Capabilities{Hardware: []string{"gpu"}, Software: []string{"keras"}})
-	// sched has no declared capabilities.
-	req := &QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true,
-		Requirements: &Requirements{Hardware: []string{"gpu"}}}
-	got := f.svc.RankFor(req)
-	if len(got) != 1 || got[0].Node != "e1" {
-		t.Fatalf("capability filter wrong: %v", got)
-	}
-	req.Requirements = &Requirements{Hardware: []string{"gpu"}, Software: []string{"tensorflow"}}
-	if got := f.svc.RankFor(req); len(got) != 0 {
-		t.Fatalf("unsatisfiable requirements matched: %v", got)
-	}
-}
-
-func TestCapabilitiesSatisfies(t *testing.T) {
-	caps := Capabilities{Hardware: []string{"gpu", "tpu"}, Software: []string{"keras"}}
-	if !caps.Satisfies(nil) {
-		t.Error("nil requirements must always pass")
-	}
-	if !caps.Satisfies(&Requirements{Hardware: []string{"tpu"}}) {
-		t.Error("present hardware rejected")
-	}
-	if caps.Satisfies(&Requirements{Software: []string{"torch"}}) {
-		t.Error("absent software accepted")
-	}
-}
-
-func TestLoadReportOverNetwork(t *testing.T) {
-	f := newServiceFixture(t)
-	client := NewClient(f.domain.Stack("e1"), "sched")
-	client.ReportLoad(3 * time.Second)
-	f.engine.Run(f.engine.Now() + time.Second)
-	if f.svc.Load("e1") != 3*time.Second {
-		t.Fatalf("load %v", f.svc.Load("e1"))
-	}
-}
-
 func TestServiceDemuxChaining(t *testing.T) {
 	f := newServiceFixture(t)
 	// The scheduler host also runs a client (it submits tasks too). The
@@ -161,17 +122,6 @@ func TestServiceDemuxChaining(t *testing.T) {
 	f.engine.Run(f.engine.Now() + time.Second)
 	if c, ok := got.(*custom); !ok || c.V != 9 {
 		t.Fatalf("demux got %v", got)
-	}
-}
-
-func TestSetCandidateFn(t *testing.T) {
-	f := newServiceFixture(t)
-	f.svc.SetCandidateFn(func(from netsim.NodeID) []netsim.NodeID {
-		return []netsim.NodeID{"e1"}
-	})
-	got := f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true})
-	if len(got) != 1 || got[0].Node != "e1" {
-		t.Fatalf("candidate override ignored: %v", got)
 	}
 }
 

@@ -79,10 +79,6 @@ type Node struct {
 	// the default: the paper's evaluation isolates network effects).
 	Slots int
 
-	// ReportLoad, when true, sends a backlog report to the scheduler after
-	// every backlog change (compute-aware extension).
-	ReportLoad bool
-
 	// OnResult, when set, receives every completed task's result.
 	OnResult func(TaskResult)
 
@@ -203,9 +199,9 @@ func (n *Node) SubmitJob(job workload.Job, metric core.Metric, onDone func()) {
 		}
 	}
 	if n.Selector != nil {
-		n.client.QueryUnsorted(metric, maxData, nil, handle)
+		n.client.QueryUnsorted(metric, maxData, handle)
 	} else {
-		n.client.QuerySized(metric, 0, maxData, nil, handle)
+		n.client.QuerySized(metric, 0, maxData, handle)
 	}
 	if onDone != nil {
 		// Completion tracking via OnResult wrapper would complicate the
@@ -233,14 +229,12 @@ func (n *Node) startTransfer(res *TaskResult, task workload.Task) {
 // serverStart enqueues or begins execution of a task on this server.
 func (n *Node) serverStart(from netsim.NodeID, msg taskStart) {
 	n.backlog += msg.ExecTime
-	n.reportLoad()
 	start := func(run taskStart, dev netsim.NodeID) {
 		n.running++
 		n.stack.Engine().After(run.ExecTime, func() {
 			n.running--
 			n.backlog -= run.ExecTime
 			n.Executed++
-			n.reportLoad()
 			n.stack.SendControl(dev, controlMsgSize, &taskDone{TaskID: run.TaskID})
 			n.drainQueue()
 		})
@@ -267,16 +261,9 @@ func (n *Node) drainQueue() {
 		n.running--
 		n.backlog -= msg.ExecTime
 		n.Executed++
-		n.reportLoad()
 		n.stack.SendControl(dev, controlMsgSize, &taskDone{TaskID: msg.TaskID})
 		n.drainQueue()
 	})
-}
-
-func (n *Node) reportLoad() {
-	if n.ReportLoad {
-		n.client.ReportLoad(n.backlog)
-	}
 }
 
 // deviceComplete finalizes a task when its completion message arrives.

@@ -20,11 +20,17 @@ type fixture struct {
 	engine *simtime.Engine
 	nw     *netsim.Network
 	domain *transport.Domain
-	svc    *core.Service
 	nodes  map[netsim.NodeID]*Node
 }
 
 func newFixture(t *testing.T) *fixture {
+	t.Helper()
+	return newFixtureDelays(t, nil)
+}
+
+// newFixtureDelays is newFixture with the access-link delay of the named
+// hosts overridden (1 ms otherwise).
+func newFixtureDelays(t *testing.T, delays map[netsim.NodeID]time.Duration) *fixture {
 	t.Helper()
 	engine := simtime.NewEngine()
 	nw := netsim.New(engine)
@@ -33,6 +39,9 @@ func newFixture(t *testing.T) *fixture {
 	for _, h := range hosts {
 		nw.AddHost(h)
 		cfg := netsim.LinkConfig{RateBps: 1_000_000_000, ReverseRateBps: 20_000_000, Delay: time.Millisecond}
+		if d, ok := delays[h]; ok {
+			cfg.Delay = d
+		}
 		if _, err := nw.Connect(h, "s1", cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -52,10 +61,9 @@ func newFixture(t *testing.T) *fixture {
 	svc := core.NewService(domain.Stack("sched"), coll, core.ServiceConfig{})
 	svc.Register(&core.DelayRanker{})
 	svc.Register(&core.BandwidthRanker{})
-	svc.Register(&core.ComputeAwareRanker{Network: &core.DelayRanker{}, LoadFn: svc.Load})
 	probe.NewFleet(nw, hosts, "sched", 100*time.Millisecond)
 	engine.Run(500 * time.Millisecond) // warm the collector
-	return &fixture{engine: engine, nw: nw, domain: domain, svc: svc, nodes: nodes}
+	return &fixture{engine: engine, nw: nw, domain: domain, nodes: nodes}
 }
 
 func job(id uint64, device netsim.NodeID, kind workload.Kind, tasks int) workload.Job {
@@ -131,10 +139,11 @@ func TestOnResultCallback(t *testing.T) {
 }
 
 func TestServerSlotsQueueTasks(t *testing.T) {
-	f := newFixture(t)
-	// Constrain e1 to one slot and force both tasks onto it.
+	// Constrain e1 to one slot and put every other server far enough away
+	// that delay ranking sends both tasks to it.
+	far := 50 * time.Millisecond
+	f := newFixtureDelays(t, map[netsim.NodeID]time.Duration{"e2": far, "sched": far})
 	f.nodes["e1"].Slots = 1
-	f.svc.SetCandidateFn(func(netsim.NodeID) []netsim.NodeID { return []netsim.NodeID{"e1"} })
 	dev := f.nodes["dev"]
 	dev.SubmitJob(job(4, "dev", workload.Serverless, 1), core.MetricDelay, nil)
 	dev.SubmitJob(job(5, "dev", workload.Serverless, 1), core.MetricDelay, nil)
@@ -157,39 +166,6 @@ func TestServerSlotsQueueTasks(t *testing.T) {
 	}
 	if gap < 250*time.Millisecond {
 		t.Fatalf("executions overlapped on 1 slot: gap %v", gap)
-	}
-}
-
-func TestLoadReportingFeedsComputeAware(t *testing.T) {
-	f := newFixture(t)
-	for _, n := range f.nodes {
-		n.ReportLoad = true
-	}
-	// Occupy e1 with a long task, then rank compute-aware: e1 must sink.
-	f.nodes["dev"].SubmitJob(workload.Job{
-		ID: 6, Device: "dev", Kind: workload.Serverless,
-		Tasks: []workload.Task{{ID: 60, JobID: 6, Class: workload.Large, DataBytes: 50_000, ExecTime: 20 * time.Second}},
-	}, core.MetricDelay, nil)
-	f.engine.Run(f.engine.Now() + 3*time.Second)
-	// Find where it landed; its backlog must be visible at the scheduler.
-	var busy netsim.NodeID
-	for id, n := range f.nodes {
-		if n.Backlog() > 0 {
-			busy = id
-		}
-	}
-	if busy == "" {
-		t.Fatal("no server has backlog")
-	}
-	if f.svc.Load(busy) <= 0 {
-		t.Fatalf("scheduler unaware of %s backlog", busy)
-	}
-	ranked := f.svc.RankFor(&core.QueryRequest{From: "dev", Metric: core.MetricComputeAware, Sorted: true})
-	if len(ranked) == 0 {
-		t.Fatal("no compute-aware ranking")
-	}
-	if ranked[0].Node == busy {
-		t.Fatalf("busy server %s still ranked first: %v", busy, ranked)
 	}
 }
 

@@ -104,15 +104,6 @@ func TestClassTableRenders(t *testing.T) {
 	}
 }
 
-func TestCompareValidatesScenario(t *testing.T) {
-	_, err := Compare(Scenario{
-		Seed: 1, Workload: workload.Serverless, TaskCount: 2,
-	}, []core.Metric{core.MetricComputeAware})
-	if err == nil {
-		t.Fatal("compute-aware without load reporting accepted")
-	}
-}
-
 func TestBuildFig8CurveShape(t *testing.T) {
 	cmp := smallComparison(t)
 	curve := BuildFig8Curve("test", cmp, core.MetricDelay)

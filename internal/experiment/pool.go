@@ -123,9 +123,6 @@ func (p *Pool) CompareSeeds(sc Scenario, metrics []core.Metric, seeds []int64) (
 			run := sc
 			run.Seed = seed
 			run.Metric = m
-			if err := run.Validate(); err != nil {
-				return nil, err
-			}
 			cells = append(cells, run)
 		}
 	}

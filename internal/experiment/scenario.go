@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -95,14 +94,6 @@ type Scenario struct {
 	K time.Duration
 	// Slots bounds concurrent task executions per server (0 = unlimited).
 	Slots int
-	// ComputeAware enables server load reporting and must be set when
-	// Metric is core.MetricComputeAware.
-	ComputeAware bool
-	// Hysteresis, when positive, wraps the network-aware rankers so the
-	// scheduler only switches a device's server when the new best
-	// candidate improves on the previous choice by more than this
-	// relative margin — the anti-jitter extension motivated by Fig 8.
-	Hysteresis float64
 	// ClockSkew applies the given skew to odd-numbered switches' clocks
 	// (robustness ablation; zero = perfectly synced NTP).
 	ClockSkew time.Duration
@@ -361,21 +352,14 @@ func Run(sc Scenario) (*RunResult, error) {
 	for _, h := range topo.Hosts {
 		n := edge.NewNode(domain.Stack(h), topo.Scheduler)
 		n.Slots = sc.Slots
-		n.ReportLoad = sc.ComputeAware
 		nodes[h] = n
 	}
 
 	service := core.NewService(domain.Stack(topo.Scheduler), coll, core.ServiceConfig{
 		ExcludeUnreachable: sc.ExcludeUnreachable,
 	})
-	wrap := func(r core.Ranker) core.Ranker {
-		if sc.Hysteresis > 0 {
-			return core.NewHysteresisRanker(r, sc.Hysteresis)
-		}
-		return r
-	}
-	service.Register(wrap(&core.DelayRanker{K: sc.K}))
-	service.Register(wrap(&core.BandwidthRanker{}))
+	service.Register(&core.DelayRanker{K: sc.K})
+	service.Register(&core.BandwidthRanker{})
 	service.Register(&core.TransferTimeRanker{
 		Delay:     &core.DelayRanker{K: sc.K},
 		Bandwidth: &core.BandwidthRanker{},
@@ -386,10 +370,6 @@ func Run(sc Scenario) (*RunResult, error) {
 	}
 	service.Register(nearest)
 	service.Register(core.NewRandomRanker(rng))
-	service.Register(&core.ComputeAwareRanker{
-		Network: &core.DelayRanker{K: sc.K},
-		LoadFn:  service.Load,
-	})
 
 	// Probing fleet. By default, probe routes are planned for full link
 	// coverage and non-scheduler sinks relay INT reports to the
@@ -613,12 +593,4 @@ func sortResults(rs []edge.TaskResult) {
 	// TaskIDs are unique within a run, so sort.Slice's unstable order is
 	// still deterministic.
 	sort.Slice(rs, func(i, j int) bool { return rs[i].TaskID < rs[j].TaskID })
-}
-
-// Validate sanity-checks a scenario before running.
-func (s Scenario) Validate() error {
-	if s.Metric == core.MetricComputeAware && !s.ComputeAware {
-		return fmt.Errorf("experiment: compute-aware metric requires ComputeAware load reporting")
-	}
-	return nil
 }

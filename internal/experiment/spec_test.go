@@ -175,9 +175,8 @@ func TestCompareSeedsAndGainStats(t *testing.T) {
 	}
 }
 
-func TestScenarioHysteresisAndTransferTime(t *testing.T) {
+func TestScenarioTransferTimeAndProbeVariants(t *testing.T) {
 	for _, sc := range []Scenario{
-		{Seed: 2, Workload: workload.Serverless, Metric: core.MetricDelay, TaskCount: 5, Hysteresis: 0.3},
 		{Seed: 2, Workload: workload.Serverless, Metric: core.MetricTransferTime, TaskCount: 5},
 		{Seed: 2, Workload: workload.Serverless, Metric: core.MetricDelay, TaskCount: 5, SchedulerOnlyProbes: true},
 		{Seed: 2, Workload: workload.Serverless, Metric: core.MetricDelay, TaskCount: 5, ClockSkew: 2 * time.Millisecond},

@@ -127,7 +127,6 @@ var unitMethods = map[unitMethodKey]methodUnits{
 	{collectorPkg, "structure", "csrEdge"}:      {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}, results: []unitSpec{{elem: unitEdge}}},
 	{collectorPkg, "structure", "edgeSlots"}:    {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}},
 	{collectorPkg, "Topology", "SlotDelay"}:     {params: []unitSpec{{elem: unitSlot}}},
-	{collectorPkg, "Topology", "SlotJitter"}:    {params: []unitSpec{{elem: unitSlot}}},
 	{collectorPkg, "Topology", "SlotRate"}:      {params: []unitSpec{{elem: unitSlot}}},
 	{collectorPkg, "Topology", "SlotQueueMax"}:  {params: []unitSpec{{elem: unitSlot}}},
 	{collectorPkg, "Topology", "PathInto"}: {

@@ -97,9 +97,6 @@ type DaemonConfig struct {
 	// reports degraded. Zero means 3 queue windows — the paper's ranking
 	// inputs (windowed queue maxima) have fully aged out well before that.
 	DegradedAfter time.Duration
-	// Hysteresis, when positive, suppresses candidate switching on
-	// estimate changes smaller than this relative margin.
-	Hysteresis float64
 	// AdjacencyTTL bounds how long a learned edge outlives its last
 	// supporting probe (collector default of 5 queue windows when zero;
 	// collector.NoAdjacencyAging disables aging).
@@ -160,13 +157,8 @@ func NewCollectorDaemon(id string, cfg DaemonConfig) (*CollectorDaemon, error) {
 		tcp:    tcp,
 		closed: make(chan struct{}),
 	}
-	if cfg.Hysteresis > 0 {
-		d.engine.Register(core.NewHysteresisRanker(delayRanker, cfg.Hysteresis))
-		d.engine.Register(core.NewHysteresisRanker(bwRanker, cfg.Hysteresis))
-	} else {
-		d.engine.Register(delayRanker)
-		d.engine.Register(bwRanker)
-	}
+	d.engine.Register(delayRanker)
+	d.engine.Register(bwRanker)
 	d.engine.Register(&core.TransferTimeRanker{Delay: delayRanker, Bandwidth: bwRanker})
 	d.engine.ExcludeUnreachable = cfg.ExcludeUnreachable
 	d.coll = collector.New(netsim.NodeID(id), d.clock, collector.Config{
@@ -730,14 +722,17 @@ func (d *CollectorDaemon) answerOn(topo *collector.Topology, req *wire.QueryRequ
 		From:      netsim.NodeID(req.From),
 		Metric:    metric,
 		Count:     req.Count,
-		Sorted:    true,
+		Sorted:    req.Sorted,
 		DataBytes: req.DataBytes,
 	})
 	if !ok {
 		d.queryErrors.Inc()
 		return &wire.QueryResponse{Metric: req.Metric, Error: fmt.Sprintf("metric %q not served live", req.Metric)}
 	}
-	d.trackReroute(topo, req.From, metric, ranked)
+	if req.Sorted {
+		// Option two answers in ID order: its first entry is not a choice.
+		d.trackReroute(topo, req.From, metric, ranked)
+	}
 	resp := &wire.QueryResponse{Metric: req.Metric, Candidates: make([]wire.CandidateInfo, 0, len(ranked))}
 	for _, c := range ranked {
 		resp.Candidates = append(resp.Candidates, wire.CandidateInfo{

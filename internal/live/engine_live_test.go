@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -46,40 +45,11 @@ func starRound(seq uint64, q12, q13, q10 int) []*telemetry.ProbePayload {
 	}
 }
 
-// TestHysteresisAnswerConcurrent: Answer is documented safe for concurrent
-// callers and queryLoop serves every connection on its own goroutine, so
-// the hysteresis ranker's per-device state must be guarded (run under
-// -race).
-func TestHysteresisAnswerConcurrent(t *testing.T) {
-	d, err := NewCollectorDaemon("sched", DaemonConfig{Hysteresis: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	for _, p := range starRound(1, 10, 0, 0) {
-		d.Collector().HandleProbe(p)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if resp := d.Answer(&wire.QueryRequest{From: "dev", Metric: "delay"}); len(resp.Candidates) == 0 {
-					t.Errorf("empty answer: %+v", resp)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestDaemonAnswersMatchSimService: the live daemon and the simulated
 // service wrap the same query engine, so fed the same probes and asked the
 // same questions in the same order they must give field-identical answers —
-// cold and warm, cacheable and hysteresis-wrapped, for known and non-host
-// requesters, with and without the recovery filter.
+// cold and warm, best-first and in ID order (the paper's option two), for
+// known and non-host requesters, with and without the recovery filter.
 func TestDaemonAnswersMatchSimService(t *testing.T) {
 	type query struct {
 		from, metric string
@@ -97,12 +67,12 @@ func TestDaemonAnswersMatchSimService(t *testing.T) {
 		)
 	}
 	collCfg := collector.Config{QueueWindow: time.Hour, AdjacencyTTL: collector.NoAdjacencyAging}
-	for _, hysteresis := range []float64{0, 0.3} {
+	for _, sorted := range []bool{true, false} {
 		for _, exclude := range []bool{false, true} {
-			t.Run(fmt.Sprintf("hysteresis=%v/exclude=%v", hysteresis, exclude), func(t *testing.T) {
+			t.Run(fmt.Sprintf("sorted=%v/exclude=%v", sorted, exclude), func(t *testing.T) {
 				d, err := NewCollectorDaemon("sched", DaemonConfig{
 					QueueWindow: collCfg.QueueWindow, AdjacencyTTL: collCfg.AdjacencyTTL,
-					Hysteresis: hysteresis, ExcludeUnreachable: exclude,
+					ExcludeUnreachable: exclude,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -114,18 +84,12 @@ func TestDaemonAnswersMatchSimService(t *testing.T) {
 				coll := collector.New("sched", func() time.Duration { return time.Second }, collCfg)
 				svc := core.NewService(transport.NewDomain(nw).Install("sched"), coll, core.ServiceConfig{ExcludeUnreachable: exclude})
 				delay, bw := &core.DelayRanker{}, &core.BandwidthRanker{}
-				if hysteresis > 0 {
-					svc.Register(core.NewHysteresisRanker(delay, hysteresis))
-					svc.Register(core.NewHysteresisRanker(bw, hysteresis))
-				} else {
-					svc.Register(delay)
-					svc.Register(bw)
-				}
+				svc.Register(delay)
+				svc.Register(bw)
 				svc.Register(&core.TransferTimeRanker{Delay: delay, Bandwidth: bw})
 
 				// Round 2 queues one packet toward round 1's pick e0, making
-				// e1 marginally better (30 ms vs 40 ms), which only a
-				// hysteresis ranker ignores; each round is asked twice, cold
+				// e1 better (30 ms vs 40 ms); each round is asked twice, cold
 				// then warm.
 				for round, q := range [][3]int{{0, 10, 0}, {0, 10, 1}} {
 					for _, p := range starRound(uint64(round+1), q[0], q[1], q[2]) {
@@ -136,9 +100,9 @@ func TestDaemonAnswersMatchSimService(t *testing.T) {
 						for _, q := range queries {
 							metric, _ := core.ParseMetric(q.metric)
 							want := svc.RankFor(&core.QueryRequest{
-								From: netsim.NodeID(q.from), Metric: metric, Sorted: true, DataBytes: q.dataBytes, Count: q.count,
+								From: netsim.NodeID(q.from), Metric: metric, Sorted: sorted, DataBytes: q.dataBytes, Count: q.count,
 							})
-							got := d.Answer(&wire.QueryRequest{From: q.from, Metric: q.metric, DataBytes: q.dataBytes, Count: q.count})
+							got := d.Answer(&wire.QueryRequest{From: q.from, Metric: q.metric, Sorted: sorted, DataBytes: q.dataBytes, Count: q.count})
 							if got.Error != "" || len(got.Candidates) != len(want) {
 								t.Fatalf("round %d pass %d %+v: daemon %+v, service %v", round, pass, q, got, want)
 							}
@@ -151,12 +115,13 @@ func TestDaemonAnswersMatchSimService(t *testing.T) {
 						}
 					}
 				}
-				// The scenario must have exercised what it claims to.
-				top := d.Answer(&wire.QueryRequest{From: "dev", Metric: "delay", Count: 1}).Candidates[0].Node
-				if wantTop := map[bool]string{false: "e1", true: "e0"}[hysteresis > 0]; top != wantTop {
-					t.Fatalf("top pick for dev is %s, want %s", top, wantTop)
+				// The scenario must have exercised what it claims to: the
+				// best server is not the first by ID, so the two orders
+				// differ, and an unreachable candidate ends both.
+				full := d.Answer(&wire.QueryRequest{From: "dev", Metric: "delay", Sorted: sorted}).Candidates
+				if wantTop := map[bool]string{true: "e1", false: "e0"}[sorted]; full[0].Node != wantTop {
+					t.Fatalf("sorted=%v answer for dev starts with %s, want %s", sorted, full[0].Node, wantTop)
 				}
-				full := d.Answer(&wire.QueryRequest{From: "dev", Metric: "delay"}).Candidates
 				if last := full[len(full)-1]; last.Reachable != exclude {
 					t.Fatalf("exclude=%v but the answer ends with %+v", exclude, last)
 				}

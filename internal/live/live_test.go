@@ -129,19 +129,6 @@ func TestOverlayTransferTimeMetric(t *testing.T) {
 	}
 }
 
-func TestDaemonHysteresisOption(t *testing.T) {
-	d, err := NewCollectorDaemon("sched", DaemonConfig{Hysteresis: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	// Just verify the daemon still answers (rankers wrapped correctly).
-	resp := d.Answer(&wire.QueryRequest{From: "dev", Metric: "delay"})
-	if resp.Error != "" {
-		t.Fatalf("error %q", resp.Error)
-	}
-}
-
 func TestOverlayQueryErrors(t *testing.T) {
 	o, err := StartOverlay(chainSpec())
 	if err != nil {

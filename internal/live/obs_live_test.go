@@ -88,6 +88,11 @@ func TestDaemonAnswerErrorPaths(t *testing.T) {
 	if resp := d.Answer(&wire.QueryRequest{From: "dev", Metric: "bogus"}); !strings.Contains(resp.Error, "unknown metric") {
 		t.Fatalf("unknown metric: %+v", resp)
 	}
+	// The name of a retired metric is an unknown metric like any other, not
+	// a silent empty list.
+	if resp := d.Answer(&wire.QueryRequest{From: "dev", Metric: "compute-aware"}); !strings.Contains(resp.Error, "unknown metric") || len(resp.Candidates) != 0 {
+		t.Fatalf("retired metric: %+v", resp)
+	}
 	if resp := d.Answer(&wire.QueryRequest{From: "dev", Metric: "nearest"}); !strings.Contains(resp.Error, "not served live") {
 		t.Fatalf("unserved metric: %+v", resp)
 	}
@@ -97,15 +102,15 @@ func TestDaemonAnswerErrorPaths(t *testing.T) {
 		len(resp.Candidates) != 1 || resp.Candidates[0].Node != "sched" || resp.Candidates[0].Reachable {
 		t.Fatalf("empty topology: %+v", resp)
 	}
-	// Both rejections were counted.
+	// All three rejections were counted.
 	var errorsTotal float64
 	for _, m := range d.Metrics().Snapshot() {
 		if m.Name == "intsched_query_errors_total" {
 			errorsTotal = m.Value
 		}
 	}
-	if errorsTotal != 2 {
-		t.Fatalf("query errors counted %v, want 2", errorsTotal)
+	if errorsTotal != 3 {
+		t.Fatalf("query errors counted %v, want 3", errorsTotal)
 	}
 
 	// Learn three hosts via direct host-to-host probes, then truncate.

@@ -56,7 +56,7 @@ func TestSteadyFeedSharesStructure(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.Collector().HandleProbe(p)
-			if resp := d.Answer(&wire.QueryRequest{From: p.Origin, Metric: "delay"}); resp.Error != "" || len(resp.Candidates) == 0 {
+			if resp := d.Answer(&wire.QueryRequest{From: p.Origin, Metric: "delay", Sorted: true}); resp.Error != "" || len(resp.Candidates) == 0 {
 				t.Fatalf("query from %s: %+v", p.Origin, resp)
 			}
 		}
@@ -91,7 +91,7 @@ func TestRerouteTrackingIgnoresUnknownRequesters(t *testing.T) {
 	}
 	metrics := []string{"delay", "bandwidth"}
 	for i := 0; i < 10_000; i++ {
-		req := &wire.QueryRequest{From: fmt.Sprintf("forged-%d", i), Metric: metrics[i%2]}
+		req := &wire.QueryRequest{From: fmt.Sprintf("forged-%d", i), Metric: metrics[i%2], Sorted: true}
 		if resp := d.Answer(req); resp.Error != "" || len(resp.Candidates) == 0 {
 			t.Fatalf("forged requester %d: %+v", i, resp)
 		}
@@ -99,9 +99,11 @@ func TestRerouteTrackingIgnoresUnknownRequesters(t *testing.T) {
 	hosts := d.Collector().Snapshot().Hosts()
 	for _, h := range hosts {
 		for _, m := range metrics {
-			d.Answer(&wire.QueryRequest{From: h, Metric: m})
+			d.Answer(&wire.QueryRequest{From: h, Metric: m, Sorted: true})
 		}
 	}
+	// Option two answers in ID order: its first entry is no choice to track.
+	d.Answer(&wire.QueryRequest{From: hosts[0], Metric: "transfer-time"})
 	d.rerouteMu.Lock()
 	tracked := len(d.lastTop)
 	d.rerouteMu.Unlock()

@@ -180,3 +180,21 @@ func (n *Network) flushQueue(p *Port, reason DropReason) {
 	}
 	p.queue = p.queue[:0]
 }
+
+// FaultFn decides whether to forcibly drop a packet arriving at a node —
+// the hook used by loss-injection tests and chaos experiments. Returning
+// true discards the packet (reported as DropInjected).
+type FaultFn func(pkt *Packet, at *Node) bool
+
+// SetFaultInjector installs (or clears) the arrival fault hook.
+//
+// Deprecated: a fault.Timeline (internal/fault) owns this hook when one is
+// attached to the network; installing a raw FaultFn alongside a timeline
+// silently replaces its probe-loss injector. New code should express loss
+// as a fault.Event (ProbeLoss) so drops are scheduled, seeded, and counted
+// with the rest of the failure schedule. Direct use remains for low-level
+// netsim tests only.
+func (n *Network) SetFaultInjector(f FaultFn) { n.fault = f }
+
+// DropInjected marks packets discarded by the fault injector.
+const DropInjected DropReason = 250

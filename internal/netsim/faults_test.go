@@ -322,3 +322,21 @@ func TestSetLinkRateDirectionality(t *testing.T) {
 		t.Fatalf("port rates %d/%d, want 10/30", l.A.rateBps, l.B.rateBps)
 	}
 }
+
+// TestFaultInjectorDropReason: a packet the injected fault hook discards is
+// reported to OnDrop as DropInjected.
+func TestFaultInjectorDropReason(t *testing.T) {
+	nw, e := buildLine(t, LinkConfig{RateBps: 50_000_000, Delay: time.Millisecond})
+	var reason DropReason
+	nw.OnDrop = func(p *Packet, at *Node, r DropReason) { reason = r }
+	nw.SetFaultInjector(func(p *Packet, at *Node) bool { return at.ID == "s1" })
+	nw.Node("h2").Handler = func(p *Packet) {}
+	_ = nw.Send(nw.NewPacket(KindData, "h1", "h2", 100))
+	e.RunUntilIdle()
+	if reason != DropInjected {
+		t.Fatalf("reason %v", reason)
+	}
+	if reason.String() != "injected" {
+		t.Fatalf("reason string %q", reason.String())
+	}
+}

@@ -240,8 +240,7 @@ type Network struct {
 	// Packet.MarkTransient); NewPacket pops from it before allocating.
 	freePkts []*Packet
 
-	tracer Tracer
-	fault  FaultFn
+	fault FaultFn
 
 	// OnDrop, when set, is invoked for every dropped packet.
 	OnDrop func(pkt *Packet, at *Node, reason DropReason)
@@ -506,7 +505,6 @@ func (n *Network) Send(pkt *Packet) error {
 	}
 	pkt.SentAt = n.engine.Now()
 	pkt.ingressAt = n.engine.Now()
-	n.emit(TraceSend, src.ID, -1, pkt, 0, 0)
 	if src.halted {
 		n.drop(pkt, src, DropHalted)
 		return nil
@@ -542,7 +540,6 @@ func (n *Network) enqueue(port *Port, pkt *Packet) {
 	if q > port.MaxQueueEver {
 		port.MaxQueueEver = q
 	}
-	n.emit(TraceEnqueue, port.node.ID, port.index, pkt, q, 0)
 	if !port.busy {
 		n.transmitNext(port)
 	}
@@ -557,7 +554,6 @@ func (n *Network) transmitNext(port *Port) {
 	pkt := port.queue[0]
 	port.queue = port.queue[1:]
 	port.busy = true
-	n.emit(TraceTxStart, port.node.ID, port.index, pkt, len(port.queue), 0)
 
 	// Egress processing fires as the packet reaches the head of the queue,
 	// matching the paper's "beginning of the egress queue" semantics.
@@ -616,7 +612,6 @@ func (n *Network) arrive(port *Port, pkt *Packet) {
 	port.RxPackets++
 	node := port.node
 	pkt.ingressAt = n.engine.Now()
-	n.emit(TraceArrive, node.ID, port.index, pkt, 0, 0)
 	if node.halted {
 		n.drop(pkt, node, DropHalted)
 		return
@@ -656,7 +651,6 @@ func (n *Network) arrive(port *Port, pkt *Packet) {
 
 func (n *Network) deliver(node *Node, pkt *Packet) {
 	n.Delivered++
-	n.emit(TraceDeliver, node.ID, -1, pkt, 0, 0)
 	if node.Handler != nil {
 		node.Handler(pkt)
 	}
@@ -665,7 +659,6 @@ func (n *Network) deliver(node *Node, pkt *Packet) {
 
 func (n *Network) drop(pkt *Packet, at *Node, reason DropReason) {
 	n.Dropped++
-	n.emit(TraceDrop, at.ID, -1, pkt, 0, reason)
 	if n.OnDrop != nil {
 		n.OnDrop(pkt, at, reason)
 	}

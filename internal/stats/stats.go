@@ -49,6 +49,29 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)))
 }
 
+// t975 is the 0.975 quantile of Student's t for 1–30 degrees of freedom;
+// beyond that the normal quantile is within 2 %.
+var t975 = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// MeanCI95 returns the mean of xs and the half-width of its two-sided 95 %
+// t-interval (0 with fewer than two samples).
+func MeanCI95(xs []float64) (mean, half float64) {
+	n := len(xs)
+	if n < 2 {
+		return Mean(xs), 0
+	}
+	t := 1.960
+	if n-1 <= len(t975) {
+		t = t975[n-2]
+	}
+	// StdDev is the population deviation: s/√n = StdDev/√(n−1).
+	return Mean(xs), t * StdDev(xs) / math.Sqrt(float64(n-1))
+}
+
 // Percentile returns the p-th percentile (0–100) using linear interpolation
 // between closest ranks. It panics for p outside [0, 100].
 func Percentile(xs []float64, p float64) float64 {

@@ -177,3 +177,34 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("misaligned header/separator:\n%s", out)
 	}
 }
+
+func TestMeanCI95(t *testing.T) {
+	// Eight paired gains: mean 0.05, sample deviation 0.02 → half-width
+	// t(7) · s / √8 = 2.365 · 0.02 / 2.828.
+	xs := []float64{0.03, 0.07, 0.03, 0.07, 0.03, 0.07, 0.05, 0.05}
+	mean, half := MeanCI95(xs)
+	if math.Abs(mean-0.05) > 1e-12 {
+		t.Fatalf("mean %v", mean)
+	}
+	s := math.Sqrt(6 * 0.0004 / 7)
+	if want := 2.365 * s / math.Sqrt(8); math.Abs(half-want) > 1e-12 {
+		t.Fatalf("half-width %v, want %v", half, want)
+	}
+	// Two samples use t(1); beyond the table the normal quantile takes over.
+	if _, half := MeanCI95([]float64{1, 3}); math.Abs(half-12.706) > 1e-9 {
+		t.Fatalf("n=2 half-width %v, want 12.706", half)
+	}
+	big := make([]float64, 100)
+	for i := range big {
+		big[i] = float64(i % 2)
+	}
+	if _, half := MeanCI95(big); math.Abs(half-1.960*0.5/math.Sqrt(99)) > 1e-12 {
+		t.Fatalf("n=100 half-width %v", half)
+	}
+	if mean, half := MeanCI95([]float64{4}); mean != 4 || half != 0 {
+		t.Fatalf("single sample: %v ± %v", mean, half)
+	}
+	if mean, half := MeanCI95(nil); mean != 0 || half != 0 {
+		t.Fatalf("empty: %v ± %v", mean, half)
+	}
+}
