@@ -11,6 +11,7 @@ import (
 
 	"intsched/internal/collector"
 	"intsched/internal/core"
+	"intsched/internal/dataplane"
 	"intsched/internal/experiment"
 	"intsched/internal/netsim"
 	"intsched/internal/probe"
@@ -292,6 +293,31 @@ func BenchmarkProbeCodec(b *testing.B) {
 			if err := telemetry.UnmarshalProbeInto(&dec, buf); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// BenchmarkINTStamp measures the two stages of the one INT program as both
+// runtimes call them: a production packet through Observe, and a probe
+// stamped into a reused payload (the live switch's per-port scratch). Both
+// must stay at 0 allocs/op.
+func BenchmarkINTStamp(b *testing.B) {
+	prog := dataplane.NewINTProgram("s01", 4, dataplane.INTConfig{})
+	b.Run("Observe", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			prog.Observe(false, i&3, i&63, 0, 0, false)
+		}
+	})
+	b.Run("Stamp", func(b *testing.B) {
+		var payload telemetry.ProbePayload
+		hop := dataplane.Hop{InPort: 0, OutPort: 1, FlowDst: "sched"}
+		prog.Stamp(&payload, hop) // the first use sizes the record slot
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			payload.HopCount, payload.Stack.Records = 0, payload.Stack.Records[:0]
+			prog.Stamp(&payload, hop)
 		}
 	})
 }

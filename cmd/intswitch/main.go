@@ -87,7 +87,8 @@ func main() {
 	for {
 		select {
 		case <-tick:
-			fmt.Printf("intswitch: %s forwarded=%d dropped=%d\n", sw.ID(), sw.Forwarded, sw.Drops)
+			forwarded, drops := sw.Counters()
+			fmt.Printf("intswitch: %s forwarded=%d dropped=%d\n", sw.ID(), forwarded, drops)
 		case <-stop:
 			fmt.Println("\nintswitch: shutting down")
 			return

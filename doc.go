@@ -9,7 +9,7 @@
 //
 //   - internal/simtime — discrete-event engine
 //   - internal/netsim — packet-level network simulator
-//   - internal/dataplane — P4-style pipeline, registers, INT program
+//   - internal/dataplane — the INT program (observe + stamp), run by sim and live
 //   - internal/telemetry — INT data model and wire codec
 //   - internal/transport — TCP-like flows, CBR, ping, reliable control
 //   - internal/probe — probing, coverage planning, relays

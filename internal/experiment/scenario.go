@@ -317,7 +317,7 @@ func Run(sc Scenario) (*RunResult, error) {
 				cfg := intCfg
 				cfg.ClockSkew = sc.ClockSkew
 				prog := dataplane.NewINTProgram(string(id), len(sw.Ports), cfg)
-				sw.Processor = dataplane.NewPipeline(prog)
+				sw.Processor = prog
 				programs[id] = prog
 			}
 			i++

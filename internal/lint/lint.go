@@ -76,7 +76,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminismAnalyzer,
 		TransientPacketAnalyzer,
-		ObsNamingAnalyzer,
 		ScratchAliasAnalyzer,
 		SnapshotImmutableAnalyzer,
 		IndexSpaceAnalyzer,
@@ -85,9 +84,8 @@ func Analyzers() []*Analyzer {
 
 // inTestFile reports whether pos is inside a _test.go file. The analyzers
 // skip test files by design: tests deliberately alias recycled packets to
-// assert identity reuse, register throwaway metric series, and measure wall
-// time; the contracts the suite enforces are about production sim/daemon
-// code.
+// assert identity reuse and measure wall time; the contracts the suite
+// enforces are about production sim/daemon code.
 func (p *Pass) inTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f == nil || strings.HasSuffix(f.Name(), "_test.go")

@@ -50,10 +50,6 @@ func TestTransientPacket(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/transient", "fixture/transient", lint.TransientPacketAnalyzer)
 }
 
-func TestObsNaming(t *testing.T) {
-	linttest.Run(t, "internal/lint/testdata/src/obsname", "fixture/obsname", lint.ObsNamingAnalyzer)
-}
-
 func TestScratchAlias(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/scratch", "fixture/scratch", lint.ScratchAliasAnalyzer)
 }

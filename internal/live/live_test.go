@@ -183,6 +183,31 @@ func TestOverlayCongestionShiftsRanking(t *testing.T) {
 	t.Fatal("bandwidth ranking never shifted away from the congested server")
 }
 
+// TestSoftSwitchCountersReadWhileForwarding reads Counters the way
+// cmd/intswitch's stats ticker does, while the receive goroutine forwards
+// and tail-drops a blast; under -race this fails on unsynchronised counters.
+func TestSoftSwitchCountersReadWhileForwarding(t *testing.T) {
+	spec := chainSpec()
+	spec.RateBps = 10_000_000 // slow enough to overflow a port queue
+	o, err := StartOverlay(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	src, err := NewTrafficSource("dev", o.Switches["sA"].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	waitFor(t, 5*time.Second, func() bool {
+		if err := src.Blast("e1", 80, 1200); err != nil {
+			t.Fatal(err)
+		}
+		forwarded, drops := o.Switches["sA"].Counters()
+		return forwarded > 0 && drops > 0
+	}, "sA forwarding and tail-dropping")
+}
+
 func TestSoftSwitchConfigValidation(t *testing.T) {
 	sw, err := NewSoftSwitch("s1", "127.0.0.1:0", 0, 0)
 	if err != nil {

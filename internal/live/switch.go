@@ -1,9 +1,10 @@
 // Package live is the real-socket deployment of the INT scheduling system:
 // userspace soft switches forward UDP overlay datagrams between rate-limited
-// egress queues and stamp INT telemetry into probe packets exactly like the
-// simulated dataplane; probe agents emit probes from edge servers; the
-// collector daemon ingests probes, maintains the learned topology, and
-// serves ranking queries over TCP.
+// egress queues and run the one INT program (internal/dataplane) the
+// simulated switches run — Observe on the receive goroutine, Stamp on the
+// egress port's drain goroutine, serialized by a lock the switch owns; probe
+// agents emit probes from edge servers; the collector daemon ingests probes,
+// maintains the learned topology, and serves ranking queries over TCP.
 //
 // This is the "wire the INT collector manually" path: the same telemetry
 // model as the simulator, but over real packets, goroutines, and sockets —
@@ -13,9 +14,9 @@ package live
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"intsched/internal/dataplane"
@@ -40,8 +41,7 @@ type frame struct {
 	d         *wire.Datagram
 	size      int
 	ingressAt time.Time
-	linkLat   time.Duration
-	hasLat    bool
+	linkLat   time.Duration // the INT program's ingress measurement (probes)
 	inPort    int
 }
 
@@ -58,8 +58,10 @@ type swPort struct {
 	drops     uint64
 
 	// Scratch reused by stampProbe, which only ever runs on this port's
-	// drain goroutine: decode target, and the encode buffer the outgoing
-	// payload points into until the datagram is marshalled for the wire.
+	// drain goroutine: decode target (whose record slots the INT program
+	// fills in place, so a stamped probe allocates nothing), and the encode
+	// buffer the outgoing payload points into until the datagram is
+	// marshalled for the wire.
 	probeScratch telemetry.ProbePayload
 	encScratch   []byte
 }
@@ -77,21 +79,21 @@ type SoftSwitch struct {
 	routes   map[string]int // dst node -> egress port
 	addrPort map[string]int // remote UDP addr -> ingress port index
 
-	regs     *dataplane.RegisterFile
-	maxQueue *dataplane.RegisterArray
-	pktCount *dataplane.RegisterArray
-	sampler  *pint.Sampler
+	// intMu serializes calls into the INT program, which takes no lock of
+	// its own: the receive goroutine observes while the drain goroutines
+	// stamp. The program is created by Start, once the port count is final.
+	intMu sync.Mutex
+	prog  *dataplane.INTProgram
 
 	rxWg    sync.WaitGroup // receive loop
 	drainWg sync.WaitGroup // per-port drain goroutines
 	closed  chan struct{}
 	started bool
 
-	// Drops counts datagrams discarded (no route, TTL, queue full,
-	// decode errors).
-	Drops uint64
-	// Forwarded counts datagrams enqueued for egress.
-	Forwarded uint64
+	// forwarded counts datagrams enqueued for egress; drops counts those
+	// discarded (no route, TTL, queue full, decode and encode errors). Both
+	// are written by the switch's goroutines and read through Counters.
+	forwarded, drops atomic.Uint64
 }
 
 // NewSoftSwitch binds a UDP socket on addr (use "127.0.0.1:0" for an
@@ -111,12 +113,6 @@ func NewSoftSwitch(id, addr string, rateBps int64, queueCap int) (*SoftSwitch, e
 	if err != nil {
 		return nil, fmt.Errorf("live: switch %s: %w", id, err)
 	}
-	regs := dataplane.NewRegisterFile()
-	// Per-flow sampling streams for probabilistic (PINT) probes, seeded
-	// from the switch id so a restarted switch samples reproducibly. The
-	// probe header selects the mode, so a mixed fleet shares one fabric.
-	h := fnv.New64a()
-	h.Write([]byte(id))
 	return &SoftSwitch{
 		id:       id,
 		conn:     conn,
@@ -124,8 +120,6 @@ func NewSoftSwitch(id, addr string, rateBps int64, queueCap int) (*SoftSwitch, e
 		queueCap: queueCap,
 		routes:   make(map[string]int),
 		addrPort: make(map[string]int),
-		regs:     regs,
-		sampler:  pint.NewSampler(simtime.NewRand(int64(h.Sum64()))),
 		closed:   make(chan struct{}),
 	}, nil
 }
@@ -178,10 +172,15 @@ func (s *SoftSwitch) Start() {
 		return
 	}
 	s.started = true
-	nports := len(s.ports)
-	s.maxQueue = s.regs.Declare("max_queue", maxInt(nports, 1))
-	s.pktCount = s.regs.Declare("pkt_count", maxInt(nports, 1))
 	ports := s.ports
+	// Per-flow sampling streams for probabilistic (PINT) probes, seeded
+	// from the switch id so a restarted switch samples reproducibly. The
+	// probe header selects the mode, so a mixed fleet shares one fabric.
+	h := fnv.New64a()
+	h.Write([]byte(s.id))
+	s.prog = dataplane.NewINTProgram(s.id, len(ports), dataplane.INTConfig{
+		Sampler: pint.NewSampler(simtime.NewRand(int64(h.Sum64()))),
+	})
 	s.mu.Unlock()
 
 	for _, p := range ports {
@@ -212,9 +211,6 @@ func (s *SoftSwitch) Close() {
 	s.drainWg.Wait()
 }
 
-// Registers exposes the switch's register file (tests, control plane).
-func (s *SoftSwitch) Registers() *dataplane.RegisterFile { return s.regs }
-
 func (s *SoftSwitch) receiveLoop() {
 	defer s.rxWg.Done()
 	buf := make([]byte, maxDatagram)
@@ -225,10 +221,10 @@ func (s *SoftSwitch) receiveLoop() {
 		}
 		d, err := wire.UnmarshalDatagram(buf[:n])
 		if err != nil {
-			s.Drops++
+			s.drops.Add(1)
 			continue
 		}
-		inPort := -1
+		inPort := 0 // unknown senders report port 0: the wire codec requires a valid port
 		if from != nil {
 			s.mu.Lock()
 			if idx, ok := s.addrPort[from.String()]; ok {
@@ -243,7 +239,7 @@ func (s *SoftSwitch) receiveLoop() {
 // handle implements the forwarding + INT ingress pipeline.
 func (s *SoftSwitch) handle(d *wire.Datagram, size, inPort int) {
 	if d.TTL == 0 {
-		s.Drops++
+		s.drops.Add(1)
 		return
 	}
 	d.TTL--
@@ -256,37 +252,31 @@ func (s *SoftSwitch) handle(d *wire.Datagram, size, inPort int) {
 	}
 	s.mu.Unlock()
 	if port == nil {
-		s.Drops++
+		s.drops.Add(1)
 		return
 	}
 
-	f := frame{d: d, size: size, ingressAt: time.Now(), inPort: inPort}
-	qlen := len(port.ch)
-	if d.Kind == wire.KindProbe {
-		// Extract the previous hop's egress stamp before enqueueing so
-		// the measurement excludes our queueing delay.
-		if d.EgressTS > 0 {
-			lat := time.Duration(time.Now().UnixNano() - d.EgressTS)
-			if lat < 0 {
-				lat = 0
-			}
-			f.linkLat, f.hasLat = lat, true
-			d.EgressTS = 0
-		}
-	} else {
-		// Production traffic updates the congestion registers.
-		s.maxQueue.Max(port.index, int64(qlen))
-		s.pktCount.Add(port.index, 1)
+	// The INT ingress stage runs before the enqueue, so a probe's link
+	// latency excludes this switch's queueing.
+	now := time.Now()
+	probe := d.Kind == wire.KindProbe
+	var prevEgress time.Duration
+	if probe {
+		prevEgress, d.EgressTS = time.Duration(d.EgressTS), 0
 	}
+	s.intMu.Lock()
+	linkLat := s.prog.Observe(probe, port.index, len(port.ch), time.Duration(now.UnixNano()), prevEgress, prevEgress > 0)
+	s.intMu.Unlock()
+	f := frame{d: d, size: size, ingressAt: now, linkLat: linkLat, inPort: inPort}
 
 	select {
 	case port.ch <- f:
-		s.Forwarded++
+		s.forwarded.Add(1)
 	default:
 		port.mu.Lock()
 		port.drops++
 		port.mu.Unlock()
-		s.Drops++
+		s.drops.Add(1)
 	}
 }
 
@@ -312,7 +302,7 @@ func (s *SoftSwitch) drain(p *swPort) {
 		}
 		out, err := f.d.Marshal()
 		if err != nil {
-			s.Drops++
+			s.drops.Add(1)
 			continue
 		}
 		if _, err := s.conn.WriteToUDP(out, p.addr); err != nil {
@@ -324,81 +314,36 @@ func (s *SoftSwitch) drain(p *swPort) {
 	}
 }
 
-// stampProbe runs the INT egress stage on a probe — the live twin of the
-// simulated dataplane's EgressControl. Every hop claims its index and stamps
-// the egress timestamp; whether the registers are flushed into a record
-// depends on the probe header's telemetry mode (deterministic: always;
-// probabilistic: an independent per-hop sampling draw). The payload is
-// re-encoded even when the hop skipped its record, because the hop count
-// advanced.
+// stampProbe runs the INT egress stage on a probe: decode into the port's
+// scratch payload, Stamp, re-encode. The payload is re-encoded even when the
+// hop inserted no record, because the hop count advanced.
 func (s *SoftSwitch) stampProbe(p *swPort, f *frame) {
 	payload := &p.probeScratch
 	if err := telemetry.UnmarshalProbeInto(payload, f.d.Payload); err != nil {
 		return // malformed probe: forward untouched
 	}
 	now := time.Now()
-	hopIdx := payload.HopCount
-	if payload.HopCount < math.MaxUint8 {
-		payload.HopCount++
-	}
-	target := payload.Target
-	if target == "" {
-		target = f.d.Dst
-	}
-	sampled := payload.Mode != telemetry.ModeProbabilistic ||
-		s.sampler.Sample(s.id, payload.Origin, target, payload.SampleRate)
-	if sampled {
-		recs := payload.Stack.Records
-		var rec *telemetry.Record
-		switch {
-		case len(recs) < telemetry.MaxRecords:
-			// Append our record in place, reviving the slice slot (and
-			// its queue backing array) a previous probe through this port
-			// left in the scratch payload. Every field is overwritten.
-			if len(recs) < cap(recs) {
-				recs = recs[:len(recs)+1]
-			} else {
-				recs = append(recs, telemetry.Record{})
-			}
-			rec = &recs[len(recs)-1]
-			payload.Stack.Records = recs
-		case payload.Mode == telemetry.ModeProbabilistic:
-			// Reservoir backstop: the budget is spent, replace a uniform
-			// slot so late hops still surface.
-			rec = &recs[s.sampler.Slot(s.id, payload.Origin, target, len(recs))]
-		default:
-			payload.Stack.Truncated = true
-		}
-		if rec != nil {
-			inPort := f.inPort
-			if inPort < 0 {
-				inPort = 0 // unknown sender: the wire codec requires a valid port
-			}
-			rec.Device = s.id
-			rec.HopIndex = hopIdx
-			rec.IngressPort = inPort
-			rec.EgressPort = p.index
-			rec.HopLatency = now.Sub(f.ingressAt)
-			rec.EgressTS = time.Duration(now.UnixNano())
-			rec.LinkLatency = 0
-			if f.hasLat {
-				rec.LinkLatency = f.linkLat
-			}
-			n := s.maxQueue.Size()
-			queues := rec.Queues[:0]
-			for port := 0; port < n; port++ {
-				mq := s.maxQueue.Swap(port, 0)
-				cnt := s.pktCount.Swap(port, 0)
-				queues = append(queues, telemetry.PortQueue{Port: port, MaxQueue: int(mq), Packets: uint32(cnt)})
-			}
-			rec.Queues = queues
-		}
-	}
+	s.intMu.Lock()
+	s.prog.Stamp(payload, dataplane.Hop{
+		InPort:      f.inPort,
+		OutPort:     p.index,
+		LinkLatency: f.linkLat,
+		HopLatency:  now.Sub(f.ingressAt),
+		Now:         time.Duration(now.UnixNano()),
+		FlowDst:     f.d.Dst,
+	})
+	s.intMu.Unlock()
 	if encoded, err := telemetry.AppendProbe(p.encScratch[:0], payload); err == nil {
 		p.encScratch = encoded
 		f.d.Payload = encoded
 		f.d.EgressTS = now.UnixNano()
 	}
+}
+
+// Counters returns how many datagrams the switch enqueued for egress and how
+// many it discarded. Safe to call while the switch runs.
+func (s *SoftSwitch) Counters() (forwarded, drops uint64) {
+	return s.forwarded.Load(), s.drops.Load()
 }
 
 // PortStats returns (txPackets, drops) for a port.
@@ -409,11 +354,4 @@ func (s *SoftSwitch) PortStats(port int) (tx, drops uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.txPackets, p.drops
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -31,7 +31,7 @@ func (k NodeKind) String() string {
 type ProcessorContext struct {
 	// Device is the switch executing the pipeline.
 	Device *Node
-	// InPort is the port the packet arrived on (-1 if locally generated).
+	// InPort is the port the packet arrived on, at ingress and egress alike.
 	InPort int
 	// OutPort is the egress port selected by forwarding.
 	OutPort int
@@ -560,7 +560,7 @@ func (n *Network) transmitNext(port *Port) {
 	if port.node.Kind == Switch && port.node.Processor != nil {
 		ctx := &ProcessorContext{
 			Device:   port.node,
-			InPort:   -1,
+			InPort:   pkt.inPort,
 			OutPort:  port.index,
 			QueueLen: len(port.queue),
 			Now:      n.engine.Now(),
@@ -612,6 +612,7 @@ func (n *Network) arrive(port *Port, pkt *Packet) {
 	port.RxPackets++
 	node := port.node
 	pkt.ingressAt = n.engine.Now()
+	pkt.inPort = port.index
 	if node.halted {
 		n.drop(pkt, node, DropHalted)
 		return

@@ -99,9 +99,15 @@ type Packet struct {
 	// ingress (before enqueueing) so the measurement excludes queueing.
 	hasEgressTS bool
 	egressTS    time.Duration
-	// ingressAt records when this packet arrived at the device currently
-	// holding it, used to compute the probe's per-hop residence time.
-	ingressAt time.Duration
+	// ingressAt and inPort record when and on which port this packet
+	// arrived at the device currently holding it (the probe's per-hop
+	// residence time and its record's ingress port); linkLatency is what
+	// that device's dataplane measured for the arrival link at ingress. All
+	// three travel with the packet to the device's egress stage, so a packet
+	// dropped in between leaves nothing behind.
+	ingressAt   time.Duration
+	inPort      int
+	linkLatency time.Duration
 	// hops counts traversed switches.
 	hops int
 	// transient marks fire-and-forget packets (acks, pings, control
@@ -144,6 +150,13 @@ func (p *Packet) TakeEgressStamp() (time.Duration, bool) {
 // IngressAt returns when the packet arrived at the device currently
 // processing it.
 func (p *Packet) IngressAt() time.Duration { return p.ingressAt }
+
+// SetLinkLatency stores the arrival link's latency, measured by the
+// dataplane at ingress, for the same device's egress stage.
+func (p *Packet) SetLinkLatency(d time.Duration) { p.linkLatency = d }
+
+// LinkLatency returns what SetLinkLatency stored at this device's ingress.
+func (p *Packet) LinkLatency() time.Duration { return p.linkLatency }
 
 func (p *Packet) String() string {
 	return fmt.Sprintf("pkt#%d %s %s->%s %dB flow=%d seq=%d", p.ID, p.Kind, p.Src, p.Dst, p.Size, p.FlowID, p.Seq)

@@ -11,7 +11,7 @@ import (
 
 func TestHandlerMetricsFormats(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Opts{Name: "probes_total"}).Add(2)
+	r.Counter(Opts{Name: "intsched_probes_total"}).Add(2)
 	srv := httptest.NewServer(Handler(r, nil))
 	defer srv.Close()
 
@@ -27,7 +27,7 @@ func TestHandlerMetricsFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "probes_total 2") {
+	if !strings.Contains(string(body), "intsched_probes_total 2") {
 		t.Fatalf("exposition:\n%s", body)
 	}
 
@@ -40,7 +40,7 @@ func TestHandlerMetricsFormats(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&series); err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 1 || series[0].Name != "probes_total" || series[0].Value != 2 {
+	if len(series) != 1 || series[0].Name != "intsched_probes_total" || series[0].Value != 2 {
 		t.Fatalf("json series %+v", series)
 	}
 }

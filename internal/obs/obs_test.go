@@ -138,14 +138,14 @@ func TestHistogramPanics(t *testing.T) {
 
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	c1 := r.Counter(Opts{Name: "x_total"})
-	c2 := r.Counter(Opts{Name: "x_total"})
+	c1 := r.Counter(Opts{Name: "intsched_x_total"})
+	c2 := r.Counter(Opts{Name: "intsched_x_total"})
 	if c1 != c2 {
 		t.Fatal("same series produced distinct counters")
 	}
 	// Distinct labels are distinct series.
-	l1 := r.Counter(Opts{Name: "y_total", Labels: []Label{{"metric", "delay"}}})
-	l2 := r.Counter(Opts{Name: "y_total", Labels: []Label{{"metric", "bandwidth"}}})
+	l1 := r.Counter(Opts{Name: "intsched_y_total", Labels: []Label{{"metric", "delay"}}})
+	l2 := r.Counter(Opts{Name: "intsched_y_total", Labels: []Label{{"metric", "bandwidth"}}})
 	if l1 == l2 {
 		t.Fatal("distinct labels shared a counter")
 	}
@@ -156,26 +156,64 @@ func TestRegistryGetOrCreate(t *testing.T) {
 				t.Error("kind mismatch accepted")
 			}
 		}()
-		r.Gauge(Opts{Name: "x_total"})
+		r.Gauge(Opts{Name: "intsched_x_seconds"})
+		r.Histogram(Opts{Name: "intsched_x_seconds"}, nil)
 	}()
-	// Invalid names panic.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("invalid name accepted")
-			}
+}
+
+// TestSeriesNameScheme lists, per rule of the series-name scheme, one name
+// registration accepts and one it panics on.
+func TestSeriesNameScheme(t *testing.T) {
+	counter := func(r *Registry, name string) { r.Counter(Opts{Name: name}) }
+	counterFn := func(r *Registry, name string) { r.CounterFunc(Opts{Name: name}, func() float64 { return 0 }) }
+	gauge := func(r *Registry, name string) { r.Gauge(Opts{Name: name}) }
+	gaugeFn := func(r *Registry, name string) { r.GaugeFunc(Opts{Name: name}, func() float64 { return 0 }) }
+	histogram := func(r *Registry, name string) { r.Histogram(Opts{Name: name}, nil) }
+	for _, c := range []struct {
+		rule     string
+		register func(*Registry, string)
+		name     string
+		ok       bool
+	}{
+		{"intsched_ prefix", counter, "intsched_probes_received_total", true},
+		{"intsched_ prefix", counter, "probes_received_total", false},
+		{"intsched_ prefix", counter, "intsched_", false},
+		{"snake_case", counter, "intschedProbes_total", false},
+		{"snake_case", counter, "intsched_Probes_total", false},
+		{"snake_case", counter, "intsched__probes_total", false},
+		{"snake_case", counter, "intsched_probes total", false},
+		{"snake_case", counter, "", false},
+		{"counters end in _total", counter, "intsched_probes_received", false},
+		{"counters end in _total", counterFn, "intsched_acks_sent_total", true},
+		{"counters end in _total", counterFn, "intsched_probes_dropped", false},
+		{"gauges never end in _total", gauge, "intsched_queue_depth_packets", true},
+		{"gauges never end in _total", gauge, "intsched_collector_epoch", true},
+		{"gauges never end in _total", gauge, "intsched_drops_total", false},
+		{"gauges never end in _total", gaugeFn, "intsched_drops_total", false},
+		{"histograms end in a unit", histogram, "intsched_query_latency_seconds", true},
+		{"histograms end in a unit", histogram, "intsched_query_latency", false},
+		{"no histogram-exposition suffix", gauge, "intsched_queue_count", false},
+		{"no histogram-exposition suffix", gauge, "intsched_queue_sum", false},
+		{"no histogram-exposition suffix", gauge, "intsched_queue_bucket", false},
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			c.register(NewRegistry(), c.name)
+			return
 		}()
-		r.Counter(Opts{Name: "1bad name"})
-	}()
+		if panicked == c.ok {
+			t.Errorf("%s: %q accepted=%v, want %v", c.rule, c.name, !panicked, c.ok)
+		}
+	}
 }
 
 func TestRegistrySnapshotSortedAndKinds(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Opts{Name: "b_total", Help: "b help"}).Add(2)
-	r.Gauge(Opts{Name: "a_gauge"}).Set(1.5)
-	r.GaugeFunc(Opts{Name: "c_fn"}, func() float64 { return 7 })
-	r.CounterFunc(Opts{Name: "d_fn_total"}, func() float64 { return 9 })
-	r.Histogram(Opts{Name: "h_seconds"}, []float64{1}).Observe(0.5)
+	r.Counter(Opts{Name: "intsched_b_total", Help: "b help"}).Add(2)
+	r.Gauge(Opts{Name: "intsched_a_gauge"}).Set(1.5)
+	r.GaugeFunc(Opts{Name: "intsched_c_fn"}, func() float64 { return 7 })
+	r.CounterFunc(Opts{Name: "intsched_d_fn_total"}, func() float64 { return 9 })
+	r.Histogram(Opts{Name: "intsched_h_seconds"}, []float64{1}).Observe(0.5)
 
 	snap := r.Snapshot()
 	if len(snap) != 5 {
@@ -190,22 +228,22 @@ func TestRegistrySnapshotSortedAndKinds(t *testing.T) {
 	for _, m := range snap {
 		byName[m.Name] = m
 	}
-	if byName["b_total"].Value != 2 || byName["b_total"].Kind != KindCounter {
-		t.Fatalf("counter snapshot %+v", byName["b_total"])
+	if byName["intsched_b_total"].Value != 2 || byName["intsched_b_total"].Kind != KindCounter {
+		t.Fatalf("counter snapshot %+v", byName["intsched_b_total"])
 	}
-	if byName["a_gauge"].Value != 1.5 || byName["c_fn"].Value != 7 || byName["d_fn_total"].Value != 9 {
+	if byName["intsched_a_gauge"].Value != 1.5 || byName["intsched_c_fn"].Value != 7 || byName["intsched_d_fn_total"].Value != 9 {
 		t.Fatalf("gauge/func snapshots %+v", byName)
 	}
-	if h := byName["h_seconds"].Histogram; h == nil || h.Count != 1 {
-		t.Fatalf("histogram snapshot %+v", byName["h_seconds"])
+	if h := byName["intsched_h_seconds"].Histogram; h == nil || h.Count != 1 {
+		t.Fatalf("histogram snapshot %+v", byName["intsched_h_seconds"])
 	}
 }
 
 func TestFindHistogramMergesLabels(t *testing.T) {
 	r := NewRegistry()
-	r.Histogram(Opts{Name: "q_seconds", Labels: []Label{{"metric", "delay"}}}, []float64{1, 2}).Observe(0.5)
-	r.Histogram(Opts{Name: "q_seconds", Labels: []Label{{"metric", "bandwidth"}}}, []float64{1, 2}).Observe(1.5)
-	m, ok := r.FindHistogram("q_seconds")
+	r.Histogram(Opts{Name: "intsched_q_seconds", Labels: []Label{{"metric", "delay"}}}, []float64{1, 2}).Observe(0.5)
+	r.Histogram(Opts{Name: "intsched_q_seconds", Labels: []Label{{"metric", "bandwidth"}}}, []float64{1, 2}).Observe(1.5)
+	m, ok := r.FindHistogram("intsched_q_seconds")
 	if !ok || m.Count != 2 {
 		t.Fatalf("merged %+v ok=%v", m, ok)
 	}
@@ -216,23 +254,23 @@ func TestFindHistogramMergesLabels(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Opts{Name: "probes_total", Help: "probes received"}).Add(3)
-	r.Histogram(Opts{Name: "lat_seconds", Labels: []Label{{"metric", "delay"}}}, []float64{1, 2}).Observe(1.5)
+	r.Counter(Opts{Name: "intsched_probes_total", Help: "probes received"}).Add(3)
+	r.Histogram(Opts{Name: "intsched_lat_seconds", Labels: []Label{{"metric", "delay"}}}, []float64{1, 2}).Observe(1.5)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# HELP probes_total probes received",
-		"# TYPE probes_total counter",
-		"probes_total 3",
-		"# TYPE lat_seconds histogram",
-		`lat_seconds_bucket{metric="delay",le="1"} 0`,
-		`lat_seconds_bucket{metric="delay",le="2"} 1`,
-		`lat_seconds_bucket{metric="delay",le="+Inf"} 1`,
-		`lat_seconds_sum{metric="delay"} 1.5`,
-		`lat_seconds_count{metric="delay"} 1`,
+		"# HELP intsched_probes_total probes received",
+		"# TYPE intsched_probes_total counter",
+		"intsched_probes_total 3",
+		"# TYPE intsched_lat_seconds histogram",
+		`intsched_lat_seconds_bucket{metric="delay",le="1"} 0`,
+		`intsched_lat_seconds_bucket{metric="delay",le="2"} 1`,
+		`intsched_lat_seconds_bucket{metric="delay",le="+Inf"} 1`,
+		`intsched_lat_seconds_sum{metric="delay"} 1.5`,
+		`intsched_lat_seconds_count{metric="delay"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

@@ -110,18 +110,18 @@ func (r *Registry) lookup(id string, kind Kind, o Opts) *entry {
 	return e
 }
 
-// register get-or-creates the entry for o with the given kind, invoking
-// create only when absent.
+// register get-or-creates the entry for o with the given kind, checking the
+// name against the series scheme and invoking create only when absent.
 func (r *Registry) register(o Opts, kind Kind, create func() *entry) *entry {
-	if !validMetricName(o.Name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", o.Name))
-	}
 	id := o.seriesID()
 	r.mu.RLock()
 	e := r.lookup(id, kind, o)
 	r.mu.RUnlock()
 	if e != nil {
 		return e
+	}
+	if problem := checkSeriesName(o.Name, kind); problem != "" {
+		panic(fmt.Sprintf("obs: invalid %s name %q: %s", kind, o.Name, problem))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -310,19 +310,52 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// validMetricName checks the Prometheus metric name grammar
-// [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
+// unitSuffixes are the unit suffixes the series-name scheme accepts for
+// measured quantities. Histograms must use one (their _bucket/_sum/_count
+// expansions hang off the base name); gauges may be dimensionless counts
+// (intsched_probe_streams) or versions (intsched_collector_epoch).
+var unitSuffixes = []string{"_seconds", "_bytes", "_ratio", "_packets"}
+
+// checkSeriesName applies the series-name scheme to a name about to be
+// registered as kind and returns what is wrong with it, "" when nothing is.
+// Names are intsched_<snake_case> — lowercase letters, digits and single
+// underscores, a subset of the Prometheus grammar. Counters end in _total,
+// histograms in a unit suffix, gauges never in _total, and no name ends in
+// _bucket, _sum or _count, which histogram exposition appends. Checking at
+// registration covers names built at run time as well as literals, and keeps
+// the daemon's /metrics and any sim-side series joinable.
+func checkSeriesName(name string, kind Kind) string {
+	rest, ok := strings.CutPrefix(name, "intsched_")
+	if !ok || rest == "" {
+		return "names are intsched_<snake_case>"
 	}
-	for i, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
-		case r >= '0' && r <= '9' && i > 0:
-		default:
-			return false
+	for _, part := range strings.Split(rest, "_") {
+		if part == "" {
+			return "leading, trailing or double underscore"
+		}
+		for _, r := range part {
+			if (r < 'a' || r > 'z') && (r < '0' || r > '9') {
+				return "only lowercase letters, digits and single underscores are allowed"
+			}
 		}
 	}
-	return true
+	hasSuffix := func(suffixes ...string) bool {
+		for _, s := range suffixes {
+			if strings.HasSuffix(name, s) {
+				return true
+			}
+		}
+		return false
+	}
+	switch {
+	case hasSuffix("_bucket", "_sum", "_count"):
+		return "_bucket, _sum and _count are reserved for histogram exposition"
+	case kind == KindCounter && !hasSuffix("_total"):
+		return "a counter must end in _total"
+	case kind == KindGauge && hasSuffix("_total"):
+		return "_total marks counters, not gauges"
+	case kind == KindHistogram && !hasSuffix(unitSuffixes...):
+		return "a histogram must end in a unit suffix (" + strings.Join(unitSuffixes, ", ") + ")"
+	}
+	return ""
 }

@@ -29,11 +29,6 @@ const DefaultRateBps = 18_000_000
 type Config struct {
 	// RateBps is the per-flow sending rate (DefaultRateBps when zero).
 	RateBps int64
-	// DeterministicBursts disables Poisson pacing in favor of fixed
-	// back-to-back bursts (mainly for tests).
-	DeterministicBursts bool
-	// Burst is the burst size when DeterministicBursts is set.
-	Burst int
 }
 
 func (c Config) rate() int64 {
@@ -99,15 +94,11 @@ func (b *Background) randomPair() (src, dst netsim.NodeID) {
 
 func (b *Background) launch(src, dst netsim.NodeID, dur time.Duration) *transport.CBR {
 	stack := b.domain.Stack(src)
-	cfg := transport.CBRConfig{
+	flow := stack.StartCBR(dst, transport.CBRConfig{
 		RateBps:  b.cfg.rate(),
-		Burst:    b.cfg.Burst,
 		Duration: dur,
-	}
-	if !b.cfg.DeterministicBursts {
-		cfg.Jitter = b.rng
-	}
-	flow := stack.StartCBR(dst, cfg)
+		Jitter:   b.rng,
+	})
 	b.FlowsStarted++
 	b.active = append(b.active, flow)
 	return flow
