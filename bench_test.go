@@ -13,11 +13,13 @@ import (
 	"intsched/internal/core"
 	"intsched/internal/dataplane"
 	"intsched/internal/experiment"
+	"intsched/internal/live"
 	"intsched/internal/netsim"
 	"intsched/internal/probe"
 	"intsched/internal/simtime"
 	"intsched/internal/telemetry"
 	"intsched/internal/transport"
+	"intsched/internal/wire"
 	"intsched/internal/workload"
 )
 
@@ -394,19 +396,8 @@ func BenchmarkCollectorIngest(b *testing.B) {
 // fabric's index (the 8-host Fig 4 network is too small to tell the two
 // apart).
 func BenchmarkSnapshotPublish(b *testing.B) {
-	spec, err := experiment.ClosSpec(experiment.ClosConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fabric, err := spec.Build(simtime.NewEngine())
-	if err != nil {
-		b.Fatal(err)
-	}
 	const rounds = 3
-	trace, err := experiment.TraceProbes(fabric, rounds)
-	if err != nil {
-		b.Fatal(err)
-	}
+	fabric, trace := closTrace(b, rounds)
 	var now time.Duration
 	coll := collector.New(fabric.Scheduler, func() time.Duration { return now }, collector.Config{QueueWindow: 2 * probe.DefaultInterval})
 	var p telemetry.ProbePayload
@@ -444,6 +435,84 @@ func BenchmarkSnapshotPublish(b *testing.B) {
 }
 
 var benchSnapshot *collector.Topology
+
+// closTrace returns the default Clos fabric and the probes its scheduler
+// receives over the given number of probing rounds.
+func closTrace(b *testing.B, rounds int) (*experiment.Topology, []experiment.TracedProbe) {
+	spec, err := experiment.ClosSpec(experiment.ClosConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fabric, err := spec.Build(simtime.NewEngine())
+	if err != nil {
+		b.Fatal(err)
+	}
+	trace, err := experiment.TraceProbes(fabric, rounds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fabric, trace
+}
+
+// BenchmarkQueryRoundTrip measures query-sent → answer-received over
+// loopback: live.Query against a CollectorDaemon that learned the default
+// Clos fabric and whose feed has stopped, so every answer is a rank-cache hit
+// and what is timed is the query wire — one kept connection, one binary
+// frame each way. Under -benchmem the contract is 14 allocs/op: the
+// response, its candidate slice and metric, and one name per candidate (8
+// here) are what the client hands its caller; the requester and metric names
+// are the daemon's; the request is this loop's. A connection dialled per
+// query, or a JSON frame, shows as ~70.
+func BenchmarkQueryRoundTrip(b *testing.B) {
+	fabric, trace := closTrace(b, 2)
+	const queueWindow = 10 * time.Millisecond
+	d, err := live.NewCollectorDaemon(string(fabric.Scheduler), live.DaemonConfig{
+		AdjacencyTTL: collector.NoAdjacencyAging,
+		QueueWindow:  queueWindow,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	var p telemetry.ProbePayload
+	var origins []string
+	seen := make(map[string]bool)
+	for _, at := range trace {
+		if err := telemetry.UnmarshalProbeInto(&p, at.Wire); err != nil {
+			b.Fatal(err)
+		}
+		d.Collector().HandleProbe(&p)
+		if !seen[p.Origin] {
+			seen[p.Origin] = true
+			origins = append(origins, p.Origin)
+		}
+	}
+	// The queue reports age out of their window, each expiry a new epoch;
+	// only then is the telemetry frozen.
+	time.Sleep(3 * queueWindow)
+	metrics := []string{"delay", "bandwidth"}
+	addr := d.QueryAddr()
+	query := func(i int) {
+		req := wire.QueryRequest{From: origins[i%len(origins)], Metric: metrics[i%len(metrics)], Count: 8, Sorted: true}
+		resp, err := live.Query(addr, &req, 5*time.Second)
+		if err != nil || len(resp.Candidates) != 8 {
+			b.Fatalf("query %d: %v, %+v", i, err, resp)
+		}
+	}
+	for i := 0; i < len(origins)*len(metrics); i++ {
+		query(i)
+	}
+	misses := d.CacheStats().Misses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query(i)
+	}
+	b.StopTimer()
+	if got := d.CacheStats().Misses; got != misses {
+		b.Fatalf("%d rank-cache misses on a frozen feed", got-misses)
+	}
+}
 
 // BenchmarkDelayRanking measures Algorithm 1 over a learned Fig-4-sized
 // topology.

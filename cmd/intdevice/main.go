@@ -3,6 +3,11 @@
 //
 //	intdevice -scheduler 127.0.0.1:7002 -from dev -metric delay
 //	intdevice -scheduler 127.0.0.1:7002 -from dev -metric bandwidth -watch 1s
+//
+// Queries go through live.Query, which keeps its connection to the scheduler
+// between calls: with -watch below 4 s every query after the first reuses
+// it, and a connection the scheduler closed meanwhile (restart, 5 s idle
+// deadline) is replaced by one fresh dial without the query failing.
 package main
 
 import (

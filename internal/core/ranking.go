@@ -40,6 +40,10 @@ const (
 
 var metricNames = [...]string{"delay", "bandwidth", "nearest", "random", "transfer-time"}
 
+// NumMetrics is the number of metrics: every Metric ParseMetric returns
+// indexes an array of this length.
+const NumMetrics = len(metricNames)
+
 func (m Metric) String() string {
 	if int(m) < len(metricNames) {
 		return metricNames[m]

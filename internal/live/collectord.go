@@ -1,10 +1,12 @@
 package live
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -46,7 +48,16 @@ type CollectorDaemon struct {
 	unexpectedKind *obs.Counter
 	payloadErrors  *obs.Counter
 	queryErrors    *obs.Counter
-	queryLatency   map[core.Metric]*obs.Histogram
+	// queryLatency is indexed by core.Metric; metrics not served live have
+	// no histogram.
+	queryLatency [core.NumMetrics]*obs.Histogram
+
+	// Open query connections, so that admission can be capped and Close can
+	// end them without waiting out their idle deadlines.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
+	// Connections refused or dropped, by reason.
+	shedConnLimit, shedFrameTooLarge, shedBadFrame *obs.Counter
 
 	// Fault observability: detection latency is the probe silence observed
 	// when a learned edge ages out; rerouted queries count answers whose
@@ -170,6 +181,7 @@ func NewCollectorDaemon(id string, cfg DaemonConfig) (*CollectorDaemon, error) {
 		d.coll.StartIngestWorkers(cfg.IngestQueue)
 	}
 	d.lastTop = make(map[rerouteKey]netsim.NodeID)
+	d.conns = make(map[net.Conn]struct{})
 	if cfg.Adaptive {
 		d.adaptCtrl = adapt.NewController(adapt.Config{BaseInterval: cfg.AdaptiveBase})
 		d.adaptBudget = cfg.ProbeBudget
@@ -284,7 +296,6 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 		Name: "intsched_query_errors_total",
 		Help: "Ranking queries rejected (unknown or unserved metric).",
 	})
-	d.queryLatency = make(map[core.Metric]*obs.Histogram)
 	for _, m := range []core.Metric{core.MetricDelay, core.MetricBandwidth, core.MetricTransferTime} {
 		d.queryLatency[m] = d.reg.Histogram(obs.Opts{
 			Name:   "intsched_query_latency_seconds",
@@ -292,6 +303,22 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 			Labels: []obs.Label{{Key: "metric", Value: m.String()}},
 		}, nil)
 	}
+	shed := func(reason string) *obs.Counter {
+		return d.reg.Counter(obs.Opts{
+			Name:   "intsched_queries_shed_total",
+			Help:   "Query connections refused at the admission cap or dropped for a frame the scheduler will not read.",
+			Labels: []obs.Label{{Key: "reason", Value: reason}},
+		})
+	}
+	d.shedConnLimit, d.shedFrameTooLarge, d.shedBadFrame = shed("conn_limit"), shed("frame_too_large"), shed("bad_frame")
+	d.reg.GaugeFunc(obs.Opts{
+		Name: "intsched_query_connections",
+		Help: "Open query connections.",
+	}, func() float64 {
+		d.connMu.Lock()
+		defer d.connMu.Unlock()
+		return float64(len(d.conns))
+	})
 
 	// Collector-maintained counts surface through read-through functions:
 	// the collector already guards them, so the registry stores no copy.
@@ -572,7 +599,8 @@ func (d *CollectorDaemon) Stats() DaemonStats {
 	}
 }
 
-// Close shuts the daemon down.
+// Close shuts the daemon down. Open query connections are closed with it,
+// idle or not.
 func (d *CollectorDaemon) Close() {
 	d.closeOne.Do(func() {
 		close(d.closed)
@@ -581,6 +609,11 @@ func (d *CollectorDaemon) Close() {
 		if d.hsrv != nil {
 			d.hsrv.Close()
 		}
+		d.connMu.Lock()
+		for conn := range d.conns {
+			conn.Close()
+		}
+		d.connMu.Unlock()
 	})
 	d.wg.Wait()
 	d.coll.StopIngestWorkers()
@@ -647,6 +680,22 @@ func (d *CollectorDaemon) ingest(p *telemetry.ProbePayload) {
 	d.coll.EnqueueProbe(p)
 }
 
+// The query front door's limits. The port is unauthenticated, so each is a
+// constant a peer cannot raise.
+const (
+	// queryIdleTimeout is how long a connection may take to deliver its next
+	// frame and accept the answer before the daemon closes it.
+	queryIdleTimeout = 5 * time.Second
+	// maxQueryConns caps open query connections. A device parks its
+	// connection for at most clientIdleTimeout after a query, so the cap is
+	// reached by that many devices asking at once, or by an attacker; the
+	// next connection is closed on accept and counted.
+	maxQueryConns = 1024
+	// queryReadBuffer holds the longest single query and its frame header,
+	// so one read takes in a whole request; only batches need more.
+	queryReadBuffer = 1024
+)
+
 func (d *CollectorDaemon) queryLoop() {
 	defer d.wg.Done()
 	for {
@@ -654,24 +703,73 @@ func (d *CollectorDaemon) queryLoop() {
 		if err != nil {
 			return
 		}
+		if !d.admit(conn) {
+			conn.Close()
+			continue
+		}
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			defer conn.Close()
 			d.serve(conn)
+			d.connMu.Lock()
+			delete(d.conns, conn)
+			d.connMu.Unlock()
+			conn.Close()
 		}()
 	}
 }
 
-// serve handles one query connection (one request per connection).
-func (d *CollectorDaemon) serve(conn net.Conn) {
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	var req wire.QueryRequest
-	if err := wire.ReadFrame(conn, &req); err != nil {
-		return
+// admit records conn as open unless the daemon is closing or already holds
+// maxQueryConns connections.
+func (d *CollectorDaemon) admit(conn net.Conn) bool {
+	d.connMu.Lock()
+	defer d.connMu.Unlock()
+	select {
+	case <-d.closed:
+		// Close has swept, or is about to sweep, d.conns.
+		return false
+	default:
 	}
-	resp := d.Answer(&req)
-	_ = wire.WriteFrame(conn, resp)
+	if len(d.conns) >= maxQueryConns {
+		d.shedConnLimit.Inc()
+		return false
+	}
+	d.conns[conn] = struct{}{}
+	return true
+}
+
+// serve answers the frames of one query connection in arrival order, until
+// the peer closes it, stays idle past queryIdleTimeout, or sends a frame the
+// daemon will not read. A one-shot client and one that writes several
+// requests before reading are served alike. The request, the response and
+// the frame buffer are the connection's own and are reused for every frame.
+func (d *CollectorDaemon) serve(conn net.Conn) {
+	br := bufio.NewReaderSize(conn, queryReadBuffer)
+	var (
+		f    wire.Framer
+		req  wire.QueryRequest
+		resp wire.QueryResponse
+	)
+	for {
+		_ = conn.SetDeadline(time.Now().Add(queryIdleTimeout)) // a failure shows at the read
+		if err := f.ReadFrame(br, &req); err != nil {
+			switch {
+			case errors.Is(err, wire.ErrFrameTooLarge):
+				d.shedFrameTooLarge.Inc()
+			case errors.Is(err, wire.ErrBadFrame):
+				d.shedBadFrame.Inc()
+			default:
+				return // the peer left or fell silent
+			}
+			// The stream cannot be resynchronised: say why and hang up.
+			_ = f.WriteFrame(conn, &wire.QueryResponse{Error: err.Error()})
+			return
+		}
+		d.answerInto(&resp, &req)
+		if err := f.WriteFrame(conn, &resp); err != nil {
+			return
+		}
+	}
 }
 
 // Answer computes the response for a query (exported for tests and for the
@@ -679,12 +777,11 @@ func (d *CollectorDaemon) serve(conn net.Conn) {
 // callers — queries read one immutable epoch-versioned snapshot, and
 // repeated queries between probe arrivals are served from the same rank
 // cache machinery the simulated scheduler service uses. Requests carrying a
-// Batch are dispatched to AnswerBatch.
+// Batch are answered as AnswerBatch answers them.
 func (d *CollectorDaemon) Answer(req *wire.QueryRequest) *wire.QueryResponse {
-	if len(req.Batch) > 0 {
-		return d.AnswerBatch(req.Batch)
-	}
-	return d.answerOn(d.coll.Snapshot(), req)
+	resp := new(wire.QueryResponse)
+	d.answerInto(resp, req)
+	return resp
 }
 
 // AnswerBatch answers a burst of queries against one topology snapshot (one
@@ -692,32 +789,52 @@ func (d *CollectorDaemon) Answer(req *wire.QueryRequest) *wire.QueryResponse {
 // element's failure — unknown metric, nested batch — sets that element's
 // Error; the rest of the batch is still answered.
 func (d *CollectorDaemon) AnswerBatch(reqs []wire.QueryRequest) *wire.QueryResponse {
-	topo := d.coll.Snapshot()
-	resp := &wire.QueryResponse{Batch: make([]wire.QueryResponse, len(reqs))}
-	for i := range reqs {
-		if len(reqs[i].Batch) > 0 {
-			d.queryErrors.Inc()
-			resp.Batch[i] = wire.QueryResponse{Metric: reqs[i].Metric, Error: "nested batch"}
-			continue
-		}
-		resp.Batch[i] = *d.answerOn(topo, &reqs[i])
-	}
+	resp := new(wire.QueryResponse)
+	d.answerBatchInto(resp, reqs)
 	return resp
 }
 
-// answerOn answers one query against an already-acquired snapshot.
-func (d *CollectorDaemon) answerOn(topo *collector.Topology, req *wire.QueryRequest) *wire.QueryResponse {
+// answerInto overwrites resp with the answer to req, keeping the slices
+// resp already has.
+func (d *CollectorDaemon) answerInto(resp *wire.QueryResponse, req *wire.QueryRequest) {
+	if len(req.Batch) > 0 {
+		d.answerBatchInto(resp, req.Batch)
+		return
+	}
+	resp.Batch = resp.Batch[:0]
+	d.answerOn(d.coll.Snapshot(), resp, req)
+}
+
+func (d *CollectorDaemon) answerBatchInto(resp *wire.QueryResponse, reqs []wire.QueryRequest) {
+	topo := d.coll.Snapshot()
+	// Elements kept from an earlier batch bring their candidate slices.
+	batch := slices.Grow(resp.Batch[:0], len(reqs))[:len(reqs)]
+	*resp = wire.QueryResponse{Candidates: resp.Candidates[:0], Batch: batch}
+	for i := range reqs {
+		el := &resp.Batch[i]
+		if len(reqs[i].Batch) > 0 {
+			d.queryErrors.Inc()
+			*el = wire.QueryResponse{Metric: reqs[i].Metric, Error: "nested batch", Candidates: el.Candidates[:0]}
+			continue
+		}
+		el.Batch = nil
+		d.answerOn(topo, el, &reqs[i])
+	}
+}
+
+// answerOn overwrites resp's Metric, Error and Candidates with the answer
+// to one query on an already-acquired snapshot.
+func (d *CollectorDaemon) answerOn(topo *collector.Topology, resp *wire.QueryResponse, req *wire.QueryRequest) {
+	resp.Metric, resp.Error, resp.Candidates = req.Metric, "", resp.Candidates[:0]
 	metric, ok := core.ParseMetric(req.Metric)
 	if !ok {
 		d.queryErrors.Inc()
-		return &wire.QueryResponse{Metric: req.Metric, Error: fmt.Sprintf("unknown metric %q", req.Metric)}
+		resp.Error = fmt.Sprintf("unknown metric %q", req.Metric)
+		return
 	}
-	if h := d.queryLatency[metric]; h != nil {
-		start := time.Now()
-		defer func() { h.ObserveDuration(time.Since(start)) }()
-	}
+	start := time.Now()
 	// The answer is a view of a cache entry shared between queries; the
-	// marshalling below only reads it, so no copy is needed.
+	// copy below only reads it.
 	ranked, ok := d.engine.Answer(topo, &core.QueryRequest{
 		From:      netsim.NodeID(req.From),
 		Metric:    metric,
@@ -727,13 +844,14 @@ func (d *CollectorDaemon) answerOn(topo *collector.Topology, req *wire.QueryRequ
 	})
 	if !ok {
 		d.queryErrors.Inc()
-		return &wire.QueryResponse{Metric: req.Metric, Error: fmt.Sprintf("metric %q not served live", req.Metric)}
+		resp.Error = fmt.Sprintf("metric %q not served live", req.Metric)
+		return
 	}
 	if req.Sorted {
 		// Option two answers in ID order: its first entry is not a choice.
 		d.trackReroute(topo, req.From, metric, ranked)
 	}
-	resp := &wire.QueryResponse{Metric: req.Metric, Candidates: make([]wire.CandidateInfo, 0, len(ranked))}
+	resp.Candidates = slices.Grow(resp.Candidates, len(ranked))
 	for _, c := range ranked {
 		resp.Candidates = append(resp.Candidates, wire.CandidateInfo{
 			Node:         string(c.Node),
@@ -743,7 +861,9 @@ func (d *CollectorDaemon) answerOn(topo *collector.Topology, req *wire.QueryRequ
 			Reachable:    c.Reachable,
 		})
 	}
-	return resp
+	if h := d.queryLatency[metric]; h != nil {
+		h.ObserveDuration(time.Since(start))
+	}
 }
 
 // trackReroute counts answers whose best candidate changed from the device's
@@ -767,29 +887,4 @@ func (d *CollectorDaemon) trackReroute(topo *collector.Topology, from string, me
 	if seen && prev != top {
 		d.queriesRerouted.Inc()
 	}
-}
-
-// Query is the device-side client: it dials the daemon's TCP API, sends one
-// request, and returns the response.
-func Query(addr string, req *wire.QueryRequest, timeout time.Duration) (*wire.QueryResponse, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if err := wire.WriteFrame(conn, req); err != nil {
-		return nil, err
-	}
-	var resp wire.QueryResponse
-	if err := wire.ReadFrame(conn, &resp); err != nil {
-		return nil, err
-	}
-	if resp.Error != "" {
-		return &resp, errors.New(resp.Error)
-	}
-	return &resp, nil
 }

@@ -1,7 +1,9 @@
 // Package wire defines the on-the-wire encodings shared by the live
 // (real-socket) deployment: a compact binary encapsulation header for
-// datagrams forwarded through the soft-switch overlay, and length-prefixed
-// JSON framing for the scheduler's TCP query protocol.
+// datagrams forwarded through the soft-switch overlay (this file), and the
+// length-prefixed binary frames of the scheduler's TCP query protocol
+// (query.go). Both are fixed-width big-endian fields and length-prefixed
+// names; every length is checked against the bytes actually present.
 //
 // Probe payloads inside probe datagrams use the binary codec from the
 // telemetry package; this package only frames and addresses them.
@@ -9,12 +11,9 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"time"
 )
 
 // Magic identifies overlay datagrams.
@@ -129,89 +128,4 @@ func UnmarshalDatagram(b []byte) (*Datagram, error) {
 	}
 	d.Payload = append([]byte(nil), b[off:off+plen]...)
 	return d, nil
-}
-
-// --- TCP query protocol -------------------------------------------------
-
-// MaxFrame bounds a framed JSON message.
-const MaxFrame = 1 << 20
-
-// WriteFrame writes a 4-byte big-endian length prefix followed by the JSON
-// encoding of v.
-func WriteFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("wire: encode: %w", err)
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame too large (%d)", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// ReadFrame reads one length-prefixed JSON message into v.
-func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame too large (%d)", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("wire: decode: %w", err)
-	}
-	return nil
-}
-
-// QueryRequest is the scheduler query sent by a live edge device.
-type QueryRequest struct {
-	From   string `json:"from"`
-	Metric string `json:"metric"`
-	Count  int    `json:"count,omitempty"`
-	Sorted bool   `json:"sorted"`
-	// DataBytes optionally hints the task's transfer size for size-aware
-	// rankings (metric "transfer-time").
-	DataBytes int64 `json:"data_bytes,omitempty"`
-	// Batch, when non-empty, carries a burst of queries answered together
-	// against one topology snapshot and one rank-cache generation; the
-	// top-level single-query fields are then ignored and the reply returns
-	// one entry in its Batch per element, index-aligned. Elements may not
-	// nest further batches. Absent on the wire for single queries, so old
-	// clients and servers interoperate unchanged.
-	Batch []QueryRequest `json:"batch,omitempty"`
-}
-
-// CandidateInfo is one ranked edge server in a live query response.
-type CandidateInfo struct {
-	Node         string  `json:"node"`
-	DelayNs      int64   `json:"delay_ns"`
-	BandwidthBps float64 `json:"bandwidth_bps"`
-	Hops         int     `json:"hops"`
-	Reachable    bool    `json:"reachable"`
-}
-
-// Delay returns the candidate's delay estimate as a duration.
-func (c CandidateInfo) Delay() time.Duration { return time.Duration(c.DelayNs) }
-
-// QueryResponse is the scheduler's reply.
-type QueryResponse struct {
-	Metric     string          `json:"metric"`
-	Error      string          `json:"error,omitempty"`
-	Candidates []CandidateInfo `json:"candidates"`
-	// Batch answers a batched request, index-aligned with the request's
-	// Batch. Per-element failures (e.g. an unknown metric) set that
-	// element's Error without failing the rest of the batch.
-	Batch []QueryResponse `json:"batch,omitempty"`
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -99,57 +98,5 @@ func TestDatagramPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	req := &QueryRequest{From: "n1", Metric: "delay", Count: 3, Sorted: true}
-	if err := WriteFrame(&buf, req); err != nil {
-		t.Fatal(err)
-	}
-	resp := &QueryResponse{Metric: "delay", Candidates: []CandidateInfo{
-		{Node: "e1", DelayNs: int64(30e6), BandwidthBps: 2e7, Hops: 3, Reachable: true},
-	}}
-	if err := WriteFrame(&buf, resp); err != nil {
-		t.Fatal(err)
-	}
-	var gotReq QueryRequest
-	if err := ReadFrame(&buf, &gotReq); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotReq, *req) {
-		t.Fatalf("request %+v", gotReq)
-	}
-	var gotResp QueryResponse
-	if err := ReadFrame(&buf, &gotResp); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotResp.Candidates) != 1 || gotResp.Candidates[0] != resp.Candidates[0] {
-		t.Fatalf("response %+v", gotResp)
-	}
-	if gotResp.Candidates[0].Delay().Milliseconds() != 30 {
-		t.Fatal("Delay() accessor")
-	}
-}
-
-func TestReadFrameTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	_ = WriteFrame(&buf, &QueryRequest{From: "n1"})
-	data := buf.Bytes()
-	for i := 0; i < len(data); i++ {
-		var req QueryRequest
-		if err := ReadFrame(bytes.NewReader(data[:i]), &req); err == nil {
-			t.Fatalf("truncated frame of %d bytes accepted", i)
-		}
-	}
-}
-
-func TestReadFrameOversizeRejected(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var v any
-	if err := ReadFrame(&buf, &v); err == nil {
-		t.Fatal("oversize frame accepted")
 	}
 }
