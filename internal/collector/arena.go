@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"slices"
 	"sort"
 	"time"
 )
@@ -149,12 +150,13 @@ func (t *Topology) HostIndex(id string) int {
 // forward CSR edge's even slot when (from, to) is in the adjacency, the
 // reverse edge's odd slot when only (to, from) is, and -1 when the pair is
 // not adjacent in either direction. Destination-tree hops always resolve
-// (the reverse edge is the hop's discovery edge).
-func (t *Topology) DirSlot(from, to int32) int32 {
-	if e := t.csrEdge(from, to); e >= 0 {
+// (the reverse edge is the hop's discovery edge), and a tree resolves each
+// of its hops once, when it is built (spt.go): walks read them from there.
+func (s *structure) DirSlot(from, to int32) int32 {
+	if e := s.csrEdge(from, to); e >= 0 {
 		return 2 * e
 	}
-	if e := t.csrEdge(to, from); e >= 0 {
+	if e := s.csrEdge(to, from); e >= 0 {
 		return 2*e + 1
 	}
 	return -1
@@ -215,34 +217,99 @@ const (
 // node index for PathHostTransit/PathBroken and -1 otherwise. Pass dst=-1
 // for an unresolvable destination (yields PathNoRoute).
 func (t *Topology) PathInto(src, dst int32, scratch []int32) (path []int32, code PathCode, at int32) {
+	w := Walker{t: t}
+	return w.walk(src, dst, false, scratch)
+}
+
+// Walker is one reader's handle on the destination trees of a snapshot.
+// Reset copies the shared store's tree table under one lock acquisition, so
+// a ranking that walks to every host pays for the lock once, not once a
+// candidate; a tree the table lacks is built or caught up on first use,
+// through the locked path. Published trees are immutable (spt.go), so the
+// copies stay right for the snapshot however far the store moves on. A
+// Walker is not safe for concurrent use.
+type Walker struct {
+	t     *Topology
+	trees []*destTree // unit:[node]
+}
+
+// Reset binds w to snapshot t, reusing its table. Reset(nil) lets go of the
+// snapshot and its trees: do so before parking a Walker in a pool.
+func (w *Walker) Reset(t *Topology) {
+	clear(w.trees)
+	w.t, w.trees = t, w.trees[:0]
+	if t == nil {
+		return
+	}
+	w.trees = slices.Grow(w.trees, len(t.Nodes))[:len(t.Nodes)]
+	if s := t.store; s != nil {
+		s.mu.RLock()
+		if s.seq == t.seq {
+			copy(w.trees, s.trees)
+		}
+		s.mu.RUnlock()
+	}
+}
+
+// tree returns the tree toward dst (nil when dst is out of range).
+func (w *Walker) tree(dst int32) *destTree {
+	if dst < 0 || int(dst) >= len(w.trees) {
+		return w.t.treeForIdx(dst) // unbound table (PathInto), or no such node
+	}
+	tree := w.trees[dst]
+	if tree == nil || tree.seq != w.t.seq {
+		tree = w.t.treeForIdx(dst)
+		w.trees[dst] = tree
+	}
+	return tree
+}
+
+// SlotsInto is PathInto for estimates: it walks from src to dst appending
+// each hop's metric slot — what SlotDelay, SlotRate and SlotQueueMax read —
+// instead of each node, with the same PathCode and at in the same cases. A
+// PathOK walk took len(slots) hops, and only its first can leave a host.
+func (w *Walker) SlotsInto(src, dst int32, scratch []int32) (slots []int32, code PathCode, at int32) {
+	return w.walk(src, dst, true, scratch)
+}
+
+// walk is the one tree walk: it appends, per hop, the hop's metric slot
+// (bySlot) or the node the hop arrives at, after the source itself.
+func (w *Walker) walk(src, dst int32, bySlot bool, scratch []int32) (out []int32, code PathCode, at int32) {
+	t := w.t
 	if src < 0 || int(src) >= len(t.Nodes) {
 		return scratch[:0], PathUnknownSrc, src
 	}
+	out = scratch[:0]
+	if !bySlot {
+		out = append(out, src)
+	}
 	if src == dst {
-		return append(scratch[:0], src), PathOK, -1
+		return out, PathOK, -1
 	}
 	if len(t.nbrIdx[src]) == 0 {
 		return scratch[:0], PathUnknownSrc, src
 	}
-	tree := t.treeForIdx(dst)
+	tree := w.tree(dst)
 	if tree == nil || tree.next[src] == -1 {
 		return scratch[:0], PathNoRoute, -1
 	}
-	path = append(scratch[:0], src)
-	cur := src
-	for cur != dst {
+	emit := tree.next
+	if bySlot {
+		emit = tree.slot
+	}
+	for cur, hops := src, 0; cur != dst; {
 		if cur != src && t.hostFlag[cur] {
-			return path, PathHostTransit, cur
+			return out, PathHostTransit, cur
 		}
 		nxt := tree.next[cur]
 		if nxt < 0 {
-			return path, PathBroken, cur
+			return out, PathBroken, cur
 		}
+		out = append(out, emit[cur])
 		cur = nxt
-		path = append(path, cur)
-		if len(path) > len(t.Nodes)+1 {
-			return path, PathLoop, -1
+		if hops++; hops > len(t.Nodes) {
+			return out, PathLoop, -1
 		}
 	}
-	return path, PathOK, -1
+	return out, PathOK, -1
 }

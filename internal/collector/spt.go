@@ -9,10 +9,17 @@ import "sync"
 // sequence number and a bounded delta log of edge additions/removals
 // between consecutive structure rebuilds (snapshots that share a structure
 // share its sequence); a cached destination tree whose sequence lags
-// the current structure is caught up in place when no logged delta can
-// affect it (the common case: a link flap in one corner leaves the vast
-// majority of destination trees provably intact) and rebuilt from scratch
-// only when a delta actually touches it.
+// the current structure is caught up when no logged delta can affect it
+// (the common case: a link flap in one corner leaves the vast majority of
+// destination trees provably intact) and rebuilt from scratch only when a
+// delta actually touches it.
+//
+// A tree also carries, for every node, the metric slot of its hop toward
+// the destination, so a ranking reads each hop's measurements as one array
+// load. Slots belong to one structure's CSR layout while next hops survive a
+// catch-up, so catching a tree up makes a new destTree that shares next and
+// holds slots resolved against the new structure. A published tree is never
+// written again: readers of a superseded snapshot may still be walking it.
 //
 // Trees are index-based: node i is Nodes[i] of the snapshot, and
 // because the node list is sorted, index order equals lexicographic
@@ -24,9 +31,9 @@ import "sync"
 //     the first-discoverer race, so deleting it replays identically;
 //   - an added directed edge (u, v) cannot change the tree if u is
 //     unreachable (BFS never expands u), if u is a non-destination host
-//     (hosts are discovered but never expanded), or if dist[v] <= dist[u]
-//     (v is already visited by the time u expands — the level barrier);
-//     otherwise (dist[v] > dist[u], or v unreachable) the tree is
+//     (hosts are discovered but never expanded), or if v is no deeper in
+//     the tree than u (v is already visited by the time u expands — the
+//     level barrier); otherwise (v deeper, or unreachable) the tree is
 //     conservatively rebuilt, which also covers same-level parent-order
 //     changes.
 //
@@ -48,13 +55,28 @@ type sptDelta struct {
 }
 
 // destTree is the BFS shortest-path tree toward one destination, indexed by
-// node index: next[i] is the next hop of node i toward the
-// destination (-1 when unreachable), dist[i] the hop count (-1 when
-// unreachable).
+// node index: next[i] is the next hop of node i toward the destination and
+// slot[i] the metric slot of that hop, DirSlot(i, next[i]) in the structure
+// numbered seq (both -1 when i is unreachable, or the destination itself).
+// Immutable once published.
 type destTree struct {
 	seq  uint64
-	next []int32
-	dist []int32
+	next []int32 // unit:node[node]
+	slot []int32 // unit:slot[node]
+}
+
+// depth returns node i's hop count toward the destination idst, walking the
+// next chain (-1 when unreachable). Only the delta classifier asks, and only
+// when the adjacency changed, so trees do not store it.
+func (tree *destTree) depth(i, idst int32) int32 {
+	var d int32
+	for i != idst {
+		if i = tree.next[i]; i < 0 || int(d) > len(tree.next) {
+			return -1
+		}
+		d++
+	}
+	return d
 }
 
 // sptStore versions topology structure and caches per-destination
@@ -68,12 +90,12 @@ type sptStore struct {
 	prevHost  []bool
 	// deltas is the recent history, ascending by seq.
 	deltas []sptDelta
-	trees  map[string]*destTree
+	// trees holds the cached tree toward each node of prevNodes (nil until
+	// asked for); a change to the node set replaces the table.
+	trees []*destTree // unit:[node]
 }
 
-func newSPTStore() *sptStore {
-	return &sptStore{trees: make(map[string]*destTree)}
-}
+func newSPTStore() *sptStore { return &sptStore{} }
 
 // advance registers a rebuilt structure and returns its sequence number.
 // Identical structure keeps the current sequence (trees stay valid as-is); a
@@ -85,6 +107,7 @@ func (s *sptStore) advance(nodes []string, nbr [][]int32, hostFlag []bool) uint6
 	if s.prevNodes == nil && s.seq == 0 {
 		s.seq = 1
 		s.prevNodes, s.prevNbr, s.prevHost = nodes, nbr, hostFlag
+		s.trees = make([]*destTree, len(nodes))
 		return s.seq
 	}
 	nodesChanged := !stringsEqual(s.prevNodes, nodes) || !boolsEqual(s.prevHost, hostFlag)
@@ -102,7 +125,7 @@ func (s *sptStore) advance(nodes []string, nbr [][]int32, hostFlag []bool) uint6
 	s.seq++
 	s.prevNodes, s.prevNbr, s.prevHost = nodes, nbr, hostFlag
 	if nodesChanged {
-		s.trees = make(map[string]*destTree)
+		s.trees = make([]*destTree, len(nodes))
 		s.deltas = s.deltas[:0]
 		s.deltas = append(s.deltas, sptDelta{seq: s.seq, nodesChanged: true})
 		return s.seq
@@ -140,30 +163,20 @@ func diffSortedEdges(u int32, old, cur []int32) (added, removed []sptEdge) {
 	return added, removed
 }
 
-// treeFor returns the shortest-path tree toward dst for topology t, using
-// the shared store when t is the store's current structure (catching up or
-// rebuilding the cached tree as the delta log dictates) and a per-topology
-// scratch memo otherwise (superseded snapshots keep working, they just
-// don't share). Returns nil when dst is unknown.
-func (t *Topology) treeFor(dst string) *destTree {
-	idst, ok := t.nodeIndex[dst]
-	if !ok {
-		return nil
-	}
-	return t.treeForIdx(idst)
-}
-
-// treeForIdx is treeFor in index space: idst is the destination's node
-// index (out-of-range yields nil, mirroring an unknown destination).
+// treeForIdx returns the shortest-path tree toward node index idst for
+// topology t (nil when idst is out of range, mirroring an unknown
+// destination), using the shared store when t is the store's current
+// structure (catching up or rebuilding the cached tree as the delta log
+// dictates) and a per-topology scratch memo otherwise (superseded snapshots
+// keep working, they just don't share).
 func (t *Topology) treeForIdx(idst int32) *destTree {
 	if idst < 0 || int(idst) >= len(t.Nodes) {
 		return nil
 	}
-	dst := t.Nodes[idst]
 	if s := t.store; s != nil {
 		s.mu.RLock()
 		if s.seq == t.seq {
-			if tree := s.trees[dst]; tree != nil && tree.seq == t.seq {
+			if tree := s.trees[idst]; tree != nil && tree.seq == t.seq {
 				s.mu.RUnlock()
 				return tree
 			}
@@ -171,18 +184,16 @@ func (t *Topology) treeForIdx(idst int32) *destTree {
 		s.mu.RUnlock()
 		s.mu.Lock()
 		if s.seq == t.seq {
-			tree := s.trees[dst]
-			if tree != nil && tree.seq != t.seq {
-				if s.catchUpLocked(tree, t, idst) {
-					tree.seq = t.seq
+			tree := s.trees[idst]
+			if tree == nil || tree.seq != t.seq {
+				if tree != nil && s.catchUpLocked(tree, t, idst) {
+					// A new value, never a refill: the lagging tree may be in
+					// use by readers of the snapshot it was built for.
+					tree = &destTree{seq: t.seq, next: tree.next, slot: hopSlots(t.structure, tree.next)}
 				} else {
-					tree = nil
+					tree = buildDestTree(t.structure, idst)
 				}
-			}
-			if tree == nil {
-				tree = buildDestTree(t, idst)
-				tree.seq = t.seq
-				s.trees[dst] = tree
+				s.trees[idst] = tree
 			}
 			s.mu.Unlock()
 			return tree
@@ -190,7 +201,7 @@ func (t *Topology) treeForIdx(idst int32) *destTree {
 		s.mu.Unlock()
 		// The store advanced past this snapshot: fall through to scratch.
 	}
-	return t.scratchTree(dst, idst)
+	return t.scratchTree(idst)
 }
 
 // catchUpLocked reports whether tree (built at tree.seq against the same
@@ -233,13 +244,14 @@ func sptDeltaAffects(d *sptDelta, tree *destTree, hostFlag []bool, idst int32) b
 		}
 	}
 	for _, e := range d.added {
-		if tree.dist[e.u] == -1 {
-			continue // u unreachable: BFS never expands it
-		}
 		if hostFlag[e.u] && e.u != idst {
 			continue // non-destination hosts are never expanded
 		}
-		if dv := tree.dist[e.v]; dv == -1 || dv > tree.dist[e.u] {
+		du := tree.depth(e.u, idst)
+		if du == -1 {
+			continue // u unreachable: BFS never expands it
+		}
+		if dv := tree.depth(e.v, idst); dv == -1 || dv > du {
 			return true // v newly reachable, closer, or parent order may shift
 		}
 	}
@@ -247,53 +259,62 @@ func sptDeltaAffects(d *sptDelta, tree *destTree, hostFlag []bool, idst int32) b
 }
 
 // scratchTree memoizes trees privately on the Topology (used when the
-// snapshot is superseded or snapshot caching is off).
-func (t *Topology) scratchTree(dst string, idst int32) *destTree {
+// snapshot is superseded or was not built by a collector).
+func (t *Topology) scratchTree(idst int32) *destTree {
 	t.scratchMu.Lock()
 	defer t.scratchMu.Unlock()
-	if tree, ok := t.scratch[dst]; ok {
-		return tree
-	}
-	tree := buildDestTree(t, idst)
 	if t.scratch == nil {
-		t.scratch = make(map[string]*destTree)
+		t.scratch = make([]*destTree, len(t.Nodes))
 	}
-	t.scratch[dst] = tree
+	tree := t.scratch[idst]
+	if tree == nil {
+		tree = buildDestTree(t.structure, idst)
+		t.scratch[idst] = tree
+	}
 	return tree
 }
 
 // buildDestTree runs the deterministic frontier BFS from the destination
-// over the snapshot's index arrays: sorted-neighbor expansion (index order is
+// over the structure's index arrays: sorted-neighbor expansion (index order is
 // name order), first-discoverer-wins, level barrier between frontiers, and
 // hosts discovered but never expanded — the same rule as
 // netsim.ComputeRoutes.
-func buildDestTree(t *Topology, idst int32) *destTree {
-	n := len(t.Nodes)
-	tree := &destTree{next: make([]int32, n), dist: make([]int32, n)}
-	for i := 0; i < n; i++ {
-		tree.next[i] = -1
-		tree.dist[i] = -1
+func buildDestTree(s *structure, idst int32) *destTree {
+	next := make([]int32, len(s.Nodes))
+	for i := range next {
+		next[i] = -1
 	}
-	tree.dist[idst] = 0
 	frontier := []int32{idst}
 	var nextFrontier []int32
 	for len(frontier) > 0 {
 		nextFrontier = nextFrontier[:0]
 		for _, cur := range frontier {
-			for _, nb := range t.nbrIdx[cur] {
-				if tree.dist[nb] != -1 {
-					continue
+			for _, nb := range s.nbrIdx[cur] {
+				if next[nb] != -1 || nb == idst {
+					continue // already discovered
 				}
-				tree.dist[nb] = tree.dist[cur] + 1
-				tree.next[nb] = cur
-				if !(t.hostFlag[nb] && nb != idst) {
+				next[nb] = cur
+				if !(s.hostFlag[nb] && nb != idst) {
 					nextFrontier = append(nextFrontier, nb)
 				}
 			}
 		}
 		frontier, nextFrontier = nextFrontier, frontier
 	}
-	return tree
+	return &destTree{seq: s.seq, next: next, slot: hopSlots(s, next)}
+}
+
+// hopSlots resolves, against structure s, the metric slot of every node's
+// hop toward the destination of the tree whose next-hop array is next.
+func hopSlots(s *structure, next []int32) []int32 {
+	slot := make([]int32, len(next))
+	for i, nxt := range next {
+		slot[i] = -1
+		if nxt >= 0 {
+			slot[i] = s.DirSlot(int32(i), nxt)
+		}
+	}
+	return slot
 }
 
 func stringsEqual(a, b []string) bool {

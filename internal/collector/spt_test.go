@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -91,11 +90,30 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 		return devs
 	}
 
+	var walker Walker
+	var pathBuf, slotBuf []int32
 	check := func(iter int) {
 		topo := c.Snapshot()
-		for _, dst := range topo.Nodes {
+		walker.Reset(topo)
+		for idst, dst := range topo.Nodes {
 			next := refNextHops(topo, dst)
-			for _, src := range topo.Nodes {
+			for isrc, src := range topo.Nodes {
+				// The slot walk is the node walk with each hop's slot in
+				// place of its far end, whichever structure the tree was
+				// built or caught up against.
+				path, code, at := topo.PathInto(int32(isrc), int32(idst), pathBuf)
+				slots, scode, sat := walker.SlotsInto(int32(isrc), int32(idst), slotBuf)
+				pathBuf, slotBuf = path, slots
+				if scode != code || sat != at || (code == PathOK && len(slots) != len(path)-1) {
+					t.Fatalf("iter %d: SlotsInto(%s,%s) = %d hops, %v at %d; PathInto %d nodes, %v at %d",
+						iter, src, dst, len(slots), scode, sat, len(path), code, at)
+				}
+				for i := 0; code == PathOK && i < len(slots); i++ {
+					if want := topo.DirSlot(path[i], path[i+1]); slots[i] != want || want < 0 {
+						t.Fatalf("iter %d: hop %s->%s of (%s,%s) walked as slot %d, DirSlot %d",
+							iter, topo.Nodes[path[i]], topo.Nodes[path[i+1]], src, dst, slots[i], want)
+					}
+				}
 				want := refPath(topo, next, src, dst)
 				got, err := topo.Path(src, dst)
 				if want == nil {
@@ -132,9 +150,17 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 	}
 }
 
+// storedTree returns the shared store's tree toward dst, as indexed by topo.
+func storedTree(s *sptStore, topo *Topology, dst string) *destTree {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.trees[topo.nodeIndex[dst]]
+}
+
 // TestIncrementalSPTReusesUnaffectedTrees: evicting one link must catch up
-// destination trees it provably cannot touch (same *destTree, no rebuild)
-// while rebuilding trees it does.
+// destination trees it provably cannot touch — a caught-up tree is a new
+// value over the old next-hop array, which a BFS would have allocated afresh
+// — while rebuilding trees it does.
 func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
 	clk := &fakeClock{now: time.Second}
 	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond}) // TTL 1 s
@@ -181,9 +207,7 @@ func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
 	if p, err := topo.Path("b", "w3"); err != nil || !stringsEqual(p, []string{"b", "w1", "w3"}) {
 		t.Fatalf("warm path b->w3 %v %v", p, err)
 	}
-	c.spt.mu.RLock()
-	treeSched, treeW3 := c.spt.trees["sched"], c.spt.trees["w3"]
-	c.spt.mu.RUnlock()
+	treeSched, treeW3 := storedTree(c.spt, topo, "sched"), storedTree(c.spt, topo, "w3")
 	if treeSched == nil || treeW3 == nil {
 		t.Fatal("trees not memoized in shared store")
 	}
@@ -203,21 +227,33 @@ func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
 	if _, err := topo.Path("b", "w3"); err != nil {
 		t.Fatal(err)
 	}
-	c.spt.mu.RLock()
-	treeSched2, treeW32 := c.spt.trees["sched"], c.spt.trees["w3"]
-	c.spt.mu.RUnlock()
+	treeSched2, treeW32 := storedTree(c.spt, topo, "sched"), storedTree(c.spt, topo, "w3")
 	// The w1–w3 link is on no shortest path toward sched (both switches
 	// are discovered via w2), so the delta classifier must catch the
-	// sched tree up in place.
-	if treeSched2 != treeSched {
+	// sched tree up: no BFS, the next hops are the very same array.
+	if &treeSched2.next[0] != &treeSched.next[0] {
 		t.Fatal("unaffected tree toward sched was rebuilt instead of caught up")
 	}
 	if treeSched2.seq != topo.seq {
 		t.Fatalf("caught-up tree seq %d, topology seq %d", treeSched2.seq, topo.seq)
 	}
+	// Its hop slots belong to the new layout, in a new tree value: the old
+	// one still serves readers of the pre-flap snapshot, untouched.
+	if treeSched2 == treeSched || treeSched.seq == topo.seq {
+		t.Fatal("lagging tree was refilled in place")
+	}
+	for i, nxt := range treeSched2.next {
+		want := int32(-1)
+		if nxt >= 0 {
+			want = topo.DirSlot(int32(i), nxt)
+		}
+		if treeSched2.slot[i] != want {
+			t.Fatalf("caught-up slot of %s is %d, want %d", topo.Nodes[i], treeSched2.slot[i], want)
+		}
+	}
 	// w1's discovery edge toward w3 was exactly the evicted link, so that
 	// tree must have been rebuilt.
-	if treeW32 == treeW3 {
+	if &treeW32.next[0] == &treeW3.next[0] {
 		t.Fatal("affected tree toward w3 was reused despite losing its discovery edge")
 	}
 	// And the rebuilt route detours: b–w1 now reaches w3 via w2.
@@ -248,17 +284,11 @@ func TestSPTStructureUnchangedKeepsSequence(t *testing.T) {
 	if t2.seq != t1.seq {
 		t.Fatalf("structure unchanged but seq moved: %d -> %d", t1.seq, t2.seq)
 	}
-	c.spt.mu.RLock()
-	tree := c.spt.trees["sched"]
-	c.spt.mu.RUnlock()
-	before := fmt.Sprintf("%p", tree)
+	tree := storedTree(c.spt, t1, "sched")
 	if _, err := t2.Path("n1", "sched"); err != nil {
 		t.Fatal(err)
 	}
-	c.spt.mu.RLock()
-	after := fmt.Sprintf("%p", c.spt.trees["sched"])
-	c.spt.mu.RUnlock()
-	if before != after {
+	if storedTree(c.spt, t2, "sched") != tree {
 		t.Fatal("tree rebuilt despite unchanged structure")
 	}
 }

@@ -85,7 +85,7 @@ type Topology struct {
 	// scratch memoizes per-destination trees privately when store is nil
 	// or has advanced past seq.
 	scratchMu sync.Mutex
-	scratch   map[string]*destTree
+	scratch   []*destTree // unit:[node]
 }
 
 // Epoch returns the collector epoch this snapshot was published at. Two

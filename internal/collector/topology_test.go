@@ -96,15 +96,15 @@ func craftedTopology(nodes []string, hosts map[string]bool, neighbors map[string
 	}
 	s.flatten()
 	t := &Topology{structure: s, slots: make([]edgeMetrics, 2*len(s.nbrFlat))}
-	crafted := &destTree{next: make([]int32, len(nodes)), dist: make([]int32, len(nodes))}
-	for i := range crafted.next {
-		crafted.next[i] = -1
-		crafted.dist[i] = -1
+	next := make([]int32, len(nodes))
+	for i := range next {
+		next[i] = -1
 	}
 	for n, parent := range tree {
-		crafted.next[t.nodeIndex[n]] = t.nodeIndex[parent]
+		next[t.nodeIndex[n]] = t.nodeIndex[parent]
 	}
-	t.scratch = map[string]*destTree{dst: crafted}
+	t.scratch = make([]*destTree, len(nodes))
+	t.scratch[t.nodeIndex[dst]] = &destTree{next: next, slot: hopSlots(s, next)}
 	return t
 }
 
@@ -190,17 +190,23 @@ func TestPathMemoizedTreeShared(t *testing.T) {
 	if _, err := topo.Path("n1", "sched"); err != nil {
 		t.Fatal(err)
 	}
-	topo.store.mu.RLock()
-	tree1 := topo.store.trees["sched"]
-	topo.store.mu.RUnlock()
+	tree1 := storedTree(topo.store, topo, "sched")
 	if tree1 == nil {
 		t.Fatal("tree not memoized")
 	}
 	if _, err := topo.Path("s2", "sched"); err != nil {
 		t.Fatal(err)
 	}
+	if storedTree(topo.store, topo, "sched") != tree1 {
+		t.Fatal("second source rebuilt the destination's tree")
+	}
 	topo.store.mu.RLock()
-	nTrees := len(topo.store.trees)
+	nTrees := 0
+	for _, tree := range topo.store.trees {
+		if tree != nil {
+			nTrees++
+		}
+	}
 	topo.store.mu.RUnlock()
 	if nTrees != 1 {
 		t.Fatalf("expected a single memoized destination, got %d", nTrees)

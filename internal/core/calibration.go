@@ -49,20 +49,20 @@ func NewCalibration(points []CalPoint) (*Calibration, error) {
 
 // DefaultCalibration returns the curve fitted from the Fig 3 reproduction:
 // queues stay under ~5 packets below 50% utilization and exceed 30 packets
-// approaching saturation.
-func DefaultCalibration() *Calibration {
-	c, _ := NewCalibration([]CalPoint{
-		{Queue: 0, Util: 0.0},
-		{Queue: 1, Util: 0.15},
-		{Queue: 3, Util: 0.40},
-		{Queue: 5, Util: 0.50},
-		{Queue: 10, Util: 0.65},
-		{Queue: 18, Util: 0.80},
-		{Queue: 30, Util: 0.95},
-		{Queue: 45, Util: 1.0},
-	})
-	return c
-}
+// approaching saturation. A Calibration is immutable, so every caller shares
+// one value: a ranker without its own curve asks once a ranking.
+func DefaultCalibration() *Calibration { return defaultCalibration }
+
+var defaultCalibration = &Calibration{points: []CalPoint{
+	{Queue: 0, Util: 0.0},
+	{Queue: 1, Util: 0.15},
+	{Queue: 3, Util: 0.40},
+	{Queue: 5, Util: 0.50},
+	{Queue: 10, Util: 0.65},
+	{Queue: 18, Util: 0.80},
+	{Queue: 30, Util: 0.95},
+	{Queue: 45, Util: 1.0},
+}}
 
 // Utilization returns the estimated utilization for a max queue occupancy.
 func (c *Calibration) Utilization(queue int) float64 {

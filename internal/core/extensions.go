@@ -34,7 +34,7 @@ func (r *TransferTimeRanker) Metric() Metric { return MetricTransferTime }
 
 // Rank implements Ranker. One path walk per candidate feeds both the delay
 // and the bottleneck estimate.
-func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate {
+func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, s *rankScratch) []Candidate {
 	delay := r.Delay
 	if delay == nil {
 		delay = &DelayRanker{}
@@ -48,18 +48,12 @@ func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fro
 	if floor <= 0 {
 		floor = 200_000 // 1% of the paper's 20 Mbps links
 	}
-	out := rankPaths(topo, fromIdx, cands, s, func(p []int32) (time.Duration, float64) {
-		bwBps := bw.bottleneckOverPath(topo, p, cal)
-		avail := bwBps
-		if avail < floor {
-			avail = floor
-		}
-		est := delay.delayOverPath(topo, p, k)
+	return rankPaths(topo, fromIdx, fromHost, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+		c.BandwidthBps = bw.bottleneckOverPath(topo, slots, leavesHost, cal)
+		c.Delay = delay.delayOverPath(topo, slots, leavesHost, k)
 		if dataBytes > 0 {
-			est += time.Duration(float64(dataBytes*8) / avail * float64(time.Second))
+			c.Delay += time.Duration(float64(dataBytes*8) / max(c.BandwidthBps, floor) * float64(time.Second))
 		}
-		return est, bwBps
+		return int64(c.Delay)
 	})
-	sortCandidates(out, byDelay)
-	return out
 }

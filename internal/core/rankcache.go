@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // This file implements the rank-result cache of the query Engine. Between
 // telemetry updates — the common case at high query rates, since probes
@@ -36,10 +40,9 @@ type RankKey struct {
 // after Store — Shaped returns views of shared storage, and callers must
 // not modify what they are handed (clone first to mutate).
 type RankEntry struct {
-	// ranked is the best-first list. Every ranker ends with sortCandidates,
-	// which groups reachable candidates before unreachable ones, or marks
-	// every candidate reachable; reach is the length of that reachable
-	// prefix.
+	// ranked is the best-first list. Every ranker emits reachable
+	// candidates before unreachable ones (Ranker.Rank), or marks every
+	// candidate reachable; reach is the length of that reachable prefix.
 	ranked []Candidate
 	reach  int
 	// byID materializes the ID-ordered variant (the paper's option two) on
@@ -64,7 +67,9 @@ func (e *RankEntry) Ranked() []Candidate { return e.ranked }
 func (e *RankEntry) sortedByID() []Candidate {
 	e.byIDOnce.Do(func() {
 		e.byID = CloneCandidates(e.ranked)
-		sortCandidates(e.byID, func(a, b Candidate) bool { return a.Node < b.Node })
+		byNode := func(a, b Candidate) int { return cmp.Compare(a.Node, b.Node) }
+		slices.SortFunc(e.byID[:e.reach], byNode)
+		slices.SortFunc(e.byID[e.reach:], byNode)
 	})
 	return e.byID
 }

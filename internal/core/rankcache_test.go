@@ -257,9 +257,9 @@ type countingRanker struct {
 	calls int
 }
 
-func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate {
+func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, s *rankScratch) []Candidate {
 	r.calls++
-	return r.DelayRanker.Rank(topo, from, fromIdx, cands, dataBytes, s)
+	return r.DelayRanker.Rank(topo, from, fromIdx, fromHost, dataBytes, s)
 }
 
 // TestRankBatchDeduplicatesKeys: identical cache keys in one batch must be

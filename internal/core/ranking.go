@@ -4,6 +4,13 @@
 // end-to-end delay (Algorithm 1 of the paper) or by estimated bottleneck
 // available bandwidth — and serves ranking queries over the network.
 //
+// Beside a live probe feed nearly every query is a cold ranking (the state
+// changes more often than a device asks twice), so the ranking itself is
+// kept to array loads: per candidate one walk of the destination tree's
+// precomputed hop slots (collector.Walker.SlotsInto), an estimate folded
+// over those slots, and one sort of 16-byte keys for the order (rankPaths,
+// ranked).
+//
 // The two baselines the paper compares against (Nearest and Random) are
 // implemented here too, plus the extensions that kept their place in a
 // paired multi-seed trial (DESIGN §8): size-aware transfer-time ranking and
@@ -11,7 +18,7 @@
 package core
 
 import (
-	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -78,91 +85,141 @@ type Candidate struct {
 	Reachable bool
 }
 
-// Ranker orders candidate edge servers for a querying device using a
-// topology snapshot. Rankings are computed entirely in the snapshot's int32
-// index coordinate system — PathInto into reusable scratch, metric reads as
-// arena slot loads (see collector/arena.go) — and touch strings only when
-// forming Candidate.Node (a reference to the snapshot's interned host name).
+// Ranker orders the edge servers of a topology snapshot for a querying
+// device. Rankings are computed entirely in the snapshot's int32 index
+// coordinate systems — each candidate's hops walked as metric slots into
+// reusable scratch, each estimate a fold of arena slot loads (see
+// collector/arena.go), the order a sort of 16-byte keys — and touch strings
+// only when forming Candidate.Node (a reference to the snapshot's interned
+// host name).
 type Ranker interface {
 	// Metric identifies the strategy.
 	Metric() Metric
-	// Rank returns the candidates ordered best-first, reachable ones before
-	// unreachable ones (RankEntry serves the recovery filter as a prefix).
-	// from/fromIdx are the querying device's ID and merged node index (-1
-	// when it has no adjacency); cands are positions in the snapshot's
-	// sorted host list; dataBytes is the task's transfer size (0 when
-	// unknown). The result aliases s — callers clone before retaining it.
-	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, cands []int32, dataBytes int64, s *rankScratch) []Candidate
+	// Rank returns every host of the snapshot but the requester, ordered
+	// best-first, reachable ones before unreachable ones (RankEntry serves
+	// the recovery filter as a prefix); ties, and the unreachable tail, are
+	// in node-ID order. from is the querying device's ID, fromIdx its node
+	// index (-1 when it has no adjacency) and fromHost its position in the
+	// sorted host list (-1 when it is not a known host: nobody is left
+	// out); dataBytes is the task's transfer size (0 when unknown). The
+	// result is private to the caller; s is scratch.
+	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, s *rankScratch) []Candidate
+}
+
+// rankKey is what a ranking sorts: one reachable candidate's estimate as an
+// ascending integer key, and its position in the sorted host list — which
+// breaks ties in node-ID order and finds the candidate afterwards.
+type rankKey struct {
+	key  int64
+	host int32 // unit:host
+}
+
+// compare is spelled out rather than built from cmp.Compare: it is the
+// inner loop of every ranking, and the generic form measures ≈ 5 % of one.
+func (a rankKey) compare(b rankKey) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	return int(a.host - b.host)
+}
+
+// floatKey maps f to an integer that orders as f does (NaN aside): the bits
+// of a non-negative float64 ascend with its value, those of a negative one
+// descend, and -0 is folded into +0 first so that equal floats get equal keys.
+func floatKey(f float64) int64 {
+	b := int64(math.Float64bits(f + 0))
+	if b < 0 {
+		b ^= math.MaxInt64
+	}
+	return b
 }
 
 // rankScratch holds the reusable buffers of one in-flight ranking
-// computation. All slices follow the store-back idiom: helpers return the
+// computation. The slices follow the store-back idiom: helpers return the
 // (possibly re-homed) slice and the owner stores it back.
 type rankScratch struct {
-	cands []int32     // unit:host — candidate positions in the sorted host list
-	path  []int32     // unit:node — PathInto walk scratch (merged node indices)
-	out   []Candidate // ranking output buffer (cloned before caching)
+	walker collector.Walker
+	slots  []int32     // unit:slot — SlotsInto walk scratch
+	cands  []Candidate // unit:[host] — every host's estimates, before ordering
+	keys   []rankKey   // the reachable candidates' sort keys
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 
-// ComputeRanking computes one fresh best-first ranking against a snapshot
-// with the default candidate set (every host except from). The returned
-// slice is private to the caller.
+// ComputeRanking computes one fresh best-first ranking against a snapshot:
+// every host except from, the scheduler itself included (the paper's
+// experimental setup: all nodes execute tasks unless they submitted). The
+// returned slice is private to the caller.
 func ComputeRanking(topo *collector.Topology, r Ranker, from netsim.NodeID, dataBytes int64) []Candidate {
-	sc := scratchPool.Get().(*rankScratch)
-	sc.cands = hostCandidatesIdx(topo, topo.HostIndex(string(from)), sc.cands)
-	ranked := rankPrivate(topo, r, from, sc.cands, dataBytes, sc)
-	scratchPool.Put(sc)
-	return ranked
-}
-
-// rankPrivate runs r over cands in the scratch sc and returns a clone of
-// the result, which the caller owns.
-func rankPrivate(topo *collector.Topology, r Ranker, from netsim.NodeID, cands []int32, dataBytes int64, sc *rankScratch) []Candidate {
 	fromIdx := int32(-1)
 	if i, ok := topo.NodeIndex(string(from)); ok {
 		fromIdx = i
 	}
-	return CloneCandidates(r.Rank(topo, from, fromIdx, cands, dataBytes, sc))
+	sc := scratchPool.Get().(*rankScratch)
+	ranked := r.Rank(topo, from, fromIdx, topo.HostIndex(string(from)), dataBytes, sc)
+	scratchPool.Put(sc)
+	return ranked
 }
 
-// hostCandidatesIdx appends every host index except fromHost into buf[:0]
-// — the default candidate rule (every known host except the requester,
-// the scheduler itself included, per the paper's experimental setup;
-// fromHost = -1 excludes nobody).
-func hostCandidatesIdx(topo *collector.Topology, fromHost int, buf []int32) []int32 {
-	out := buf[:0]
-	for j := 0; j < topo.HostCount(); j++ {
-		if j != fromHost {
-			out = append(out, int32(j))
+// begin sizes the scratch for a snapshot of the given host count: one
+// candidate per host position (stale until written) and no keys.
+func (s *rankScratch) begin(hosts int) {
+	s.cands = slices.Grow(s.cands[:0], hosts)[:hosts]
+	s.keys = s.keys[:0]
+}
+
+// ranked orders a ranker's estimates — cands written at every host position
+// but fromHost, a key for each reachable one — into a private result: the
+// reachable candidates by ascending key, ties by host position (node-ID
+// order, the host list being sorted), then the unreachable ones in ID order.
+// The order is total, so the sort need not be stable.
+func ranked(cands []Candidate, keys []rankKey, fromHost int) []Candidate {
+	slices.SortFunc(keys, rankKey.compare)
+	n := len(cands)
+	if fromHost >= 0 {
+		n--
+	}
+	out := make([]Candidate, 0, n)
+	for _, k := range keys {
+		out = append(out, cands[k.host])
+	}
+	for j := range cands {
+		if j != fromHost && !cands[j].Reachable {
+			out = append(out, cands[j])
 		}
 	}
 	return out
 }
 
-// rankPaths walks the learned path from the requester to every candidate
-// and returns the unsorted candidate list in s.out. Candidates without a
-// path stay unreachable with zero estimates; est supplies the delay and
-// bandwidth estimates of each reachable one from its walked path.
-func rankPaths(topo *collector.Topology, fromIdx int32, cands []int32, s *rankScratch, est func(path []int32) (time.Duration, float64)) []Candidate {
-	out := s.out[:0]
-	for _, j := range cands {
-		cand := Candidate{Node: netsim.NodeID(topo.HostName(int(j)))}
-		p, code, _ := topo.PathInto(fromIdx, topo.HostNodeIndex(int(j)), s.path)
-		s.path = p
+// rankPaths ranks every host but the requester over the learned paths from
+// the requester. est estimates one reachable candidate from the metric slots
+// of its hops — leavesHost says the first hop leaves a host, the only hop of a
+// walked path that can (hosts do not forward) — and returns its sort key.
+// Candidates without a path stay unreachable with zero estimates.
+func rankPaths(topo *collector.Topology, fromIdx int32, fromHost int, s *rankScratch, est func(c *Candidate, slots []int32, leavesHost bool) int64) []Candidate {
+	s.begin(topo.HostCount())
+	leavesHost := fromIdx >= 0 && topo.IsHostIdx(fromIdx)
+	s.walker.Reset(topo)
+	for j := range s.cands {
+		if j == fromHost {
+			continue
+		}
+		c := &s.cands[j]
+		*c = Candidate{Node: netsim.NodeID(topo.HostName(j))}
+		slots, code, _ := s.walker.SlotsInto(fromIdx, topo.HostNodeIndex(j), s.slots)
+		s.slots = slots
 		if code == collector.PathOK {
-			cand.Reachable = true
-			cand.Hops = len(p) - 1
-			cand.Delay, cand.BandwidthBps = est(p)
+			c.Reachable = true
+			c.Hops = len(slots)
+			s.keys = append(s.keys, rankKey{key: est(c, slots, leavesHost), host: int32(j)})
 		}
-		out = append(out, cand)
 	}
-	s.out = out
-	return out
+	s.walker.Reset(nil) // a pooled scratch must not pin the snapshot
+	return ranked(s.cands, s.keys, fromHost)
 }
-
-func byDelay(a, b Candidate) bool { return a.Delay < b.Delay }
 
 // DefaultK is the paper's queue-occupancy→latency conversion factor: each
 // queued packet on a hop contributes k of estimated queueing delay. The
@@ -192,38 +249,35 @@ func (r *DelayRanker) k() time.Duration {
 	return r.K
 }
 
-// delayOverPath computes Algorithm 1's estimate over a walked index path:
-// measured link delays (fallback for unmeasured) and k × windowed queue max
-// per switch hop. Hosts have no measured queues; only switch hops
-// contribute, matching Algorithm 1's per-hop Q(h) term.
-func (r *DelayRanker) delayOverPath(topo *collector.Topology, p []int32, k time.Duration) time.Duration {
-	var totalLinkDelay, totalHopDelay time.Duration
-	for i := 0; i+1 < len(p); i++ {
-		a, b := p[i], p[i+1]
-		slot := topo.DirSlot(a, b)
+// delayOverPath computes Algorithm 1's estimate over the metric slots of a
+// walked path: measured link delays (fallback for unmeasured) and k ×
+// windowed queue max per switch hop. Hosts have no measured queues; only
+// switch hops contribute, matching Algorithm 1's per-hop Q(h) term.
+func (r *DelayRanker) delayOverPath(topo *collector.Topology, slots []int32, leavesHost bool, k time.Duration) time.Duration {
+	var total time.Duration
+	for i, slot := range slots {
 		if d, ok := topo.SlotDelay(slot); ok {
-			totalLinkDelay += d
+			total += d
 		} else {
-			totalLinkDelay += FallbackLinkDelay
+			total += FallbackLinkDelay
 		}
 		// Queueing contribution of the egress port feeding this link.
-		if !topo.IsHostIdx(a) {
+		if i > 0 || !leavesHost {
 			if q, ok := topo.SlotQueueMax(slot); ok {
-				totalHopDelay += time.Duration(q) * k
+				total += time.Duration(q) * k
 			}
 		}
 	}
-	return totalLinkDelay + totalHopDelay
+	return total
 }
 
 // Rank implements Ranker.
-func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
+func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, s *rankScratch) []Candidate {
 	k := r.k()
-	out := rankPaths(topo, fromIdx, cands, s, func(p []int32) (time.Duration, float64) {
-		return r.delayOverPath(topo, p, k), 0
+	return rankPaths(topo, fromIdx, fromHost, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+		c.Delay = r.delayOverPath(topo, slots, leavesHost, k)
+		return int64(c.Delay)
 	})
-	sortCandidates(out, byDelay)
-	return out
 }
 
 // BandwidthRanker estimates per-link available bandwidth from the windowed
@@ -246,16 +300,14 @@ func (r *BandwidthRanker) calibration() *Calibration {
 	return r.Calibration
 }
 
-// bottleneckOverPath computes the bottleneck available bandwidth over a
-// walked index path.
-func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, p []int32, cal *Calibration) float64 {
+// bottleneckOverPath computes the bottleneck available bandwidth over the
+// metric slots of a walked path.
+func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, slots []int32, leavesHost bool, cal *Calibration) float64 {
 	bottleneck := -1.0
-	for i := 0; i+1 < len(p); i++ {
-		a, b := p[i], p[i+1]
-		slot := topo.DirSlot(a, b)
+	for i, slot := range slots {
 		rate := float64(topo.SlotRate(slot))
 		util := 0.0
-		if !topo.IsHostIdx(a) {
+		if i > 0 || !leavesHost {
 			if q, ok := topo.SlotQueueMax(slot); ok {
 				util = cal.Utilization(q)
 			}
@@ -272,13 +324,12 @@ func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, p []int32
 }
 
 // Rank implements Ranker.
-func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, cands []int32, _ int64, s *rankScratch) []Candidate {
+func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, s *rankScratch) []Candidate {
 	cal := r.calibration()
-	out := rankPaths(topo, fromIdx, cands, s, func(p []int32) (time.Duration, float64) {
-		return 0, r.bottleneckOverPath(topo, p, cal)
+	return rankPaths(topo, fromIdx, fromHost, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+		c.BandwidthBps = r.bottleneckOverPath(topo, slots, leavesHost, cal)
+		return floatKey(-c.BandwidthBps) // most bandwidth first
 	})
-	sortCandidates(out, func(a, b Candidate) bool { return a.BandwidthBps > b.BandwidthBps })
-	return out
 }
 
 // NearestRanker is the paper's Nearest baseline: it ranks candidates by a
@@ -313,17 +364,21 @@ func NewNearestRanker(nw *netsim.Network, hosts []netsim.NodeID) (*NearestRanker
 func (r *NearestRanker) Metric() Metric { return MetricNearest }
 
 // Rank implements Ranker.
-func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ int32, cands []int32, _ int64, s *rankScratch) []Candidate {
+func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ int32, fromHost int, _ int64, s *rankScratch) []Candidate {
 	hops := r.hops[from]
-	out := s.out[:0]
-	for _, j := range cands {
-		node := netsim.NodeID(topo.HostName(int(j)))
+	s.begin(topo.HostCount())
+	for j := range s.cands {
+		if j == fromHost {
+			continue
+		}
+		node := netsim.NodeID(topo.HostName(j))
 		h, ok := hops[node]
-		out = append(out, Candidate{Node: node, Hops: h, Reachable: ok})
+		s.cands[j] = Candidate{Node: node, Hops: h, Reachable: ok}
+		if ok {
+			s.keys = append(s.keys, rankKey{key: int64(h), host: int32(j)})
+		}
 	}
-	s.out = out
-	sortCandidates(out, func(a, b Candidate) bool { return a.Hops < b.Hops })
-	return out
+	return ranked(s.cands, s.keys, fromHost)
 }
 
 // RandomRanker is the paper's Random baseline: a uniformly random order for
@@ -342,31 +397,17 @@ func NewRandomRanker(rng *simtime.Rand) *RandomRanker {
 func (r *RandomRanker) Metric() Metric { return MetricRandom }
 
 // Rank implements Ranker.
-func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ int32, cands []int32, _ int64, s *rankScratch) []Candidate {
-	out := s.out[:0]
-	for _, i := range r.rng.Perm(len(cands)) {
-		out = append(out, Candidate{Node: netsim.NodeID(topo.HostName(int(cands[i]))), Reachable: true})
+func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ int32, fromHost int, _ int64, _ *rankScratch) []Candidate {
+	n := topo.HostCount()
+	if fromHost >= 0 {
+		n--
 	}
-	s.out = out
-	return out
-}
-
-// sortCandidates sorts with the provided better-than predicate; unreachable
-// candidates always sort last, and ties break by node ID so rankings are
-// deterministic.
-func sortCandidates(cs []Candidate, better func(a, b Candidate) bool) {
-	slices.SortStableFunc(cs, func(a, b Candidate) int {
-		switch {
-		case a.Reachable != b.Reachable:
-			if a.Reachable {
-				return -1
-			}
-			return 1
-		case a.Reachable && better(a, b):
-			return -1
-		case a.Reachable && better(b, a):
-			return 1
+	out := make([]Candidate, 0, n)
+	for _, j := range r.rng.Perm(n) {
+		if fromHost >= 0 && j >= fromHost {
+			j++ // the j-th host, not counting the requester
 		}
-		return cmp.Compare(a.Node, b.Node)
-	})
+		out = append(out, Candidate{Node: netsim.NodeID(topo.HostName(j)), Reachable: true})
+	}
+	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -64,18 +66,21 @@ func hostsTopo(hosts ...string) *collector.Topology {
 	return c.Snapshot()
 }
 
-// rankNamed ranks the named hosts of topo for from with r — the one Rank
-// method driven by name.
+// rankNamed ranks topo's hosts for from with r and keeps the named ones, in
+// ranked order (the order is total, so leaving candidates out moves nobody).
 func rankNamed(r Ranker, topo *collector.Topology, from netsim.NodeID, dataBytes int64, names ...netsim.NodeID) []Candidate {
-	var sc rankScratch
 	for _, name := range names {
-		j := topo.HostIndex(string(name))
-		if j < 0 {
+		if topo.HostIndex(string(name)) < 0 {
 			panic("rankNamed: " + name + " is not a host of the snapshot")
 		}
-		sc.cands = append(sc.cands, int32(j))
 	}
-	return rankPrivate(topo, r, from, sc.cands, dataBytes, &sc)
+	var out []Candidate
+	for _, c := range ComputeRanking(topo, r, from, dataBytes) {
+		if slices.Contains(names, c.Node) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func TestDelayRankerAlgorithm1(t *testing.T) {
@@ -300,5 +305,21 @@ func TestMetricStringsAndParse(t *testing.T) {
 	}
 	if got := Metric(200).String(); got != "unknown" {
 		t.Errorf("Metric(200).String() = %q", got)
+	}
+}
+
+// TestFloatKeyOrdersAsFloats: the bandwidth ranker sorts integer keys, so the
+// mapping must preserve every comparison between estimates, zeros included.
+func TestFloatKeyOrdersAsFloats(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{math.Inf(-1), -2e7, -1, -math.SmallestNonzeroFloat64, negZero, 0,
+		math.SmallestNonzeroFloat64, 0.5, 1, 1e6, 2e7, math.MaxFloat64, math.Inf(1)}
+	for _, a := range vals {
+		for _, b := range vals {
+			ka, kb := floatKey(a), floatKey(b)
+			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
+				t.Errorf("floatKey(%g)=%d, floatKey(%g)=%d: order differs from the floats'", a, ka, b, kb)
+			}
+		}
 	}
 }

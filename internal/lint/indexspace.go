@@ -22,8 +22,9 @@ them apart; indexing an arena with a node index reads garbage silently.
 
 This checker tags int32 values with their unit at defining sites — results
 and parameters of the Topology index API (NodeIndex, HostNodeIndex,
-DirSlot, SlotDelay, PathInto, ...), known fields (edgeStart, nbrFlat, the
-slot arena, hostIdx, destTree.next, RankKey.From), and declarations
+DirSlot, SlotDelay, PathInto, Walker.SlotsInto, ...), known fields
+(edgeStart, nbrFlat, the slot arena, hostIdx, RankKey.From), and
+declarations
 carrying a trailing "// unit:U", "// unit:U[I]", or "// unit:[I]"
 annotation (element unit U, indexed-by unit I) — and propagates units
 through assignment, conversion, +/- constant offsets, len, append, range,
@@ -89,8 +90,6 @@ var unitFields = map[unitFieldKey]unitSpec{
 	{collectorPkg, "structure", "edgeStart"}: {index: unitNode, elem: unitEdge},
 	{collectorPkg, "structure", "nbrFlat"}:   {index: unitEdge, elem: unitNode},
 	{collectorPkg, "Topology", "slots"}:      {index: unitSlot},
-	{collectorPkg, "destTree", "next"}:       {index: unitNode, elem: unitNode},
-	{collectorPkg, "destTree", "dist"}:       {index: unitNode},
 	{corePkg, "RankKey", "From"}:             {elem: unitHost},
 }
 
@@ -123,7 +122,7 @@ var unitMethods = map[unitMethodKey]methodUnits{
 	{collectorPkg, "Topology", "HostNodeIndex"}: {params: []unitSpec{{elem: unitHost}}, results: []unitSpec{{elem: unitNode}}},
 	{collectorPkg, "Topology", "HostName"}:      {params: []unitSpec{{elem: unitHost}}},
 	{collectorPkg, "Topology", "HostIndex"}:     {results: []unitSpec{{elem: unitHost}}},
-	{collectorPkg, "Topology", "DirSlot"}:       {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}, results: []unitSpec{{elem: unitSlot}}},
+	{collectorPkg, "structure", "DirSlot"}:      {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}, results: []unitSpec{{elem: unitSlot}}},
 	{collectorPkg, "structure", "csrEdge"}:      {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}, results: []unitSpec{{elem: unitEdge}}},
 	{collectorPkg, "structure", "edgeSlots"}:    {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}},
 	{collectorPkg, "Topology", "SlotDelay"}:     {params: []unitSpec{{elem: unitSlot}}},
@@ -133,9 +132,14 @@ var unitMethods = map[unitMethodKey]methodUnits{
 		params:  []unitSpec{{elem: unitNode}, {elem: unitNode}, {elem: unitNode}},
 		results: []unitSpec{{elem: unitNode}, {}, {elem: unitNode}},
 	},
+	{collectorPkg, "Walker", "SlotsInto"}: {
+		params:  []unitSpec{{elem: unitNode}, {elem: unitNode}, {elem: unitSlot}},
+		results: []unitSpec{{elem: unitSlot}, {}, {elem: unitNode}},
+	},
 	{collectorPkg, "Topology", "treeForIdx"}:  {params: []unitSpec{{elem: unitNode}}},
-	{collectorPkg, "Topology", "scratchTree"}: {params: []unitSpec{{}, {elem: unitNode}}},
+	{collectorPkg, "Topology", "scratchTree"}: {params: []unitSpec{{elem: unitNode}}},
 	{collectorPkg, "", "buildDestTree"}:       {params: []unitSpec{{}, {elem: unitNode}}},
+	{collectorPkg, "destTree", "depth"}:       {params: []unitSpec{{elem: unitNode}, {elem: unitNode}}},
 }
 
 // unitAnnotation matches "unit:elem[index]" in a trailing comment: both

@@ -2,12 +2,13 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // scratchAliasExemptPackages are skipped by scratchalias: telemetry
-// implements the codec, and collector implements PathInto (whose wrappers
-// legitimately return the re-homed scratch), so returning and growing their
-// own scratch is their job, not a leak.
+// implements the codec, and collector implements PathInto and SlotsInto
+// (whose wrappers legitimately return the re-homed scratch), so returning
+// and growing their own scratch is their job, not a leak.
 var scratchAliasExemptPackages = map[string]bool{
 	"intsched/internal/telemetry": true,
 	"intsched/internal/collector": true,
@@ -21,8 +22,9 @@ var ScratchAliasAnalyzer = &Analyzer{
 telemetry.UnmarshalProbeInto decodes into a reusable payload whose Records
 and Queues slices are recycled on the next decode, telemetry.AppendProbe
 returns (a regrowth of) the caller's scratch buffer, and
-collector.Topology.PathInto walks a path into (a regrowth of) caller-owned
-scratch that the next walk overwrites. Everything reachable from the decode
+collector.Topology.PathInto and collector.Walker.SlotsInto walk a path's
+nodes or metric slots into (a regrowth of) caller-owned scratch that the
+next walk overwrites. Everything reachable from the decode
 target, the encoder's returned buffer, and the returned path aliases that
 scratch: in the function performing the call (and same-package functions it
 forwards the scratch to) those values must not be stored into receiver
@@ -58,10 +60,10 @@ func runScratchAlias(pass *Pass) (any, error) {
 
 // scratchSeeds collects the taint roots of one function body: the decode
 // targets of UnmarshalProbeInto calls, both the result and the dst buffer
-// of AppendProbe calls, and both the returned path and the scratch argument
-// of Topology.PathInto calls (seeding the input buffer legalizes the
-// store-back idiom: a store into an already-tainted path is in-place
-// scratch maintenance).
+// of AppendProbe calls, and both the returned walk and the scratch argument
+// of Topology.PathInto and Walker.SlotsInto calls (seeding the input buffer
+// legalizes the store-back idiom: a store into an already-tainted path is
+// in-place scratch maintenance).
 func scratchSeeds(pass *Pass, body *ast.BlockStmt) map[string]bool {
 	seeds := make(map[string]bool)
 	seed := func(e ast.Expr) {
@@ -82,7 +84,7 @@ func scratchSeeds(pass *Pass, body *ast.BlockStmt) map[string]bool {
 				if len(n.Args) > 0 {
 					seed(n.Args[0])
 				}
-			case isMethodOf(fn, "intsched/internal/collector", "Topology", "PathInto"):
+			case isWalkInto(fn):
 				if len(n.Args) > 2 {
 					seed(n.Args[2])
 				}
@@ -92,8 +94,7 @@ func scratchSeeds(pass *Pass, body *ast.BlockStmt) map[string]bool {
 			if len(n.Rhs) == 1 && len(n.Lhs) >= 1 {
 				if call, ok := n.Rhs[0].(*ast.CallExpr); ok {
 					fn := pass.funcObj(call)
-					if isPkgFunc(fn, "intsched/internal/telemetry", "AppendProbe") ||
-						isMethodOf(fn, "intsched/internal/collector", "Topology", "PathInto") {
+					if isPkgFunc(fn, "intsched/internal/telemetry", "AppendProbe") || isWalkInto(fn) {
 						seed(n.Lhs[0])
 					}
 				}
@@ -105,4 +106,11 @@ func scratchSeeds(pass *Pass, body *ast.BlockStmt) map[string]bool {
 		return nil
 	}
 	return seeds
+}
+
+// isWalkInto reports whether fn is one of the tree walks that return their
+// scratch argument re-homed.
+func isWalkInto(fn *types.Func) bool {
+	return isMethodOf(fn, "intsched/internal/collector", "Topology", "PathInto") ||
+		isMethodOf(fn, "intsched/internal/collector", "Walker", "SlotsInto")
 }

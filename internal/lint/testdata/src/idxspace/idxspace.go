@@ -149,6 +149,36 @@ func GoodHostRoundTrip(topo *collector.Topology, name string, scratch []int32) i
 	return len(p) - 1
 }
 
+// GoodSlotWalk: the slot walk takes node indices and yields metric slots,
+// which the slot-keyed API reads.
+func GoodSlotWalk(a *arena, topo *collector.Topology, w *collector.Walker, name string, scratch []int32) int64 {
+	src, ok := topo.NodeIndex(name)
+	if !ok {
+		return 0
+	}
+	w.Reset(topo)
+	slots, code, _ := w.SlotsInto(src, topo.HostNodeIndex(0), scratch)
+	if code != collector.PathOK {
+		return 0
+	}
+	var sum int64
+	for _, s := range slots {
+		sum += a.delay[s]
+	}
+	return sum
+}
+
+// BadSlotWalkAsNodes treats walked slots as the nodes PathInto would yield.
+func BadSlotWalkAsNodes(topo *collector.Topology, w *collector.Walker, src, dst int32, scratch []int32) bool {
+	slots, _, _ := w.SlotsInto(src, dst, scratch)
+	for _, s := range slots {
+		if topo.IsHostIdx(s) { // want `passing a metric-slot value where IsHostIdx expects a node-index`
+			return true
+		}
+	}
+	return false
+}
+
 // GoodLenBound: the length of U-indexed storage is a bound in U space.
 func GoodLenBound(a *arena) bool {
 	var e int32 // unit:edge — current CSR edge position

@@ -1,6 +1,7 @@
 // Package scratch is the scratchalias fixture: values aliasing the probe
 // codec's reused decode/encode scratch — and paths walked into reusable
-// scratch by Topology.PathInto — must not outlive the call, while the
+// scratch by Topology.PathInto or Walker.SlotsInto — must not outlive the
+// call, while the
 // store-back, in-place-mutation, and synchronous-callee idioms stay clean.
 package scratch
 
@@ -126,4 +127,36 @@ func (w *walker) BadPathRetained(topo *collector.Topology, src, dst int32) {
 func BadPathReturned(topo *collector.Topology, src, dst int32, scratch []int32) []int32 {
 	p, _, _ := topo.PathInto(src, dst, scratch)
 	return p // want `probe-codec scratch returned to the caller`
+}
+
+// slotWalker estimates over hop slots the way core's rankers do: one Walker
+// a ranking, SlotsInto into reusable scratch that the next walk overwrites.
+type slotWalker struct {
+	walker    collector.Walker
+	slots     []int32
+	lastSlots []int32
+}
+
+// GoodSlotsStoreBack stores the walked slots back where they were walked
+// into; the hop count and per-slot reads are scalars.
+func (w *slotWalker) GoodSlotsStoreBack(topo *collector.Topology, src, dst int32) int {
+	w.walker.Reset(topo)
+	slots, code, _ := w.walker.SlotsInto(src, dst, w.slots)
+	w.slots = slots
+	w.walker.Reset(nil)
+	if code != collector.PathOK {
+		return -1
+	}
+	return len(slots)
+}
+
+func (w *slotWalker) BadSlotsRetained(src, dst int32) {
+	slots, _, _ := w.walker.SlotsInto(src, dst, w.slots)
+	w.slots = slots
+	w.lastSlots = slots // want `probe-codec scratch stored in receiver field w\.lastSlots`
+}
+
+func BadSlotsReturned(w *collector.Walker, src, dst int32, scratch []int32) []int32 {
+	slots, _, _ := w.SlotsInto(src, dst, scratch)
+	return slots // want `probe-codec scratch returned to the caller`
 }
