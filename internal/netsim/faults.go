@@ -164,21 +164,19 @@ func (n *Network) PathUsable(src, dst NodeID) bool {
 // kick resumes transmission on a port that has queued packets but no active
 // transmission (after a link or node recovers).
 func (n *Network) kick(p *Port) {
-	if !p.busy && len(p.queue) > 0 && !p.link.down && !p.node.halted {
+	if p.tx == nil && p.queue.n > 0 && !p.link.down && !p.node.halted {
 		n.transmitNext(p)
 	}
 }
 
 // flushQueue drops every queued packet on the port. The packet currently
 // being serialized (if any) is not in the queue; it dies when its completion
-// callback observes the state change.
+// event observes the state change.
 func (n *Network) flushQueue(p *Port, reason DropReason) {
-	for i, pkt := range p.queue {
-		p.queue[i] = nil
+	for p.queue.n > 0 {
 		p.Drops++
-		n.drop(pkt, p.node, reason)
+		n.drop(p.queue.pop(), p.node, reason)
 	}
-	p.queue = p.queue[:0]
 }
 
 // FaultFn decides whether to forcibly drop a packet arriving at a node —

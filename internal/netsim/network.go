@@ -47,6 +47,9 @@ type ProcessorContext struct {
 // Ingress runs on arrival, after the forwarding decision but before the
 // packet is enqueued. Egress runs when the packet reaches the head of the
 // egress queue and starts transmission.
+//
+// ctx is valid only for the duration of the call: the network refills one
+// context for every hook it runs, so a Processor must copy what it keeps.
 type Processor interface {
 	Ingress(ctx *ProcessorContext, pkt *Packet)
 	Egress(ctx *ProcessorContext, pkt *Packet)
@@ -118,8 +121,12 @@ type Port struct {
 	link  *Link
 	peer  *Port
 
-	queue   []*Packet
-	busy    bool
+	queue packetRing
+	// tx is the packet on the transmitter (nil when idle) and txGen the
+	// link's downGen when it started serializing. A port has at most one:
+	// the next starts only from tx's completion event.
+	tx      *Packet
+	txGen   uint64
 	rateBps int64
 
 	// Stats
@@ -147,11 +154,46 @@ func (p *Port) Peer() *Port { return p.peer }
 // QueueLen returns the current egress-queue occupancy in packets, counting
 // the packet being transmitted.
 func (p *Port) QueueLen() int {
-	n := len(p.queue)
-	if p.busy {
+	n := p.queue.n
+	if p.tx != nil {
 		n++
 	}
 	return n
+}
+
+// packetRing is a port's egress FIFO: a head-indexed ring that grows by
+// doubling, up to the link's QueueCap, only when it is full. It is never
+// sized eagerly — most ports of a topology never queue more than a few
+// packets.
+type packetRing struct {
+	buf     []*Packet
+	head, n int
+}
+
+// push appends pkt; limit caps how far the ring may grow.
+func (r *packetRing) push(pkt *Packet, limit int) {
+	if r.n == len(r.buf) {
+		size := min(max(2*len(r.buf), 4), limit)
+		grown := make([]*Packet, max(size, r.n+1))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)%len(r.buf)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = pkt
+	r.n++
+}
+
+// pop removes and returns the head. The ring must be non-empty.
+func (r *packetRing) pop() *Packet {
+	pkt := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return pkt
 }
 
 // LinkConfig describes one link's characteristics.
@@ -166,8 +208,8 @@ type LinkConfig struct {
 	ReverseRateBps int64
 	// Delay is the one-way propagation delay.
 	Delay time.Duration
-	// QueueCap is the egress queue capacity in packets (per direction).
-	// Zero means DefaultQueueCap.
+	// QueueCap is the egress queue capacity in packets (per direction),
+	// not counting the packet being serialized. Zero means DefaultQueueCap.
 	QueueCap int
 }
 
@@ -241,6 +283,8 @@ type Network struct {
 	freePkts []*Packet
 
 	fault FaultFn
+	// ctx is the one ProcessorContext every Processor call is handed.
+	ctx ProcessorContext
 
 	// OnDrop, when set, is invoked for every dropped packet.
 	OnDrop func(pkt *Packet, at *Node, reason DropReason)
@@ -342,6 +386,9 @@ func (n *Network) Connect(a, b NodeID, cfg LinkConfig) (*Link, error) {
 	}
 	if cfg.ReverseRateBps < 0 {
 		return nil, fmt.Errorf("netsim: connect %s-%s: negative reverse rate", a, b)
+	}
+	if cfg.QueueCap < 0 {
+		return nil, fmt.Errorf("netsim: connect %s-%s: negative queue capacity", a, b)
 	}
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = DefaultQueueCap
@@ -530,42 +577,41 @@ func (n *Network) enqueue(port *Port, pkt *Packet) {
 		n.drop(pkt, port.node, DropLinkDown)
 		return
 	}
-	if len(port.queue) >= port.link.Config.QueueCap {
+	if port.queue.n >= port.link.Config.QueueCap {
 		port.Drops++
 		n.drop(pkt, port.node, DropQueueFull)
 		return
 	}
-	port.queue = append(port.queue, pkt)
+	port.queue.push(pkt, port.link.Config.QueueCap)
 	q := port.QueueLen()
 	if q > port.MaxQueueEver {
 		port.MaxQueueEver = q
 	}
-	if !port.busy {
+	if port.tx == nil {
 		n.transmitNext(port)
 	}
 }
 
-// transmitNext pops the head of the queue and transmits it.
+// transmitNext pops the head of the queue and starts serializing it; its
+// completion is one serialized event carrying the port.
 func (n *Network) transmitNext(port *Port) {
-	if len(port.queue) == 0 || port.link.down || port.node.halted {
-		port.busy = false
+	if port.queue.n == 0 || port.link.down || port.node.halted {
 		return
 	}
-	pkt := port.queue[0]
-	port.queue = port.queue[1:]
-	port.busy = true
+	pkt := port.queue.pop()
+	port.tx, port.txGen = pkt, port.link.downGen
 
 	// Egress processing fires as the packet reaches the head of the queue,
 	// matching the paper's "beginning of the egress queue" semantics.
 	if port.node.Kind == Switch && port.node.Processor != nil {
-		ctx := &ProcessorContext{
+		n.ctx = ProcessorContext{
 			Device:   port.node,
 			InPort:   pkt.inPort,
 			OutPort:  port.index,
-			QueueLen: len(port.queue),
+			QueueLen: port.queue.n,
 			Now:      n.engine.Now(),
 		}
-		port.node.Processor.Egress(ctx, pkt)
+		port.node.Processor.Egress(&n.ctx, pkt)
 	} else if port.node.Kind == Host && pkt.Kind == KindProbe {
 		// Hosts stamp outgoing probes so the first link's latency is
 		// measurable too.
@@ -573,38 +619,52 @@ func (n *Network) transmitNext(port *Port) {
 	}
 
 	txTime := time.Duration(float64(pkt.Size*8) / float64(port.rateBps) * float64(time.Second))
-	peer := port.peer
-	gen := port.link.downGen
-	n.engine.After(txTime, func() {
-		if port.link.down || gen != port.link.downGen || port.node.halted {
-			// The link flapped (or the node halted) while the packet was
-			// serializing: it never made it onto the wire intact.
-			port.Drops++
-			reason := DropLinkDown
-			if port.node.halted {
-				reason = DropHalted
-			}
-			n.drop(pkt, port.node, reason)
-			port.busy = false
-			// If the fault has already cleared, resume draining the queue.
-			n.kick(port)
-			return
+	n.engine.AfterWith(txTime, serialized, port)
+}
+
+// serialized is the event that ends a port's transmission of its tx packet.
+func serialized(arg any) {
+	port := arg.(*Port)
+	n := port.node.net
+	pkt := port.tx
+	if port.link.down || port.txGen != port.link.downGen || port.node.halted {
+		// The link flapped (or the node halted) while the packet was
+		// serializing: it never made it onto the wire intact.
+		port.Drops++
+		reason := DropLinkDown
+		if port.node.halted {
+			reason = DropHalted
 		}
-		port.TxPackets++
-		port.TxBytes += uint64(pkt.Size)
-		// Transmitter is free; start the next packet immediately.
-		n.transmitNext(port)
-		// Propagation to the far end. The delay is read at departure so a
-		// SetLinkDelay applies to transmissions starting after the change.
-		n.engine.After(port.link.Config.Delay, func() {
-			if port.link.down || gen != port.link.downGen {
-				// The link went down under the propagating packet.
-				n.drop(pkt, peer.node, DropLinkDown)
-				return
-			}
-			n.arrive(peer, pkt)
-		})
-	})
+		n.drop(pkt, port.node, reason)
+		port.tx = nil
+		// If the fault has already cleared, resume draining the queue.
+		n.kick(port)
+		return
+	}
+	port.tx = nil
+	port.TxPackets++
+	port.TxBytes += uint64(pkt.Size)
+	// Transmitter is free; start the next packet immediately.
+	n.transmitNext(port)
+	// Propagation to the far end, as state on the packet: packets on one
+	// wire may overtake each other, since the delay is read at departure so
+	// a SetLinkDelay applies to transmissions starting after the change.
+	pkt.wire, pkt.wireGen = port, port.txGen
+	n.engine.AfterWith(port.link.Config.Delay, propagated, pkt)
+}
+
+// propagated is the event that lands a packet at the far end of its wire.
+func propagated(arg any) {
+	pkt := arg.(*Packet)
+	port := pkt.wire
+	pkt.wire = nil
+	n := port.node.net
+	if port.link.down || pkt.wireGen != port.link.downGen {
+		// The link went down under the propagating packet.
+		n.drop(pkt, port.peer.node, DropLinkDown)
+		return
+	}
+	n.arrive(port.peer, pkt)
 }
 
 // arrive handles a packet reaching the near end of a link.
@@ -638,14 +698,14 @@ func (n *Network) arrive(port *Port, pkt *Packet) {
 	}
 	pkt.hops++
 	if node.Processor != nil {
-		ctx := &ProcessorContext{
+		n.ctx = ProcessorContext{
 			Device:   node,
 			InPort:   port.index,
 			OutPort:  outPort,
 			QueueLen: node.Ports[outPort].QueueLen(),
 			Now:      n.engine.Now(),
 		}
-		node.Processor.Ingress(ctx, pkt)
+		node.Processor.Ingress(&n.ctx, pkt)
 	}
 	n.enqueue(node.Ports[outPort], pkt)
 }

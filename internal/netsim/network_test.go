@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -173,6 +174,12 @@ func TestConnectValidation(t *testing.T) {
 	}
 	if _, err := n.Connect("h1", "s1", LinkConfig{RateBps: 1, Delay: -time.Second}); err == nil {
 		t.Error("negative delay accepted")
+	}
+	if _, err := n.Connect("h1", "s1", LinkConfig{RateBps: 1, ReverseRateBps: -1}); err == nil {
+		t.Error("negative reverse rate accepted")
+	}
+	if _, err := n.Connect("h1", "s1", LinkConfig{RateBps: 1, QueueCap: -1}); err == nil {
+		t.Error("negative queue capacity accepted")
 	}
 	if _, err := n.Connect("h1", "s1", LinkConfig{RateBps: 1}); err != nil {
 		t.Fatalf("valid connect failed: %v", err)
@@ -417,5 +424,111 @@ func TestTransientPacketRecycledOnDrop(t *testing.T) {
 	}
 	if len(n.freePkts) != 1 {
 		t.Fatalf("dropped transient packet not recycled: free list %d", len(n.freePkts))
+	}
+}
+
+// TestPacketRingWrapsInFIFOOrder interleaves pushes and pops so the ring's
+// head and tail wrap at every size it grows through, and checks the order
+// against a plain slice and the ring's size against its limit.
+func TestPacketRingWrapsInFIFOOrder(t *testing.T) {
+	const limit = 12
+	var r packetRing
+	var want []*Packet
+	rng := simtime.NewRand(3)
+	for step := 0; step < 2000; step++ {
+		if r.n < limit && (r.n == 0 || rng.Intn(5) < 3) {
+			pkt := &Packet{ID: uint64(step)}
+			r.push(pkt, limit)
+			want = append(want, pkt)
+		} else {
+			got := r.pop()
+			if got != want[0] {
+				t.Fatalf("step %d: popped pkt#%d, want pkt#%d", step, got.ID, want[0].ID)
+			}
+			want = want[1:]
+		}
+		if r.n != len(want) || len(r.buf) > limit {
+			t.Fatalf("step %d: ring holds %d in %d slots, want %d in at most %d", step, r.n, len(r.buf), len(want), limit)
+		}
+	}
+	if len(r.buf) != limit {
+		t.Fatalf("ring grew to %d slots, want the limit %d", len(r.buf), limit)
+	}
+}
+
+// TestDropTailAtQueueCapAfterGrowth paces arrivals at 1.5x a slow egress so
+// its queue grows past the ring's initial 4 slots to QueueCap 6, wraps as the
+// head advances, and then drops: every drop is queue-full with exactly
+// QueueCap packets queued, and deliveries stay in send order.
+func TestDropTailAtQueueCapAfterGrowth(t *testing.T) {
+	const queueCap, sends = 6, 40
+	e := simtime.NewEngine()
+	n := New(e)
+	n.AddHost("h1")
+	n.AddHost("h2")
+	n.AddSwitch("s1")
+	_, _ = n.Connect("h1", "s1", LinkConfig{RateBps: 1_000_000_000, Delay: time.Microsecond})
+	_, _ = n.Connect("s1", "h2", LinkConfig{RateBps: 1_000_000, Delay: time.Microsecond, QueueCap: queueCap}) // 12 ms per packet
+	_ = n.ComputeRoutes()
+	egress := n.Node("s1").Ports[n.Node("s1").PortTo("h2")]
+	var got []int64
+	n.Node("h2").Handler = func(p *Packet) { got = append(got, p.Seq) }
+	n.OnDrop = func(p *Packet, at *Node, r DropReason) {
+		if r != DropQueueFull || egress.queue.n != queueCap {
+			t.Errorf("pkt seq %d dropped (%v) with %d queued, want queue-full at %d", p.Seq, r, egress.queue.n, queueCap)
+		}
+	}
+	for i := 0; i < sends; i++ {
+		e.At(time.Duration(i)*8*time.Millisecond, func() {
+			p := n.NewPacket(KindData, "h1", "h2", 1500)
+			p.Seq = int64(i)
+			_ = n.Send(p)
+		})
+	}
+	e.RunUntilIdle()
+	if n.Dropped == 0 || n.Delivered+n.Dropped != sends {
+		t.Fatalf("delivered %d + dropped %d, want some drops of %d", n.Delivered, n.Dropped, sends)
+	}
+	if egress.MaxQueueEver != queueCap+1 || len(egress.queue.buf) != queueCap {
+		t.Fatalf("max occupancy %d in %d ring slots, want %d in %d", egress.MaxQueueEver, len(egress.queue.buf), queueCap+1, queueCap)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("reordered: %v", got)
+		}
+	}
+}
+
+// TestLowerDelayLetsLaterPacketOvertake: propagation is per packet, so a
+// packet that departs after SetLinkDelay lowers the delay lands before one
+// still crossing the wire at the old delay.
+func TestLowerDelayLetsLaterPacketOvertake(t *testing.T) {
+	e := simtime.NewEngine()
+	n := New(e)
+	n.AddHost("h1")
+	n.AddHost("h2")
+	// 1500 B at 12 Mb/s: 1 ms serialization.
+	if _, err := n.Connect("h1", "h2", LinkConfig{RateBps: 12_000_000, Delay: 10 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	_ = n.ComputeRoutes()
+	type arrival struct {
+		seq int64
+		at  time.Duration
+	}
+	var got []arrival
+	n.Node("h2").Handler = func(p *Packet) { got = append(got, arrival{p.Seq, e.Now()}) }
+	for seq := int64(1); seq <= 2; seq++ {
+		p := n.NewPacket(KindData, "h1", "h2", 1500)
+		p.Seq = seq
+		_ = n.Send(p)
+	}
+	// Packet 1 departs at 1 ms on the 10 ms wire; packet 2 is serializing
+	// until 2 ms and departs on a 2 ms one.
+	e.At(1500*time.Microsecond, func() { _ = n.SetLinkDelay("h1", "h2", 2*time.Millisecond) })
+	e.RunUntilIdle()
+	want := []arrival{{2, 2*time.Millisecond + 2*time.Millisecond}, {1, time.Millisecond + 10*time.Millisecond}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("arrivals %v, want %v", got, want)
 	}
 }

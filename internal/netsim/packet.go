@@ -110,6 +110,11 @@ type Packet struct {
 	linkLatency time.Duration
 	// hops counts traversed switches.
 	hops int
+	// wire is the port whose link the packet is propagating across (nil
+	// otherwise) and wireGen that link's downGen at departure: the state of
+	// the packet's propagation event.
+	wire    *Port
+	wireGen uint64
 	// transient marks fire-and-forget packets (acks, pings, control
 	// copies, datagrams) whose creator keeps no reference past delivery
 	// or drop; the network recycles them through its free list.

@@ -6,15 +6,19 @@
 // scheduled for the same instant fire in the order they were scheduled, which
 // makes every simulation run fully deterministic for a given seed.
 //
-// Event nodes are recycled through a per-engine free list: firing or
-// cancelling an event returns its node for reuse by a later At/After call, so
-// steady-state scheduling (packet transmissions, tickers, timers) allocates
-// nothing. Timers are generation-checked handles, so holding a Timer past its
-// event's lifetime stays safe even though the underlying node is reused.
+// Steady-state scheduling (packet transmissions, tickers, timers) allocates
+// nothing, by three rules. Event nodes are recycled through a per-engine free
+// list: firing or cancelling an event returns its node for reuse by a later
+// call. The queue is a hand-written binary heap over node pointers, so
+// ordering costs no interface calls. And an event is a function of one
+// argument: AfterWith schedules a shared func(any) with a pointer argument,
+// which needs no closure, and At/After store their func() in the same
+// argument slot, which a func value fills without allocating. Timers are
+// generation-checked handles, so holding a Timer past its event's lifetime
+// stays safe even though the underlying node is reused.
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -25,7 +29,10 @@ import (
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
+	// fn(arg) runs when the event fires; At and After store their func()
+	// in arg and call it through callFunc.
+	fn  func(any)
+	arg any
 	// index is the heap index, -1 when not queued.
 	index int
 	// gen increments every time the node is released (fired or cancelled),
@@ -34,6 +41,14 @@ type event struct {
 	// nextFree links released nodes into the engine's free list.
 	nextFree *event
 }
+
+// before is the queue order: time, then scheduling sequence.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// callFunc is the fn of every event scheduled by At or After.
+func callFunc(f any) { f.(func())() }
 
 // Timer is a cancellable handle to a scheduled event. The zero value is a
 // valid, already-inert timer. Timers are generation-checked: cancelling a
@@ -61,7 +76,7 @@ func (t *Timer) Cancel() {
 	}
 	ev := t.ev
 	t.ev = nil
-	heap.Remove(&t.eng.queue, ev.index)
+	t.eng.remove(ev.index)
 	t.eng.release(ev)
 }
 
@@ -73,40 +88,6 @@ func (t *Timer) Pending() bool {
 	return t.ev != nil && t.ev.gen == t.gen
 }
 
-// eventQueue is a min-heap ordered by (time, sequence).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
-
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all simulated activity runs on the goroutine that calls
 // Run/Step. Independent engines share no state, so separate simulations can
@@ -114,7 +95,7 @@ func (q *eventQueue) Pop() any {
 type Engine struct {
 	now     time.Duration
 	seq     uint64
-	queue   eventQueue
+	queue   []*event // binary min-heap in (at, seq) order
 	stopped bool
 	free    *event
 
@@ -139,7 +120,7 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // release returns a node to the free list, invalidating outstanding Timers.
 func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.fn = nil
+	ev.fn, ev.arg = nil, nil
 	ev.nextFree = e.free
 	e.free = ev
 }
@@ -149,11 +130,33 @@ func (e *Engine) release(ev *event) {
 // The returned Timer is a value, not a pointer: callers that discard it pay
 // no allocation, and the whole At→fire cycle reuses free-listed nodes.
 func (e *Engine) At(t time.Duration, fn func()) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, e.now))
-	}
 	if fn == nil {
 		panic("simtime: nil event function")
+	}
+	return e.schedule(t, callFunc, fn)
+}
+
+// After schedules fn to run d after the current time. Negative d is clamped
+// to zero.
+func (e *Engine) After(d time.Duration, fn func()) Timer {
+	return e.At(e.now+max(d, 0), fn)
+}
+
+// AfterWith schedules fn(arg) to run d after the current time, negative d
+// clamped to zero. It is the closure-free form of After: a hot path binds fn
+// once (a top-level function or a method value built at set-up) and passes
+// its per-event state as arg, so a pointer arg makes scheduling allocate
+// nothing.
+func (e *Engine) AfterWith(d time.Duration, fn func(any), arg any) Timer {
+	if fn == nil {
+		panic("simtime: nil event function")
+	}
+	return e.schedule(e.now+max(d, 0), fn, arg)
+}
+
+func (e *Engine) schedule(t time.Duration, fn func(any), arg any) Timer {
+	if t < e.now {
+		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, e.now))
 	}
 	ev := e.free
 	if ev != nil {
@@ -163,31 +166,86 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.index = t, e.seq, fn, -1
+	ev.at, ev.seq, ev.fn, ev.arg = t, e.seq, fn, arg
 	e.seq++
-	heap.Push(&e.queue, ev)
+	ev.index = len(e.queue)
+	e.queue = append(e.queue, ev)
+	e.up(ev.index)
 	return Timer{eng: e, ev: ev, gen: ev.gen, at: t}
 }
 
-// After schedules fn to run d after the current time. Negative d is clamped
-// to zero.
-func (e *Engine) After(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
+// up moves the node at heap index j toward the root until its parent is
+// before it. Nodes are shifted into the hole rather than swapped, so each
+// level costs one slice write.
+func (e *Engine) up(j int) {
+	q := e.queue
+	ev := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		parent := q[i]
+		if !ev.before(parent) {
+			break
+		}
+		q[j], parent.index = parent, j
+		j = i
 	}
-	return e.At(e.now+d, fn)
+	q[j], ev.index = ev, j
+}
+
+// down moves the node at heap index i toward the leaves until no child is
+// before it, and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	q := e.queue
+	n := len(q)
+	ev := q[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !child.before(ev) {
+			break
+		}
+		q[i], child.index = child, i
+		i = c
+	}
+	q[i], ev.index = ev, i
+	return i > start
+}
+
+// remove takes the node at heap index i out of the queue.
+func (e *Engine) remove(i int) *event {
+	q := e.queue
+	last := len(q) - 1
+	ev := q[i]
+	if i != last {
+		q[i] = q[last]
+		q[i].index = i
+	}
+	q[last] = nil
+	e.queue = q[:last]
+	if i != last && !e.down(i) {
+		e.up(i)
+	}
+	ev.index = -1
+	return ev
 }
 
 // fire pops the head event, advances the clock, and runs the callback. The
 // caller must ensure the queue is non-empty. The node is released before the
 // callback runs so the callback's own scheduling can reuse it.
 func (e *Engine) fire() {
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.remove(0)
 	e.now = ev.at
-	fn := ev.fn
+	fn, arg := ev.fn, ev.arg
 	e.release(ev)
 	e.Processed++
-	fn()
+	fn(arg)
 }
 
 // Step fires the next pending event and advances the clock to its time.
@@ -267,15 +325,20 @@ func (e *Engine) NewTicker(period time.Duration, fn func()) *Ticker {
 }
 
 func (t *Ticker) schedule() {
-	t.next = t.engine.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.schedule()
-		}
-	})
+	t.next = t.engine.AfterWith(t.period, tick, t)
+}
+
+// tick is the event fn of every Ticker: one function for all of them, so a
+// tick schedules the next without building a closure.
+func tick(arg any) {
+	t := arg.(*Ticker)
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.schedule()
+	}
 }
 
 // Stop cancels the ticker. It is safe to call multiple times.

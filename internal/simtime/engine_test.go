@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 )
@@ -332,5 +334,125 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(time.Microsecond, func() {})
 		e.Step()
+	}
+}
+
+// TestEventQueueMatchesSortedReference drives the heap with random At, After
+// and AfterWith calls on a few distinct instants (many ties), cancellations of
+// the head, middle and last live events and of handles that already fired or
+// were cancelled, and single steps; every firing must be the live event a
+// plain (at, seq) sort puts first.
+func TestEventQueueMatchesSortedReference(t *testing.T) {
+	type ref struct {
+		at  time.Duration
+		seq int
+	}
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := NewRand(seed)
+		e := NewEngine()
+		var (
+			handles []Timer // by seq, live or not
+			live    []ref
+			fired   []int
+		)
+		record := func(arg any) { fired = append(fired, arg.(int)) }
+		schedule := func() {
+			seq := len(handles)
+			at := e.Now() + time.Duration(rng.Intn(4))*time.Millisecond
+			var tm Timer
+			switch rng.Intn(3) {
+			case 0:
+				tm = e.At(at, func() { record(seq) })
+			case 1:
+				tm = e.After(at-e.Now(), func() { record(seq) })
+			default:
+				tm = e.AfterWith(at-e.Now(), record, seq)
+			}
+			handles = append(handles, tm)
+			live = append(live, ref{at, seq})
+		}
+		sortLive := func() {
+			slices.SortFunc(live, func(a, b ref) int {
+				if a.at != b.at {
+					return cmp.Compare(a.at, b.at)
+				}
+				return cmp.Compare(a.seq, b.seq)
+			})
+		}
+		cancel := func(seq int) {
+			handles[seq].Cancel()
+			live = slices.DeleteFunc(live, func(r ref) bool { return r.seq == seq })
+		}
+		for step := 0; step < 600; step++ {
+			sortLive()
+			switch op := rng.Intn(10); {
+			case op < 5:
+				schedule()
+			case op < 7 && len(live) > 0:
+				cancel(live[[]int{0, len(live) / 2, len(live) - 1}[rng.Intn(3)]].seq)
+			case op < 8 && len(handles) > 0:
+				// Any handle: mostly fired or cancelled ones, a no-op.
+				seq := rng.Intn(len(handles))
+				if slices.ContainsFunc(live, func(r ref) bool { return r.seq == seq }) {
+					cancel(seq)
+				} else {
+					handles[seq].Cancel()
+				}
+			default:
+				if len(live) == 0 {
+					if e.Step() {
+						t.Fatalf("seed %d step %d: Step fired on an empty reference", seed, step)
+					}
+					continue
+				}
+				n := len(fired)
+				e.Step()
+				if len(fired) != n+1 || fired[n] != live[0].seq {
+					t.Fatalf("seed %d step %d: fired %v, want seq %d next", seed, step, fired[n:], live[0].seq)
+				}
+				if e.Now() != live[0].at {
+					t.Fatalf("seed %d step %d: clock %v, want %v", seed, step, e.Now(), live[0].at)
+				}
+				live = live[1:]
+			}
+			if e.Pending() != len(live) {
+				t.Fatalf("seed %d step %d: %d pending, reference holds %d", seed, step, e.Pending(), len(live))
+			}
+		}
+		sortLive()
+		n := len(fired)
+		e.RunUntilIdle()
+		for i, r := range live {
+			if fired[n+i] != r.seq {
+				t.Fatalf("seed %d drain: fired %v, want %v", seed, fired[n:], live)
+			}
+		}
+	}
+}
+
+// TestSteadyStateSchedulingAllocatesNothing pins the schedule → fire cycle at
+// zero allocations in both forms, and a running Ticker with it.
+func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	count := 0
+	fn := func() { count++ }
+	argFn := func(arg any) { *arg.(*int)++ }
+	cycles := map[string]func(){
+		"After":     func() { e.After(time.Microsecond, fn); e.Step() },
+		"AfterWith": func() { e.AfterWith(time.Microsecond, argFn, &count); e.Step() },
+	}
+	for name, cycle := range cycles {
+		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+			t.Errorf("%s → fire allocated %.1f per cycle, want 0", name, allocs)
+		}
+	}
+	tk := e.NewTicker(time.Millisecond, fn)
+	before := count
+	if allocs := testing.AllocsPerRun(1000, func() { e.Step() }); allocs != 0 {
+		t.Errorf("a Ticker tick allocated %.1f, want 0", allocs)
+	}
+	tk.Stop()
+	if count-before != 1001 {
+		t.Fatalf("ticker fired %d times over 1001 steps", count-before)
 	}
 }

@@ -109,8 +109,12 @@ func (c *CBR) scheduleNext() {
 	}
 	c.sendOne()
 	gap := time.Duration(c.cfg.Jitter.Exp(c.meanGap))
-	c.stack.domain.engine.After(gap, c.scheduleNext)
+	c.stack.domain.engine.AfterWith(gap, cbrNext, c)
 }
+
+// cbrNext is the event fn of every Poisson-paced CBR flow: bound once, so a
+// packet's pacing event builds no method value.
+func cbrNext(arg any) { arg.(*CBR).scheduleNext() }
 
 // Dst returns the flow's destination.
 func (c *CBR) Dst() netsim.NodeID { return c.dst }

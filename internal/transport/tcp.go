@@ -249,8 +249,12 @@ func (t *tcpSender) armRTO() {
 	if t.done || t.sndUna >= t.nseg {
 		return
 	}
-	t.rtoTimer = t.stack.domain.engine.After(t.rto, t.onTimeout)
+	t.rtoTimer = t.stack.domain.engine.AfterWith(t.rto, rtoExpired, t)
 }
+
+// rtoExpired is the event fn of every sender's retransmission timer: bound
+// once, so re-arming the timer on each ACK builds no method value.
+func rtoExpired(arg any) { arg.(*tcpSender).onTimeout() }
 
 func (t *tcpSender) onTimeout() {
 	if t.done || t.sndUna >= t.nseg {
