@@ -442,6 +442,13 @@ var benchSnapshot *collector.Topology
 // requester rotating over the hosts. The destination trees are warm (the
 // structure does not change under a steady feed), so the cost is the walks,
 // the estimates and the sort; the one allocation is the private result.
+//
+// The count=8 variants are the answer a device on the churn workload gets:
+// a sorted Count: 8 query through Engine.Answer, on two snapshots of one
+// structure taken alternately, so that every lookup meets a new epoch and
+// misses. The walks and estimates are the same; only the 8 best keys are
+// sorted and only 8 candidates copied, into a 384-byte result. The other
+// allocations are the cache's: the epoch's map, its bucket and the entry.
 func BenchmarkColdRanking(b *testing.B) {
 	fabric, trace := closTrace(b, 1)
 	var now time.Duration
@@ -459,6 +466,14 @@ func BenchmarkColdRanking(b *testing.B) {
 	if len(hosts) != len(fabric.Hosts) {
 		b.Fatalf("learned %d of the fabric's %d hosts", len(hosts), len(fabric.Hosts))
 	}
+	// The last probe once more, a sequence number on: a new epoch on the
+	// same structure.
+	p.Seq++
+	coll.HandleProbe(&p)
+	epochs := [2]*collector.Topology{topo, coll.Snapshot()}
+	if epochs[1].Epoch() == topo.Epoch() {
+		b.Fatal("the repeated probe did not advance the epoch")
+	}
 	for _, r := range []core.Ranker{&core.DelayRanker{}, &core.BandwidthRanker{}} {
 		b.Run(r.Metric().String(), func(b *testing.B) {
 			for _, h := range hosts { // build every destination tree
@@ -471,6 +486,28 @@ func BenchmarkColdRanking(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchRanking = core.ComputeRanking(topo, r, netsim.NodeID(hosts[i%len(hosts)]), 0)
+			}
+		})
+		b.Run(r.Metric().String()+"/count=8", func(b *testing.B) {
+			var e core.Engine
+			e.Register(r)
+			req := core.QueryRequest{Metric: r.Metric(), Count: 8, Sorted: true}
+			for i, h := range hosts { // build every destination tree of both snapshots
+				req.From = netsim.NodeID(h)
+				benchRanking, _ = e.Answer(epochs[i%2], &req)
+			}
+			if len(benchRanking) != 8 {
+				b.Fatalf("answered %d candidates", len(benchRanking))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.From = netsim.NodeID(hosts[i%len(hosts)])
+				benchRanking, _ = e.Answer(epochs[i%2], &req)
+			}
+			b.StopTimer()
+			if st := e.CacheStats(); st.Hits != 0 {
+				b.Fatalf("%d rank-cache hits", st.Hits)
 			}
 		})
 	}

@@ -38,7 +38,8 @@ func (e *Engine) CacheStats() RankCacheStats { return e.cache.Stats() }
 // Answer ranks the candidates for one query — every host of the snapshot
 // except the requester (the paper: all nodes, scheduler included, execute
 // tasks unless they submitted) — and shapes the result per the request (ID
-// order, recovery filter, count). ok is false when no ranker is registered
+// order, recovery filter, count; a count ≤ 0, which the simulator's devices
+// send, means every candidate). ok is false when no ranker is registered
 // for the query's metric. Repeated queries between telemetry updates are
 // served from the rank cache; the result is a read-only view of shared
 // storage — a warmed hit performs zero heap allocations — so callers that
@@ -55,15 +56,23 @@ func (e *Engine) Answer(topo *collector.Topology, req *QueryRequest) (ranked []C
 	if req.Metric == MetricRandom || fromHost < 0 {
 		// An RNG draw the collector epoch does not version, or a requester
 		// the index-space key cannot name: compute every time.
-		entry := newRankEntry(ComputeRanking(topo, ranker, req.From, req.DataBytes))
+		entry := newRankEntry(ComputeRanking(topo, ranker, req.From, req.DataBytes), true)
 		return entry.Shaped(idOrder, e.ExcludeUnreachable, req.Count), true
 	}
-	// The cache stores the full ranked list; the per-request shaping is a
+	// A sorted, counted query needs only the count best, and the miss
+	// computes only those; anything else needs the whole ranking. The cache
+	// holds what the last miss computed, and the per-request shaping is a
 	// reslice of the entry's storage.
+	need := max(req.Count, 0)
+	if idOrder {
+		need = 0
+	}
 	key := RankKey{From: int32(fromHost), Metric: req.Metric, DataBytes: req.DataBytes}
-	entry, miss := e.cache.Lookup(topo.Epoch(), key)
+	entry, miss := e.cache.Lookup(topo.Epoch(), key, need)
 	if entry == nil {
-		entry = miss.Store(ComputeRanking(topo, ranker, req.From, req.DataBytes))
+		ranked := rank(topo, ranker, req.From, fromHost, req.DataBytes, need)
+		// Every host but the requester, or the first need of them.
+		entry = miss.Store(ranked, len(ranked) == topo.HostCount()-1)
 	}
 	return entry.Shaped(idOrder, e.ExcludeUnreachable, req.Count), true
 }

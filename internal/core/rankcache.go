@@ -15,11 +15,15 @@ import (
 // from an RNG stream, is a pure function of the snapshot and the query, so
 // the engine caches every metric but random.
 //
-// Entries are immutable RankEntry values holding the best-first ranking
-// with its reachable prefix length (and a lazily computed ID-ordered
-// variant), so every per-request shaping — unreachable filtering, ID order,
-// count truncation — is a zero-allocation reslice of shared storage instead
-// of a clone-and-sort per query.
+// Entries are immutable RankEntry values holding a best-first ranking with
+// its reachable prefix length (and a lazily computed ID-ordered variant),
+// so every per-request shaping — unreachable filtering, ID order, count
+// truncation — is a zero-allocation reslice of shared storage instead of a
+// clone-and-sort per query. An entry holds either the whole ranking or, when
+// the query that computed it asked for the k best of more reachable
+// candidates, just those k: a prefix of the whole ranking that serves any
+// best-first request for at most k. A request the entry is too short for is
+// a miss, and its Store replaces the entry; entries are never grown in place.
 
 // RankKey identifies one cacheable ranking computation within an epoch:
 // three scalars, no strings hashed on the hot path.
@@ -35,24 +39,27 @@ type RankKey struct {
 	DataBytes int64
 }
 
-// RankEntry is one cached ranking: the full best-first candidate list plus
-// the precomputed handles request shaping needs. Entries are immutable
-// after Store — Shaped returns views of shared storage, and callers must
-// not modify what they are handed (clone first to mutate).
+// RankEntry is one cached ranking: a best-first candidate list plus the
+// precomputed handles request shaping needs. Entries are immutable after
+// Store — Shaped returns views of shared storage, and callers must not
+// modify what they are handed (clone first to mutate).
 type RankEntry struct {
 	// ranked is the best-first list. Every ranker emits reachable
 	// candidates before unreachable ones (Ranker.Rank), or marks every
 	// candidate reachable; reach is the length of that reachable prefix.
 	ranked []Candidate
 	reach  int
+	// whole is false when ranked is only the first len(ranked) candidates
+	// of the ranking, all reachable: a counted computation's result.
+	whole bool
 	// byID materializes the ID-ordered variant (the paper's option two) on
 	// first use; many workloads never request it.
 	byIDOnce sync.Once
 	byID     []Candidate
 }
 
-func newRankEntry(ranked []Candidate) *RankEntry {
-	e := &RankEntry{ranked: ranked}
+func newRankEntry(ranked []Candidate, whole bool) *RankEntry {
+	e := &RankEntry{ranked: ranked, whole: whole}
 	for e.reach < len(ranked) && ranked[e.reach].Reachable {
 		e.reach++
 	}
@@ -61,6 +68,12 @@ func newRankEntry(ranked []Candidate) *RankEntry {
 
 // Ranked returns the best-first list. Shared storage — read only.
 func (e *RankEntry) Ranked() []Candidate { return e.ranked }
+
+// serves reports whether the entry answers a request that needs the need
+// best candidates, 0 meaning the whole ranking.
+func (e *RankEntry) serves(need int) bool {
+	return e.whole || (need > 0 && need <= len(e.ranked))
+}
 
 // sortedByID returns the list re-sorted by node ID (reachable first),
 // computing it on first use. Shared storage — read only.
@@ -77,8 +90,9 @@ func (e *RankEntry) sortedByID() []Candidate {
 // Shaped applies per-request response shaping as zero-allocation views of
 // the entry's storage: idOrder selects the ID-ordered variant (option two),
 // exclUnre applies the recovery policy's unreachable filter (with the
-// all-unreachable graceful fallback), and count > 0 truncates. The result
-// is shared storage — read only.
+// all-unreachable graceful fallback), and count > 0 truncates. An entry that
+// is not whole is shaped only for what it serves: best-first, at most its
+// length. The result is shared storage — read only.
 func (e *RankEntry) Shaped(idOrder, exclUnre bool, count int) []Candidate {
 	list := e.ranked
 	if idOrder {
@@ -98,12 +112,17 @@ func (e *RankEntry) Shaped(idOrder, exclUnre bool, count int) []Candidate {
 
 // RankCacheStats reports cache effectiveness.
 type RankCacheStats struct {
-	Hits, Misses uint64
+	// Hits counts lookups served by the epoch's entry for their key.
+	Hits uint64
+	// Misses counts lookups that computed a ranking: the key had no entry
+	// this epoch, or its entry holds fewer best-first candidates than the
+	// request needs.
+	Misses uint64
 	// Invalidations counts epoch advances observed by the cache.
 	Invalidations uint64
 }
 
-// RankCache memoizes ranked candidate lists per collector epoch. All
+// RankCache memoizes best-first rankings per collector epoch. All
 // methods are safe for concurrent use. Entries from older epochs are
 // discarded wholesale the first time a newer epoch is observed, so the
 // cache never serves results computed from a superseded topology.
@@ -137,15 +156,15 @@ type RankMiss struct {
 	key   RankKey
 }
 
-// Lookup returns the cached entry for key at the given epoch, or nil and
-// the miss handle to Store the computed ranking through. The entry's
-// contents are shared — shape with Shaped, or CloneCandidates before
-// mutating.
-func (c *RankCache) Lookup(epoch uint64, key RankKey) (*RankEntry, RankMiss) {
+// Lookup returns the cached entry for key at the given epoch when it holds
+// the need best candidates (0: the whole ranking), or nil and the miss
+// handle to Store the computed ranking through. The entry's contents are
+// shared — shape with Shaped, or CloneCandidates before mutating.
+func (c *RankCache) Lookup(epoch uint64, key RankKey, need int) (*RankEntry, RankMiss) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.syncEpochLocked(epoch)
-	if entry, ok := c.entries[key]; ok {
+	if entry, ok := c.entries[key]; ok && entry.serves(need) {
 		c.stats.Hits++
 		return entry, RankMiss{}
 	}
@@ -153,12 +172,13 @@ func (c *RankCache) Lookup(epoch uint64, key RankKey) (*RankEntry, RankMiss) {
 	return nil, RankMiss{cache: c, epoch: epoch, key: key}
 }
 
-// Store records the ranking computed for the missed lookup, taking
-// ownership of ranked (hand it a private slice; it becomes shared entry
-// storage), and returns the built entry so the caller can serve views of
-// the computation it just performed.
-func (m RankMiss) Store(ranked []Candidate) *RankEntry {
-	entry := newRankEntry(ranked)
+// Store records the ranking computed for the missed lookup — whole, or only
+// its first len(ranked) candidates — replacing any entry the key had. It
+// takes ownership of ranked (hand it a private slice; it becomes shared
+// entry storage) and returns the built entry so the caller can serve views
+// of the computation it just performed.
+func (m RankMiss) Store(ranked []Candidate, whole bool) *RankEntry {
+	entry := newRankEntry(ranked, whole)
 	c := m.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -257,9 +257,9 @@ type countingRanker struct {
 	calls int
 }
 
-func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, s *rankScratch) []Candidate {
+func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate {
 	r.calls++
-	return r.DelayRanker.Rank(topo, from, fromIdx, fromHost, dataBytes, s)
+	return r.DelayRanker.Rank(topo, from, fromIdx, fromHost, dataBytes, count, s)
 }
 
 // TestRankBatchDeduplicatesKeys: identical cache keys in one batch must be
@@ -364,21 +364,21 @@ func TestRankBatchUncacheablePaths(t *testing.T) {
 func TestRankCacheStoreAcrossEpochs(t *testing.T) {
 	var c RankCache
 	key := RankKey{From: 3, Metric: MetricDelay}
-	entry, miss := c.Lookup(7, key)
+	entry, miss := c.Lookup(7, key, 0)
 	if entry != nil {
 		t.Fatal("unexpected hit in empty cache")
 	}
-	miss.Store([]Candidate{{Node: "fresh"}})
-	if entry, _ := c.Lookup(7, key); entry == nil || entry.Ranked()[0].Node != "fresh" {
+	miss.Store([]Candidate{{Node: "fresh"}}, true)
+	if entry, _ := c.Lookup(7, key, 0); entry == nil || entry.Ranked()[0].Node != "fresh" {
 		t.Fatalf("stored entry not served (entry=%v)", entry)
 	}
 	// A handle taken at epoch 7 and stored after the cache reached epoch 8
 	// is invisible to epoch-8 lookups.
 	other := RankKey{From: 4, Metric: MetricDelay}
-	_, old := c.Lookup(7, other)
-	c.Lookup(8, other)
-	old.Store([]Candidate{{Node: "epoch7"}})
-	if entry, _ := c.Lookup(8, other); entry != nil {
+	_, old := c.Lookup(7, other, 0)
+	c.Lookup(8, other, 0)
+	old.Store([]Candidate{{Node: "epoch7"}}, true)
+	if entry, _ := c.Lookup(8, other, 0); entry != nil {
 		t.Fatalf("epoch-7 ranking served at epoch 8: %v", entry.Ranked())
 	}
 }

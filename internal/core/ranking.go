@@ -8,8 +8,10 @@
 // changes more often than a device asks twice), so the ranking itself is
 // kept to array loads: per candidate one walk of the destination tree's
 // precomputed hop slots (collector.Walker.SlotsInto), an estimate folded
-// over those slots, and one sort of 16-byte keys for the order (rankPaths,
-// ranked).
+// over those slots, and 16-byte keys for the order (rankPaths, ranked). A
+// query that asks for the k best orders only those: a quickselect moves the
+// k least keys to the front and only they are sorted and copied out; the
+// whole ranking is the case where k covers every reachable candidate.
 //
 // The two baselines the paper compares against (Nearest and Random) are
 // implemented here too, plus the extensions that kept their place in a
@@ -19,6 +21,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -89,7 +92,7 @@ type Candidate struct {
 // device. Rankings are computed entirely in the snapshot's int32 index
 // coordinate systems — each candidate's hops walked as metric slots into
 // reusable scratch, each estimate a fold of arena slot loads (see
-// collector/arena.go), the order a sort of 16-byte keys — and touch strings
+// collector/arena.go), the order from 16-byte keys — and touch strings
 // only when forming Candidate.Node (a reference to the snapshot's interned
 // host name).
 type Ranker interface {
@@ -101,9 +104,12 @@ type Ranker interface {
 	// in node-ID order. from is the querying device's ID, fromIdx its node
 	// index (-1 when it has no adjacency) and fromHost its position in the
 	// sorted host list (-1 when it is not a known host: nobody is left
-	// out); dataBytes is the task's transfer size (0 when unknown). The
-	// result is private to the caller; s is scratch.
-	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, s *rankScratch) []Candidate
+	// out); dataBytes is the task's transfer size (0 when unknown). count
+	// > 0 says the caller needs only the count best: when more candidates
+	// than that are reachable, the ranker may return just the whole
+	// ranking's first count entries. The result is private to the caller;
+	// s is scratch.
+	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate
 }
 
 // rankKey is what a ranking sorts: one reachable candidate's estimate as an
@@ -154,12 +160,18 @@ var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 // experimental setup: all nodes execute tasks unless they submitted). The
 // returned slice is private to the caller.
 func ComputeRanking(topo *collector.Topology, r Ranker, from netsim.NodeID, dataBytes int64) []Candidate {
+	return rank(topo, r, from, topo.HostIndex(string(from)), dataBytes, 0)
+}
+
+// rank is ComputeRanking for a requester at host position fromHost, cut to
+// the count best when count > 0 (Ranker.Rank).
+func rank(topo *collector.Topology, r Ranker, from netsim.NodeID, fromHost int, dataBytes int64, count int) []Candidate {
 	fromIdx := int32(-1)
 	if i, ok := topo.NodeIndex(string(from)); ok {
 		fromIdx = i
 	}
 	sc := scratchPool.Get().(*rankScratch)
-	ranked := r.Rank(topo, from, fromIdx, topo.HostIndex(string(from)), dataBytes, sc)
+	ranked := r.Rank(topo, from, fromIdx, fromHost, dataBytes, count, sc)
 	scratchPool.Put(sc)
 	return ranked
 }
@@ -175,31 +187,92 @@ func (s *rankScratch) begin(hosts int) {
 // but fromHost, a key for each reachable one — into a private result: the
 // reachable candidates by ascending key, ties by host position (node-ID
 // order, the host list being sorted), then the unreachable ones in ID order.
-// The order is total, so the sort need not be stable.
-func ranked(cands []Candidate, keys []rankKey, fromHost int) []Candidate {
-	slices.SortFunc(keys, rankKey.compare)
+// The order is total, so the sort need not be stable, and the count least
+// keys are one set whatever finds them. When count > 0 leaves out some
+// reachable candidate, only the count least keys are selected, sorted and
+// gathered; otherwise every key is sorted and the whole ranking returned.
+func ranked(cands []Candidate, keys []rankKey, fromHost, count int) []Candidate {
+	whole := count <= 0 || count >= len(keys)
 	n := len(cands)
 	if fromHost >= 0 {
 		n--
 	}
+	if !whole {
+		selectLeast(keys, count, 2*bits.Len(uint(len(keys))))
+		keys, n = keys[:count], count
+	}
+	slices.SortFunc(keys, rankKey.compare)
 	out := make([]Candidate, 0, n)
 	for _, k := range keys {
 		out = append(out, cands[k.host])
 	}
-	for j := range cands {
-		if j != fromHost && !cands[j].Reachable {
-			out = append(out, cands[j])
+	if whole {
+		for j := range cands {
+			if j != fromHost && !cands[j].Reachable {
+				out = append(out, cands[j])
+			}
 		}
 	}
 	return out
 }
 
+// selectLeast moves the k least keys to keys[:k], in no particular order
+// (0 < k < len(keys)): a quickselect that partitions around a median of
+// three until position k holds the key of rank k. Keys are distinct — no two
+// share a host — so every round fixes one pivot. After rounds partitions
+// (ranked allows 2·log2 n) the range still open is sorted outright, so
+// pivots that keep landing badly cost at most one sort.
+func selectLeast(keys []rankKey, k, rounds int) {
+	lo, hi := 0, len(keys) // keys[lo:hi] holds position k's key
+	for ; hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.SortFunc(keys[lo:hi], rankKey.compare)
+			return
+		}
+		switch p := lo + partition(keys[lo:hi]); {
+		case p < k:
+			lo = p + 1
+		case p > k:
+			hi = p
+		default:
+			return
+		}
+	}
+}
+
+// partition reorders a (len ≥ 2) around the median of its first, middle and
+// last keys and returns the pivot's final position: every key before it is
+// less, every key after it greater.
+func partition(a []rankKey) int {
+	last, mid := len(a)-1, len(a)/2
+	if a[mid].compare(a[0]) < 0 {
+		a[0], a[mid] = a[mid], a[0]
+	}
+	if a[last].compare(a[0]) < 0 {
+		a[0], a[last] = a[last], a[0]
+	}
+	if a[last].compare(a[mid]) < 0 {
+		a[mid], a[last] = a[last], a[mid]
+	}
+	a[mid], a[last] = a[last], a[mid]
+	pivot, i := a[last], 0
+	for j := range a[:last] {
+		if a[j].compare(pivot) < 0 {
+			a[i], a[j] = a[j], a[i]
+			i++
+		}
+	}
+	a[i], a[last] = a[last], a[i]
+	return i
+}
+
 // rankPaths ranks every host but the requester over the learned paths from
-// the requester. est estimates one reachable candidate from the metric slots
-// of its hops — leavesHost says the first hop leaves a host, the only hop of a
-// walked path that can (hosts do not forward) — and returns its sort key.
-// Candidates without a path stay unreachable with zero estimates.
-func rankPaths(topo *collector.Topology, fromIdx int32, fromHost int, s *rankScratch, est func(c *Candidate, slots []int32, leavesHost bool) int64) []Candidate {
+// the requester, cut to the count best when count > 0 (Ranker.Rank). est
+// estimates one reachable candidate from the metric slots of its hops —
+// leavesHost says the first hop leaves a host, the only hop of a walked path
+// that can (hosts do not forward) — and returns its sort key. Candidates
+// without a path stay unreachable with zero estimates.
+func rankPaths(topo *collector.Topology, fromIdx int32, fromHost, count int, s *rankScratch, est func(c *Candidate, slots []int32, leavesHost bool) int64) []Candidate {
 	s.begin(topo.HostCount())
 	leavesHost := fromIdx >= 0 && topo.IsHostIdx(fromIdx)
 	s.walker.Reset(topo)
@@ -218,7 +291,7 @@ func rankPaths(topo *collector.Topology, fromIdx int32, fromHost int, s *rankScr
 		}
 	}
 	s.walker.Reset(nil) // a pooled scratch must not pin the snapshot
-	return ranked(s.cands, s.keys, fromHost)
+	return ranked(s.cands, s.keys, fromHost, count)
 }
 
 // DefaultK is the paper's queue-occupancy→latency conversion factor: each
@@ -272,9 +345,9 @@ func (r *DelayRanker) delayOverPath(topo *collector.Topology, slots []int32, lea
 }
 
 // Rank implements Ranker.
-func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, s *rankScratch) []Candidate {
+func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
 	k := r.k()
-	return rankPaths(topo, fromIdx, fromHost, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
 		c.Delay = r.delayOverPath(topo, slots, leavesHost, k)
 		return int64(c.Delay)
 	})
@@ -324,9 +397,9 @@ func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, slots []i
 }
 
 // Rank implements Ranker.
-func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, s *rankScratch) []Candidate {
+func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
 	cal := r.calibration()
-	return rankPaths(topo, fromIdx, fromHost, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
 		c.BandwidthBps = r.bottleneckOverPath(topo, slots, leavesHost, cal)
 		return floatKey(-c.BandwidthBps) // most bandwidth first
 	})
@@ -364,7 +437,7 @@ func NewNearestRanker(nw *netsim.Network, hosts []netsim.NodeID) (*NearestRanker
 func (r *NearestRanker) Metric() Metric { return MetricNearest }
 
 // Rank implements Ranker.
-func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ int32, fromHost int, _ int64, s *rankScratch) []Candidate {
+func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ int32, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
 	hops := r.hops[from]
 	s.begin(topo.HostCount())
 	for j := range s.cands {
@@ -378,7 +451,7 @@ func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ int
 			s.keys = append(s.keys, rankKey{key: int64(h), host: int32(j)})
 		}
 	}
-	return ranked(s.cands, s.keys, fromHost)
+	return ranked(s.cands, s.keys, fromHost, count)
 }
 
 // RandomRanker is the paper's Random baseline: a uniformly random order for
@@ -396,8 +469,9 @@ func NewRandomRanker(rng *simtime.Rand) *RandomRanker {
 // Metric implements Ranker.
 func (r *RandomRanker) Metric() Metric { return MetricRandom }
 
-// Rank implements Ranker.
-func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ int32, fromHost int, _ int64, _ *rankScratch) []Candidate {
+// Rank implements Ranker. It always draws the whole order: the engine
+// caches no draw, so it never asks for fewer.
+func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ int32, fromHost int, _ int64, _ int, _ *rankScratch) []Candidate {
 	n := topo.HostCount()
 	if fromHost >= 0 {
 		n--

@@ -257,7 +257,7 @@ func TestEveryRankerReachableFirst(t *testing.T) {
 		if c := findCand(t, ranked, "e2"); c.Reachable == learned {
 			t.Fatalf("%v: evicted e2 reachable=%v in %v", m, c.Reachable, ranked)
 		}
-		entry := newRankEntry(ranked)
+		entry := newRankEntry(ranked, true)
 		for _, list := range [][]Candidate{entry.Ranked(), entry.sortedByID()} {
 			for i, c := range list {
 				if c.Reachable != (i < entry.reach) {

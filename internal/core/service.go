@@ -193,13 +193,10 @@ func (c *Client) handleControl(from netsim.NodeID, payload any) {
 	}
 }
 
-// Query sends a ranking request and invokes cb with the response.
-func (c *Client) Query(metric Metric, count int, cb func(*QueryResponse)) {
-	c.QuerySized(metric, count, 0, cb)
-}
-
-// QuerySized sends a ranking request carrying the task's data size so
-// size-aware rankers can estimate total transfer completion time.
+// QuerySized sends a best-first ranking request for at most count
+// candidates (0: all) and invokes cb with the response. dataBytes carries
+// the task's data size so size-aware rankers can estimate total transfer
+// completion time (0 when unknown).
 func (c *Client) QuerySized(metric Metric, count int, dataBytes int64, cb func(*QueryResponse)) {
 	c.send(&QueryRequest{
 		Metric:    metric,

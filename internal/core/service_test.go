@@ -54,7 +54,7 @@ func TestQueryRoundTripOverNetwork(t *testing.T) {
 	f := newServiceFixture(t)
 	client := NewClient(f.domain.Stack("dev"), "sched")
 	var resp *QueryResponse
-	client.Query(MetricDelay, 0, func(r *QueryResponse) { resp = r })
+	client.QuerySized(MetricDelay, 0, 0, func(r *QueryResponse) { resp = r })
 	f.engine.Run(f.engine.Now() + time.Second)
 	if resp == nil {
 		t.Fatal("no response")

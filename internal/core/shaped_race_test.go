@@ -14,7 +14,7 @@ func TestShapedViewAliasesCachedStorage(t *testing.T) {
 	e := newRankEntry([]Candidate{
 		{Node: "a", Delay: 1, Reachable: true},
 		{Node: "b", Delay: 2, Reachable: true},
-	})
+	}, true)
 	v := e.Shaped(false, true, 1)
 	if len(v) != 1 || v[0].Node != "a" {
 		t.Fatalf("shaped view = %+v, want prefix [a]", v)

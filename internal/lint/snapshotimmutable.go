@@ -230,7 +230,7 @@ func (st *snapState) handleAssign(n *ast.AssignStmt) {
 		}
 	}
 	// Alias propagation: ident := tainted-expr (also through tuple
-	// assignment from a seed call: topo := c.Snapshot(); e, miss := cache.Lookup(k)).
+	// assignment from a seed call: topo := c.Snapshot(); e, miss := cache.Lookup(epoch, k, need)).
 	if len(n.Rhs) == 1 {
 		if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
 			if what, ok := seedCallResult(st.pass, call); ok {

@@ -31,7 +31,7 @@ func BadViewElementStore(e *core.RankEntry) {
 
 // BadViewElementReplace overwrites a whole cached element.
 func BadViewElementReplace(miss core.RankMiss, ranked []core.Candidate) {
-	entry := miss.Store(ranked)
+	entry := miss.Store(ranked, true)
 	view := entry.Ranked()
 	view[0] = core.Candidate{} // want `store through cached candidate view`
 }
@@ -65,7 +65,7 @@ func BadSort(e *core.RankEntry) {
 
 // BadLookupEntry taints through the cache's lookup path.
 func BadLookupEntry(cache *core.RankCache, epoch uint64, key core.RankKey) {
-	entry, _ := cache.Lookup(epoch, key)
+	entry, _ := cache.Lookup(epoch, key, 0)
 	if entry == nil {
 		return
 	}
@@ -116,7 +116,7 @@ func GoodHostsCopy(topo *collector.Topology) []string {
 // GoodMissHandle: only Lookup's first result is shared; the miss handle is
 // a plain value.
 func GoodMissHandle(cache *core.RankCache, epoch uint64, key core.RankKey) core.RankMiss {
-	entry, miss := cache.Lookup(epoch, key)
+	entry, miss := cache.Lookup(epoch, key, 0)
 	_ = entry
 	handles := []core.RankMiss{{}}
 	handles[0] = miss
@@ -137,7 +137,7 @@ func GoodRebind(e *core.RankEntry) []core.Candidate {
 func GoodEntrySlicePointer(cache *core.RankCache, epoch uint64, keys []core.RankKey) []*core.RankEntry {
 	entries := make([]*core.RankEntry, len(keys))
 	for i, k := range keys {
-		if e, _ := cache.Lookup(epoch, k); e != nil {
+		if e, _ := cache.Lookup(epoch, k, 0); e != nil {
 			entries[i] = e
 		}
 	}

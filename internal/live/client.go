@@ -43,10 +43,10 @@ type Client struct {
 // defaultClient serves the package-level Query.
 var defaultClient Client
 
-// Query asks the scheduler at addr one question (or one Batch of them) and
-// returns its answer, through a package-level Client: the first query to an
-// address dials, later ones reuse the connection unless it sat idle longer
-// than the scheduler would keep it. A non-positive timeout means 5 s. An
+// Query asks the scheduler at addr one question and returns its answer,
+// through a package-level Client: the first query to an address dials, later
+// ones reuse the connection unless it sat idle longer than the scheduler
+// would keep it. A non-positive timeout means 5 s. An
 // answer carrying an Error is returned together with that error.
 func Query(addr string, req *wire.QueryRequest, timeout time.Duration) (*wire.QueryResponse, error) {
 	return defaultClient.Query(addr, req, timeout)

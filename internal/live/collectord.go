@@ -691,8 +691,8 @@ const (
 	// reached by that many devices asking at once, or by an attacker; the
 	// next connection is closed on accept and counted.
 	maxQueryConns = 1024
-	// queryReadBuffer holds the longest single query and its frame header,
-	// so one read takes in a whole request; only batches need more.
+	// queryReadBuffer holds the longest request frame and its header, so
+	// one read takes in a whole request.
 	queryReadBuffer = 1024
 )
 
@@ -776,55 +776,16 @@ func (d *CollectorDaemon) serve(conn net.Conn) {
 // cmd/intsched daemon's local diagnostics). It is safe for concurrent
 // callers — queries read one immutable epoch-versioned snapshot, and
 // repeated queries between probe arrivals are served from the same rank
-// cache machinery the simulated scheduler service uses. Requests carrying a
-// Batch are answered as AnswerBatch answers them.
+// cache machinery the simulated scheduler service uses.
 func (d *CollectorDaemon) Answer(req *wire.QueryRequest) *wire.QueryResponse {
 	resp := new(wire.QueryResponse)
 	d.answerInto(resp, req)
 	return resp
 }
 
-// AnswerBatch answers a burst of queries against one topology snapshot (one
-// build, one epoch for every cache interaction). An
-// element's failure — unknown metric, nested batch — sets that element's
-// Error; the rest of the batch is still answered.
-func (d *CollectorDaemon) AnswerBatch(reqs []wire.QueryRequest) *wire.QueryResponse {
-	resp := new(wire.QueryResponse)
-	d.answerBatchInto(resp, reqs)
-	return resp
-}
-
-// answerInto overwrites resp with the answer to req, keeping the slices
-// resp already has.
+// answerInto overwrites resp with the answer to req, keeping the candidate
+// slice resp already has.
 func (d *CollectorDaemon) answerInto(resp *wire.QueryResponse, req *wire.QueryRequest) {
-	if len(req.Batch) > 0 {
-		d.answerBatchInto(resp, req.Batch)
-		return
-	}
-	resp.Batch = resp.Batch[:0]
-	d.answerOn(d.coll.Snapshot(), resp, req)
-}
-
-func (d *CollectorDaemon) answerBatchInto(resp *wire.QueryResponse, reqs []wire.QueryRequest) {
-	topo := d.coll.Snapshot()
-	// Elements kept from an earlier batch bring their candidate slices.
-	batch := slices.Grow(resp.Batch[:0], len(reqs))[:len(reqs)]
-	*resp = wire.QueryResponse{Candidates: resp.Candidates[:0], Batch: batch}
-	for i := range reqs {
-		el := &resp.Batch[i]
-		if len(reqs[i].Batch) > 0 {
-			d.queryErrors.Inc()
-			*el = wire.QueryResponse{Metric: reqs[i].Metric, Error: "nested batch", Candidates: el.Candidates[:0]}
-			continue
-		}
-		el.Batch = nil
-		d.answerOn(topo, el, &reqs[i])
-	}
-}
-
-// answerOn overwrites resp's Metric, Error and Candidates with the answer
-// to one query on an already-acquired snapshot.
-func (d *CollectorDaemon) answerOn(topo *collector.Topology, resp *wire.QueryResponse, req *wire.QueryRequest) {
 	resp.Metric, resp.Error, resp.Candidates = req.Metric, "", resp.Candidates[:0]
 	metric, ok := core.ParseMetric(req.Metric)
 	if !ok {
@@ -832,6 +793,7 @@ func (d *CollectorDaemon) answerOn(topo *collector.Topology, resp *wire.QueryRes
 		resp.Error = fmt.Sprintf("unknown metric %q", req.Metric)
 		return
 	}
+	topo := d.coll.Snapshot()
 	start := time.Now()
 	// The answer is a view of a cache entry shared between queries; the
 	// copy below only reads it.

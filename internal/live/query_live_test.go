@@ -56,8 +56,7 @@ const (
 // sameResponse reports how two responses differ field for field ("" when
 // they do not), comparing bandwidths by their bits so that NaN equals itself.
 func sameResponse(got, want *wire.QueryResponse) string {
-	if got.Metric != want.Metric || got.Error != want.Error ||
-		len(got.Candidates) != len(want.Candidates) || len(got.Batch) != len(want.Batch) {
+	if got.Metric != want.Metric || got.Error != want.Error || len(got.Candidates) != len(want.Candidates) {
 		return fmt.Sprintf("got %+v, want %+v", got, want)
 	}
 	for i, w := range want.Candidates {
@@ -67,17 +66,12 @@ func sameResponse(got, want *wire.QueryResponse) string {
 			return fmt.Sprintf("candidate %d: got %+v, want %+v", i, g, w)
 		}
 	}
-	for i := range want.Batch {
-		if diff := sameResponse(&got.Batch[i], &want.Batch[i]); diff != "" {
-			return fmt.Sprintf("batch element %d: %s", i, diff)
-		}
-	}
 	return ""
 }
 
 // TestQueryWireMatchesInProcess: what a device reads off the wire is what
-// the daemon computed, for every served metric in both orders, for an
-// unknown requester, and for a batch one element of which fails.
+// the daemon computed, for every served metric in both orders, and for an
+// unknown requester.
 func TestQueryWireMatchesInProcess(t *testing.T) {
 	d := starDaemon(t, "")
 	var c Client
@@ -92,8 +86,7 @@ func TestQueryWireMatchesInProcess(t *testing.T) {
 			)
 		}
 	}
-	batch := &wire.QueryRequest{Batch: []wire.QueryRequest{*reqs[0], {From: "dev", Metric: "bogus"}, *reqs[2]}}
-	for _, req := range append(reqs, batch) {
+	for _, req := range reqs {
 		got, err := c.Query(d.QueryAddr(), req, time.Second)
 		if err != nil {
 			t.Fatalf("%+v: %v", req, err)
@@ -102,12 +95,9 @@ func TestQueryWireMatchesInProcess(t *testing.T) {
 		if diff := sameResponse(got, want); diff != "" {
 			t.Fatalf("%+v: %s", req, diff)
 		}
-		if len(req.Batch) == 0 && len(want.Candidates) == 0 {
+		if len(want.Candidates) == 0 {
 			t.Fatalf("%+v: nothing to compare", req)
 		}
-	}
-	if got := d.Answer(batch); got.Batch[1].Error == "" || got.Batch[0].Error != "" || len(got.Batch[2].Candidates) == 0 {
-		t.Fatalf("batch did not fail in its second element only: %+v", got)
 	}
 	// A failed single query is an answer and an error both.
 	resp, err := c.Query(d.QueryAddr(), &wire.QueryRequest{From: "dev", Metric: "bogus"}, time.Second)
@@ -220,9 +210,6 @@ func TestServePipelinedFrames(t *testing.T) {
 			Metric: []string{"delay", "bandwidth", "bogus", "transfer-time"}[i%4],
 			Count:  i % 3,
 			Sorted: i%2 == 0,
-		}
-		if i%10 == 9 {
-			req = &wire.QueryRequest{Batch: []wire.QueryRequest{*reqs[i-1], *reqs[i-2]}}
 		}
 		reqs = append(reqs, req)
 		if err := wire.WriteFrame(conn, req); err != nil {

@@ -18,42 +18,32 @@ import (
 //
 //	frame     = bodyLen u32 | body
 //	request   = 0x01 | query
-//	          | 0x02 | n u16 | query × n              1 ≤ n ≤ MaxBatch
-//	query     = flags u8 (bit 0: sorted) | count i32 | dataBytes i64 |
-//	            fromLen u8 | from | metricLen u8 | metric
+//	query     = flags u8 (bit 0: sorted) | count i32 (≥ 0; 0 = all) |
+//	            dataBytes i64 | fromLen u8 | from | metricLen u8 | metric
 //	response  = 0x81 | answer
-//	          | 0x82 | n u16 | answer × n             n ≥ 1
 //	answer    = metricLen u8 | metric | errLen u16 | err | n u16 | candidate × n
 //	candidate = nodeLen u8 | node | delayNs i64 | bandwidthBps f64 bits |
 //	            hops i32 | reachable u8 (0 or 1)
 //
-// Every valid body has exactly one encoding: unknown flag bits, a reachable
-// byte above 1, an empty batch and bytes after the message are all errors.
+// Every valid body has exactly one encoding: unknown flag bits, a negative
+// count, a reachable byte above 1 and bytes after the message are all
+// errors.
 
 const (
 	// MaxFrame bounds a response body, and so what a client will buffer
 	// for one answer.
 	MaxFrame = 1 << 20
-	// MaxBatch is the most queries one request frame may carry.
-	MaxBatch = 64
-	// maxQuery is the longest encoding of one query: the fixed fields and
-	// two names of MaxNodeName bytes.
-	maxQuery = 1 + 4 + 8 + 2*(1+MaxNodeName)
 	// MaxRequestFrame bounds a request body, and so what the scheduler will
-	// buffer for a connection it knows nothing about: a full batch of the
-	// longest queries.
-	MaxRequestFrame = 1 + 2 + MaxBatch*maxQuery
+	// buffer for a connection it knows nothing about: the kind, the fixed
+	// fields of a query and two names of MaxNodeName bytes.
+	MaxRequestFrame = 1 + 1 + 4 + 8 + 2*(1+MaxNodeName)
 
-	// minQuery, minAnswer and minCandidate are the shortest encodings; a
-	// declared count is checked against them before anything is allocated.
-	minQuery     = 1 + 4 + 8 + 1 + 1
-	minAnswer    = 1 + 2 + 2
+	// minCandidate is the shortest encoding of a candidate; a declared
+	// count is checked against it before anything is allocated.
 	minCandidate = 1 + 8 + 8 + 4 + 1
 
-	kindQuery       byte = 0x01
-	kindQueryBatch  byte = 0x02
-	kindAnswer      byte = 0x81
-	kindAnswerBatch byte = 0x82
+	kindQuery  byte = 0x01
+	kindAnswer byte = 0x81
 
 	flagSorted byte = 1 << 0
 
@@ -150,12 +140,6 @@ type QueryRequest struct {
 	// DataBytes optionally hints the task's transfer size for size-aware
 	// rankings (metric "transfer-time").
 	DataBytes int64
-	// Batch, when non-empty, carries a burst of at most MaxBatch queries
-	// answered together against one topology snapshot and one rank-cache
-	// generation; the top-level single-query fields are then ignored (and
-	// not sent) and the reply returns one entry in its Batch per element,
-	// index-aligned. Elements may not nest further batches.
-	Batch []QueryRequest
 }
 
 // CandidateInfo is one ranked edge server in a live query response.
@@ -175,11 +159,6 @@ type QueryResponse struct {
 	Metric     string
 	Error      string
 	Candidates []CandidateInfo
-	// Batch answers a batched request, index-aligned with the request's
-	// Batch; the top-level fields are then not sent. Per-element failures
-	// (e.g. an unknown metric) set that element's Error without failing the
-	// rest of the batch.
-	Batch []QueryResponse
 }
 
 func (q *QueryRequest) frameLimit() int  { return MaxRequestFrame }
@@ -187,39 +166,18 @@ func (r *QueryResponse) frameLimit() int { return MaxFrame }
 
 // AppendTo appends the request's frame body to b.
 func (q *QueryRequest) AppendTo(b []byte) ([]byte, error) {
-	if len(q.Batch) == 0 {
-		return q.appendQuery(append(b, kindQuery))
-	}
-	if len(q.Batch) > MaxBatch {
-		return b, fmt.Errorf("wire: batch of %d queries exceeds %d", len(q.Batch), MaxBatch)
-	}
-	b = append(b, kindQueryBatch)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(q.Batch)))
-	for i := range q.Batch {
-		if len(q.Batch[i].Batch) > 0 {
-			return b, errors.New("wire: nested batch")
-		}
-		var err error
-		if b, err = q.Batch[i].appendQuery(b); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-func (q *QueryRequest) appendQuery(b []byte) ([]byte, error) {
 	if len(q.From) > MaxNodeName || len(q.Metric) > MaxNodeName {
 		return b, errors.New("wire: query name too long")
 	}
-	if q.Count < math.MinInt32 || q.Count > math.MaxInt32 {
+	if q.Count < 0 || q.Count > math.MaxInt32 {
 		return b, fmt.Errorf("wire: count %d out of range", q.Count)
 	}
 	var flags byte
 	if q.Sorted {
 		flags |= flagSorted
 	}
-	b = append(b, flags)
-	b = binary.BigEndian.AppendUint32(b, uint32(int32(q.Count)))
+	b = append(b, kindQuery, flags)
+	b = binary.BigEndian.AppendUint32(b, uint32(q.Count))
 	b = binary.BigEndian.AppendUint64(b, uint64(q.DataBytes))
 	b = appendName(b, q.From)
 	return appendName(b, q.Metric), nil
@@ -228,64 +186,27 @@ func (q *QueryRequest) appendQuery(b []byte) ([]byte, error) {
 // Decode replaces the request with the one body holds.
 func (q *QueryRequest) Decode(body []byte) error {
 	c := cursor{b: body}
-	switch kind := c.u8(); kind {
-	case kindQuery:
-		q.Batch = q.Batch[:0]
-		q.decodeQuery(&c)
-	case kindQueryBatch:
-		n := int(c.u16())
-		if n == 0 || n > MaxBatch || n*minQuery > len(c.b) {
-			return fmt.Errorf("%w: batch of %d queries in %d bytes", ErrBadFrame, n, len(c.b))
-		}
-		*q = QueryRequest{Batch: resize(q.Batch, n)}
-		for i := range q.Batch {
-			q.Batch[i].Batch = nil
-			q.Batch[i].decodeQuery(&c)
-		}
-	default:
+	if kind := c.u8(); kind != kindQuery {
 		return fmt.Errorf("%w: kind %#x is not a request", ErrBadFrame, kind)
 	}
-	return c.finish()
-}
-
-func (q *QueryRequest) decodeQuery(c *cursor) {
 	flags := c.u8()
-	if flags&^flagSorted != 0 {
-		c.bad = true
-	}
 	q.Sorted = flags&flagSorted != 0
 	q.Count = int(int32(c.u32()))
 	q.DataBytes = int64(c.u64())
 	c.name(&q.From)
 	c.name(&q.Metric)
+	if flags&^flagSorted != 0 || q.Count < 0 {
+		c.bad = true
+	}
+	return c.finish()
 }
 
 // AppendTo appends the response's frame body to b.
 func (r *QueryResponse) AppendTo(b []byte) ([]byte, error) {
-	if len(r.Batch) == 0 {
-		return r.appendAnswer(append(b, kindAnswer))
-	}
-	if len(r.Batch) > math.MaxUint16 {
-		return b, fmt.Errorf("wire: batch of %d answers", len(r.Batch))
-	}
-	b = append(b, kindAnswerBatch)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Batch)))
-	for i := range r.Batch {
-		if len(r.Batch[i].Batch) > 0 {
-			return b, errors.New("wire: nested batch")
-		}
-		var err error
-		if b, err = r.Batch[i].appendAnswer(b); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-func (r *QueryResponse) appendAnswer(b []byte) ([]byte, error) {
 	if len(r.Metric) > MaxNodeName || len(r.Error) > math.MaxUint16 || len(r.Candidates) > math.MaxUint16 {
 		return b, errors.New("wire: answer field too long")
 	}
+	b = append(b, kindAnswer)
 	b = appendName(b, r.Metric)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Error)))
 	b = append(b, r.Error...)
@@ -311,27 +232,9 @@ func (r *QueryResponse) appendAnswer(b []byte) ([]byte, error) {
 // Decode replaces the response with the one body holds.
 func (r *QueryResponse) Decode(body []byte) error {
 	c := cursor{b: body}
-	switch kind := c.u8(); kind {
-	case kindAnswer:
-		r.Batch = r.Batch[:0]
-		r.decodeAnswer(&c)
-	case kindAnswerBatch:
-		n := int(c.u16())
-		if n == 0 || n*minAnswer > len(c.b) {
-			return fmt.Errorf("%w: batch of %d answers in %d bytes", ErrBadFrame, n, len(c.b))
-		}
-		*r = QueryResponse{Candidates: r.Candidates[:0], Batch: resize(r.Batch, n)}
-		for i := range r.Batch {
-			r.Batch[i].Batch = nil
-			r.Batch[i].decodeAnswer(&c)
-		}
-	default:
+	if kind := c.u8(); kind != kindAnswer {
 		return fmt.Errorf("%w: kind %#x is not a response", ErrBadFrame, kind)
 	}
-	return c.finish()
-}
-
-func (r *QueryResponse) decodeAnswer(c *cursor) {
 	c.name(&r.Metric)
 	c.str(&r.Error, int(c.u16()))
 	n := int(c.u16())
@@ -352,6 +255,7 @@ func (r *QueryResponse) decodeAnswer(c *cursor) {
 		}
 		ci.Reachable = reachable == 1
 	}
+	return c.finish()
 }
 
 func appendName(b []byte, s string) []byte {

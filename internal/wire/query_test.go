@@ -12,18 +12,14 @@ import (
 	"unsafe"
 )
 
-// sampleRequests and sampleResponses cover both kinds of each message and
+// sampleRequests and sampleResponses cover the extremes of each field and
 // the values JSON could not carry.
 func sampleRequests() []*QueryRequest {
 	return []*QueryRequest{
 		{From: "n1", Metric: "delay", Count: 3, Sorted: true},
 		{},
-		{From: strings.Repeat("f", MaxNodeName), Metric: strings.Repeat("m", MaxNodeName), Count: -1, DataBytes: math.MinInt64},
-		{Batch: []QueryRequest{
-			{From: "n1", Metric: "delay", Sorted: true},
-			{From: "n2", Metric: "transfer-time", Count: 2, DataBytes: 20 << 20},
-			{Metric: "bogus"},
-		}},
+		{From: strings.Repeat("f", MaxNodeName), Metric: strings.Repeat("m", MaxNodeName), Count: math.MaxInt32, DataBytes: math.MinInt64},
+		{From: "n2", Metric: "transfer-time", Count: 8, Sorted: true, DataBytes: 20 << 20},
 	}
 }
 
@@ -36,11 +32,7 @@ func sampleResponses() []*QueryResponse {
 		}},
 		{Metric: "bogus", Error: `unknown metric "bogus"`},
 		{},
-		{Batch: []QueryResponse{
-			{Metric: "delay", Candidates: []CandidateInfo{{Node: "e1", DelayNs: 5, BandwidthBps: math.NaN(), Hops: 2, Reachable: true}}},
-			{Metric: "bogus", Error: "unknown metric"},
-			{Metric: "bandwidth"},
-		}},
+		{Metric: "bandwidth", Candidates: []CandidateInfo{{Node: "e1", DelayNs: 5, BandwidthBps: math.NaN(), Hops: 2, Reachable: true}}},
 	}
 }
 
@@ -104,7 +96,7 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 					t.Fatalf("request %d decoded to %+v, want %+v", i, got, want)
 				}
 			}
-			if len(want.Batch) == 0 && !reflect.DeepEqual(&fresh, want) {
+			if !reflect.DeepEqual(&fresh, want) {
 				t.Fatalf("request %d decoded to %+v, want %+v", i, fresh, want)
 			}
 		}
@@ -122,7 +114,7 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 				if !bytes.Equal(body(t, got), enc) {
 					t.Fatalf("response %d decoded to %+v, want %+v", i, got, want)
 				}
-				if len(got.Batch) != len(want.Batch) || len(got.Candidates) != len(want.Candidates) || got.Error != want.Error {
+				if len(got.Candidates) != len(want.Candidates) || got.Error != want.Error {
 					t.Fatalf("response %d decoded to %+v, want %+v", i, got, want)
 				}
 			}
@@ -130,7 +122,7 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 	}
 	nan := body(t, resps[3])
 	var got QueryResponse
-	if err := got.Decode(nan); err != nil || !math.IsNaN(got.Batch[0].Candidates[0].BandwidthBps) {
+	if err := got.Decode(nan); err != nil || !math.IsNaN(got.Candidates[0].BandwidthBps) {
 		t.Fatalf("NaN bandwidth decoded to %+v (%v)", got, err)
 	}
 }
@@ -138,14 +130,12 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 func TestQueryEncodeRejects(t *testing.T) {
 	long := strings.Repeat("x", MaxNodeName+1)
 	for name, m := range map[string]Message{
-		"long from":       &QueryRequest{From: long},
-		"long metric":     &QueryRequest{Metric: long},
-		"count overflow":  &QueryRequest{Count: math.MaxInt32 + 1},
-		"batch too large": &QueryRequest{Batch: make([]QueryRequest, MaxBatch+1)},
-		"nested batch":    &QueryRequest{Batch: []QueryRequest{{Batch: []QueryRequest{{}}}}},
-		"long node":       &QueryResponse{Candidates: []CandidateInfo{{Node: long}}},
-		"long error":      &QueryResponse{Error: strings.Repeat("e", math.MaxUint16+1)},
-		"nested answers":  &QueryResponse{Batch: []QueryResponse{{Batch: []QueryResponse{{}}}}},
+		"long from":      &QueryRequest{From: long},
+		"long metric":    &QueryRequest{Metric: long},
+		"count overflow": &QueryRequest{Count: math.MaxInt32 + 1},
+		"negative count": &QueryRequest{Count: -1},
+		"long node":      &QueryResponse{Candidates: []CandidateInfo{{Node: long}}},
+		"long error":     &QueryResponse{Error: strings.Repeat("e", math.MaxUint16+1)},
 	} {
 		if _, err := m.AppendTo(nil); err == nil {
 			t.Errorf("%s: encoded", name)
@@ -154,34 +144,24 @@ func TestQueryEncodeRejects(t *testing.T) {
 			t.Errorf("%s: written", name)
 		}
 	}
-	// A full batch of the longest queries is exactly the request cap.
-	full := &QueryRequest{Batch: make([]QueryRequest, MaxBatch)}
-	for i := range full.Batch {
-		full.Batch[i] = QueryRequest{From: long[:MaxNodeName], Metric: long[:MaxNodeName]}
-	}
-	if n := len(body(t, full)); n != MaxRequestFrame {
+	// The longest query is exactly the request cap.
+	longest := sampleRequests()[2]
+	if n := len(body(t, longest)); n != MaxRequestFrame {
 		t.Fatalf("largest request is %d bytes, MaxRequestFrame is %d", n, MaxRequestFrame)
 	}
 	var back QueryRequest
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, full); err != nil {
+	if err := WriteFrame(&buf, longest); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadFrame(&buf, &back); err != nil || len(back.Batch) != MaxBatch {
-		t.Fatalf("largest request read back as %d queries (%v)", len(back.Batch), err)
+	if err := ReadFrame(&buf, &back); err != nil || !reflect.DeepEqual(&back, longest) {
+		t.Fatalf("largest request read back as %+v (%v)", back, err)
 	}
 }
 
 func TestQueryDecodeRejects(t *testing.T) {
 	req := body(t, sampleRequests()[0])
-	reqBatch := body(t, sampleRequests()[3])
 	resp := body(t, sampleResponses()[0])
-	respBatch := body(t, sampleResponses()[3])
-	edit := func(b []byte, at int, v ...byte) []byte {
-		out := append([]byte(nil), b...)
-		copy(out[at:], v)
-		return out
-	}
 	type rejectCase struct {
 		name string
 		m    Message
@@ -194,22 +174,21 @@ func TestQueryDecodeRejects(t *testing.T) {
 		{"request read as response", &QueryResponse{}, req},
 		{"JSON", &QueryRequest{}, []byte(`{"from":"n1","metric":"delay"}`)},
 		{"unknown flag", &QueryRequest{}, edit(req, 1, 0x03)},
+		{"negative count", &QueryRequest{}, negativeCount(t)},
+		{"count above MaxInt32", &QueryRequest{}, edit(req, 2, 0x80, 0, 0, 0)},
 		{"trailing byte", &QueryRequest{}, append(append([]byte(nil), req...), 0)},
-		{"empty batch", &QueryRequest{}, edit(reqBatch[:3], 1, 0, 0)},
-		{"inflated batch", &QueryRequest{}, edit(reqBatch, 1, 0, MaxBatch)},
-		{"batch above the cap", &QueryRequest{}, edit(reqBatch, 1, 0xff, 0xff)},
 		{"inflated from", &QueryRequest{}, edit(req, 14, 0xff)},
+		{"old batch kind", &QueryRequest{}, edit(req, 0, 0x02)},
 		{"reachable 2", &QueryResponse{}, edit(resp, len(resp)-1, 2)},
 		{"inflated candidates", &QueryResponse{}, edit(resp, 9, 0xff, 0xff)},
 		{"inflated error", &QueryResponse{}, edit(resp, 7, 0xff, 0xff)},
-		{"empty answer batch", &QueryResponse{}, edit(respBatch[:3], 1, 0, 0)},
-		{"inflated answer batch", &QueryResponse{}, edit(respBatch, 1, 0xff, 0xff)},
+		{"old batch answer kind", &QueryResponse{}, edit(resp, 0, 0x82)},
 	}
-	for i := 0; i < len(reqBatch); i++ {
-		cases = append(cases, rejectCase{"truncated request", &QueryRequest{}, reqBatch[:i]})
+	for i := 0; i < len(req); i++ {
+		cases = append(cases, rejectCase{"truncated request", &QueryRequest{}, req[:i]})
 	}
-	for i := 0; i < len(respBatch); i++ {
-		cases = append(cases, rejectCase{"truncated response", &QueryResponse{}, respBatch[:i]})
+	for i := 0; i < len(resp); i++ {
+		cases = append(cases, rejectCase{"truncated response", &QueryResponse{}, resp[:i]})
 	}
 	for _, c := range cases {
 		if err := c.m.Decode(c.body); !errors.Is(err, ErrBadFrame) {
@@ -323,24 +302,27 @@ func TestFramerReusesItsBuffer(t *testing.T) {
 	}
 }
 
-// requestFootprint and responseFootprint are the memory a decoded message
-// holds.
-func requestFootprint(q *QueryRequest) int {
-	n := len(q.From) + len(q.Metric) + cap(q.Batch)*int(unsafe.Sizeof(QueryRequest{}))
-	for i := range q.Batch {
-		n += requestFootprint(&q.Batch[i])
-	}
-	return n
+// edit returns a copy of b with v written at offset at.
+func edit(b []byte, at int, v ...byte) []byte {
+	out := append([]byte(nil), b...)
+	copy(out[at:], v)
+	return out
 }
 
+// negativeCount is the first sample request with count -1 on the wire: the
+// second encoding of "all" that the decoder refuses.
+func negativeCount(t testing.TB) []byte {
+	return edit(body(t, sampleRequests()[0]), 2, 0xff, 0xff, 0xff, 0xff)
+}
+
+// requestFootprint and responseFootprint are the memory a decoded message
+// holds.
+func requestFootprint(q *QueryRequest) int { return len(q.From) + len(q.Metric) }
+
 func responseFootprint(r *QueryResponse) int {
-	n := len(r.Metric) + len(r.Error) +
-		cap(r.Candidates)*int(unsafe.Sizeof(CandidateInfo{})) + cap(r.Batch)*int(unsafe.Sizeof(QueryResponse{}))
+	n := len(r.Metric) + len(r.Error) + cap(r.Candidates)*int(unsafe.Sizeof(CandidateInfo{}))
 	for i := range r.Candidates {
 		n += len(r.Candidates[i].Node)
-	}
-	for i := range r.Batch {
-		n += responseFootprint(&r.Batch[i])
 	}
 	return n
 }
@@ -362,8 +344,8 @@ func FuzzDecodeQuery(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 		f.Add(s[:len(s)/2])
-		// Inflate the two bytes after the kind: a batch count, or a name
-		// length and what follows it.
+		// Inflate the two bytes after the kind: the request's flags and
+		// count, or the response's metric name length and what follows it.
 		if len(s) >= 3 {
 			inflated := append([]byte(nil), s...)
 			inflated[1], inflated[2] = 0xff, 0xff
@@ -372,10 +354,12 @@ func FuzzDecodeQuery(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(`{"from":"n1","metric":"delay","sorted":true}`))
+	f.Add(negativeCount(f))
 
 	// The largest element a decoder allocates per byte of input is a
-	// QueryResponse (80 bytes) for a 5-byte answer.
-	const perByte = 16
+	// CandidateInfo (48 bytes) for a 22-byte candidate; names are copied
+	// byte for byte.
+	const perByte = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q QueryRequest
 		if err := q.Decode(data); err == nil {
