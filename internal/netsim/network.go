@@ -128,6 +128,9 @@ type Port struct {
 	tx      *Packet
 	txGen   uint64
 	rateBps int64
+	// wireTail is the last packet of the FIFO propagating across the link
+	// from this port, nil when it is empty (see Network.depart).
+	wireTail *Packet
 
 	// Stats
 	TxPackets uint64
@@ -606,7 +609,7 @@ func (n *Network) transmitNext(port *Port) {
 	if port.node.Kind == Switch && port.node.Processor != nil {
 		n.ctx = ProcessorContext{
 			Device:   port.node,
-			InPort:   pkt.inPort,
+			InPort:   int(pkt.inPort),
 			OutPort:  port.index,
 			QueueLen: port.queue.n,
 			Now:      n.engine.Now(),
@@ -646,19 +649,48 @@ func serialized(arg any) {
 	port.TxBytes += uint64(pkt.Size)
 	// Transmitter is free; start the next packet immediately.
 	n.transmitNext(port)
-	// Propagation to the far end, as state on the packet: packets on one
-	// wire may overtake each other, since the delay is read at departure so
-	// a SetLinkDelay applies to transmissions starting after the change.
+	n.depart(port, pkt)
+}
+
+// depart puts pkt on port's wire. Its landing place is reserved now, where
+// scheduling its landing event would take it, so the firing order is as if
+// every packet had its own event. The delay is read at departure, so a
+// SetLinkDelay applies to transmissions starting after the change; with an
+// unchanged delay, places ascend along a wire because departures do. The
+// wire therefore keeps its packets in a FIFO, linked through wireNext, and
+// only the head's landing is a queued event. The one exception is a packet
+// that would land before the tail, after a lowered delay: it overtakes on
+// its own event at its reserved place and never joins the FIFO, so the
+// FIFO only ever holds ascending places.
+func (n *Network) depart(port *Port, pkt *Packet) {
 	pkt.wire, pkt.wireGen = port, port.txGen
-	n.engine.AfterWith(port.link.Config.Delay, propagated, pkt)
+	pkt.landing = n.engine.Reserve(port.link.Config.Delay)
+	tail := port.wireTail
+	if tail != nil && !pkt.landing.Before(tail.landing) {
+		tail.wireNext, port.wireTail = pkt, pkt
+		return
+	}
+	if tail == nil {
+		port.wireTail = pkt
+	}
+	n.engine.AtPlace(pkt.landing, propagated, pkt)
 }
 
 // propagated is the event that lands a packet at the far end of its wire.
+// A packet in its wire's FIFO lands as the head: it queues the next one's
+// landing, or empties the wire if it is the tail. An overtaking packet is
+// neither linked nor the tail, so it leaves the FIFO alone.
 func propagated(arg any) {
 	pkt := arg.(*Packet)
 	port := pkt.wire
-	pkt.wire = nil
 	n := port.node.net
+	if next := pkt.wireNext; next != nil {
+		pkt.wireNext = nil
+		n.engine.AtPlace(next.landing, propagated, next)
+	} else if port.wireTail == pkt {
+		port.wireTail = nil
+	}
+	pkt.wire = nil
 	if port.link.down || pkt.wireGen != port.link.downGen {
 		// The link went down under the propagating packet.
 		n.drop(pkt, port.peer.node, DropLinkDown)
@@ -672,7 +704,7 @@ func (n *Network) arrive(port *Port, pkt *Packet) {
 	port.RxPackets++
 	node := port.node
 	pkt.ingressAt = n.engine.Now()
-	pkt.inPort = port.index
+	pkt.inPort = int32(port.index)
 	if node.halted {
 		n.drop(pkt, node, DropHalted)
 		return

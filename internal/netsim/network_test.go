@@ -499,36 +499,204 @@ func TestDropTailAtQueueCapAfterGrowth(t *testing.T) {
 	}
 }
 
-// TestLowerDelayLetsLaterPacketOvertake: propagation is per packet, so a
-// packet that departs after SetLinkDelay lowers the delay lands before one
-// still crossing the wire at the old delay.
-func TestLowerDelayLetsLaterPacketOvertake(t *testing.T) {
+// buildWire returns h1 - h2 on one link, with a Handler on h2 that records
+// each delivered packet's Seq and landing time.
+func buildWire(t *testing.T, cfg LinkConfig) (*Network, *simtime.Engine, *[]arrival) {
+	t.Helper()
 	e := simtime.NewEngine()
 	n := New(e)
 	n.AddHost("h1")
 	n.AddHost("h2")
-	// 1500 B at 12 Mb/s: 1 ms serialization.
-	if _, err := n.Connect("h1", "h2", LinkConfig{RateBps: 12_000_000, Delay: 10 * time.Millisecond}); err != nil {
+	if _, err := n.Connect("h1", "h2", cfg); err != nil {
 		t.Fatal(err)
 	}
-	_ = n.ComputeRoutes()
-	type arrival struct {
-		seq int64
-		at  time.Duration
+	if err := n.ComputeRoutes(); err != nil {
+		t.Fatal(err)
 	}
-	var got []arrival
-	n.Node("h2").Handler = func(p *Packet) { got = append(got, arrival{p.Seq, e.Now()}) }
-	for seq := int64(1); seq <= 2; seq++ {
+	got := new([]arrival)
+	n.Node("h2").Handler = func(p *Packet) { *got = append(*got, arrival{p.Seq, e.Now()}) }
+	return n, e, got
+}
+
+type arrival struct {
+	seq int64
+	at  time.Duration
+}
+
+// sendSeqs sends 1500 B packets numbered first..last from h1 to h2.
+func sendSeqs(t *testing.T, n *Network, first, last int64) {
+	t.Helper()
+	for seq := first; seq <= last; seq++ {
 		p := n.NewPacket(KindData, "h1", "h2", 1500)
 		p.Seq = seq
+		if err := n.Send(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOneEventPerBusyWire: 50 back-to-back packets on a slow, long link are
+// all in flight at once, but the engine holds at most the wire's head and the
+// next serialization; each packet still lands at departure + delay, in
+// departure order.
+func TestOneEventPerBusyWire(t *testing.T) {
+	const packets = 50
+	// 1500 B at 12 Mb/s: packet i departs at i ms and lands 100 ms later.
+	n, e, got := buildWire(t, LinkConfig{RateBps: 12_000_000, Delay: 100 * time.Millisecond, QueueCap: packets})
+	sendSeqs(t, n, 1, packets)
+	port := n.Node("h1").Ports[0]
+	maxPending, inFlight := 0, 0
+	// A ticker is not pending while its fn runs, so Pending counts only
+	// the network's events.
+	tk := e.NewTicker(time.Millisecond, func() {
+		maxPending = max(maxPending, e.Pending())
+		if e.Now() == 75*time.Millisecond {
+			inFlight = int(port.TxPackets) - len(*got)
+		}
+	})
+	e.Run(100 * time.Millisecond)
+	tk.Stop()
+	e.RunUntilIdle()
+	if inFlight != packets {
+		t.Fatalf("%d packets in flight at 75 ms, want all %d", inFlight, packets)
+	}
+	if maxPending > 2 {
+		t.Fatalf("%d events pending with up to %d packets on the wire, want at most the wire's head and one serialization", maxPending, packets)
+	}
+	if len(*got) != packets {
+		t.Fatalf("delivered %d of %d", len(*got), packets)
+	}
+	for i, a := range *got {
+		want := arrival{int64(i + 1), time.Duration(i+1)*time.Millisecond + 100*time.Millisecond}
+		if a != want {
+			t.Fatalf("arrival %d = %v, want %v", i, a, want)
+		}
+	}
+}
+
+// TestRaisedDelayKeepsWireInOrder: packets that depart after SetLinkDelay
+// raises the delay land after every packet ahead of them, so they join the
+// wire's FIFO: the engine still holds one landing for the whole wire.
+func TestRaisedDelayKeepsWireInOrder(t *testing.T) {
+	n, e, got := buildWire(t, LinkConfig{RateBps: 12_000_000, Delay: 10 * time.Millisecond})
+	sendSeqs(t, n, 1, 6)
+	maxPending := 0
+	var tk *simtime.Ticker
+	e.At(3500*time.Microsecond, func() {
+		_ = n.SetLinkDelay("h1", "h2", 20*time.Millisecond)
+		tk = e.NewTicker(time.Millisecond, func() { maxPending = max(maxPending, e.Pending()) })
+	})
+	e.Run(30 * time.Millisecond)
+	tk.Stop()
+	e.RunUntilIdle()
+	var want []arrival
+	for seq := int64(1); seq <= 6; seq++ {
+		delay := 10 * time.Millisecond
+		if seq > 3 {
+			delay = 20 * time.Millisecond
+		}
+		want = append(want, arrival{seq, time.Duration(seq)*time.Millisecond + delay})
+	}
+	if !slices.Equal(*got, want) {
+		t.Fatalf("arrivals %v, want %v", *got, want)
+	}
+	if maxPending > 2 {
+		t.Fatalf("%d events pending, want at most the wire's head and one serialization", maxPending)
+	}
+}
+
+// TestLowerDelayLetsLaterPacketOvertake: propagation is per packet, so a
+// packet that departs after SetLinkDelay lowers the delay lands before one
+// still crossing the wire at the old delay, on its own event. Raising the
+// delay again puts the next packet behind the wire's tail, in the FIFO; it
+// lands at the tail's instant, after it by sequence.
+func TestLowerDelayLetsLaterPacketOvertake(t *testing.T) {
+	// 1500 B at 12 Mb/s: 1 ms serialization.
+	n, e, got := buildWire(t, LinkConfig{RateBps: 12_000_000, Delay: 10 * time.Millisecond})
+	sendSeqs(t, n, 1, 3)
+	port := n.Node("h1").Ports[0]
+	// Packet 1 departs at 1 ms on the 10 ms wire; packet 2 departs at 2 ms
+	// on a 2 ms one; packet 3 departs at 3 ms on an 8 ms one, landing with
+	// packet 1.
+	e.At(1500*time.Microsecond, func() { _ = n.SetLinkDelay("h1", "h2", 2*time.Millisecond) })
+	e.At(2500*time.Microsecond, func() { _ = n.SetLinkDelay("h1", "h2", 8*time.Millisecond) })
+	e.At(3500*time.Microsecond, func() {
+		// Packet 1's landing heads the wire with packet 3 behind it, not
+		// queued; packet 2's is its own event.
+		if tail := port.wireTail; tail == nil || tail.Seq != 3 || e.Pending() != 2 {
+			t.Errorf("wire tail %v with %d events pending, want packet 3 and two landings", tail, e.Pending())
+		}
+	})
+	e.RunUntilIdle()
+	want := []arrival{{2, 4 * time.Millisecond}, {1, 11 * time.Millisecond}, {3, 11 * time.Millisecond}}
+	if !slices.Equal(*got, want) {
+		t.Fatalf("arrivals %v, want %v", *got, want)
+	}
+	if port.wireTail != nil {
+		t.Fatalf("wire not empty after the last landing: tail %v", port.wireTail)
+	}
+}
+
+// TestLinkDownDropsEveryPacketOnTheWire: a flap kills all the packets
+// crossing the wire, each at its own landing time, though the link is up
+// again before the first of them lands.
+func TestLinkDownDropsEveryPacketOnTheWire(t *testing.T) {
+	const packets = 5
+	n, e, got := buildWire(t, LinkConfig{RateBps: 12_000_000, Delay: 100 * time.Millisecond})
+	sendSeqs(t, n, 1, packets)
+	var drops []arrival
+	n.OnDrop = func(p *Packet, at *Node, r DropReason) {
+		if r != DropLinkDown || at.ID != "h2" {
+			t.Errorf("packet %d dropped at %s (%v), want link-down at h2", p.Seq, at.ID, r)
+		}
+		drops = append(drops, arrival{p.Seq, e.Now()})
+	}
+	e.At(10*time.Millisecond, func() { _ = n.SetLinkUp("h1", "h2", false) })
+	e.At(11*time.Millisecond, func() { _ = n.SetLinkUp("h1", "h2", true) })
+	e.RunUntilIdle()
+	var want []arrival
+	for seq := int64(1); seq <= packets; seq++ {
+		want = append(want, arrival{seq, time.Duration(seq)*time.Millisecond + 100*time.Millisecond})
+	}
+	if len(*got) != 0 || !slices.Equal(drops, want) {
+		t.Fatalf("delivered %v, dropped %v; want every packet dropped as it lands: %v", *got, drops, want)
+	}
+}
+
+// TestWirePacketRecycledClean: a transient packet from the middle of a wire
+// lands with no link to the packet behind it, so the free list never hands
+// out a packet still chained into a wire.
+func TestWirePacketRecycledClean(t *testing.T) {
+	n, e, got := buildWire(t, LinkConfig{RateBps: 12_000_000, Delay: 10 * time.Millisecond})
+	var middle *Packet
+	for seq := int64(1); seq <= 3; seq++ {
+		p := n.NewPacket(KindData, "h1", "h2", 1500)
+		p.Seq = seq
+		if seq == 2 {
+			middle = p.MarkTransient()
+		}
 		_ = n.Send(p)
 	}
-	// Packet 1 departs at 1 ms on the 10 ms wire; packet 2 is serializing
-	// until 2 ms and departs on a 2 ms one.
-	e.At(1500*time.Microsecond, func() { _ = n.SetLinkDelay("h1", "h2", 2*time.Millisecond) })
+	e.At(5*time.Millisecond, func() {
+		if middle.wireNext == nil || middle.wireNext.Seq != 3 {
+			t.Errorf("packet 2 is not chained to packet 3 on the wire")
+		}
+	})
 	e.RunUntilIdle()
-	want := []arrival{{2, 2*time.Millisecond + 2*time.Millisecond}, {1, time.Millisecond + 10*time.Millisecond}}
-	if !slices.Equal(got, want) {
-		t.Fatalf("arrivals %v, want %v", got, want)
+	if len(n.freePkts) != 1 || n.freePkts[0] != middle {
+		t.Fatalf("free list %v, want packet 2 alone", n.freePkts)
+	}
+	if middle.wireNext != nil || middle.wire != nil {
+		t.Fatalf("recycled packet still on a wire: next %v, wire %v", middle.wireNext, middle.wire)
+	}
+	reused := n.NewPacket(KindData, "h1", "h2", 1500)
+	reused.Seq = 4
+	if reused != middle {
+		t.Fatal("NewPacket did not reuse the recycled packet")
+	}
+	_ = n.Send(reused)
+	e.RunUntilIdle()
+	if len(*got) != 4 || (*got)[3].seq != 4 || e.Pending() != 0 {
+		t.Fatalf("arrivals %v with %d events pending, want packet 4 landed once", *got, e.Pending())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"intsched/internal/simtime"
 	"intsched/internal/telemetry"
 )
 
@@ -70,6 +71,12 @@ type Packet struct {
 	ID uint64
 	// Kind tags the packet's role.
 	Kind PacketKind
+	// hasEgressTS marks egressTS as set, and transient marks fire-and-forget
+	// packets (acks, pings, control copies, datagrams) whose creator keeps no
+	// reference past delivery or drop; the network recycles them through
+	// its free list. Both sit beside Kind so the packet fits in 192 bytes.
+	hasEgressTS bool
+	transient   bool
 	// Src and Dst are host node IDs.
 	Src, Dst NodeID
 	// Size is the on-wire size in bytes (headers included).
@@ -93,12 +100,11 @@ type Packet struct {
 	// on-wire Size never changes mid-path.
 	Probe *telemetry.ProbePayload
 
-	// hasEgressTS / egressTS implement the paper's link-latency
-	// measurement: the previous device writes its egress timestamp into
-	// the probe just before transmission; the next device extracts it at
-	// ingress (before enqueueing) so the measurement excludes queueing.
-	hasEgressTS bool
-	egressTS    time.Duration
+	// egressTS implements the paper's link-latency measurement: the
+	// previous device writes its egress timestamp into the probe just
+	// before transmission; the next device extracts it at ingress (before
+	// enqueueing) so the measurement excludes queueing.
+	egressTS time.Duration
 	// ingressAt and inPort record when and on which port this packet
 	// arrived at the device currently holding it (the probe's per-hop
 	// residence time and its record's ingress port); linkLatency is what
@@ -106,19 +112,18 @@ type Packet struct {
 	// three travel with the packet to the device's egress stage, so a packet
 	// dropped in between leaves nothing behind.
 	ingressAt   time.Duration
-	inPort      int
 	linkLatency time.Duration
+	inPort      int32
 	// hops counts traversed switches.
-	hops int
+	hops int32
 	// wire is the port whose link the packet is propagating across (nil
-	// otherwise) and wireGen that link's downGen at departure: the state of
-	// the packet's propagation event.
-	wire    *Port
-	wireGen uint64
-	// transient marks fire-and-forget packets (acks, pings, control
-	// copies, datagrams) whose creator keeps no reference past delivery
-	// or drop; the network recycles them through its free list.
-	transient bool
+	// otherwise), wireGen that link's downGen at departure, and landing the
+	// place in the firing order its landing event takes. wireNext is the
+	// packet behind it in the wire's FIFO (see Network.depart).
+	wire     *Port
+	wireGen  uint64
+	landing  simtime.Place
+	wireNext *Packet
 }
 
 // MarkTransient declares that no component holds a reference to the packet
@@ -133,7 +138,7 @@ func (p *Packet) MarkTransient() *Packet {
 }
 
 // Hops returns the number of switches the packet has traversed so far.
-func (p *Packet) Hops() int { return p.hops }
+func (p *Packet) Hops() int { return int(p.hops) }
 
 // StampEgress records the egress timestamp used for link-latency
 // measurement at the next hop. Called by the dataplane at egress.

@@ -16,6 +16,14 @@
 // argument slot, which a func value fills without allocating. Timers are
 // generation-checked handles, so holding a Timer past its event's lifetime
 // stays safe even though the underlying node is reused.
+//
+// The queue holds only events that exist. A component whose events come due
+// in the order it creates them can reserve each one's place in the firing
+// order at creation (Reserve) and queue it later (AtPlace), keeping one
+// queued event per chain instead of one per member: netsim keeps the packets
+// crossing a wire in a FIFO this way and queues only the head's landing. A
+// reserved place fires exactly where the event would have fired had it been
+// queued at reservation, so the firing order, and every answer, is the same.
 package simtime
 
 import (
@@ -23,12 +31,24 @@ import (
 	"time"
 )
 
+// Place is a position in the firing order: a virtual time and the scheduling
+// sequence that breaks ties at it. Reserve hands one out before its event
+// exists; AtPlace later queues an event there.
+type Place struct {
+	at  time.Duration
+	seq uint64
+}
+
+// Before reports whether an event at p fires before one at q.
+func (p Place) Before(q Place) bool {
+	return p.at < q.at || p.at == q.at && p.seq < q.seq
+}
+
 // event is a scheduled callback: one node of the event heap. Nodes are owned
 // by the engine and recycled via its free list; external code only sees them
 // through generation-checked Timer handles.
 type event struct {
-	at  time.Duration
-	seq uint64
+	Place
 	// fn(arg) runs when the event fires; At and After store their func()
 	// in arg and call it through callFunc.
 	fn  func(any)
@@ -43,9 +63,7 @@ type event struct {
 }
 
 // before is the queue order: time, then scheduling sequence.
-func (a *event) before(b *event) bool {
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
-}
+func (a *event) before(b *event) bool { return a.Place.Before(b.Place) }
 
 // callFunc is the fn of every event scheduled by At or After.
 func callFunc(f any) { f.(func())() }
@@ -114,7 +132,9 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of events waiting in the queue.
+// Pending returns the number of events waiting in the queue. A reserved
+// place counts once AtPlace queues it, not before: the packets behind the
+// head of a netsim wire are not events yet.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // release returns a node to the free list, invalidating outstanding Timers.
@@ -133,7 +153,9 @@ func (e *Engine) At(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("simtime: nil event function")
 	}
-	return e.schedule(t, callFunc, fn)
+	p := Place{at: t, seq: e.seq}
+	e.seq++
+	return e.AtPlace(p, callFunc, fn)
 }
 
 // After schedules fn to run d after the current time. Negative d is clamped
@@ -148,15 +170,30 @@ func (e *Engine) After(d time.Duration, fn func()) Timer {
 // its per-event state as arg, so a pointer arg makes scheduling allocate
 // nothing.
 func (e *Engine) AfterWith(d time.Duration, fn func(any), arg any) Timer {
+	return e.AtPlace(e.Reserve(d), fn, arg)
+}
+
+// Reserve returns the place an event scheduled d after the current time
+// would take now, negative d clamped to zero, and consumes its sequence
+// number as AfterWith does. Nothing is queued until AtPlace: a component
+// whose events come due in the order it reserves them (netsim's packets on
+// one wire) keeps only the earliest queued and still fires each at the place
+// it would have had.
+func (e *Engine) Reserve(d time.Duration) Place {
+	p := Place{at: e.now + max(d, 0), seq: e.seq}
+	e.seq++
+	return p
+}
+
+// AtPlace schedules fn(arg) at a place from Reserve, on a free-listed node.
+// Each place must be queued at most once; one whose time has passed panics,
+// as At does.
+func (e *Engine) AtPlace(p Place, fn func(any), arg any) Timer {
 	if fn == nil {
 		panic("simtime: nil event function")
 	}
-	return e.schedule(e.now+max(d, 0), fn, arg)
-}
-
-func (e *Engine) schedule(t time.Duration, fn func(any), arg any) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", t, e.now))
+	if p.at < e.now {
+		panic(fmt.Sprintf("simtime: scheduling at %v, before now %v", p.at, e.now))
 	}
 	ev := e.free
 	if ev != nil {
@@ -166,12 +203,11 @@ func (e *Engine) schedule(t time.Duration, fn func(any), arg any) Timer {
 	} else {
 		ev = &event{}
 	}
-	ev.at, ev.seq, ev.fn, ev.arg = t, e.seq, fn, arg
-	e.seq++
+	ev.Place, ev.fn, ev.arg = p, fn, arg
 	ev.index = len(e.queue)
 	e.queue = append(e.queue, ev)
 	e.up(ev.index)
-	return Timer{eng: e, ev: ev, gen: ev.gen, at: t}
+	return Timer{eng: e, ev: ev, gen: ev.gen, at: p.at}
 }
 
 // up moves the node at heap index j toward the root until its parent is

@@ -74,6 +74,33 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e.At(500*time.Millisecond, func() {})
 }
 
+func TestAtPlaceInPastPanics(t *testing.T) {
+	e := NewEngine()
+	p := e.Reserve(500 * time.Millisecond)
+	e.At(time.Second, func() {})
+	e.RunUntilIdle()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("queueing a place before now did not panic")
+		}
+	}()
+	e.AtPlace(p, func(any) {}, nil)
+}
+
+// TestReservedPlaceKeepsItsOrder: a place reserved before a same-time At
+// fires before it, though it is queued after.
+func TestReservedPlaceKeepsItsOrder(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	p := e.Reserve(time.Second)
+	e.At(time.Second, func() { order = append(order, "at") })
+	e.AtPlace(p, func(any) { order = append(order, "place") }, nil)
+	e.RunUntilIdle()
+	if !slices.Equal(order, []string{"place", "at"}) {
+		t.Fatalf("fired %v, want the reserved place first", order)
+	}
+}
+
 func TestEventCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
@@ -338,10 +365,12 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 }
 
 // TestEventQueueMatchesSortedReference drives the heap with random At, After
-// and AfterWith calls on a few distinct instants (many ties), cancellations of
-// the head, middle and last live events and of handles that already fired or
-// were cancelled, and single steps; every firing must be the live event a
-// plain (at, seq) sort puts first.
+// and AfterWith calls on a few distinct instants (many ties), places reserved
+// now and queued with AtPlace several steps later, cancellations of the head,
+// middle and last live events and of handles that already fired or were
+// cancelled, and single steps; every firing must be the live event a plain
+// (at, seq) sort puts first, a reserved place firing at the seq it took when
+// reserved.
 func TestEventQueueMatchesSortedReference(t *testing.T) {
 	type ref struct {
 		at  time.Duration
@@ -354,6 +383,9 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 			handles []Timer // by seq, live or not
 			live    []ref
 			fired   []int
+			// reserved holds places not yet queued, places their seqs.
+			reserved []Place
+			places   []int
 		)
 		record := func(arg any) { fired = append(fired, arg.(int)) }
 		schedule := func() {
@@ -383,11 +415,33 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 			handles[seq].Cancel()
 			live = slices.DeleteFunc(live, func(r ref) bool { return r.seq == seq })
 		}
+		reserve := func() {
+			places = append(places, len(handles))
+			reserved = append(reserved, e.Reserve(time.Duration(rng.Intn(4))*time.Millisecond))
+			handles = append(handles, Timer{})
+		}
+		// queuePlace queues reserved place i, or abandons it if its time has
+		// passed: a place that is never queued never fires.
+		queuePlace := func(i int) {
+			p, seq := reserved[i], places[i]
+			reserved, places = slices.Delete(reserved, i, i+1), slices.Delete(places, i, i+1)
+			if p.at < e.Now() {
+				return
+			}
+			handles[seq] = e.AtPlace(p, record, seq)
+			live = append(live, ref{p.at, seq})
+		}
 		for step := 0; step < 600; step++ {
 			sortLive()
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(12); {
 			case op < 5:
 				schedule()
+			case op == 10:
+				reserve()
+			case op == 11:
+				if len(reserved) > 0 {
+					queuePlace(rng.Intn(len(reserved)))
+				}
 			case op < 7 && len(live) > 0:
 				cancel(live[[]int{0, len(live) / 2, len(live) - 1}[rng.Intn(3)]].seq)
 			case op < 8 && len(handles) > 0:
@@ -419,6 +473,9 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d pending, reference holds %d", seed, step, e.Pending(), len(live))
 			}
 		}
+		for len(reserved) > 0 {
+			queuePlace(0)
+		}
 		sortLive()
 		n := len(fired)
 		e.RunUntilIdle()
@@ -431,7 +488,7 @@ func TestEventQueueMatchesSortedReference(t *testing.T) {
 }
 
 // TestSteadyStateSchedulingAllocatesNothing pins the schedule → fire cycle at
-// zero allocations in both forms, and a running Ticker with it.
+// zero allocations in every form, and a running Ticker with it.
 func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -440,6 +497,11 @@ func TestSteadyStateSchedulingAllocatesNothing(t *testing.T) {
 	cycles := map[string]func(){
 		"After":     func() { e.After(time.Microsecond, fn); e.Step() },
 		"AfterWith": func() { e.AfterWith(time.Microsecond, argFn, &count); e.Step() },
+		"Reserve+AtPlace": func() {
+			p := e.Reserve(time.Microsecond)
+			e.AtPlace(p, argFn, &count)
+			e.Step()
+		},
 	}
 	for name, cycle := range cycles {
 		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
