@@ -61,7 +61,8 @@ func newStructure(nodes, hostList []string) *structure {
 	return s
 }
 
-// flatten lays the nbrIdx rows end to end in CSR form.
+// flatten lays the nbrIdx rows end to end in CSR form and resolves every
+// node's walk root and last-hop slot (the caller has filled hostFlag).
 func (s *structure) flatten() {
 	n := len(s.Nodes)
 	s.edgeStart = make([]int32, n+1)
@@ -78,6 +79,14 @@ func (s *structure) flatten() {
 		// Re-home the row onto the flat array (full-capacity slice so an
 		// append can never bleed into the next row).
 		s.nbrIdx[i] = s.nbrFlat[lo:hi:hi]
+	}
+	s.root = make([]int32, n)
+	s.lastSlot = make([]int32, n)
+	for i, row := range s.nbrIdx {
+		s.root[i], s.lastSlot[i] = int32(i), -1
+		if s.hostFlag[i] && len(row) == 1 && !s.hostFlag[row[0]] {
+			s.root[i], s.lastSlot[i] = row[0], s.DirSlot(row[0], int32(i))
+		}
 	}
 }
 
@@ -273,7 +282,9 @@ func (w *Walker) SlotsInto(src, dst int32, scratch []int32) (slots []int32, code
 }
 
 // walk is the one tree walk: it appends, per hop, the hop's metric slot
-// (bySlot) or the node the hop arrives at, after the source itself.
+// (bySlot) or the node the hop arrives at, after the source itself. It
+// follows the tree of dst's root to the root, then takes the root's hop to
+// dst when the two differ (a single-homed host; see spt.go).
 func (w *Walker) walk(src, dst int32, bySlot bool, scratch []int32) (out []int32, code PathCode, at int32) {
 	t := w.t
 	if src < 0 || int(src) >= len(t.Nodes) {
@@ -289,26 +300,39 @@ func (w *Walker) walk(src, dst int32, bySlot bool, scratch []int32) (out []int32
 	if len(t.nbrIdx[src]) == 0 {
 		return scratch[:0], PathUnknownSrc, src
 	}
-	tree := w.tree(dst)
-	if tree == nil || tree.next[src] == -1 {
-		return scratch[:0], PathNoRoute, -1
+	root := dst
+	if dst >= 0 && int(dst) < len(t.root) {
+		root = t.root[dst]
 	}
-	emit := tree.next
-	if bySlot {
-		emit = tree.slot
+	if src != root {
+		tree := w.tree(root)
+		if tree == nil || tree.next[src] == -1 {
+			return scratch[:0], PathNoRoute, -1
+		}
+		emit := tree.next
+		if bySlot {
+			emit = tree.slot
+		}
+		for cur, hops := src, 0; cur != root; {
+			if cur != src && t.hostFlag[cur] {
+				return out, PathHostTransit, cur
+			}
+			nxt := tree.next[cur]
+			if nxt < 0 {
+				return out, PathBroken, cur
+			}
+			out = append(out, emit[cur])
+			cur = nxt
+			if hops++; hops > len(t.Nodes) {
+				return out, PathLoop, -1
+			}
+		}
 	}
-	for cur, hops := src, 0; cur != dst; {
-		if cur != src && t.hostFlag[cur] {
-			return out, PathHostTransit, cur
-		}
-		nxt := tree.next[cur]
-		if nxt < 0 {
-			return out, PathBroken, cur
-		}
-		out = append(out, emit[cur])
-		cur = nxt
-		if hops++; hops > len(t.Nodes) {
-			return out, PathLoop, -1
+	if root != dst {
+		if bySlot {
+			out = append(out, t.lastSlot[dst])
+		} else {
+			out = append(out, dst)
 		}
 	}
 	return out, PathOK, -1

@@ -7,9 +7,13 @@ import (
 
 // reportFIFO is a queue of reports, ascending by time, in one backing array:
 // buf[head:] is live and buf[:head] is the dead prefix left by expiry.
-// Expiry only advances head; the live part is copied (recut) when the array
-// is full or has grown past twice the live part, so a report is copied a
-// bounded number of times in its life however many reports share the array.
+// Expiry only advances head. A push onto a full array slides the live part
+// to the front of the same array when the dead prefix is at least half of it
+// (compact) and copies it into a larger array otherwise (recut); expiry
+// recuts into a smaller one once the array has grown past twice the live
+// part. Either way a report is copied a bounded number of times in its life
+// however many reports share the array, and a window that has stopped
+// growing allocates nothing.
 type reportFIFO struct {
 	buf  []queueReport
 	head int
@@ -32,7 +36,13 @@ func (q *reportFIFO) recut() {
 
 func (q *reportFIFO) pushBack(r queueReport) {
 	if len(q.buf) == cap(q.buf) {
-		q.recut()
+		if live := len(q.buf) - q.head; q.head > 0 && 2*q.head >= live {
+			// compact: the freed room is at least half the live count,
+			// which is what amortises the copy.
+			q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+		} else {
+			q.recut()
+		}
 	}
 	q.buf = append(q.buf, r)
 }

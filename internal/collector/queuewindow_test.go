@@ -8,29 +8,40 @@ import (
 	"time"
 )
 
-// windowProbe watches one portWindow from outside: it counts the recuts of
-// the reports array (a recut is the only thing that changes the backing
-// array) and the reports each one copied, and checks the capacity bound.
+// windowProbe watches one portWindow from outside: it counts the new backing
+// arrays of the reports array (recuts) and the slides of its live part to
+// the front of the same array (compactions: head falls back to zero), the
+// reports each one copied, and checks the capacity bound.
 type windowProbe struct {
-	w       *portWindow
-	base    *queueReport
-	recuts  int
-	copied  int
-	pushes  int
-	perLive func(live int) int // the capacity bound to hold after every prune
+	w           *portWindow
+	base        *queueReport
+	head        int
+	recuts      int
+	compactions int
+	copied      int
+	pushes      int
+	perLive     func(live int) int // the capacity bound to hold after every prune
 }
 
 // moved reports whether the reports array changed since the last call, and
-// counts the change as a recut unless it is the first array.
+// counts the change as a recut unless it is the first array; a compaction is
+// counted, but is not a new array.
 func (p *windowProbe) moved() bool {
 	base, last := &p.w.reports.buf[:1][0], p.base
-	p.base = base
-	if last == nil || last == base {
+	head, lastHead := p.w.reports.head, p.head
+	p.base, p.head = base, head
+	switch {
+	case last == nil:
+		return false
+	case last != base:
+		p.recuts++
+	case head < lastHead:
+		p.compactions++
+	default:
 		return false
 	}
-	p.recuts++
 	p.copied += len(p.w.reports.live())
-	return true
+	return last != base
 }
 
 // pushPrune is the ingest pattern: push onto the port, then prune it.
@@ -118,8 +129,9 @@ func TestPortWindowMatchesScan(t *testing.T) {
 				check(step) // a read after the clock moved, before any prune
 			}
 		}
-		if probe.recuts < 25 {
-			t.Fatalf("trial %d: %d recuts over 25 window turnovers, want at least one each", trial, probe.recuts)
+		if probe.recuts+probe.compactions < 25 || probe.compactions == 0 {
+			t.Fatalf("trial %d: %d recuts and %d compactions over 25 window turnovers, want at least one each and some compactions",
+				trial, probe.recuts, probe.compactions)
 		}
 		if probe.copied > 3*probe.pushes {
 			t.Fatalf("trial %d: %d reports copied for %d pushed, want at most 3 each", trial, probe.copied, probe.pushes)
@@ -148,22 +160,31 @@ func TestPortWindowMatchesScan(t *testing.T) {
 // TestPortWindowSteadyCadenceCapacity: under the ingest pattern at a steady
 // report rate — growing from empty, then sliding — a window never retains
 // more than live + live/2 + fifoSlack slots (at 16 B a report, the 24 B per
-// live report an exact-fit copy of the old 24 B report cost), and each
-// report is copied at most three times in its life.
+// live report an exact-fit copy of the old 24 B report cost), each report is
+// copied at most three times in its life, and once the window has stopped
+// growing its array is compacted in place, never replaced.
 func TestPortWindowSteadyCadenceCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const window = 200 * time.Millisecond
 	w := &portWindow{}
 	probe := &windowProbe{w: w, perLive: func(live int) int { return live + live/2 + fifoSlack }}
 	now := time.Second
+	var grown int // recuts by the end of the second window, when growth has stopped
 	for step := 0; step < 50*200; step++ {
 		probe.pushPrune(t, queueReport{at: now, maxQueue: rng.Intn(60)}, now, window)
 		now += time.Millisecond
+		if step == 2*200 {
+			grown = probe.recuts
+		}
 	}
 	if live := len(w.reports.live()); live != 201 {
 		t.Fatalf("%d live reports, want the window's 201", live)
 	}
-	if probe.recuts < 50 || probe.copied > 3*probe.pushes {
-		t.Fatalf("%d recuts copied %d reports for %d pushed", probe.recuts, probe.copied, probe.pushes)
+	if probe.recuts != grown || probe.compactions < 48 {
+		t.Fatalf("%d recuts after the window stopped growing (%d while it grew), %d compactions over 48 more windows",
+			probe.recuts-grown, grown, probe.compactions)
+	}
+	if probe.copied > 3*probe.pushes {
+		t.Fatalf("%d recuts and %d compactions copied %d reports for %d pushed", probe.recuts, probe.compactions, probe.copied, probe.pushes)
 	}
 }

@@ -39,6 +39,18 @@ import "sync"
 //
 // A change to the node set or host flags shifts indices or expansion rules,
 // so it conservatively clears every cached tree.
+//
+// Walks toward a single-homed host h — a host whose neighbour row is exactly
+// one switch e — follow e's tree and then take the hop e->h (structure.root
+// and lastSlot, filled by flatten), so the store holds one tree per switch
+// hosts hang off rather than one per host. The answers are those of h's own
+// tree: BFS from h discovers only e at level 1 and from there is the BFS
+// from e (same sorted expansion, first-discoverer rule and level barrier),
+// so the two trees differ only at next[e] (h's tree: h) and next[h];
+// lastSlot[h] is the DirSlot(e, h) that hopSlots gives slot[e] in h's tree,
+// so an asymmetric row resolves alike. e must be a switch: a host is never
+// expanded unless it is the destination, so a host-to-host link keeps its
+// own tree, as does a host homed on two switches.
 
 // sptDeltaLogCap bounds the delta log; trees lagging further behind than
 // the log reaches are rebuilt.

@@ -40,6 +40,13 @@ type structure struct {
 	nbrFlat   []int32
 	egress    []int // unit:[edge]
 
+	// root is the node whose tree walks toward node i follow: i itself,
+	// except for a single-homed host (its neighbour row is exactly one
+	// switch e), whose walks follow e's tree and then take the hop e->i,
+	// held at lastSlot (DirSlot(e, i); -1 for every other node). See spt.go.
+	root     []int32 // unit:node[node]
+	lastSlot []int32 // unit:slot[node]
+
 	// seq versions the adjacency structure for incremental
 	// shortest-path-tree maintenance (see spt.go).
 	seq uint64

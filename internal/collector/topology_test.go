@@ -183,7 +183,8 @@ func TestPathUnknownHostSource(t *testing.T) {
 }
 
 // TestPathMemoizedTreeShared: repeated Path calls toward one destination
-// reuse the memoized tree (one BFS serves all sources).
+// reuse the memoized tree (one BFS serves all sources), and that tree is the
+// one of s4, the switch sched hangs off: no tree toward sched itself.
 func TestPathMemoizedTreeShared(t *testing.T) {
 	c, _ := buildDiamond(t)
 	topo := c.Snapshot()
@@ -207,9 +208,10 @@ func TestPathMemoizedTreeShared(t *testing.T) {
 			nTrees++
 		}
 	}
+	s4 := topo.store.trees[topo.nodeIndex["s4"]]
 	topo.store.mu.RUnlock()
-	if nTrees != 1 {
-		t.Fatalf("expected a single memoized destination, got %d", nTrees)
+	if nTrees != 1 || s4 != tree1 {
+		t.Fatalf("expected a single memoized destination, s4, got %d trees", nTrees)
 	}
 }
 
