@@ -313,7 +313,7 @@ func BenchmarkINTStamp(b *testing.B) {
 	})
 	b.Run("Stamp", func(b *testing.B) {
 		var payload telemetry.ProbePayload
-		hop := dataplane.Hop{InPort: 0, OutPort: 1, FlowDst: "sched"}
+		hop := dataplane.Hop{InPort: 0, OutPort: 1}
 		prog.Stamp(&payload, hop) // the first use sizes the record slot
 		b.ReportAllocs()
 		b.ResetTimer()

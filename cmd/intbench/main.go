@@ -7,11 +7,10 @@
 //	intbench -parallel 1      # force serial execution (output is byte-identical)
 //
 // Experiments: table1, fig3, fig5, fig6, fig7, fig8, fig9, ablation, faults.
-// Two more run by name only, because they replay the faults workload many
-// times: telemetry sweeps deterministic vs probabilistic PINT-style
-// telemetry and writes results/BENCH_telemetry.json; adaptive compares
-// static vs controller-driven probe cadence at several telemetry budgets
-// and writes results/BENCH_adaptive.json. -smoke shrinks both to CI size.
+// One more runs by name only, because it replays the faults workload many
+// times: adaptive compares static vs controller-driven probe cadence at
+// several telemetry budgets and writes results/BENCH_adaptive.json. -smoke
+// shrinks it to CI size.
 // Collector, ranking and daemon cost on generated Clos and metro fabrics is
 // measured by the benchmark in bench/ (see BENCHMARK.json), not here.
 package main
@@ -38,9 +37,9 @@ var (
 	seeds    = flag.Int("seeds", 1, "replicate fig5/6/7 across this many seeds and report mean±std gains")
 	tasks    = flag.Int("tasks", 200, "tasks per experiment run (paper: 200)")
 	fig3dur  = flag.Duration("fig3dur", 300*time.Second, "measurement duration per Fig 3 utilization level (paper: 300s)")
-	expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,all (plus telemetry and adaptive, by name only)")
+	expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,all (plus adaptive, by name only)")
 	parallel = flag.Int("parallel", 0, "worker pool size for independent experiment cells (0 = GOMAXPROCS, 1 = serial); output is byte-identical at any setting")
-	smoke    = flag.Bool("smoke", false, "telemetry and adaptive experiments: shrink to CI size (60 tasks unless -tasks is given, a shorter axis, 2-region metro)")
+	smoke    = flag.Bool("smoke", false, "adaptive experiment: shrink to CI size (60 tasks unless -tasks is given, one budget)")
 )
 
 // pool runs independent scenario cells; initialized in main from -parallel.
@@ -62,7 +61,6 @@ var experiments = []struct {
 	{"fig9", fig9, true},
 	{"ablation", ablation, true},
 	{"faults", faults, true},
-	{"telemetry", telemetryExp, false},
 	{"adaptive", adaptiveExp, false},
 }
 
@@ -87,8 +85,8 @@ func main() {
 	}
 }
 
-// sweepTasks is the task count handed to the telemetry and adaptive sweeps:
-// under -smoke they size themselves (0) unless -tasks was given explicitly.
+// sweepTasks is the task count handed to the adaptive sweep: under -smoke it
+// sizes itself (0) unless -tasks was given explicitly.
 func sweepTasks() int {
 	explicit := false
 	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "tasks" })
@@ -113,32 +111,6 @@ func writeArtifact(name string, v any) error {
 	}
 	fmt.Println("wrote", path)
 	return nil
-}
-
-// telemetryExp sweeps deterministic vs probabilistic (PINT-style) telemetry:
-// the faults workload replays once per mode/rate for scheduling quality, and
-// a probe-only metro rig measures telemetry bytes-on-wire per rate. The
-// per-cell digest over placement decisions is the identity contract —
-// Telemetry itself fails if p=1.0 diverges from the deterministic baseline,
-// and the printed digest lines are diffed across -parallel widths in CI.
-func telemetryExp() error {
-	res, err := pool.Telemetry(experiment.TelemetryConfig{
-		Seed:      *seed,
-		TaskCount: sweepTasks(),
-		Smoke:     *smoke,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println("scheduling quality under the faults schedule, per telemetry configuration:")
-	fmt.Println(res.QualityTable())
-	fmt.Println("telemetry bytes-on-wire, probe-only metro rig:")
-	fmt.Println(res.OverheadTable())
-	for _, c := range res.Quality {
-		fmt.Printf("telemetry digest %s %s\n", c.Mode, c.Digest)
-	}
-	fmt.Println("(p=1.00 reproduced the deterministic digest; lower rates trade probe bytes for reassembly freshness)")
-	return writeArtifact("BENCH_telemetry.json", res)
 }
 
 // adaptiveExp sweeps static vs controller-driven probe cadence over the

@@ -17,27 +17,19 @@ import (
 	"time"
 
 	"intsched/internal/live"
-	"intsched/internal/telemetry"
 )
 
 func main() {
 	var (
-		id         = flag.String("id", "n1", "edge server node name")
-		uplink     = flag.String("uplink", "", "UDP address of the attached soft switch (required)")
-		collector  = flag.String("collector", "sched", "scheduler node name probes are addressed to")
-		interval   = flag.Duration("interval", 100*time.Millisecond, "probing interval (paper default 100ms)")
-		telemMode  = flag.String("telemetry-mode", "deterministic", "telemetry mode stamped into probe headers: deterministic or probabilistic (PINT-style per-hop sampling)")
-		sampleRate = flag.Float64("sample-rate", 1.0, "probabilistic per-hop insertion probability in [0,1] (ignored in deterministic mode)")
-		adaptive   = flag.Bool("adaptive", false, "honor collector cadence directives (default: static interval, directives dropped)")
+		id        = flag.String("id", "n1", "edge server node name")
+		uplink    = flag.String("uplink", "", "UDP address of the attached soft switch (required)")
+		collector = flag.String("collector", "sched", "scheduler node name probes are addressed to")
+		interval  = flag.Duration("interval", 100*time.Millisecond, "probing interval (paper default 100ms)")
+		adaptive  = flag.Bool("adaptive", false, "honor collector cadence directives (default: static interval, directives dropped)")
 	)
 	flag.Parse()
 	if *uplink == "" {
 		fmt.Fprintln(os.Stderr, "intprobe: -uplink is required")
-		os.Exit(1)
-	}
-	mode, ok := telemetry.ParseMode(*telemMode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "intprobe: unknown -telemetry-mode %q (want deterministic or probabilistic)\n", *telemMode)
 		os.Exit(1)
 	}
 	agent, err := live.NewProbeAgent(*id, *uplink, *collector, *interval)
@@ -46,16 +38,12 @@ func main() {
 		os.Exit(1)
 	}
 	defer agent.Close()
-	agent.SetTelemetry(mode, telemetry.RateToWire(*sampleRate))
 	if *adaptive {
 		agent.EnableAdaptive()
 	}
 	agent.Start()
-	fmt.Printf("intprobe: %s probing %s every %v via %s (host address %s, telemetry %s",
-		agent.ID(), *collector, *interval, *uplink, agent.Addr(), mode)
-	if mode == telemetry.ModeProbabilistic {
-		fmt.Printf(" p=%.2f", *sampleRate)
-	}
+	fmt.Printf("intprobe: %s probing %s every %v via %s (host address %s",
+		agent.ID(), *collector, *interval, *uplink, agent.Addr())
 	if *adaptive {
 		fmt.Print(", adaptive cadence")
 	}

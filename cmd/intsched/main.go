@@ -38,7 +38,7 @@ func main() {
 		report   = flag.Duration("report", 10*time.Second, "coverage report interval (0 disables)")
 		ingestQ  = flag.Int("ingest-queue", 0, "async ingest queue depth (0 keeps ingest synchronous on the UDP receive loop)")
 		adaptive = flag.Bool("adaptive", false, "run the adaptive cadence control loop: per-stream probe-interval directives sent back along probe return paths (agents must opt in with intprobe -adaptive)")
-		probeBgt = flag.Float64("probe-budget", 0, "adaptive probe budget as a fraction (0,1] of the full static rate (0 disables the cap)")
+		probeBgt = flag.Float64("probe-budget", 0, "adaptive probe budget as a fraction (0,1] of the full static rate (0 disables the cap; requires -adaptive)")
 		adaptBas = flag.Duration("adaptive-base", 100*time.Millisecond, "fleet static probe interval anchoring the adaptive cadence clamps")
 	)
 	flag.Parse()

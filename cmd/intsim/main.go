@@ -19,7 +19,6 @@ import (
 	"intsched/internal/experiment"
 	"intsched/internal/fault"
 	"intsched/internal/stats"
-	"intsched/internal/telemetry"
 	"intsched/internal/workload"
 )
 
@@ -41,29 +40,19 @@ func main() {
 		verbose    = flag.Bool("v", false, "print per-task results")
 		seedCount  = flag.Int("seeds", 1, "replicate the run across this many consecutive seeds and report per-seed means")
 		parallel   = flag.Int("parallel", 0, "worker pool size for seed replication (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-		telemMode  = flag.String("telemetry-mode", "deterministic", "telemetry mode: deterministic | probabilistic (PINT-style per-hop sampling with collector reassembly)")
-		sampleRate = flag.Float64("sample-rate", 1.0, "probabilistic per-hop insertion probability in [0,1] (ignored in deterministic mode)")
-		queueDelta = flag.Int("queue-delta", 0, "value-approximation threshold: suppress a port's queue report unless its maximum moved by more than this many packets (probabilistic mode; 0 reports every flush)")
 		adaptive   = flag.Bool("adaptive", false, "run the adaptive cadence control loop: the collector retunes per-stream probe intervals from its own telemetry signals")
 		probeBgt   = flag.Float64("probe-budget", 0, "adaptive probe budget as a fraction (0,1] of the full static rate (0 disables the cap; requires -adaptive)")
 	)
 	flag.Parse()
 
-	mode, ok := telemetry.ParseMode(*telemMode)
-	if !ok {
-		fatalf("unknown -telemetry-mode %q (want deterministic or probabilistic)", *telemMode)
-	}
 	sc := experiment.Scenario{
-		Seed:                *seed,
-		TaskCount:           *tasks,
-		ProbeInterval:       *interval,
-		K:                   *k,
-		Slots:               *slots,
-		TelemetryMode:       mode,
-		SampleRate:          *sampleRate,
-		QueueDeltaThreshold: *queueDelta,
-		Adaptive:            *adaptive,
-		ProbeBudget:         *probeBgt,
+		Seed:          *seed,
+		TaskCount:     *tasks,
+		ProbeInterval: *interval,
+		K:             *k,
+		Slots:         *slots,
+		Adaptive:      *adaptive,
+		ProbeBudget:   *probeBgt,
 	}
 	if *topoFile != "" {
 		data, err := os.ReadFile(*topoFile)

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestRetiredOptionsRejected: the metric name and the flag of extensions that
-// lost their ablation trial are gone, not hidden — asking for either exits
-// non-zero and prints the usage.
+// TestRetiredOptionsRejected: the metric name and the flags of extensions
+// that lost their trial are gone, not hidden — asking for any exits non-zero
+// and prints the usage.
 func TestRetiredOptionsRejected(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "intsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -19,6 +19,9 @@ func TestRetiredOptionsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-metric", "compute-aware", "-tasks", "1"},
 		{"-hysteresis", "0.2", "-tasks", "1"},
+		{"-telemetry-mode", "probabilistic", "-tasks", "1"},
+		{"-sample-rate", "0.5", "-tasks", "1"},
+		{"-queue-delta", "1", "-tasks", "1"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError

@@ -1,8 +1,8 @@
 // Package adapt implements the adaptive probing control loop: a
 // deterministic, rule-based controller (an AdapINT-lite feedback loop, after
 // arxiv 2310.19331) that consumes collector-side churn signals — per-device
-// windowed queue variance, adjacency eviction tombstones, path-remap and
-// reassembly-reset events — and emits per-stream probe-cadence directives.
+// windowed queue variance, adjacency eviction tombstones and path-remap
+// events — and emits per-stream probe-cadence directives.
 // Edges that are churning get probed faster (halving toward MinInterval),
 // stable edges back off (doubling toward MaxInterval), streams that share a
 // device with a churning stream are pulled back to the base cadence
@@ -27,7 +27,10 @@
 // per scenario, the live daemon runs one control goroutine).
 package adapt
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // Defaults for Config.
 const (
@@ -85,6 +88,20 @@ type Config struct {
 	StableRounds     int
 }
 
+// CheckBudget validates a probe budget given as a fraction of the fleet's
+// static full-cadence rate, as the simulator and the live daemon take it:
+// zero means no budget, and a non-zero budget must lie in (0, 1] and needs
+// the controller, the only part that spends it.
+func CheckBudget(fraction float64, adaptive bool) error {
+	if !(fraction >= 0 && fraction <= 1) {
+		return fmt.Errorf("probe budget %v outside [0, 1]", fraction)
+	}
+	if fraction != 0 && !adaptive {
+		return fmt.Errorf("probe budget %v requires the adaptive controller", fraction)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.BaseInterval <= 0 {
 		c.BaseInterval = DefaultBaseInterval
@@ -120,17 +137,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Signal is the controller-facing digest of one probe stream, derived from
-// collector state (collector.StreamSignals). Probabilistic streams carry no
-// reassembled path between completions, so Devices may be empty and
-// QueueVar/EvictedOnPath zero; Age, Remaps, and Resets still drive the
-// silence and churn rules.
+// collector state (collector.StreamSignals).
 type Signal struct {
 	Origin, Target string
 	// Age is the time since the stream's last accepted probe.
 	Age time.Duration
-	// Remaps and Resets are the stream's cumulative path-remap and
-	// reassembly-reset counts; the controller reacts to their deltas.
-	Remaps, Resets uint64
+	// Remaps is the stream's cumulative path-remap count; the controller
+	// reacts to its deltas.
+	Remaps uint64
 	// Devices are the interior devices of the stream's last known path.
 	Devices []string
 	// QueueVar is the maximum in-window max-queue variance across Devices.

@@ -12,10 +12,10 @@ type streamKey struct{ origin, target string }
 // streamState is the controller's memory of one stream between
 // evaluations.
 type streamState struct {
-	interval       time.Duration
-	remaps, resets uint64
-	quiet          int
-	seen           bool
+	interval time.Duration
+	remaps   uint64
+	quiet    int
+	seen     bool
 }
 
 // Controller applies the cadence rules. Construct with NewController; call
@@ -146,22 +146,21 @@ func (c *Controller) Decide(sigs []Signal) []Directive {
 		key := streamKey{sig.Origin, sig.Target}
 		st := c.streams[key]
 		if st == nil {
-			st = &streamState{interval: c.cfg.BaseInterval, remaps: sig.Remaps, resets: sig.Resets}
+			st = &streamState{interval: c.cfg.BaseInterval, remaps: sig.Remaps}
 			c.streams[key] = st
 		}
 		st.seen = true
 
 		dRemaps := sig.Remaps - st.remaps
-		dResets := sig.Resets - st.resets
-		if sig.Remaps < st.remaps || sig.Resets < st.resets {
-			// The stream restarted (counters went backwards); treat the
-			// new counters as a fresh baseline, not as churn.
-			dRemaps, dResets = 0, 0
+		if sig.Remaps < st.remaps {
+			// The stream restarted (the counter went backwards); treat the
+			// new count as a fresh baseline, not as churn.
+			dRemaps = 0
 		}
-		st.remaps, st.resets = sig.Remaps, sig.Resets
+		st.remaps = sig.Remaps
 
 		cur := st.interval
-		churn := dRemaps+dResets > 0 || sig.EvictedOnPath > 0 || sig.QueueVar >= c.cfg.QueueVarThreshold
+		churn := dRemaps > 0 || sig.EvictedOnPath > 0 || sig.QueueVar >= c.cfg.QueueVarThreshold
 		silent := sig.Age > time.Duration(c.cfg.SilenceIntervals)*cur
 
 		p := pending{sig: sig, st: st, desired: cur, churn: churn || silent}

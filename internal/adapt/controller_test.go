@@ -268,11 +268,11 @@ func TestStatePrunedForVanishedStreams(t *testing.T) {
 	}
 }
 
-// Counters that go backwards (stream restart) are a fresh baseline, not
-// churn.
+// A remap counter that goes backwards (stream restart) is a fresh baseline,
+// not churn.
 func TestCounterRegressionIsNotChurn(t *testing.T) {
 	c := NewController(Config{BaseInterval: base})
-	c.Decide([]Signal{{Origin: "n1", Target: "ctl", Remaps: 10, Resets: 4}})
+	c.Decide([]Signal{{Origin: "n1", Target: "ctl", Remaps: 10}})
 	// The regression round counts as quiet — the stream may back off, but
 	// must not tighten.
 	for _, d := range c.Decide([]Signal{{Origin: "n1", Target: "ctl", Remaps: 1}}) {

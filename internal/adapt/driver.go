@@ -57,7 +57,6 @@ func SignalsFrom(coll *collector.Collector) []Signal {
 			Target:        raw[i].Target,
 			Age:           raw[i].Age,
 			Remaps:        raw[i].Remaps,
-			Resets:        raw[i].Resets,
 			Devices:       raw[i].Devices,
 			QueueVar:      raw[i].QueueVar,
 			EvictedOnPath: raw[i].EvictedOnPath,

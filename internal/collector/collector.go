@@ -121,11 +121,10 @@ type probeMeta struct {
 	// path is the hop sequence (origin, devices..., target) of the last
 	// accepted probe; a change means the route under the stream moved.
 	path []string
-	// remaps and resets are this stream's cumulative path-remap and
-	// reassembly-reset counts — the per-stream decomposition of
-	// Stats.PathRemaps/ReassemblyResets, exposed through StreamSignals so
+	// remaps is this stream's cumulative path-remap count — the per-stream
+	// decomposition of Stats.PathRemaps, exposed through StreamSignals so
 	// the adaptive controller can react to churn deltas per stream.
-	remaps, resets uint64
+	remaps uint64
 }
 
 // Collector builds and maintains the scheduler's view of the network.
@@ -137,8 +136,8 @@ type Collector struct {
 	// mu guards every field of the link and stream state below. The live
 	// daemon ingests on one goroutine and answers queries, metrics scrapes
 	// and the control loop on others; all of them meet here. Functions named
-	// *Locked expect the caller to hold it. The eviction and reassembly
-	// hooks run with mu held and must not call back into the collector.
+	// *Locked expect the caller to hold it. The eviction hook runs with mu
+	// held and must not call back into the collector.
 	mu sync.Mutex
 	// adj maps device -> egress port -> neighbor.
 	adj map[string]map[int]string
@@ -175,18 +174,13 @@ type Collector struct {
 	lastReport map[string]time.Duration
 	// window is the queue-report window (SetQueueWindow).
 	window time.Duration
-	// streams holds per-stream sequence, freshness and route metadata;
-	// reasm the reassembly buffers of probabilistic streams (lazily
-	// created, see reassembly.go).
+	// streams holds per-stream sequence, freshness and route metadata.
 	streams map[probeKey]probeMeta
-	reasm   map[probeKey]*reasmState
 	// stats holds the ingest counters (IngestDrops is kept apart: the
 	// enqueue path must not wait for mu).
 	stats Stats
-	// onEviction and onReassembly observe adjacency evictions and completed
-	// reassembly cycles.
-	onEviction   func(from, to string, silence time.Duration)
-	onReassembly func(origin, target string, hops int, latency time.Duration)
+	// onEviction observes adjacency evictions.
+	onEviction func(from, to string, silence time.Duration)
 	// pathScratch is HandleProbe's reusable hop-sequence buffer.
 	pathScratch []string
 
@@ -257,19 +251,8 @@ type Stats struct {
 	// (always zero on the synchronous path).
 	IngestDrops uint64
 	// TelemetryBytes is the total on-wire size of every ingested probe
-	// payload (telemetry.EncodedSize) — the bytes-on-wire cost the
-	// probabilistic mode exists to reduce.
+	// payload (telemetry.EncodedSize): the fleet's telemetry spend.
 	TelemetryBytes uint64
-	// RecordsReassembled counts fragments merged through the probabilistic
-	// reassembly stage (a subset of RecordsParsed).
-	RecordsReassembled uint64
-	// ReassemblyCompletions counts reassembly cycles in which every hop of
-	// a stream's path reported at least once.
-	ReassemblyCompletions uint64
-	// ReassemblyResets counts reassembly buffers discarded because a probe
-	// contradicted them (path length or device changed — the stream's
-	// route moved).
-	ReassemblyResets uint64
 	// SnapshotPublishes counts snapshots published; StructureRebuilds counts
 	// those that had to rebuild the shared structure first (the adjacency,
 	// the host set or the queue window changed) instead of reusing it.
@@ -368,18 +351,6 @@ func (c *Collector) SetLinkRate(from, to netsim.NodeID, rateBps int64) {
 func (c *Collector) SetEvictionHook(fn func(from, to string, silence time.Duration)) {
 	c.mu.Lock()
 	c.onEviction = fn
-	c.mu.Unlock()
-}
-
-// SetReassemblyHook installs a callback observing each completed reassembly
-// cycle of a probabilistic probe stream: the origin and target, the path's
-// hop count, and how long the cycle took from its first fragment — the
-// telemetry staleness cost of sampling, which the live daemon exports as a
-// histogram. Called with the collector's lock held: the hook must not call
-// back into the collector.
-func (c *Collector) SetReassemblyHook(fn func(origin, target string, hops int, latency time.Duration)) {
-	c.mu.Lock()
-	c.onReassembly = fn
 	c.mu.Unlock()
 }
 

@@ -25,8 +25,6 @@ func (c *Collector) HandleProbe(p *telemetry.ProbePayload) {
 	if seen && p.Seq <= prevMeta.seq {
 		// Reordered or duplicate probe: its registers were flushed before
 		// the one we already processed; ignore to keep freshness monotone.
-		// This gate also sequence-gates reassembly — a retransmitted or
-		// stale probe's fragments never reach the merge below.
 		c.stats.ProbesOutOfOrder++
 		return
 	}
@@ -38,23 +36,7 @@ func (c *Collector) HandleProbe(p *telemetry.ProbePayload) {
 	if target == "" {
 		target = c.self
 	}
-	meta := probeMeta{seq: p.Seq, at: now, remaps: prevMeta.remaps, resets: prevMeta.resets}
-
-	if p.Mode == telemetry.ModeProbabilistic {
-		// Probabilistic probes carry sampled fragments; merge them through
-		// the reassembly stage instead of treating the stack as a full
-		// path. Stream metadata still advances so the sequence gate spans
-		// mode changes (path stays nil: fragments, not a hop sequence).
-		if c.reassembleLocked(key, p, target, now) {
-			meta.remaps++
-			meta.resets++
-		}
-		c.streams[key] = meta
-		return
-	}
-	// A deterministic probe supersedes any reassembly buffer this stream
-	// accumulated while probabilistic (mode flip in a mixed fleet rollout).
-	delete(c.reasm, key)
+	meta := probeMeta{seq: p.Seq, at: now, remaps: prevMeta.remaps}
 
 	path := append(c.pathScratch[:0], p.Origin)
 	recs := p.Stack.Records
@@ -67,8 +49,7 @@ func (c *Collector) HandleProbe(p *telemetry.ProbePayload) {
 	c.applyProbeLocked(p, target, now)
 	switch {
 	case prevMeta.path == nil:
-		// The stream's first probe, or its first deterministic one after
-		// probabilistic probes: no previous route to have moved from.
+		// The stream's first probe: no previous route to have moved from.
 		meta.path = slices.Clone(path)
 	case slices.Equal(prevMeta.path, path):
 		meta.path = prevMeta.path // unchanged: reuse, no allocation

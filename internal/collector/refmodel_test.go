@@ -22,9 +22,8 @@ import (
 // keeps the probe history in plain maps and recomputes everything on every
 // read. Nothing is cached, nothing lives in index space, queue maxima are a
 // windowedQueueMax scan over report lists that are never pruned, and link
-// delay is refolded from the full sample history. It covers deterministic
-// probes only; PINT fragments, mode flips, cadence directives and rankings
-// belong to a later oracle.
+// delay is refolded from the full sample history. Cadence directives and
+// rankings belong to a later oracle.
 //
 // Two rules of the collector are not obvious from its API and are written
 // down here because the model has to state them:

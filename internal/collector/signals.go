@@ -14,9 +14,7 @@ import (
 // pure read, so polling it cannot perturb epochs, snapshots, or digests.
 
 // StreamSignal is the per-stream churn digest consumed by the adaptive
-// controller. Probabilistic streams keep no assembled hop sequence between
-// reassembly cycles, so their Devices is empty and QueueVar/EvictedOnPath
-// are zero; Age, Remaps, and Resets still carry their churn evidence.
+// controller.
 type StreamSignal struct {
 	Origin, Target string
 	// Seq is the highest accepted sequence number; Age is the time since
@@ -24,10 +22,9 @@ type StreamSignal struct {
 	Seq uint64
 	Age time.Duration
 	// Remaps counts accepted probes whose hop sequence differed from their
-	// predecessor's; Resets counts reassembly buffers discarded because a
-	// probe contradicted them. Both are cumulative — controllers react to
-	// deltas between evaluations.
-	Remaps, Resets uint64
+	// predecessor's. It is cumulative — controllers react to deltas between
+	// evaluations.
+	Remaps uint64
 	// Devices are the interior devices (switches) of the stream's last
 	// known path, in hop order (a copy — safe to retain).
 	Devices []string
@@ -54,7 +51,6 @@ func (c *Collector) StreamSignals() []StreamSignal {
 			Seq:    meta.seq,
 			Age:    now - meta.at,
 			Remaps: meta.remaps,
-			Resets: meta.resets,
 		}
 		if p := meta.path; len(p) > 2 {
 			sig.Devices = slices.Clone(p[1 : len(p)-1])

@@ -36,7 +36,7 @@ func TestStreamSignalsBasics(t *testing.T) {
 	if !reflect.DeepEqual(n1.Devices, []string{"s1", "s3"}) {
 		t.Fatalf("n1 devices %v, want interior path", n1.Devices)
 	}
-	if n1.Remaps != 0 || n1.Resets != 0 || n1.EvictedOnPath != 0 {
+	if n1.Remaps != 0 || n1.EvictedOnPath != 0 {
 		t.Fatalf("fresh stream shows churn: %+v", n1)
 	}
 	if n2 := sigs[1]; n2.Age != 50*time.Millisecond || len(n2.Devices) != 1 {

@@ -6,23 +6,21 @@
 // production packet raises the max-queue register of its egress port and
 // counts itself, and a probe has its arrival link's latency taken before it
 // is enqueued. Stamp is the egress stage of a probe: the device claims its
-// hop index, decides whether to insert (always for a deterministic probe, one
-// sampling draw for a probabilistic one), and flushes the registers into an
-// INT record and resets them. Production packets are never modified, so INT
-// adds zero bytes to regular traffic — the register-staging scheme that is
-// the paper's key collection idea.
+// hop index, flushes the registers into an INT record and resets them.
+// Production packets are never modified, so INT adds zero bytes to regular
+// traffic — the register-staging scheme that is the paper's key collection
+// idea.
 //
 // Whatever differs between the runtimes — ports, hop and link latency, the
-// device's clock reading, the flow's destination key — is an argument. The
-// program takes no lock: the simulator calls it from its one event loop, and
-// the soft switch, which has goroutines, serializes its calls itself.
+// device's clock reading — is an argument. The program takes no lock: the
+// simulator calls it from its one event loop, and the soft switch, which has
+// goroutines, serializes its calls itself.
 package dataplane
 
 import (
 	"math"
 	"time"
 
-	"intsched/internal/pint"
 	"intsched/internal/telemetry"
 )
 
@@ -40,21 +38,6 @@ type INTConfig struct {
 	// visibility comes from production traffic itself: only paths that carry
 	// traffic are observed, and every packet pays the telemetry tax.
 	PerPacket bool
-	// Sampler makes the per-hop insertion decision for probes emitted in
-	// telemetry.ModeProbabilistic (the PINT-style lightweight mode). The
-	// decision is per probe, drawn from the sampler's (switch, flow)
-	// stream at the probe's carried SampleRate. Nil falls back to
-	// deterministic insertion regardless of probe mode. Deterministic
-	// probes never consult the sampler, so mixed fleets coexist on one
-	// switch.
-	Sampler *pint.Sampler
-	// QueueDeltaThreshold, when positive, enables PINT-style value
-	// approximation for queue maxima: a port's register is flushed into a
-	// record only when its observed value moved by more than the threshold
-	// since the port was last reported (unreported ports keep
-	// accumulating). Zero reports every port on every record — the
-	// deterministic-equivalent setting.
-	QueueDeltaThreshold int
 }
 
 // INTProgram is the telemetry program of one switch: its registers and the
@@ -68,10 +51,6 @@ type INTProgram struct {
 	maxQueue []int64 // largest queue occupancy a production packet met
 	pktCount []int64 // production packets forwarded
 
-	// valueApprox filters queue reports by change magnitude when
-	// cfg.QueueDeltaThreshold is positive (nil otherwise).
-	valueApprox *pint.ValueApprox
-
 	// OverheadBytes counts wire bytes added to production packets in
 	// per-packet mode (always zero with register staging — the paper's
 	// headline collection property).
@@ -81,16 +60,12 @@ type INTProgram struct {
 // NewINTProgram creates the telemetry program for a switch with numPorts
 // ports.
 func NewINTProgram(deviceID string, numPorts int, cfg INTConfig) *INTProgram {
-	p := &INTProgram{
+	return &INTProgram{
 		deviceID: deviceID,
 		cfg:      cfg,
 		maxQueue: make([]int64, numPorts),
 		pktCount: make([]int64, numPorts),
 	}
-	if cfg.QueueDeltaThreshold > 0 {
-		p.valueApprox = pint.NewValueApprox(cfg.QueueDeltaThreshold)
-	}
-	return p
 }
 
 // Observe is the ingress stage, run after the forwarding decision and before
@@ -128,73 +103,39 @@ type Hop struct {
 	HopLatency time.Duration
 	// Now is the device's clock, written as the record's egress timestamp.
 	Now time.Duration
-	// FlowDst is the packet header's destination: the flow's key for the
-	// sampling streams when the probe names no relay Target.
-	FlowDst string
 }
 
 // Stamp is the egress stage of a probe, run when it reaches the head of its
-// egress queue. Every traversed device claims a hop index, sampled or not:
-// the collector then knows the true path length from any probe, and the
-// caller still writes its egress timestamp for the next hop, so link latency
-// stays measured hop by hop even when the record that would carry it waits
-// for a later probe to sample this hop.
-//
-// A device that inserts flushes its registers into one record slot and
-// resets them. While the probe has room the slot is appended; a full
-// probabilistic probe has a uniformly chosen earlier record replaced
-// (reservoir backstop, so probe size stays O(1) in path length); a full
-// deterministic probe is marked Truncated and the registers keep
-// accumulating for the next probe. The slot is filled in place and keeps its
-// Queues backing array, so a caller that decodes into a reused payload
-// allocates nothing here.
+// egress queue. The device claims the next hop index and, while the probe
+// has room, flushes its registers into one appended record and resets them;
+// a full probe is marked Truncated and the registers keep accumulating for
+// the next probe. The slot is filled in place and keeps its Queues backing
+// array, so a caller that decodes into a reused payload allocates nothing
+// here.
 func (p *INTProgram) Stamp(probe *telemetry.ProbePayload, h Hop) {
 	hopIdx := probe.HopCount
 	if probe.HopCount < math.MaxUint8 {
 		probe.HopCount++
 	}
 
-	sampler := p.cfg.Sampler
-	if probe.Mode != telemetry.ModeProbabilistic {
-		sampler = nil
-	}
-	target := probe.Target
-	if target == "" {
-		target = h.FlowDst
-	}
-	if sampler != nil && !sampler.Sample(p.deviceID, probe.Origin, target, probe.SampleRate) {
-		return
-	}
-
 	recs := probe.Stack.Records
-	var rec *telemetry.Record
-	switch {
-	case len(recs) < telemetry.MaxRecords:
-		if len(recs) < cap(recs) {
-			recs = recs[:len(recs)+1]
-		} else {
-			recs = append(recs, telemetry.Record{})
-		}
-		probe.Stack.Records = recs
-		rec = &recs[len(recs)-1]
-	case sampler != nil:
-		rec = &recs[sampler.Slot(p.deviceID, probe.Origin, target, len(recs))]
-	default:
+	if len(recs) >= telemetry.MaxRecords {
 		probe.Stack.Truncated = true
 		return
 	}
+	if len(recs) < cap(recs) {
+		recs = recs[:len(recs)+1]
+	} else {
+		recs = append(recs, telemetry.Record{})
+	}
+	probe.Stack.Records = recs
+	rec := &recs[len(recs)-1]
 
-	// With value approximation on, a port whose maximum did not move enough
-	// is held back and its registers keep accumulating toward the next
-	// report.
 	queues := rec.Queues[:0]
 	if cap(queues) < len(p.maxQueue) {
 		queues = make([]telemetry.PortQueue, 0, len(p.maxQueue))
 	}
 	for port, mq := range p.maxQueue {
-		if p.valueApprox != nil && !p.valueApprox.ShouldReport(port, mq) {
-			continue
-		}
 		queues = append(queues, telemetry.PortQueue{Port: port, MaxQueue: int(mq), Packets: uint32(p.pktCount[port])})
 		p.maxQueue[port], p.pktCount[port] = 0, 0
 	}

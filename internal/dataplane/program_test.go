@@ -1,14 +1,11 @@
 package dataplane
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"intsched/internal/pint"
-	"intsched/internal/simtime"
 	"intsched/internal/telemetry"
 )
 
@@ -105,13 +102,11 @@ func fullStack() []telemetry.Record {
 // TestStamp drives every branch of the egress stage on a two-port switch
 // whose registers hold max 3/7 and counts 2/5.
 func TestStamp(t *testing.T) {
-	sampler := func() *pint.Sampler { return pint.NewSampler(simtime.NewRand(1)) }
-	hop := Hop{InPort: 1, OutPort: 0, LinkLatency: 11, HopLatency: 22, Now: 33, FlowDst: "sched"}
+	hop := Hop{InPort: 1, OutPort: 0, LinkLatency: 11, HopLatency: 22, Now: 33}
 	staged := []telemetry.PortQueue{{Port: 0, MaxQueue: 3, Packets: 2}, {Port: 1, MaxQueue: 7, Packets: 5}}
 
 	cases := []struct {
 		name      string
-		cfg       INTConfig
 		probe     telemetry.ProbePayload
 		records   int  // records carried afterwards
 		inserted  bool // one of them is this device's, and the registers were reset
@@ -119,31 +114,13 @@ func TestStamp(t *testing.T) {
 	}{
 		{name: "deterministic append",
 			probe: telemetry.ProbePayload{HopCount: 4}, records: 1, inserted: true},
-		{name: "deterministic probe ignores the sampler",
-			cfg:   INTConfig{Sampler: sampler()},
-			probe: telemetry.ProbePayload{HopCount: 4, SampleRate: 0}, records: 1, inserted: true},
 		{name: "deterministic full: Truncated, registers untouched",
 			probe:   telemetry.ProbePayload{HopCount: 4, Stack: telemetry.Stack{Records: fullStack()}},
 			records: telemetry.MaxRecords, truncated: true},
-		{name: "probabilistic skip still advances HopCount",
-			cfg:   INTConfig{Sampler: sampler()},
-			probe: telemetry.ProbePayload{HopCount: 4, Mode: telemetry.ModeProbabilistic, SampleRate: 0}},
-		{name: "probabilistic sampled append",
-			cfg:     INTConfig{Sampler: sampler()},
-			probe:   telemetry.ProbePayload{HopCount: 4, Mode: telemetry.ModeProbabilistic, SampleRate: math.MaxUint16},
-			records: 1, inserted: true},
-		{name: "probabilistic full: reservoir slot replaced",
-			cfg: INTConfig{Sampler: sampler()},
-			probe: telemetry.ProbePayload{HopCount: 4, Mode: telemetry.ModeProbabilistic, SampleRate: math.MaxUint16,
-				Stack: telemetry.Stack{Records: fullStack()}},
-			records: telemetry.MaxRecords, inserted: true},
-		{name: "probabilistic without a sampler inserts deterministically",
-			probe:   telemetry.ProbePayload{HopCount: 4, Mode: telemetry.ModeProbabilistic, SampleRate: 0},
-			records: 1, inserted: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			p := NewINTProgram("s", 2, c.cfg)
+			p := NewINTProgram("s", 2, INTConfig{})
 			copy(p.maxQueue, []int64{3, 7})
 			copy(p.pktCount, []int64{2, 5})
 			probe := c.probe
@@ -182,31 +159,6 @@ func TestStamp(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestStampValueApproximationHoldsPortBack(t *testing.T) {
-	p := NewINTProgram("s", 2, INTConfig{QueueDeltaThreshold: 2})
-	p.Observe(false, 0, 5, 0, 0, false)
-	p.Observe(false, 1, 5, 0, 0, false)
-	var first telemetry.ProbePayload
-	p.Stamp(&first, Hop{})
-	if got := first.Stack.Records[0].Queues; len(got) != 2 {
-		t.Fatalf("first report carries %v, want both ports", got)
-	}
-
-	// Port 0 moved by 1 since its last report (held back, keeps
-	// accumulating); port 1 moved by 4 (reported and reset).
-	p.Observe(false, 0, 6, 0, 0, false)
-	p.Observe(false, 1, 9, 0, 0, false)
-	var second telemetry.ProbePayload
-	p.Stamp(&second, Hop{})
-	got := second.Stack.Records[0].Queues
-	if len(got) != 1 || got[0] != (telemetry.PortQueue{Port: 1, MaxQueue: 9, Packets: 1}) {
-		t.Fatalf("second report carries %v, want port 1 only", got)
-	}
-	if p.maxQueue[0] != 6 || p.pktCount[0] != 1 || p.maxQueue[1] != 0 || p.pktCount[1] != 0 {
-		t.Fatalf("registers max=%v count=%v, want port 0 kept and port 1 reset", p.maxQueue, p.pktCount)
 	}
 }
 

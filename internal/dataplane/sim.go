@@ -40,7 +40,6 @@ func (p *INTProgram) Egress(ctx *netsim.ProcessorContext, pkt *netsim.Packet) {
 		LinkLatency: pkt.LinkLatency(),
 		HopLatency:  ctx.Now - pkt.IngressAt(),
 		Now:         now,
-		FlowDst:     string(pkt.Dst),
 	})
 	pkt.StampEgress(now)
 }

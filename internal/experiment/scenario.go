@@ -11,10 +11,8 @@ import (
 	"intsched/internal/edge"
 	"intsched/internal/fault"
 	"intsched/internal/netsim"
-	"intsched/internal/pint"
 	"intsched/internal/probe"
 	"intsched/internal/simtime"
-	"intsched/internal/telemetry"
 	"intsched/internal/traffic"
 	"intsched/internal/transport"
 	"intsched/internal/workload"
@@ -112,18 +110,6 @@ type Scenario struct {
 	// (RunResult.Decisions). Needed by the fault experiments to measure
 	// mis-scheduling and recovery; off by default to keep hot runs lean.
 	RecordDecisions bool
-	// TelemetryMode selects deterministic (every switch inserts its record
-	// into every probe, the default) or probabilistic PINT-style telemetry
-	// (each switch samples independently at SampleRate and the collector
-	// reassembles fragments across probes).
-	TelemetryMode telemetry.Mode
-	// SampleRate is the probabilistic per-hop insertion probability in
-	// [0, 1]. Defaults to 1.0 when TelemetryMode is probabilistic.
-	SampleRate float64
-	// QueueDeltaThreshold suppresses a switch's queue report for a port
-	// whose maximum changed by no more than this many packets since the
-	// last report (PINT value approximation; 0 reports every flush).
-	QueueDeltaThreshold int
 	// Adaptive enables the adaptive probing control loop (internal/adapt):
 	// a sim-time controller re-reads the collector's churn signals every
 	// 5×ProbeInterval and retunes each probe stream's cadence within
@@ -131,8 +117,9 @@ type Scenario struct {
 	// schedule exactly the same events as the pre-adaptive simulator.
 	Adaptive bool
 	// ProbeBudget caps the adaptive fleet's aggregate probe rate, as a
-	// fraction of the static full-cadence rate (streams / ProbeInterval).
-	// Zero means uncapped; meaningful only with Adaptive.
+	// fraction in (0, 1] of the static full-cadence rate (streams /
+	// ProbeInterval). Zero means uncapped; a non-zero budget requires
+	// Adaptive.
 	ProbeBudget float64
 }
 
@@ -149,9 +136,6 @@ func (s Scenario) withDefaults() Scenario {
 	s.Links = s.Links.withDefaults()
 	if s.K <= 0 {
 		s.K = core.DefaultK
-	}
-	if s.TelemetryMode == telemetry.ModeProbabilistic && s.SampleRate <= 0 {
-		s.SampleRate = 1.0
 	}
 	return s
 }
@@ -211,14 +195,8 @@ type RunResult struct {
 	AdjacencyEvictions uint64
 	PathRemaps         uint64
 	// TelemetryBytes counts encoded probe payload bytes arriving at the
-	// collector — the telemetry bytes-on-wire measure the PINT experiment
-	// trades against scheduling quality.
+	// collector — the fleet's telemetry spend.
 	TelemetryBytes uint64
-	// RecordsReassembled / ReassemblyCompletions count probabilistic
-	// fragments merged and full reassembly cycles closed (zero in
-	// deterministic mode).
-	RecordsReassembled    uint64
-	ReassemblyCompletions uint64
 	// Adaptive-controller activity (all zero when Scenario.Adaptive is
 	// off): directives applied to fleet probers and the controller's
 	// per-rule decision counts.
@@ -283,6 +261,9 @@ func (r *RunResult) MeanTransfer() time.Duration {
 
 // Run executes one scenario to completion and returns its results.
 func Run(sc Scenario) (*RunResult, error) {
+	if err := adapt.CheckBudget(sc.ProbeBudget, sc.Adaptive); err != nil {
+		return nil, err
+	}
 	sc = sc.withDefaults()
 	engine := simtime.NewEngine()
 	rng := simtime.NewRand(sc.Seed)
@@ -300,14 +281,8 @@ func Run(sc Scenario) (*RunResult, error) {
 	nw := topo.Net
 
 	// Dataplane: INT register staging on every switch (or classic
-	// per-packet embedding in the ablation mode). Probabilistic telemetry
-	// derives the samplers' randomness from a named sub-stream so sampling
-	// draws never perturb the workload/traffic streams.
+	// per-packet embedding in the ablation mode).
 	intCfg := dataplane.INTConfig{PerPacket: sc.PerPacketINT}
-	if sc.TelemetryMode == telemetry.ModeProbabilistic {
-		intCfg.Sampler = pint.NewSampler(rng.Stream("pint"))
-		intCfg.QueueDeltaThreshold = sc.QueueDeltaThreshold
-	}
 	programs := dataplane.AttachINT(nw, intCfg)
 	if sc.ClockSkew != 0 {
 		i := 0
@@ -408,9 +383,6 @@ func Run(sc Scenario) (*RunResult, error) {
 			}
 		}
 		fleet = probe.NewPlannedFleet(nw, pairs, sc.ProbeInterval)
-	}
-	if fleet != nil && sc.TelemetryMode == telemetry.ModeProbabilistic {
-		fleet.SetTelemetry(sc.TelemetryMode, telemetry.RateToWire(sc.SampleRate))
 	}
 
 	// Adaptive probing control loop: a sim-time driver on the engine's own
@@ -570,8 +542,6 @@ func Run(sc Scenario) (*RunResult, error) {
 	out.PathRemaps = collStats.PathRemaps
 	out.ProbesReceived = collStats.ProbesReceived
 	out.TelemetryBytes = collStats.TelemetryBytes
-	out.RecordsReassembled = collStats.RecordsReassembled
-	out.ReassemblyCompletions = collStats.ReassemblyCompletions
 	out.PacketsDropped = nw.Dropped
 	out.EventsProcessed = engine.Processed
 	for _, prog := range programs {

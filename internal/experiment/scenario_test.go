@@ -46,6 +46,22 @@ func TestRunSmallScenarioCompletes(t *testing.T) {
 		res.PacketsDropped, res.MeanCompletion(), res.MeanTransfer())
 }
 
+// TestRunRejectsBudgetWithoutController: only the adaptive controller spends
+// a probe budget, so a budget without Adaptive, or one outside [0, 1], is an
+// error rather than a silently static fleet.
+func TestRunRejectsBudgetWithoutController(t *testing.T) {
+	for _, sc := range []Scenario{
+		{ProbeBudget: 0.5},
+		{ProbeBudget: 1.5, Adaptive: true},
+		{ProbeBudget: -0.25, Adaptive: true},
+	} {
+		sc.Seed, sc.Workload, sc.Metric, sc.TaskCount = 1, workload.Serverless, core.MetricDelay, 2
+		if _, err := Run(sc); err == nil {
+			t.Errorf("budget %v adaptive=%v accepted", sc.ProbeBudget, sc.Adaptive)
+		}
+	}
+}
+
 func TestRunDeterministicAcrossRepeats(t *testing.T) {
 	sc := Scenario{Seed: 7, Workload: workload.Distributed, Metric: core.MetricBandwidth, TaskCount: 9}
 	a, err := Run(sc)

@@ -12,7 +12,7 @@ import (
 	"intsched/internal/workload"
 )
 
-// The faults, telemetry and adaptive experiments are one sweep over one
+// The faults and adaptive experiments are one sweep over one
 // scenario: the serverless workload on the Fig 4 deployment under a scripted
 // failure schedule, with the recovery policy on and every placement decision
 // classified against the simulator's ground-truth routing state. A sweep is
@@ -110,8 +110,7 @@ func summarize(run *RunResult) CellSummary {
 }
 
 // decisionDigest hashes a run's placement decisions and figure-level task
-// metrics (probe bytes excluded: identical scheduling at lower cost is the
-// point of the telemetry sweep, not a violation).
+// metrics.
 func decisionDigest(run *RunResult) string {
 	h := fnv.New64a()
 	for i := range run.Decisions {
@@ -123,8 +122,8 @@ func decisionDigest(run *RunResult) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// SweepHeader sizes the telemetry and adaptive sweeps' fault replay and
-// leads their recorded artifacts.
+// SweepHeader sizes the adaptive sweep's fault replay and leads its
+// recorded artifact.
 type SweepHeader struct {
 	Bench string `json:"bench"`
 	// Smoke marks a CI-size run: fewer tasks and a shorter axis.
@@ -133,7 +132,7 @@ type SweepHeader struct {
 	Tasks int   `json:"tasks"`
 }
 
-// newSweepHeader applies the sweeps' shared defaults: seed 1, and 200 tasks
+// newSweepHeader applies the sweep defaults: seed 1, and 200 tasks
 // per cell — 60 under smoke — unless the caller asked for a count.
 func newSweepHeader(bench string, seed int64, tasks int, smoke bool) SweepHeader {
 	if seed == 0 {

@@ -28,7 +28,6 @@ func TestSweepsParallelMatchSerial(t *testing.T) {
 			}
 			return []any{res.Runs, res.Table()}, nil
 		}},
-		{"telemetry", func(p *Pool) (any, error) { return p.Telemetry(telemetryTestConfig()) }},
 		{"adaptive", func(p *Pool) (any, error) { return p.Adaptive(adaptiveTestConfig()) }},
 	}
 	for _, sw := range sweeps {
@@ -73,8 +72,6 @@ func TestSweepArtifactKeys(t *testing.T) {
 		file   string
 		result any
 	}{
-		{"../../results/BENCH_telemetry.json", TelemetryResult{
-			Quality: []TelemetryCell{{}}, Overhead: []TelemetryOverheadCell{{}}}},
 		{"../../results/BENCH_adaptive.json", AdaptiveResult{Cells: []AdaptiveCell{{}}}},
 	} {
 		shape := func(data []byte) []string {

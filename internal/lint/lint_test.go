@@ -26,15 +26,6 @@ func TestSimDeterminismFault(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/faultdet", "fixture/faultdet", lint.SimDeterminismAnalyzer)
 }
 
-// TestSimDeterminismPint covers the probabilistic telemetry subsystem: a
-// sampler drawing hop-insertion decisions from the global rand stream, or
-// seeding itself from the wall clock, would make which hops each probe
-// carries — and therefore the reassembled topology — non-reproducible.
-func TestSimDeterminismPint(t *testing.T) {
-	lint.SimSidePackages["fixture/pintdet"] = true
-	linttest.Run(t, "internal/lint/testdata/src/pintdet", "fixture/pintdet", lint.SimDeterminismAnalyzer)
-}
-
 // TestSimDeterminismAdapt covers the adaptive probing controller: cadence
 // decisions stamped from the wall clock or jittered through the global rand
 // stream would break the byte-identity of the adaptive decision digest that

@@ -30,10 +30,6 @@ var SimSidePackages = map[string]bool{
 	"intsched/internal/stats":      true,
 	"intsched/internal/fault":      true,
 	"intsched/internal/collector":  true,
-	// pint's sampling draws decide which hops appear in every probe, so an
-	// unnamed or global rand stream there would make the reassembled
-	// topology — and every figure derived from it — non-reproducible.
-	"intsched/internal/pint": true,
 	// adapt's cadence decisions feed the per-cell adaptive digest that CI
 	// diffs across -parallel settings: a wall-clock age or global-rand
 	// jitter inside the controller would break that byte-identity.

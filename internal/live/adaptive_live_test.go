@@ -139,3 +139,24 @@ func TestAgentDirectiveOptInAndSeqGate(t *testing.T) {
 		t.Fatalf("malformed frames counted as applied: %d", a.DirectivesApplied())
 	}
 }
+
+// TestDaemonRejectsBudgetWithoutController: the probe budget is spent only
+// by the cadence controller, so a budget without Adaptive, or one outside
+// [0, 1], is refused instead of silently running a static fleet.
+func TestDaemonRejectsBudgetWithoutController(t *testing.T) {
+	for _, cfg := range []DaemonConfig{
+		{ProbeBudget: 0.5},
+		{ProbeBudget: 1.5, Adaptive: true},
+		{ProbeBudget: -0.25, Adaptive: true},
+	} {
+		if d, err := NewCollectorDaemon("sched", cfg); err == nil {
+			d.Close()
+			t.Errorf("budget %v adaptive=%v accepted", cfg.ProbeBudget, cfg.Adaptive)
+		}
+	}
+	d, err := NewCollectorDaemon("sched", DaemonConfig{ProbeBudget: 0.5, Adaptive: true})
+	if err != nil {
+		t.Fatalf("budget 0.5 with the controller: %v", err)
+	}
+	d.Close()
+}

@@ -34,8 +34,6 @@ type ProbeAgent struct {
 	lastDirSeq uint64        // newest applied directive sequence number
 	applied    uint64        // directives applied
 	seq        uint64
-	mode       telemetry.Mode
-	sampleRate uint16
 	encBuf     []byte // probe encode scratch, guarded by mu
 	pings      map[int64]chan time.Duration
 	closed     chan struct{}
@@ -228,26 +226,15 @@ func (a *ProbeAgent) Ping(dst string, timeout time.Duration) (time.Duration, err
 // health-model tests and failure drills.
 func (a *ProbeAgent) SetPaused(paused bool) { a.paused.Store(paused) }
 
-// SetTelemetry selects the telemetry mode and per-hop sampling rate stamped
-// into this agent's probe headers. Switches honor the header, so agents can
-// roll between deterministic and probabilistic telemetry independently.
-func (a *ProbeAgent) SetTelemetry(mode telemetry.Mode, rate uint16) {
-	a.mu.Lock()
-	a.mode, a.sampleRate = mode, rate
-	a.mu.Unlock()
-}
-
 // EmitProbe sends a single probe immediately (also used by tests).
 func (a *ProbeAgent) EmitProbe() error {
 	now := time.Now()
 	a.mu.Lock()
 	a.seq++
 	payload := telemetry.ProbePayload{
-		Origin:     a.id,
-		Seq:        a.seq,
-		SentAt:     time.Duration(now.UnixNano()),
-		Mode:       a.mode,
-		SampleRate: a.sampleRate,
+		Origin: a.id,
+		Seq:    a.seq,
+		SentAt: time.Duration(now.UnixNano()),
 	}
 	// Encode into the agent's reusable buffer; the datagram Marshal below
 	// copies the payload out before the lock (and with it the buffer) is

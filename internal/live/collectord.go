@@ -62,13 +62,10 @@ type CollectorDaemon struct {
 	// Fault observability: detection latency is the probe silence observed
 	// when a learned edge ages out; rerouted queries count answers whose
 	// best candidate changed from the same device's previous answer.
-	faultDetection *obs.Histogram
-	// reassemblyLatency observes full probabilistic-telemetry reassembly
-	// cycles (every hop of a stream reported at least once).
-	reassemblyLatency *obs.Histogram
-	queriesRerouted   *obs.Counter
-	rerouteMu         sync.Mutex
-	lastTop           map[rerouteKey]netsim.NodeID
+	faultDetection  *obs.Histogram
+	queriesRerouted *obs.Counter
+	rerouteMu       sync.Mutex
+	lastTop         map[rerouteKey]netsim.NodeID
 
 	// Adaptive cadence control (nil ctrl when disabled). The control loop
 	// is the only writer of ctrl state; metrics readers share adaptMu.
@@ -134,12 +131,15 @@ type DaemonConfig struct {
 	// ProbeBudget caps the aggregate directive-allocated probe rate as a
 	// fraction (0, 1] of the full static rate (stream count / AdaptiveBase).
 	// Zero means no budget: streams still back off on stability but are
-	// never force-slowed.
+	// never force-slowed. A non-zero budget requires Adaptive.
 	ProbeBudget float64
 }
 
 // NewCollectorDaemon starts the daemon for scheduler node id.
 func NewCollectorDaemon(id string, cfg DaemonConfig) (*CollectorDaemon, error) {
+	if err := adapt.CheckBudget(cfg.ProbeBudget, cfg.Adaptive); err != nil {
+		return nil, err
+	}
 	if cfg.UDPAddr == "" {
 		cfg.UDPAddr = "127.0.0.1:0"
 	}
@@ -382,25 +382,11 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 		Help: "Probe streams observed arriving over a changed hop sequence.",
 	}, func() float64 { return float64(d.coll.Stats().PathRemaps) })
 
-	// Probabilistic (PINT) telemetry: bytes-on-wire, fragment merges, and
-	// the latency of full reassembly cycles. The reassembly hook runs with
-	// the collector's lock held, so it must only touch the
-	// histogram's own atomics — never call back into the collector.
+	// Telemetry spend: the bytes-on-wire of every ingested probe.
 	d.reg.CounterFunc(obs.Opts{
 		Name: "intsched_probe_bytes_total",
 		Help: "Encoded INT payload bytes of probes handed to the collector.",
 	}, func() float64 { return float64(d.coll.Stats().TelemetryBytes) })
-	d.reg.CounterFunc(obs.Opts{
-		Name: "intsched_probe_records_reassembled_total",
-		Help: "Probabilistic probe fragments merged into per-stream reassembly buffers.",
-	}, func() float64 { return float64(d.coll.Stats().RecordsReassembled) })
-	d.reassemblyLatency = d.reg.Histogram(obs.Opts{
-		Name: "intsched_reassembly_latency_seconds",
-		Help: "Time for a probabilistic stream to report every hop at least once (one full reassembly cycle).",
-	}, nil)
-	d.coll.SetReassemblyHook(func(origin, target string, hops int, latency time.Duration) {
-		d.reassemblyLatency.ObserveDuration(latency)
-	})
 	for _, c := range []struct {
 		name, help string
 		read       func(core.RankCacheStats) uint64
@@ -585,7 +571,7 @@ type DaemonStats struct {
 	// UnexpectedKinds counts well-formed datagrams that were not probes.
 	UnexpectedKinds uint64
 	// PayloadErrors counts probe datagrams whose INT payload failed to
-	// decode.
+	// decode, sampled probes (telemetry.ErrSampledProbe) included.
 	PayloadErrors uint64
 }
 

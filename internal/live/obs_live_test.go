@@ -67,12 +67,26 @@ func TestDaemonBadInputCounted(t *testing.T) {
 		Kind: wire.KindProbe, TTL: wire.DefaultTTL, Src: "e1", Dst: "sched",
 		Payload: encoded,
 	}))
+	// 5. A newer probe whose mode byte marks it sampled: its stack is not
+	// its whole path, so it is a payload error and teaches nothing.
+	sampled, err := telemetry.MarshalProbe(&telemetry.ProbePayload{Origin: "e1", Seq: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled[4] = 1 // magic(2) version(1) flags(1), then mode
+	sendRaw(t, d.UDPAddr(), marshalDatagram(t, &wire.Datagram{
+		Kind: wire.KindProbe, TTL: wire.DefaultTTL, Src: "e1", Dst: "sched",
+		Payload: sampled,
+	}))
 
 	waitFor(t, 5*time.Second, func() bool {
 		st := d.Stats()
 		return st.DatagramErrors == 1 && st.UnexpectedKinds == 1 &&
-			st.PayloadErrors == 1 && st.ProbesReceived == 1
-	}, "each drop class counted once")
+			st.PayloadErrors == 2 && st.ProbesReceived == 1
+	}, "each drop class counted")
+	if epoch := d.Collector().Epoch(); epoch != 1 {
+		t.Fatalf("epoch %d after one accepted probe, want 1", epoch)
+	}
 }
 
 // TestDaemonAnswerErrorPaths exercises the query paths that do not produce a

@@ -13,15 +13,12 @@ package live
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"intsched/internal/dataplane"
-	"intsched/internal/pint"
-	"intsched/internal/simtime"
 	"intsched/internal/telemetry"
 	"intsched/internal/wire"
 )
@@ -173,14 +170,7 @@ func (s *SoftSwitch) Start() {
 	}
 	s.started = true
 	ports := s.ports
-	// Per-flow sampling streams for probabilistic (PINT) probes, seeded
-	// from the switch id so a restarted switch samples reproducibly. The
-	// probe header selects the mode, so a mixed fleet shares one fabric.
-	h := fnv.New64a()
-	h.Write([]byte(s.id))
-	s.prog = dataplane.NewINTProgram(s.id, len(ports), dataplane.INTConfig{
-		Sampler: pint.NewSampler(simtime.NewRand(int64(h.Sum64()))),
-	})
+	s.prog = dataplane.NewINTProgram(s.id, len(ports), dataplane.INTConfig{})
 	s.mu.Unlock()
 
 	for _, p := range ports {
@@ -320,7 +310,7 @@ func (s *SoftSwitch) drain(p *swPort) {
 func (s *SoftSwitch) stampProbe(p *swPort, f *frame) {
 	payload := &p.probeScratch
 	if err := telemetry.UnmarshalProbeInto(payload, f.d.Payload); err != nil {
-		return // malformed probe: forward untouched
+		return // malformed or sampled probe: forward untouched
 	}
 	now := time.Now()
 	s.intMu.Lock()
@@ -330,7 +320,6 @@ func (s *SoftSwitch) stampProbe(p *swPort, f *frame) {
 		LinkLatency: f.linkLat,
 		HopLatency:  now.Sub(f.ingressAt),
 		Now:         time.Duration(now.UnixNano()),
-		FlowDst:     f.d.Dst,
 	})
 	s.intMu.Unlock()
 	if encoded, err := telemetry.AppendProbe(p.encScratch[:0], payload); err == nil {

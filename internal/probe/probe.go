@@ -29,9 +29,7 @@ type Prober struct {
 	ticker    *simtime.Ticker
 	interval  time.Duration
 
-	seq        uint64
-	mode       telemetry.Mode
-	sampleRate uint16
+	seq uint64
 	// Sent counts emitted probes.
 	Sent uint64
 }
@@ -67,14 +65,6 @@ func (p *Prober) SetInterval(interval time.Duration) {
 	p.ticker.SetPeriod(interval)
 }
 
-// SetTelemetry selects the telemetry mode and per-hop sampling rate stamped
-// into emitted probe headers. Switches honor the header, so a mixed fleet
-// (some probers deterministic, some probabilistic) shares one fabric.
-func (p *Prober) SetTelemetry(mode telemetry.Mode, rate uint16) {
-	p.mode = mode
-	p.sampleRate = rate
-}
-
 // Stop halts the prober.
 func (p *Prober) Stop() { p.ticker.Stop() }
 
@@ -83,12 +73,10 @@ func (p *Prober) emit() {
 	p.seq++
 	pkt := p.net.NewPacket(netsim.KindProbe, p.origin, p.collector, telemetry.ProbePacketSize)
 	pkt.Probe = &telemetry.ProbePayload{
-		Origin:     string(p.origin),
-		Target:     string(p.collector),
-		Seq:        p.seq,
-		SentAt:     p.net.Now(),
-		Mode:       p.mode,
-		SampleRate: p.sampleRate,
+		Origin: string(p.origin),
+		Target: string(p.collector),
+		Seq:    p.seq,
+		SentAt: p.net.Now(),
 	}
 	p.Sent++
 	_ = p.net.Send(pkt)
@@ -146,13 +134,6 @@ func (f *Fleet) StreamInterval(origin, target string) (time.Duration, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SetTelemetry updates every prober's telemetry mode and sampling rate.
-func (f *Fleet) SetTelemetry(mode telemetry.Mode, rate uint16) {
-	for _, p := range f.probers {
-		p.SetTelemetry(mode, rate)
-	}
 }
 
 // Stop halts every prober.

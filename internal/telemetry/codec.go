@@ -15,9 +15,9 @@ import (
 //	  magic      uint16  (GeneveMarker)
 //	  version    uint8
 //	  flags      uint8   (bit0: truncated)
-//	  mode       uint8   (Mode)
-//	  sampleRate uint16  (fixed-point p, RateToWire form)
-//	  hopCount   uint8   (devices traversed, sampled or not)
+//	  mode       uint8   (always 0; see ErrSampledProbe)
+//	  sampleRate uint16  (always 0, ignored)
+//	  hopCount   uint8   (devices traversed)
 //	  seq        uint64
 //	  sentAt     int64   (ns)
 //	  lastHop    int64   (ns)
@@ -39,8 +39,13 @@ import (
 //	  queues, each: port uint8, maxQueue uint16, packets uint32
 //
 // Version 1 payloads (no mode/sampleRate/hopCount header fields, no
-// per-record hopIndex) still decode: they describe deterministic probes, so
-// hop indices are the record positions and the hop count is the stack depth.
+// per-record hopIndex) still decode: hop indices are the record positions
+// and the hop count is the stack depth.
+//
+// Every device inserts its record into every probe, so the mode and
+// sampleRate fields are always zero; they stay so the layout does not
+// change under deployed agents. The decoder refuses a non-zero mode: such a
+// probe's stack would be a sample of its path, not the path.
 
 const codecVersion = 2
 
@@ -59,6 +64,9 @@ var (
 	ErrBadMagic = errors.New("telemetry: bad probe magic")
 	// ErrTruncatedPayload is returned when a payload ends mid-field.
 	ErrTruncatedPayload = errors.New("telemetry: truncated payload")
+	// ErrSampledProbe is returned for a version-2 payload with a non-zero
+	// mode byte: a sampled probe, whose stack is not its whole path.
+	ErrSampledProbe = errors.New("telemetry: sampled probe (non-zero mode)")
 )
 
 // MarshalProbe encodes a probe payload into its wire format, allocating a
@@ -94,8 +102,7 @@ func AppendProbe(dst []byte, p *ProbePayload) ([]byte, error) {
 		flags |= 1
 	}
 	buf = append(buf, flags)
-	buf = append(buf, byte(p.Mode))
-	buf = binary.BigEndian.AppendUint16(buf, p.SampleRate)
+	buf = append(buf, 0, 0, 0) // mode, sampleRate
 	buf = append(buf, byte(p.HopCount))
 	buf = binary.BigEndian.AppendUint64(buf, p.Seq)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.SentAt))
@@ -260,14 +267,15 @@ func UnmarshalProbeInto(p *ProbePayload, b []byte) error {
 		return err
 	}
 	p.Stack.Truncated = flags&1 != 0
-	p.Mode, p.SampleRate, p.HopCount = ModeDeterministic, 0, 0
 	if ver >= 2 {
 		mode, err := r.u8()
 		if err != nil {
 			return err
 		}
-		p.Mode = Mode(mode)
-		if p.SampleRate, err = r.u16(); err != nil {
+		if mode != 0 {
+			return ErrSampledProbe
+		}
+		if _, err = r.u16(); err != nil { // sampleRate
 			return err
 		}
 		hops, err := r.u8()
@@ -390,7 +398,7 @@ func UnmarshalProbeInto(p *ProbePayload, b []byte) error {
 	}
 	p.Stack.Records = recs
 	if ver == 1 {
-		// Version-1 probes are deterministic: the stack is the whole path.
+		// A version-1 stack is the whole path.
 		p.HopCount = len(recs)
 	}
 	return nil

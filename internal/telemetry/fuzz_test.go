@@ -30,15 +30,14 @@ func fuzzSeedV1() []byte {
 // sockets — so beyond not panicking, decoding must behave identically into
 // a dirty reused scratch payload (the ingest path never hands it a zero
 // one), and every accepted payload must re-encode and re-decode to a fixed
-// point. Seeds cover both wire versions plus forged record/queue counts
-// (the guarded header-claims-more-than-the-bytes-carry shape).
+// point. Seeds cover both wire versions, a sampled (mode 1) probe, and forged
+// record/queue counts (the guarded header-claims-more-than-the-bytes-carry
+// shape).
 func FuzzUnmarshalProbeInto(f *testing.F) {
 	v2 := samplePayload()
-	v2.Mode = ModeProbabilistic
-	v2.SampleRate = RateToWire(0.25)
-	v2.HopCount = 7
+	v2.HopCount = len(v2.Stack.Records)
 	for i := range v2.Stack.Records {
-		v2.Stack.Records[i].HopIndex = 2 * i
+		v2.Stack.Records[i].HopIndex = i
 	}
 	valid, err := MarshalProbe(v2)
 	if err != nil {
@@ -46,6 +45,10 @@ func FuzzUnmarshalProbeInto(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add(fuzzSeedV1())
+	// A sampled probe: mode byte 1 with a non-zero sample rate.
+	sampled := append([]byte(nil), valid...)
+	sampled[4], sampled[5], sampled[6] = 1, 0x40, 0
+	f.Add(sampled)
 	// Forged record count: a header claiming 255 records backed by none.
 	forged := append([]byte(nil), valid...)
 	forged[len(forged)-1] = 0xff

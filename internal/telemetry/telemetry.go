@@ -11,7 +11,6 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 )
@@ -32,73 +31,14 @@ type PortQueue struct {
 	Packets uint32
 }
 
-// Mode selects how devices populate probe packets with INT records.
-type Mode uint8
-
-const (
-	// ModeDeterministic is the paper's baseline: every traversed device
-	// appends its record, so one probe carries the full path.
-	ModeDeterministic Mode = 0
-	// ModeProbabilistic is the PINT-style lightweight mode: each device
-	// inserts its record with probability p (the probe's SampleRate), so a
-	// single probe carries a sampled subset of hops and the collector
-	// reassembles the path across successive probes.
-	ModeProbabilistic Mode = 1
-)
-
-// String renders the mode for tables and flags.
-func (m Mode) String() string {
-	switch m {
-	case ModeDeterministic:
-		return "deterministic"
-	case ModeProbabilistic:
-		return "probabilistic"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// ParseMode parses the string forms accepted by the -telemetry-mode flags.
-func ParseMode(s string) (Mode, bool) {
-	switch s {
-	case "deterministic", "det", "":
-		return ModeDeterministic, true
-	case "probabilistic", "prob", "pint":
-		return ModeProbabilistic, true
-	default:
-		return ModeDeterministic, false
-	}
-}
-
-// RateToWire converts a sampling probability in [0, 1] to its fixed-point
-// wire form. RateFromWire inverts it. The maximum wire value maps to
-// exactly p=1.0 so a full-rate probabilistic fleet behaves — and encodes —
-// identically to deterministic mode.
-func RateToWire(p float64) uint16 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.MaxUint16
-	}
-	return uint16(p * math.MaxUint16)
-}
-
-// RateFromWire converts a fixed-point wire sampling rate back to [0, 1].
-func RateFromWire(w uint16) float64 {
-	return float64(w) / math.MaxUint16
-}
-
 // Record is the INT report appended by one network device to a probe packet
 // as it traverses the device.
 type Record struct {
 	// Device is the reporting device (switch) identifier.
 	Device string
 	// HopIndex is the device's position on the probe's path (0-based from
-	// the origin). Deterministic probes carry contiguous indices by
-	// construction; probabilistic probes carry a sampled subset and the
-	// index is what lets the collector reassemble fragments from
-	// successive probes into one path.
+	// the origin). Every device inserts its record, so the indices of one
+	// probe's records are contiguous.
 	HopIndex int
 	// IngressPort and EgressPort are the probe's ports on this device.
 	IngressPort int
@@ -192,16 +132,8 @@ type ProbePayload struct {
 	Target string
 	// Seq is the per-origin probe sequence number.
 	Seq uint64
-	// Mode is the telemetry population mode the probe was emitted under.
-	// Devices honor the probe's own mode, so a mixed fleet (deterministic
-	// and probabilistic probers sharing switches) stays coherent.
-	Mode Mode
-	// SampleRate is the fixed-point per-hop insertion probability
-	// (RateToWire form). Ignored in deterministic mode.
-	SampleRate uint16
-	// HopCount counts every device the probe traversed, sampled or not:
-	// each device increments it, so the collector knows the true path
-	// length even when the stack carries only a sampled subset.
+	// HopCount counts every device the probe traversed: each device
+	// increments it, including one that finds the stack full.
 	HopCount int
 	// SentAt is the origin-local emission timestamp.
 	SentAt time.Duration
