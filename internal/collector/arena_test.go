@@ -60,8 +60,8 @@ func TestPathIntoMatchesPath(t *testing.T) {
 					t.Fatalf("iter %d: PathInto(%s,%s) len %d, Path len %d", iter, src, dst, len(p), len(want))
 				}
 				for i, idx := range p {
-					if topo.NodeName(idx) != want[i] {
-						t.Fatalf("iter %d: PathInto(%s,%s)[%d]=%s, Path says %s", iter, src, dst, i, topo.NodeName(idx), want[i])
+					if topo.NodeName(NodeIdx(idx)) != want[i] {
+						t.Fatalf("iter %d: PathInto(%s,%s)[%d]=%s, Path says %s", iter, src, dst, i, topo.NodeName(NodeIdx(idx)), want[i])
 					}
 				}
 			}

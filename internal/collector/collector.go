@@ -169,7 +169,7 @@ type Collector struct {
 	// is nil when the adjacency, the host set or the queue window changed
 	// since it was built; the next snapshot rebuilds both (rebuildLocked).
 	cur  *structure
-	live []edgeMetrics // unit:[slot]
+	live indexed[Slot, edgeMetrics]
 	// lastReport maps devices to their last INT record time.
 	lastReport map[string]time.Duration
 	// window is the queue-report window (SetQueueWindow).

@@ -13,16 +13,16 @@ func CheckWalksMatchHostTrees(t *Topology) (singles int, err error) {
 // structure, and how many distinct walk roots t's hosts have.
 func StoredTrees(t *Topology) (trees, roots int) {
 	t.store.mu.RLock()
-	for _, tree := range t.store.trees {
+	for _, tree := range t.store.trees.s {
 		if tree != nil && tree.seq == t.seq {
 			trees++
 		}
 	}
 	t.store.mu.RUnlock()
-	seen := make(map[int32]bool)
+	seen := make(map[NodeIdx]bool)
 	for _, i := range t.hostIdx {
 		if i >= 0 {
-			seen[t.root[i]] = true
+			seen[t.root.s[i]] = true
 		}
 	}
 	return trees, len(seen)

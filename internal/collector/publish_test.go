@@ -112,10 +112,10 @@ func (f *synthFabric) publishCost(t *testing.T) (objects, bytes float64, last *T
 		if last == prev || last.Epoch() != prev.Epoch()+1 {
 			t.Fatalf("probe %d: epoch %d after %d, same snapshot %v", i, last.Epoch(), prev.Epoch(), last == prev)
 		}
-		if last.structure != prev.structure || &last.Nodes[0] != &prev.Nodes[0] || &last.nbrFlat[0] != &prev.nbrFlat[0] {
+		if last.structure != prev.structure || &last.Nodes[0] != &prev.Nodes[0] || &last.nbrFlat.s[0] != &prev.nbrFlat.s[0] {
 			t.Fatalf("probe %d: the snapshot does not share its predecessor's structure", i)
 		}
-		if &last.slots[0] == &prev.slots[0] {
+		if &last.slots.s[0] == &prev.slots.s[0] {
 			t.Fatalf("probe %d: the snapshot shares its predecessor's slots", i)
 		}
 		prev = last
@@ -139,20 +139,20 @@ func TestPublishCostIndependentOfFabricSize(t *testing.T) {
 	}
 	// The slot array is one large object, which the allocator rounds up to
 	// whole 8 KB pages.
-	slotBytes := float64(len(topo.slots)) * float64(unsafe.Sizeof(edgeMetrics{}))
+	slotBytes := float64(len(topo.slots.s)) * float64(unsafe.Sizeof(edgeMetrics{}))
 	if objects > 3 || bytes > slotBytes+8192+512 {
 		t.Errorf("one publish allocates %.2f objects, %.0f bytes; want at most 3 and the %.0f bytes of %d slots plus a header",
-			objects, bytes, slotBytes, len(topo.slots))
+			objects, bytes, slotBytes, len(topo.slots.s))
 	}
 	twice, _, topo2 := newSynthFabric(32).publishCost(t)
-	if len(topo2.slots) < 2*len(topo.slots)-64 {
-		t.Fatalf("the doubled fabric has %d slots against %d", len(topo2.slots), len(topo.slots))
+	if len(topo2.slots.s) < 2*len(topo.slots.s)-64 {
+		t.Fatalf("the doubled fabric has %d slots against %d", len(topo2.slots.s), len(topo.slots.s))
 	}
 	if twice > objects+0.5 {
 		t.Errorf("one publish allocates %.2f objects on %d nodes and %.2f on %d", objects, len(topo.Nodes), twice, len(topo2.Nodes))
 	}
 	t.Logf("%d nodes, %d slots: %.2f objects, %.0f bytes a publish; %d nodes: %.2f objects",
-		len(topo.Nodes), len(topo.slots), objects, bytes, len(topo2.Nodes), twice)
+		len(topo.Nodes), len(topo.slots.s), objects, bytes, len(topo2.Nodes), twice)
 }
 
 // liveSlotsMatchRefill compares the live slot array with a refill of the same
@@ -161,14 +161,14 @@ func TestPublishCostIndependentOfFabricSize(t *testing.T) {
 func liveSlotsMatchRefill(c *Collector) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	want := make([]edgeMetrics, len(c.live))
-	c.refillLocked(want, c.clock())
+	want := make([]edgeMetrics, len(c.live.s))
+	c.refillLocked(indexed[Slot, edgeMetrics]{want}, c.clock())
 	for s := range want {
-		if c.live[s] != want[s] {
+		if c.live.s[s] != want[s] {
 			e := s / 2
-			u := slices.IndexFunc(c.cur.edgeStart, func(start int32) bool { return int(start) > e }) - 1
+			u := slices.IndexFunc(c.cur.edgeStart.s, func(start edgePos) bool { return int(start) > e }) - 1
 			return fmt.Errorf("live slot %d (edge %s->%s, reverse %v) holds %+v, a refill %+v",
-				s, c.cur.Nodes[u], c.cur.Nodes[c.cur.nbrFlat[e]], s%2 == 1, c.live[s], want[s])
+				s, c.cur.Nodes[u], c.cur.Nodes[c.cur.nbrFlat.s[e]], s%2 == 1, c.live.s[s], want[s])
 		}
 	}
 	return nil
@@ -268,15 +268,16 @@ func TestHeldSnapshotUnchangedByIngest(t *testing.T) {
 	c.HandleProbe(via("n2", 1, "s3", 6*time.Millisecond))
 	held := c.Snapshot()
 	type contents struct {
-		nodes, hosts       []string
-		hostFlag           []bool
-		edgeStart, nbrFlat []int32
-		egress             []int
-		slots              []edgeMetrics
+		nodes, hosts []string
+		hostFlag     []bool
+		edgeStart    []edgePos
+		nbrFlat      []NodeIdx
+		egress       []int
+		slots        []edgeMetrics
 	}
 	copyOf := func(t *Topology) contents {
-		return contents{slices.Clone(t.Nodes), slices.Clone(t.hostList), slices.Clone(t.hostFlag),
-			slices.Clone(t.edgeStart), slices.Clone(t.nbrFlat), slices.Clone(t.egress), slices.Clone(t.slots)}
+		return contents{slices.Clone(t.Nodes), slices.Clone(t.hostList), slices.Clone(t.hostFlag.s),
+			slices.Clone(t.edgeStart.s), slices.Clone(t.nbrFlat.s), slices.Clone(t.egress.s), slices.Clone(t.slots.s)}
 	}
 	want := copyOf(held)
 
@@ -293,9 +294,9 @@ func TestHeldSnapshotUnchangedByIngest(t *testing.T) {
 				default:
 				}
 				for _, topo := range []*Topology{held, c.Snapshot()} {
-					for s := range topo.slots {
-						topo.SlotDelay(int32(s))
-						topo.SlotQueueMax(int32(s))
+					for s := range topo.slots.s {
+						topo.SlotDelay(Slot(s))
+						topo.SlotQueueMax(Slot(s))
 					}
 					for u := range topo.Nodes {
 						topo.Neighbors(topo.Nodes[u])

@@ -70,7 +70,7 @@ func (c *Collector) Snapshot() *Topology {
 	}
 	t = &Topology{
 		structure:   c.cur,
-		slots:       slices.Clone(c.live),
+		slots:       indexed[Slot, edgeMetrics]{slices.Clone(c.live.s)},
 		defaultRate: c.cfg.DefaultLinkRateBps,
 		TakenAt:     now,
 		epoch:       epoch,
@@ -100,12 +100,12 @@ func (c *Collector) rebuildLocked(now time.Duration) {
 	// port behind each — the lowest-numbered of parallel ports. egress is in
 	// CSR edge order once flatten lays the rows end to end.
 	type hop struct {
-		to   int32
+		to   NodeIdx
 		port int
 	}
 	var row []hop
 	for i, name := range s.Nodes {
-		s.hostFlag[i] = c.isHost[name]
+		s.hostFlag.s[i] = c.isHost[name]
 		row = row[:0]
 		for port, to := range c.adj[name] {
 			row = append(row, hop{s.nodeIndex[to], port})
@@ -119,26 +119,26 @@ func (c *Collector) rebuildLocked(now time.Duration) {
 			}
 			return a.port - b.port
 		})
-		idx := make([]int32, 0, len(row))
+		idx := make([]NodeIdx, 0, len(row))
 		for j, h := range row {
 			if j == 0 || h.to != row[j-1].to {
 				idx = append(idx, h.to)
-				s.egress = append(s.egress, h.port)
+				s.egress.s = append(s.egress.s, h.port)
 			}
 		}
-		s.nbrIdx[i] = idx
+		s.nbrIdx.s[i] = idx
 	}
 	s.flatten()
-	s.seq = c.spt.advance(s.Nodes, s.nbrIdx, s.hostFlag)
+	s.seq = c.spt.advance(s.Nodes, s.nbrIdx, s.hostFlag.s)
 
 	c.cur = s
-	c.live = make([]edgeMetrics, 2*len(s.nbrFlat))
+	c.live = indexed[Slot, edgeMetrics]{make([]edgeMetrics, 2*len(s.nbrFlat.s))}
 	c.refillLocked(c.live, now)
 }
 
 // refillLocked fills slots, laid out by c.cur, from the state maps, and
 // stamps every linkState and portWindow with where it is held from now on.
-func (c *Collector) refillLocked(slots []edgeMetrics, now time.Duration) {
+func (c *Collector) refillLocked(slots indexed[Slot, edgeMetrics], now time.Duration) {
 	for _, st := range c.linkDelay {
 		st.slotPair = noSlots
 	}
@@ -161,24 +161,25 @@ func (c *Collector) refillLocked(slots []edgeMetrics, now time.Duration) {
 		return m
 	}
 	s := c.cur
-	for u, name := range s.Nodes {
-		for e := s.edgeStart[u]; e < s.edgeStart[u+1]; e++ {
-			v := s.nbrFlat[e]
-			at := s.edgeSlots(int32(u), v)
+	for u := range NodeIdx(len(s.Nodes)) {
+		name := s.Nodes[u]
+		for e := s.edgeStart.at(u); e < s.edgeStart.at(u+1); e++ {
+			v := s.nbrFlat.at(e)
+			at := s.edgeSlots(u, v)
 			// Forward slot: the edge's own delay history and rate, and the
 			// queue of the egress port behind it; mirrored in the opposite
 			// edge's reverse slot while that adjacency exists.
 			m := resolve(edgeKey{name, s.Nodes[v]}, at)
-			if w := c.queues[name].window(s.egress[e]); w != nil {
+			if w := c.queues[name].window(s.egress.at(e)); w != nil {
 				w.slotPair, w.stored = at, -1
 				if best, found, _ := w.windowMax(now, c.window); found {
 					w.stored = int32(best)
 					m.queue, m.queueOK = w.stored, true
 				}
 			}
-			slots[at.fwd] = m
+			*slots.ref(at.fwd) = m
 			if at.rev >= 0 {
-				slots[at.rev] = m
+				*slots.ref(at.rev) = m
 				continue
 			}
 			// No opposite adjacency: this edge's reverse slot holds that
@@ -186,7 +187,8 @@ func (c *Collector) refillLocked(slots []edgeMetrics, now time.Duration) {
 			// eviction (see pruneAdjLocked) and can precede learning — but no
 			// queue: there is no egress port behind an edge not in the
 			// adjacency.
-			slots[2*e+1] = resolve(edgeKey{s.Nodes[v], name}, slotPair{fwd: -1, rev: 2*e + 1})
+			rev := Slot(2*e + 1)
+			*slots.ref(rev) = resolve(edgeKey{s.Nodes[v], name}, slotPair{fwd: -1, rev: rev})
 		}
 	}
 }

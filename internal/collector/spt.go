@@ -56,7 +56,7 @@ import "sync"
 // the log reaches are rebuilt.
 const sptDeltaLogCap = 64
 
-type sptEdge struct{ u, v int32 }
+type sptEdge struct{ u, v NodeIdx }
 
 type sptDelta struct {
 	seq uint64
@@ -73,17 +73,17 @@ type sptDelta struct {
 // Immutable once published.
 type destTree struct {
 	seq  uint64
-	next []int32 // unit:node[node]
-	slot []int32 // unit:slot[node]
+	next indexed[NodeIdx, NodeIdx]
+	slot indexed[NodeIdx, Slot]
 }
 
 // depth returns node i's hop count toward the destination idst, walking the
 // next chain (-1 when unreachable). Only the delta classifier asks, and only
 // when the adjacency changed, so trees do not store it.
-func (tree *destTree) depth(i, idst int32) int32 {
+func (tree *destTree) depth(i, idst NodeIdx) int32 {
 	var d int32
 	for i != idst {
-		if i = tree.next[i]; i < 0 || int(d) > len(tree.next) {
+		if i = tree.next.at(i); i < 0 || int(d) > len(tree.next.s) {
 			return -1
 		}
 		d++
@@ -98,13 +98,13 @@ type sptStore struct {
 	seq uint64
 	// prev* hold the latest structure, for diffing.
 	prevNodes []string
-	prevNbr   [][]int32
+	prevNbr   indexed[NodeIdx, []NodeIdx]
 	prevHost  []bool
 	// deltas is the recent history, ascending by seq.
 	deltas []sptDelta
 	// trees holds the cached tree toward each node of prevNodes (nil until
 	// asked for); a change to the node set replaces the table.
-	trees []*destTree // unit:[node]
+	trees indexed[NodeIdx, *destTree]
 }
 
 func newSPTStore() *sptStore { return &sptStore{} }
@@ -113,20 +113,20 @@ func newSPTStore() *sptStore { return &sptStore{} }
 // Identical structure keeps the current sequence (trees stay valid as-is); a
 // changed neighbor structure appends a delta; a changed node list or
 // host-flag set clears all cached trees.
-func (s *sptStore) advance(nodes []string, nbr [][]int32, hostFlag []bool) uint64 {
+func (s *sptStore) advance(nodes []string, nbr indexed[NodeIdx, []NodeIdx], hostFlag []bool) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.prevNodes == nil && s.seq == 0 {
 		s.seq = 1
 		s.prevNodes, s.prevNbr, s.prevHost = nodes, nbr, hostFlag
-		s.trees = make([]*destTree, len(nodes))
+		s.trees.s = make([]*destTree, len(nodes))
 		return s.seq
 	}
 	nodesChanged := !stringsEqual(s.prevNodes, nodes) || !boolsEqual(s.prevHost, hostFlag)
 	var added, removed []sptEdge
 	if !nodesChanged {
-		for i := range nbr {
-			a, r := diffSortedEdges(int32(i), s.prevNbr[i], nbr[i])
+		for i := range NodeIdx(len(nbr.s)) {
+			a, r := diffSortedEdges(i, s.prevNbr.at(i), nbr.at(i))
 			added = append(added, a...)
 			removed = append(removed, r...)
 		}
@@ -137,7 +137,7 @@ func (s *sptStore) advance(nodes []string, nbr [][]int32, hostFlag []bool) uint6
 	s.seq++
 	s.prevNodes, s.prevNbr, s.prevHost = nodes, nbr, hostFlag
 	if nodesChanged {
-		s.trees = make([]*destTree, len(nodes))
+		s.trees.s = make([]*destTree, len(nodes))
 		s.deltas = s.deltas[:0]
 		s.deltas = append(s.deltas, sptDelta{seq: s.seq, nodesChanged: true})
 		return s.seq
@@ -151,7 +151,7 @@ func (s *sptStore) advance(nodes []string, nbr [][]int32, hostFlag []bool) uint6
 
 // diffSortedEdges diffs two ascending neighbor rows of node u into added
 // and removed directed edges (u, v).
-func diffSortedEdges(u int32, old, cur []int32) (added, removed []sptEdge) {
+func diffSortedEdges(u NodeIdx, old, cur []NodeIdx) (added, removed []sptEdge) {
 	i, j := 0, 0
 	for i < len(old) || j < len(cur) {
 		switch {
@@ -181,14 +181,14 @@ func diffSortedEdges(u int32, old, cur []int32) (added, removed []sptEdge) {
 // structure (catching up or rebuilding the cached tree as the delta log
 // dictates) and a per-topology scratch memo otherwise (superseded snapshots
 // keep working, they just don't share).
-func (t *Topology) treeForIdx(idst int32) *destTree {
+func (t *Topology) treeForIdx(idst NodeIdx) *destTree {
 	if idst < 0 || int(idst) >= len(t.Nodes) {
 		return nil
 	}
 	if s := t.store; s != nil {
 		s.mu.RLock()
 		if s.seq == t.seq {
-			if tree := s.trees[idst]; tree != nil && tree.seq == t.seq {
+			if tree := s.trees.at(idst); tree != nil && tree.seq == t.seq {
 				s.mu.RUnlock()
 				return tree
 			}
@@ -196,16 +196,16 @@ func (t *Topology) treeForIdx(idst int32) *destTree {
 		s.mu.RUnlock()
 		s.mu.Lock()
 		if s.seq == t.seq {
-			tree := s.trees[idst]
+			tree := s.trees.at(idst)
 			if tree == nil || tree.seq != t.seq {
 				if tree != nil && s.catchUpLocked(tree, t, idst) {
 					// A new value, never a refill: the lagging tree may be in
 					// use by readers of the snapshot it was built for.
-					tree = &destTree{seq: t.seq, next: tree.next, slot: hopSlots(t.structure, tree.next)}
+					tree = &destTree{seq: t.seq, next: tree.next, slot: hopSlots(t.structure, tree.next.s)}
 				} else {
 					tree = buildDestTree(t.structure, idst)
 				}
-				s.trees[idst] = tree
+				s.trees.s[idst] = tree
 			}
 			s.mu.Unlock()
 			return tree
@@ -220,7 +220,7 @@ func (t *Topology) treeForIdx(idst int32) *destTree {
 // node ordering) is provably unaffected by every delta in
 // (tree.seq, t.seq]. Deltas outside the log, node-set changes, and any
 // possibly-affecting edge change all return false (rebuild).
-func (s *sptStore) catchUpLocked(tree *destTree, t *Topology, idst int32) bool {
+func (s *sptStore) catchUpLocked(tree *destTree, t *Topology, idst NodeIdx) bool {
 	if tree.seq > t.seq {
 		return false
 	}
@@ -249,14 +249,14 @@ func (s *sptStore) deltaLocked(seq uint64) (*sptDelta, bool) {
 }
 
 // sptDeltaAffects applies the soundness rules from the package comment.
-func sptDeltaAffects(d *sptDelta, tree *destTree, hostFlag []bool, idst int32) bool {
+func sptDeltaAffects(d *sptDelta, tree *destTree, hostFlag indexed[NodeIdx, bool], idst NodeIdx) bool {
 	for _, e := range d.removed {
-		if tree.next[e.v] == e.u {
+		if tree.next.at(e.v) == e.u {
 			return true // discovery edge of v toward dst: tree invalid
 		}
 	}
 	for _, e := range d.added {
-		if hostFlag[e.u] && e.u != idst {
+		if hostFlag.at(e.u) && e.u != idst {
 			continue // non-destination hosts are never expanded
 		}
 		du := tree.depth(e.u, idst)
@@ -272,16 +272,16 @@ func sptDeltaAffects(d *sptDelta, tree *destTree, hostFlag []bool, idst int32) b
 
 // scratchTree memoizes trees privately on the Topology (used when the
 // snapshot is superseded or was not built by a collector).
-func (t *Topology) scratchTree(idst int32) *destTree {
+func (t *Topology) scratchTree(idst NodeIdx) *destTree {
 	t.scratchMu.Lock()
 	defer t.scratchMu.Unlock()
-	if t.scratch == nil {
-		t.scratch = make([]*destTree, len(t.Nodes))
+	if t.scratch.s == nil {
+		t.scratch.s = make([]*destTree, len(t.Nodes))
 	}
-	tree := t.scratch[idst]
+	tree := t.scratch.at(idst)
 	if tree == nil {
 		tree = buildDestTree(t.structure, idst)
-		t.scratch[idst] = tree
+		t.scratch.s[idst] = tree
 	}
 	return tree
 }
@@ -291,42 +291,42 @@ func (t *Topology) scratchTree(idst int32) *destTree {
 // name order), first-discoverer-wins, level barrier between frontiers, and
 // hosts discovered but never expanded — the same rule as
 // netsim.ComputeRoutes.
-func buildDestTree(s *structure, idst int32) *destTree {
-	next := make([]int32, len(s.Nodes))
+func buildDestTree(s *structure, idst NodeIdx) *destTree {
+	next := make([]NodeIdx, len(s.Nodes))
 	for i := range next {
 		next[i] = -1
 	}
-	frontier := []int32{idst}
-	var nextFrontier []int32
+	frontier := []NodeIdx{idst}
+	var nextFrontier []NodeIdx
 	for len(frontier) > 0 {
 		nextFrontier = nextFrontier[:0]
 		for _, cur := range frontier {
-			for _, nb := range s.nbrIdx[cur] {
+			for _, nb := range s.nbrIdx.at(cur) {
 				if next[nb] != -1 || nb == idst {
 					continue // already discovered
 				}
 				next[nb] = cur
-				if !(s.hostFlag[nb] && nb != idst) {
+				if !(s.hostFlag.at(nb) && nb != idst) {
 					nextFrontier = append(nextFrontier, nb)
 				}
 			}
 		}
 		frontier, nextFrontier = nextFrontier, frontier
 	}
-	return &destTree{seq: s.seq, next: next, slot: hopSlots(s, next)}
+	return &destTree{seq: s.seq, next: indexed[NodeIdx, NodeIdx]{next}, slot: hopSlots(s, next)}
 }
 
 // hopSlots resolves, against structure s, the metric slot of every node's
 // hop toward the destination of the tree whose next-hop array is next.
-func hopSlots(s *structure, next []int32) []int32 {
-	slot := make([]int32, len(next))
-	for i, nxt := range next {
+func hopSlots(s *structure, next []NodeIdx) indexed[NodeIdx, Slot] {
+	slot := make([]Slot, len(next))
+	for i := range NodeIdx(len(next)) {
 		slot[i] = -1
-		if nxt >= 0 {
-			slot[i] = s.DirSlot(int32(i), nxt)
+		if next[i] >= 0 {
+			slot[i] = s.DirSlot(i, next[i])
 		}
 	}
-	return slot
+	return indexed[NodeIdx, Slot]{slot}
 }
 
 func stringsEqual(a, b []string) bool {

@@ -114,7 +114,8 @@ func mutateSPT(iters int, visit func(iter int, c *Collector)) {
 // the reference BFS on the same snapshot.
 func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 	var walker Walker
-	var pathBuf, slotBuf []int32
+	var pathBuf []int32
+	var slotBuf []Slot
 	mutateSPT(400, func(iter int, c *Collector) {
 		topo := c.Snapshot()
 		walker.Reset(topo)
@@ -124,15 +125,15 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 				// The slot walk is the node walk with each hop's slot in
 				// place of its far end, whichever structure the tree was
 				// built or caught up against.
-				path, code, at := topo.PathInto(int32(isrc), int32(idst), pathBuf)
-				slots, scode, sat := walker.SlotsInto(int32(isrc), int32(idst), slotBuf)
+				path, code, at := topo.PathInto(NodeIdx(isrc), NodeIdx(idst), pathBuf)
+				slots, scode, sat := walker.SlotsInto(NodeIdx(isrc), NodeIdx(idst), slotBuf)
 				pathBuf, slotBuf = path, slots
 				if scode != code || sat != at || (code == PathOK && len(slots) != len(path)-1) {
 					t.Fatalf("iter %d: SlotsInto(%s,%s) = %d hops, %v at %d; PathInto %d nodes, %v at %d",
 						iter, src, dst, len(slots), scode, sat, len(path), code, at)
 				}
 				for i := 0; code == PathOK && i < len(slots); i++ {
-					if want := topo.DirSlot(path[i], path[i+1]); slots[i] != want || want < 0 {
+					if want := topo.DirSlot(NodeIdx(path[i]), NodeIdx(path[i+1])); slots[i] != want || want < 0 {
 						t.Fatalf("iter %d: hop %s->%s of (%s,%s) walked as slot %d, DirSlot %d",
 							iter, topo.Nodes[path[i]], topo.Nodes[path[i+1]], src, dst, slots[i], want)
 					}
@@ -159,34 +160,34 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 // hostTreeWalk is the walk a ranking is held to: from src over tree, the
 // destination's own BFS tree (nil for an unknown destination), appending
 // each hop's far end or, bySlot, its metric slot.
-func hostTreeWalk(topo *Topology, tree *destTree, src, dst int32, bySlot bool) (out []int32, code PathCode, at int32) {
+func hostTreeWalk[E ~int32](topo *Topology, tree *destTree, src, dst NodeIdx, bySlot bool) (out []E, code PathCode, at NodeIdx) {
 	if src < 0 || int(src) >= len(topo.Nodes) {
 		return nil, PathUnknownSrc, src
 	}
 	if !bySlot {
-		out = append(out, src)
+		out = append(out, E(src))
 	}
 	if src == dst {
 		return out, PathOK, -1
 	}
-	if len(topo.nbrIdx[src]) == 0 {
+	if len(topo.nbrIdx.s[src]) == 0 {
 		return nil, PathUnknownSrc, src
 	}
-	if tree == nil || tree.next[src] == -1 {
+	if tree == nil || tree.next.s[src] == -1 {
 		return nil, PathNoRoute, -1
 	}
 	for cur, hops := src, 0; cur != dst; {
-		if cur != src && topo.hostFlag[cur] {
+		if cur != src && topo.hostFlag.s[cur] {
 			return out, PathHostTransit, cur
 		}
-		nxt := tree.next[cur]
+		nxt := tree.next.s[cur]
 		if nxt < 0 {
 			return out, PathBroken, cur
 		}
 		if bySlot {
-			out = append(out, tree.slot[cur])
+			out = append(out, E(tree.slot.s[cur]))
 		} else {
-			out = append(out, nxt)
+			out = append(out, E(nxt))
 		}
 		cur = nxt
 		if hops++; hops > len(topo.Nodes) {
@@ -197,9 +198,9 @@ func hostTreeWalk(topo *Topology, tree *destTree, src, dst int32, bySlot bool) (
 }
 
 // singleHomed reports whether host i's neighbour row is exactly one switch.
-func singleHomed(topo *Topology, i int32) bool {
-	row := topo.nbrIdx[i]
-	return topo.hostFlag[i] && len(row) == 1 && !topo.hostFlag[row[0]]
+func singleHomed(topo *Topology, i NodeIdx) bool {
+	row := topo.nbrIdx.s[i]
+	return topo.hostFlag.s[i] && len(row) == 1 && !topo.hostFlag.s[row[0]]
 }
 
 // checkWalksMatchHostTrees walks from every node (and from one index past
@@ -211,7 +212,7 @@ func checkWalksMatchHostTrees(topo *Topology) (singles int, err error) {
 	var w Walker
 	w.Reset(topo)
 	defer w.Reset(nil)
-	dsts := []int32{-1}
+	dsts := []NodeIdx{-1}
 	for j := range topo.HostCount() {
 		if i := topo.HostNodeIndex(j); i >= 0 {
 			dsts = append(dsts, i)
@@ -220,26 +221,27 @@ func checkWalksMatchHostTrees(topo *Topology) (singles int, err error) {
 			}
 		}
 	}
-	var path, slots []int32
+	var path []int32
+	var slots []Slot
 	for _, dst := range dsts {
 		var tree *destTree
 		if dst >= 0 {
 			tree = buildDestTree(topo.structure, dst)
 		}
-		for src := int32(-1); src <= int32(len(topo.Nodes)); src++ {
+		for src := NodeIdx(-1); src <= NodeIdx(len(topo.Nodes)); src++ {
 			var code PathCode
-			var at int32
+			var at NodeIdx
 			path, code, at = topo.PathInto(src, dst, path)
-			want, wcode, wat := hostTreeWalk(topo, tree, src, dst, false)
+			want, wcode, wat := hostTreeWalk[int32](topo, tree, src, dst, false)
 			if code != wcode || at != wat || !slices.Equal(path, want) {
 				return singles, fmt.Errorf("PathInto(%d,%d) = %v, %v at %d; host tree walk %v, %v at %d",
 					src, dst, path, code, at, want, wcode, wat)
 			}
 			slots, code, at = w.SlotsInto(src, dst, slots)
-			want, wcode, wat = hostTreeWalk(topo, tree, src, dst, true)
-			if code != wcode || at != wat || !slices.Equal(slots, want) {
+			wantSlots, wcode, wat := hostTreeWalk[Slot](topo, tree, src, dst, true)
+			if code != wcode || at != wat || !slices.Equal(slots, wantSlots) {
 				return singles, fmt.Errorf("SlotsInto(%d,%d) = %v, %v at %d; host tree walk %v, %v at %d",
-					src, dst, slots, code, at, want, wcode, wat)
+					src, dst, slots, code, at, wantSlots, wcode, wat)
 			}
 		}
 	}
@@ -269,7 +271,7 @@ func TestWalksMatchHostTrees(t *testing.T) {
 			if _, err := checkWalksMatchHostTrees(prev); err != nil {
 				t.Fatalf("iter %d, superseded snapshot: %v", iter, err)
 			}
-			if prev.scratch == nil {
+			if prev.scratch.s == nil {
 				t.Fatalf("iter %d: superseded snapshot walked without its scratch memo", iter)
 			}
 			superseded++
@@ -296,13 +298,13 @@ func TestWalksMatchHostTreesCrafted(t *testing.T) {
 	}
 	s := newStructure(nodes, sortedKeys(hosts))
 	for i, n := range nodes {
-		s.hostFlag[i] = hosts[n]
+		s.hostFlag.s[i] = hosts[n]
 		for _, nb := range rows[n] {
-			s.nbrIdx[i] = append(s.nbrIdx[i], s.nodeIndex[nb])
+			s.nbrIdx.s[i] = append(s.nbrIdx.s[i], s.nodeIndex[nb])
 		}
 	}
 	s.flatten()
-	topo := &Topology{structure: s, slots: make([]edgeMetrics, 2*len(s.nbrFlat))}
+	topo := &Topology{structure: s, slots: indexed[Slot, edgeMetrics]{make([]edgeMetrics, 2*len(s.nbrFlat.s))}}
 	singles, err := checkWalksMatchHostTrees(topo)
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +319,7 @@ func TestWalksMatchHostTreesCrafted(t *testing.T) {
 func storedTree(s *sptStore, topo *Topology, dst string) *destTree {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.trees[topo.root[topo.nodeIndex[dst]]]
+	return s.trees.s[topo.root.s[topo.nodeIndex[dst]]]
 }
 
 // TestIncrementalSPTReusesUnaffectedTrees: evicting one link must catch up
@@ -395,7 +397,7 @@ func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
 	// link is on no shortest path toward w2 (both switches are discovered
 	// from it), so the delta classifier must catch that tree up: no BFS,
 	// the next hops are the very same array.
-	if &treeSched2.next[0] != &treeSched.next[0] {
+	if &treeSched2.next.s[0] != &treeSched.next.s[0] {
 		t.Fatal("unaffected tree toward sched was rebuilt instead of caught up")
 	}
 	if treeSched2.seq != topo.seq {
@@ -406,18 +408,18 @@ func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
 	if treeSched2 == treeSched || treeSched.seq == topo.seq {
 		t.Fatal("lagging tree was refilled in place")
 	}
-	for i, nxt := range treeSched2.next {
-		want := int32(-1)
+	for i, nxt := range treeSched2.next.s {
+		want := Slot(-1)
 		if nxt >= 0 {
-			want = topo.DirSlot(int32(i), nxt)
+			want = topo.DirSlot(NodeIdx(i), nxt)
 		}
-		if treeSched2.slot[i] != want {
-			t.Fatalf("caught-up slot of %s is %d, want %d", topo.Nodes[i], treeSched2.slot[i], want)
+		if treeSched2.slot.s[i] != want {
+			t.Fatalf("caught-up slot of %s is %d, want %d", topo.Nodes[i], treeSched2.slot.s[i], want)
 		}
 	}
 	// w1's discovery edge toward w3 was exactly the evicted link, so that
 	// tree must have been rebuilt.
-	if &treeW32.next[0] == &treeW3.next[0] {
+	if &treeW32.next.s[0] == &treeW3.next.s[0] {
 		t.Fatal("affected tree toward w3 was reused despite losing its discovery edge")
 	}
 	// And the rebuilt route detours: b–w1 now reaches w3 via w2.

@@ -67,9 +67,9 @@ func (c *Collector) portSlotsLocked(device string, port int) slotPair {
 	if !ok {
 		return noSlots
 	}
-	for e := s.edgeStart[u]; e < s.edgeStart[u+1]; e++ {
-		if s.egress[e] == port {
-			return s.edgeSlots(u, s.nbrFlat[e])
+	for e := s.edgeStart.at(u); e < s.edgeStart.at(u+1); e++ {
+		if s.egress.at(e) == port {
+			return s.edgeSlots(u, s.nbrFlat.at(e))
 		}
 	}
 	return noSlots
@@ -103,9 +103,9 @@ func (c *Collector) updateDelayLocked(k edgeKey, sample, now time.Duration) {
 	st.mean += delta / float64(st.samples)
 	st.m2 += delta * (float64(sample) - st.mean)
 	if c.cur != nil {
-		for _, s := range [2]int32{st.fwd, st.rev} {
+		for _, s := range [2]Slot{st.fwd, st.rev} {
 			if s >= 0 {
-				m := &c.live[s]
+				m := c.live.ref(s)
 				m.delay, m.delayOK = st.ewma, true
 			}
 		}
@@ -115,9 +115,9 @@ func (c *Collector) updateDelayLocked(k edgeKey, sample, now time.Duration) {
 // storeRateLocked writes direction k's configured capacity into its slots.
 func (c *Collector) storeRateLocked(k edgeKey, rate int64) {
 	at := c.edgeSlotsLocked(k)
-	for _, s := range [2]int32{at.fwd, at.rev} {
+	for _, s := range [2]Slot{at.fwd, at.rev} {
 		if s >= 0 {
-			c.live[s].rate = rate
+			c.live.ref(s).rate = rate
 		}
 	}
 }
@@ -130,10 +130,10 @@ func (c *Collector) storeQueueLocked(w *portWindow, best int32) {
 	if w.fwd < 0 || c.cur == nil {
 		return // rev mirrors fwd: a port without the one has neither
 	}
-	m := &c.live[w.fwd]
+	m := c.live.ref(w.fwd)
 	m.queue, m.queueOK = max(best, 0), best >= 0
 	if w.rev >= 0 {
-		c.live[w.rev] = *m
+		*c.live.ref(w.rev) = *m
 	}
 }
 

@@ -19,33 +19,33 @@ type structure struct {
 	// path trees (index order == lexicographic order).
 	Nodes []string
 	// nodeIndex maps node ID -> index in Nodes.
-	nodeIndex map[string]int32
+	nodeIndex map[string]NodeIdx
 	// nbrIdx maps node index -> ascending neighbor indices (equivalently:
 	// lexicographically sorted neighbors).
-	nbrIdx [][]int32
+	nbrIdx indexed[NodeIdx, []NodeIdx]
 	// hostFlag marks which node indices are hosts.
-	hostFlag []bool
+	hostFlag indexed[NodeIdx, bool]
 	// hostList caches the sorted host IDs (Hosts returns a copy). It can
 	// include hosts with no current adjacency (absent from Nodes).
 	hostList []string
 	// hostIdx maps hostList positions to node indices (-1 for hosts with
 	// no current adjacency).
-	hostIdx []int32
+	hostIdx []NodeIdx
 
 	// CSR form of the adjacency (see arena.go): nbrFlat is the
 	// concatenation of the nbrIdx rows (which re-alias it),
 	// edgeStart[i]..edgeStart[i+1] spans node i's row, and egress is the
 	// egress port behind each CSR edge (nil for hand-crafted topologies).
-	edgeStart []int32
-	nbrFlat   []int32
-	egress    []int // unit:[edge]
+	edgeStart indexed[NodeIdx, edgePos]
+	nbrFlat   indexed[edgePos, NodeIdx]
+	egress    indexed[edgePos, int]
 
 	// root is the node whose tree walks toward node i follow: i itself,
 	// except for a single-homed host (its neighbour row is exactly one
 	// switch e), whose walks follow e's tree and then take the hop e->i,
 	// held at lastSlot (DirSlot(e, i); -1 for every other node). See spt.go.
-	root     []int32 // unit:node[node]
-	lastSlot []int32 // unit:slot[node]
+	root     indexed[NodeIdx, NodeIdx]
+	lastSlot indexed[NodeIdx, Slot]
 
 	// seq versions the adjacency structure for incremental
 	// shortest-path-tree maintenance (see spt.go).
@@ -71,7 +71,7 @@ type Topology struct {
 
 	// slots holds per-direction metrics at 2e (forward) and 2e+1 (reverse)
 	// of CSR edge e (see arena.go).
-	slots []edgeMetrics
+	slots indexed[Slot, edgeMetrics]
 	// defaultRate is the assumed capacity of unconfigured links.
 	defaultRate int64
 	// TakenAt is the time the snapshot was published (not the Snapshot()
@@ -92,7 +92,7 @@ type Topology struct {
 	// scratch memoizes per-destination trees privately when store is nil
 	// or has advanced past seq.
 	scratchMu sync.Mutex
-	scratch   []*destTree // unit:[node]
+	scratch   indexed[NodeIdx, *destTree]
 }
 
 // Epoch returns the collector epoch this snapshot was published at. Two
@@ -106,7 +106,7 @@ func (t *Topology) Epoch() uint64 { return t.epoch }
 // (absent from Nodes) fall back to the sorted host list.
 func (t *Topology) IsHost(id string) bool {
 	if i, ok := t.nodeIndex[id]; ok {
-		return t.hostFlag[i]
+		return t.hostFlag.at(i)
 	}
 	return containsSorted(t.hostList, id)
 }
@@ -124,8 +124,8 @@ func (t *Topology) Neighbors(id string) []string {
 	if !ok {
 		return nil
 	}
-	out := make([]string, len(t.nbrIdx[i]))
-	for j, nb := range t.nbrIdx[i] {
+	out := make([]string, len(t.nbrIdx.at(i)))
+	for j, nb := range t.nbrIdx.at(i) {
 		out[j] = t.Nodes[nb]
 	}
 	return out
@@ -134,7 +134,7 @@ func (t *Topology) Neighbors(id string) []string {
 // slotOf resolves the metric slot of the directed pair from->to by name
 // (-1 when either node is unknown or the pair is adjacent in neither
 // direction).
-func (t *Topology) slotOf(from, to string) int32 {
+func (t *Topology) slotOf(from, to string) Slot {
 	i, ok := t.nodeIndex[from]
 	j, ok2 := t.nodeIndex[to]
 	if !ok || !ok2 {

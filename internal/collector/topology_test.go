@@ -89,22 +89,22 @@ func TestHostsDoNotForwardInLearnedTopology(t *testing.T) {
 func craftedTopology(nodes []string, hosts map[string]bool, neighbors map[string][]string, dst string, tree map[string]string) *Topology {
 	s := newStructure(nodes, sortedKeys(hosts))
 	for i, n := range nodes {
-		s.hostFlag[i] = hosts[n]
+		s.hostFlag.s[i] = hosts[n]
 		for _, nb := range neighbors[n] {
-			s.nbrIdx[i] = append(s.nbrIdx[i], s.nodeIndex[nb])
+			s.nbrIdx.s[i] = append(s.nbrIdx.s[i], s.nodeIndex[nb])
 		}
 	}
 	s.flatten()
-	t := &Topology{structure: s, slots: make([]edgeMetrics, 2*len(s.nbrFlat))}
-	next := make([]int32, len(nodes))
+	t := &Topology{structure: s, slots: indexed[Slot, edgeMetrics]{make([]edgeMetrics, 2*len(s.nbrFlat.s))}}
+	next := make([]NodeIdx, len(nodes))
 	for i := range next {
 		next[i] = -1
 	}
 	for n, parent := range tree {
 		next[t.nodeIndex[n]] = t.nodeIndex[parent]
 	}
-	t.scratch = make([]*destTree, len(nodes))
-	t.scratch[t.nodeIndex[dst]] = &destTree{next: next, slot: hopSlots(s, next)}
+	t.scratch.s = make([]*destTree, len(nodes))
+	t.scratch.s[t.nodeIndex[dst]] = &destTree{next: indexed[NodeIdx, NodeIdx]{next}, slot: hopSlots(s, next)}
 	return t
 }
 
@@ -203,12 +203,12 @@ func TestPathMemoizedTreeShared(t *testing.T) {
 	}
 	topo.store.mu.RLock()
 	nTrees := 0
-	for _, tree := range topo.store.trees {
+	for _, tree := range topo.store.trees.s {
 		if tree != nil {
 			nTrees++
 		}
 	}
-	s4 := topo.store.trees[topo.nodeIndex["s4"]]
+	s4 := topo.store.trees.s[topo.nodeIndex["s4"]]
 	topo.store.mu.RUnlock()
 	if nTrees != 1 || s4 != tree1 {
 		t.Fatalf("expected a single memoized destination, s4, got %d trees", nTrees)

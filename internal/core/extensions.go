@@ -34,7 +34,7 @@ func (r *TransferTimeRanker) Metric() Metric { return MetricTransferTime }
 
 // Rank implements Ranker. One path walk per candidate feeds both the delay
 // and the bottleneck estimate.
-func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate {
+func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate {
 	delay := r.Delay
 	if delay == nil {
 		delay = &DelayRanker{}
@@ -48,7 +48,7 @@ func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fro
 	if floor <= 0 {
 		floor = 200_000 // 1% of the paper's 20 Mbps links
 	}
-	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []collector.Slot, leavesHost bool) int64 {
 		c.BandwidthBps = bw.bottleneckOverPath(topo, slots, leavesHost, cal)
 		c.Delay = delay.delayOverPath(topo, slots, leavesHost, k)
 		if dataBytes > 0 {

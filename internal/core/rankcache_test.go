@@ -257,7 +257,7 @@ type countingRanker struct {
 	calls int
 }
 
-func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate {
+func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate {
 	r.calls++
 	return r.DelayRanker.Rank(topo, from, fromIdx, fromHost, dataBytes, count, s)
 }

@@ -89,8 +89,9 @@ type Candidate struct {
 }
 
 // Ranker orders the edge servers of a topology snapshot for a querying
-// device. Rankings are computed entirely in the snapshot's int32 index
-// coordinate systems — each candidate's hops walked as metric slots into
+// device. Rankings are computed entirely in the snapshot's typed index
+// coordinate systems (collector.NodeIdx, collector.Slot and host positions)
+// — each candidate's hops walked as metric slots into
 // reusable scratch, each estimate a fold of arena slot loads (see
 // collector/arena.go), the order from 16-byte keys — and touch strings
 // only when forming Candidate.Node (a reference to the snapshot's interned
@@ -109,7 +110,7 @@ type Ranker interface {
 	// than that are reachable, the ranker may return just the whole
 	// ranking's first count entries. The result is private to the caller;
 	// s is scratch.
-	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx int32, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate
+	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate
 }
 
 // rankKey is what a ranking sorts: one reachable candidate's estimate as an
@@ -117,7 +118,7 @@ type Ranker interface {
 // breaks ties in node-ID order and finds the candidate afterwards.
 type rankKey struct {
 	key  int64
-	host int32 // unit:host
+	host int32
 }
 
 // compare is spelled out rather than built from cmp.Compare: it is the
@@ -148,9 +149,9 @@ func floatKey(f float64) int64 {
 // (possibly re-homed) slice and the owner stores it back.
 type rankScratch struct {
 	walker collector.Walker
-	slots  []int32     // unit:slot — SlotsInto walk scratch
-	cands  []Candidate // unit:[host] — every host's estimates, before ordering
-	keys   []rankKey   // the reachable candidates' sort keys
+	slots  []collector.Slot // SlotsInto walk scratch
+	cands  []Candidate      // every host's estimates, by host position
+	keys   []rankKey        // the reachable candidates' sort keys
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -166,7 +167,7 @@ func ComputeRanking(topo *collector.Topology, r Ranker, from netsim.NodeID, data
 // rank is ComputeRanking for a requester at host position fromHost, cut to
 // the count best when count > 0 (Ranker.Rank).
 func rank(topo *collector.Topology, r Ranker, from netsim.NodeID, fromHost int, dataBytes int64, count int) []Candidate {
-	fromIdx := int32(-1)
+	fromIdx := collector.NodeIdx(-1)
 	if i, ok := topo.NodeIndex(string(from)); ok {
 		fromIdx = i
 	}
@@ -272,7 +273,7 @@ func partition(a []rankKey) int {
 // leavesHost says the first hop leaves a host, the only hop of a walked path
 // that can (hosts do not forward) — and returns its sort key. Candidates
 // without a path stay unreachable with zero estimates.
-func rankPaths(topo *collector.Topology, fromIdx int32, fromHost, count int, s *rankScratch, est func(c *Candidate, slots []int32, leavesHost bool) int64) []Candidate {
+func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, count int, s *rankScratch, est func(c *Candidate, slots []collector.Slot, leavesHost bool) int64) []Candidate {
 	s.begin(topo.HostCount())
 	leavesHost := fromIdx >= 0 && topo.IsHostIdx(fromIdx)
 	s.walker.Reset(topo)
@@ -326,7 +327,7 @@ func (r *DelayRanker) k() time.Duration {
 // walked path: measured link delays (fallback for unmeasured) and k ×
 // windowed queue max per switch hop. Hosts have no measured queues; only
 // switch hops contribute, matching Algorithm 1's per-hop Q(h) term.
-func (r *DelayRanker) delayOverPath(topo *collector.Topology, slots []int32, leavesHost bool, k time.Duration) time.Duration {
+func (r *DelayRanker) delayOverPath(topo *collector.Topology, slots []collector.Slot, leavesHost bool, k time.Duration) time.Duration {
 	var total time.Duration
 	for i, slot := range slots {
 		if d, ok := topo.SlotDelay(slot); ok {
@@ -345,9 +346,9 @@ func (r *DelayRanker) delayOverPath(topo *collector.Topology, slots []int32, lea
 }
 
 // Rank implements Ranker.
-func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
+func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
 	k := r.k()
-	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []collector.Slot, leavesHost bool) int64 {
 		c.Delay = r.delayOverPath(topo, slots, leavesHost, k)
 		return int64(c.Delay)
 	})
@@ -375,7 +376,7 @@ func (r *BandwidthRanker) calibration() *Calibration {
 
 // bottleneckOverPath computes the bottleneck available bandwidth over the
 // metric slots of a walked path.
-func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, slots []int32, leavesHost bool, cal *Calibration) float64 {
+func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, slots []collector.Slot, leavesHost bool, cal *Calibration) float64 {
 	bottleneck := -1.0
 	for i, slot := range slots {
 		rate := float64(topo.SlotRate(slot))
@@ -397,9 +398,9 @@ func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, slots []i
 }
 
 // Rank implements Ranker.
-func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx int32, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
+func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
 	cal := r.calibration()
-	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []int32, leavesHost bool) int64 {
+	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []collector.Slot, leavesHost bool) int64 {
 		c.BandwidthBps = r.bottleneckOverPath(topo, slots, leavesHost, cal)
 		return floatKey(-c.BandwidthBps) // most bandwidth first
 	})
@@ -437,7 +438,7 @@ func NewNearestRanker(nw *netsim.Network, hosts []netsim.NodeID) (*NearestRanker
 func (r *NearestRanker) Metric() Metric { return MetricNearest }
 
 // Rank implements Ranker.
-func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ int32, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
+func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ collector.NodeIdx, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
 	hops := r.hops[from]
 	s.begin(topo.HostCount())
 	for j := range s.cands {
@@ -471,7 +472,7 @@ func (r *RandomRanker) Metric() Metric { return MetricRandom }
 
 // Rank implements Ranker. It always draws the whole order: the engine
 // caches no draw, so it never asks for fewer.
-func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ int32, fromHost int, _ int64, _ int, _ *rankScratch) []Candidate {
+func (r *RandomRanker) Rank(topo *collector.Topology, _ netsim.NodeID, _ collector.NodeIdx, fromHost int, _ int64, _ int, _ *rankScratch) []Candidate {
 	n := topo.HostCount()
 	if fromHost >= 0 {
 		n--

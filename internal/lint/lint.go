@@ -78,7 +78,6 @@ func Analyzers() []*Analyzer {
 		TransientPacketAnalyzer,
 		ScratchAliasAnalyzer,
 		SnapshotImmutableAnalyzer,
-		IndexSpaceAnalyzer,
 	}
 }
 

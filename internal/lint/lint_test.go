@@ -52,13 +52,6 @@ func TestSnapshotImmutable(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/snapimm", "fixture/snapimm", lint.SnapshotImmutableAnalyzer)
 }
 
-// TestIndexSpace covers the fabricated arena-slot mix-up: int32 values
-// crossing between node-index, host-index, CSR-edge, and metric-slot
-// coordinate systems.
-func TestIndexSpace(t *testing.T) {
-	linttest.Run(t, "internal/lint/testdata/src/idxspace", "fixture/idxspace", lint.IndexSpaceAnalyzer)
-}
-
 // TestModuleIsClean runs the full suite over the repository itself: the
 // production tree must stay free of violations.
 func TestModuleIsClean(t *testing.T) {

@@ -100,7 +100,7 @@ type walker struct {
 // GoodPathStoreBack is the sanctioned shape: the returned path is stored
 // back into the scratch field it was walked into, and only derived scalars
 // (hop counts, per-hop reads) outlive the call.
-func (w *walker) GoodPathStoreBack(topo *collector.Topology, src, dst int32) int {
+func (w *walker) GoodPathStoreBack(topo *collector.Topology, src, dst collector.NodeIdx) int {
 	p, code, _ := topo.PathInto(src, dst, w.path)
 	w.path = p
 	if code != collector.PathOK {
@@ -111,20 +111,20 @@ func (w *walker) GoodPathStoreBack(topo *collector.Topology, src, dst int32) int
 
 // GoodPathLocal keeps the walked path in a local and hands it to a
 // synchronous callee, which copies what it keeps.
-func GoodPathLocal(topo *collector.Topology, src, dst int32, scratch []int32) {
+func GoodPathLocal(topo *collector.Topology, src, dst collector.NodeIdx, scratch []int32) {
 	p, _, _ := topo.PathInto(src, dst, scratch)
 	walkHops(p)
 }
 
 func walkHops(p []int32) { _ = len(p) }
 
-func (w *walker) BadPathRetained(topo *collector.Topology, src, dst int32) {
+func (w *walker) BadPathRetained(topo *collector.Topology, src, dst collector.NodeIdx) {
 	p, _, _ := topo.PathInto(src, dst, w.path)
 	w.path = p
 	w.lastPath = p // want `probe-codec scratch stored in receiver field w\.lastPath`
 }
 
-func BadPathReturned(topo *collector.Topology, src, dst int32, scratch []int32) []int32 {
+func BadPathReturned(topo *collector.Topology, src, dst collector.NodeIdx, scratch []int32) []int32 {
 	p, _, _ := topo.PathInto(src, dst, scratch)
 	return p // want `probe-codec scratch returned to the caller`
 }
@@ -133,13 +133,13 @@ func BadPathReturned(topo *collector.Topology, src, dst int32, scratch []int32) 
 // a ranking, SlotsInto into reusable scratch that the next walk overwrites.
 type slotWalker struct {
 	walker    collector.Walker
-	slots     []int32
-	lastSlots []int32
+	slots     []collector.Slot
+	lastSlots []collector.Slot
 }
 
 // GoodSlotsStoreBack stores the walked slots back where they were walked
 // into; the hop count and per-slot reads are scalars.
-func (w *slotWalker) GoodSlotsStoreBack(topo *collector.Topology, src, dst int32) int {
+func (w *slotWalker) GoodSlotsStoreBack(topo *collector.Topology, src, dst collector.NodeIdx) int {
 	w.walker.Reset(topo)
 	slots, code, _ := w.walker.SlotsInto(src, dst, w.slots)
 	w.slots = slots
@@ -150,13 +150,13 @@ func (w *slotWalker) GoodSlotsStoreBack(topo *collector.Topology, src, dst int32
 	return len(slots)
 }
 
-func (w *slotWalker) BadSlotsRetained(src, dst int32) {
+func (w *slotWalker) BadSlotsRetained(src, dst collector.NodeIdx) {
 	slots, _, _ := w.walker.SlotsInto(src, dst, w.slots)
 	w.slots = slots
 	w.lastSlots = slots // want `probe-codec scratch stored in receiver field w\.lastSlots`
 }
 
-func BadSlotsReturned(w *collector.Walker, src, dst int32, scratch []int32) []int32 {
+func BadSlotsReturned(w *collector.Walker, src, dst collector.NodeIdx, scratch []collector.Slot) []collector.Slot {
 	slots, _, _ := w.SlotsInto(src, dst, scratch)
 	return slots // want `probe-codec scratch returned to the caller`
 }
