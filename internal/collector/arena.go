@@ -172,6 +172,18 @@ func (t *Topology) HostName(j int) string { return t.hostList[j] }
 // host with no current adjacency.
 func (t *Topology) HostNodeIndex(j int) NodeIdx { return t.hostIdx[j] }
 
+// WalkRoot returns the node whose tree a walk toward dst follows, and the
+// slot of the hop from that node to dst: a single-homed host's switch and
+// the switch's hop to it, otherwise dst itself and -1 (also when dst is out
+// of range). A walk from any src but dst itself is the walk to the root
+// and then, when the root is not dst, that one hop (spt.go).
+func (t *Topology) WalkRoot(dst NodeIdx) (root NodeIdx, last Slot) {
+	if dst < 0 || int(dst) >= len(t.root.s) {
+		return dst, -1
+	}
+	return t.root.at(dst), t.lastSlot.at(dst)
+}
+
 // HostIndex returns id's position in the sorted host list, or -1 if id is
 // not a known host.
 func (t *Topology) HostIndex(id string) int {
@@ -330,10 +342,7 @@ func walk[E ~int32](w *Walker, src, dst NodeIdx, bySlot bool, scratch []E) (out 
 	if len(t.nbrIdx.at(src)) == 0 {
 		return scratch[:0], PathUnknownSrc, src
 	}
-	root := dst
-	if dst >= 0 && int(dst) < len(t.root.s) {
-		root = t.root.at(dst)
-	}
+	root, last := t.WalkRoot(dst)
 	if src != root {
 		tree := w.tree(root)
 		if tree == nil || tree.next.at(src) == -1 {
@@ -360,7 +369,7 @@ func walk[E ~int32](w *Walker, src, dst NodeIdx, bySlot bool, scratch []E) (out 
 	}
 	if root != dst {
 		if bySlot {
-			out = append(out, E(t.lastSlot.at(dst)))
+			out = append(out, E(last))
 		} else {
 			out = append(out, E(dst))
 		}

@@ -32,8 +32,8 @@ type TransferTimeRanker struct {
 // Metric implements Ranker.
 func (r *TransferTimeRanker) Metric() Metric { return MetricTransferTime }
 
-// Rank implements Ranker. One path walk per candidate feeds both the delay
-// and the bottleneck estimate.
+// Rank implements Ranker. The one fold of each walk root feeds both the
+// delay and the bottleneck estimate.
 func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate {
 	delay := r.Delay
 	if delay == nil {
@@ -48,9 +48,9 @@ func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fro
 	if floor <= 0 {
 		floor = 200_000 // 1% of the paper's 20 Mbps links
 	}
-	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []collector.Slot, leavesHost bool) int64 {
-		c.BandwidthBps = bw.bottleneckOverPath(topo, slots, leavesHost, cal)
-		c.Delay = delay.delayOverPath(topo, slots, leavesHost, k)
+	return rankPaths(topo, fromIdx, fromHost, count, s, cal, func(c *Candidate, f pathFold) int64 {
+		c.BandwidthBps = f.bandwidth()
+		c.Delay = f.delay(k)
 		if dataBytes > 0 {
 			c.Delay += time.Duration(float64(dataBytes*8) / max(c.BandwidthBps, floor) * float64(time.Second))
 		}

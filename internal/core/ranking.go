@@ -6,12 +6,16 @@
 //
 // Beside a live probe feed nearly every query is a cold ranking (the state
 // changes more often than a device asks twice), so the ranking itself is
-// kept to array loads: per candidate one walk of the destination tree's
-// precomputed hop slots (collector.Walker.SlotsInto), an estimate folded
-// over those slots, and 16-byte keys for the order (rankPaths, ranked). A
-// query that asks for the k best orders only those: a quickselect moves the
-// k least keys to the front and only they are sorted and copied out; the
-// whole ranking is the case where k covers every reachable candidate.
+// kept to array loads. The walk toward a single-homed host is its switch's
+// walk plus one hop, so each walk root — such a switch, or a host that is
+// its own root — is walked once over its tree's precomputed hop slots
+// (collector.Walker.SlotsInto) and folded once into the estimate's sums
+// (pathFold), and each host extends a copy of its root's fold by its last
+// hop. The order comes from 16-byte keys, sorted by a quicksort whose
+// comparisons are inlined (rankPaths, ranked). A query that asks for the k
+// best orders only those: a quickselect moves the k least keys to the front
+// and only they are sorted and copied out; the whole ranking is the case
+// where k covers every reachable candidate.
 //
 // The two baselines the paper compares against (Nearest and Random) are
 // implemented here too, plus the extensions that kept their place in a
@@ -91,7 +95,7 @@ type Candidate struct {
 // Ranker orders the edge servers of a topology snapshot for a querying
 // device. Rankings are computed entirely in the snapshot's typed index
 // coordinate systems (collector.NodeIdx, collector.Slot and host positions)
-// — each candidate's hops walked as metric slots into
+// — each walk root's hops walked as metric slots into
 // reusable scratch, each estimate a fold of arena slot loads (see
 // collector/arena.go), the order from 16-byte keys — and touch strings
 // only when forming Candidate.Node (a reference to the snapshot's interned
@@ -121,8 +125,13 @@ type rankKey struct {
 	host int32
 }
 
-// compare is spelled out rather than built from cmp.Compare: it is the
-// inner loop of every ranking, and the generic form measures ≈ 5 % of one.
+// less orders keys by estimate, ties by host position. It is spelled out
+// rather than built from cmp.Compare: it is the inner loop of every ranking.
+func (a rankKey) less(b rankKey) bool {
+	return a.key < b.key || a.key == b.key && a.host < b.host
+}
+
+// compare is less as slices.SortFunc takes it.
 func (a rankKey) compare(b rankKey) int {
 	if a.key != b.key {
 		if a.key < b.key {
@@ -152,6 +161,18 @@ type rankScratch struct {
 	slots  []collector.Slot // SlotsInto walk scratch
 	cands  []Candidate      // every host's estimates, by host position
 	keys   []rankKey        // the reachable candidates' sort keys
+	// roots memoizes, by node index, the fold of the walk to each walk root
+	// this ranking has met; an entry is this ranking's iff its gen is gen.
+	roots []rootFold
+	gen   uint32
+}
+
+// rootFold is one memoized walk to a walk root: whether it reached the root,
+// and the fold of its hops.
+type rootFold struct {
+	gen  uint32
+	ok   bool
+	fold pathFold
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -184,6 +205,19 @@ func (s *rankScratch) begin(hosts int) {
 	s.keys = s.keys[:0]
 }
 
+// beginRoots readies the root memo for a ranking on a snapshot of n nodes:
+// a new generation, so that no entry of an earlier ranking is this one's.
+// When the counter wraps, every entry is cleared instead.
+func (s *rankScratch) beginRoots(n int) {
+	if s.gen++; s.gen == 0 {
+		clear(s.roots)
+		s.gen = 1
+	}
+	// Entries beyond the old length are zero (gen 0) or from an earlier
+	// generation: neither is current.
+	s.roots = slices.Grow(s.roots[:0], n)[:n]
+}
+
 // ranked orders a ranker's estimates — cands written at every host position
 // but fromHost, a key for each reachable one — into a private result: the
 // reachable candidates by ascending key, ties by host position (node-ID
@@ -202,7 +236,7 @@ func ranked(cands []Candidate, keys []rankKey, fromHost, count int) []Candidate 
 		selectLeast(keys, count, 2*bits.Len(uint(len(keys))))
 		keys, n = keys[:count], count
 	}
-	slices.SortFunc(keys, rankKey.compare)
+	sortKeys(keys, 2*bits.Len(uint(len(keys))))
 	out := make([]Candidate, 0, n)
 	for _, k := range keys {
 		out = append(out, cands[k.host])
@@ -241,25 +275,73 @@ func selectLeast(keys []rankKey, k, rounds int) {
 	}
 }
 
+// sortKeys sorts keys ascending: a quicksort on partition that finishes
+// ranges of at most 12 keys by insertion. Like selectLeast it allows rounds
+// partitions (ranked allows 2·log2 n) on the way down to any range, and
+// sorts a range still open after them with slices.SortFunc, so pivots that
+// keep landing badly cost one library sort. The keys are distinct, so the
+// order is the one any sort gives. The comparisons here are inlined, where
+// slices.SortFunc calls compare through a func value; that call was most of
+// a metro ranking's sort. A range already in order is left as it is: keys
+// arrive in host order, so where the estimates tie (an idle fabric's
+// bandwidths are all its link rate) they are sorted already, and finding
+// that out stops at the first inversion otherwise.
+func sortKeys(keys []rankKey, rounds int) {
+	for len(keys) > 12 && !sorted(keys) {
+		if rounds == 0 {
+			slices.SortFunc(keys, rankKey.compare)
+			return
+		}
+		rounds--
+		p := partition(keys)
+		small, large := keys[:p], keys[p+1:]
+		if len(small) > len(large) {
+			small, large = large, small
+		}
+		sortKeys(small, rounds) // the smaller side: recursion depth ≤ log2 n
+		keys = large
+	}
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j].less(keys[j-1]); j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+}
+
+// sorted reports whether keys ascend.
+func sorted(keys []rankKey) bool {
+	for i := 1; i < len(keys); i++ {
+		if keys[i].less(keys[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
 // partition reorders a (len ≥ 2) around the median of its first, middle and
 // last keys and returns the pivot's final position: every key before it is
-// less, every key after it greater.
+// less, every key after it greater. Each key is swapped into place whether
+// or not it is less than the pivot, and only the count of lesser keys
+// depends on the comparison, so the loop takes no branch on it: on keys in
+// no order that branch is mispredicted every other time, and it took most
+// of the time of a metro ranking's sort.
 func partition(a []rankKey) int {
 	last, mid := len(a)-1, len(a)/2
-	if a[mid].compare(a[0]) < 0 {
+	if a[mid].less(a[0]) {
 		a[0], a[mid] = a[mid], a[0]
 	}
-	if a[last].compare(a[0]) < 0 {
+	if a[last].less(a[0]) {
 		a[0], a[last] = a[last], a[0]
 	}
-	if a[last].compare(a[mid]) < 0 {
+	if a[last].less(a[mid]) {
 		a[mid], a[last] = a[last], a[mid]
 	}
 	a[mid], a[last] = a[last], a[mid]
 	pivot, i := a[last], 0
 	for j := range a[:last] {
-		if a[j].compare(pivot) < 0 {
-			a[i], a[j] = a[j], a[i]
+		x := a[j]
+		a[j], a[i] = a[i], x // a[i:j] holds the keys not less than the pivot
+		if x.less(pivot) {
 			i++
 		}
 	}
@@ -267,14 +349,74 @@ func partition(a []rankKey) int {
 	return i
 }
 
+// pathFold is what the path rankers need of a walked path, folded hop by hop
+// in walk order: the sum of link delays (FallbackLinkDelay where one is
+// unmeasured), the sum of the windowed queue maxima the queue term charges
+// — k·ΣQ(h) equals Σk·Q(h) exactly in integers — and the bottleneck of the
+// available bandwidth, -1 until a hop is folded. A ranking folds the walk to
+// each walk root once and extends a copy by each of the root's hosts' last
+// hop; a fold is passed by value, since one behind a pointer handed to the
+// rankers' callbacks would escape to the heap.
+type pathFold struct {
+	links      time.Duration
+	queued     int64
+	bottleneck float64
+	hops       int
+}
+
+// step folds one more hop, the one whose metric slot is slot. Its queue
+// counts unless it is the first hop and leaves a host: hosts have no
+// measured queues, and only a walk's first hop can leave one. The
+// bottleneck is folded only when cal is non-nil.
+func (f *pathFold) step(topo *collector.Topology, slot collector.Slot, leavesHost bool, cal *Calibration) {
+	if d, ok := topo.SlotDelay(slot); ok {
+		f.links += d
+	} else {
+		f.links += FallbackLinkDelay
+	}
+	q, queued := topo.SlotQueueMax(slot)
+	queued = queued && (f.hops > 0 || !leavesHost)
+	if queued {
+		f.queued += int64(q)
+	}
+	if cal != nil {
+		util := 0.0
+		if queued {
+			util = cal.Utilization(q)
+		}
+		if avail := float64(topo.SlotRate(slot)) * (1 - util); f.bottleneck < 0 || avail < f.bottleneck {
+			f.bottleneck = avail
+		}
+	}
+	f.hops++
+}
+
+// delay is Algorithm 1's estimate, ΣD(l) + k·ΣQ(h).
+func (f pathFold) delay(k time.Duration) time.Duration {
+	return f.links + time.Duration(f.queued)*k
+}
+
+// bandwidth is the bottleneck available bandwidth (0 for no hop).
+func (f pathFold) bandwidth() float64 {
+	if f.bottleneck < 0 {
+		return 0
+	}
+	return f.bottleneck
+}
+
 // rankPaths ranks every host but the requester over the learned paths from
-// the requester, cut to the count best when count > 0 (Ranker.Rank). est
-// estimates one reachable candidate from the metric slots of its hops —
-// leavesHost says the first hop leaves a host, the only hop of a walked path
-// that can (hosts do not forward) — and returns its sort key. Candidates
-// without a path stay unreachable with zero estimates.
-func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, count int, s *rankScratch, est func(c *Candidate, slots []collector.Slot, leavesHost bool) int64) []Candidate {
+// the requester, cut to the count best when count > 0 (Ranker.Rank). The walk
+// toward a host is the walk toward its walk root plus, for a single-homed
+// host, its switch's hop to it (collector.Topology.WalkRoot), so each root is
+// walked and folded once and each host extends a copy of that fold by its
+// last hop. (That holds for every source but the host itself, and the
+// requester's own position is skipped.) finish turns one reachable
+// candidate's fold into its estimates and returns its sort key; cal is
+// non-nil iff it reads the bottleneck. Candidates without a path stay
+// unreachable with zero estimates.
+func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, count int, s *rankScratch, cal *Calibration, finish func(c *Candidate, f pathFold) int64) []Candidate {
 	s.begin(topo.HostCount())
+	s.beginRoots(len(topo.Nodes))
 	leavesHost := fromIdx >= 0 && topo.IsHostIdx(fromIdx)
 	s.walker.Reset(topo)
 	for j := range s.cands {
@@ -283,13 +425,31 @@ func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, co
 		}
 		c := &s.cands[j]
 		*c = Candidate{Node: netsim.NodeID(topo.HostName(j))}
-		slots, code, _ := s.walker.SlotsInto(fromIdx, topo.HostNodeIndex(j), s.slots)
-		s.slots = slots
-		if code == collector.PathOK {
-			c.Reachable = true
-			c.Hops = len(slots)
-			s.keys = append(s.keys, rankKey{key: est(c, slots, leavesHost), host: int32(j)})
+		dst := topo.HostNodeIndex(j)
+		root, last := topo.WalkRoot(dst)
+		if root < 0 {
+			continue // no adjacency: no walk reaches it
 		}
+		m := &s.roots[root]
+		if m.gen != s.gen {
+			slots, code, _ := s.walker.SlotsInto(fromIdx, root, s.slots)
+			s.slots = slots
+			*m = rootFold{gen: s.gen, ok: code == collector.PathOK, fold: pathFold{bottleneck: -1}}
+			if m.ok {
+				for _, slot := range slots {
+					m.fold.step(topo, slot, leavesHost, cal)
+				}
+			}
+		}
+		if !m.ok {
+			continue
+		}
+		f := m.fold
+		if root != dst {
+			f.step(topo, last, leavesHost, cal)
+		}
+		c.Reachable, c.Hops = true, f.hops
+		s.keys = append(s.keys, rankKey{key: finish(c, f), host: int32(j)})
 	}
 	s.walker.Reset(nil) // a pooled scratch must not pin the snapshot
 	return ranked(s.cands, s.keys, fromHost, count)
@@ -323,33 +483,11 @@ func (r *DelayRanker) k() time.Duration {
 	return r.K
 }
 
-// delayOverPath computes Algorithm 1's estimate over the metric slots of a
-// walked path: measured link delays (fallback for unmeasured) and k ×
-// windowed queue max per switch hop. Hosts have no measured queues; only
-// switch hops contribute, matching Algorithm 1's per-hop Q(h) term.
-func (r *DelayRanker) delayOverPath(topo *collector.Topology, slots []collector.Slot, leavesHost bool, k time.Duration) time.Duration {
-	var total time.Duration
-	for i, slot := range slots {
-		if d, ok := topo.SlotDelay(slot); ok {
-			total += d
-		} else {
-			total += FallbackLinkDelay
-		}
-		// Queueing contribution of the egress port feeding this link.
-		if i > 0 || !leavesHost {
-			if q, ok := topo.SlotQueueMax(slot); ok {
-				total += time.Duration(q) * k
-			}
-		}
-	}
-	return total
-}
-
 // Rank implements Ranker.
 func (r *DelayRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
 	k := r.k()
-	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []collector.Slot, leavesHost bool) int64 {
-		c.Delay = r.delayOverPath(topo, slots, leavesHost, k)
+	return rankPaths(topo, fromIdx, fromHost, count, s, nil, func(c *Candidate, f pathFold) int64 {
+		c.Delay = f.delay(k)
 		return int64(c.Delay)
 	})
 }
@@ -374,34 +512,10 @@ func (r *BandwidthRanker) calibration() *Calibration {
 	return r.Calibration
 }
 
-// bottleneckOverPath computes the bottleneck available bandwidth over the
-// metric slots of a walked path.
-func (r *BandwidthRanker) bottleneckOverPath(topo *collector.Topology, slots []collector.Slot, leavesHost bool, cal *Calibration) float64 {
-	bottleneck := -1.0
-	for i, slot := range slots {
-		rate := float64(topo.SlotRate(slot))
-		util := 0.0
-		if i > 0 || !leavesHost {
-			if q, ok := topo.SlotQueueMax(slot); ok {
-				util = cal.Utilization(q)
-			}
-		}
-		avail := rate * (1 - util)
-		if bottleneck < 0 || avail < bottleneck {
-			bottleneck = avail
-		}
-	}
-	if bottleneck < 0 {
-		bottleneck = 0
-	}
-	return bottleneck
-}
-
 // Rank implements Ranker.
 func (r *BandwidthRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, _ int64, count int, s *rankScratch) []Candidate {
-	cal := r.calibration()
-	return rankPaths(topo, fromIdx, fromHost, count, s, func(c *Candidate, slots []collector.Slot, leavesHost bool) int64 {
-		c.BandwidthBps = r.bottleneckOverPath(topo, slots, leavesHost, cal)
+	return rankPaths(topo, fromIdx, fromHost, count, s, r.calibration(), func(c *Candidate, f pathFold) int64 {
+		c.BandwidthBps = f.bandwidth()
 		return floatKey(-c.BandwidthBps) // most bandwidth first
 	})
 }
