@@ -347,15 +347,70 @@ func BenchmarkScenarioRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectorIngest measures probe processing at the scheduler under
-// fan-in: 256 streams, each crossing an edge switch shared by 8 streams, an
+// BenchmarkCollectorIngest measures probe processing at the scheduler. One
+// iteration is one probe.
+//
+// fanin is 256 streams, each crossing an edge switch shared by 8 streams, an
 // aggregation switch shared by 64 and one core switch shared by all, every
 // record flushing its switch's 8 port registers. The clock advances one
 // 100 ms probing interval per round of streams under a two-interval queue
 // window, so reports expire at the rate they arrive and the core's port
-// windows hold ~512 reports each. One iteration is one probe, after 30
-// rounds of warm-up.
+// windows hold ~512 reports each. Timing starts after 30 rounds of warm-up.
+//
+// metro is the feed ingest_metro decodes: one probing round of the metro
+// fabric's 1 024 streams, replayed with the clock and sequence numbers
+// carried forward a round per lap, into a collector that learned the round
+// once. The probes are decoded, and two laps ingested, before the timer
+// starts.
 func BenchmarkCollectorIngest(b *testing.B) {
+	b.Run("fanin", benchIngestFanIn)
+	b.Run("metro", func(b *testing.B) {
+		spec, err := experiment.MetroSpec(experiment.MetroConfig{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fabric, trace := fabricTrace(b, spec, 1)
+		var now time.Duration
+		coll, _ := learnTrace(b, fabric, trace, &now)
+		probes := make([]telemetry.ProbePayload, len(trace))
+		for i, at := range trace {
+			if err := telemetry.UnmarshalProbeInto(&probes[i], at.Wire); err != nil {
+				b.Fatal(err)
+			}
+		}
+		lap := 0
+		ingest := func(i int) {
+			if i%len(trace) == 0 {
+				lap++
+			}
+			p := &probes[i%len(trace)]
+			p.Seq++
+			for r := range p.Stack.Records {
+				p.Stack.Records[r].EgressTS += probe.DefaultInterval
+			}
+			now = trace[i%len(trace)].At + time.Duration(lap)*probe.DefaultInterval
+			coll.HandleProbe(p)
+		}
+		// Two laps fill the queue window (two probing intervals) before timing.
+		warm := 2 * len(trace)
+		for i := 0; i < warm; i++ {
+			ingest(i)
+		}
+		before := coll.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ingest(warm + i)
+		}
+		b.StopTimer()
+		if st := coll.Stats(); st.ProbesOutOfOrder != before.ProbesOutOfOrder || st.PathRemaps != before.PathRemaps {
+			b.Fatalf("replay dropped %d probes as out of order and remapped %d paths",
+				st.ProbesOutOfOrder-before.ProbesOutOfOrder, st.PathRemaps-before.PathRemaps)
+		}
+	})
+}
+
+func benchIngestFanIn(b *testing.B) {
 	const streams, ports, interval = 256, 8, 100 * time.Millisecond
 	now := time.Second
 	coll := collector.New("sched", func() time.Duration { return now }, collector.Config{QueueWindow: 2 * interval})
@@ -456,7 +511,7 @@ var benchSnapshot *collector.Topology
 // most of the cost. Again the one allocation is the private result.
 func BenchmarkColdRanking(b *testing.B) {
 	fabric, trace := closTrace(b, 1)
-	coll, p := learnTrace(b, fabric, trace)
+	coll, p := learnTrace(b, fabric, trace, new(time.Duration))
 	topo := coll.Snapshot()
 	hosts := topo.Hosts()
 	// The last probe once more, a sequence number on: a new epoch on the
@@ -498,7 +553,7 @@ func BenchmarkColdRanking(b *testing.B) {
 			b.Fatal(err)
 		}
 		fabric, trace := fabricTrace(b, spec, 1)
-		coll, _ := learnTrace(b, fabric, trace)
+		coll, _ := learnTrace(b, fabric, trace, new(time.Duration))
 		benchWholeRanking(b, coll.Snapshot(), &core.DelayRanker{})
 	})
 }
@@ -522,18 +577,18 @@ func benchWholeRanking(b *testing.B, topo *collector.Topology, r core.Ranker) {
 	}
 }
 
-// learnTrace ingests a fabric's probe trace into a new collector on the
-// trace's clock and returns it with the last probe ingested. It fails unless
-// the collector learned every host of the fabric.
-func learnTrace(b *testing.B, fabric *experiment.Topology, trace []experiment.TracedProbe) (*collector.Collector, *telemetry.ProbePayload) {
-	var now time.Duration
-	coll := collector.New(fabric.Scheduler, func() time.Duration { return now }, collector.Config{QueueWindow: 2 * probe.DefaultInterval})
+// learnTrace ingests a fabric's probe trace into a new collector whose clock
+// reads *now, set to the trace's clock as it goes, and returns it with the
+// last probe ingested. It fails unless the collector learned every host of
+// the fabric.
+func learnTrace(b *testing.B, fabric *experiment.Topology, trace []experiment.TracedProbe, now *time.Duration) (*collector.Collector, *telemetry.ProbePayload) {
+	coll := collector.New(fabric.Scheduler, func() time.Duration { return *now }, collector.Config{QueueWindow: 2 * probe.DefaultInterval})
 	p := new(telemetry.ProbePayload)
 	for _, at := range trace {
 		if err := telemetry.UnmarshalProbeInto(p, at.Wire); err != nil {
 			b.Fatal(err)
 		}
-		now = at.At
+		*now = at.At
 		coll.HandleProbe(p)
 	}
 	if n := coll.Snapshot().HostCount(); n != len(fabric.Hosts) {

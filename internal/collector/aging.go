@@ -1,16 +1,18 @@
 package collector
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"time"
 )
 
 // Aging: what changes with the clock alone. Learned edges silent for longer
 // than the adjacency TTL are evicted, and queue reports leave their window,
 // when the next snapshot is published; a probe stream whose hop sequence
-// changed puts the abandoned edges on accelerated aging so the map converges
-// to the new route within a couple of queue windows. Every function here
-// expects the caller to hold Collector.mu.
+// changed puts the abandoned edges on accelerated aging so the adjacency
+// converges to the new route within a couple of queue windows. Every
+// function here expects the caller to hold Collector.mu.
 
 // ageLocked ages the state to now and reports whether anything aged out.
 // Neither part scans: ingest times are monotone under the lock, so the front
@@ -27,7 +29,7 @@ func (c *Collector) ageLocked(now time.Duration) (aged bool) {
 // ageQueuesLocked releases the queue reports that have left the window
 // ending at now and reports whether there were any. Every such report belongs
 // to a flush older than the window: prune the ports of those devices, once
-// each, and drop the windows — and then the devices — that emptied.
+// each, and drop the windows — and then port slices — that emptied.
 func (c *Collector) ageQueuesLocked(now time.Duration) (aged bool) {
 	for cutoff := now - c.window; c.flushes.n > 0 && c.flushes.front().at < cutoff; c.flushes.pop() {
 		aged = true
@@ -37,16 +39,19 @@ func (c *Collector) ageQueuesLocked(now time.Duration) (aged bool) {
 		}
 		d.agedTo = cutoff
 		for port, w := range d.ports {
+			if w == nil {
+				continue
+			}
 			w.prune(now, c.window)
 			if best := w.heldMax(); best != w.stored {
 				c.storeQueueLocked(w, best)
 			}
 			if len(w.reports.live()) == 0 {
-				delete(d.ports, port)
+				d.ports[port] = nil
 			}
 		}
-		if len(d.ports) == 0 {
-			delete(c.queues, d.id)
+		if !slices.ContainsFunc(d.ports, func(w *portWindow) bool { return w != nil }) {
+			d.ports = nil
 		}
 	}
 	return aged
@@ -79,19 +84,19 @@ func (c *Collector) adjTTLLocked() time.Duration {
 // expire within two queue windows of now (never extending an edge's life).
 // An edge still carrying some other stream's probes is rescued by its next
 // confirmation before the accelerated deadline hits.
-func (c *Collector) accelerateAgingLocked(oldPath, newPath []string, now time.Duration) {
+func (c *Collector) accelerateAgingLocked(oldPath, newPath []nodeID, now time.Duration) {
 	ttl := c.adjTTLLocked()
 	if ttl <= 0 {
 		return
 	}
-	kept := make(map[edgeKey]bool, 2*len(newPath))
+	kept := make(map[edgeIDs]bool, 2*len(newPath))
 	for i := 0; i+1 < len(newPath); i++ {
-		kept[edgeKey{newPath[i], newPath[i+1]}] = true
-		kept[edgeKey{newPath[i+1], newPath[i]}] = true
+		kept[edgeIDs{newPath[i], newPath[i+1]}] = true
+		kept[edgeIDs{newPath[i+1], newPath[i]}] = true
 	}
 	deadline := now - ttl + 2*c.window
 	for i := 0; i+1 < len(oldPath); i++ {
-		for _, key := range [2]edgeKey{{oldPath[i], oldPath[i+1]}, {oldPath[i+1], oldPath[i]}} {
+		for _, key := range [2]edgeIDs{{oldPath[i], oldPath[i+1]}, {oldPath[i+1], oldPath[i]}} {
 			if kept[key] {
 				continue
 			}
@@ -102,9 +107,9 @@ func (c *Collector) accelerateAgingLocked(oldPath, newPath []string, now time.Du
 
 // backdateEdgeLocked lowers one edge's last-seen time to deadline, never
 // extending it.
-func (c *Collector) backdateEdgeLocked(key edgeKey, deadline time.Duration) {
-	if seen, ok := c.adjSeen[key]; ok && seen > deadline {
-		c.adjSeen[key] = deadline
+func (c *Collector) backdateEdgeLocked(key edgeIDs, deadline time.Duration) {
+	if e := c.edges[key]; e != nil && e.learned && e.seen > deadline {
+		e.seen = deadline
 		c.adjDeadline = min(c.adjDeadline, lastStanding(deadline, c.adjTTLLocked()))
 	}
 }
@@ -115,8 +120,9 @@ func lastStanding(seen, ttl time.Duration) time.Duration { return seen + ttl - 1
 
 // pruneAdjLocked evicts every edge whose last confirmation is older than
 // the adjacency TTL, tombstoning it and notifying the eviction hook with its
-// probe silence (the failure-detection latency). Eviction order is sorted
-// for deterministic hook invocation. Measured
+// probe silence (the failure-detection latency). Evictions are sorted by
+// name, not id, so the hook sees the same order whatever order the names were
+// interned in. Measured
 // link-delay history is deliberately kept: if the edge comes back, its EWMA
 // resumes from the last known estimate instead of cold-starting. Leaves in
 // adjDeadline the last instant every surviving edge still stands, and reports
@@ -127,41 +133,34 @@ func (c *Collector) pruneAdjLocked(now, ttl time.Duration) (evicted bool) {
 		return false
 	}
 	cutoff := now - ttl
-	var expired []edgeKey
-	for key, seen := range c.adjSeen {
-		if seen <= cutoff {
-			expired = append(expired, key)
-		} else {
-			c.adjDeadline = min(c.adjDeadline, lastStanding(seen, ttl))
+	var expired []*edgeState
+	for _, e := range c.edges {
+		if e.learned && e.seen <= cutoff {
+			expired = append(expired, e)
+		} else if e.learned {
+			c.adjDeadline = min(c.adjDeadline, lastStanding(e.seen, ttl))
 		}
 	}
 	if len(expired) == 0 {
 		return false
 	}
 	c.cur = nil
-	sort.Slice(expired, func(i, j int) bool {
-		if expired[i].from != expired[j].from {
-			return expired[i].from < expired[j].from
-		}
-		return expired[i].to < expired[j].to
+	name := func(id nodeID) string { return c.nodes.at(id).name }
+	slices.SortFunc(expired, func(a, b *edgeState) int {
+		return cmp.Or(strings.Compare(name(a.from), name(b.from)), strings.Compare(name(a.to), name(b.to)))
 	})
-	for _, key := range expired {
-		silence := now - c.adjSeen[key]
-		delete(c.adjSeen, key)
-		if ports := c.adj[key.from]; ports != nil {
-			for port, to := range ports {
-				if to == key.to {
-					delete(ports, port)
-				}
-			}
-			if len(ports) == 0 {
-				delete(c.adj, key.from)
+	for _, e := range expired {
+		silence := now - e.seen
+		from := c.nodes.at(e.from)
+		for port, to := range from.adj {
+			if to == e.to {
+				delete(from.adj, port)
 			}
 		}
+		e.learned, e.tombstoned, e.evictedAt = false, true, now
 		c.stats.AdjacencyEvictions++
-		c.evicted[key] = now
 		if c.onEviction != nil {
-			c.onEviction(key.from, key.to, silence)
+			c.onEviction(from.name, name(e.to), silence)
 		}
 	}
 	return true

@@ -132,8 +132,8 @@ func checkSlotAgainstCollector(t *testing.T, c *Collector, topo *Topology, u, v 
 	// Several ports may lead to one neighbor; the snapshot keeps one of them.
 	c.mu.Lock()
 	var ports []int
-	for port, to := range c.adj[u] {
-		if to == v {
+	for port, to := range c.nodeLocked(u).adj {
+		if c.nodes.at(to).name == v {
 			ports = append(ports, port)
 		}
 	}

@@ -8,14 +8,14 @@
 // topology: everything the scheduler knows, it learned from probes — exactly
 // the information a real INT deployment would have.
 //
-// The collector is one state owner: every map of link and stream state
-// sits behind one mutex and is versioned by one epoch counter (state.go,
-// ingest.go, aging.go). Ingest keeps a flat array of per-edge metrics current
-// beside the maps; Snapshot() publishes an immutable Topology — a copy of
-// that array over a structure shared between snapshots — and serves it
-// lock-free until the epoch moves or something ages out (snapshot.go);
-// per-destination path trees are maintained incrementally across snapshots
-// (spt.go).
+// The collector is one state owner: a node table, an edge table and the
+// probe streams sit behind one mutex and are versioned by one epoch counter
+// (state.go, ingest.go, aging.go). Ingest keeps a flat array of per-edge
+// metrics current beside the tables; Snapshot() publishes an immutable
+// Topology — a copy of that array over a structure shared between snapshots
+// — and serves it lock-free until the epoch moves or something ages out
+// (snapshot.go); per-destination path trees are maintained incrementally
+// across snapshots (spt.go).
 //
 // This file is the package's public API surface: configuration,
 // construction, ingest counters, configuration setters, point lookups, and
@@ -102,8 +102,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type edgeKey struct{ from, to string }
-
 type queueReport struct {
 	at       time.Duration
 	maxQueue int
@@ -120,7 +118,7 @@ type probeMeta struct {
 	at  time.Duration
 	// path is the hop sequence (origin, devices..., target) of the last
 	// accepted probe; a change means the route under the stream moved.
-	path []string
+	path []nodeID
 	// remaps is this stream's cumulative path-remap count — the per-stream
 	// decomposition of Stats.PathRemaps, exposed through StreamSignals so
 	// the adaptive controller can react to churn deltas per stream.
@@ -139,23 +137,13 @@ type Collector struct {
 	// *Locked expect the caller to hold it. The eviction hook runs with mu
 	// held and must not call back into the collector.
 	mu sync.Mutex
-	// adj maps device -> egress port -> neighbor.
-	adj map[string]map[int]string
-	// adjSeen maps each directed edge to its last confirmation time.
-	adjSeen map[edgeKey]time.Duration
-	// evicted tombstones edges removed by aging.
-	evicted map[edgeKey]time.Duration
-	// isHost marks nodes known to be hosts.
-	isHost map[string]bool
-	// linkDelay and linkRate hold per-edge measurement state, keyed by the
-	// directed edge.
-	linkDelay map[edgeKey]*linkState
-	linkRate  map[edgeKey]int64
-	// queues holds per-device, per-port queue windows. Each port's window
-	// carries a monotonic deque whose front is the windowed max (see
-	// queuewindow.go). Aging drops the windows, and then the devices, whose
-	// last report left the window.
-	queues map[string]*deviceQueues
+	// ids interns every name a probe or SetLinkRate carried. nodes holds each
+	// id's nodeState (host flag, last report, egress ports, queue windows) and
+	// edges each directed edge's edgeState (confirmation, tombstone, delay
+	// history, configured rate) by its pair of ids (state.go).
+	ids   map[string]nodeID
+	nodes indexed[nodeID, *nodeState]
+	edges map[edgeIDs]*edgeState
 	// flushes queues one event per record that reported queues, in ingest
 	// order, until its reports have left the window (ageLocked).
 	flushes flushQueue
@@ -164,14 +152,13 @@ type Collector struct {
 	// backdateEdgeLocked, and only ever too early afterwards (confirmations
 	// move deadlines later).
 	adjDeadline time.Duration
-	// cur is the structure of the adjacency and host set, and live the metric
-	// slots laid out by it, kept current by the mutations in state.go. cur
-	// is nil when the adjacency, the host set or the queue window changed
-	// since it was built; the next snapshot rebuilds both (rebuildLocked).
-	cur  *structure
-	live indexed[Slot, edgeMetrics]
-	// lastReport maps devices to their last INT record time.
-	lastReport map[string]time.Duration
+	// cur is the structure of the adjacency and host set, order its nodes'
+	// ids and live the metric slots laid out by it, kept current by state.go.
+	// cur is nil when the adjacency, the host set or the queue window changed
+	// since it was built; the next snapshot rebuilds all three (rebuildLocked).
+	cur   *structure
+	order indexed[NodeIdx, nodeID]
+	live  indexed[Slot, edgeMetrics]
 	// window is the queue-report window (SetQueueWindow).
 	window time.Duration
 	// streams holds per-stream sequence, freshness and route metadata.
@@ -182,7 +169,7 @@ type Collector struct {
 	// onEviction observes adjacency evictions.
 	onEviction func(from, to string, silence time.Duration)
 	// pathScratch is HandleProbe's reusable hop-sequence buffer.
-	pathScratch []string
+	pathScratch []nodeID
 
 	// epoch versions the state above. It advances, under mu, on every
 	// accepted probe, on SetLinkRate and SetQueueWindow, and when Snapshot
@@ -205,22 +192,16 @@ type Collector struct {
 func New(self netsim.NodeID, clock func() time.Duration, cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{
-		self:       string(self),
-		clock:      clock,
-		cfg:        cfg,
-		adj:        make(map[string]map[int]string),
-		adjSeen:    make(map[edgeKey]time.Duration),
-		evicted:    make(map[edgeKey]time.Duration),
-		isHost:     make(map[string]bool),
-		linkDelay:  make(map[edgeKey]*linkState),
-		linkRate:   make(map[edgeKey]int64),
-		queues:     make(map[string]*deviceQueues),
-		lastReport: make(map[string]time.Duration),
-		window:     cfg.QueueWindow,
-		streams:    make(map[probeKey]probeMeta),
-		spt:        newSPTStore(),
+		self:    string(self),
+		clock:   clock,
+		cfg:     cfg,
+		ids:     make(map[string]nodeID),
+		edges:   make(map[edgeIDs]*edgeState),
+		window:  cfg.QueueWindow,
+		streams: make(map[probeKey]probeMeta),
+		spt:     newSPTStore(),
 	}
-	c.isHost[c.self] = true
+	c.nodes.at(c.internLocked(c.self)).host = true
 	return c
 }
 
@@ -335,9 +316,10 @@ func (c *Collector) SetQueueWindow(w time.Duration) {
 // directions are set (links are full duplex and symmetric in this system).
 func (c *Collector) SetLinkRate(from, to netsim.NodeID, rateBps int64) {
 	c.mu.Lock()
-	for _, k := range [2]edgeKey{{string(from), string(to)}, {string(to), string(from)}} {
-		c.linkRate[k] = rateBps
-		c.storeRateLocked(k, rateBps)
+	u, v := c.internLocked(string(from)), c.internLocked(string(to))
+	for _, e := range [2]*edgeState{c.edgeLocked(u, v), c.edgeLocked(v, u)} {
+		e.rate, e.rateSet = rateBps, true
+		c.storeRateLocked(e)
 	}
 	c.epoch.Add(1)
 	c.mu.Unlock()
@@ -382,7 +364,11 @@ func (c *Collector) MaxQueue(device string, port int) (int, bool) {
 	now := c.clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	best, found, _ := c.queues[device].window(port).windowMax(now, c.window)
+	id, ok := c.ids[device]
+	if !ok {
+		return 0, false
+	}
+	best, found, _ := c.nodes.at(id).window(port).windowMax(now, c.window)
 	return best, found
 }
 
@@ -391,11 +377,11 @@ func (c *Collector) MaxQueue(device string, port int) (int, bool) {
 func (c *Collector) LinkDelay(from, to string) (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.linkDelay[edgeKey{from, to}]
-	if st == nil {
+	e := c.edgeByNameLocked(from, to)
+	if e == nil || e.delay.samples == 0 {
 		return 0, false
 	}
-	return st.ewma, true
+	return e.delay.ewma, true
 }
 
 // LinkJitter returns the standard deviation of latency samples for the
@@ -403,11 +389,11 @@ func (c *Collector) LinkDelay(from, to string) (time.Duration, bool) {
 func (c *Collector) LinkJitter(from, to string) (time.Duration, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.linkDelay[edgeKey{from, to}]
-	if st == nil || st.samples < 2 {
+	e := c.edgeByNameLocked(from, to)
+	if e == nil || e.delay.samples < 2 {
 		return 0, false
 	}
-	return st.jitter(), true
+	return e.delay.jitter(), true
 }
 
 // EvictedEdge is a tombstoned adjacency: a link the collector learned and
@@ -423,9 +409,11 @@ type EvictedEdge struct {
 func (c *Collector) EvictedEdges() []EvictedEdge {
 	now := c.clock()
 	c.mu.Lock()
-	out := make([]EvictedEdge, 0, len(c.evicted))
-	for key, at := range c.evicted {
-		out = append(out, EvictedEdge{From: key.from, To: key.to, Since: now - at})
+	out := make([]EvictedEdge, 0)
+	for _, e := range c.edges {
+		if e.tombstoned {
+			out = append(out, EvictedEdge{From: c.nodes.at(e.from).name, To: c.nodes.at(e.to).name, Since: now - e.evictedAt})
+		}
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -453,12 +441,14 @@ func (c *Collector) Coverage() CoverageReport {
 	now := c.clock()
 	rep := CoverageReport{LastSeen: make(map[string]time.Duration)}
 	c.mu.Lock()
-	for dev, at := range c.lastReport {
-		rep.LastSeen[dev] = at
-		if now-at <= c.cfg.StaleAfter {
-			rep.Fresh = append(rep.Fresh, dev)
-		} else {
-			rep.Stale = append(rep.Stale, dev)
+	for _, n := range c.nodes.s {
+		if n.reported {
+			rep.LastSeen[n.name] = n.lastReport
+			if now-n.lastReport <= c.cfg.StaleAfter {
+				rep.Fresh = append(rep.Fresh, n.name)
+			} else {
+				rep.Stale = append(rep.Stale, n.name)
+			}
 		}
 	}
 	c.mu.Unlock()

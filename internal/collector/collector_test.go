@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -11,6 +12,28 @@ import (
 type fakeClock struct{ now time.Duration }
 
 func (f *fakeClock) Now() time.Duration { return f.now }
+
+// edgeKey names a directed edge by its endpoints: the key of the tests'
+// by-name reference maps.
+type edgeKey struct{ from, to string }
+
+// nodeLocked returns the state of the node name, nil if it was never interned.
+func (c *Collector) nodeLocked(name string) *nodeState {
+	if id, ok := c.ids[name]; ok {
+		return c.nodes.at(id)
+	}
+	return nil
+}
+
+// sortedKeys returns the sorted keys of a string-keyed bool map.
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // probeFrom builds a probe payload from origin traversing the given devices
 // with uniform link latency and per-device queue reports.

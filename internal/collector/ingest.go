@@ -38,15 +38,16 @@ func (c *Collector) HandleProbe(p *telemetry.ProbePayload) {
 	}
 	meta := probeMeta{seq: p.Seq, at: now, remaps: prevMeta.remaps}
 
-	path := append(c.pathScratch[:0], p.Origin)
+	// Every name is interned once, here; the rest of ingest runs on ids.
+	path := append(c.pathScratch[:0], c.internLocked(p.Origin))
 	recs := p.Stack.Records
 	for i := range recs {
-		path = append(path, recs[i].Device)
+		path = append(path, c.internLocked(recs[i].Device))
 	}
-	path = append(path, target)
+	path = append(path, c.internLocked(target))
 	c.pathScratch = path
 
-	c.applyProbeLocked(p, target, now)
+	c.applyProbeLocked(p, path, target == c.self, now)
 	switch {
 	case prevMeta.path == nil:
 		// The stream's first probe: no previous route to have moved from.
@@ -63,30 +64,34 @@ func (c *Collector) HandleProbe(p *telemetry.ProbePayload) {
 }
 
 // applyProbeLocked applies one accepted probe's records to the link state.
-func (c *Collector) applyProbeLocked(p *telemetry.ProbePayload, target string, now time.Duration) {
-	c.learnHostLocked(p.Origin)
+// path is the probe's hop sequence as ids: the origin, the device of each
+// record, and the target, which is the collector itself when toSelf.
+func (c *Collector) applyProbeLocked(p *telemetry.ProbePayload, path []nodeID, toSelf bool, now time.Duration) {
+	origin, target := path[0], path[len(path)-1]
+	c.learnHostLocked(origin)
 
 	recs := p.Stack.Records
-	prev := p.Origin
+	prev := origin
 	prevEgress := 0 // hosts have a single port
 	for i := range recs {
 		rec := &recs[i]
+		dev := path[i+1]
+		device := c.nodes.at(dev)
 		c.stats.RecordsParsed++
-		c.lastReport[rec.Device] = now
+		device.reported, device.lastReport = true, now
 
-		// Topology: prev --(prev's egress port)--> rec.Device, and the
-		// reverse direction leaves rec.Device via the probe's ingress
-		// port (ports are full duplex).
-		c.learnEdgeLocked(prev, prevEgress, rec.Device, now)
-		c.learnEdgeLocked(rec.Device, rec.IngressPort, prev, now)
-
-		// Link latency of the hop the probe arrived on.
-		c.sampleLinkLocked(prev, rec.Device, rec.LinkLatency, now)
+		// Topology: prev --(prev's egress port)--> the device, and the
+		// reverse direction leaves the device via the probe's ingress port
+		// (ports are full duplex). Link latency of the hop the probe
+		// arrived on.
+		fwd := c.learnEdgeLocked(prev, prevEgress, dev, now)
+		rev := c.learnEdgeLocked(dev, rec.IngressPort, prev, now)
+		c.sampleLinkLocked(fwd, rev, rec.LinkLatency)
 
 		// Queue registers flushed by this device.
-		c.pushQueuesLocked(rec.Device, rec.Queues, now)
+		c.pushQueuesLocked(device, rec.Queues, now)
 
-		prev = rec.Device
+		prev = dev
 		prevEgress = rec.EgressPort
 	}
 
@@ -96,19 +101,18 @@ func (c *Collector) applyProbeLocked(p *telemetry.ProbePayload, target string, n
 	// target (otherwise the relay measured it).
 	c.learnHostLocked(target)
 	if len(recs) > 0 {
-		last := &recs[len(recs)-1]
-		c.learnEdgeLocked(prev, prevEgress, target, now)
-		c.learnEdgeLocked(target, 0, prev, now)
+		fwd := c.learnEdgeLocked(prev, prevEgress, target, now)
+		rev := c.learnEdgeLocked(target, 0, prev, now)
 		lat := p.LastHopLatency
-		if target == c.self {
-			lat = now - last.EgressTS
+		if toSelf {
+			lat = now - recs[len(recs)-1].EgressTS
 		}
-		c.sampleLinkLocked(prev, target, lat, now)
+		c.sampleLinkLocked(fwd, rev, lat)
 	} else {
 		// Direct host-to-host probe (no switches): origin adjacent to the
 		// target.
-		c.learnEdgeLocked(p.Origin, 0, target, now)
-		c.learnEdgeLocked(target, 0, p.Origin, now)
+		c.learnEdgeLocked(origin, 0, target, now)
+		c.learnEdgeLocked(target, 0, origin, now)
 	}
 }
 

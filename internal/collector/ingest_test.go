@@ -80,3 +80,44 @@ func TestIngestCostIndependentOfFanIn(t *testing.T) {
 	}
 	t.Logf("per probe: %.2f allocations, %d bytes", allocs, perProbe)
 }
+
+// TestOutOfRangeQueuePortsDropped: the codec refuses a queue port that does
+// not fit in a byte, but an in-process caller of HandleProbe bypasses it.
+// Reports on port -1 and port 1<<20 are dropped without a panic and without
+// growing the device's port table past the wire's 256 ports, and the rest of
+// the probe still lands: its edges, its latencies and its in-range report.
+func TestOutOfRangeQueuePortsDropped(t *testing.T) {
+	clk := &fakeClock{now: time.Second}
+	c := newTestCollector(clk)
+	p := probeFrom("n1", 1, 3*time.Millisecond, devSpec{id: "s1", in: 0, out: 1, egressTS: clk.now - 2*time.Millisecond})
+	p.Stack.Records[0].Queues = []telemetry.PortQueue{{Port: -1, MaxQueue: 9}, {Port: 1 << 20, MaxQueue: 9}, {Port: 1, MaxQueue: 4}}
+	c.HandleProbe(p)
+
+	c.mu.Lock()
+	ports := len(c.nodeLocked("s1").ports)
+	c.mu.Unlock()
+	if ports > maxPorts {
+		t.Fatalf("s1's port table has %d entries, more than the wire's %d ports", ports, maxPorts)
+	}
+	for _, port := range []int{-1, 1 << 20} {
+		if q, ok := c.MaxQueue("s1", port); ok {
+			t.Errorf("MaxQueue(s1, %d) = %d: an out-of-range report was kept", port, q)
+		}
+	}
+	if q, ok := c.MaxQueue("s1", 1); !ok || q != 4 {
+		t.Errorf("MaxQueue(s1, 1) = (%d, %v), want (4, true)", q, ok)
+	}
+	if d, ok := c.LinkDelay("n1", "s1"); !ok || d != 3*time.Millisecond {
+		t.Errorf("LinkDelay(n1, s1) = (%v, %v), want (3ms, true)", d, ok)
+	}
+	if d, ok := c.LinkDelay("s1", "sched"); !ok || d != 2*time.Millisecond {
+		t.Errorf("LinkDelay(s1, sched) = (%v, %v), want (2ms, true)", d, ok)
+	}
+	topo := c.Snapshot()
+	if hops, err := topo.HopCount("n1", "sched"); err != nil || hops != 2 {
+		t.Errorf("HopCount(n1, sched) = (%d, %v), want 2 hops", hops, err)
+	}
+	if q, ok := topo.QueueMax("s1", "sched"); !ok || q != 4 {
+		t.Errorf("QueueMax(s1 -> sched) = (%d, %v), want port 1's (4, true)", q, ok)
+	}
+}

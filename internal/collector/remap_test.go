@@ -1,6 +1,9 @@
 package collector
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -198,5 +201,35 @@ func TestAdjacencyDeadlineDrivesSnapshotExpiry(t *testing.T) {
 	}
 	if len(t2.Nodes) != 0 {
 		t.Fatalf("expired snapshot still has nodes %v", t2.Nodes)
+	}
+}
+
+// TestEvictionOrderIsByName: the names are interned in reverse lexical order,
+// so ids run against names, and every edge ages out in one prune. The hook
+// must see the evictions sorted by (from, to) name — not by id, not in the
+// edge table's order.
+func TestEvictionOrderIsByName(t *testing.T) {
+	clk := &fakeClock{now: time.Second}
+	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond, AdjacencyTTL: 500 * time.Millisecond})
+	var got []edgeKey
+	c.SetEvictionHook(func(from, to string, _ time.Duration) {
+		got = append(got, edgeKey{from, to})
+	})
+	for i := 9; i >= 1; i-- {
+		c.HandleProbe(probeFrom(fmt.Sprintf("n%d", i), 1, 5*time.Millisecond,
+			devSpec{id: fmt.Sprintf("s%d", i), in: 0, out: 1, egressTS: clk.now}))
+	}
+	clk.now += 800 * time.Millisecond
+	c.Snapshot()
+	// Each host's probe learned host<->switch and switch<->sched.
+	if len(got) != 4*9 {
+		t.Fatalf("%d evictions in one prune, want %d", len(got), 4*9)
+	}
+	want := slices.Clone(got)
+	slices.SortFunc(want, func(a, b edgeKey) int {
+		return cmp.Or(strings.Compare(a.from, b.from), strings.Compare(a.to, b.to))
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("hook order %v, want by name %v", got, want)
 	}
 }

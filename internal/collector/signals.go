@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"slices"
 	"sort"
 	"time"
 )
@@ -43,7 +42,7 @@ func (c *Collector) StreamSignals() []StreamSignal {
 	c.mu.Lock()
 	out := make([]StreamSignal, 0, len(c.streams))
 	// devVar memoizes per-device variances: streams share devices.
-	devVar := make(map[string]float64)
+	devVar := make(map[nodeID]float64)
 	for key, meta := range c.streams {
 		sig := StreamSignal{
 			Origin: key.origin,
@@ -52,13 +51,12 @@ func (c *Collector) StreamSignals() []StreamSignal {
 			Age:    now - meta.at,
 			Remaps: meta.remaps,
 		}
-		if p := meta.path; len(p) > 2 {
-			sig.Devices = slices.Clone(p[1 : len(p)-1])
-		}
-		for _, d := range sig.Devices {
+		// A path holds its origin and target at least.
+		for _, d := range meta.path[1 : len(meta.path)-1] {
+			sig.Devices = append(sig.Devices, c.nodes.at(d).name)
 			v, ok := devVar[d]
 			if !ok {
-				v = c.queueVarianceLocked(d, now)
+				v = c.queueVarianceLocked(c.nodes.at(d), now)
 				devVar[d] = v
 			}
 			if v > sig.QueueVar {
@@ -66,9 +64,9 @@ func (c *Collector) StreamSignals() []StreamSignal {
 			}
 		}
 		for h := 0; h+1 < len(meta.path); h++ {
-			_, fwd := c.evicted[edgeKey{meta.path[h], meta.path[h+1]}]
-			_, rev := c.evicted[edgeKey{meta.path[h+1], meta.path[h]}]
-			if fwd || rev {
+			fwd := c.edges[edgeIDs{meta.path[h], meta.path[h+1]}]
+			rev := c.edges[edgeIDs{meta.path[h+1], meta.path[h]}]
+			if fwd != nil && fwd.tombstoned || rev != nil && rev.tombstoned {
 				sig.EvictedOnPath++
 			}
 		}
@@ -86,24 +84,17 @@ func (c *Collector) StreamSignals() []StreamSignal {
 
 // queueVarianceLocked computes the sample variance of one device's
 // in-window max-queue reports across all its ports, folding ports in
-// sorted order, so the float accumulation order — and therefore the value —
-// is identical run to run (Welford over a deterministic sequence).
-func (c *Collector) queueVarianceLocked(device string, now time.Duration) float64 {
-	d := c.queues[device]
-	if d == nil {
-		return 0
-	}
-	ports := d.ports
-	keys := make([]int, 0, len(ports))
-	for p := range ports {
-		keys = append(keys, p)
-	}
-	sort.Ints(keys)
+// ascending order, so the float accumulation order — and therefore the value
+// — is identical run to run (Welford over a deterministic sequence).
+func (c *Collector) queueVarianceLocked(device *nodeState, now time.Duration) float64 {
 	cutoff := now - c.window
 	n := 0
 	var mean, m2 float64
-	for _, p := range keys {
-		for _, r := range ports[p].inWindow(cutoff) {
+	for _, w := range device.ports {
+		if w == nil {
+			continue
+		}
+		for _, r := range w.inWindow(cutoff) {
 			n++
 			x := float64(r.maxQueue)
 			delta := x - mean

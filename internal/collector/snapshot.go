@@ -84,17 +84,33 @@ func (c *Collector) Snapshot() *Topology {
 
 // rebuildLocked builds the structure of the adjacency and host set as they
 // stand — already aged, so an eviction becomes visible exactly when a
-// snapshot is published — and refills the live slots from the state maps.
+// snapshot is published — and refills the live slots from the tables.
 func (c *Collector) rebuildLocked(now time.Duration) {
 	c.stats.StructureRebuilds++
-	present := make(map[string]bool, len(c.adj))
-	for from, ports := range c.adj {
-		present[from] = true
-		for _, to := range ports {
-			present[to] = true
+	present := make([]bool, len(c.nodes.s))
+	var names, hosts []string
+	for id, n := range c.nodes.s {
+		n.idx = -1
+		if n.host {
+			hosts = append(hosts, n.name)
+		}
+		for _, to := range n.adj {
+			present[id], present[to] = true, true
 		}
 	}
-	s := newStructure(sortedKeys(present), sortedKeys(c.isHost))
+	for id, ok := range present {
+		if ok {
+			names = append(names, c.nodes.s[id].name)
+		}
+	}
+	slices.Sort(names)
+	slices.Sort(hosts)
+	s := newStructure(names, hosts)
+	order := make([]nodeID, len(names))
+	for i, name := range names {
+		order[i] = c.ids[name]
+		c.nodes.at(order[i]).idx = NodeIdx(i)
+	}
 
 	// Rows: each node's neighbors in index (= name) order, with the egress
 	// port behind each — the lowest-numbered of parallel ports. egress is in
@@ -104,11 +120,12 @@ func (c *Collector) rebuildLocked(now time.Duration) {
 		port int
 	}
 	var row []hop
-	for i, name := range s.Nodes {
-		s.hostFlag.s[i] = c.isHost[name]
+	for i, id := range order {
+		n := c.nodes.at(id)
+		s.hostFlag.s[i] = n.host
 		row = row[:0]
-		for port, to := range c.adj[name] {
-			row = append(row, hop{s.nodeIndex[to], port})
+		for port, to := range n.adj {
+			row = append(row, hop{c.nodes.at(to).idx, port})
 		}
 		if len(row) == 0 {
 			continue
@@ -131,46 +148,51 @@ func (c *Collector) rebuildLocked(now time.Duration) {
 	s.flatten()
 	s.seq = c.spt.advance(s.Nodes, s.nbrIdx, s.hostFlag.s)
 
-	c.cur = s
+	c.cur, c.order = s, indexed[NodeIdx, nodeID]{order}
 	c.live = indexed[Slot, edgeMetrics]{make([]edgeMetrics, 2*len(s.nbrFlat.s))}
 	c.refillLocked(c.live, now)
 }
 
-// refillLocked fills slots, laid out by c.cur, from the state maps, and
-// stamps every linkState and portWindow with where it is held from now on.
+// refillLocked fills slots, laid out by c.cur, from the tables, and stamps
+// every edgeState and portWindow with where it is held from now on.
 func (c *Collector) refillLocked(slots indexed[Slot, edgeMetrics], now time.Duration) {
-	for _, st := range c.linkDelay {
-		st.slotPair = noSlots
+	for _, e := range c.edges {
+		e.slotPair = noSlots
 	}
-	for _, d := range c.queues {
-		for _, w := range d.ports {
-			w.slotPair = noSlots
+	for _, n := range c.nodes.s {
+		for _, w := range n.ports {
+			if w != nil {
+				w.slotPair = noSlots
+			}
 		}
 	}
 	// resolve reads one direction's delay history and capacity, and stamps
-	// the history with at.
-	resolve := func(k edgeKey, at slotPair) edgeMetrics {
+	// the edge with at.
+	resolve := func(from, to nodeID, at slotPair) edgeMetrics {
 		m := edgeMetrics{rate: c.cfg.DefaultLinkRateBps}
-		if st := c.linkDelay[k]; st != nil {
-			st.slotPair = at
-			m.delay, m.delayOK = st.ewma, true
-		}
-		if rate, ok := c.linkRate[k]; ok {
-			m.rate = rate
+		if e := c.edges[edgeIDs{from, to}]; e != nil {
+			e.slotPair = at
+			if e.delay.samples > 0 {
+				m.delay, m.delayOK = e.delay.ewma, true
+			}
+			if e.rateSet {
+				m.rate = e.rate
+			}
 		}
 		return m
 	}
 	s := c.cur
 	for u := range NodeIdx(len(s.Nodes)) {
-		name := s.Nodes[u]
+		uid := c.order.at(u)
 		for e := s.edgeStart.at(u); e < s.edgeStart.at(u+1); e++ {
 			v := s.nbrFlat.at(e)
+			vid := c.order.at(v)
 			at := s.edgeSlots(u, v)
 			// Forward slot: the edge's own delay history and rate, and the
 			// queue of the egress port behind it; mirrored in the opposite
 			// edge's reverse slot while that adjacency exists.
-			m := resolve(edgeKey{name, s.Nodes[v]}, at)
-			if w := c.queues[name].window(s.egress.at(e)); w != nil {
+			m := resolve(uid, vid, at)
+			if w := c.nodes.at(uid).window(s.egress.at(e)); w != nil {
 				w.slotPair, w.stored = at, -1
 				if best, found, _ := w.windowMax(now, c.window); found {
 					w.stored = int32(best)
@@ -188,7 +210,7 @@ func (c *Collector) refillLocked(slots indexed[Slot, edgeMetrics], now time.Dura
 			// queue: there is no egress port behind an edge not in the
 			// adjacency.
 			rev := Slot(2*e + 1)
-			*slots.ref(rev) = resolve(edgeKey{s.Nodes[v], name}, slotPair{fwd: -1, rev: rev})
+			*slots.ref(rev) = resolve(vid, uid, slotPair{fwd: -1, rev: rev})
 		}
 	}
 }

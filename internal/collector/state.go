@@ -7,49 +7,130 @@ import (
 	"intsched/internal/telemetry"
 )
 
-// Mutations of the link state. Every function here expects the caller to
-// hold Collector.mu.
+// The link state and its mutations. Every function here expects the caller
+// to hold Collector.mu.
+//
+// A probe's names are interned once, as it is accepted, into dense nodeIDs
+// that index the node table; the edge table is keyed by pairs of them. Aging
+// clears state, never ids, so an id names one node for the collector's life,
+// and a name that was never interned reads as absent.
 //
 // These are the only places a measurement changes, and each writes what it
 // changed into the live slot array (c.live, laid out by c.cur) as well as the
-// maps: the forward slot of the edge and its mirror in the opposite edge's
-// reverse slot, found through the slotPair stamped on the linkState or
+// tables: the forward slot of the edge and its mirror in the opposite edge's
+// reverse slot, found through the slotPair stamped on the edgeState or
 // portWindow when the structure was built. A change to the adjacency or the
 // host set clears c.cur instead — the layout itself is out of date — and
-// writes are skipped until the next snapshot rebuilds it from the maps
+// writes are skipped until the next snapshot rebuilds it from the tables
 // (rebuildLocked).
 
-// learnEdgeLocked records the directed adjacency from --(port)--> to.
-func (c *Collector) learnEdgeLocked(from string, port int, to string, now time.Duration) {
-	m := c.adj[from]
-	if m == nil {
-		m = make(map[int]string)
-		c.adj[from] = m
+// nodeID is an interned node name: an index into Collector.nodes.
+type nodeID int32
+
+// maxPorts bounds a device's port windows: the wire carries a port in a byte.
+// A report on a port outside [0, maxPorts), from an in-process caller, is
+// dropped.
+const maxPorts = 256
+
+// nodeState is what the collector knows of one node.
+type nodeState struct {
+	name string
+	// host marks a known host, reported a device that has sent INT records
+	// (the last at lastReport).
+	host, reported bool
+	lastReport     time.Duration
+	// adj maps egress port -> neighbour.
+	adj map[int]nodeID
+	// ports holds the queue windows by port, nil where there is none. Aging
+	// drops the windows, and then the slice, whose reports all expired.
+	ports []*portWindow
+	// agedTo is the cutoff ageQueuesLocked last pruned every port to.
+	agedTo time.Duration
+	// idx is the node's index in c.cur, or -1 (stale while c.cur is nil).
+	idx NodeIdx
+}
+
+// edgeIDs is the key of a directed edge in Collector.edges.
+type edgeIDs struct{ from, to nodeID }
+
+// edgeState is what the collector knows of one directed edge. Its delay
+// history and configured rate outlive eviction.
+type edgeState struct {
+	// slotPair is where the edge's delay and rate are held in the live slots.
+	slotPair
+	from, to nodeID
+	// learned is set while the edge is in the adjacency, confirmed last at
+	// seen; tombstoned from its eviction at evictedAt until it is relearned.
+	learned, tombstoned bool
+	seen, evictedAt     time.Duration
+	rateSet             bool
+	rate                int64     // the configured capacity, when rateSet
+	delay               linkState // never measured while delay.samples is 0
+}
+
+// internLocked returns name's id, interning it on first sight.
+func (c *Collector) internLocked(name string) nodeID {
+	if id, ok := c.ids[name]; ok {
+		return id
 	}
-	if old, ok := m[port]; !ok || old != to {
-		m[port] = to
+	id := nodeID(len(c.nodes.s))
+	c.ids[name] = id
+	c.nodes.s = append(c.nodes.s, &nodeState{name: name, agedTo: math.MinInt64, idx: -1})
+	return id
+}
+
+// edgeByNameLocked returns the state of the directed edge from->to, nil if
+// there is none.
+func (c *Collector) edgeByNameLocked(from, to string) *edgeState {
+	u, ok := c.ids[from]
+	v, ok2 := c.ids[to]
+	if !ok || !ok2 {
+		return nil
+	}
+	return c.edges[edgeIDs{u, v}]
+}
+
+// edgeLocked returns the state of the directed edge from->to, creating it.
+func (c *Collector) edgeLocked(from, to nodeID) *edgeState {
+	e := c.edges[edgeIDs{from, to}]
+	if e == nil {
+		e = &edgeState{slotPair: c.edgeSlotsLocked(from, to), from: from, to: to}
+		c.edges[edgeIDs{from, to}] = e
+	}
+	return e
+}
+
+// learnEdgeLocked records the directed adjacency from --(port)--> to and
+// returns the edge.
+func (c *Collector) learnEdgeLocked(from nodeID, port int, to nodeID, now time.Duration) *edgeState {
+	n := c.nodes.at(from)
+	if n.adj == nil {
+		n.adj = make(map[int]nodeID)
+	}
+	if old, ok := n.adj[port]; !ok || old != to {
+		n.adj[port] = to
 		c.cur = nil
 	}
-	c.adjSeen[edgeKey{from, to}] = now
-	delete(c.evicted, edgeKey{from, to})
+	e := c.edgeLocked(from, to)
+	e.learned, e.seen, e.tombstoned = true, now, false
+	return e
 }
 
 // learnHostLocked marks id as a host.
-func (c *Collector) learnHostLocked(id string) {
-	if !c.isHost[id] {
-		c.isHost[id] = true
+func (c *Collector) learnHostLocked(id nodeID) {
+	if n := c.nodes.at(id); !n.host {
+		n.host = true
 		c.cur = nil
 	}
 }
 
-// edgeSlotsLocked resolves by name where direction k is held in c.live.
-func (c *Collector) edgeSlotsLocked(k edgeKey) slotPair {
+// edgeSlotsLocked resolves where direction from->to is held in c.live.
+func (c *Collector) edgeSlotsLocked(from, to nodeID) slotPair {
 	if c.cur == nil {
 		return noSlots
 	}
-	u, ok := c.cur.nodeIndex[k.from]
-	v, ok2 := c.cur.nodeIndex[k.to]
-	if !ok || !ok2 {
+	u, v := c.nodes.at(from).idx, c.nodes.at(to).idx
+	if u < 0 || v < 0 {
 		return noSlots
 	}
 	return c.cur.edgeSlots(u, v)
@@ -58,13 +139,9 @@ func (c *Collector) edgeSlotsLocked(k edgeKey) slotPair {
 // portSlotsLocked resolves where the queue maximum of (device, port) is
 // held: the slots of the edge the port is the egress of, if any (a port with
 // no learned neighbour, or the higher-numbered of parallel ports, is none).
-func (c *Collector) portSlotsLocked(device string, port int) slotPair {
-	s := c.cur
-	if s == nil {
-		return noSlots
-	}
-	u, ok := s.nodeIndex[device]
-	if !ok {
+func (c *Collector) portSlotsLocked(device *nodeState, port int) slotPair {
+	s, u := c.cur, device.idx
+	if s == nil || u < 0 {
 		return noSlots
 	}
 	for e := s.edgeStart.at(u); e < s.edgeStart.at(u+1); e++ {
@@ -75,35 +152,32 @@ func (c *Collector) portSlotsLocked(device string, port int) slotPair {
 	return noSlots
 }
 
-// sampleLinkLocked folds one latency sample of the link a-b (zero or
-// negative: not measured) into both directions' delay state: links are
-// symmetric, and a probe may never traverse the reverse direction.
-func (c *Collector) sampleLinkLocked(a, b string, sample, now time.Duration) {
+// sampleLinkLocked folds one latency sample of a link (zero or negative: not
+// measured) into both directions' delay state: links are symmetric, and a
+// probe may never traverse the reverse direction.
+func (c *Collector) sampleLinkLocked(fwd, rev *edgeState, sample time.Duration) {
 	if sample > 0 {
-		c.updateDelayLocked(edgeKey{a, b}, sample, now)
-		c.updateDelayLocked(edgeKey{b, a}, sample, now)
+		c.updateDelayLocked(fwd, sample)
+		c.updateDelayLocked(rev, sample)
 	}
 }
 
 // updateDelayLocked folds one latency sample into the edge's EWMA and
 // Welford jitter accumulators.
-func (c *Collector) updateDelayLocked(k edgeKey, sample, now time.Duration) {
-	st := c.linkDelay[k]
-	if st == nil {
-		st = &linkState{ewma: sample, slotPair: c.edgeSlotsLocked(k)}
-		c.linkDelay[k] = st
+func (c *Collector) updateDelayLocked(e *edgeState, sample time.Duration) {
+	st := &e.delay
+	if st.samples == 0 {
+		st.ewma = sample
 	} else {
 		alpha := c.cfg.DelayAlpha
 		st.ewma = time.Duration(alpha*float64(sample) + (1-alpha)*float64(st.ewma))
 	}
-	st.lastSample = sample
 	st.samples++
-	st.updatedAt = now
 	delta := float64(sample) - st.mean
 	st.mean += delta / float64(st.samples)
 	st.m2 += delta * (float64(sample) - st.mean)
 	if c.cur != nil {
-		for _, s := range [2]Slot{st.fwd, st.rev} {
+		for _, s := range [2]Slot{e.fwd, e.rev} {
 			if s >= 0 {
 				m := c.live.ref(s)
 				m.delay, m.delayOK = st.ewma, true
@@ -112,12 +186,11 @@ func (c *Collector) updateDelayLocked(k edgeKey, sample, now time.Duration) {
 	}
 }
 
-// storeRateLocked writes direction k's configured capacity into its slots.
-func (c *Collector) storeRateLocked(k edgeKey, rate int64) {
-	at := c.edgeSlotsLocked(k)
-	for _, s := range [2]Slot{at.fwd, at.rev} {
-		if s >= 0 {
-			c.live.ref(s).rate = rate
+// storeRateLocked writes the edge's configured capacity into its slots.
+func (c *Collector) storeRateLocked(e *edgeState) {
+	for _, s := range [2]Slot{e.fwd, e.rev} {
+		if s >= 0 && c.cur != nil {
+			c.live.ref(s).rate = e.rate
 		}
 	}
 }
@@ -140,20 +213,21 @@ func (c *Collector) storeQueueLocked(w *portWindow, best int32) {
 // pushQueuesLocked records the queue registers one device flushed at now, and
 // the flush itself in the collector-wide event queue that tells ageLocked when
 // to come back for them. Pushing onto a port prunes that port and no other.
-func (c *Collector) pushQueuesLocked(device string, queues []telemetry.PortQueue, now time.Duration) {
+func (c *Collector) pushQueuesLocked(device *nodeState, queues []telemetry.PortQueue, now time.Duration) {
 	if len(queues) == 0 {
 		return
 	}
-	d := c.queues[device]
-	if d == nil {
-		d = &deviceQueues{id: device, ports: make(map[int]*portWindow), agedTo: math.MinInt64}
-		c.queues[device] = d
-	}
 	for _, q := range queues {
-		w := d.ports[q.Port]
+		if q.Port < 0 || q.Port >= maxPorts {
+			continue
+		}
+		if grow := q.Port + 1 - len(device.ports); grow > 0 {
+			device.ports = append(device.ports, make([]*portWindow, grow)...)
+		}
+		w := device.ports[q.Port]
 		if w == nil {
 			w = &portWindow{slotPair: c.portSlotsLocked(device, q.Port), stored: -1}
-			d.ports[q.Port] = w
+			device.ports[q.Port] = w
 		}
 		w.push(queueReport{at: now, maxQueue: q.MaxQueue})
 		w.prune(now, c.window)
@@ -167,32 +241,22 @@ func (c *Collector) pushQueuesLocked(device string, queues []telemetry.PortQueue
 		// not all of them.
 		c.ageQueuesLocked(now)
 	}
-	c.flushes.push(flushEvent{at: now, device: d})
-}
-
-// deviceQueues holds one device's port windows.
-type deviceQueues struct {
-	id    string
-	ports map[int]*portWindow
-	// agedTo is the cutoff ageLocked last pruned every port to.
-	agedTo time.Duration
+	c.flushes.push(flushEvent{at: now, device: device})
 }
 
 // window returns the window of one port, nil if there is none.
-func (d *deviceQueues) window(port int) *portWindow {
-	if d == nil {
+func (n *nodeState) window(port int) *portWindow {
+	if port < 0 || port >= len(n.ports) {
 		return nil
 	}
-	return d.ports[port]
+	return n.ports[port]
 }
 
 // flushEvent records that a device flushed queue registers at the given time:
-// one per record, however many ports it reported. A device entry is dropped
-// only once every report it holds has left the window, so no event outlives
-// the entry it points to.
+// one per record, however many ports it reported.
 type flushEvent struct {
 	at     time.Duration
-	device *deviceQueues
+	device *nodeState
 }
 
 // flushQueue is the collector's queue of flush events, in ingest — so time —
@@ -251,12 +315,8 @@ func windowedQueueMax(reports []queueReport, now, window time.Duration) (best in
 }
 
 type linkState struct {
-	// slotPair is where this direction's delay is held in the live slots.
-	slotPair
-	ewma       time.Duration
-	lastSample time.Duration
-	samples    uint64
-	updatedAt  time.Duration
+	ewma    time.Duration
+	samples uint64
 	// Welford accumulators for jitter (sample standard deviation); the
 	// paper probes link latency periodically precisely "to capture jitter
 	// characteristics".

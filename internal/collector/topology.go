@@ -208,16 +208,6 @@ func (t *Topology) HopCount(src, dst string) (int, error) {
 	return len(p) - 1, nil
 }
 
-// sortedKeys returns the sorted keys of a string-keyed bool map.
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // containsSorted reports whether sorted xs contains x.
 func containsSorted(xs []string, x string) bool {
 	i := sort.SearchStrings(xs, x)
