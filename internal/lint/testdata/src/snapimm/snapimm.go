@@ -13,52 +13,52 @@ import (
 // BadSnapshotStore mutates the snapshot every concurrent caller shares.
 func BadSnapshotStore(c *collector.Collector) {
 	topo := c.Snapshot()
-	topo.Nodes[0] = "renamed" // want `store through topology snapshot`
+	topo.Nodes[0] = "renamed" // want `^store through topology snapshot \(topo\.Nodes\[\.\.\.\]\): published snapshots and cached views are shared and immutable; clone before mutating \(core\.CloneCandidates for candidate views\)$`
 }
 
 // BadParamStore: outside the collector, every *Topology parameter came from
 // Snapshot — it is published state by construction.
 func BadParamStore(topo *collector.Topology) {
-	topo.Nodes[0] = "renamed" // want `store through topology snapshot`
+	topo.Nodes[0] = "renamed" // want `^store through topology snapshot \(topo\.Nodes\[\.\.\.\]\): published snapshots and cached views are shared and immutable; clone before mutating \(core\.CloneCandidates for candidate views\)$`
 }
 
 // BadViewElementStore writes into the cached backing array through a
 // zero-copy view.
 func BadViewElementStore(e *core.RankEntry) {
 	view := e.Ranked()
-	view[0].Delay = 0 // want `store through cached candidate view`
+	view[0].Delay = 0 // want `^store through cached candidate view \(view\[\.\.\.\]\.Delay\): published snapshots and cached views are shared and immutable; clone before mutating \(core\.CloneCandidates for candidate views\)$`
 }
 
 // BadViewElementReplace overwrites a whole cached element.
 func BadViewElementReplace(miss core.RankMiss, ranked []core.Candidate) {
 	entry := miss.Store(ranked, true)
 	view := entry.Ranked()
-	view[0] = core.Candidate{} // want `store through cached candidate view`
+	view[0] = core.Candidate{} // want `^store through cached candidate view \(view\[\.\.\.\]\): published snapshots and cached views are shared and immutable; clone before mutating \(core\.CloneCandidates for candidate views\)$`
 }
 
 // BadIncDec mutates through the view with ++.
 func BadIncDec(e *core.RankEntry) {
 	view := e.Ranked()
-	view[0].Hops++ // want `store through cached candidate view`
+	view[0].Hops++ // want `^store through cached candidate view \(view\[\.\.\.\]\.Hops\): published snapshots and cached views are shared and immutable; clone before mutating \(core\.CloneCandidates for candidate views\)$`
 }
 
 // BadAppend may write past the view's length into cached elements a
 // Shaped prefix still serves.
 func BadAppend(e *core.RankEntry, extra core.Candidate) []core.Candidate {
 	view := e.Shaped(false, true, 3)
-	return append(view, extra) // want `append to cached candidate view`
+	return append(view, extra) // want `^append to cached candidate view: the view is a prefix reslice of a shared backing array, so append may overwrite cached elements past the view; clone first \(core\.CloneCandidates\)$`
 }
 
 // BadCopy clobbers the shared storage wholesale.
 func BadCopy(e *core.RankEntry, src []core.Candidate) {
 	view := e.Ranked()
-	copy(view, src) // want `copy into cached candidate view`
+	copy(view, src) // want `^copy into cached candidate view: published snapshots and cached views are shared and immutable; copy into a fresh slice instead$`
 }
 
 // BadSort reorders the storage concurrent readers are iterating.
 func BadSort(e *core.RankEntry) {
 	view := e.Ranked()
-	sort.Slice(view, func(i, j int) bool { // want `in-place sort of cached candidate view`
+	sort.Slice(view, func(i, j int) bool { // want `^in-place sort of cached candidate view: sorting mutates the shared storage concurrent readers are iterating; sort a clone \(core\.CloneCandidates\)$`
 		return view[i].Delay < view[j].Delay
 	})
 }
@@ -70,7 +70,7 @@ func BadLookupEntry(cache *core.RankCache, epoch uint64, key core.RankKey) {
 		return
 	}
 	view := entry.Ranked()
-	view[0].Reachable = false // want `store through cached candidate view`
+	view[0].Reachable = false // want `^store through cached candidate view \(view\[\.\.\.\]\.Reachable\): published snapshots and cached views are shared and immutable; clone before mutating \(core\.CloneCandidates for candidate views\)$`
 }
 
 // GoodClone is the sanctioned mutation idiom: clone, then do anything.
