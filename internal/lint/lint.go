@@ -1,8 +1,9 @@
 // Package lint implements intlint, the repo-specific static-analysis suite
 // that mechanically enforces the contracts the scheduler's correctness and
 // reproducibility depend on: seed-determinism of the simulation packages,
-// the transient-packet relinquish rule, the obs metric naming scheme shared
-// between sim and daemon, and the probe-codec scratch-aliasing rules.
+// the transient-packet relinquish rule, the probe-codec scratch-aliasing
+// rules, and the immutability of published topology snapshots and cached
+// ranking views.
 //
 // The package is a small, dependency-free re-implementation of the parts of
 // golang.org/x/tools/go/analysis that the suite needs (the container that
@@ -11,13 +12,13 @@
 // the subset used here, so the analyzers port to the upstream framework
 // unchanged if the dependency ever becomes available.
 //
-// The suite runs three ways:
+// The suite runs as a test:
 //
-//   - go vet -vettool=$(which intlint) ./...   (cmd/intlint speaks go vet's
-//     unitchecker protocol: -flags, -V=full, and per-package vet.cfg units)
-//   - intlint ./...                            (delegates to go vet)
-//   - intlint -source [dir]                    (pure source-load mode, no
-//     go tool required; used offline and by the analysistest harness)
+//	go test ./internal/lint/
+//
+// TestModuleIsClean loads the whole module from source and fails on any
+// finding; the other tests check each analyzer against its fixture under
+// testdata.
 package lint
 
 import (
@@ -31,9 +32,9 @@ import (
 // Analyzer describes one analysis: its name, documentation, and entry
 // point. It mirrors golang.org/x/tools/go/analysis.Analyzer.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph description shown by intlint -help.
+	// Doc is the one-paragraph description of what the analyzer checks.
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)
@@ -52,16 +53,6 @@ type Pass struct {
 
 // Diagnostic is one reported finding.
 type Diagnostic struct {
-	Pos     token.Pos
-	Message string
-	// Related points at secondary positions that explain the finding (the
-	// first lock of an unordered pair, the seed of a taint chain, the
-	// defining site of a unit). It mirrors go/analysis.RelatedInformation.
-	Related []RelatedInfo
-}
-
-// RelatedInfo is one secondary position attached to a diagnostic.
-type RelatedInfo struct {
 	Pos     token.Pos
 	Message string
 }

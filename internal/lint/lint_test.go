@@ -55,8 +55,5 @@ func TestSnapshotImmutable(t *testing.T) {
 // TestModuleIsClean runs the full suite over the repository itself: the
 // production tree must stay free of violations.
 func TestModuleIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module from source")
-	}
 	linttest.RunModule(t, lint.Analyzers())
 }

@@ -16,9 +16,9 @@ import (
 
 // Loader type-checks packages of this module from source, resolving
 // module-internal imports by walking the module tree and everything else
-// through the standard library's source importer. It exists so intlint (and
-// its analysistest harness) can run without network access, export data, or
-// golang.org/x/tools: the only inputs are GOROOT and the module checkout.
+// through the standard library's source importer. It exists so the suite
+// and its analysistest harness can run without network access, export data,
+// or golang.org/x/tools: the only inputs are GOROOT and the module checkout.
 type Loader struct {
 	Fset       *token.FileSet
 	ModuleRoot string
@@ -203,7 +203,6 @@ type Finding struct {
 	Analyzer string
 	Pos      token.Pos
 	Message  string
-	Related  []RelatedInfo
 }
 
 // RunAnalyzers applies the given analyzers to a type-checked package and
@@ -219,7 +218,7 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Pkg:       pkg,
 			TypesInfo: info,
 			Report: func(d Diagnostic) {
-				findings = append(findings, Finding{Analyzer: a.Name, Pos: d.Pos, Message: d.Message, Related: d.Related})
+				findings = append(findings, Finding{Analyzer: a.Name, Pos: d.Pos, Message: d.Message})
 			},
 		}
 		if _, err := a.Run(pass); err != nil {
