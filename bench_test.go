@@ -502,8 +502,9 @@ var benchSnapshot *collector.Topology
 // a sorted Count: 8 query through Engine.Answer, on two snapshots of one
 // structure taken alternately, so that every lookup meets a new epoch and
 // misses. The walks and estimates are the same; only the 8 best keys are
-// sorted and only 8 candidates copied, into a 384-byte result. The other
-// allocations are the cache's: the epoch's map, its bucket and the entry.
+// sorted and only 8 candidates copied, into the 384-byte ranking the cache
+// keeps, and from it into one reused answer buffer. The other allocations
+// are the cache's: the epoch's map, its bucket and the entry.
 //
 // delay/metro is the whole delay ranking on the metro fabric, the one that
 // ingest_metro runs 8 times a round: 1 024 candidates under 129 attachment
@@ -530,7 +531,7 @@ func BenchmarkColdRanking(b *testing.B) {
 			req := core.QueryRequest{Metric: r.Metric(), Count: 8, Sorted: true}
 			for i, h := range hosts { // build every destination tree of both snapshots
 				req.From = netsim.NodeID(h)
-				benchRanking, _ = e.Answer(epochs[i%2], &req)
+				benchRanking, _ = e.Answer(benchRanking[:0], epochs[i%2], &req)
 			}
 			if len(benchRanking) != 8 {
 				b.Fatalf("answered %d candidates", len(benchRanking))
@@ -539,7 +540,7 @@ func BenchmarkColdRanking(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				req.From = netsim.NodeID(hosts[i%len(hosts)])
-				benchRanking, _ = e.Answer(epochs[i%2], &req)
+				benchRanking, _ = e.Answer(benchRanking[:0], epochs[i%2], &req)
 			}
 			b.StopTimer()
 			if st := e.CacheStats(); st.Hits != 0 {
@@ -712,9 +713,8 @@ func BenchmarkBandwidthRanking(b *testing.B) {
 
 // BenchmarkIndexHotPath measures the index-space scheduler read path on a
 // warmed Fig 4 deployment with a frozen snapshot: PathInto with reused
-// scratch, and warm single/batched ranking queries served as zero-copy
-// views of shared cache entries (allocs/op must stay 0 on the walk and the
-// single query).
+// scratch, and warm single/batched ranking queries copied from the cache
+// entries into one reused buffer (allocs/op must stay 0 on all three).
 func BenchmarkIndexHotPath(b *testing.B) {
 	snap := warmedCollector(b).Snapshot()
 	hosts := snap.Hosts()
@@ -741,11 +741,11 @@ func BenchmarkIndexHotPath(b *testing.B) {
 	engine.Register(&core.DelayRanker{})
 	engine.Register(&core.BandwidthRanker{})
 	req := &core.QueryRequest{From: netsim.NodeID(hosts[0]), Metric: core.MetricDelay, Sorted: true}
-	engine.Answer(snap, req) // warm the cache entry
+	benchRanking, _ = engine.Answer(benchRanking[:0], snap, req) // warm the cache entry
 	b.Run("RankForWarm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got, _ := engine.Answer(snap, req); len(got) == 0 {
+			if benchRanking, _ = engine.Answer(benchRanking[:0], snap, req); len(benchRanking) == 0 {
 				b.Fatal("empty ranking")
 			}
 		}
@@ -760,7 +760,7 @@ func BenchmarkIndexHotPath(b *testing.B) {
 	}
 	rankAll := func() {
 		for _, req := range reqs {
-			engine.Answer(snap, req)
+			benchRanking, _ = engine.Answer(benchRanking[:0], snap, req)
 		}
 	}
 	rankAll()

@@ -14,14 +14,14 @@ import (
 //
 // Coordinate systems: the read path runs in four, and each has its own Go
 // type so that the compiler keeps them apart. A node index (NodeIdx) i is
-// Nodes[i] (sorted, so index order is name order). A host position (int)
-// is a place in the sorted host list, the RankKey.From key space. A CSR
-// edge position (edgePos) e is the position of neighbor v in u's row:
-// edgeStart[u] <= e < edgeStart[u+1] and nbrFlat[e] == v. A metric slot
-// (Slot) is 2e or 2e+1. Every slice indexed by one of the three int32
-// kinds, but the exported Nodes list, is an indexed value, reached through
-// at or ref with an index of that kind, so reading the slot arena with a
-// node index does not compile.
+// nodes[i] (sorted, so index order is name order). A host position (int)
+// is a place in the sorted host list, the key space of the rank cache's
+// requesters. A CSR edge position (edgePos) e is the position of neighbor v
+// in u's row: edgeStart[u] <= e < edgeStart[u+1] and nbrFlat[e] == v. A
+// metric slot (Slot) is 2e or 2e+1. Every slice indexed by one of the three
+// int32 kinds, but the nodes list, is an indexed value, reached through at
+// or ref with an index of that kind, so reading the slot arena with a node
+// index does not compile.
 //
 // Each CSR edge carries BOTH directions' metrics: slot 2e holds the u->v
 // direction and slot 2e+1 holds v->u. Storing the reverse direction
@@ -68,7 +68,7 @@ func (v indexed[I, T]) ref(i I) *T { return &v.s[i] }
 // per-node rows; the caller fills hostFlag and nbrIdx, then calls flatten.
 func newStructure(nodes, hostList []string) *structure {
 	s := &structure{
-		Nodes:     nodes,
+		nodes:     nodes,
 		nodeIndex: make(map[string]NodeIdx, len(nodes)),
 		nbrIdx:    indexed[NodeIdx, []NodeIdx]{make([][]NodeIdx, len(nodes))},
 		hostFlag:  indexed[NodeIdx, bool]{make([]bool, len(nodes))},
@@ -91,7 +91,7 @@ func newStructure(nodes, hostList []string) *structure {
 // flatten lays the nbrIdx rows end to end in CSR form and resolves every
 // node's walk root and last-hop slot (the caller has filled hostFlag).
 func (s *structure) flatten() {
-	n := NodeIdx(len(s.Nodes))
+	n := NodeIdx(len(s.nodes))
 	s.edgeStart = indexed[NodeIdx, edgePos]{make([]edgePos, n+1)}
 	var total edgePos
 	for i := range n {
@@ -156,7 +156,11 @@ func (t *Topology) NodeIndex(id string) (NodeIdx, bool) {
 }
 
 // NodeName returns the ID of node index i.
-func (t *Topology) NodeName(i NodeIdx) string { return t.Nodes[i] }
+func (t *Topology) NodeName(i NodeIdx) string { return t.nodes[i] }
+
+// NodeCount returns the number of nodes in the adjacency: node indices run
+// from 0 to NodeCount()-1.
+func (t *Topology) NodeCount() int { return len(t.nodes) }
 
 // IsHostIdx reports whether node index i is a host.
 func (t *Topology) IsHostIdx(i NodeIdx) bool { return t.hostFlag.at(i) }
@@ -290,7 +294,7 @@ func (w *Walker) Reset(t *Topology) {
 	if t == nil {
 		return
 	}
-	n := len(t.Nodes)
+	n := len(t.nodes)
 	w.trees.s = slices.Grow(w.trees.s, n)[:n]
 	if s := t.store; s != nil {
 		s.mu.RLock()
@@ -329,7 +333,7 @@ func (w *Walker) SlotsInto(src, dst NodeIdx, scratch []Slot) (slots []Slot, code
 // spt.go).
 func walk[E ~int32](w *Walker, src, dst NodeIdx, bySlot bool, scratch []E) (out []E, code PathCode, at NodeIdx) {
 	t := w.t
-	if src < 0 || int(src) >= len(t.Nodes) {
+	if src < 0 || int(src) >= len(t.nodes) {
 		return scratch[:0], PathUnknownSrc, src
 	}
 	out = scratch[:0]
@@ -362,7 +366,7 @@ func walk[E ~int32](w *Walker, src, dst NodeIdx, bySlot bool, scratch []E) (out 
 				out = append(out, E(nxt))
 			}
 			cur = nxt
-			if hops++; hops > len(t.Nodes) {
+			if hops++; hops > len(t.nodes) {
 				return out, PathLoop, -1
 			}
 		}

@@ -40,12 +40,12 @@ func TestPathIntoMatchesPath(t *testing.T) {
 	var scratch []int32
 	check := func(iter int) {
 		topo := c.Snapshot()
-		for _, src := range topo.Nodes {
+		for _, src := range topo.nodes {
 			isrc, ok := topo.NodeIndex(src)
 			if !ok {
-				t.Fatalf("iter %d: %s in Nodes but not in node index", iter, src)
+				t.Fatalf("iter %d: %s in nodes but not in node index", iter, src)
 			}
-			for _, dst := range topo.Nodes {
+			for _, dst := range topo.nodes {
 				idst, _ := topo.NodeIndex(dst)
 				want, err := topo.Path(src, dst)
 				p, code, _ := topo.PathInto(isrc, idst, scratch)
@@ -181,7 +181,7 @@ func TestArenaSlotsMatchCollectorState(t *testing.T) {
 		clk.now += time.Duration(10+rng.Intn(80)) * time.Millisecond
 
 		topo := c.Snapshot()
-		for _, u := range topo.Nodes {
+		for _, u := range topo.nodes {
 			for _, v := range topo.Neighbors(u) {
 				checkSlotAgainstCollector(t, c, topo, u, v, rates, true)
 				checked++

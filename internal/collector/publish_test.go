@@ -112,7 +112,7 @@ func (f *synthFabric) publishCost(t *testing.T) (objects, bytes float64, last *T
 		if last == prev || last.Epoch() != prev.Epoch()+1 {
 			t.Fatalf("probe %d: epoch %d after %d, same snapshot %v", i, last.Epoch(), prev.Epoch(), last == prev)
 		}
-		if last.structure != prev.structure || &last.Nodes[0] != &prev.Nodes[0] || &last.nbrFlat.s[0] != &prev.nbrFlat.s[0] {
+		if last.structure != prev.structure || &last.nodes[0] != &prev.nodes[0] || &last.nbrFlat.s[0] != &prev.nbrFlat.s[0] {
 			t.Fatalf("probe %d: the snapshot does not share its predecessor's structure", i)
 		}
 		if &last.slots.s[0] == &prev.slots.s[0] {
@@ -134,7 +134,7 @@ func (f *synthFabric) publishCost(t *testing.T) (objects, bytes float64, last *T
 func TestPublishCostIndependentOfFabricSize(t *testing.T) {
 	clos := newSynthFabric(16)
 	objects, bytes, topo := clos.publishCost(t)
-	if n := len(topo.Nodes); n < 440 || n > 480 {
+	if n := len(topo.nodes); n < 440 || n > 480 {
 		t.Fatalf("the synthetic fabric has %d nodes, want the Clos's ~465", n)
 	}
 	// The slot array is one large object, which the allocator rounds up to
@@ -149,10 +149,10 @@ func TestPublishCostIndependentOfFabricSize(t *testing.T) {
 		t.Fatalf("the doubled fabric has %d slots against %d", len(topo2.slots.s), len(topo.slots.s))
 	}
 	if twice > objects+0.5 {
-		t.Errorf("one publish allocates %.2f objects on %d nodes and %.2f on %d", objects, len(topo.Nodes), twice, len(topo2.Nodes))
+		t.Errorf("one publish allocates %.2f objects on %d nodes and %.2f on %d", objects, len(topo.nodes), twice, len(topo2.nodes))
 	}
 	t.Logf("%d nodes, %d slots: %.2f objects, %.0f bytes a publish; %d nodes: %.2f objects",
-		len(topo.Nodes), len(topo.slots.s), objects, bytes, len(topo2.Nodes), twice)
+		len(topo.nodes), len(topo.slots.s), objects, bytes, len(topo2.nodes), twice)
 }
 
 // liveSlotsMatchRefill compares the live slot array with a refill of the same
@@ -168,7 +168,7 @@ func liveSlotsMatchRefill(c *Collector) error {
 			e := s / 2
 			u := slices.IndexFunc(c.cur.edgeStart.s, func(start edgePos) bool { return int(start) > e }) - 1
 			return fmt.Errorf("live slot %d (edge %s->%s, reverse %v) holds %+v, a refill %+v",
-				s, c.cur.Nodes[u], c.cur.Nodes[c.cur.nbrFlat.s[e]], s%2 == 1, c.live.s[s], want[s])
+				s, c.cur.nodes[u], c.cur.nodes[c.cur.nbrFlat.s[e]], s%2 == 1, c.live.s[s], want[s])
 		}
 	}
 	return nil
@@ -242,8 +242,8 @@ func TestStaleAdjacencyBoundKeepsSnapshot(t *testing.T) {
 		t.Fatalf("nothing aged out, yet the snapshot or the epoch (%d -> %d) moved", held.Epoch(), c.Epoch())
 	}
 	clk.now = 2*time.Second + 600*time.Millisecond
-	if got := c.Snapshot(); got == held || got.Epoch() != held.Epoch()+1 || len(got.Nodes) != 0 {
-		t.Fatalf("at the edges' deadline: epoch %d after %d, nodes %v", got.Epoch(), held.Epoch(), got.Nodes)
+	if got := c.Snapshot(); got == held || got.Epoch() != held.Epoch()+1 || len(got.nodes) != 0 {
+		t.Fatalf("at the edges' deadline: epoch %d after %d, nodes %v", got.Epoch(), held.Epoch(), got.nodes)
 	}
 }
 
@@ -276,7 +276,7 @@ func TestHeldSnapshotUnchangedByIngest(t *testing.T) {
 		slots        []edgeMetrics
 	}
 	copyOf := func(t *Topology) contents {
-		return contents{slices.Clone(t.Nodes), slices.Clone(t.hostList), slices.Clone(t.hostFlag.s),
+		return contents{slices.Clone(t.nodes), slices.Clone(t.hostList), slices.Clone(t.hostFlag.s),
 			slices.Clone(t.edgeStart.s), slices.Clone(t.nbrFlat.s), slices.Clone(t.egress.s), slices.Clone(t.slots.s)}
 	}
 	want := copyOf(held)
@@ -298,8 +298,8 @@ func TestHeldSnapshotUnchangedByIngest(t *testing.T) {
 						topo.SlotDelay(Slot(s))
 						topo.SlotQueueMax(Slot(s))
 					}
-					for u := range topo.Nodes {
-						topo.Neighbors(topo.Nodes[u])
+					for u := range topo.nodes {
+						topo.Neighbors(topo.nodes[u])
 					}
 				}
 			}
@@ -327,7 +327,7 @@ func TestHeldSnapshotUnchangedByIngest(t *testing.T) {
 	if st.PathRemaps == 0 || st.AdjacencyEvictions == evictions {
 		t.Fatalf("the feed had %d remaps and %d evictions; want both", st.PathRemaps, st.AdjacencyEvictions-evictions)
 	}
-	if slices.Contains(c.Snapshot().Nodes, "s2") || !slices.Contains(held.Nodes, "s2") {
+	if slices.Contains(c.Snapshot().nodes, "s2") || !slices.Contains(held.nodes, "s2") {
 		t.Fatal("s2 should have left the current snapshot and stayed in the held one")
 	}
 	got := copyOf(held)

@@ -492,8 +492,8 @@ func runRef(cfg Config, ops []refOp) error {
 			return fail("a second read at the same instant rebuilt the snapshot or moved the epoch")
 		}
 
-		if !slices.Equal(topo.Nodes, v.nodes) {
-			return fail("nodes %v, model %v", topo.Nodes, v.nodes)
+		if !slices.Equal(topo.nodes, v.nodes) {
+			return fail("nodes %v, model %v", topo.nodes, v.nodes)
 		}
 		if got := topo.Hosts(); !slices.Equal(got, v.hosts) {
 			return fail("hosts %v, model %v", got, v.hosts)

@@ -199,8 +199,8 @@ func TestAdjacencyDeadlineDrivesSnapshotExpiry(t *testing.T) {
 	if t2 == t1 {
 		t.Fatal("cached snapshot served past the adjacency deadline")
 	}
-	if len(t2.Nodes) != 0 {
-		t.Fatalf("expired snapshot still has nodes %v", t2.Nodes)
+	if len(t2.nodes) != 0 {
+		t.Fatalf("expired snapshot still has nodes %v", t2.nodes)
 	}
 }
 

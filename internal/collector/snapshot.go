@@ -40,8 +40,8 @@ type edgeMetrics struct {
 // snapshot — the windowed maxima or adjacency changed without a new probe —
 // and advances the epoch itself, so what aged out is never republished under
 // the epoch of the snapshot that still held it and epoch-keyed caches
-// downstream (core.RankCache) invalidate instead of serving rankings computed
-// from the stale state. The fast path is lock-free, so any number of
+// downstream (core's rank cache) invalidate instead of serving rankings
+// computed from the stale state. The fast path is lock-free, so any number of
 // concurrent readers can query while probes are being ingested.
 func (c *Collector) Snapshot() *Topology {
 	now := c.clock()
@@ -72,7 +72,7 @@ func (c *Collector) Snapshot() *Topology {
 		structure:   c.cur,
 		slots:       indexed[Slot, edgeMetrics]{slices.Clone(c.live.s)},
 		defaultRate: c.cfg.DefaultLinkRateBps,
-		TakenAt:     now,
+		takenAt:     now,
 		epoch:       epoch,
 		expireAt:    c.expireAtLocked(),
 		store:       c.spt,
@@ -146,7 +146,7 @@ func (c *Collector) rebuildLocked(now time.Duration) {
 		s.nbrIdx.s[i] = idx
 	}
 	s.flatten()
-	s.seq = c.spt.advance(s.Nodes, s.nbrIdx, s.hostFlag.s)
+	s.seq = c.spt.advance(s.nodes, s.nbrIdx, s.hostFlag.s)
 
 	c.cur, c.order = s, indexed[NodeIdx, nodeID]{order}
 	c.live = indexed[Slot, edgeMetrics]{make([]edgeMetrics, 2*len(s.nbrFlat.s))}
@@ -182,7 +182,7 @@ func (c *Collector) refillLocked(slots indexed[Slot, edgeMetrics], now time.Dura
 		return m
 	}
 	s := c.cur
-	for u := range NodeIdx(len(s.Nodes)) {
+	for u := range NodeIdx(len(s.nodes)) {
 		uid := c.order.at(u)
 		for e := s.edgeStart.at(u); e < s.edgeStart.at(u+1); e++ {
 			v := s.nbrFlat.at(e)

@@ -103,7 +103,7 @@ func TestSnapshotRebuildsOnQueueWindowExpiry(t *testing.T) {
 		t.Fatal("expired queue report visible in fresh snapshot")
 	}
 	// The expiry-driven rebuild must advance the epoch: downstream caches
-	// (core.RankCache) invalidate by epoch comparison only, so publishing
+	// (core's rank cache) invalidate by epoch comparison only, so publishing
 	// changed queue maxima under the old epoch would serve stale rankings.
 	if fresh.Epoch() <= cached.Epoch() {
 		t.Fatalf("expiry rebuild kept epoch %d; equal epochs must mean identical snapshots", fresh.Epoch())

@@ -21,7 +21,7 @@ import "sync"
 // holds slots resolved against the new structure. A published tree is never
 // written again: readers of a superseded snapshot may still be walking it.
 //
-// Trees are index-based: node i is Nodes[i] of the snapshot, and
+// Trees are index-based: node i is nodes[i] of the snapshot, and
 // because the node list is sorted, index order equals lexicographic
 // order, preserving the deterministic BFS tie-break rule shared with
 // netsim.ComputeRoutes. The delta classifier's soundness rests on that BFS:
@@ -182,7 +182,7 @@ func diffSortedEdges(u NodeIdx, old, cur []NodeIdx) (added, removed []sptEdge) {
 // dictates) and a per-topology scratch memo otherwise (superseded snapshots
 // keep working, they just don't share).
 func (t *Topology) treeForIdx(idst NodeIdx) *destTree {
-	if idst < 0 || int(idst) >= len(t.Nodes) {
+	if idst < 0 || int(idst) >= len(t.nodes) {
 		return nil
 	}
 	if s := t.store; s != nil {
@@ -276,7 +276,7 @@ func (t *Topology) scratchTree(idst NodeIdx) *destTree {
 	t.scratchMu.Lock()
 	defer t.scratchMu.Unlock()
 	if t.scratch.s == nil {
-		t.scratch.s = make([]*destTree, len(t.Nodes))
+		t.scratch.s = make([]*destTree, len(t.nodes))
 	}
 	tree := t.scratch.at(idst)
 	if tree == nil {
@@ -292,7 +292,7 @@ func (t *Topology) scratchTree(idst NodeIdx) *destTree {
 // hosts discovered but never expanded — the same rule as
 // netsim.ComputeRoutes.
 func buildDestTree(s *structure, idst NodeIdx) *destTree {
-	next := make([]NodeIdx, len(s.Nodes))
+	next := make([]NodeIdx, len(s.nodes))
 	for i := range next {
 		next[i] = -1
 	}

@@ -119,9 +119,9 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 	mutateSPT(400, func(iter int, c *Collector) {
 		topo := c.Snapshot()
 		walker.Reset(topo)
-		for idst, dst := range topo.Nodes {
+		for idst, dst := range topo.nodes {
 			next := refNextHops(topo, dst)
-			for isrc, src := range topo.Nodes {
+			for isrc, src := range topo.nodes {
 				// The slot walk is the node walk with each hop's slot in
 				// place of its far end, whichever structure the tree was
 				// built or caught up against.
@@ -135,7 +135,7 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 				for i := 0; code == PathOK && i < len(slots); i++ {
 					if want := topo.DirSlot(NodeIdx(path[i]), NodeIdx(path[i+1])); slots[i] != want || want < 0 {
 						t.Fatalf("iter %d: hop %s->%s of (%s,%s) walked as slot %d, DirSlot %d",
-							iter, topo.Nodes[path[i]], topo.Nodes[path[i+1]], src, dst, slots[i], want)
+							iter, topo.nodes[path[i]], topo.nodes[path[i+1]], src, dst, slots[i], want)
 					}
 				}
 				want := refPath(topo, next, src, dst)
@@ -161,7 +161,7 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 // destination's own BFS tree (nil for an unknown destination), appending
 // each hop's far end or, bySlot, its metric slot.
 func hostTreeWalk[E ~int32](topo *Topology, tree *destTree, src, dst NodeIdx, bySlot bool) (out []E, code PathCode, at NodeIdx) {
-	if src < 0 || int(src) >= len(topo.Nodes) {
+	if src < 0 || int(src) >= len(topo.nodes) {
 		return nil, PathUnknownSrc, src
 	}
 	if !bySlot {
@@ -190,7 +190,7 @@ func hostTreeWalk[E ~int32](topo *Topology, tree *destTree, src, dst NodeIdx, by
 			out = append(out, E(nxt))
 		}
 		cur = nxt
-		if hops++; hops > len(topo.Nodes) {
+		if hops++; hops > len(topo.nodes) {
 			return out, PathLoop, -1
 		}
 	}
@@ -228,7 +228,7 @@ func checkWalksMatchHostTrees(topo *Topology) (singles int, err error) {
 		if dst >= 0 {
 			tree = buildDestTree(topo.structure, dst)
 		}
-		for src := NodeIdx(-1); src <= NodeIdx(len(topo.Nodes)); src++ {
+		for src := NodeIdx(-1); src <= NodeIdx(len(topo.nodes)); src++ {
 			var code PathCode
 			var at NodeIdx
 			path, code, at = topo.PathInto(src, dst, path)
@@ -414,7 +414,7 @@ func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
 			want = topo.DirSlot(NodeIdx(i), nxt)
 		}
 		if treeSched2.slot.s[i] != want {
-			t.Fatalf("caught-up slot of %s is %d, want %d", topo.Nodes[i], treeSched2.slot.s[i], want)
+			t.Fatalf("caught-up slot of %s is %d, want %d", topo.nodes[i], treeSched2.slot.s[i], want)
 		}
 	}
 	// w1's discovery edge toward w3 was exactly the evicted link, so that

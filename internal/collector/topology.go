@@ -14,11 +14,11 @@ import (
 // neighbour, a host appears, an edge ages out or the queue window is reset
 // (rebuildLocked).
 type structure struct {
-	// Nodes lists every known node ID (hosts and switches), sorted; its
+	// nodes lists every known node ID (hosts and switches), sorted; its
 	// index order is the coordinate system of nbrIdx, hostFlag, and the
 	// path trees (index order == lexicographic order).
-	Nodes []string
-	// nodeIndex maps node ID -> index in Nodes.
+	nodes []string
+	// nodeIndex maps node ID -> index in nodes.
 	nodeIndex map[string]NodeIdx
 	// nbrIdx maps node index -> ascending neighbor indices (equivalently:
 	// lexicographically sorted neighbors).
@@ -26,7 +26,7 @@ type structure struct {
 	// hostFlag marks which node indices are hosts.
 	hostFlag indexed[NodeIdx, bool]
 	// hostList caches the sorted host IDs (Hosts returns a copy). It can
-	// include hosts with no current adjacency (absent from Nodes).
+	// include hosts with no current adjacency (absent from nodes).
 	hostList []string
 	// hostIdx maps hostList positions to node indices (-1 for hosts with
 	// no current adjacency).
@@ -57,7 +57,9 @@ type structure struct {
 // ranking pass sees one consistent picture. Snapshots are epoch-versioned
 // and shared: the collector returns the same *Topology pointer to every
 // caller until its state actually changes, so snapshots must be safe for
-// concurrent readers.
+// concurrent readers. A Topology has no exported field, and every method
+// that hands out a slice returns a copy, so no importer can change a
+// published snapshot.
 //
 // A Topology is a shared structure — the sorted node list, the host index and
 // the neighbor index arrays the path trees run on — plus its own copy of the
@@ -74,9 +76,9 @@ type Topology struct {
 	slots indexed[Slot, edgeMetrics]
 	// defaultRate is the assumed capacity of unconfigured links.
 	defaultRate int64
-	// TakenAt is the time the snapshot was published (not the Snapshot()
+	// takenAt is the time the snapshot was published (not the Snapshot()
 	// call that returned it).
-	TakenAt time.Duration
+	takenAt time.Duration
 	// epoch is the collector epoch the snapshot was published at — strictly
 	// increasing across any state change, which is what downstream
 	// epoch-keyed caches invalidate on. expireAt is the last instant the
@@ -101,9 +103,13 @@ type Topology struct {
 // snapshot's.
 func (t *Topology) Epoch() uint64 { return t.epoch }
 
+// TakenAt returns the time the snapshot was published (not the Snapshot()
+// call that returned it).
+func (t *Topology) TakenAt() time.Duration { return t.takenAt }
+
 // IsHost reports whether id is a known host. Nodes in the adjacency
 // answer from the flat host-flag array; hosts with no current adjacency
-// (absent from Nodes) fall back to the sorted host list.
+// (absent from the node list) fall back to the sorted host list.
 func (t *Topology) IsHost(id string) bool {
 	if i, ok := t.nodeIndex[id]; ok {
 		return t.hostFlag.at(i)
@@ -126,7 +132,7 @@ func (t *Topology) Neighbors(id string) []string {
 	}
 	out := make([]string, len(t.nbrIdx.at(i)))
 	for j, nb := range t.nbrIdx.at(i) {
-		out[j] = t.Nodes[nb]
+		out[j] = t.nodes[nb]
 	}
 	return out
 }
@@ -183,7 +189,7 @@ func (t *Topology) Path(src, dst string) ([]string, error) {
 	case PathOK:
 		path := make([]string, len(p))
 		for i, n := range p {
-			path[i] = t.Nodes[n]
+			path[i] = t.nodes[n]
 		}
 		return path, nil
 	case PathUnknownSrc:
@@ -191,9 +197,9 @@ func (t *Topology) Path(src, dst string) ([]string, error) {
 	case PathNoRoute:
 		return nil, fmt.Errorf("collector: no learned path from %q to %q", src, dst)
 	case PathHostTransit:
-		return nil, fmt.Errorf("collector: learned path from %q to %q transits host %q (hosts do not forward)", src, dst, t.Nodes[at])
+		return nil, fmt.Errorf("collector: learned path from %q to %q transits host %q (hosts do not forward)", src, dst, t.nodes[at])
 	case PathBroken:
-		return nil, fmt.Errorf("collector: learned path from %q to %q breaks at unknown node %q", src, dst, t.Nodes[at])
+		return nil, fmt.Errorf("collector: learned path from %q to %q breaks at unknown node %q", src, dst, t.nodes[at])
 	default:
 		return nil, fmt.Errorf("collector: path loop from %q to %q", src, dst)
 	}

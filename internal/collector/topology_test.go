@@ -257,7 +257,7 @@ func TestSnapshotIsConsistentView(t *testing.T) {
 func TestTopologyAccessors(t *testing.T) {
 	c, _ := buildDiamond(t)
 	topo := c.Snapshot()
-	if len(topo.Nodes) == 0 || topo.TakenAt == 0 {
+	if len(topo.nodes) == 0 || topo.TakenAt() == 0 {
 		t.Fatal("snapshot metadata empty")
 	}
 	hosts := topo.Hosts()

@@ -180,7 +180,7 @@ func TestEngineCountedAnswersMatchWholeRanking(t *testing.T) {
 						req := &QueryRequest{From: netsim.NodeID(from), Metric: r.Metric(), Count: count, Sorted: sorted, DataBytes: dataBytes}
 						want := shapeWhole(whole, sorted, exclude, count)
 						for name, e := range map[string]*Engine{"cold": newEngine(exclude), "warm": warm[exclude]} {
-							got, ok := e.Answer(topo, req)
+							got, ok := e.Answer(nil, topo, req)
 							if !ok {
 								t.Fatalf("%v not served", r.Metric())
 							}
@@ -230,10 +230,10 @@ func TestRankCacheCountedEntries(t *testing.T) {
 		},
 	} {
 		whole := ComputeRanking(topo, &DelayRanker{}, netsim.NodeID(from), 0)
-		key := RankKey{From: int32(topo.HostIndex(from)), Metric: MetricDelay}
+		key := cacheKey{from: int32(topo.HostIndex(from)), metric: MetricDelay}
 		before := e.CacheStats()
 		for i, s := range steps {
-			got, _ := e.Answer(topo, &QueryRequest{From: netsim.NodeID(from), Metric: MetricDelay, Count: s.count, Sorted: s.sorted})
+			got, _ := e.Answer(nil, topo, &QueryRequest{From: netsim.NodeID(from), Metric: MetricDelay, Count: s.count, Sorted: s.sorted})
 			if err := sameRanking(got, shapeWhole(whole, s.sorted, false, s.count)); err != nil {
 				t.Fatalf("from %s step %d %+v: %v", from, i, s, err)
 			}
@@ -243,7 +243,7 @@ func TestRankCacheCountedEntries(t *testing.T) {
 				t.Fatalf("from %s step %d %+v: %d hits and %d misses", from, i, s, hits, misses)
 			}
 			before = st
-			if n := len(e.cache.entries[key].Ranked()); n != s.stored {
+			if n := len(e.cache.entries[key].ranked); n != s.stored {
 				t.Fatalf("from %s step %d %+v: entry holds %d candidates, want %d", from, i, s, n, s.stored)
 			}
 		}

@@ -21,7 +21,7 @@ type Engine struct {
 	ExcludeUnreachable bool
 
 	rankers map[Metric]Ranker
-	cache   RankCache
+	cache   rankCache
 }
 
 // Register installs a ranker for its metric.
@@ -37,17 +37,18 @@ func (e *Engine) CacheStats() RankCacheStats { return e.cache.Stats() }
 
 // Answer ranks the candidates for one query — every host of the snapshot
 // except the requester (the paper: all nodes, scheduler included, execute
-// tasks unless they submitted) — and shapes the result per the request (ID
+// tasks unless they submitted) — shapes the result per the request (ID
 // order, recovery filter, count; a count ≤ 0, which the simulator's devices
-// send, means every candidate). ok is false when no ranker is registered
-// for the query's metric. Repeated queries between telemetry updates are
-// served from the rank cache; the result is a read-only view of shared
-// storage — a warmed hit performs zero heap allocations — so callers that
-// mutate it must CloneCandidates first.
-func (e *Engine) Answer(topo *collector.Topology, req *QueryRequest) (ranked []Candidate, ok bool) {
+// send, means every candidate), and appends it to dst, which the caller
+// owns, in the idiom of strconv.AppendInt. ok is false when no ranker is
+// registered for the query's metric, and dst is returned unchanged. Repeated
+// queries between telemetry updates are served from the rank cache; what is
+// appended is a copy, so a warmed hit into a buffer with room performs zero
+// heap allocations and the caller may do anything with the result.
+func (e *Engine) Answer(dst []Candidate, topo *collector.Topology, req *QueryRequest) (ranked []Candidate, ok bool) {
 	ranker := e.rankers[req.Metric]
 	if ranker == nil {
-		return nil, false
+		return dst, false
 	}
 	// Option two from the paper: estimates in ID order, so the device can
 	// run its own selection.
@@ -57,22 +58,21 @@ func (e *Engine) Answer(topo *collector.Topology, req *QueryRequest) (ranked []C
 		// An RNG draw the collector epoch does not version, or a requester
 		// the index-space key cannot name: compute every time.
 		entry := newRankEntry(ComputeRanking(topo, ranker, req.From, req.DataBytes), true)
-		return entry.Shaped(idOrder, e.ExcludeUnreachable, req.Count), true
+		return entry.appendShaped(dst, idOrder, e.ExcludeUnreachable, req.Count), true
 	}
 	// A sorted, counted query needs only the count best, and the miss
 	// computes only those; anything else needs the whole ranking. The cache
-	// holds what the last miss computed, and the per-request shaping is a
-	// reslice of the entry's storage.
+	// holds what the last miss computed.
 	need := max(req.Count, 0)
 	if idOrder {
 		need = 0
 	}
-	key := RankKey{From: int32(fromHost), Metric: req.Metric, DataBytes: req.DataBytes}
-	entry, miss := e.cache.Lookup(topo.Epoch(), key, need)
+	key := cacheKey{from: int32(fromHost), metric: req.Metric, dataBytes: req.DataBytes}
+	entry, miss := e.cache.lookup(topo.Epoch(), key, need)
 	if entry == nil {
 		ranked := rank(topo, ranker, req.From, fromHost, req.DataBytes, need)
 		// Every host but the requester, or the first need of them.
-		entry = miss.Store(ranked, len(ranked) == topo.HostCount()-1)
+		entry = miss.store(ranked, len(ranked) == topo.HostCount()-1)
 	}
-	return entry.Shaped(idOrder, e.ExcludeUnreachable, req.Count), true
+	return entry.appendShaped(dst, idOrder, e.ExcludeUnreachable, req.Count), true
 }

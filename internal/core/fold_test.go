@@ -237,7 +237,7 @@ func TestRankFoldMatchesPerHostWalks(t *testing.T) {
 		}
 	}
 	var requesters []string
-	for i := range collector.NodeIdx(len(topo.Nodes)) {
+	for i := range collector.NodeIdx(topo.NodeCount()) {
 		requesters = append(requesters, topo.NodeName(i))
 	}
 	requesters = append(requesters, "ghost", "nobody")

@@ -15,35 +15,31 @@ import (
 // from an RNG stream, is a pure function of the snapshot and the query, so
 // the engine caches every metric but random.
 //
-// Entries are immutable RankEntry values holding a best-first ranking with
-// its reachable prefix length (and a lazily computed ID-ordered variant),
-// so every per-request shaping — unreachable filtering, ID order, count
-// truncation — is a zero-allocation reslice of shared storage instead of a
-// clone-and-sort per query. An entry holds either the whole ranking or, when
-// the query that computed it asked for the k best of more reachable
-// candidates, just those k: a prefix of the whole ranking that serves any
-// best-first request for at most k. A request the entry is too short for is
-// a miss, and its Store replaces the entry; entries are never grown in place.
+// The cache is core's own: an entry holds a best-first ranking with its
+// reachable prefix length, never leaves the package, and is never written
+// after it is stored. Every answer is appended from it into a slice the
+// caller owns — unreachable filtering and count truncation pick a prefix to
+// copy, and the ID order of option two sorts the copy. An entry holds either
+// the whole ranking or, when the query that computed it asked for the k best
+// of more reachable candidates, just those k: a prefix of the whole ranking
+// that serves any best-first request for at most k. A request the entry is
+// too short for is a miss, and its store replaces the entry.
 
-// RankKey identifies one cacheable ranking computation within an epoch:
+// cacheKey identifies one cacheable ranking computation within an epoch:
 // three scalars, no strings hashed on the hot path.
-type RankKey struct {
-	// From is the querying device's position in the snapshot's sorted host
+type cacheKey struct {
+	// from is the querying device's position in the snapshot's sorted host
 	// list. Host indices are stable within an epoch (and the cache is
 	// epoch-keyed), so the index identifies the device exactly; queries
 	// from non-host devices bypass the cache.
-	From int32
-	// Metric is the ranking strategy.
-	Metric Metric
-	// DataBytes is the transfer-size hint.
-	DataBytes int64
+	from      int32
+	metric    Metric
+	dataBytes int64
 }
 
-// RankEntry is one cached ranking: a best-first candidate list plus the
-// precomputed handles request shaping needs. Entries are immutable after
-// Store — Shaped returns views of shared storage, and callers must not
-// modify what they are handed (clone first to mutate).
-type RankEntry struct {
+// rankEntry is one ranking: a best-first candidate list and the length of
+// its reachable prefix. It is not modified after it is built.
+type rankEntry struct {
 	// ranked is the best-first list. Every ranker emits reachable
 	// candidates before unreachable ones (Ranker.Rank), or marks every
 	// candidate reachable; reach is the length of that reachable prefix.
@@ -52,62 +48,51 @@ type RankEntry struct {
 	// whole is false when ranked is only the first len(ranked) candidates
 	// of the ranking, all reachable: a counted computation's result.
 	whole bool
-	// byID materializes the ID-ordered variant (the paper's option two) on
-	// first use; many workloads never request it.
-	byIDOnce sync.Once
-	byID     []Candidate
 }
 
-func newRankEntry(ranked []Candidate, whole bool) *RankEntry {
-	e := &RankEntry{ranked: ranked, whole: whole}
+func newRankEntry(ranked []Candidate, whole bool) *rankEntry {
+	e := &rankEntry{ranked: ranked, whole: whole}
 	for e.reach < len(ranked) && ranked[e.reach].Reachable {
 		e.reach++
 	}
 	return e
 }
 
-// Ranked returns the best-first list. Shared storage — read only.
-func (e *RankEntry) Ranked() []Candidate { return e.ranked }
-
 // serves reports whether the entry answers a request that needs the need
 // best candidates, 0 meaning the whole ranking.
-func (e *RankEntry) serves(need int) bool {
+func (e *rankEntry) serves(need int) bool {
 	return e.whole || (need > 0 && need <= len(e.ranked))
 }
 
-// sortedByID returns the list re-sorted by node ID (reachable first),
-// computing it on first use. Shared storage — read only.
-func (e *RankEntry) sortedByID() []Candidate {
-	e.byIDOnce.Do(func() {
-		e.byID = CloneCandidates(e.ranked)
-		byNode := func(a, b Candidate) int { return cmp.Compare(a.Node, b.Node) }
-		slices.SortFunc(e.byID[:e.reach], byNode)
-		slices.SortFunc(e.byID[e.reach:], byNode)
-	})
-	return e.byID
-}
-
-// Shaped applies per-request response shaping as zero-allocation views of
-// the entry's storage: idOrder selects the ID-ordered variant (option two),
-// exclUnre applies the recovery policy's unreachable filter (with the
+// appendShaped appends the answer to one request to dst: idOrder selects
+// option two's ID order (the reachable prefix by node, then the rest by
+// node), exclUnre applies the recovery policy's unreachable filter (with the
 // all-unreachable graceful fallback), and count > 0 truncates. An entry that
 // is not whole is shaped only for what it serves: best-first, at most its
-// length. The result is shared storage — read only.
-func (e *RankEntry) Shaped(idOrder, exclUnre bool, count int) []Candidate {
+// length.
+func (e *rankEntry) appendShaped(dst []Candidate, idOrder, exclUnre bool, count int) []Candidate {
 	list := e.ranked
-	if idOrder {
-		list = e.sortedByID()
-	}
 	if exclUnre && e.reach > 0 {
-		// Both orderings group the reachable prefix first, so the filter
-		// is a prefix view; reach == 0 keeps the full list (the graceful
-		// fallback).
+		// The filter keeps the reachable prefix; reach == 0 keeps the full
+		// list (the graceful fallback).
 		list = list[:e.reach]
 	}
-	if count > 0 && count < len(list) {
-		list = list[:count]
+	if !idOrder {
+		if count > 0 && count < len(list) {
+			list = list[:count]
+		}
+		return append(dst, list...)
 	}
-	return list
+	start := len(dst)
+	dst = append(dst, list...)
+	byNode := func(a, b Candidate) int { return cmp.Compare(a.Node, b.Node) }
+	reach := start + min(e.reach, len(list))
+	slices.SortFunc(dst[start:reach], byNode)
+	slices.SortFunc(dst[reach:], byNode)
+	if count > 0 && count < len(list) {
+		dst = dst[:start+count]
+	}
+	return dst
 }
 
 // RankCacheStats reports cache effectiveness.
@@ -122,20 +107,20 @@ type RankCacheStats struct {
 	Invalidations uint64
 }
 
-// RankCache memoizes best-first rankings per collector epoch. All
+// rankCache memoizes best-first rankings per collector epoch. All
 // methods are safe for concurrent use. Entries from older epochs are
 // discarded wholesale the first time a newer epoch is observed, so the
 // cache never serves results computed from a superseded topology.
-type RankCache struct {
+type rankCache struct {
 	mu      sync.Mutex
 	valid   bool
 	epoch   uint64
-	entries map[RankKey]*RankEntry
+	entries map[cacheKey]*rankEntry
 	stats   RankCacheStats
 }
 
 // syncEpochLocked resets the cache when the observed epoch moved.
-func (c *RankCache) syncEpochLocked(epoch uint64) {
+func (c *rankCache) syncEpochLocked(epoch uint64) {
 	if c.valid && c.epoch == epoch {
 		return
 	}
@@ -144,40 +129,38 @@ func (c *RankCache) syncEpochLocked(epoch uint64) {
 	}
 	c.valid = true
 	c.epoch = epoch
-	c.entries = make(map[RankKey]*RankEntry)
+	c.entries = make(map[cacheKey]*rankEntry)
 }
 
-// RankMiss is the handle Lookup returns on a miss: the only way to insert
+// rankMiss is the handle lookup returns on a miss: the only way to insert
 // into the cache. It carries the epoch and key of the lookup, so a caller
 // cannot store under a different key or epoch.
-type RankMiss struct {
-	cache *RankCache
+type rankMiss struct {
+	cache *rankCache
 	epoch uint64
-	key   RankKey
+	key   cacheKey
 }
 
-// Lookup returns the cached entry for key at the given epoch when it holds
+// lookup returns the cached entry for key at the given epoch when it holds
 // the need best candidates (0: the whole ranking), or nil and the miss
-// handle to Store the computed ranking through. The entry's contents are
-// shared — shape with Shaped, or CloneCandidates before mutating.
-func (c *RankCache) Lookup(epoch uint64, key RankKey, need int) (*RankEntry, RankMiss) {
+// handle to store the computed ranking through.
+func (c *rankCache) lookup(epoch uint64, key cacheKey, need int) (*rankEntry, rankMiss) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.syncEpochLocked(epoch)
 	if entry, ok := c.entries[key]; ok && entry.serves(need) {
 		c.stats.Hits++
-		return entry, RankMiss{}
+		return entry, rankMiss{}
 	}
 	c.stats.Misses++
-	return nil, RankMiss{cache: c, epoch: epoch, key: key}
+	return nil, rankMiss{cache: c, epoch: epoch, key: key}
 }
 
-// Store records the ranking computed for the missed lookup — whole, or only
+// store records the ranking computed for the missed lookup — whole, or only
 // its first len(ranked) candidates — replacing any entry the key had. It
-// takes ownership of ranked (hand it a private slice; it becomes shared
-// entry storage) and returns the built entry so the caller can serve views
-// of the computation it just performed.
-func (m RankMiss) Store(ranked []Candidate, whole bool) *RankEntry {
+// takes ownership of ranked and returns the built entry, so the caller can
+// answer from the computation it just performed.
+func (m rankMiss) store(ranked []Candidate, whole bool) *rankEntry {
 	entry := newRankEntry(ranked, whole)
 	c := m.cache
 	c.mu.Lock()
@@ -188,20 +171,8 @@ func (m RankMiss) Store(ranked []Candidate, whole bool) *RankEntry {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *RankCache) Stats() RankCacheStats {
+func (c *rankCache) Stats() RankCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// CloneCandidates returns a private copy of a ranked list, so cached
-// entries can be reordered/truncated per request without corrupting the
-// cache.
-func CloneCandidates(cs []Candidate) []Candidate {
-	if cs == nil {
-		return nil
-	}
-	out := make([]Candidate, len(cs))
-	copy(out, cs)
-	return out
 }

@@ -59,14 +59,14 @@ func TestRankCacheServesShapedRequests(t *testing.T) {
 	if len(sorted) != 2 {
 		t.Fatalf("candidates %v", sorted)
 	}
-	// ID-ordered view from the cache.
+	// ID-ordered answer from the cache.
 	unsorted := f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Sorted: false})
 	for i := 1; i < len(unsorted); i++ {
 		if unsorted[i-1].Node > unsorted[i].Node {
 			t.Fatalf("option two not ID-ordered: %v", unsorted)
 		}
 	}
-	// Truncated view from the cache.
+	// Truncated answer from the cache.
 	top := f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Count: 1, Sorted: true})
 	if len(top) != 1 || top[0].Node != sorted[0].Node {
 		t.Fatalf("count-limited view %v, want best %v", top, sorted[0].Node)
@@ -362,24 +362,24 @@ func TestRankBatchUncacheablePaths(t *testing.T) {
 // of the lookup that missed, under that lookup's epoch and key, so a ranking
 // of the old topology is never served at the new.
 func TestRankCacheStoreAcrossEpochs(t *testing.T) {
-	var c RankCache
-	key := RankKey{From: 3, Metric: MetricDelay}
-	entry, miss := c.Lookup(7, key, 0)
+	var c rankCache
+	key := cacheKey{from: 3, metric: MetricDelay}
+	entry, miss := c.lookup(7, key, 0)
 	if entry != nil {
 		t.Fatal("unexpected hit in empty cache")
 	}
-	miss.Store([]Candidate{{Node: "fresh"}}, true)
-	if entry, _ := c.Lookup(7, key, 0); entry == nil || entry.Ranked()[0].Node != "fresh" {
+	miss.store([]Candidate{{Node: "fresh"}}, true)
+	if entry, _ := c.lookup(7, key, 0); entry == nil || entry.ranked[0].Node != "fresh" {
 		t.Fatalf("stored entry not served (entry=%v)", entry)
 	}
 	// A handle taken at epoch 7 and stored after the cache reached epoch 8
 	// is invisible to epoch-8 lookups.
-	other := RankKey{From: 4, Metric: MetricDelay}
-	_, old := c.Lookup(7, other, 0)
-	c.Lookup(8, other, 0)
-	old.Store([]Candidate{{Node: "epoch7"}}, true)
-	if entry, _ := c.Lookup(8, other, 0); entry != nil {
-		t.Fatalf("epoch-7 ranking served at epoch 8: %v", entry.Ranked())
+	other := cacheKey{from: 4, metric: MetricDelay}
+	_, old := c.lookup(7, other, 0)
+	c.lookup(8, other, 0)
+	old.store([]Candidate{{Node: "epoch7"}}, true)
+	if entry, _ := c.lookup(8, other, 0); entry != nil {
+		t.Fatalf("epoch-7 ranking served at epoch 8: %v", entry.ranked)
 	}
 }
 
@@ -400,26 +400,34 @@ func batchFixtureReqs(n int) []*QueryRequest {
 }
 
 // TestWarmRankAllocations pins the steady-state allocation contract of the
-// index-space read path: a warm single query is allocation-free (a cache
-// hit is served as zero-copy views of the shared entry), and a warm
-// N-request burst allocates only its result slice, independent of N.
+// index-space read path: a warm query answered into a reused buffer is
+// allocation-free, a warm burst of 16 answers appended into one reused
+// buffer is too, and a warm RankFor allocates exactly its result.
 func TestWarmRankAllocations(t *testing.T) {
 	f := newServiceFixture(t)
 	reqs := batchFixtureReqs(16)
 	rankEach(f.svc, reqs) // warm every key
+	topo := f.coll.Snapshot()
+	var buf []Candidate
 	single := testing.AllocsPerRun(200, func() {
 		for _, req := range reqs {
-			f.svc.RankFor(req)
+			buf, _ = f.svc.engine.Answer(buf[:0], topo, req)
 		}
 	})
 	if single != 0 {
-		t.Fatalf("warm single queries allocated %.1f per run, want 0 (zero-copy entry views)", single)
+		t.Fatalf("warm single answers allocated %.1f per run, want 0 (a copy into the caller's buffer)", single)
 	}
 	batch := testing.AllocsPerRun(200, func() {
-		rankEach(f.svc, reqs)
+		buf = buf[:0]
+		for _, req := range reqs {
+			buf, _ = f.svc.engine.Answer(buf, topo, req)
+		}
 	})
-	if batch > 1 {
-		t.Fatalf("warm batch allocated %.1f per run, want at most its result slice", batch)
+	if batch != 0 {
+		t.Fatalf("warm batch allocated %.1f per run, want 0 (16 answers appended into one buffer)", batch)
+	}
+	if owned := testing.AllocsPerRun(200, func() { f.svc.RankFor(reqs[0]) }); owned != 1 {
+		t.Fatalf("warm RankFor allocated %.1f per run, want exactly its result", owned)
 	}
 }
 

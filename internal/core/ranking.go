@@ -104,7 +104,7 @@ type Ranker interface {
 	// Metric identifies the strategy.
 	Metric() Metric
 	// Rank returns every host of the snapshot but the requester, ordered
-	// best-first, reachable ones before unreachable ones (RankEntry serves
+	// best-first, reachable ones before unreachable ones (a rank entry serves
 	// the recovery filter as a prefix); ties, and the unreachable tail, are
 	// in node-ID order. from is the querying device's ID, fromIdx its node
 	// index (-1 when it has no adjacency) and fromHost its position in the
@@ -416,7 +416,7 @@ func (f pathFold) bandwidth() float64 {
 // unreachable with zero estimates.
 func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, count int, s *rankScratch, cal *Calibration, finish func(c *Candidate, f pathFold) int64) []Candidate {
 	s.begin(topo.HostCount())
-	s.beginRoots(len(topo.Nodes))
+	s.beginRoots(topo.NodeCount())
 	leavesHost := fromIdx >= 0 && topo.IsHostIdx(fromIdx)
 	s.walker.Reset(topo)
 	for j := range s.cands {

@@ -223,8 +223,8 @@ func TestRandomRankerPermutesDeterministically(t *testing.T) {
 
 // TestEveryRankerReachableFirst: every registered ranker's output groups
 // reachable candidates before unreachable ones on a snapshot with evicted
-// hosts — what lets RankEntry serve the recovery policy's filter, in either
-// order, as a prefix of the stored list.
+// hosts — what lets a rank entry serve the recovery policy's filter, in
+// either order, as a prefix of the stored list.
 func TestEveryRankerReachableFirst(t *testing.T) {
 	f := newFlapFixture(t, ServiceConfig{})
 	f.svc.Register(&BandwidthRanker{})
@@ -258,7 +258,7 @@ func TestEveryRankerReachableFirst(t *testing.T) {
 			t.Fatalf("%v: evicted e2 reachable=%v in %v", m, c.Reachable, ranked)
 		}
 		entry := newRankEntry(ranked, true)
-		for _, list := range [][]Candidate{entry.Ranked(), entry.sortedByID()} {
+		for _, list := range [][]Candidate{entry.ranked, entry.appendShaped(nil, true, false, 0)} {
 			for i, c := range list {
 				if c.Reachable != (i < entry.reach) {
 					t.Fatalf("%v: %v is not reachable-first with a reachable prefix of %d", m, list, entry.reach)
@@ -269,7 +269,7 @@ func TestEveryRankerReachableFirst(t *testing.T) {
 		if learned {
 			want = 2
 		}
-		if got := entry.Shaped(false, true, 0); len(got) != want {
+		if got := entry.appendShaped(nil, false, true, 0); len(got) != want {
 			t.Fatalf("%v: recovery filter kept %v", m, got)
 		}
 	}

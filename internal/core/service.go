@@ -127,16 +127,17 @@ func (s *Service) handleQuery(from netsim.NodeID, req *QueryRequest) {
 
 // RankFor computes the ranked candidate list for a query without the
 // network round trip. It acquires one topology snapshot for the whole
-// computation — candidate selection and ranking see the same epoch.
+// computation — candidate selection and ranking see the same epoch. The
+// result is the caller's own slice.
 func (s *Service) RankFor(req *QueryRequest) []Candidate {
 	return s.RankOn(s.coll.Snapshot(), req)
 }
 
 // RankOn answers a query against a caller-supplied snapshot (RankFor with
 // the snapshot already acquired); nil when no ranker serves the metric. The
-// result is a read-only view (see Engine.Answer).
+// result is a new slice the caller owns: its one allocation is the answer.
 func (s *Service) RankOn(topo *collector.Topology, req *QueryRequest) []Candidate {
-	ranked, _ := s.engine.Answer(topo, req)
+	ranked, _ := s.engine.Answer(nil, topo, req)
 	return ranked
 }
 

@@ -12,8 +12,8 @@ import (
 	"intsched/internal/transport"
 )
 
-// serviceFixture wires a 3-host star (dev, e1, sched via one switch) with
-// INT, probing, a collector, and the scheduler service.
+// serviceFixture wires a star of hosts around one switch s1 with INT,
+// probing, a collector, and the scheduler service on sched.
 type serviceFixture struct {
 	engine *simtime.Engine
 	nw     *netsim.Network
@@ -22,16 +22,28 @@ type serviceFixture struct {
 	svc    *Service
 }
 
+// newServiceFixture is the 3-host star dev, e1, sched with equal links.
 func newServiceFixture(t *testing.T) *serviceFixture {
+	t.Helper()
+	return newStarFixture(t, []netsim.NodeID{"dev", "e1", "sched"}, []time.Duration{1, 1, 1})
+}
+
+// newStarFixture connects each host to s1 over a link of its delay in ms
+// and probes from every host but sched.
+func newStarFixture(t *testing.T, hosts []netsim.NodeID, delaysMs []time.Duration) *serviceFixture {
 	t.Helper()
 	engine := simtime.NewEngine()
 	nw := netsim.New(engine)
 	nw.AddSwitch("s1")
-	for _, h := range []netsim.NodeID{"dev", "e1", "sched"} {
+	var fleet []netsim.NodeID
+	for i, h := range hosts {
 		nw.AddHost(h)
-		cfg := netsim.LinkConfig{RateBps: 100_000_000, Delay: time.Millisecond}
+		cfg := netsim.LinkConfig{RateBps: 100_000_000, Delay: delaysMs[i] * time.Millisecond}
 		if _, err := nw.Connect(h, "s1", cfg); err != nil {
 			t.Fatal(err)
+		}
+		if h != "sched" {
+			fleet = append(fleet, h)
 		}
 	}
 	if err := nw.ComputeRoutes(); err != nil {
@@ -44,7 +56,7 @@ func newServiceFixture(t *testing.T) *serviceFixture {
 	svc := NewService(domain.Stack("sched"), coll, ServiceConfig{})
 	svc.Register(&DelayRanker{})
 	svc.Register(&BandwidthRanker{})
-	probe.NewFleet(nw, []netsim.NodeID{"dev", "e1"}, "sched", 100*time.Millisecond)
+	probe.NewFleet(nw, fleet, "sched", 100*time.Millisecond)
 	// Warm the collector.
 	engine.Run(500 * time.Millisecond)
 	return &serviceFixture{engine: engine, nw: nw, domain: domain, coll: coll, svc: svc}

@@ -1,9 +1,10 @@
 // Package lint implements intlint, the repo-specific static-analysis suite
 // that mechanically enforces the contracts the scheduler's correctness and
 // reproducibility depend on: seed-determinism of the simulation packages,
-// the transient-packet relinquish rule, the probe-codec scratch-aliasing
-// rules, and the immutability of published topology snapshots and cached
-// ranking views.
+// the transient-packet relinquish rule, and the probe-codec scratch-aliasing
+// rules. Snapshot and answer immutability need no analyzer: a published
+// collector.Topology has no exported field, and core hands out every answer
+// as the caller's own copy.
 //
 // The package is a small, dependency-free re-implementation of the parts of
 // golang.org/x/tools/go/analysis that the suite needs (the container that
@@ -68,7 +69,6 @@ func Analyzers() []*Analyzer {
 		SimDeterminismAnalyzer,
 		TransientPacketAnalyzer,
 		ScratchAliasAnalyzer,
-		SnapshotImmutableAnalyzer,
 	}
 }
 

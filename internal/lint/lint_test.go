@@ -45,13 +45,6 @@ func TestScratchAlias(t *testing.T) {
 	linttest.Run(t, "internal/lint/testdata/src/scratch", "fixture/scratch", lint.ScratchAliasAnalyzer)
 }
 
-// TestSnapshotImmutable covers stores through published Topology snapshots
-// and cached RankEntry candidate views, against the read/reslice/clone
-// idioms the service actually uses.
-func TestSnapshotImmutable(t *testing.T) {
-	linttest.Run(t, "internal/lint/testdata/src/snapimm", "fixture/snapimm", lint.SnapshotImmutableAnalyzer)
-}
-
 // TestModuleIsClean runs the full suite over the repository itself: the
 // production tree must stay free of violations.
 func TestModuleIsClean(t *testing.T) {

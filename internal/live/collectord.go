@@ -341,7 +341,7 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 	d.reg.GaugeFunc(obs.Opts{
 		Name: "intsched_collector_snapshot_age_seconds",
 		Help: "Age of the current topology snapshot (time since it was published).",
-	}, func() float64 { return (d.clock() - d.coll.Snapshot().TakenAt).Seconds() })
+	}, func() float64 { return (d.clock() - d.coll.Snapshot().TakenAt()).Seconds() })
 	d.reg.CounterFunc(obs.Opts{
 		Name: "intsched_collector_snapshot_publishes_total",
 		Help: "Topology snapshots published: one per epoch that a query or scrape read.",
@@ -727,14 +727,16 @@ func (d *CollectorDaemon) admit(conn net.Conn) bool {
 // serve answers the frames of one query connection in arrival order, until
 // the peer closes it, stays idle past queryIdleTimeout, or sends a frame the
 // daemon will not read. A one-shot client and one that writes several
-// requests before reading are served alike. The request, the response and
-// the frame buffer are the connection's own and are reused for every frame.
+// requests before reading are served alike. The request, the ranking, the
+// response and the frame buffer are the connection's own and are reused for
+// every frame.
 func (d *CollectorDaemon) serve(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, queryReadBuffer)
 	var (
-		f    wire.Framer
-		req  wire.QueryRequest
-		resp wire.QueryResponse
+		f      wire.Framer
+		req    wire.QueryRequest
+		resp   wire.QueryResponse
+		ranked []core.Candidate
 	)
 	for {
 		_ = conn.SetDeadline(time.Now().Add(queryIdleTimeout)) // a failure shows at the read
@@ -751,7 +753,7 @@ func (d *CollectorDaemon) serve(conn net.Conn) {
 			_ = f.WriteFrame(conn, &wire.QueryResponse{Error: err.Error()})
 			return
 		}
-		d.answerInto(&resp, &req)
+		ranked = d.answerInto(&resp, &req, ranked[:0])
 		if err := f.WriteFrame(conn, &resp); err != nil {
 			return
 		}
@@ -765,25 +767,24 @@ func (d *CollectorDaemon) serve(conn net.Conn) {
 // cache machinery the simulated scheduler service uses.
 func (d *CollectorDaemon) Answer(req *wire.QueryRequest) *wire.QueryResponse {
 	resp := new(wire.QueryResponse)
-	d.answerInto(resp, req)
+	d.answerInto(resp, req, nil)
 	return resp
 }
 
 // answerInto overwrites resp with the answer to req, keeping the candidate
-// slice resp already has.
-func (d *CollectorDaemon) answerInto(resp *wire.QueryResponse, req *wire.QueryRequest) {
+// slice resp already has. The engine's ranking is appended to ranked, which
+// is returned for reuse.
+func (d *CollectorDaemon) answerInto(resp *wire.QueryResponse, req *wire.QueryRequest, ranked []core.Candidate) []core.Candidate {
 	resp.Metric, resp.Error, resp.Candidates = req.Metric, "", resp.Candidates[:0]
 	metric, ok := core.ParseMetric(req.Metric)
 	if !ok {
 		d.queryErrors.Inc()
 		resp.Error = fmt.Sprintf("unknown metric %q", req.Metric)
-		return
+		return ranked
 	}
 	topo := d.coll.Snapshot()
 	start := time.Now()
-	// The answer is a view of a cache entry shared between queries; the
-	// copy below only reads it.
-	ranked, ok := d.engine.Answer(topo, &core.QueryRequest{
+	ranked, ok = d.engine.Answer(ranked, topo, &core.QueryRequest{
 		From:      netsim.NodeID(req.From),
 		Metric:    metric,
 		Count:     req.Count,
@@ -793,7 +794,7 @@ func (d *CollectorDaemon) answerInto(resp *wire.QueryResponse, req *wire.QueryRe
 	if !ok {
 		d.queryErrors.Inc()
 		resp.Error = fmt.Sprintf("metric %q not served live", req.Metric)
-		return
+		return ranked
 	}
 	if req.Sorted {
 		// Option two answers in ID order: its first entry is not a choice.
@@ -812,6 +813,7 @@ func (d *CollectorDaemon) answerInto(resp *wire.QueryResponse, req *wire.QueryRe
 	if h := d.queryLatency[metric]; h != nil {
 		h.ObserveDuration(time.Since(start))
 	}
+	return ranked
 }
 
 // trackReroute counts answers whose best candidate changed from the device's
