@@ -6,6 +6,7 @@ package intsched_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -575,6 +576,63 @@ func benchWholeRanking(b *testing.B, topo *collector.Topology, r core.Ranker) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchRanking = core.ComputeRanking(topo, r, netsim.NodeID(hosts[i%len(hosts)]), 0)
+	}
+}
+
+// BenchmarkRankingAfterLinkLearned times the first whole delay ranking on the
+// default Clos after the collector learns one more switch–switch link, with
+// the node set unchanged: the price of building every tree a ranking walks
+// over the new structure. Each iteration, outside the timer, ingests a probe
+// whose path crosses two leaves not yet linked — a link the fabric does not
+// have, over ports no leaf uses — and publishes the snapshot; the timed
+// ranking is the first on it, from a rotating host. The trees of the
+// previous structure are warm. Run it with -benchtime=Nx, N at most the
+// 8 128 leaf pairs.
+func BenchmarkRankingAfterLinkLearned(b *testing.B) {
+	fabric, trace := closTrace(b, 1)
+	now := new(time.Duration)
+	coll, _ := learnTrace(b, fabric, trace, now)
+	topo := coll.Snapshot()
+	hosts := topo.Hosts()
+	// One host per leaf: the leaf is its only neighbour.
+	var leaves, onLeaf []string
+	seen := make(map[string]bool)
+	for _, h := range hosts {
+		if nb := topo.Neighbors(h); len(nb) == 1 && !topo.IsHost(nb[0]) && !seen[nb[0]] {
+			seen[nb[0]] = true
+			leaves, onLeaf = append(leaves, nb[0]), append(onLeaf, h)
+		}
+	}
+	type pair struct{ a, b int }
+	var pairs []pair
+	for i := range leaves {
+		for j := i + 1; j < len(leaves); j++ {
+			pairs = append(pairs, pair{i, j})
+		}
+	}
+	if b.N > len(pairs) {
+		b.Fatalf("b.N %d exceeds the %d leaf pairs: run with -benchtime=Nx", b.N, len(pairs))
+	}
+	nodes := topo.NodeCount()
+	benchRanking = core.ComputeRanking(topo, &core.DelayRanker{}, netsim.NodeID(hosts[0]), 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pr := pairs[i]
+		coll.HandleProbe(&telemetry.ProbePayload{
+			Origin: onLeaf[pr.a], Target: onLeaf[pr.b], Seq: 1, LastHopLatency: time.Microsecond,
+			Stack: telemetry.Stack{Records: []telemetry.Record{
+				{Device: leaves[pr.a], IngressPort: 1000, EgressPort: 1001, EgressTS: *now},
+				{Device: leaves[pr.b], HopIndex: 1, IngressPort: 1002, EgressPort: 1003, LinkLatency: time.Microsecond, EgressTS: *now},
+			}},
+		})
+		topo = coll.Snapshot()
+		if topo.NodeCount() != nodes || !slices.Contains(topo.Neighbors(leaves[pr.a]), leaves[pr.b]) {
+			b.Fatalf("%d nodes, want %d, with %s linked to %s", topo.NodeCount(), nodes, leaves[pr.a], leaves[pr.b])
+		}
+		b.StartTimer()
+		benchRanking = core.ComputeRanking(topo, &core.DelayRanker{}, netsim.NodeID(hosts[i%len(hosts)]), 0)
 	}
 }
 

@@ -1,8 +1,8 @@
 package collector
 
 import (
-	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -71,6 +71,7 @@ func newStructure(nodes, hostList []string) *structure {
 		nodes:     nodes,
 		nodeIndex: make(map[string]NodeIdx, len(nodes)),
 		nbrIdx:    indexed[NodeIdx, []NodeIdx]{make([][]NodeIdx, len(nodes))},
+		trees:     indexed[NodeIdx, atomic.Pointer[destTree]]{make([]atomic.Pointer[destTree], len(nodes))},
 		hostFlag:  indexed[NodeIdx, bool]{make([]bool, len(nodes))},
 		hostList:  hostList,
 		hostIdx:   make([]NodeIdx, len(hostList)),
@@ -270,60 +271,15 @@ const (
 // and -1 otherwise. Pass dst=-1 for an unresolvable destination (yields
 // PathNoRoute).
 func (t *Topology) PathInto(src, dst NodeIdx, scratch []int32) (path []int32, code PathCode, at NodeIdx) {
-	w := Walker{t: t}
-	return walk(&w, src, dst, false, scratch)
-}
-
-// Walker is one reader's handle on the destination trees of a snapshot.
-// Reset copies the shared store's tree table under one lock acquisition, so
-// a ranking that walks to every host pays for the lock once, not once a
-// candidate; a tree the table lacks is built or caught up on first use,
-// through the locked path. Published trees are immutable (spt.go), so the
-// copies stay right for the snapshot however far the store moves on. A
-// Walker is not safe for concurrent use.
-type Walker struct {
-	t     *Topology
-	trees indexed[NodeIdx, *destTree]
-}
-
-// Reset binds w to snapshot t, reusing its table. Reset(nil) lets go of the
-// snapshot and its trees: do so before parking a Walker in a pool.
-func (w *Walker) Reset(t *Topology) {
-	clear(w.trees.s)
-	w.t, w.trees.s = t, w.trees.s[:0]
-	if t == nil {
-		return
-	}
-	n := len(t.nodes)
-	w.trees.s = slices.Grow(w.trees.s, n)[:n]
-	if s := t.store; s != nil {
-		s.mu.RLock()
-		if s.seq == t.seq {
-			copy(w.trees.s, s.trees.s)
-		}
-		s.mu.RUnlock()
-	}
-}
-
-// tree returns the tree toward dst (nil when dst is out of range).
-func (w *Walker) tree(dst NodeIdx) *destTree {
-	if dst < 0 || int(dst) >= len(w.trees.s) {
-		return w.t.treeForIdx(dst) // unbound table (PathInto), or no such node
-	}
-	tree := w.trees.at(dst)
-	if tree == nil || tree.seq != w.t.seq {
-		tree = w.t.treeForIdx(dst)
-		w.trees.s[dst] = tree
-	}
-	return tree
+	return walk(t, src, dst, false, scratch)
 }
 
 // SlotsInto is PathInto for estimates: it walks from src to dst appending
 // each hop's metric slot — what SlotDelay, SlotRate and SlotQueueMax read —
 // instead of each node, with the same PathCode and at in the same cases. A
 // PathOK walk took len(slots) hops, and only its first can leave a host.
-func (w *Walker) SlotsInto(src, dst NodeIdx, scratch []Slot) (slots []Slot, code PathCode, at NodeIdx) {
-	return walk(w, src, dst, true, scratch)
+func (t *Topology) SlotsInto(src, dst NodeIdx, scratch []Slot) (slots []Slot, code PathCode, at NodeIdx) {
+	return walk(t, src, dst, true, scratch)
 }
 
 // walk is the one tree walk: it appends, per hop, the hop's metric slot
@@ -331,8 +287,7 @@ func (w *Walker) SlotsInto(src, dst NodeIdx, scratch []Slot) (slots []Slot, code
 // itself (E = int32). It follows the tree of dst's root to the root, then
 // takes the root's hop to dst when the two differ (a single-homed host; see
 // spt.go).
-func walk[E ~int32](w *Walker, src, dst NodeIdx, bySlot bool, scratch []E) (out []E, code PathCode, at NodeIdx) {
-	t := w.t
+func walk[E ~int32](t *Topology, src, dst NodeIdx, bySlot bool, scratch []E) (out []E, code PathCode, at NodeIdx) {
 	if src < 0 || int(src) >= len(t.nodes) {
 		return scratch[:0], PathUnknownSrc, src
 	}
@@ -348,7 +303,7 @@ func walk[E ~int32](w *Walker, src, dst NodeIdx, bySlot bool, scratch []E) (out 
 	}
 	root, last := t.WalkRoot(dst)
 	if src != root {
-		tree := w.tree(root)
+		tree := t.tree(root)
 		if tree == nil || tree.next.at(src) == -1 {
 			return scratch[:0], PathNoRoute, -1
 		}

@@ -14,8 +14,8 @@
 // metrics current beside the tables; Snapshot() publishes an immutable
 // Topology — a copy of that array over a structure shared between snapshots
 // — and serves it lock-free until the epoch moves or something ages out
-// (snapshot.go); per-destination path trees are maintained incrementally
-// across snapshots (spt.go).
+// (snapshot.go). The structure owns the per-destination path trees, built
+// on first use and shared by every snapshot of it (spt.go).
 //
 // This file is the package's public API surface: configuration,
 // construction, ingest counters, configuration setters, point lookups, and
@@ -178,8 +178,6 @@ type Collector struct {
 	epoch atomic.Uint64
 	// snap is the published snapshot (nil until the first Snapshot).
 	snap atomic.Pointer[Topology]
-	// spt is the shared incremental shortest-path-tree store.
-	spt *sptStore
 
 	// Asynchronous ingest (live mode only; see StartIngestWorkers).
 	ingest      atomic.Pointer[chan *telemetry.ProbePayload]
@@ -199,7 +197,6 @@ func New(self netsim.NodeID, clock func() time.Duration, cfg Config) *Collector 
 		edges:   make(map[edgeIDs]*edgeState),
 		window:  cfg.QueueWindow,
 		streams: make(map[probeKey]probeMeta),
-		spt:     newSPTStore(),
 	}
 	c.nodes.at(c.internLocked(c.self)).host = true
 	return c

@@ -9,16 +9,14 @@ func CheckWalksMatchHostTrees(t *Topology) (singles int, err error) {
 	return checkWalksMatchHostTrees(t)
 }
 
-// StoredTrees returns how many trees the shared store holds for t's
-// structure, and how many distinct walk roots t's hosts have.
+// StoredTrees returns how many trees t's structure holds, and how many
+// distinct walk roots t's hosts have.
 func StoredTrees(t *Topology) (trees, roots int) {
-	t.store.mu.RLock()
-	for _, tree := range t.store.trees.s {
-		if tree != nil && tree.seq == t.seq {
+	for i := range t.trees.s {
+		if t.trees.s[i].Load() != nil {
 			trees++
 		}
 	}
-	t.store.mu.RUnlock()
 	seen := make(map[NodeIdx]bool)
 	for _, i := range t.hostIdx {
 		if i >= 0 {

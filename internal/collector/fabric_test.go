@@ -82,7 +82,7 @@ func TestWalksMatchHostTreesOnFabrics(t *testing.T) {
 }
 
 // TestOneTreePerAttachmentSwitch: rankings from every host of the Clos and
-// metro fabrics, which walk from each host to every other, leave the store
+// metro fabrics, which walk from each host to every other, leave the structure
 // holding one tree per switch a host hangs off — not one per host.
 func TestOneTreePerAttachmentSwitch(t *testing.T) {
 	want := map[string]int{"clos": 128, "metro": 129}
@@ -97,7 +97,7 @@ func TestOneTreePerAttachmentSwitch(t *testing.T) {
 			}
 			trees, roots := collector.StoredTrees(topo)
 			if trees != roots || trees != want[f.name] {
-				t.Fatalf("store holds %d trees for %d hosts on %d walk roots, want %d",
+				t.Fatalf("structure holds %d trees for %d hosts on %d walk roots, want %d",
 					trees, topo.HostCount(), roots, want[f.name])
 			}
 		})

@@ -75,7 +75,6 @@ func (c *Collector) Snapshot() *Topology {
 		takenAt:     now,
 		epoch:       epoch,
 		expireAt:    c.expireAtLocked(),
-		store:       c.spt,
 	}
 	c.stats.SnapshotPublishes++
 	c.snap.Store(t)
@@ -146,7 +145,6 @@ func (c *Collector) rebuildLocked(now time.Duration) {
 		s.nbrIdx.s[i] = idx
 	}
 	s.flatten()
-	s.seq = c.spt.advance(s.nodes, s.nbrIdx, s.hostFlag.s)
 
 	c.cur, c.order = s, indexed[NodeIdx, nodeID]{order}
 	c.live = indexed[Slot, edgeMetrics]{make([]edgeMetrics, 2*len(s.nbrFlat.s))}

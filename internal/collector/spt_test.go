@@ -8,10 +8,11 @@ import (
 	"time"
 )
 
-// Tests for incremental shortest-path-tree maintenance: a randomized
-// property check against an independent from-scratch BFS, and a targeted
-// test that an edge flap in one region catches trees of unaffected
-// destinations up in place instead of rebuilding them.
+// Tests for the shortest-path trees: a randomized property check against an
+// independent from-scratch BFS, walks held to each host's own tree on current
+// and superseded snapshots, and targeted tests that a link eviction detours
+// the new snapshot's paths while the old one keeps its own, and that
+// snapshots of one structure share its trees.
 
 // refNextHops is the independent reference: a from-scratch BFS toward dst
 // over the snapshot's public accessors, replicating the deterministic rule
@@ -109,24 +110,21 @@ func mutateSPT(iters int, visit func(iter int, c *Collector)) {
 	}
 }
 
-// TestIncrementalSPTMatchesFromScratchBFS compares, after every mutation of
-// mutateSPT, every (src, dst) path served by the incremental store against
-// the reference BFS on the same snapshot.
-func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
-	var walker Walker
+// TestTreesMatchFromScratchBFS compares, after every mutation of mutateSPT,
+// every (src, dst) path walked over the snapshot's trees against the
+// reference BFS on the same snapshot.
+func TestTreesMatchFromScratchBFS(t *testing.T) {
 	var pathBuf []int32
 	var slotBuf []Slot
 	mutateSPT(400, func(iter int, c *Collector) {
 		topo := c.Snapshot()
-		walker.Reset(topo)
 		for idst, dst := range topo.nodes {
 			next := refNextHops(topo, dst)
 			for isrc, src := range topo.nodes {
 				// The slot walk is the node walk with each hop's slot in
-				// place of its far end, whichever structure the tree was
-				// built or caught up against.
+				// place of its far end.
 				path, code, at := topo.PathInto(NodeIdx(isrc), NodeIdx(idst), pathBuf)
-				slots, scode, sat := walker.SlotsInto(NodeIdx(isrc), NodeIdx(idst), slotBuf)
+				slots, scode, sat := topo.SlotsInto(NodeIdx(isrc), NodeIdx(idst), slotBuf)
 				pathBuf, slotBuf = path, slots
 				if scode != code || sat != at || (code == PathOK && len(slots) != len(path)-1) {
 					t.Fatalf("iter %d: SlotsInto(%s,%s) = %d hops, %v at %d; PathInto %d nodes, %v at %d",
@@ -149,7 +147,7 @@ func TestIncrementalSPTMatchesFromScratchBFS(t *testing.T) {
 				if err != nil {
 					t.Fatalf("iter %d: Path(%s,%s) error %v, reference %v", iter, src, dst, err, want)
 				}
-				if !stringsEqual(got, want) {
+				if !slices.Equal(got, want) {
 					t.Fatalf("iter %d: Path(%s,%s)=%v, reference %v", iter, src, dst, got, want)
 				}
 			}
@@ -205,13 +203,10 @@ func singleHomed(topo *Topology, i NodeIdx) bool {
 
 // checkWalksMatchHostTrees walks from every node (and from one index past
 // either end) to every host with an adjacency (and to -1, the unknown
-// destination), by PathInto and by a Walker's SlotsInto, and holds nodes,
-// slots, PathCode and at equal to hostTreeWalk over buildDestTree(s, h). It
-// returns how many of the hosts were single-homed.
+// destination), by PathInto and by SlotsInto, and holds nodes, slots,
+// PathCode and at equal to hostTreeWalk over buildDestTree(s, h). It returns
+// how many of the hosts were single-homed.
 func checkWalksMatchHostTrees(topo *Topology) (singles int, err error) {
-	var w Walker
-	w.Reset(topo)
-	defer w.Reset(nil)
 	dsts := []NodeIdx{-1}
 	for j := range topo.HostCount() {
 		if i := topo.HostNodeIndex(j); i >= 0 {
@@ -237,7 +232,7 @@ func checkWalksMatchHostTrees(topo *Topology) (singles int, err error) {
 				return singles, fmt.Errorf("PathInto(%d,%d) = %v, %v at %d; host tree walk %v, %v at %d",
 					src, dst, path, code, at, want, wcode, wat)
 			}
-			slots, code, at = w.SlotsInto(src, dst, slots)
+			slots, code, at = topo.SlotsInto(src, dst, slots)
 			wantSlots, wcode, wat := hostTreeWalk[Slot](topo, tree, src, dst, true)
 			if code != wcode || at != wat || !slices.Equal(slots, wantSlots) {
 				return singles, fmt.Errorf("SlotsInto(%d,%d) = %v, %v at %d; host tree walk %v, %v at %d",
@@ -250,8 +245,8 @@ func checkWalksMatchHostTrees(topo *Topology) (singles int, err error) {
 
 // TestWalksMatchHostTrees holds every walk to a host equal to the walk over
 // the host's own BFS tree through mutateSPT's history, on each snapshot while
-// it is current (the shared store) and again once a structure change has
-// superseded it (the snapshot's scratch memo).
+// it is current and again once a structure change has superseded it (the
+// snapshot still walks its own structure's trees).
 func TestWalksMatchHostTrees(t *testing.T) {
 	var prev *Topology
 	singles, others, superseded := 0, 0, 0
@@ -267,12 +262,9 @@ func TestWalksMatchHostTrees(t *testing.T) {
 				others++ // adjacent to another host
 			}
 		}
-		if prev != nil && prev.seq != topo.seq {
+		if prev != nil && prev.structure != topo.structure {
 			if _, err := checkWalksMatchHostTrees(prev); err != nil {
 				t.Fatalf("iter %d, superseded snapshot: %v", iter, err)
-			}
-			if prev.scratch.s == nil {
-				t.Fatalf("iter %d: superseded snapshot walked without its scratch memo", iter)
 			}
 			superseded++
 		}
@@ -314,19 +306,17 @@ func TestWalksMatchHostTreesCrafted(t *testing.T) {
 	}
 }
 
-// storedTree returns the shared store's tree that walks toward dst follow,
-// the tree of dst's root, as indexed by topo.
-func storedTree(s *sptStore, topo *Topology, dst string) *destTree {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.trees.s[topo.root.s[topo.nodeIndex[dst]]]
+// storedTree returns the tree of topo's structure that walks toward dst
+// follow, the tree of dst's root (nil until a walk has built it).
+func storedTree(topo *Topology, dst string) *destTree {
+	return topo.trees.ref(topo.root.s[topo.nodeIndex[dst]]).Load()
 }
 
-// TestIncrementalSPTReusesUnaffectedTrees: evicting one link must catch up
-// destination trees it provably cannot touch — a caught-up tree is a new
-// value over the old next-hop array, which a BFS would have allocated afresh
-// — while rebuilding trees it does.
-func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
+// TestPathsAcrossLinkEviction: evicting one switch–switch link, with the node
+// set unchanged, detours the paths of the new snapshot that crossed it and
+// leaves the others as they were, while the superseded snapshot keeps
+// answering the paths it had.
+func TestPathsAcrossLinkEviction(t *testing.T) {
 	clk := &fakeClock{now: time.Second}
 	c := New("sched", clk.Now, Config{QueueWindow: 200 * time.Millisecond}) // TTL 1 s
 	probe := func(origin, target string, seq uint64, devs ...devSpec) {
@@ -358,80 +348,51 @@ func TestIncrementalSPTReusesUnaffectedTrees(t *testing.T) {
 				devSpec{id: "w2", in: 3, out: 4})
 		}
 	}
+	wantPath := func(topo *Topology, src, dst string, want ...string) {
+		t.Helper()
+		if p, err := topo.Path(src, dst); err != nil || !slices.Equal(p, want) {
+			t.Fatalf("path %s->%s = %v, %v; want %v", src, dst, p, err, want)
+		}
+	}
 	feed(1, true)
 	for s := uint64(2); s <= 4; s++ {
 		clk.now += 300 * time.Millisecond
 		feed(s, false)
 	}
-	// Warm the store's trees at the pre-flap structure (t=1.9s; the b->c
-	// stream's edges were last confirmed at t=1.0s).
-	topo := c.Snapshot()
-	if p, err := topo.Path("b", "sched"); err != nil || !stringsEqual(p, []string{"b", "w1", "w2", "sched"}) {
-		t.Fatalf("warm path b->sched %v %v", p, err)
-	}
-	if p, err := topo.Path("b", "w3"); err != nil || !stringsEqual(p, []string{"b", "w1", "w3"}) {
-		t.Fatalf("warm path b->w3 %v %v", p, err)
-	}
-	treeSched, treeW3 := storedTree(c.spt, topo, "sched"), storedTree(c.spt, topo, "w3")
-	if treeSched == nil || treeW3 == nil || treeSched != storedTree(c.spt, topo, "w2") {
-		t.Fatal("trees not memoized in shared store")
-	}
+	// The pre-eviction snapshot (t=1.9s; the b->c stream's edges were last
+	// confirmed at t=1.0s).
+	old := c.Snapshot()
+	wantPath(old, "b", "sched", "b", "w1", "w2", "sched")
+	wantPath(old, "b", "w3", "b", "w1", "w3")
+	wantPath(old, "w1", "w3", "w1", "w3")
 
-	// Flap: the b->c stream ages out (cutoff passes t=1.0s), every other
+	// Eviction: the b->c stream ages out (cutoff passes t=1.0s), every other
 	// stream stays fresh, so exactly w1<->w3 is evicted.
 	clk.now += 400 * time.Millisecond // 2.3s
 	feed(5, false)
 	clk.now += 50 * time.Millisecond // 2.35s: cutoff 1.35s
-	topo = c.Snapshot()
+	topo := c.Snapshot()
 	if evicted := c.EvictedEdges(); len(evicted) != 2 {
 		t.Fatalf("want exactly the w1<->w3 eviction pair, got %v", evicted)
 	}
-	if _, err := topo.Path("b", "sched"); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(topo.nodes, old.nodes) || topo.structure == old.structure {
+		t.Fatalf("want a new structure over the same nodes: %v, then %v", old.nodes, topo.nodes)
 	}
-	if _, err := topo.Path("b", "w3"); err != nil {
-		t.Fatal(err)
-	}
-	treeSched2, treeW32 := storedTree(c.spt, topo, "sched"), storedTree(c.spt, topo, "w3")
-	// Walks toward sched follow the tree of w2, its one switch. The w1–w3
-	// link is on no shortest path toward w2 (both switches are discovered
-	// from it), so the delta classifier must catch that tree up: no BFS,
-	// the next hops are the very same array.
-	if &treeSched2.next.s[0] != &treeSched.next.s[0] {
-		t.Fatal("unaffected tree toward sched was rebuilt instead of caught up")
-	}
-	if treeSched2.seq != topo.seq {
-		t.Fatalf("caught-up tree seq %d, topology seq %d", treeSched2.seq, topo.seq)
-	}
-	// Its hop slots belong to the new layout, in a new tree value: the old
-	// one still serves readers of the pre-flap snapshot, untouched.
-	if treeSched2 == treeSched || treeSched.seq == topo.seq {
-		t.Fatal("lagging tree was refilled in place")
-	}
-	for i, nxt := range treeSched2.next.s {
-		want := Slot(-1)
-		if nxt >= 0 {
-			want = topo.DirSlot(NodeIdx(i), nxt)
-		}
-		if treeSched2.slot.s[i] != want {
-			t.Fatalf("caught-up slot of %s is %d, want %d", topo.nodes[i], treeSched2.slot.s[i], want)
-		}
-	}
-	// w1's discovery edge toward w3 was exactly the evicted link, so that
-	// tree must have been rebuilt.
-	if &treeW32.next.s[0] == &treeW3.next.s[0] {
-		t.Fatal("affected tree toward w3 was reused despite losing its discovery edge")
-	}
-	// And the rebuilt route detours: b–w1 now reaches w3 via w2.
-	if p, _ := topo.Path("w1", "w3"); !stringsEqual(p, []string{"w1", "w2", "w3"}) {
-		t.Fatalf("post-flap path w1->w3 = %v", p)
-	}
+	// The w1–w3 link was on no shortest path toward sched; the paths that
+	// crossed it detour through w2.
+	wantPath(topo, "b", "sched", "b", "w1", "w2", "sched")
+	wantPath(topo, "b", "w3", "b", "w1", "w2", "w3")
+	wantPath(topo, "w1", "w3", "w1", "w2", "w3")
+	// The superseded snapshot answers from its own structure's trees.
+	wantPath(old, "b", "sched", "b", "w1", "w2", "sched")
+	wantPath(old, "b", "w3", "b", "w1", "w3")
+	wantPath(old, "w1", "w3", "w1", "w3")
 }
 
-// TestSPTStructureUnchangedKeepsSequence: probes that only refresh existing
-// state (queue reports, delay samples) advance epochs but not the SPT
-// sequence, so every cached tree stays valid without any catch-up walk.
-func TestSPTStructureUnchangedKeepsSequence(t *testing.T) {
+// TestSnapshotsOfOneStructureShareTrees: probes that only refresh existing
+// state (queue reports, delay samples) advance epochs but keep the
+// structure, so a tree built on one snapshot serves the next.
+func TestSnapshotsOfOneStructureShareTrees(t *testing.T) {
 	clk := &fakeClock{now: time.Second}
 	c := newTestCollector(clk)
 	c.HandleProbe(probeFrom("n1", 1, 5*time.Millisecond,
@@ -444,17 +405,17 @@ func TestSPTStructureUnchangedKeepsSequence(t *testing.T) {
 	c.HandleProbe(probeFrom("n1", 2, 6*time.Millisecond,
 		devSpec{id: "s1", in: 0, out: 1, queues: map[int]int{1: 9}, egressTS: clk.now}))
 	t2 := c.Snapshot()
-	if t2 == t1 {
+	if t2 == t1 || t2.Epoch() == t1.Epoch() {
 		t.Fatal("epoch should have advanced the snapshot")
 	}
-	if t2.seq != t1.seq {
-		t.Fatalf("structure unchanged but seq moved: %d -> %d", t1.seq, t2.seq)
+	tree := storedTree(t1, "sched")
+	if tree == nil {
+		t.Fatal("tree not kept on the structure")
 	}
-	tree := storedTree(c.spt, t1, "sched")
 	if _, err := t2.Path("n1", "sched"); err != nil {
 		t.Fatal(err)
 	}
-	if storedTree(c.spt, t2, "sched") != tree {
+	if storedTree(t2, "sched") != tree {
 		t.Fatal("tree rebuilt despite unchanged structure")
 	}
 }

@@ -3,16 +3,17 @@ package collector
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // structure is the part of a snapshot that changes only when the adjacency or
 // the host set does: the sorted node and host lists and every index array
-// built over them. It is immutable once built, and successive snapshots share
-// one structure (and its backing arrays) until a probe changes a port's
-// neighbour, a host appears, an edge ages out or the queue window is reset
-// (rebuildLocked).
+// built over them, and the shortest-path trees over that index. It is
+// immutable once built but for its tree table, which fills as walks ask for
+// trees, and successive snapshots share one structure (its backing arrays and
+// its trees) until a probe changes a port's neighbour, a host appears, an edge
+// ages out or the queue window is reset (rebuildLocked).
 type structure struct {
 	// nodes lists every known node ID (hosts and switches), sorted; its
 	// index order is the coordinate system of nbrIdx, hostFlag, and the
@@ -47,9 +48,10 @@ type structure struct {
 	root     indexed[NodeIdx, NodeIdx]
 	lastSlot indexed[NodeIdx, Slot]
 
-	// seq versions the adjacency structure for incremental
-	// shortest-path-tree maintenance (see spt.go).
-	seq uint64
+	// trees holds the shortest-path tree toward each node, nil until a walk
+	// first asks for it (spt.go). It is the one part of a structure written
+	// after it is built, and only by publishing a tree into an empty entry.
+	trees indexed[NodeIdx, atomic.Pointer[destTree]]
 }
 
 // Topology is an immutable snapshot of the collector's learned network view,
@@ -66,8 +68,8 @@ type structure struct {
 // per-direction metric slots (arena.go) as they stood at its epoch. The
 // string-keyed accessors below are thin views over that index, kept for
 // tests, examples and debugging. The only internal mutability is the
-// shortest-path tree state, which is guarded by its own locks (the shared
-// incremental store, or the private scratch memo for superseded snapshots).
+// structure's tree table, whose entries are published once each, atomically
+// (spt.go); a superseded snapshot keeps walking its own structure's trees.
 type Topology struct {
 	*structure
 
@@ -87,14 +89,6 @@ type Topology struct {
 	// comes first (neverExpires if neither exists).
 	epoch    uint64
 	expireAt time.Duration
-
-	// store is the collector's shortest-path-tree store (nil for
-	// hand-crafted topologies).
-	store *sptStore
-	// scratch memoizes per-destination trees privately when store is nil
-	// or has advanced past seq.
-	scratchMu sync.Mutex
-	scratch   indexed[NodeIdx, *destTree]
 }
 
 // Epoch returns the collector epoch this snapshot was published at. Two
@@ -168,10 +162,10 @@ func (t *Topology) QueueMax(from, to string) (int, bool) {
 }
 
 // Path returns the hop sequence (including endpoints) from src to dst along
-// BFS shortest paths, by walking the per-destination tree (incrementally
-// maintained across snapshots; see spt.go). Hosts never forward transit
-// traffic; a malformed tree that would route through a host mid-path (or
-// reference an unknown node) yields a defensive error instead of looping.
+// BFS shortest paths, by walking the per-destination tree (built once per
+// structure; see spt.go). Hosts never forward transit traffic; a malformed
+// tree that would route through a host mid-path (or reference an unknown
+// node) yields a defensive error instead of looping.
 func (t *Topology) Path(src, dst string) ([]string, error) {
 	if src == dst {
 		return []string{src}, nil

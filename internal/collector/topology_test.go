@@ -103,8 +103,7 @@ func craftedTopology(nodes []string, hosts map[string]bool, neighbors map[string
 	for n, parent := range tree {
 		next[t.nodeIndex[n]] = t.nodeIndex[parent]
 	}
-	t.scratch.s = make([]*destTree, len(nodes))
-	t.scratch.s[t.nodeIndex[dst]] = &destTree{next: indexed[NodeIdx, NodeIdx]{next}, slot: hopSlots(s, next)}
+	t.trees.ref(t.nodeIndex[dst]).Store(&destTree{next: indexed[NodeIdx, NodeIdx]{next}, slot: hopSlots(s, next)})
 	return t
 }
 
@@ -191,25 +190,23 @@ func TestPathMemoizedTreeShared(t *testing.T) {
 	if _, err := topo.Path("n1", "sched"); err != nil {
 		t.Fatal(err)
 	}
-	tree1 := storedTree(topo.store, topo, "sched")
+	tree1 := storedTree(topo, "sched")
 	if tree1 == nil {
 		t.Fatal("tree not memoized")
 	}
 	if _, err := topo.Path("s2", "sched"); err != nil {
 		t.Fatal(err)
 	}
-	if storedTree(topo.store, topo, "sched") != tree1 {
+	if storedTree(topo, "sched") != tree1 {
 		t.Fatal("second source rebuilt the destination's tree")
 	}
-	topo.store.mu.RLock()
 	nTrees := 0
-	for _, tree := range topo.store.trees.s {
-		if tree != nil {
+	for i := range topo.trees.s {
+		if topo.trees.s[i].Load() != nil {
 			nTrees++
 		}
 	}
-	s4 := topo.store.trees.s[topo.nodeIndex["s4"]]
-	topo.store.mu.RUnlock()
+	s4 := topo.trees.ref(topo.nodeIndex["s4"]).Load()
 	if nTrees != 1 || s4 != tree1 {
 		t.Fatalf("expected a single memoized destination, s4, got %d trees", nTrees)
 	}

@@ -56,9 +56,13 @@ func (e *Engine) Answer(dst []Candidate, topo *collector.Topology, req *QueryReq
 	fromHost := topo.HostIndex(string(req.From))
 	if req.Metric == MetricRandom || fromHost < 0 {
 		// An RNG draw the collector epoch does not version, or a requester
-		// the index-space key cannot name: compute every time.
-		entry := newRankEntry(ComputeRanking(topo, ranker, req.From, req.DataBytes), true)
-		return entry.appendShaped(dst, idOrder, e.ExcludeUnreachable, req.Count), true
+		// the index-space key cannot name: compute every time. The ranking is
+		// private, so with no buffer to append to it is shaped in place.
+		ranked := ComputeRanking(topo, ranker, req.From, req.DataBytes)
+		if cap(dst) == 0 {
+			dst = ranked[:0]
+		}
+		return newRankEntry(ranked, true).appendShaped(dst, idOrder, e.ExcludeUnreachable, req.Count), true
 	}
 	// A sorted, counted query needs only the count best, and the miss
 	// computes only those; anything else needs the whole ranking. The cache

@@ -57,8 +57,6 @@ type foldRanker struct {
 // refPerHost ranks every host but from by a walk to each, in the order the
 // Ranker contract documents.
 func refPerHost(topo *collector.Topology, fr foldRanker, from string, dataBytes int64) []Candidate {
-	var w collector.Walker
-	w.Reset(topo)
 	src := collector.NodeIdx(-1)
 	if i, ok := topo.NodeIndex(from); ok {
 		src = i
@@ -72,7 +70,7 @@ func refPerHost(topo *collector.Topology, fr foldRanker, from string, dataBytes 
 		}
 		c := Candidate{Node: netsim.NodeID(topo.HostName(j))}
 		var code collector.PathCode
-		slots, code, _ = w.SlotsInto(src, topo.HostNodeIndex(j), slots)
+		slots, code, _ = topo.SlotsInto(src, topo.HostNodeIndex(j), slots)
 		if code == collector.PathOK {
 			c.Reachable, c.Hops = true, len(slots)
 			delay, bw := refFold(topo, slots, leavesHost, fr.k, fr.cal)
@@ -106,7 +104,6 @@ func refPerHost(topo *collector.Topology, fr foldRanker, from string, dataBytes 
 		}
 		return a.Node < b.Node
 	})
-	w.Reset(nil)
 	return out
 }
 

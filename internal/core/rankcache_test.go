@@ -431,6 +431,33 @@ func TestWarmRankAllocations(t *testing.T) {
 	}
 }
 
+// TestUncachedRankOnShapesInPlace: a query the rank cache cannot key — here
+// from a switch, not a host — computes a private ranking, and RankOn, which
+// passes no buffer, shapes that ranking in place instead of copying it: one
+// allocation. Each shape equals the answer appended into a caller's buffer.
+func TestUncachedRankOnShapesInPlace(t *testing.T) {
+	f := newServiceFixture(t)
+	topo := f.coll.Snapshot()
+	reqs := []*QueryRequest{
+		{From: "s1", Metric: MetricDelay, Sorted: true},
+		{From: "s1", Metric: MetricBandwidth}, // option two: ID order
+		{From: "s1", Metric: MetricDelay, Sorted: true, Count: 2},
+	}
+	for _, req := range reqs {
+		got := f.svc.RankOn(topo, req)
+		want, _ := f.svc.engine.Answer(make([]Candidate, 0, 8), topo, req)
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: RankOn %v, appended answer %v", *req, got, want)
+		}
+	}
+	if raceEnabled {
+		t.Skip("the ranking's pooled scratch is reallocated at random under -race")
+	}
+	if n := testing.AllocsPerRun(200, func() { f.svc.RankOn(topo, reqs[0]) }); n != 1 {
+		t.Fatalf("uncached RankOn allocated %.1f per run, want 1 (the private ranking, shaped in place)", n)
+	}
+}
+
 func BenchmarkRankForWarm(b *testing.B) {
 	f := newServiceFixture(&testing.T{})
 	req := &QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true}

@@ -9,7 +9,7 @@
 // kept to array loads. The walk toward a single-homed host is its switch's
 // walk plus one hop, so each walk root — such a switch, or a host that is
 // its own root — is walked once over its tree's precomputed hop slots
-// (collector.Walker.SlotsInto) and folded once into the estimate's sums
+// (collector.Topology.SlotsInto) and folded once into the estimate's sums
 // (pathFold), and each host extends a copy of its root's fold by its last
 // hop. The order comes from 16-byte keys, sorted by a quicksort whose
 // comparisons are inlined (rankPaths, ranked). A query that asks for the k
@@ -157,10 +157,9 @@ func floatKey(f float64) int64 {
 // computation. The slices follow the store-back idiom: helpers return the
 // (possibly re-homed) slice and the owner stores it back.
 type rankScratch struct {
-	walker collector.Walker
-	slots  []collector.Slot // SlotsInto walk scratch
-	cands  []Candidate      // every host's estimates, by host position
-	keys   []rankKey        // the reachable candidates' sort keys
+	slots []collector.Slot // SlotsInto walk scratch
+	cands []Candidate      // every host's estimates, by host position
+	keys  []rankKey        // the reachable candidates' sort keys
 	// roots memoizes, by node index, the fold of the walk to each walk root
 	// this ranking has met; an entry is this ranking's iff its gen is gen.
 	roots []rootFold
@@ -418,7 +417,6 @@ func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, co
 	s.begin(topo.HostCount())
 	s.beginRoots(topo.NodeCount())
 	leavesHost := fromIdx >= 0 && topo.IsHostIdx(fromIdx)
-	s.walker.Reset(topo)
 	for j := range s.cands {
 		if j == fromHost {
 			continue
@@ -432,7 +430,7 @@ func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, co
 		}
 		m := &s.roots[root]
 		if m.gen != s.gen {
-			slots, code, _ := s.walker.SlotsInto(fromIdx, root, s.slots)
+			slots, code, _ := topo.SlotsInto(fromIdx, root, s.slots)
 			s.slots = slots
 			*m = rootFold{gen: s.gen, ok: code == collector.PathOK, fold: pathFold{bottleneck: -1}}
 			if m.ok {
@@ -451,7 +449,6 @@ func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, co
 		c.Reachable, c.Hops = true, f.hops
 		s.keys = append(s.keys, rankKey{key: finish(c, f), host: int32(j)})
 	}
-	s.walker.Reset(nil) // a pooled scratch must not pin the snapshot
 	return ranked(s.cands, s.keys, fromHost, count)
 }
 

@@ -12,14 +12,13 @@ import (
 )
 
 // TestRankingOnSupersededSnapshot runs under -race in CI. A destination
-// tree's hop slots belong to one structure's layout, while the tree itself
-// survives an adjacency change that cannot affect it. Goroutines rank on the
-// current snapshot — holding its trees — while a link appears between two
-// switches already known, the next snapshot is published, and its first
-// rankings catch those trees up to the new layout. The rankings on the
-// snapshot being superseded must stay what they were before the change: a
-// catch-up that refilled a shared tree in place would hand its readers
-// another layout's slots (and race).
+// tree's hop slots belong to one structure's layout, and each structure owns
+// its trees. Goroutines rank on the current snapshot — building and reading
+// its trees — while a link appears between two switches already known, the
+// next snapshot is published, and its first rankings build the new
+// structure's trees. The rankings on the snapshot being superseded must stay
+// what they were before the change: trees shared across structures would
+// hand its readers another layout's slots (and race).
 func TestRankingOnSupersededSnapshot(t *testing.T) {
 	now := time.Second
 	coll := collector.New("sched", func() time.Duration { return now },
@@ -116,9 +115,9 @@ func TestRankingOnSupersededSnapshot(t *testing.T) {
 	}
 
 	// Each round links two leaves directly (ports 3 and up), which moves
-	// every later CSR edge and so most slots. The trees toward sched and c
-	// cannot change — no leaf gets closer to the hub — and are caught up;
-	// the trees toward the two leaves' hosts are rebuilt.
+	// every later CSR edge and so most slots. The next hops toward sched and
+	// c cannot change — no leaf gets closer to the hub — those toward the
+	// two leaves' hosts do, and the new structure builds all of its trees.
 	next, port := first, 3
 	for i := 0; i+1 < len(leaves); i++ {
 		for j := i + 1; j < len(leaves); j++ {

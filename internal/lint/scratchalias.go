@@ -22,7 +22,7 @@ var ScratchAliasAnalyzer = &Analyzer{
 telemetry.UnmarshalProbeInto decodes into a reusable payload whose Records
 and Queues slices are recycled on the next decode, telemetry.AppendProbe
 returns (a regrowth of) the caller's scratch buffer, and
-collector.Topology.PathInto and collector.Walker.SlotsInto walk a path's
+collector.Topology.PathInto and collector.Topology.SlotsInto walk a path's
 nodes or metric slots into (a regrowth of) caller-owned scratch that the
 next walk overwrites. Everything reachable from the decode
 target, the encoder's returned buffer, and the returned path aliases that
@@ -61,7 +61,7 @@ func runScratchAlias(pass *Pass) (any, error) {
 // scratchSeeds collects the taint roots of one function body: the decode
 // targets of UnmarshalProbeInto calls, both the result and the dst buffer
 // of AppendProbe calls, and both the returned walk and the scratch argument
-// of Topology.PathInto and Walker.SlotsInto calls (seeding the input buffer
+// of Topology.PathInto and Topology.SlotsInto calls (seeding the input buffer
 // legalizes the store-back idiom: a store into an already-tainted path is
 // in-place scratch maintenance).
 func scratchSeeds(pass *Pass, body *ast.BlockStmt) map[string]bool {
@@ -112,5 +112,5 @@ func scratchSeeds(pass *Pass, body *ast.BlockStmt) map[string]bool {
 // scratch argument re-homed.
 func isWalkInto(fn *types.Func) bool {
 	return isMethodOf(fn, "intsched/internal/collector", "Topology", "PathInto") ||
-		isMethodOf(fn, "intsched/internal/collector", "Walker", "SlotsInto")
+		isMethodOf(fn, "intsched/internal/collector", "Topology", "SlotsInto")
 }

@@ -1,6 +1,6 @@
 // Package scratch is the scratchalias fixture: values aliasing the probe
 // codec's reused decode/encode scratch — and paths walked into reusable
-// scratch by Topology.PathInto or Walker.SlotsInto — must not outlive the
+// scratch by Topology.PathInto or Topology.SlotsInto — must not outlive the
 // call, while the
 // store-back, in-place-mutation, and synchronous-callee idioms stay clean.
 package scratch
@@ -129,34 +129,31 @@ func BadPathReturned(topo *collector.Topology, src, dst collector.NodeIdx, scrat
 	return p // want `probe-codec scratch returned to the caller`
 }
 
-// slotWalker estimates over hop slots the way core's rankers do: one Walker
-// a ranking, SlotsInto into reusable scratch that the next walk overwrites.
-type slotWalker struct {
-	walker    collector.Walker
+// slotWalks estimates over hop slots the way core's rankers do: SlotsInto
+// into reusable scratch that the next walk overwrites.
+type slotWalks struct {
 	slots     []collector.Slot
 	lastSlots []collector.Slot
 }
 
 // GoodSlotsStoreBack stores the walked slots back where they were walked
 // into; the hop count and per-slot reads are scalars.
-func (w *slotWalker) GoodSlotsStoreBack(topo *collector.Topology, src, dst collector.NodeIdx) int {
-	w.walker.Reset(topo)
-	slots, code, _ := w.walker.SlotsInto(src, dst, w.slots)
+func (w *slotWalks) GoodSlotsStoreBack(topo *collector.Topology, src, dst collector.NodeIdx) int {
+	slots, code, _ := topo.SlotsInto(src, dst, w.slots)
 	w.slots = slots
-	w.walker.Reset(nil)
 	if code != collector.PathOK {
 		return -1
 	}
 	return len(slots)
 }
 
-func (w *slotWalker) BadSlotsRetained(src, dst collector.NodeIdx) {
-	slots, _, _ := w.walker.SlotsInto(src, dst, w.slots)
+func (w *slotWalks) BadSlotsRetained(topo *collector.Topology, src, dst collector.NodeIdx) {
+	slots, _, _ := topo.SlotsInto(src, dst, w.slots)
 	w.slots = slots
 	w.lastSlots = slots // want `probe-codec scratch stored in receiver field w\.lastSlots`
 }
 
-func BadSlotsReturned(w *collector.Walker, src, dst collector.NodeIdx, scratch []collector.Slot) []collector.Slot {
-	slots, _, _ := w.SlotsInto(src, dst, scratch)
+func BadSlotsReturned(topo *collector.Topology, src, dst collector.NodeIdx, scratch []collector.Slot) []collector.Slot {
+	slots, _, _ := topo.SlotsInto(src, dst, scratch)
 	return slots // want `probe-codec scratch returned to the caller`
 }
