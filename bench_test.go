@@ -822,7 +822,7 @@ func BenchmarkIndexHotPath(b *testing.B) {
 		}
 	}
 	rankAll()
-	b.Run("RankBatchWarm", func(b *testing.B) {
+	b.Run("QueryBurstWarm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			rankAll()

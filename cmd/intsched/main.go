@@ -36,7 +36,6 @@ func main() {
 		adjTTL   = flag.Duration("adjacency-ttl", 0, "probe silence before a learned link ages out of the topology (default: 5 queue windows; negative disables aging)")
 		exclUnre = flag.Bool("exclude-unreachable", false, "recovery policy: drop candidates whose learned path aged out from answers")
 		report   = flag.Duration("report", 10*time.Second, "coverage report interval (0 disables)")
-		ingestQ  = flag.Int("ingest-queue", 0, "async ingest queue depth (0 keeps ingest synchronous on the UDP receive loop)")
 		adaptive = flag.Bool("adaptive", false, "run the adaptive cadence control loop: per-stream probe-interval directives sent back along probe return paths (agents must opt in with intprobe -adaptive)")
 		probeBgt = flag.Float64("probe-budget", 0, "adaptive probe budget as a fraction (0,1] of the full static rate (0 disables the cap; requires -adaptive)")
 		adaptBas = flag.Duration("adaptive-base", 100*time.Millisecond, "fleet static probe interval anchoring the adaptive cadence clamps")
@@ -53,7 +52,6 @@ func main() {
 		DegradedAfter:      *degraded,
 		AdjacencyTTL:       *adjTTL,
 		ExcludeUnreachable: *exclUnre,
-		IngestQueue:        *ingestQ,
 		Adaptive:           *adaptive,
 		AdaptiveBase:       *adaptBas,
 		ProbeBudget:        *probeBgt,
@@ -92,10 +90,10 @@ func main() {
 			if total := cs.Hits + cs.Misses; total > 0 {
 				hitRate = float64(cs.Hits) / float64(total)
 			}
-			fmt.Printf("intsched: health=%s probes=%d drops=%d/%d/%d ingest-drops=%d stale=%d records=%d epoch=%d rank-cache hit=%.0f%% fresh=%v stale-devs=%v\n",
+			fmt.Printf("intsched: health=%s probes=%d drops=%d/%d/%d stale=%d records=%d epoch=%d rank-cache hit=%.0f%% fresh=%v stale-devs=%v\n",
 				health.Status, ds.ProbesReceived,
 				ds.DatagramErrors, ds.UnexpectedKinds, ds.PayloadErrors,
-				st.IngestDrops, st.ProbesOutOfOrder, st.RecordsParsed,
+				st.ProbesOutOfOrder, st.RecordsParsed,
 				daemon.Collector().Epoch(), hitRate*100, cov.Fresh, cov.Stale)
 			for _, r := range health.Reasons {
 				fmt.Printf("intsched:   degraded: %s\n", r)

@@ -28,7 +28,7 @@ func main() {
 			"sched": "sB",
 		},
 		RateBps:       10_000_000,
-		LinkRateBps:   10_000_000,
+		Daemon:        live.DaemonConfig{LinkRateBps: 10_000_000},
 		ProbeInterval: 50 * time.Millisecond,
 	})
 	if err != nil {

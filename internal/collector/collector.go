@@ -77,9 +77,6 @@ const (
 	// probes cannot tear a live link out of the map, short enough that a
 	// dead link disappears within about a second of real failure.
 	DefaultAdjacencyWindows = 5
-	// DefaultIngestQueue is the queue length used by StartIngestWorkers
-	// when none is given.
-	DefaultIngestQueue = 256
 )
 
 // NoAdjacencyAging disables adjacency eviction when set as
@@ -163,8 +160,7 @@ type Collector struct {
 	window time.Duration
 	// streams holds per-stream sequence, freshness and route metadata.
 	streams map[probeKey]probeMeta
-	// stats holds the ingest counters (IngestDrops is kept apart: the
-	// enqueue path must not wait for mu).
+	// stats holds the ingest counters.
 	stats Stats
 	// onEviction observes adjacency evictions.
 	onEviction func(from, to string, silence time.Duration)
@@ -178,11 +174,6 @@ type Collector struct {
 	epoch atomic.Uint64
 	// snap is the published snapshot (nil until the first Snapshot).
 	snap atomic.Pointer[Topology]
-
-	// Asynchronous ingest (live mode only; see StartIngestWorkers).
-	ingest      atomic.Pointer[chan *telemetry.ProbePayload]
-	ingestWG    sync.WaitGroup
-	ingestDrops atomic.Uint64
 }
 
 // New creates a collector for the scheduler host self. clock supplies the
@@ -225,9 +216,6 @@ type Stats struct {
 	// PathRemaps counts probe streams that arrived with a changed hop
 	// sequence (the route under the stream moved).
 	PathRemaps uint64
-	// IngestDrops counts probes dropped at the asynchronous ingest queue
-	// (always zero on the synchronous path).
-	IngestDrops uint64
 	// TelemetryBytes is the total on-wire size of every ingested probe
 	// payload (telemetry.EncodedSize): the fleet's telemetry spend.
 	TelemetryBytes uint64
@@ -241,15 +229,15 @@ type Stats struct {
 // Stats returns the ingestion counters.
 func (c *Collector) Stats() Stats {
 	c.mu.Lock()
-	st := c.stats
-	c.mu.Unlock()
-	st.IngestDrops = c.ingestDrops.Load()
-	return st
+	defer c.mu.Unlock()
+	return c.stats
 }
 
-// IngestDrops returns the number of probes dropped at the asynchronous
-// ingest queue.
-func (c *Collector) IngestDrops() uint64 { return c.ingestDrops.Load() }
+// IngestDrops returns 0: ingest is synchronous, so no probe is dropped
+// between the socket and the collector. It survives only because
+// bench/wireclos.go reads it; drop it when bench/ next changes (ROADMAP
+// item 6).
+func (c *Collector) IngestDrops() uint64 { return 0 }
 
 // ProbeStream reports the freshness of one probe stream — the (origin,
 // target) sequence space a probing host maintains. Target is "" for streams

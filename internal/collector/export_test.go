@@ -25,3 +25,9 @@ func StoredTrees(t *Topology) (trees, roots int) {
 	}
 	return trees, len(seen)
 }
+
+// BuildRootTree builds, afresh and without storing it, the tree that walks
+// toward host follow: the tree of host's walk root.
+func BuildRootTree(t *Topology, host string) {
+	buildDestTree(t.structure, t.root.s[t.nodeIndex[host]])
+}

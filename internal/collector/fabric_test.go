@@ -103,3 +103,18 @@ func TestOneTreePerAttachmentSwitch(t *testing.T) {
 		})
 	}
 }
+
+// TestTreeBuildAllocations pins one tree build on the Clos fabric to four
+// allocations: the next-hop array, the BFS queue, the slot array and the
+// tree itself. A frontier that grows by append costs one more per doubling.
+func TestTreeBuildAllocations(t *testing.T) {
+	clos, err := experiment.ClosSpec(experiment.ClosConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := learnFabric(t, clos)
+	host := topo.Hosts()[0]
+	if n := testing.AllocsPerRun(50, func() { collector.BuildRootTree(topo, host) }); n > 4 {
+		t.Fatalf("one tree build: %.0f allocations, want at most 4", n)
+	}
+}

@@ -115,71 +115,3 @@ func (c *Collector) applyProbeLocked(p *telemetry.ProbePayload, path []nodeID, t
 		c.learnEdgeLocked(target, 0, origin, now)
 	}
 }
-
-// --- Asynchronous ingest -------------------------------------------------
-
-// StartIngestWorkers switches probe ingest to one bounded queue drained by
-// one worker goroutine, so streams stay in order. EnqueueProbe then clones
-// payloads into the queue and drops them — counted by IngestDrops — when it
-// is full, bounding ingest backpressure on the datagram receive loop.
-// Intended for the live daemon; the deterministic simulation keeps the
-// synchronous HandleProbe path.
-func (c *Collector) StartIngestWorkers(queueLen int) {
-	if queueLen <= 0 {
-		queueLen = DefaultIngestQueue
-	}
-	if c.ingest.Load() != nil {
-		return
-	}
-	ch := make(chan *telemetry.ProbePayload, queueLen)
-	c.ingestWG.Add(1)
-	go func() {
-		defer c.ingestWG.Done()
-		for p := range ch {
-			c.HandleProbe(p)
-		}
-	}()
-	c.ingest.Store(&ch)
-}
-
-// StopIngestWorkers drains and stops the ingest worker started by
-// StartIngestWorkers. Safe to call when it was never started.
-func (c *Collector) StopIngestWorkers() {
-	ch := c.ingest.Swap(nil)
-	if ch == nil {
-		return
-	}
-	close(*ch)
-	c.ingestWG.Wait()
-}
-
-// EnqueueProbe hands one probe payload to the asynchronous ingest worker,
-// cloning it first (callers may reuse the payload's backing storage, as the
-// live daemon's decode loop does). Falls back to synchronous HandleProbe
-// when the worker is not running. Returns false when the queue was full and
-// the probe was dropped.
-func (c *Collector) EnqueueProbe(p *telemetry.ProbePayload) bool {
-	ch := c.ingest.Load()
-	if ch == nil {
-		c.HandleProbe(p)
-		return true
-	}
-	select {
-	case *ch <- cloneProbe(p):
-		return true
-	default:
-		c.ingestDrops.Add(1)
-		return false
-	}
-}
-
-// cloneProbe deep-copies a probe payload (records and queue reports).
-func cloneProbe(p *telemetry.ProbePayload) *telemetry.ProbePayload {
-	cp := *p
-	cp.Stack.Records = append([]telemetry.Record(nil), p.Stack.Records...)
-	for i := range cp.Stack.Records {
-		rec := &cp.Stack.Records[i]
-		rec.Queues = append([]telemetry.PortQueue(nil), rec.Queues...)
-	}
-	return &cp
-}

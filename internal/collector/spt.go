@@ -57,32 +57,31 @@ func (s *structure) tree(idst NodeIdx) *destTree {
 	return p.Load()
 }
 
-// buildDestTree runs the deterministic frontier BFS from the destination
-// over the structure's index arrays: sorted-neighbor expansion (index order is
-// name order), first-discoverer-wins, level barrier between frontiers, and
-// hosts discovered but never expanded — the same rule as
-// netsim.ComputeRoutes.
+// buildDestTree runs the deterministic BFS from the destination over the
+// structure's index arrays: sorted-neighbor expansion (index order is name
+// order), first-discoverer-wins, and hosts discovered but never expanded —
+// the same rule as netsim.ComputeRoutes. One FIFO queue holds the frontier:
+// it pops every node of level L, in discovery order, before any of level
+// L+1, so it expands exactly as a level-by-level frontier would. Each node
+// enters it at most once, so it never grows past its first allocation.
 func buildDestTree(s *structure, idst NodeIdx) *destTree {
 	next := make([]NodeIdx, len(s.nodes))
 	for i := range next {
 		next[i] = -1
 	}
-	frontier := []NodeIdx{idst}
-	var nextFrontier []NodeIdx
-	for len(frontier) > 0 {
-		nextFrontier = nextFrontier[:0]
-		for _, cur := range frontier {
-			for _, nb := range s.nbrIdx.at(cur) {
-				if next[nb] != -1 || nb == idst {
-					continue // already discovered
-				}
-				next[nb] = cur
-				if !(s.hostFlag.at(nb) && nb != idst) {
-					nextFrontier = append(nextFrontier, nb)
-				}
+	queue := make([]NodeIdx, 1, len(s.nodes))
+	queue[0] = idst
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		for _, nb := range s.nbrIdx.at(cur) {
+			if next[nb] != -1 || nb == idst {
+				continue // already discovered
+			}
+			next[nb] = cur
+			if !s.hostFlag.at(nb) {
+				queue = append(queue, nb)
 			}
 		}
-		frontier, nextFrontier = nextFrontier, frontier
 	}
 	return &destTree{next: indexed[NodeIdx, NodeIdx]{next}, slot: hopSlots(s, next)}
 }

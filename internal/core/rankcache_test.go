@@ -209,10 +209,10 @@ func rankEach(s *Service, reqs []*QueryRequest) [][]Candidate {
 	return out
 }
 
-// TestRankBatchMatchesSingleQueries: a burst answered on one snapshot must
+// TestQueryBurstMatchesSingleQueries: a burst answered on one snapshot must
 // be exactly what N independent RankFor calls would return, across metrics,
 // shaping variants, and unknown metrics.
-func TestRankBatchMatchesSingleQueries(t *testing.T) {
+func TestQueryBurstMatchesSingleQueries(t *testing.T) {
 	// Two fixtures replay the same simulation, so both start from a cold
 	// cache over equal topologies.
 	f, ref := newServiceFixture(t), newServiceFixture(t)
@@ -262,9 +262,9 @@ func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, from
 	return r.DelayRanker.Rank(topo, from, fromIdx, fromHost, dataBytes, count, s)
 }
 
-// TestRankBatchDeduplicatesKeys: identical cache keys in one batch must be
-// computed once, and later identical batches served entirely as hits.
-func TestRankBatchDeduplicatesKeys(t *testing.T) {
+// TestQueryBurstComputesEachKeyOnce: identical cache keys in one burst must be
+// computed once, and later identical bursts served entirely as hits.
+func TestQueryBurstComputesEachKeyOnce(t *testing.T) {
 	f := newServiceFixture(t)
 	cr := &countingRanker{}
 	f.svc.Register(cr)
@@ -333,11 +333,11 @@ func TestRankerCacheability(t *testing.T) {
 	}
 }
 
-// TestRankBatchUncacheablePaths: what the epoch does not version — the
+// TestQueryBurstUncacheablePaths: what the epoch does not version — the
 // random ranker's RNG draw — and what the index-space key cannot name — a
 // requester that is not a host of the snapshot — is computed per request
 // beside cacheable members of the same burst, and never touches the cache.
-func TestRankBatchUncacheablePaths(t *testing.T) {
+func TestQueryBurstUncacheablePaths(t *testing.T) {
 	f := engineFixture(t)
 	got := rankEach(f.svc, []*QueryRequest{
 		{From: "dev", Metric: MetricRandom, Sorted: true},
@@ -469,7 +469,7 @@ func BenchmarkRankForWarm(b *testing.B) {
 	}
 }
 
-func BenchmarkRankBatchWarm(b *testing.B) {
+func BenchmarkQueryBurstWarm(b *testing.B) {
 	f := newServiceFixture(&testing.T{})
 	reqs := batchFixtureReqs(16)
 	rankEach(f.svc, reqs)

@@ -57,16 +57,6 @@ func TestPoolCompareSeedsDeterminism(t *testing.T) {
 				t.Errorf("seed %d metric %s: CSV export not byte-identical", seeds[i], m)
 			}
 		}
-		var sj, pj bytes.Buffer
-		if err := WriteComparisonJSON(&sj, serial[i], core.MetricNearest); err != nil {
-			t.Fatalf("serial JSON: %v", err)
-		}
-		if err := WriteComparisonJSON(&pj, parallel[i], core.MetricNearest); err != nil {
-			t.Fatalf("parallel JSON: %v", err)
-		}
-		if !bytes.Equal(sj.Bytes(), pj.Bytes()) {
-			t.Errorf("seed %d: JSON export not byte-identical", seeds[i])
-		}
 	}
 }
 

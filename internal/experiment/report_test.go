@@ -3,7 +3,6 @@ package experiment
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"testing"
 
 	"intsched/internal/core"
@@ -30,30 +29,5 @@ func TestWriteResultsCSV(t *testing.T) {
 		if len(row) != len(records[0]) {
 			t.Fatalf("ragged row %v", row)
 		}
-	}
-}
-
-func TestWriteComparisonJSON(t *testing.T) {
-	cmp := smallComparison(t)
-	var buf bytes.Buffer
-	if err := WriteComparisonJSON(&buf, cmp, core.MetricNearest); err != nil {
-		t.Fatal(err)
-	}
-	var out ComparisonSummary
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Runs) != 2 {
-		t.Fatalf("runs %v", out.Runs)
-	}
-	g, ok := out.Gains["delay"]
-	if !ok {
-		t.Fatalf("gains %v", out.Gains)
-	}
-	if _, ok := g["overall_completion"]; !ok {
-		t.Fatal("missing overall gain")
-	}
-	if _, ok := out.Gains["nearest"]; ok {
-		t.Fatal("baseline has gains vs itself")
 	}
 }

@@ -13,11 +13,11 @@ import (
 // return path back through the switches and actually change agent cadences.
 func TestAdaptiveDirectivesReachAgents(t *testing.T) {
 	spec := chainSpec()
-	spec.Adaptive = true
+	spec.Daemon.Adaptive = true
 	// Half the static budget: with every stream quiet on an idle overlay,
 	// the controller must slow cadences (back-off plus budget clamps), so
 	// every agent ends up above the 20 ms base interval.
-	spec.ProbeBudget = 0.5
+	spec.Daemon.ProbeBudget = 0.5
 	o, err := StartOverlay(spec)
 	if err != nil {
 		t.Fatal(err)

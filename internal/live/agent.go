@@ -331,52 +331,3 @@ func (t *TrafficSource) Blast(dst string, count, payloadBytes int) error {
 
 // Close releases the source's socket.
 func (t *TrafficSource) Close() { t.conn.Close() }
-
-// Sink counts datagrams arriving at a leaf node (the receive side of a
-// TrafficSource's flow, or any host that must absorb overlay traffic).
-type Sink struct {
-	conn *net.UDPConn
-	wg   sync.WaitGroup
-
-	mu       sync.Mutex
-	received uint64
-}
-
-// NewSink binds a UDP socket and starts counting arrivals.
-func NewSink() (*Sink, error) {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		return nil, err
-	}
-	s := &Sink{conn: conn}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		buf := make([]byte, maxDatagram)
-		for {
-			if _, _, err := s.conn.ReadFromUDP(buf); err != nil {
-				return
-			}
-			s.mu.Lock()
-			s.received++
-			s.mu.Unlock()
-		}
-	}()
-	return s, nil
-}
-
-// Addr returns the sink's UDP address.
-func (s *Sink) Addr() string { return s.conn.LocalAddr().String() }
-
-// Received returns the number of datagrams absorbed.
-func (s *Sink) Received() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.received
-}
-
-// Close stops the sink.
-func (s *Sink) Close() {
-	s.conn.Close()
-	s.wg.Wait()
-}

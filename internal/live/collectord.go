@@ -113,12 +113,6 @@ type DaemonConfig struct {
 	// whose learned path aged out are dropped from answers, unless no
 	// candidate is reachable (graceful fallback to the full estimate list).
 	ExcludeUnreachable bool
-	// IngestQueue, when positive, switches probe ingest to one bounded
-	// queue of this depth drained by one worker goroutine; overload then
-	// drops probes (counted in the collector's IngestDrops)
-	// instead of stalling the UDP receive loop. Zero keeps ingest
-	// synchronous on the receive goroutine.
-	IngestQueue int
 	// Adaptive starts the cadence control loop: the daemon periodically
 	// runs the adapt controller over the collector's stream signals and
 	// sends the resulting directives back along each stream's probe return
@@ -177,9 +171,6 @@ func NewCollectorDaemon(id string, cfg DaemonConfig) (*CollectorDaemon, error) {
 		DefaultLinkRateBps: cfg.LinkRateBps,
 		AdjacencyTTL:       cfg.AdjacencyTTL,
 	})
-	if cfg.IngestQueue > 0 {
-		d.coll.StartIngestWorkers(cfg.IngestQueue)
-	}
 	d.lastTop = make(map[rerouteKey]netsim.NodeID)
 	d.conns = make(map[net.Conn]struct{})
 	if cfg.Adaptive {
@@ -334,10 +325,6 @@ func (d *CollectorDaemon) initObs(cfg DaemonConfig) {
 		Name: "intsched_collector_epoch",
 		Help: "Collector state version; advances on every accepted probe and config change.",
 	}, func() float64 { return float64(d.coll.Epoch()) })
-	d.reg.CounterFunc(obs.Opts{
-		Name: "intsched_collector_ingest_drops_total",
-		Help: "Probes dropped at the asynchronous ingest queue under overload.",
-	}, func() float64 { return float64(d.coll.Stats().IngestDrops) })
 	d.reg.GaugeFunc(obs.Opts{
 		Name: "intsched_collector_snapshot_age_seconds",
 		Help: "Age of the current topology snapshot (time since it was published).",
@@ -602,7 +589,6 @@ func (d *CollectorDaemon) Close() {
 		d.connMu.Unlock()
 	})
 	d.wg.Wait()
-	d.coll.StopIngestWorkers()
 }
 
 func (d *CollectorDaemon) probeLoop() {
@@ -645,9 +631,9 @@ func (d *CollectorDaemon) probeLoop() {
 }
 
 // ingest converts the probe's absolute (UnixNano) timestamps into the
-// daemon's relative timebase and hands it to the collector. EnqueueProbe
-// clones the payload (or ingests synchronously when no worker runs), so the
-// decode loop's reused payload buffers are free the moment this returns.
+// daemon's relative timebase and hands it to the collector. HandleProbe
+// copies what it keeps, so the decode loop's reused payload buffers are free
+// the moment this returns.
 func (d *CollectorDaemon) ingest(p *telemetry.ProbePayload) {
 	baseNs := d.base.UnixNano()
 	for i := range p.Stack.Records {
@@ -663,7 +649,7 @@ func (d *CollectorDaemon) ingest(p *telemetry.ProbePayload) {
 		p.SentAt -= time.Duration(baseNs)
 	}
 	d.probesReceived.Inc()
-	d.coll.EnqueueProbe(p)
+	d.coll.HandleProbe(p)
 }
 
 // The query front door's limits. The port is unauthenticated, so each is a

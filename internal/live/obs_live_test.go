@@ -173,9 +173,9 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 // resume.
 func TestOverlayHealthFlip(t *testing.T) {
 	spec := chainSpec()
-	spec.HTTPAddr = "127.0.0.1:0"
-	spec.QueueWindow = 150 * time.Millisecond
-	spec.DegradedAfter = 450 * time.Millisecond // 3 windows, well above the 20 ms probe cadence
+	spec.Daemon.HTTPAddr = "127.0.0.1:0"
+	spec.Daemon.QueueWindow = 150 * time.Millisecond
+	spec.Daemon.DegradedAfter = 450 * time.Millisecond // 3 windows, well above the 20 ms probe cadence
 	o, err := StartOverlay(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestOverlayHealthFlip(t *testing.T) {
 // overlay.
 func TestOverlayMetricsEndpoint(t *testing.T) {
 	spec := chainSpec()
-	spec.HTTPAddr = "127.0.0.1:0"
+	spec.Daemon.HTTPAddr = "127.0.0.1:0"
 	o, err := StartOverlay(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestOverlayMetricsEndpoint(t *testing.T) {
 // the full observability read path under go test -race.
 func TestOverlayMetricsScrapeRace(t *testing.T) {
 	spec := chainSpec()
-	spec.HTTPAddr = "127.0.0.1:0"
+	spec.Daemon.HTTPAddr = "127.0.0.1:0"
 	o, err := StartOverlay(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -24,25 +24,10 @@ type OverlaySpec struct {
 	QueueCap int
 	// ProbeInterval is the agents' probing period (100 ms when zero).
 	ProbeInterval time.Duration
-	// K and LinkRateBps configure the daemon's rankers.
-	K           time.Duration
-	LinkRateBps int64
-	// HTTPAddr, when non-empty, enables the daemon's observability
-	// endpoints (/metrics, /healthz).
-	HTTPAddr string
-	// QueueWindow and DegradedAfter tune the daemon's telemetry freshness
-	// and health thresholds (daemon defaults when zero).
-	QueueWindow   time.Duration
-	DegradedAfter time.Duration
-	// IngestQueue configures the daemon's asynchronous probe ingest (see
-	// DaemonConfig).
-	IngestQueue int
-	// Adaptive starts the daemon's cadence control loop (anchored at
-	// ProbeInterval) and opts every agent into its directives; ProbeBudget
-	// optionally caps the aggregate probe rate as a fraction of the full
-	// static rate (see DaemonConfig).
-	Adaptive    bool
-	ProbeBudget float64
+	// Daemon configures the collector daemon. Its AdaptiveBase defaults to
+	// ProbeInterval; with Daemon.Adaptive every agent also honors the
+	// daemon's cadence directives.
+	Daemon DaemonConfig
 }
 
 // Overlay is a running live topology on loopback sockets.
@@ -50,15 +35,13 @@ type Overlay struct {
 	Spec     OverlaySpec
 	Switches map[string]*SoftSwitch
 	Agents   map[string]*ProbeAgent
-	Sinks    map[string]*Sink
 	Daemon   *CollectorDaemon
 }
 
 // StartOverlay boots the declared topology: the collector daemon, one soft
-// switch per spec entry, one probe agent per non-scheduler host, and a sink
-// per host to absorb overlay traffic addressed to it. Routes are static
-// shortest paths with lexicographic tie-breaking (the same rule as the
-// simulator and the collector's learned-path traversal).
+// switch per spec entry and one probe agent per non-scheduler host. Routes
+// are static shortest paths with lexicographic tie-breaking (the same rule
+// as the simulator and the collector's learned-path traversal).
 func StartOverlay(spec OverlaySpec) (*Overlay, error) {
 	if spec.Scheduler == "" {
 		return nil, fmt.Errorf("live: overlay needs a scheduler")
@@ -70,24 +53,17 @@ func StartOverlay(spec OverlaySpec) (*Overlay, error) {
 		Spec:     spec,
 		Switches: make(map[string]*SoftSwitch),
 		Agents:   make(map[string]*ProbeAgent),
-		Sinks:    make(map[string]*Sink),
 	}
 	fail := func(err error) (*Overlay, error) {
 		o.Close()
 		return nil, err
 	}
 
-	daemon, err := NewCollectorDaemon(spec.Scheduler, DaemonConfig{
-		K:             spec.K,
-		LinkRateBps:   spec.LinkRateBps,
-		HTTPAddr:      spec.HTTPAddr,
-		QueueWindow:   spec.QueueWindow,
-		DegradedAfter: spec.DegradedAfter,
-		IngestQueue:   spec.IngestQueue,
-		Adaptive:      spec.Adaptive,
-		AdaptiveBase:  spec.ProbeInterval,
-		ProbeBudget:   spec.ProbeBudget,
-	})
+	cfg := spec.Daemon
+	if cfg.AdaptiveBase == 0 {
+		cfg.AdaptiveBase = spec.ProbeInterval
+	}
+	daemon, err := NewCollectorDaemon(spec.Scheduler, cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -103,7 +79,8 @@ func StartOverlay(spec OverlaySpec) (*Overlay, error) {
 	}
 
 	// Hosts: the scheduler's traffic terminates at the daemon's UDP
-	// socket; other hosts get a probe agent plus a sink for data traffic.
+	// socket; other hosts get a probe agent, which also discards the data
+	// traffic addressed to its host.
 	hostAddr := map[string]string{spec.Scheduler: daemon.UDPAddr()}
 	hosts := make([]string, 0, len(spec.HostAttach))
 	for h := range spec.HostAttach {
@@ -203,16 +180,11 @@ func StartOverlay(spec OverlaySpec) (*Overlay, error) {
 		}
 	}
 
-	// Sinks absorb data traffic addressed to non-scheduler hosts. We bind
-	// them on the agents' sockets? No — agents own their socket for
-	// probing; data traffic to a host is routed to the same address, and
-	// the agent simply discards whatever arrives. Nothing to do here.
-
 	for _, sw := range o.Switches {
 		sw.Start()
 	}
 	for _, a := range o.Agents {
-		if spec.Adaptive {
+		if cfg.Adaptive {
 			a.EnableAdaptive()
 		}
 		a.Start()
@@ -227,9 +199,6 @@ func (o *Overlay) Close() {
 	}
 	for _, sw := range o.Switches {
 		sw.Close()
-	}
-	for _, s := range o.Sinks {
-		s.Close()
 	}
 	if o.Daemon != nil {
 		o.Daemon.Close()
