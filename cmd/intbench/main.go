@@ -7,6 +7,9 @@
 //	intbench -parallel 1      # force serial execution (output is byte-identical)
 //
 // Experiments: table1, fig3, fig5, fig6, fig7, fig8, fig9, ablation, faults.
+// Every figure runs at -seed; fig5, fig6 and fig7 each add one paired row,
+// the gain against Nearest over the fixed seeds 101-108 with its 95 %
+// interval and seeds won, as ablation's rows are (both ignore -seed).
 // One more runs by name only, because it replays the faults workload many
 // times: adaptive compares static vs controller-driven probe cadence at
 // several telemetry budgets and writes results/BENCH_adaptive.json. -smoke
@@ -34,7 +37,6 @@ import (
 
 var (
 	seed     = flag.Int64("seed", 42, "random seed")
-	seeds    = flag.Int("seeds", 1, "replicate fig5/6/7 across this many seeds and report mean±std gains")
 	tasks    = flag.Int("tasks", 200, "tasks per experiment run (paper: 200)")
 	fig3dur  = flag.Duration("fig3dur", 300*time.Second, "measurement duration per Fig 3 utilization level (paper: 300s)")
 	expFlag  = flag.String("exp", "all", "comma-separated experiments: table1,fig3,fig5,fig6,fig7,fig8,fig9,ablation,faults,all (plus adaptive, by name only)")
@@ -215,18 +217,21 @@ func fig3() error {
 	return nil
 }
 
-// compareAndPrint runs the three-way comparison and prints the per-class
-// tables for both completion and transfer times.
-func compareAndPrint(kind workload.Kind, nwMetric core.Metric) (*experiment.Comparison, error) {
+// compareAndPrint runs the three-way comparison at -seed and prints the
+// per-class tables for both completion and transfer times, then the paired
+// gain against Nearest over the fixed seed list, which ignores -seed.
+func compareAndPrint(kind workload.Kind, nwMetric core.Metric) error {
 	metrics := []core.Metric{nwMetric, core.MetricNearest, core.MetricRandom}
-	cmp, err := pool.Compare(experiment.Scenario{
+	sc := experiment.Scenario{
 		Seed:       *seed,
 		Workload:   kind,
+		Metric:     nwMetric,
 		TaskCount:  *tasks,
 		Background: experiment.BackgroundRandom,
-	}, metrics)
+	}
+	cmp, err := pool.Compare(sc, metrics)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fmt.Println("task completion time (per class):")
 	fmt.Println(cmp.ClassTable(metrics, false))
@@ -239,43 +244,30 @@ func compareAndPrint(kind workload.Kind, nwMetric core.Metric) (*experiment.Comp
 		cmp.OverallGain(nwMetric, core.MetricNearest, true)*100,
 		cmp.OverallGain(nwMetric, core.MetricRandom, true)*100)
 
-	if *seeds > 1 {
-		seedList := make([]int64, *seeds)
-		for i := range seedList {
-			seedList[i] = *seed + int64(i)
-		}
-		cmps, err := pool.CompareSeeds(experiment.Scenario{
-			Workload:   kind,
-			TaskCount:  *tasks,
-			Background: experiment.BackgroundRandom,
-		}, metrics, seedList)
-		if err != nil {
-			return nil, err
-		}
-		mc, sc := experiment.GainStats(cmps, nwMetric, core.MetricNearest, false)
-		mt, st := experiment.GainStats(cmps, nwMetric, core.MetricNearest, true)
-		fmt.Printf("across %d seeds: completion gain %.1f%% ± %.1f%%, transfer gain %.1f%% ± %.1f%% (vs nearest)\n",
-			*seeds, mc*100, sc*100, mt*100, st*100)
+	seeds := experiment.PairedSeeds
+	nearest, ranked, err := pool.AgainstNearest(sc, seeds)
+	if err != nil {
+		return err
 	}
-	return cmp, nil
+	fmt.Printf("paired vs nearest over %d seeds (%d-%d): completion %v, transfer %v\n",
+		len(seeds), seeds[0], seeds[len(seeds)-1],
+		experiment.Paired(nearest, ranked, false), experiment.Paired(nearest, ranked, true))
+	return nil
 }
 
 func fig5() error {
 	fmt.Println("serverless workload, delay-based ranking (paper: 17-31% gain vs nearest, max for VS):")
-	_, err := compareAndPrint(workload.Serverless, core.MetricDelay)
-	return err
+	return compareAndPrint(workload.Serverless, core.MetricDelay)
 }
 
 func fig6() error {
 	fmt.Println("distributed workload, delay-based ranking (paper: 7-13% gain vs nearest, least for L):")
-	_, err := compareAndPrint(workload.Distributed, core.MetricDelay)
-	return err
+	return compareAndPrint(workload.Distributed, core.MetricDelay)
 }
 
 func fig7() error {
 	fmt.Println("distributed workload, bandwidth-based ranking (paper: 28-40% transfer reduction, 22-35% completion):")
-	_, err := compareAndPrint(workload.Distributed, core.MetricBandwidth)
-	return err
+	return compareAndPrint(workload.Distributed, core.MetricBandwidth)
 }
 
 // fig8 reproduces the per-task gain ECDF using the Fig 5/6/7 runs.
@@ -366,7 +358,7 @@ func fig9() error {
 // replace, one row each with its 95 % interval (DESIGN §8), plus the static
 // byte cost of the two collection modes.
 func ablation() error {
-	seeds := experiment.AblationSeeds
+	seeds := experiment.PairedSeeds
 	res, err := pool.Ablation(seeds, *tasks, *fig3dur)
 	if err != nil {
 		return err

@@ -1,11 +1,11 @@
 // Command intsim runs a single scheduling scenario in the packet-level
-// network simulator and prints per-class results.
+// network simulator and prints per-class results. Multi-seed rows come from
+// intbench, paired per seed against Nearest.
 //
 // Example:
 //
 //	intsim -workload serverless -metric delay -tasks 200 -seed 42
 //	intsim -workload distributed -metric bandwidth -background random
-//	intsim -seeds 8 -parallel 8        # seed replication on a worker pool
 //	intsim -faults schedule.json       # scripted failures during the run
 package main
 
@@ -38,8 +38,6 @@ func main() {
 		exclUnre   = flag.Bool("exclude-unreachable", false, "scheduler recovery policy: drop candidates whose learned path is gone (on automatically with -faults)")
 		csvOut     = flag.String("csv", "", "write per-task results as CSV to this file")
 		verbose    = flag.Bool("v", false, "print per-task results")
-		seedCount  = flag.Int("seeds", 1, "replicate the run across this many consecutive seeds and report per-seed means")
-		parallel   = flag.Int("parallel", 0, "worker pool size for seed replication (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
 		adaptive   = flag.Bool("adaptive", false, "run the adaptive cadence control loop: the collector retunes per-stream probe intervals from its own telemetry signals")
 		probeBgt   = flag.Float64("probe-budget", 0, "adaptive probe budget as a fraction (0,1] of the full static rate (0 disables the cap; requires -adaptive)")
 	)
@@ -119,11 +117,6 @@ func main() {
 		}
 	}
 
-	if *seedCount > 1 {
-		runSeeds(sc, *seedCount, *parallel)
-		return
-	}
-
 	fmt.Printf("running %s workload, %s ranking, %d tasks, seed %d, background %s...\n",
 		sc.Workload, sc.Metric, sc.TaskCount, sc.Seed, sc.Background)
 	start := time.Now()
@@ -178,39 +171,6 @@ func main() {
 		}
 		fmt.Printf("per-task results written to %s\n", *csvOut)
 	}
-}
-
-// runSeeds replicates the scenario across consecutive seeds on a worker
-// pool and prints per-seed and aggregate means. Results are assembled in
-// seed order, so the report is identical at any -parallel setting.
-func runSeeds(sc experiment.Scenario, count, workers int) {
-	cells := make([]experiment.Scenario, count)
-	for i := range cells {
-		cells[i] = sc
-		cells[i].Seed = sc.Seed + int64(i)
-	}
-	fmt.Printf("running %s workload, %s ranking, %d tasks, seeds %d..%d, background %s (%d workers)...\n",
-		sc.Workload, sc.Metric, sc.TaskCount, sc.Seed, sc.Seed+int64(count)-1, sc.Background,
-		experiment.NewPool(workers).Workers())
-	start := time.Now()
-	results, err := experiment.NewPool(workers).RunScenarios(cells)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("done in %v wall (%d cells)\n\n", time.Since(start).Round(time.Millisecond), count)
-
-	tb := stats.NewTable("seed", "mean transfer", "mean completion", "incomplete")
-	var sumTransfer, sumCompletion time.Duration
-	for i, res := range results {
-		tb.AddRow(cells[i].Seed, res.MeanTransfer().Round(time.Millisecond),
-			res.MeanCompletion().Round(time.Millisecond), res.Incomplete)
-		sumTransfer += res.MeanTransfer()
-		sumCompletion += res.MeanCompletion()
-	}
-	fmt.Println(tb.String())
-	n := time.Duration(count)
-	fmt.Printf("across %d seeds: mean transfer %v, mean completion %v\n",
-		count, (sumTransfer / n).Round(time.Millisecond), (sumCompletion / n).Round(time.Millisecond))
 }
 
 func fatalf(format string, args ...any) {

@@ -9,8 +9,9 @@ import (
 )
 
 // TestRetiredOptionsRejected: the metric name and the flags of extensions
-// that lost their trial are gone, not hidden — asking for any exits non-zero
-// and prints the usage.
+// that lost their trial, and the unpaired seed replication (multi-seed rows
+// are intbench's paired rows), are gone, not hidden — asking for any exits
+// non-zero and prints the usage.
 func TestRetiredOptionsRejected(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "intsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
@@ -22,6 +23,8 @@ func TestRetiredOptionsRejected(t *testing.T) {
 		{"-telemetry-mode", "probabilistic", "-tasks", "1"},
 		{"-sample-rate", "0.5", "-tasks", "1"},
 		{"-queue-delta", "1", "-tasks", "1"},
+		{"-seeds", "2", "-tasks", "1"},
+		{"-parallel", "2", "-tasks", "1"},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		var exit *exec.ExitError

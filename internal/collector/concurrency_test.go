@@ -10,7 +10,7 @@ import (
 
 // TestSnapshotRaceUnderConcurrentIngest: probes from many goroutines while
 // readers snapshot, walk paths, and read every reporting surface. Run under
-// -race (the CI pool-race job does).
+// -race (the CI test job does).
 func TestSnapshotRaceUnderConcurrentIngest(t *testing.T) {
 	var nowNs atomic.Int64
 	nowNs.Store(int64(time.Second))

@@ -71,7 +71,7 @@ func (p *INTProgram) embedPerPacket(ctx *netsim.ProcessorContext, pkt *netsim.Pa
 // NewPipeline returns program, which is itself the netsim.Processor to put
 // on a switch. It survives only because bench/, which this repository's PRs
 // may not edit, spells NewPipeline(NewINTProgram(...)); drop it when bench/
-// next changes (ROADMAP item 2).
+// next changes (ROADMAP item 6).
 func NewPipeline(program *INTProgram) *INTProgram { return program }
 
 // AttachINT installs an INT program on every switch in the network and

@@ -17,9 +17,6 @@ import (
 // reports for that workload — with its 95 % t-interval. Rows that share a
 // reference share its cells.
 
-// AblationSeeds is the fixed seed list intbench pairs every row over.
-var AblationSeeds = []int64{101, 102, 103, 104, 105, 106, 107, 108}
-
 // AblationRow is one extension's trial.
 type AblationRow struct {
 	// Extension is what stands trial, Against the reference it is paired
@@ -28,12 +25,8 @@ type AblationRow struct {
 	// Transfer selects mean transfer time as the compared metric (mean
 	// completion time otherwise).
 	Transfer bool
-	// Gains holds (reference − extension) / reference per seed, in seed
-	// order; Mean ± Half is their 95 % t-interval and Wins counts the seeds
-	// with a positive gain.
-	Gains      []float64
-	Mean, Half float64
-	Wins       int
+	// PairedGain is the extension's gain against the reference.
+	PairedGain
 	// Note carries what the gain does not show.
 	Note string
 }
@@ -98,26 +91,21 @@ func (p *Pool) Ablation(seeds []int64, tasks int, fig3Duration time.Duration) (*
 		return nil, err
 	}
 
-	row := func(ext, against, wl string, transfer bool, variant, ref int) AblationRow {
-		r := AblationRow{Extension: ext, Against: against, Workload: wl, Transfer: transfer}
-		mean := (*RunResult).MeanCompletion
-		if transfer {
-			mean = (*RunResult).MeanTransfer
-		}
+	column := func(config int) []*RunResult {
+		out := make([]*RunResult, len(seeds))
 		for s := range seeds {
-			g := stats.GainDuration(mean(runs[s*configs+ref]), mean(runs[s*configs+variant]))
-			if g > 0 {
-				r.Wins++
-			}
-			r.Gains = append(r.Gains, g)
+			out[s] = runs[s*configs+config]
 		}
-		r.Mean, r.Half = stats.MeanCI95(r.Gains)
-		return r
+		return out
+	}
+	row := func(ext, against, wl string, transfer bool, variant, ref int) AblationRow {
+		return AblationRow{Extension: ext, Against: against, Workload: wl, Transfer: transfer,
+			PairedGain: Paired(column(ref), column(variant), transfer)}
 	}
 	perPacket := row("per-packet INT", "register staging", "serverless, delay", false, svlPerPacket, svlDelay)
 	var intBytes uint64
-	for s := range seeds {
-		intBytes += runs[s*configs+svlPerPacket].INTOverheadBytes
+	for _, r := range column(svlPerPacket) {
+		intBytes += r.INTOverheadBytes
 	}
 	perPacket.Note = fmt.Sprintf("%.1f MB of telemetry on production packets per run (staging: 0)",
 		float64(intBytes)/float64(len(seeds))/1e6)

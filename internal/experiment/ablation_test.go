@@ -13,7 +13,7 @@ import (
 // one gain per seed, the interval recomputable from the gains, and the
 // collection-mode row carrying what its gain does not show.
 func TestAblationRows(t *testing.T) {
-	seeds := AblationSeeds[:3]
+	seeds := PairedSeeds[:3]
 	res, err := NewPool(2).Ablation(seeds, 3, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -101,54 +101,27 @@ func (p *Pool) RunScenarios(scs []Scenario) ([]*RunResult, error) {
 }
 
 // Compare runs the scenario once per metric (each metric one cell),
-// replaying the same inputs: the one-seed case of CompareSeeds.
+// replaying the same inputs.
 func (p *Pool) Compare(sc Scenario, metrics []core.Metric) (*Comparison, error) {
-	cmps, err := p.CompareSeeds(sc, metrics, []int64{sc.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return cmps[0], nil
-}
-
-// CompareSeeds replays the comparison across several seeds, giving the
-// statistical backing single-seed runs lack (the paper reports single-run
-// averages over 200 tasks; multiple seeds expose run-to-run variance). The
-// seeds × metrics grid is flattened into independent cells so a large pool
-// keeps every worker busy even with few seeds.
-func (p *Pool) CompareSeeds(sc Scenario, metrics []core.Metric, seeds []int64) ([]*Comparison, error) {
-	nm := len(metrics)
-	cells := make([]Scenario, 0, len(seeds)*nm)
-	for _, seed := range seeds {
-		for _, m := range metrics {
-			run := sc
-			run.Seed = seed
-			run.Metric = m
-			cells = append(cells, run)
-		}
-	}
-	results := make([]*RunResult, len(cells))
-	err := p.run(len(cells), func(i int) error {
-		res, err := Run(cells[i])
+	runs := make([]*RunResult, len(metrics))
+	err := p.run(len(metrics), func(i int) error {
+		run := sc
+		run.Metric = metrics[i]
+		res, err := Run(run)
 		if err != nil {
-			return metricErr(metrics[i%nm], err)
+			return metricErr(metrics[i], err)
 		}
-		results[i] = res
+		runs[i] = res
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Comparison, 0, len(seeds))
-	for si, seed := range seeds {
-		s := sc
-		s.Seed = seed
-		cmp := &Comparison{Scenario: s, Runs: make(map[core.Metric]*RunResult, nm)}
-		for mi, m := range metrics {
-			cmp.Runs[m] = results[si*nm+mi]
-		}
-		out = append(out, cmp)
+	cmp := &Comparison{Scenario: sc, Runs: make(map[core.Metric]*RunResult, len(metrics))}
+	for i, m := range metrics {
+		cmp.Runs[m] = runs[i]
 	}
-	return out, nil
+	return cmp, nil
 }
 
 // Fig3 sweeps utilization levels, one cell per level.

@@ -21,42 +21,43 @@ var poolTestScenario = Scenario{
 
 var poolTestMetrics = []core.Metric{core.MetricDelay, core.MetricNearest, core.MetricRandom}
 
-// TestPoolCompareSeedsDeterminism is the tentpole guarantee: the parallel
-// pool must return results deep-equal — and exports byte-equal — to the
+// TestPoolPairedDeterminism is the pool's guarantee on the paired path: the
+// parallel pool must return runs deep-equal — and exports byte-equal — to the
 // serial path, across every (seed, metric) cell.
-func TestPoolCompareSeedsDeterminism(t *testing.T) {
+func TestPoolPairedDeterminism(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
-	serial, err := (*Pool)(nil).CompareSeeds(poolTestScenario, poolTestMetrics, seeds)
+	base := poolTestScenario
+	base.Metric = core.MetricDelay
+	sn, sr, err := (*Pool)(nil).AgainstNearest(base, seeds)
 	if err != nil {
-		t.Fatalf("serial CompareSeeds: %v", err)
+		t.Fatalf("serial AgainstNearest: %v", err)
 	}
-	parallel, err := NewPool(8).CompareSeeds(poolTestScenario, poolTestMetrics, seeds)
+	pn, pr, err := NewPool(8).AgainstNearest(base, seeds)
 	if err != nil {
-		t.Fatalf("parallel CompareSeeds: %v", err)
+		t.Fatalf("parallel AgainstNearest: %v", err)
 	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("comparison count: serial %d, parallel %d", len(serial), len(parallel))
+	serial, parallel := append(sn, sr...), append(pn, pr...)
+	if len(serial) != 2*len(seeds) || len(parallel) != len(serial) {
+		t.Fatalf("run count: serial %d, parallel %d, want %d", len(serial), len(parallel), 2*len(seeds))
 	}
 	for i := range serial {
-		if !reflect.DeepEqual(serial[i].Scenario, parallel[i].Scenario) {
-			t.Errorf("seed %d: scenario differs", seeds[i])
+		s, p := serial[i], parallel[i]
+		if !reflect.DeepEqual(s, p) {
+			t.Errorf("cell %d: run results differ", i)
 		}
-		for _, m := range poolTestMetrics {
-			s, p := serial[i].Runs[m], parallel[i].Runs[m]
-			if !reflect.DeepEqual(s, p) {
-				t.Errorf("seed %d metric %s: run results differ", seeds[i], m)
-			}
-			var sb, pb bytes.Buffer
-			if err := WriteResultsCSV(&sb, s); err != nil {
-				t.Fatalf("serial CSV: %v", err)
-			}
-			if err := WriteResultsCSV(&pb, p); err != nil {
-				t.Fatalf("parallel CSV: %v", err)
-			}
-			if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
-				t.Errorf("seed %d metric %s: CSV export not byte-identical", seeds[i], m)
-			}
+		var sb, pb bytes.Buffer
+		if err := WriteResultsCSV(&sb, s); err != nil {
+			t.Fatalf("serial CSV: %v", err)
 		}
+		if err := WriteResultsCSV(&pb, p); err != nil {
+			t.Fatalf("parallel CSV: %v", err)
+		}
+		if !bytes.Equal(sb.Bytes(), pb.Bytes()) {
+			t.Errorf("cell %d: CSV export not byte-identical", i)
+		}
+	}
+	if !reflect.DeepEqual(Paired(sn, sr, false), Paired(pn, pr, false)) {
+		t.Error("paired gains differ")
 	}
 }
 

@@ -100,8 +100,6 @@ type Scenario struct {
 	// the first possible job submission), so a schedule composes with any
 	// ProbeInterval without re-tuning.
 	Faults []fault.Event
-	// FaultOptions tunes the fault timeline (reroute/reconvergence delay).
-	FaultOptions fault.Options
 	// ExcludeUnreachable enables the scheduler's fault-recovery policy:
 	// candidates whose learned path is gone are dropped from responses.
 	ExcludeUnreachable bool
@@ -491,7 +489,7 @@ func Run(sc Scenario) (*RunResult, error) {
 			ev.At += warm
 			shifted[i] = ev
 		}
-		timeline, err = fault.NewTimeline(nw, shifted, rng.Stream("fault"), sc.FaultOptions)
+		timeline, err = fault.NewTimeline(nw, shifted, rng.Stream("fault"), fault.Options{})
 		if err != nil {
 			return nil, err
 		}

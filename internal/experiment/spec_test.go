@@ -151,30 +151,6 @@ func TestScenarioOnCustomTopology(t *testing.T) {
 	}
 }
 
-func TestCompareSeedsAndGainStats(t *testing.T) {
-	cmps, err := serial.CompareSeeds(Scenario{
-		Workload:   workload.Serverless,
-		TaskCount:  8,
-		Background: BackgroundRandom,
-	}, []core.Metric{core.MetricDelay, core.MetricNearest}, []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmps) != 3 {
-		t.Fatalf("comparisons %d", len(cmps))
-	}
-	mean, std := GainStats(cmps, core.MetricDelay, core.MetricNearest, false)
-	if mean < -1 || mean > 1 {
-		t.Fatalf("mean gain %v out of range", mean)
-	}
-	if std < 0 {
-		t.Fatalf("negative std %v", std)
-	}
-	if m, s := GainStats(nil, core.MetricDelay, core.MetricNearest, false); m != 0 || s != 0 {
-		t.Fatal("empty stats not zero")
-	}
-}
-
 func TestScenarioTransferTimeAndProbeVariants(t *testing.T) {
 	for _, sc := range []Scenario{
 		{Seed: 2, Workload: workload.Serverless, Metric: core.MetricTransferTime, TaskCount: 5},
