@@ -562,6 +562,43 @@ func BenchmarkColdRanking(b *testing.B) {
 
 var benchRanking []core.Candidate
 
+// BenchmarkClosWarmAnswer times a warm delay query from the first host of the
+// default Clos through Engine.Answer into a reused buffer, in the two orders
+// the paper offers: best-first, the whole list, and option two, every
+// candidate in ID order for the device's own selection. Each order is a rank
+// cache entry of its own, so both answers are a copy of 255 candidates: 0
+// allocs/op and about the same ns/op. Option two at many times best-first
+// means its answer is sorted per query again.
+func BenchmarkClosWarmAnswer(b *testing.B) {
+	fabric, trace := closTrace(b, 1)
+	coll, _ := learnTrace(b, fabric, trace, new(time.Duration))
+	topo := coll.Snapshot()
+	var e core.Engine
+	e.Register(&core.DelayRanker{})
+	for _, order := range []struct {
+		name   string
+		sorted bool
+	}{{"best-first", true}, {"option-two", false}} {
+		b.Run(order.name, func(b *testing.B) {
+			req := core.QueryRequest{From: netsim.NodeID(topo.Hosts()[0]), Metric: core.MetricDelay, Sorted: order.sorted}
+			benchRanking, _ = e.Answer(benchRanking[:0], topo, &req) // warm the entry
+			if n := len(benchRanking); n != topo.HostCount()-1 {
+				b.Fatalf("answered %d of %d candidates", n, topo.HostCount()-1)
+			}
+			misses := e.CacheStats().Misses
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchRanking, _ = e.Answer(benchRanking[:0], topo, &req)
+			}
+			b.StopTimer()
+			if n := e.CacheStats().Misses - misses; n != 0 {
+				b.Fatalf("%d rank-cache misses on a warm entry", n)
+			}
+		})
+	}
+}
+
 // benchWholeRanking times one ComputeRanking on topo with warm trees, the
 // requester rotating over the hosts.
 func benchWholeRanking(b *testing.B, topo *collector.Topology, r core.Ranker) {

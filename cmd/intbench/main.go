@@ -47,6 +47,17 @@ var (
 // pool runs independent scenario cells; initialized in main from -parallel.
 var pool *experiment.Pool
 
+// figKey names one figure's comparison: a workload and the network-aware
+// metric ranked on it.
+type figKey struct {
+	kind   workload.Kind
+	metric core.Metric
+}
+
+// compared holds the comparison each of fig5-7 ran at -seed, which fig8
+// reads instead of simulating the same scenarios again.
+var compared = map[figKey]*experiment.Comparison{}
+
 // experiments lists what -exp selects, in run order; inAll marks the ones
 // "all" includes.
 var experiments = []struct {
@@ -222,17 +233,12 @@ func fig3() error {
 // gain against Nearest over the fixed seed list, which ignores -seed.
 func compareAndPrint(kind workload.Kind, nwMetric core.Metric) error {
 	metrics := []core.Metric{nwMetric, core.MetricNearest, core.MetricRandom}
-	sc := experiment.Scenario{
-		Seed:       *seed,
-		Workload:   kind,
-		Metric:     nwMetric,
-		TaskCount:  *tasks,
-		Background: experiment.BackgroundRandom,
-	}
+	sc := scenario(kind, nwMetric)
 	cmp, err := pool.Compare(sc, metrics)
 	if err != nil {
 		return err
 	}
+	compared[figKey{kind, nwMetric}] = cmp
 	fmt.Println("task completion time (per class):")
 	fmt.Println(cmp.ClassTable(metrics, false))
 	fmt.Println("data transfer time (per class):")
@@ -255,6 +261,17 @@ func compareAndPrint(kind workload.Kind, nwMetric core.Metric) error {
 	return nil
 }
 
+// scenario is the figure cell of one workload and metric at -seed and -tasks.
+func scenario(kind workload.Kind, metric core.Metric) experiment.Scenario {
+	return experiment.Scenario{
+		Seed:       *seed,
+		Workload:   kind,
+		Metric:     metric,
+		TaskCount:  *tasks,
+		Background: experiment.BackgroundRandom,
+	}
+}
+
 func fig5() error {
 	fmt.Println("serverless workload, delay-based ranking (paper: 17-31% gain vs nearest, max for VS):")
 	return compareAndPrint(workload.Serverless, core.MetricDelay)
@@ -270,43 +287,26 @@ func fig7() error {
 	return compareAndPrint(workload.Distributed, core.MetricBandwidth)
 }
 
-// fig8 reproduces the per-task gain ECDF using the Fig 5/6/7 runs.
+// fig8 reproduces the per-task gain ECDF from the Fig 5/6/7 runs; a curve
+// whose figure did not run in this invocation is simulated here.
 func fig8() error {
 	curves := []struct {
-		label  string
-		kind   workload.Kind
-		metric core.Metric
+		label string
+		figKey
 	}{
-		{"serverless-delay", workload.Serverless, core.MetricDelay},
-		{"distributed-delay", workload.Distributed, core.MetricDelay},
-		{"distributed-bandwidth", workload.Distributed, core.MetricBandwidth},
-	}
-	// Flatten the 3 curves × 2 metrics into six independent cells so the
-	// whole figure runs in one pool pass.
-	cells := make([]experiment.Scenario, 0, 2*len(curves))
-	for _, c := range curves {
-		for _, m := range []core.Metric{c.metric, core.MetricNearest} {
-			cells = append(cells, experiment.Scenario{
-				Seed:       *seed,
-				Workload:   c.kind,
-				Metric:     m,
-				TaskCount:  *tasks,
-				Background: experiment.BackgroundRandom,
-			})
-		}
-	}
-	results, err := pool.RunScenarios(cells)
-	if err != nil {
-		return err
+		{"serverless-delay", figKey{workload.Serverless, core.MetricDelay}},
+		{"distributed-delay", figKey{workload.Distributed, core.MetricDelay}},
+		{"distributed-bandwidth", figKey{workload.Distributed, core.MetricBandwidth}},
 	}
 	tb := stats.NewTable("curve", "≤0 gain", "≥20% gain", "≥60% gain", "median gain")
-	for i, c := range curves {
-		cmp := &experiment.Comparison{
-			Scenario: cells[2*i],
-			Runs: map[core.Metric]*experiment.RunResult{
-				c.metric:           results[2*i],
-				core.MetricNearest: results[2*i+1],
-			},
+	for _, c := range curves {
+		cmp := compared[c.figKey]
+		if cmp == nil {
+			var err error
+			cmp, err = pool.Compare(scenario(c.kind, c.metric), []core.Metric{c.metric, core.MetricNearest})
+			if err != nil {
+				return err
+			}
 		}
 		curve := experiment.BuildFig8Curve(c.label, cmp, c.metric)
 		tb.AddRow(c.label,

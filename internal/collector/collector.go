@@ -193,9 +193,6 @@ func New(self netsim.NodeID, clock func() time.Duration, cfg Config) *Collector 
 	return c
 }
 
-// Self returns the collector's own host ID.
-func (c *Collector) Self() netsim.NodeID { return netsim.NodeID(c.self) }
-
 // Epoch returns the collector's current state version. It advances by one
 // on every accepted probe and configuration change, and when a snapshot
 // rebuild detects that a queue report or adjacency aged out (state changed

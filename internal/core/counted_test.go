@@ -84,7 +84,7 @@ func TestRankedSelectsTheSortedPrefix(t *testing.T) {
 						}
 					}
 				}
-				got := ranked(cands, keys, fromHost, count)
+				got := ranked(cands, keys, fromHost, count, false)
 				if err := sameRanking(got, want); err != nil {
 					t.Fatalf("n=%d count=%d trial %d: %v\n got  %v\n want %v", n, count, trial, err, got, want)
 				}
@@ -199,8 +199,9 @@ func TestEngineCountedAnswersMatchWholeRanking(t *testing.T) {
 }
 
 // TestRankCacheCountedEntries: a counted miss stores only the candidates it
-// computed, which serve any shorter best-first request; a request for more,
-// for every candidate or for ID order misses and replaces the entry.
+// computed, which serve any shorter best-first request; a request for more or
+// for every candidate misses and replaces the entry. ID order is a key of its
+// own, always whole, and leaves the best-first entry as it was.
 func TestRankCacheCountedEntries(t *testing.T) {
 	var names []string
 	for i := 0; i < 12; i++ {
@@ -225,8 +226,10 @@ func TestRankCacheCountedEntries(t *testing.T) {
 			{count: 8, sorted: true, stored: 8},
 			{count: 3, sorted: true, hit: true, stored: 8},
 			{count: 9, sorted: true, stored: 9},
-			{count: 8, sorted: false, stored: all},
-			{count: 9, sorted: true, hit: true, stored: all},
+			{count: 8, sorted: false, stored: 9},
+			{count: 3, sorted: false, hit: true, stored: 9},
+			{count: 9, sorted: true, hit: true, stored: 9},
+			{count: 0, sorted: true, stored: all},
 		},
 	} {
 		whole := ComputeRanking(topo, &DelayRanker{}, netsim.NodeID(from), 0)

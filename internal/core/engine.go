@@ -37,32 +37,33 @@ func (e *Engine) CacheStats() RankCacheStats { return e.cache.Stats() }
 
 // Answer ranks the candidates for one query — every host of the snapshot
 // except the requester (the paper: all nodes, scheduler included, execute
-// tasks unless they submitted) — shapes the result per the request (ID
-// order, recovery filter, count; a count ≤ 0, which the simulator's devices
-// send, means every candidate), and appends it to dst, which the caller
-// owns, in the idiom of strconv.AppendInt. ok is false when no ranker is
-// registered for the query's metric, and dst is returned unchanged. Repeated
-// queries between telemetry updates are served from the rank cache; what is
-// appended is a copy, so a warmed hit into a buffer with room performs zero
-// heap allocations and the caller may do anything with the result.
+// tasks unless they submitted) — best-first or, for option two, in ID order,
+// shapes the result per the request (recovery filter, count; a count ≤ 0,
+// which the simulator's devices send, means every candidate), and appends it
+// to dst, which the caller owns, in the idiom of strconv.AppendInt. ok is
+// false when no ranker is registered for the query's metric, and dst is
+// returned unchanged. Repeated queries between telemetry updates are served
+// from the rank cache; what is appended is a copy, so a warmed hit into a
+// buffer with room performs zero heap allocations and the caller may do
+// anything with the result.
 func (e *Engine) Answer(dst []Candidate, topo *collector.Topology, req *QueryRequest) (ranked []Candidate, ok bool) {
 	ranker := e.rankers[req.Metric]
 	if ranker == nil {
 		return dst, false
 	}
 	// Option two from the paper: estimates in ID order, so the device can
-	// run its own selection.
+	// run its own selection. It is the ranking with its sort skipped.
 	idOrder := !req.Sorted && req.Metric != MetricRandom
 	fromHost := topo.HostIndex(string(req.From))
 	if req.Metric == MetricRandom || fromHost < 0 {
 		// An RNG draw the collector epoch does not version, or a requester
 		// the index-space key cannot name: compute every time. The ranking is
 		// private, so with no buffer to append to it is shaped in place.
-		ranked := ComputeRanking(topo, ranker, req.From, req.DataBytes)
+		ranked := rank(topo, ranker, req.From, fromHost, req.DataBytes, 0, idOrder)
 		if cap(dst) == 0 {
 			dst = ranked[:0]
 		}
-		return newRankEntry(ranked, true).appendShaped(dst, idOrder, e.ExcludeUnreachable, req.Count), true
+		return newRankEntry(ranked, true).appendShaped(dst, e.ExcludeUnreachable, req.Count), true
 	}
 	// A sorted, counted query needs only the count best, and the miss
 	// computes only those; anything else needs the whole ranking. The cache
@@ -71,12 +72,12 @@ func (e *Engine) Answer(dst []Candidate, topo *collector.Topology, req *QueryReq
 	if idOrder {
 		need = 0
 	}
-	key := cacheKey{from: int32(fromHost), metric: req.Metric, dataBytes: req.DataBytes}
+	key := cacheKey{from: int32(fromHost), metric: req.Metric, idOrder: idOrder, dataBytes: req.DataBytes}
 	entry, miss := e.cache.lookup(topo.Epoch(), key, need)
 	if entry == nil {
-		ranked := rank(topo, ranker, req.From, fromHost, req.DataBytes, need)
+		ranked := rank(topo, ranker, req.From, fromHost, req.DataBytes, need, idOrder)
 		// Every host but the requester, or the first need of them.
 		entry = miss.store(ranked, len(ranked) == topo.HostCount()-1)
 	}
-	return entry.appendShaped(dst, idOrder, e.ExcludeUnreachable, req.Count), true
+	return entry.appendShaped(dst, e.ExcludeUnreachable, req.Count), true
 }

@@ -23,11 +23,12 @@ type TransferTimeRanker struct {
 	// Bandwidth estimates the bottleneck component (default calibration
 	// when nil).
 	Bandwidth *BandwidthRanker
-	// MinBandwidthBps floors the bandwidth estimate so a fully congested
-	// link (estimate 0) yields a large-but-finite time. Default 1% of
-	// 20 Mbps.
-	MinBandwidthBps float64
 }
+
+// minBandwidthBps floors TransferTimeRanker's bandwidth estimate so that a
+// fully congested path (estimate 0) yields a large but finite time: 1% of the
+// paper's 20 Mbps links.
+const minBandwidthBps = 200_000
 
 // Metric implements Ranker.
 func (r *TransferTimeRanker) Metric() Metric { return MetricTransferTime }
@@ -44,15 +45,11 @@ func (r *TransferTimeRanker) Rank(topo *collector.Topology, _ netsim.NodeID, fro
 		bw = &BandwidthRanker{}
 	}
 	k, cal := delay.k(), bw.calibration()
-	floor := r.MinBandwidthBps
-	if floor <= 0 {
-		floor = 200_000 // 1% of the paper's 20 Mbps links
-	}
 	return rankPaths(topo, fromIdx, fromHost, count, s, cal, func(c *Candidate, f pathFold) int64 {
 		c.BandwidthBps = f.bandwidth()
 		c.Delay = f.delay(k)
 		if dataBytes > 0 {
-			c.Delay += time.Duration(float64(dataBytes*8) / max(c.BandwidthBps, floor) * float64(time.Second))
+			c.Delay += time.Duration(float64(dataBytes*8) / max(c.BandwidthBps, minBandwidthBps) * float64(time.Second))
 		}
 		return int64(c.Delay)
 	})

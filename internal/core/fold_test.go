@@ -48,10 +48,9 @@ func refFold(topo *collector.Topology, slots []collector.Slot, leavesHost bool, 
 // foldRanker is one path ranker and the parameters the reference needs to
 // compute what it should answer.
 type foldRanker struct {
-	r     Ranker
-	k     time.Duration
-	cal   *Calibration
-	floor float64
+	r   Ranker
+	k   time.Duration
+	cal *Calibration
 }
 
 // refPerHost ranks every host but from by a walk to each, in the order the
@@ -82,7 +81,7 @@ func refPerHost(topo *collector.Topology, fr foldRanker, from string, dataBytes 
 			case MetricTransferTime:
 				c.Delay, c.BandwidthBps = delay, bw
 				if dataBytes > 0 {
-					c.Delay += time.Duration(float64(dataBytes*8) / max(bw, fr.floor) * float64(time.Second))
+					c.Delay += time.Duration(float64(dataBytes*8) / max(bw, minBandwidthBps) * float64(time.Second))
 				}
 			}
 		}
@@ -209,8 +208,8 @@ func TestRankFoldMatchesPerHostWalks(t *testing.T) {
 		{r: delay, k: 3 * time.Millisecond, cal: DefaultCalibration()},
 		{r: &DelayRanker{}, k: DefaultK, cal: DefaultCalibration()},
 		{r: bw, k: DefaultK, cal: cal},
-		{r: &TransferTimeRanker{Delay: delay, Bandwidth: bw, MinBandwidthBps: 4_000_000}, k: 3 * time.Millisecond, cal: cal, floor: 4_000_000},
-		{r: &TransferTimeRanker{}, k: DefaultK, cal: DefaultCalibration(), floor: 200_000},
+		{r: &TransferTimeRanker{Delay: delay, Bandwidth: bw}, k: 3 * time.Millisecond, cal: cal},
+		{r: &TransferTimeRanker{}, k: DefaultK, cal: DefaultCalibration()},
 	}
 	f := newFoldFabric()
 	snaps := []*collector.Topology{f.next(), f.next(), f.next()}

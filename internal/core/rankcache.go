@@ -1,48 +1,49 @@
 package core
 
-import (
-	"cmp"
-	"slices"
-	"sync"
-)
+import "sync"
 
 // This file implements the rank-result cache of the query Engine. Between
 // telemetry updates — the common case at high query rates, since probes
 // arrive every 100 ms — the learned topology is frozen at one collector
-// epoch, so a ranking computed for (from, metric, dataBytes) is valid for
-// every identical query until the epoch advances. Invalidation is by epoch
-// comparison only; no timers. Every ranker but RandomRanker, which draws
-// from an RNG stream, is a pure function of the snapshot and the query, so
-// the engine caches every metric but random.
+// epoch, so a ranking computed for (from, metric, order, dataBytes) is valid
+// for every identical query until the epoch advances. Invalidation is by
+// epoch comparison only; no timers. Every ranker but RandomRanker, which
+// draws from an RNG stream, is a pure function of the snapshot and the query,
+// so the engine caches every metric but random.
 //
-// The cache is core's own: an entry holds a best-first ranking with its
-// reachable prefix length, never leaves the package, and is never written
-// after it is stored. Every answer is appended from it into a slice the
-// caller owns — unreachable filtering and count truncation pick a prefix to
-// copy, and the ID order of option two sorts the copy. An entry holds either
-// the whole ranking or, when the query that computed it asked for the k best
-// of more reachable candidates, just those k: a prefix of the whole ranking
-// that serves any best-first request for at most k. A request the entry is
-// too short for is a miss, and its store replaces the entry.
+// The cache is core's own: an entry holds a ranking in the order it is
+// served — best-first, or option two's ID order, which is the ranking with
+// its sort skipped and is keyed apart — with its reachable prefix length. It
+// never leaves the package and is never written after it is stored. Every
+// answer is a prefix of an entry appended into a slice the caller owns:
+// unreachable filtering and count truncation pick how much to copy. A
+// best-first entry holds either the whole ranking or, when the query that
+// computed it asked for the k best of more reachable candidates, just those
+// k: a prefix of the whole ranking that serves any best-first request for at
+// most k. A request the entry is too short for is a miss, and its store
+// replaces the entry. An ID-order entry is always whole.
 
 // cacheKey identifies one cacheable ranking computation within an epoch:
-// three scalars, no strings hashed on the hot path.
+// four scalars in 16 bytes, no strings hashed on the hot path.
 type cacheKey struct {
 	// from is the querying device's position in the snapshot's sorted host
 	// list. Host indices are stable within an epoch (and the cache is
 	// epoch-keyed), so the index identifies the device exactly; queries
 	// from non-host devices bypass the cache.
-	from      int32
-	metric    Metric
+	from   int32
+	metric Metric
+	// idOrder keys option two's ID order apart from best-first.
+	idOrder   bool
 	dataBytes int64
 }
 
-// rankEntry is one ranking: a best-first candidate list and the length of
-// its reachable prefix. It is not modified after it is built.
+// rankEntry is one ranking: a candidate list in the order it is served and
+// the length of its reachable prefix. It is not modified after it is built.
 type rankEntry struct {
-	// ranked is the best-first list. Every ranker emits reachable
-	// candidates before unreachable ones (Ranker.Rank), or marks every
-	// candidate reachable; reach is the length of that reachable prefix.
+	// ranked is the list, best-first or in ID order. Every ranker emits
+	// reachable candidates before unreachable ones (Ranker.Rank), or marks
+	// every candidate reachable; reach is the length of that reachable
+	// prefix.
 	ranked []Candidate
 	reach  int
 	// whole is false when ranked is only the first len(ranked) candidates
@@ -64,35 +65,21 @@ func (e *rankEntry) serves(need int) bool {
 	return e.whole || (need > 0 && need <= len(e.ranked))
 }
 
-// appendShaped appends the answer to one request to dst: idOrder selects
-// option two's ID order (the reachable prefix by node, then the rest by
-// node), exclUnre applies the recovery policy's unreachable filter (with the
+// appendShaped appends the answer to one request to dst, a prefix of the
+// entry: exclUnre applies the recovery policy's unreachable filter (with the
 // all-unreachable graceful fallback), and count > 0 truncates. An entry that
-// is not whole is shaped only for what it serves: best-first, at most its
-// length.
-func (e *rankEntry) appendShaped(dst []Candidate, idOrder, exclUnre bool, count int) []Candidate {
+// is not whole is shaped only for what it serves: at most its length.
+func (e *rankEntry) appendShaped(dst []Candidate, exclUnre bool, count int) []Candidate {
 	list := e.ranked
 	if exclUnre && e.reach > 0 {
 		// The filter keeps the reachable prefix; reach == 0 keeps the full
 		// list (the graceful fallback).
 		list = list[:e.reach]
 	}
-	if !idOrder {
-		if count > 0 && count < len(list) {
-			list = list[:count]
-		}
-		return append(dst, list...)
-	}
-	start := len(dst)
-	dst = append(dst, list...)
-	byNode := func(a, b Candidate) int { return cmp.Compare(a.Node, b.Node) }
-	reach := start + min(e.reach, len(list))
-	slices.SortFunc(dst[start:reach], byNode)
-	slices.SortFunc(dst[reach:], byNode)
 	if count > 0 && count < len(list) {
-		dst = dst[:start+count]
+		list = list[:count]
 	}
-	return dst
+	return append(dst, list...)
 }
 
 // RankCacheStats reports cache effectiveness.
@@ -107,10 +94,10 @@ type RankCacheStats struct {
 	Invalidations uint64
 }
 
-// rankCache memoizes best-first rankings per collector epoch. All
-// methods are safe for concurrent use. Entries from older epochs are
-// discarded wholesale the first time a newer epoch is observed, so the
-// cache never serves results computed from a superseded topology.
+// rankCache memoizes rankings per collector epoch. All methods are safe for
+// concurrent use. Entries from older epochs are discarded wholesale the first
+// time a newer epoch is observed, so the cache never serves results computed
+// from a superseded topology.
 type rankCache struct {
 	mu      sync.Mutex
 	valid   bool

@@ -51,8 +51,9 @@ func TestRankCacheInvalidatesOnEpochAdvance(t *testing.T) {
 	}
 }
 
-// TestRankCacheServesShapedRequests: Sorted=false and Count shape a private
-// copy; the cached full list must stay intact and best-first.
+// TestRankCacheServesShapedRequests: Count shapes a private copy of the
+// cached list, which must stay intact and best-first; Sorted=false is a
+// ranking of its own, computed once.
 func TestRankCacheServesShapedRequests(t *testing.T) {
 	f := newServiceFixture(t)
 	sorted := f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true})
@@ -71,14 +72,13 @@ func TestRankCacheServesShapedRequests(t *testing.T) {
 	if len(top) != 1 || top[0].Node != sorted[0].Node {
 		t.Fatalf("count-limited view %v, want best %v", top, sorted[0].Node)
 	}
-	// The cached ordering must have survived the ID-sort of the unsorted
-	// view.
+	// The cached ordering must have survived the shaped requests.
 	again := f.svc.RankFor(&QueryRequest{From: "dev", Metric: MetricDelay, Sorted: true})
 	if !reflect.DeepEqual(sorted, again) {
 		t.Fatalf("cache corrupted by shaped request: %v vs %v", sorted, again)
 	}
-	if st := f.svc.CacheStats(); st.Misses != 1 {
-		t.Fatalf("stats %+v, want a single computation", st)
+	if st := f.svc.CacheStats(); st.Misses != 2 {
+		t.Fatalf("stats %+v, want one computation per order", st)
 	}
 }
 
@@ -222,7 +222,7 @@ func TestQueryBurstMatchesSingleQueries(t *testing.T) {
 		{From: "dev", Metric: MetricDelay, Sorted: true},
 		{From: "e1", Metric: MetricDelay, Sorted: true},
 		{From: "dev", Metric: MetricBandwidth, Sorted: true},
-		{From: "dev", Metric: MetricDelay, Sorted: false},          // same key as [0], different shaping
+		{From: "dev", Metric: MetricDelay, Sorted: false},          // option two: a key of its own
 		{From: "dev", Metric: MetricDelay, Sorted: true, Count: 1}, // same key as [0], truncated
 		{From: "dev", Metric: MetricTransferTime, Sorted: true, DataBytes: 1 << 20},
 		{From: "dev", Metric: MetricNearest, Sorted: true}, // no ranker registered: nil
@@ -263,7 +263,8 @@ func (r *countingRanker) Rank(topo *collector.Topology, from netsim.NodeID, from
 }
 
 // TestQueryBurstComputesEachKeyOnce: identical cache keys in one burst must be
-// computed once, and later identical bursts served entirely as hits.
+// computed once, and later identical bursts served entirely as hits. Sorted
+// and counted requests share a key; option two is another.
 func TestQueryBurstComputesEachKeyOnce(t *testing.T) {
 	f := newServiceFixture(t)
 	cr := &countingRanker{}
@@ -274,17 +275,17 @@ func TestQueryBurstComputesEachKeyOnce(t *testing.T) {
 		{From: "dev", Metric: MetricDelay, Count: 1, Sorted: true},
 	}
 	rankEach(f.svc, reqs)
-	if cr.calls != 1 {
-		t.Fatalf("%d ranking computations for three identical keys, want one", cr.calls)
+	if cr.calls != 2 {
+		t.Fatalf("%d ranking computations for two keys, want two", cr.calls)
 	}
-	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 2 {
-		t.Fatalf("stats %+v, want one miss and two hits in the first batch", st)
+	if st := f.svc.CacheStats(); st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("stats %+v, want two misses and one hit in the first batch", st)
 	}
 	rankEach(f.svc, reqs)
-	if cr.calls != 1 {
+	if cr.calls != 2 {
 		t.Fatalf("warm batch recomputed: %d calls", cr.calls)
 	}
-	if st := f.svc.CacheStats(); st.Misses != 1 || st.Hits != 5 {
+	if st := f.svc.CacheStats(); st.Misses != 2 || st.Hits != 4 {
 		t.Fatalf("stats %+v, want all hits on the second batch", st)
 	}
 	// The cached full list must not have been corrupted by the shaped

@@ -15,7 +15,9 @@
 // comparisons are inlined (rankPaths, ranked). A query that asks for the k
 // best orders only those: a quickselect moves the k least keys to the front
 // and only they are sorted and copied out; the whole ranking is the case
-// where k covers every reachable candidate.
+// where k covers every reachable candidate. The paper's option two, the
+// candidates in ID order, is the ranking with its sort skipped: the keys
+// arrive in host position, and the host list is sorted by name.
 //
 // The two baselines the paper compares against (Nearest and Random) are
 // implemented here too, plus the extensions that kept their place in a
@@ -106,14 +108,15 @@ type Ranker interface {
 	// Rank returns every host of the snapshot but the requester, ordered
 	// best-first, reachable ones before unreachable ones (a rank entry serves
 	// the recovery filter as a prefix); ties, and the unreachable tail, are
-	// in node-ID order. from is the querying device's ID, fromIdx its node
-	// index (-1 when it has no adjacency) and fromHost its position in the
-	// sorted host list (-1 when it is not a known host: nobody is left
-	// out); dataBytes is the task's transfer size (0 when unknown). count
-	// > 0 says the caller needs only the count best: when more candidates
-	// than that are reachable, the ranker may return just the whole
-	// ranking's first count entries. The result is private to the caller;
-	// s is scratch.
+	// in node-ID order. When s asks for option two's ID order, the reachable
+	// ones are in node-ID order too: the whole ranking with its sort skipped.
+	// from is the querying device's ID, fromIdx its node index (-1 when it
+	// has no adjacency) and fromHost its position in the sorted host list
+	// (-1 when it is not a known host: nobody is left out); dataBytes is the
+	// task's transfer size (0 when unknown). count > 0 says the caller needs
+	// only the count best: when more candidates than that are reachable, the
+	// ranker may return just the whole ranking's first count entries. The
+	// result is private to the caller; s is scratch.
 	Rank(topo *collector.Topology, from netsim.NodeID, fromIdx collector.NodeIdx, fromHost int, dataBytes int64, count int, s *rankScratch) []Candidate
 }
 
@@ -164,6 +167,8 @@ type rankScratch struct {
 	// this ranking has met; an entry is this ranking's iff its gen is gen.
 	roots []rootFold
 	gen   uint32
+	// idOrder asks for option two's ID order: ranked skips its sort.
+	idOrder bool
 }
 
 // rootFold is one memoized walk to a walk root: whether it reached the root,
@@ -181,17 +186,18 @@ var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 // experimental setup: all nodes execute tasks unless they submitted). The
 // returned slice is private to the caller.
 func ComputeRanking(topo *collector.Topology, r Ranker, from netsim.NodeID, dataBytes int64) []Candidate {
-	return rank(topo, r, from, topo.HostIndex(string(from)), dataBytes, 0)
+	return rank(topo, r, from, topo.HostIndex(string(from)), dataBytes, 0, false)
 }
 
 // rank is ComputeRanking for a requester at host position fromHost, cut to
-// the count best when count > 0 (Ranker.Rank).
-func rank(topo *collector.Topology, r Ranker, from netsim.NodeID, fromHost int, dataBytes int64, count int) []Candidate {
+// the count best when count > 0, or in ID order when idOrder (Ranker.Rank).
+func rank(topo *collector.Topology, r Ranker, from netsim.NodeID, fromHost int, dataBytes int64, count int, idOrder bool) []Candidate {
 	fromIdx := collector.NodeIdx(-1)
 	if i, ok := topo.NodeIndex(string(from)); ok {
 		fromIdx = i
 	}
 	sc := scratchPool.Get().(*rankScratch)
+	sc.idOrder = idOrder
 	ranked := r.Rank(topo, from, fromIdx, fromHost, dataBytes, count, sc)
 	scratchPool.Put(sc)
 	return ranked
@@ -218,15 +224,18 @@ func (s *rankScratch) beginRoots(n int) {
 }
 
 // ranked orders a ranker's estimates — cands written at every host position
-// but fromHost, a key for each reachable one — into a private result: the
-// reachable candidates by ascending key, ties by host position (node-ID
-// order, the host list being sorted), then the unreachable ones in ID order.
-// The order is total, so the sort need not be stable, and the count least
-// keys are one set whatever finds them. When count > 0 leaves out some
-// reachable candidate, only the count least keys are selected, sorted and
-// gathered; otherwise every key is sorted and the whole ranking returned.
-func ranked(cands []Candidate, keys []rankKey, fromHost, count int) []Candidate {
-	whole := count <= 0 || count >= len(keys)
+// but fromHost, a key for each reachable one, appended in ascending host
+// position — into a private result: the reachable candidates by ascending
+// key, ties by host position (node-ID order, the host list being sorted),
+// then the unreachable ones in ID order. The order is total, so the sort need
+// not be stable, and the count least keys are one set whatever finds them.
+// When count > 0 leaves out some reachable candidate, only the count least
+// keys are selected, sorted and gathered; otherwise every key is sorted and
+// the whole ranking returned. idOrder (option two) skips selection and sort:
+// the whole list, the reachable candidates in host position and so in ID
+// order, then the unreachable ones.
+func ranked(cands []Candidate, keys []rankKey, fromHost, count int, idOrder bool) []Candidate {
+	whole := idOrder || count <= 0 || count >= len(keys)
 	n := len(cands)
 	if fromHost >= 0 {
 		n--
@@ -235,7 +244,9 @@ func ranked(cands []Candidate, keys []rankKey, fromHost, count int) []Candidate 
 		selectLeast(keys, count, 2*bits.Len(uint(len(keys))))
 		keys, n = keys[:count], count
 	}
-	sortKeys(keys, 2*bits.Len(uint(len(keys))))
+	if !idOrder {
+		sortKeys(keys, 2*bits.Len(uint(len(keys))))
+	}
 	out := make([]Candidate, 0, n)
 	for _, k := range keys {
 		out = append(out, cands[k.host])
@@ -449,7 +460,7 @@ func rankPaths(topo *collector.Topology, fromIdx collector.NodeIdx, fromHost, co
 		c.Reachable, c.Hops = true, f.hops
 		s.keys = append(s.keys, rankKey{key: finish(c, f), host: int32(j)})
 	}
-	return ranked(s.cands, s.keys, fromHost, count)
+	return ranked(s.cands, s.keys, fromHost, count, s.idOrder)
 }
 
 // DefaultK is the paper's queue-occupancy→latency conversion factor: each
@@ -563,7 +574,7 @@ func (r *NearestRanker) Rank(topo *collector.Topology, from netsim.NodeID, _ col
 			s.keys = append(s.keys, rankKey{key: int64(h), host: int32(j)})
 		}
 	}
-	return ranked(s.cands, s.keys, fromHost, count)
+	return ranked(s.cands, s.keys, fromHost, count, s.idOrder)
 }
 
 // RandomRanker is the paper's Random baseline: a uniformly random order for

@@ -258,7 +258,11 @@ func TestEveryRankerReachableFirst(t *testing.T) {
 			t.Fatalf("%v: evicted e2 reachable=%v in %v", m, c.Reachable, ranked)
 		}
 		entry := newRankEntry(ranked, true)
-		for _, list := range [][]Candidate{entry.ranked, entry.appendShaped(nil, true, false, 0)} {
+		lists := [][]Candidate{entry.ranked}
+		if m != MetricRandom { // the engine never asks it for ID order
+			lists = append(lists, rank(topo, r, "dev", topo.HostIndex("dev"), 1<<20, 0, true))
+		}
+		for _, list := range lists {
 			for i, c := range list {
 				if c.Reachable != (i < entry.reach) {
 					t.Fatalf("%v: %v is not reachable-first with a reachable prefix of %d", m, list, entry.reach)
@@ -269,7 +273,7 @@ func TestEveryRankerReachableFirst(t *testing.T) {
 		if learned {
 			want = 2
 		}
-		if got := entry.appendShaped(nil, false, true, 0); len(got) != want {
+		if got := entry.appendShaped(nil, true, 0); len(got) != want {
 			t.Fatalf("%v: recovery filter kept %v", m, got)
 		}
 	}

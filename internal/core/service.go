@@ -38,11 +38,16 @@ type QueryResponse struct {
 	Candidates []Candidate
 }
 
+// queryRequestSize and queryResponseSize are the simulated wire sizes of a
+// query and of a response carrying a handful of candidates (responseSize
+// grows it with more).
+const (
+	queryRequestSize  = 128
+	queryResponseSize = 256
+)
+
 // ServiceConfig configures the scheduler service.
 type ServiceConfig struct {
-	// QueryResponseSize is the on-wire size of a query response packet.
-	// Zero means 256 bytes (a handful of candidate entries).
-	QueryResponseSize int
 	// ExcludeUnreachable is the fault-recovery policy: drop candidates
 	// whose learned-path lookup failed from responses whenever at least
 	// one reachable candidate exists, so servers behind evicted links stop
@@ -63,7 +68,6 @@ type ServiceConfig struct {
 type Service struct {
 	stack *transport.Stack
 	coll  *collector.Collector
-	cfg   ServiceConfig
 
 	engine Engine
 
@@ -82,13 +86,9 @@ type Service struct {
 // strategies in use must be registered with Register before queries of that
 // metric arrive.
 func NewService(stack *transport.Stack, coll *collector.Collector, cfg ServiceConfig) *Service {
-	if cfg.QueryResponseSize <= 0 {
-		cfg.QueryResponseSize = 256
-	}
 	s := &Service{
 		stack: stack,
 		coll:  coll,
-		cfg:   cfg,
 	}
 	s.engine.ExcludeUnreachable = cfg.ExcludeUnreachable
 	s.Demux = stack.ControlHandler
@@ -122,7 +122,7 @@ func (s *Service) handleQuery(from netsim.NodeID, req *QueryRequest) {
 	resp := &QueryResponse{QueryID: req.QueryID, Metric: req.Metric}
 	resp.Candidates = s.RankFor(req)
 	s.QueriesServed++
-	s.stack.SendControl(from, s.responseSize(len(resp.Candidates)), resp)
+	s.stack.SendControl(from, responseSize(len(resp.Candidates)), resp)
 }
 
 // RankFor computes the ranked candidate list for a query without the
@@ -142,8 +142,8 @@ func (s *Service) RankOn(topo *collector.Topology, req *QueryRequest) []Candidat
 }
 
 // responseSize estimates the wire size of a response carrying n candidates.
-func (s *Service) responseSize(n int) int {
-	size := s.cfg.QueryResponseSize
+func responseSize(n int) int {
+	size := queryResponseSize
 	if extra := 24*n + 64 - size; extra > 0 {
 		size += extra
 	}
@@ -158,8 +158,6 @@ type Client struct {
 	scheduler netsim.NodeID
 	nextID    uint64
 	pending   map[uint64]func(*QueryResponse)
-	// QueryRequestSize is the wire size of a query packet.
-	QueryRequestSize int
 	// Demux receives control messages that are not query responses
 	// (e.g. task lifecycle messages handled by the edge package).
 	Demux func(from netsim.NodeID, payload any)
@@ -168,10 +166,9 @@ type Client struct {
 // NewClient installs a query client on the device's stack.
 func NewClient(stack *transport.Stack, scheduler netsim.NodeID) *Client {
 	c := &Client{
-		stack:            stack,
-		scheduler:        scheduler,
-		pending:          make(map[uint64]func(*QueryResponse)),
-		QueryRequestSize: 128,
+		stack:     stack,
+		scheduler: scheduler,
+		pending:   make(map[uint64]func(*QueryResponse)),
 	}
 	c.Demux = stack.ControlHandler
 	stack.ControlHandler = c.handleControl
@@ -224,7 +221,7 @@ func (c *Client) send(req *QueryRequest, cb func(*QueryResponse)) {
 	req.From = c.stack.Host()
 	req.QueryID = c.nextID
 	c.pending[req.QueryID] = cb
-	c.stack.SendControl(c.scheduler, c.QueryRequestSize, req)
+	c.stack.SendControl(c.scheduler, queryRequestSize, req)
 }
 
 // String renders a candidate for logs.

@@ -49,11 +49,6 @@ type swPort struct {
 	addr     *net.UDPAddr
 	ch       chan frame
 
-	// Stats (atomic not needed: single writer per counter).
-	mu        sync.Mutex
-	txPackets uint64
-	drops     uint64
-
 	// Scratch reused by stampProbe, which only ever runs on this port's
 	// drain goroutine: decode target (whose record slots the INT program
 	// fills in place, so a stamped probe allocates nothing), and the encode
@@ -263,9 +258,6 @@ func (s *SoftSwitch) handle(d *wire.Datagram, size, inPort int) {
 	case port.ch <- f:
 		s.forwarded.Add(1)
 	default:
-		port.mu.Lock()
-		port.drops++
-		port.mu.Unlock()
 		s.drops.Add(1)
 	}
 }
@@ -298,9 +290,6 @@ func (s *SoftSwitch) drain(p *swPort) {
 		if _, err := s.conn.WriteToUDP(out, p.addr); err != nil {
 			return // socket closed
 		}
-		p.mu.Lock()
-		p.txPackets++
-		p.mu.Unlock()
 	}
 }
 
@@ -333,14 +322,4 @@ func (s *SoftSwitch) stampProbe(p *swPort, f *frame) {
 // many it discarded. Safe to call while the switch runs.
 func (s *SoftSwitch) Counters() (forwarded, drops uint64) {
 	return s.forwarded.Load(), s.drops.Load()
-}
-
-// PortStats returns (txPackets, drops) for a port.
-func (s *SoftSwitch) PortStats(port int) (tx, drops uint64) {
-	s.mu.Lock()
-	p := s.ports[port]
-	s.mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.txPackets, p.drops
 }

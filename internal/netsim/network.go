@@ -145,14 +145,8 @@ type Port struct {
 // Node returns the owning node.
 func (p *Port) Node() *Node { return p.node }
 
-// Index returns the port's index on its node.
-func (p *Port) Index() int { return p.index }
-
 // Link returns the attached link.
 func (p *Port) Link() *Link { return p.link }
-
-// Peer returns the port at the other end of the link.
-func (p *Port) Peer() *Port { return p.peer }
 
 // QueueLen returns the current egress-queue occupancy in packets, counting
 // the packet being transmitted.

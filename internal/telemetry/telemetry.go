@@ -153,14 +153,3 @@ const GeneveMarker uint16 = 0x0103
 // ProbePacketSize is the on-wire size of a probe packet in bytes. Probes are
 // padded to a full MTU so telemetry never grows the packet mid-path.
 const ProbePacketSize = 1500
-
-// ProbeOverheadBps returns the probing traffic rate in bits per second for
-// the given number of probing servers and interval (the paper reports
-// 120 Kbps for 10 probes/s at 1.5 KB each, i.e. 1.1% of a 10 Mbps link).
-func ProbeOverheadBps(servers int, interval time.Duration) float64 {
-	if interval <= 0 {
-		return 0
-	}
-	perSecond := float64(servers) / interval.Seconds()
-	return perSecond * ProbePacketSize * 8
-}

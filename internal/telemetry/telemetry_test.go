@@ -59,20 +59,3 @@ func TestStackString(t *testing.T) {
 		t.Fatal("truncated marker missing")
 	}
 }
-
-func TestProbeOverheadMatchesPaper(t *testing.T) {
-	// 10 probes/s × 1.5 KB = 120 Kbps for one server; the paper quotes the
-	// figure per probing server.
-	got := ProbeOverheadBps(1, 100*time.Millisecond)
-	if got != 120_000 {
-		t.Fatalf("overhead %v bps, want 120000", got)
-	}
-	// 1.1% of a 10 Mbps link.
-	frac := got / 10_000_000
-	if frac < 0.011 || frac > 0.013 {
-		t.Fatalf("fraction %v, want ≈1.2%%", frac)
-	}
-	if ProbeOverheadBps(3, 0) != 0 {
-		t.Fatal("zero interval should be zero overhead")
-	}
-}
